@@ -3,7 +3,7 @@
 Runs a reduced version of all three Figure-8 charts and prints the
 normalised overhead table (the numbers the paper quotes in prose: CG
 14%→43%, Laplace ≤2.1%, Neurosys piggyback 160%→2.7%).  Run with ``-s`` to
-see the table; EXPERIMENTS.md records the full-size version.
+see the table; ``benchmarks/e2e/README.md`` describes the committed record.
 """
 
 import pytest

@@ -95,6 +95,38 @@ def test_cost_scales_linearly():
     assert ratio < 400, f"8MB/64KB serialise ratio {ratio:.0f} looks superlinear"
 
 
+def test_unchanged_resave_hashes_and_stores_nothing():
+    """Timing-free guard on compare-before-hash: an unchanged 8 MB state
+    saved again costs no digest and no chunk bytes."""
+    storage = Storage(None)
+    data = make_ckpt(SIZES["8MB"])
+    first = storage.write_state(0, 1, data)
+    hashed = storage.store.chunks_hashed
+    assert hashed == len(first.chunks) > 128
+    again = storage.write_state(0, 2, data)
+    assert storage.store.chunks_hashed == hashed
+    assert again.stored_bytes == 0
+    assert again.chunks == first.chunks
+
+
+def test_unchanged_resave_copies_nothing():
+    """Timing-free guard on zero-copy capture: the peak traced allocation
+    during that re-save stays under 1 MB — a copy of the 8 MB state (a
+    whole-payload pickle, a joined chunk list) creeping back in fails it."""
+    import tracemalloc
+
+    storage = Storage(None)
+    data = make_ckpt(SIZES["8MB"])
+    storage.write_state(0, 1, data)
+    tracemalloc.start()
+    try:
+        storage.write_state(0, 2, data)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"re-save peaked at {peak} traced bytes"
+
+
 # --------------------------------------------------------------------- #
 # Experiment B-CKPT: the tiered engine — full vs incremental vs compressed.
 # --------------------------------------------------------------------- #

@@ -2,8 +2,9 @@
 
 Every ``bench_fig8_*`` module measures one chart of the paper's Figure 8
 with the four build variants of Section 6.2.  Benchmark-suite sizes are
-scaled below the EXPERIMENTS.md sizes so ``pytest benchmarks/
---benchmark-only`` completes quickly; the shapes (who is more expensive,
+scaled below the ``run_figure8.py`` sizes (the committed record is
+``benchmarks/e2e``, see ``benchmarks/e2e/README.md``) so ``pytest
+benchmarks/ --benchmark-only`` completes quickly; the shapes (who is more expensive,
 how overhead moves with problem size) are asserted, not absolute times.
 """
 

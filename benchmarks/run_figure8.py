@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate the complete Figure 8 (all three charts, all sizes, four
-variants) plus the Section-6.2 overhead table, at the EXPERIMENTS.md scale.
+variants) plus the Section-6.2 overhead table, at full scale.
 
 This is the full-size version of the pytest benchmarks — run it directly:
 
     python benchmarks/run_figure8.py [--repeats N]
 
-Output is the text form of the paper's three bar charts; EXPERIMENTS.md
-records a run verbatim.
+Output is the text form of the paper's three bar charts.  It is committed
+nowhere: the four-variant record of this repo is ``benchmarks/e2e``
+(see ``benchmarks/e2e/README.md``).
 """
 
 import argparse

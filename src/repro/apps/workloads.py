@@ -6,8 +6,8 @@ same absolute sizes around in benchmark time, so every experiment runs a
 scaled configuration chosen to preserve the *ratios* the paper's analysis
 hinges on: application-state size relative to message volume (dense CG),
 message size relative to piggyback size (Laplace), and collective count
-relative to computation (Neurosys).  The mapping is recorded here so
-EXPERIMENTS.md can cite it.
+relative to computation (Neurosys).  The mapping is recorded here; the
+committed four-variant record is described in ``benchmarks/e2e/README.md``.
 """
 
 from __future__ import annotations

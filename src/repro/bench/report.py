@@ -3,7 +3,8 @@
 The paper presents three bar charts (running time per problem size, four
 bars each, annotated with application-state size).  ``render_chart``
 produces the same information as an aligned text table plus a normalised
-overhead summary, which EXPERIMENTS.md captures verbatim.
+overhead summary (the committed record of the four-variant experiment is
+the one ``benchmarks/e2e/README.md`` describes).
 """
 
 from __future__ import annotations

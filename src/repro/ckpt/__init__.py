@@ -9,9 +9,9 @@ lineage of the application-level checkpointing systems descended from C3
   keyed-blob protocol (:mod:`repro.ckpt.backends`);
 * a **codec registry** compressing chunks with zlib/lzma or nothing
   (:mod:`repro.ckpt.codecs`);
-* **incremental snapshots** that content-address the pickled state stream
-  so unchanged regions of the previous generation cost zero bytes
-  (:mod:`repro.ckpt.delta`);
+* **incremental snapshots** that content-address the pickled state, each
+  large array buffer on its own chunk boundaries, so unchanged regions cost
+  zero bytes and are never copied or hashed (:mod:`repro.ckpt.delta`);
 * **crash-consistent two-phase commit**: chunks first, then one atomic
   checksummed manifest — a failure mid-write never destroys the last good
   generation (:mod:`repro.ckpt.store`, :mod:`repro.ckpt.manifest`);
@@ -40,7 +40,7 @@ from repro.ckpt.codecs import (
     list_chunk_codecs,
     register_chunk_codec,
 )
-from repro.ckpt.delta import DEFAULT_CHUNK_SIZE, DeltaStats, chunk_digest, split_chunks
+from repro.ckpt.delta import DEFAULT_CHUNK_SIZE, DeltaStats, chunk_digest
 from repro.ckpt.manifest import ChunkRef, GenerationManifest
 from repro.ckpt.retention import RetentionPolicy
 from repro.ckpt.store import CheckpointStore
@@ -66,5 +66,4 @@ __all__ = [
     "make_backend",
     "register_backend",
     "register_chunk_codec",
-    "split_chunks",
 ]

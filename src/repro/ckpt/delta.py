@@ -1,61 +1,77 @@
-"""Incremental snapshots: content-addressed chunking of checkpoint payloads.
+"""Incremental snapshots: zero-copy, content-addressed chunking of a checkpoint.
 
-The delta strategy works at the byte level of the *single* pickle stream a
-checkpoint serialises to.  That choice is deliberate: the rank's whole
-state (stack frames, heap, globals, protocol records) must be pickled in
-one stream so aliasing between objects survives restore (see
-:mod:`repro.util.serialization`) — splitting the object graph into
-separately-pickled parts would silently duplicate shared objects.  Instead
-the stream is cut into fixed-size chunks, each addressed by a digest of
-its decoded bytes; a generation whose chunk already exists in the backend
-writes nothing for it.
+A checkpoint is pickled by *one* pickler — the rank's whole state (stack
+frames, heap, globals, protocol records) shares one memo, so aliasing
+between objects survives restore (see :mod:`repro.util.serialization`) —
+but it is not one byte string.  Protocol 5 lets every large contiguous
+buffer (a numpy array's data) leave the stream *out of band* as a view of
+live memory: a generation is an ordered list of **segments**, the in-band
+stream first, then each buffer.  Each segment is cut on its own fixed-size
+chunk boundaries into ``memoryview`` slices, each addressed by a digest of
+its decoded bytes; a chunk already in the backend writes nothing, and only
+a chunk that is actually new is ever copied.
 
-Fixed-size chunking dedupes well here because scientific application
-state is dominated by in-place-mutated arrays of stable shape (the dense
-CG matrix block, the Laplace grid): successive generations produce pickle
-streams of identical length whose unchanged regions land on identical
-chunk boundaries.  For dense CG the constant matrix block — the bulk of
-the paper's 8 MB–131 MB state — dedupes to zero bytes every wave.
+Per-segment boundaries are what make fixed-size chunking dedup.  Scientific
+state is dominated by in-place-mutated arrays of stable shape (the dense CG
+matrix block, the Laplace grid).  Cut as one stream, every array's chunks
+shift — and stop deduplicating — whenever anything pickled before it changes
+length (a counter gaining a digit, a list growing); cut per segment, an
+array's chunks start at its own byte 0 whatever the in-band stream does.
+For dense CG the constant matrix block — the bulk of the paper's
+8 MB–131 MB state — dedupes to zero bytes every wave.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass
+from typing import Any, Iterator
 
 #: Default chunk size: small enough that a partially-changed state saves
 #: bytes, large enough that digest/lookup overhead stays negligible.
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
 
-def chunk_digest(data: bytes) -> str:
+def chunk_digest(data: bytes | memoryview) -> str:
     """Content address of one chunk (computed over *decoded* bytes)."""
     return hashlib.blake2b(data, digest_size=20).hexdigest()
 
 
-def split_chunks(payload: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[bytes]:
-    """Cut ``payload`` into fixed-size chunks (last one may be short)."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if not payload:
-        return [b""]
-    view = memoryview(payload)
-    return [
-        bytes(view[offset : offset + chunk_size])
-        for offset in range(0, len(payload), chunk_size)
-    ]
+def capture_segments(obj: Any, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[memoryview]:
+    """Pickle ``obj`` once; return the in-band stream, then every contiguous
+    buffer of at least ``chunk_size`` bytes as a byte view of live memory
+    (smaller ones stay in the stream: a segment under one chunk could never
+    dedup on its own boundaries).  The views alias ``obj``'s arrays —
+    consume them before the application runs again."""
+    buffers: list[memoryview] = []
+
+    def in_band(buffer: pickle.PickleBuffer) -> bool:
+        try:
+            view = buffer.raw()
+        except BufferError:  # neither C- nor Fortran-contiguous
+            return True
+        if view.nbytes < chunk_size:
+            return True
+        buffers.append(view)
+        return False
+
+    stream = pickle.dumps(obj, protocol=5, buffer_callback=in_band)
+    return [memoryview(stream), *buffers]
+
+
+def chunk_views(segment: memoryview, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[memoryview]:
+    """``segment`` cut into fixed-size views (the last one may be short)."""
+    for offset in range(0, len(segment), chunk_size):
+        yield segment[offset : offset + chunk_size]
 
 
 @dataclass
 class DeltaStats:
     """What one generation's save actually moved."""
 
-    chunks_total: int = 0
     chunks_written: int = 0
     chunks_reused: int = 0
+    chunks_hashed: int = 0   # the rest inherited the previous generation's digest
     bytes_logical: int = 0   # decoded payload size
     bytes_stored: int = 0    # encoded bytes that hit the backend
-
-    @property
-    def reuse_fraction(self) -> float:
-        return self.chunks_reused / self.chunks_total if self.chunks_total else 0.0

@@ -2,9 +2,10 @@
 
 A generation (one rank's checkpoint of one epoch) becomes visible only
 when its manifest exists and validates.  The manifest names every chunk
-of the payload by content address and carries its own checksum over the
-addressing data, so three failure modes are all detected at read time and
-reported as storage errors rather than deserialised into garbage state:
+of every segment (:mod:`repro.ckpt.delta`) by content address and carries
+its own checksum over the addressing data, so three failure modes are all
+detected at read time and reported as storage errors rather than
+deserialised into garbage state:
 
 * torn write — the crash happened before the manifest's atomic rename, so
   the manifest is simply absent and the previous generation is untouched;
@@ -17,13 +18,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from repro.errors import ManifestCorruptError
 
 
 @dataclass(frozen=True)
 class ChunkRef:
-    """One chunk of a generation's payload."""
+    """One chunk of one segment of a generation."""
 
     digest: str         # content address of the decoded bytes
     length: int         # decoded size
@@ -38,8 +40,8 @@ class GenerationManifest:
     generation: int      # the epoch this generation checkpoints
     codec: str
     chunk_size: int
-    payload_length: int
-    chunks: tuple[ChunkRef, ...]
+    #: Each segment's chunks, in pickling order (the in-band stream first).
+    segments: tuple[tuple[ChunkRef, ...], ...]
     created_at: float = 0.0
     #: Chunk bytes this save actually wrote (0 for a fully-deduped save);
     #: observability only, excluded from the checksum.
@@ -55,11 +57,10 @@ class GenerationManifest:
             str(self.generation),
             self.codec,
             str(self.chunk_size),
-            str(self.payload_length),
         ]
-        parts.extend(
-            f"{ref.digest}:{ref.length}:{ref.stored_length}" for ref in self.chunks
-        )
+        for refs in self.segments:
+            parts.append(f"segment:{len(refs)}")
+            parts.extend(f"{ref.digest}:{ref.length}:{ref.stored_length}" for ref in refs)
         return "\n".join(parts).encode()
 
     def compute_checksum(self) -> str:
@@ -80,12 +81,17 @@ class GenerationManifest:
     # ------------------------------------------------------------------ #
 
     @property
+    def chunks(self) -> tuple[ChunkRef, ...]:
+        """Every chunk of every segment, in order."""
+        return tuple(chain.from_iterable(self.segments))
+
+    @property
     def logical_bytes(self) -> int:
-        return self.payload_length
+        return sum(ref.length for ref in self.chunks)
 
     def describe(self) -> str:
         return (
             f"gen(stream={self.stream}, g={self.generation}, codec={self.codec}, "
             f"chunks={len(self.chunks)}, reused={self.reused_chunks}, "
-            f"logical={self.payload_length}B, stored={self.stored_bytes}B)"
+            f"logical={self.logical_bytes}B, stored={self.stored_bytes}B)"
         )

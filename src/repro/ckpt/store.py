@@ -11,8 +11,9 @@ A *stream* is one logical sequence of generations (``rank0/state``,
 ``rank3/log``); a *generation* is one immutable snapshot within it,
 indexed by epoch.  Saving a generation is a two-phase commit:
 
-1. every chunk of the pickled payload is written (atomically, under its
-   content address) — chunks are invisible until referenced;
+1. every new chunk of every segment (the in-band pickle stream, then each
+   out-of-band buffer; see :mod:`repro.ckpt.delta`) is written atomically
+   under its content address — chunks are invisible until referenced;
 2. the checksummed manifest is published with one atomic rename.
 
 A crash anywhere in phase 1, or before phase 2's rename, leaves at most
@@ -24,19 +25,29 @@ hot path (the recovery driver calls it after a failed attempt).
 
 Incremental mode consults the backend before writing each chunk: a chunk
 whose content address already exists (from any generation of any stream)
-costs zero bytes.  Compression happens per chunk, after dedup, so the
-codec never disturbs content addressing.
+costs zero bytes.  Under the identity codec it first compares the chunk
+with the one at the same position of the stream's previous generation and
+on equality inherits that digest (a memcmp runs ~30x faster than the hash):
+unchanged state is never hashed.  Compression happens per chunk, after
+dedup, so the codec never disturbs content addressing.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import replace
-from typing import Any, Callable, Optional
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.ckpt.backends import Backend
-from repro.ckpt.codecs import ChunkCodec, get_chunk_codec
-from repro.ckpt.delta import DEFAULT_CHUNK_SIZE, DeltaStats, chunk_digest, split_chunks
+from repro.ckpt.codecs import ChunkCodec, NullCodec, get_chunk_codec
+from repro.ckpt.delta import (
+    DEFAULT_CHUNK_SIZE,
+    DeltaStats,
+    capture_segments,
+    chunk_digest,
+    chunk_views,
+)
 from repro.ckpt.manifest import ChunkRef, GenerationManifest
 from repro.ckpt.retention import RetentionPolicy
 from repro.errors import StorageError
@@ -60,6 +71,8 @@ class CheckpointStore:
         retention: Optional[RetentionPolicy] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.backend = backend
         self.codec: ChunkCodec = get_chunk_codec(codec)
         self.incremental = incremental
@@ -72,11 +85,16 @@ class CheckpointStore:
         self.logical_bytes = 0
         self.chunks_written = 0
         self.chunks_reused = 0
+        #: Chunks whose digest was computed; the rest inherited an old one.
+        self.chunks_hashed = 0
         self.generations_saved = 0
         #: Every manifest this store instance has written, in save order —
         #: the bytes-per-generation record benchmarks report from.  (GC
         #: removes generations from the backend, not from this history.)
         self.history: list[GenerationManifest] = []
+        #: The newest manifest saved per stream, which that stream's next
+        #: save compares its chunks against before hashing them.
+        self._previous: dict[str, GenerationManifest] = {}
         #: Bumped whenever published data may have changed underneath a
         #: reader (deletes, GC, tampering helpers); validation caches use
         #: it as their invalidation stamp.
@@ -135,44 +153,41 @@ class CheckpointStore:
         otherwise-identical runs produce different backends, poisoning
         byte-level rerun determinism and content-addressed result caches.
         """
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        segments = capture_segments(obj, self.chunk_size)
         # Overwrite awareness: a recovery attempt that re-takes an epoch's
         # checkpoint republishes (stream, generation).  Remember the old
-        # manifest so the chunks only it referenced can be reclaimed after
+        # manifest's chunks so those only it referenced can be reclaimed after
         # the new one is published — otherwise every post-failure rewrite
         # strands the previous write's chunks as permanent orphans.
-        old_manifest = None
-        if self.backend.exists(self._manifest_key(stream, generation)):
-            try:
-                old_manifest = self.read_manifest(stream, generation, verify=False)
-            except StorageError:
-                old_manifest = None  # a torn/corrupt predecessor references nothing
-        chunks = split_chunks(payload, self.chunk_size)
-        stats = DeltaStats(chunks_total=len(chunks), bytes_logical=len(payload))
-        refs: list[ChunkRef] = []
-        for index, chunk in enumerate(chunks):
-            if progress is not None:
-                # Fires *before* chunk ``index`` is processed, so a hook
-                # raising at index k leaves exactly k chunks persisted.
-                progress(STAGE_CHUNK, index, len(chunks))
-            digest = chunk_digest(chunk)
-            key = self._chunk_key(digest, self.codec.name)
-            if self.incremental and self.backend.exists(key):
-                stats.chunks_reused += 1
-                refs.append(ChunkRef(digest, len(chunk), self.backend.size(key)))
-            else:
-                encoded = self.codec.encode(chunk)
-                self.backend.put(key, encoded)
-                stats.chunks_written += 1
-                stats.bytes_stored += len(encoded)
-                refs.append(ChunkRef(digest, len(chunk), len(encoded)))
+        rewrite = self.backend.exists(self._manifest_key(stream, generation))
+        replaced = self._chunk_keys(stream, generation) if rewrite else set()
+        # Compare-before-hash needs stored bytes to *be* the decoded bytes
+        # (identity codec) and is pointless when every chunk is rewritten.
+        previous: tuple[tuple[ChunkRef, ...], ...] = ()
+        if self.incremental and isinstance(self.codec, NullCodec) and stream in self._previous:
+            previous = self._previous[stream].segments
+        total = sum(-(-len(segment) // self.chunk_size) for segment in segments)
+        stats = DeltaStats(bytes_logical=sum(map(len, segments)))
+        saved: list[tuple[ChunkRef, ...]] = []
+        # Each chunk is paired with the one at its position in the previous
+        # generation's same-numbered segment, or None past either's end.
+        for segment, old_refs in zip(segments, chain(previous, repeat(()))):
+            refs = []
+            for chunk, old in zip(
+                chunk_views(segment, self.chunk_size), chain(old_refs, repeat(None))
+            ):
+                if progress is not None:
+                    # Fires *before* the chunk is processed, so a hook raising
+                    # at index k leaves exactly k chunks persisted.
+                    progress(STAGE_CHUNK, stats.chunks_written + stats.chunks_reused, total)
+                refs.append(self._chunk_ref(chunk, old, stats))
+            saved.append(tuple(refs))
         manifest = GenerationManifest(
             stream=stream,
             generation=generation,
             codec=self.codec.name,
             chunk_size=self.chunk_size,
-            payload_length=len(payload),
-            chunks=tuple(refs),
+            segments=tuple(saved),
             created_at=created_at if created_at is not None else 0.0,
             stored_bytes=stats.bytes_stored,
             reused_chunks=stats.chunks_reused,
@@ -182,23 +197,21 @@ class CheckpointStore:
         blob = dumps_framed(manifest)
         self.backend.put(self._manifest_key(stream, generation), blob)
         self.bytes_written += stats.bytes_stored + len(blob)
-        self.logical_bytes += len(payload)
+        self.logical_bytes += stats.bytes_logical
         self.chunks_written += stats.chunks_written
         self.chunks_reused += stats.chunks_reused
+        self.chunks_hashed += stats.chunks_hashed
         self.generations_saved += 1
         self.history.append(manifest)
-        if old_manifest is not None:
+        self._previous[stream] = manifest
+        if rewrite:
             # Only chunks the rewrite actually replaced are candidates; in
             # the common recovery case (same state re-taken, chunks dedupe)
             # this set is empty and the full reference scan is skipped —
             # keeping the write path on the targeted-GC cost model.
-            candidates = {
-                self._chunk_key(ref.digest, old_manifest.codec)
-                for ref in old_manifest.chunks
-            } - {self._chunk_key(ref.digest, manifest.codec) for ref in refs}
+            candidates = replaced - self._chunk_keys(stream, generation)
             if candidates:
-                referenced = self._referenced_chunk_keys()
-                for key in candidates - referenced:
+                for key in candidates - self._referenced_chunk_keys():
                     self.backend.delete(key)
             # Published bytes changed underneath any cached validation.
             self.mutations += 1
@@ -215,33 +228,62 @@ class CheckpointStore:
             )
         return manifest
 
+    def _chunk_ref(
+        self, chunk: memoryview, old: Optional[ChunkRef], stats: DeltaStats
+    ) -> ChunkRef:
+        """``old`` itself when the stored chunk it names holds exactly
+        ``chunk``'s bytes (no hash); else ``chunk``'s content address,
+        writing it unless already present."""
+        if old is not None:
+            try:
+                stored = self.backend.get(self._chunk_key(old.digest, self.codec.name))
+            except StorageError:
+                stored = None  # reclaimed since it was saved: a miss like any other
+            # bytes == bytes is a memcmp; memoryview.__eq__ unpacks per element.
+            if stored == bytes(chunk):
+                stats.chunks_reused += 1
+                return old
+        digest = chunk_digest(chunk)
+        stats.chunks_hashed += 1
+        key = self._chunk_key(digest, self.codec.name)
+        if self.incremental and self.backend.exists(key):
+            stats.chunks_reused += 1
+            return ChunkRef(digest, len(chunk), self.backend.size(key))
+        encoded = self.codec.encode(bytes(chunk))
+        self.backend.put(key, encoded)
+        stats.chunks_written += 1
+        stats.bytes_stored += len(encoded)
+        return ChunkRef(digest, len(chunk), len(encoded))
+
     def load(self, stream: str, generation: int) -> Any:
-        """Reassemble and deserialise one generation, verifying everything."""
+        """Reassemble and deserialise one generation, verifying everything;
+        each segment gets a buffer of its own, so restored arrays are writable."""
         manifest = self.read_manifest(stream, generation)
+        pickled, *buffers = (
+            bytearray().join(self._verified_chunks(manifest, refs))
+            for refs in manifest.segments
+        )
+        return pickle.loads(pickled, buffers=buffers)
+
+    def _verified_chunks(
+        self, manifest: GenerationManifest, refs: Iterable[ChunkRef]
+    ) -> Iterator[bytes]:
+        """Fetch and decode ``refs``' chunks, raising unless each matches its ref."""
+        where = f"{manifest.stream!r} generation {manifest.generation}"
         decoder = self._decoder(manifest.codec)
-        parts: list[bytes] = []
-        for ref in manifest.chunks:
+        for ref in refs:
             encoded = self.backend.get(self._chunk_key(ref.digest, manifest.codec))
             try:
                 data = decoder.decode(encoded)
             except Exception as exc:
                 raise StorageError(
-                    f"chunk {ref.digest[:12]} of {stream!r} generation "
-                    f"{generation} failed to decode: {exc}"
+                    f"chunk {ref.digest[:12]} of {where} failed to decode: {exc}"
                 ) from exc
             if len(data) != ref.length or chunk_digest(data) != ref.digest:
                 raise StorageError(
-                    f"chunk {ref.digest[:12]} of {stream!r} generation "
-                    f"{generation} fails content verification"
+                    f"chunk {ref.digest[:12]} of {where} fails content verification"
                 )
-            parts.append(data)
-        payload = b"".join(parts)
-        if len(payload) != manifest.payload_length:
-            raise StorageError(
-                f"{stream!r} generation {generation}: reassembled "
-                f"{len(payload)} bytes, manifest says {manifest.payload_length}"
-            )
-        return pickle.loads(payload)
+            yield data
 
     # ------------------------------------------------------------------ #
     # Manifests / generations.
@@ -265,21 +307,20 @@ class CheckpointStore:
         return self.backend.exists(self._manifest_key(stream, generation))
 
     def generations(self, stream: str) -> list[int]:
-        prefix = f"manifests/{stream}/gen"
-        out = []
-        for key in self.backend.keys(prefix):
-            tail = key[len(prefix):]
-            if tail.endswith(".mft"):
-                out.append(int(tail[: -len(".mft")]))
-        return sorted(out)
+        return sorted(self._generation_index(f"{stream}/").get(stream, []))
 
     def streams(self) -> list[str]:
-        seen = set()
-        for key in self.backend.keys("manifests/"):
-            stream, _sep, _leaf = key[len("manifests/"):].rpartition("/")
-            if stream:
-                seen.add(stream)
-        return sorted(seen)
+        return list(self._generation_index())
+
+    def _generation_index(self, under: str = "") -> dict[str, list[int]]:
+        """Every stream's generations from *one* listing of ``manifests/<under>``
+        (GC used to list the backend again for each stream)."""
+        index: dict[str, list[int]] = {}
+        for key in self.backend.keys("manifests/" + under):
+            stream, _sep, leaf = key[len("manifests/"):].rpartition("/")
+            if stream and leaf.startswith("gen") and leaf.endswith(".mft"):
+                index.setdefault(stream, []).append(int(leaf[3:-4]))
+        return index
 
     def validate_generation(self, stream: str, generation: int) -> bool:
         """True iff the generation's manifest checks out and every chunk
@@ -287,15 +328,9 @@ class CheckpointStore:
         a generation for recovery)."""
         try:
             manifest = self.read_manifest(stream, generation)
-            decoder = self._decoder(manifest.codec)
-            total = 0
-            for ref in manifest.chunks:
-                encoded = self.backend.get(self._chunk_key(ref.digest, manifest.codec))
-                data = decoder.decode(encoded)
-                if len(data) != ref.length or chunk_digest(data) != ref.digest:
-                    return False
-                total += len(data)
-            return total == manifest.payload_length
+            for _chunk in self._verified_chunks(manifest, manifest.chunks):
+                pass
+            return True
         except Exception:
             return False
 
@@ -304,7 +339,7 @@ class CheckpointStore:
         (test/fault-injection helper): the inner checksum must catch it."""
         manifest = self.read_manifest(stream, generation, verify=False)
         # The checksum field rides along unchanged and no longer matches.
-        tampered = replace(manifest, payload_length=manifest.payload_length + 1)
+        tampered = replace(manifest, chunk_size=manifest.chunk_size + 1)
         self.backend.put(self._manifest_key(stream, generation), dumps_framed(tampered))
         self.mutations += 1
 
@@ -353,24 +388,15 @@ class CheckpointStore:
         policy = retention or self.retention
         removed = 0
         candidates: set[str] = set()
-        for stream in self.streams():
-            gens = self.generations(stream)
+        for stream, gens in self._generation_index().items():
             live = policy.live(gens, pinned=pinned)
             for generation in gens:
                 if generation not in live:
-                    try:
-                        dead = self.read_manifest(stream, generation, verify=False)
-                        candidates.update(
-                            self._chunk_key(ref.digest, dead.codec)
-                            for ref in dead.chunks
-                        )
-                    except StorageError:
-                        pass  # unreadable manifest references nothing
+                    candidates |= self._chunk_keys(stream, generation)
                     self.delete_generation(stream, generation)
                     removed += 1
         if candidates:
-            referenced = self._referenced_chunk_keys()
-            for key in candidates - referenced:
+            for key in candidates - self._referenced_chunk_keys():
                 self.backend.delete(key)
         tr = self.tracer
         if tr is not None and removed:
@@ -396,17 +422,19 @@ class CheckpointStore:
 
     def _referenced_chunk_keys(self) -> set[str]:
         referenced: set[str] = set()
-        for stream in self.streams():
-            for generation in self.generations(stream):
-                try:
-                    manifest = self.read_manifest(stream, generation, verify=False)
-                except StorageError:
-                    continue  # unreadable manifest references nothing
-                referenced.update(
-                    self._chunk_key(ref.digest, manifest.codec)
-                    for ref in manifest.chunks
-                )
+        for stream, generations in self._generation_index().items():
+            for generation in generations:
+                referenced |= self._chunk_keys(stream, generation)
         return referenced
+
+    def _chunk_keys(self, stream: str, generation: int) -> set[str]:
+        """Backend keys of the chunks one generation references (none when
+        its manifest is torn or corrupt: it references nothing)."""
+        try:
+            manifest = self.read_manifest(stream, generation, verify=False)
+        except StorageError:
+            return set()
+        return {self._chunk_key(ref.digest, manifest.codec) for ref in manifest.chunks}
 
     def wipe(self) -> None:
         self.backend.wipe()

@@ -22,7 +22,7 @@ topology sets; by default every process may talk to every other one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
@@ -116,13 +116,18 @@ class ProtocolState:
         mode, not logging mode, and awaits fresh ``mySendCount`` tokens only
         at its next checkpoint.
         """
-        import copy
-
-        snap = copy.deepcopy(self)
-        snap.am_logging = False
-        snap.checkpoint_requested = False
-        snap.ready_sent = False
-        snap.next_message_id = 0
+        snap = replace(
+            self,
+            am_logging=False,
+            checkpoint_requested=False,
+            ready_sent=False,
+            next_message_id=0,
+            send_count=dict(self.send_count),
+            early_ids={q: list(ids) for q, ids in self.early_ids.items()},
+            current_receive_count=dict(self.current_receive_count),
+            previous_receive_count=dict(self.previous_receive_count),
+            total_sent=dict(self.total_sent),
+        )
         for q in snap.senders:
             snap.total_sent[q] = None
             snap.previous_receive_count[q] = 0

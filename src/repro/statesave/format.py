@@ -6,9 +6,10 @@ the protocol layer needs to reconstruct itself and the MPI library's
 application-visible state.  The log part (:class:`~repro.protocol.logs.EpochLogs`)
 is written separately at ``finalizeLog`` time.
 
-The whole object is serialised in one framed pickle (see
-:mod:`repro.util.serialization`) so aliasing between application objects,
-heap objects and protocol records survives restore intact.
+The whole object goes through one pickler, so aliasing between application
+objects, heap objects and protocol records survives restore intact; large
+array buffers leave it out of band, uncopied, as segments chunked on their
+own boundaries (:mod:`repro.ckpt.delta`).
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ is detected at read time and reported as :class:`FrameCorruptError` rather
 than deserialised into garbage state.
 
 Object graphs are serialised with :mod:`pickle` protocol 5.  Serialising a
-rank's *entire* state in a single frame is important for fidelity: pickle's
-memo table preserves aliasing between stack variables, heap objects and
-protocol state, which is the Python analogue of the paper's "restore every
-object to the same virtual address so pointers remain valid" strategy
-(Section 5.1.4).
+rank's *entire* state with a single pickler is important for fidelity:
+pickle's memo table preserves aliasing between stack variables, heap
+objects and protocol state, which is the Python analogue of the paper's
+"restore every object to the same virtual address so pointers remain valid"
+strategy (Section 5.1.4).  A rank's checkpoint keeps the single pickler but
+not the single byte string: :mod:`repro.ckpt.delta` takes array buffers out.
 """
 
 from __future__ import annotations

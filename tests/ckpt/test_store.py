@@ -1,5 +1,7 @@
 """CheckpointStore engine: delta, compression, two-phase commit, GC."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from repro.ckpt import (
     DirectoryBackend,
     MemoryBackend,
     RetentionPolicy,
-    split_chunks,
 )
+from repro.ckpt.delta import capture_segments, chunk_views
 from repro.ckpt.store import STAGE_MANIFEST
 from repro.errors import ManifestCorruptError, StorageError
 
@@ -51,11 +53,75 @@ class TestSaveLoad:
             store.save("s", gen, obj)
             assert store.load("s", gen) == obj
 
-    def test_split_chunks_covers_payload(self):
-        payload = bytes(range(256)) * 10
-        chunks = split_chunks(payload, 100)
+    def test_chunk_views_cover_segment_without_copying(self):
+        payload = bytearray(bytes(range(256)) * 10)
+        chunks = list(chunk_views(memoryview(payload), 100))
         assert b"".join(chunks) == payload
-        assert split_chunks(b"", 100) == [b""]
+        assert [len(c) for c in chunks] == [100] * 25 + [60]
+        payload[0] = 77  # the chunks are views, not copies
+        assert chunks[0][0] == 77
+        assert list(chunk_views(memoryview(b""), 100)) == []
+
+    def test_large_buffers_leave_the_stream_as_views_of_live_memory(self):
+        big, small = np.zeros(512), np.zeros(8)
+        stream, *buffers = capture_segments({"big": big, "small": small}, 1024)
+        assert [len(b) for b in buffers] == [big.nbytes]  # small stays in-band
+        assert len(stream) < 1024
+        big[0] = 1.0
+        assert bytes(buffers[0][:8]) == big[:1].tobytes()
+
+    def test_restored_arrays_are_writable_and_own_their_memory(self):
+        store = make_store(chunk_size=1024)
+        store.save("s", 1, {"big": np.arange(4096.0), "small": np.arange(8.0)})
+        first, second = store.load("s", 1), store.load("s", 1)
+        for name in ("big", "small"):
+            assert first[name].flags.writeable
+            first[name][0] = -1.0  # in place, visible to nothing else
+            assert first[name][0] == -1.0
+            assert second[name][0] == 0.0
+        assert store.validate_generation("s", 1)
+        assert store.load("s", 1)["big"][0] == 0.0
+
+    def test_read_only_array_stays_read_only(self):
+        frozen = np.arange(4096.0)
+        frozen.flags.writeable = False
+        store = make_store(chunk_size=1024)
+        store.save("s", 1, frozen)
+        back = store.load("s", 1)
+        assert not back.flags.writeable
+        assert np.array_equal(back, frozen)
+
+    def test_array_shared_by_two_containers_is_one_object_after_load(self):
+        shared = np.arange(4096.0)
+        store = make_store(chunk_size=1024)
+        manifest = store.save("s", 1, {"a": [shared], "b": (shared, 1)})
+        assert len(manifest.segments) == 2  # pickled (and stored) once
+        back = store.load("s", 1)
+        assert back["a"][0] is back["b"][0]
+        back["a"][0][5] = -5.0
+        assert back["b"][0][5] == -5.0
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(4096.0)[::2],                            # non-contiguous
+            np.asfortranarray(np.arange(4096.0).reshape(64, 64)),
+            np.arange(4096.0).reshape(64, 64).T[1:],           # F-order view
+            np.zeros((0, 3)),                                  # zero-size
+            np.array([{"k": 1}, None, "s"] * 400, dtype=object),
+            np.arange(16.0),                                   # under one chunk
+            np.arange(4096, dtype=">i4"),                      # non-native dtype
+        ],
+        ids=["strided", "fortran", "fortran-view", "empty", "object", "small", "big-endian"],
+    )
+    def test_awkward_arrays_roundtrip(self, array):
+        store = make_store(chunk_size=1024)
+        store.save("s", 1, {"x": array})
+        back = store.load("s", 1)["x"]
+        plain = pickle.loads(pickle.dumps(array, protocol=5))  # reference round trip
+        assert back.dtype == plain.dtype and back.strides == plain.strides
+        assert back.flags.writeable
+        assert np.array_equal(back, array)
 
 
 class TestIncremental:
@@ -74,7 +140,7 @@ class TestIncremental:
         store.save("s", 1, {"a": arr})
         arr[0] = 99.0  # touch the first chunk only
         m2 = store.save("s", 2, {"a": arr})
-        assert 0 < m2.stored_bytes < m2.payload_length // 4
+        assert 0 < m2.stored_bytes < m2.logical_bytes // 4
         assert m2.reused_chunks > len(m2.chunks) // 2
 
     def test_full_mode_always_writes(self):
@@ -83,6 +149,105 @@ class TestIncremental:
         m1 = store.save("s", 1, obj)
         m2 = store.save("s", 2, obj)
         assert m2.stored_bytes == m1.stored_bytes > 0
+
+    def test_full_mode_writes_every_chunk_and_never_compares(self):
+        store = make_store(incremental=False, chunk_size=1024)
+        obj = {"x": np.ones(4096)}
+        m1 = store.save("s", 1, obj)
+        m2 = store.save("s", 2, obj)
+        assert store.chunks_written == len(m1.chunks) + len(m2.chunks)
+        assert store.chunks_hashed == store.chunks_written
+        assert store.chunks_reused == 0
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_unchanged_state_is_not_hashed(self, on_disk, tmp_path):
+        store = make_store(tmp_path if on_disk else None, chunk_size=1024)
+        obj = {"matrix": np.arange(8192.0), "step": 3}
+        m1 = store.save("s", 1, obj)
+        assert store.chunks_hashed == len(m1.chunks) == store.chunks_written
+        m2 = store.save("s", 2, obj)
+        assert store.chunks_hashed == len(m1.chunks)  # none added
+        assert m2.stored_bytes == 0 and m2.chunks == m1.chunks
+        assert np.array_equal(store.load("s", 2)["matrix"], obj["matrix"])
+
+    def test_one_flipped_byte_hashes_and_writes_exactly_one_chunk(self):
+        store = make_store()  # default 64 KiB chunks
+        arr = np.zeros(4 * 1024 * 1024, dtype=np.uint8)
+        m1 = store.save("s", 1, {"a": arr})
+        hashed, written = store.chunks_hashed, store.chunks_written
+        arr[len(arr) // 2] ^= 0xFF
+        m2 = store.save("s", 2, {"a": arr})
+        assert store.chunks_hashed - hashed == 1
+        assert store.chunks_written - written == 1
+        assert m2.stored_bytes == store.chunk_size
+        assert sum(a != b for a, b in zip(m1.chunks, m2.chunks)) == 1
+        assert np.array_equal(store.load("s", 2)["a"], arr)
+        assert store.load("s", 1)["a"][len(arr) // 2] == 0  # old bytes intact
+
+    def test_in_band_growth_does_not_shift_array_chunks(self):
+        """Per-segment boundaries: the array's chunks start at its own byte
+        0, so a longer in-band stream costs only the stream's chunk."""
+        store = make_store(chunk_size=1024)
+        arr = np.arange(8192.0)
+        store.save("s", 1, {"note": "x", "a": arr})
+        hashed = store.chunks_hashed
+        m2 = store.save("s", 2, {"note": "x" * 100, "a": arr})
+        assert store.chunks_hashed - hashed == 1
+        assert m2.reused_chunks == len(m2.chunks) - 1
+
+    @pytest.mark.parametrize("size", [8192 + 200, 8192 - 200])
+    def test_resized_array_still_compares_its_common_prefix(self, size):
+        """Positions are offsets from the segment's own start, so growing or
+        shrinking an array leaves every full chunk before its old/new end
+        comparable; only the ragged tail (and the in-band stream, which
+        records the new shape) is hashed."""
+        store = make_store(chunk_size=1024)
+        store.save("s", 1, {"a": np.arange(8192.0)})
+        hashed = store.chunks_hashed
+        resized = np.arange(float(size))
+        m2 = store.save("s", 2, {"a": resized})
+        common = min(size, 8192) * 8 // 1024
+        assert m2.reused_chunks == common
+        assert store.chunks_hashed - hashed == len(m2.chunks) - common
+        assert np.array_equal(store.load("s", 2)["a"], resized)
+
+    @pytest.mark.parametrize("lose", ["collected", "chunk-deleted", "wiped"])
+    def test_lost_previous_generation_falls_back_to_hashing(self, lose):
+        store = make_store(chunk_size=1024, retention=RetentionPolicy(keep_last=1))
+        arr = np.arange(8192.0)
+        m1 = store.save("s", 1, {"a": arr})
+        if lose == "collected":
+            store.save("other", 9, "keeps retention from pinning s/1")
+            store.delete_generation("s", 1)
+            assert store.sweep_orphans() == len(m1.chunks)
+        elif lose == "chunk-deleted":
+            store.backend.delete(store._chunk_key(m1.chunks[3].digest, m1.codec))
+        else:
+            store.wipe()
+        hashed = store.chunks_hashed
+        m2 = store.save("s", 2, {"a": arr})
+        missing = 1 if lose == "chunk-deleted" else len(m1.chunks)
+        assert store.chunks_hashed - hashed == missing
+        assert m2.stored_bytes > 0
+        assert store.validate_generation("s", 2)
+        assert np.array_equal(store.load("s", 2)["a"], arr)
+
+    def test_compare_shortcut_is_per_stream(self):
+        store = make_store(chunk_size=1024)
+        arr = np.arange(8192.0)
+        m1 = store.save("rank0/state", 1, arr)
+        m2 = store.save("rank1/state", 1, arr)  # no previous: hashed, deduped
+        assert store.chunks_hashed == 2 * len(m1.chunks)
+        assert m2.stored_bytes == 0
+
+    def test_non_identity_codec_never_takes_the_compare_shortcut(self):
+        store = make_store(codec="zlib", chunk_size=1024)
+        obj = {"a": np.arange(8192.0)}
+        m1 = store.save("s", 1, obj)
+        m2 = store.save("s", 2, obj)
+        assert store.chunks_hashed == len(m1.chunks) + len(m2.chunks)
+        assert m2.stored_bytes == 0  # content addressing still dedups
+        assert np.array_equal(store.load("s", 2)["a"], obj["a"])
 
     def test_dedup_crosses_streams(self):
         store = make_store(chunk_size=512)
@@ -142,6 +307,28 @@ class TestTwoPhaseCommit:
         assert store.validate_generation("s", 1)
         assert store.load("s", 1)["v"][3] == 3.0
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 9])
+    def test_crash_at_chunk_k_persists_exactly_k_chunks(self, k):
+        """Chunk indices run across segment boundaries: segment 0 is the
+        in-band stream (1 chunk), then two 4-chunk arrays."""
+        store = make_store(chunk_size=1024)
+        obj = {"a": np.arange(512.0), "b": np.arange(512.0) + 0.5}
+        totals = []
+
+        def crash_at_k(stage, index, total):
+            totals.append(total)
+            if stage == "chunk" and index >= k:
+                raise RuntimeError("crash")
+
+        if k < 9:
+            with pytest.raises(RuntimeError):
+                store.save("s", 1, obj, progress=crash_at_k)
+            assert not store.has_generation("s", 1)
+        else:
+            store.save("s", 1, obj, progress=crash_at_k)
+        assert len(store.backend.keys("objects/")) == k
+        assert set(totals[:9]) == {9}
+
     def test_crash_at_manifest_publish_leaves_generation_invisible(self):
         store = make_store()
         store.save("s", 1, "good")
@@ -168,6 +355,23 @@ class TestTwoPhaseCommit:
         store.save("s", 1, {"v": np.arange(512.0) + 1})  # rewrite, new bytes
         assert store.load("s", 1)["v"][0] == 1.0
         assert store.sweep_orphans() == 0
+
+    def test_retaken_generation_compares_against_the_write_it_replaces(self):
+        """A recovery attempt re-takes (stream, generation): unchanged chunks
+        are reused without hashing, replaced ones are reclaimed."""
+        store = make_store(chunk_size=1024)
+        arr = np.arange(8192.0)
+        first = store.save("s", 1, {"a": arr})
+        hashed = store.chunks_hashed
+        arr[0] = -1.0
+        second = store.save("s", 1, {"a": arr})
+        assert store.chunks_hashed - hashed == 1
+        replaced = set(first.chunks) - set(second.chunks)
+        assert len(replaced) == 1
+        for ref in replaced:
+            assert not store.backend.exists(store._chunk_key(ref.digest, first.codec))
+        assert store.sweep_orphans() == 0
+        assert store.load("s", 1)["a"][0] == -1.0
 
     def test_rewrite_keeps_chunks_shared_with_other_generations(self):
         store = make_store(chunk_size=256)
@@ -252,6 +456,33 @@ class TestRetentionAndGC:
         assert store.generations("s") == [2]
         assert np.array_equal(store.load("s", 2)["const"], constant)
 
+    def test_gc_lists_the_manifest_keys_once(self):
+        """collect / sweep walk one stream -> generations index instead of
+        re-listing the backend per stream."""
+        scans = []
+
+        class CountingBackend(MemoryBackend):
+            def keys(self, prefix=""):
+                scans.append(prefix)
+                return super().keys(prefix)
+
+        store = CheckpointStore(
+            CountingBackend(), chunk_size=512, retention=RetentionPolicy(keep_last=1)
+        )
+        for rank in range(8):
+            for gen in (1, 2):
+                store.save(f"rank{rank}/state", gen, np.arange(256.0) * gen + rank)
+        assert store.streams() == sorted(f"rank{r}/state" for r in range(8))
+        assert store.generations("rank3/state") == [1, 2]
+        assert store.generations("rank3") == store.generations("nope") == []
+        scans.clear()
+        assert store.collect() == 8
+        assert scans == ["manifests/", "manifests/"]  # retention pass + live refs
+        scans.clear()
+        store.sweep_orphans()
+        assert scans == ["manifests/", "objects/"]
+        assert store.generations("rank3/state") == [2]
+
     def test_retention_policy_validation(self):
         from repro.errors import ConfigError
 
@@ -279,3 +510,23 @@ class TestAccounting:
         assert store.bytes_written < store.logical_bytes // 10
         assert store.chunks_reused > 0
         assert store.generations_saved == 2
+
+    def test_chunk_size_must_be_positive(self):
+        with pytest.raises(ValueError):
+            make_store(chunk_size=0)
+
+    def test_segment_boundaries_are_checksummed(self):
+        from dataclasses import replace
+
+        store = make_store(chunk_size=1024)
+        array = np.arange(4096.0)
+        manifest = store.save("s", 1, array)
+        stream, data = manifest.segments
+        assert sum(ref.length for ref in data) == array.nbytes
+        assert manifest.chunks == stream + data
+        assert manifest.logical_bytes == array.nbytes + stream[0].length
+        # Same chunks in the same order, one boundary moved.
+        moved = replace(manifest, segments=(stream + data[:1], data[1:]))
+        assert moved.chunks == manifest.chunks
+        with pytest.raises(ManifestCorruptError):
+            moved.verify()
