@@ -19,7 +19,6 @@ from repro.protocol.control import (
     ReplayDone,
     StopLogging,
     StoppedLogging,
-    SuppressList,
 )
 from repro.protocol.initiator import Initiator, WavePhase
 from repro.protocol.layer import C3Config, C3Layer, LayerStats
@@ -86,7 +85,6 @@ __all__ = [
     "RequestTable",
     "StopLogging",
     "StoppedLogging",
-    "SuppressList",
     "WavePhase",
     "classify_by_color",
     "classify_by_epoch",

@@ -15,11 +15,9 @@ Protocol phases (paper Section 4.1):
 4. each process, after flushing its log: :class:`StoppedLogging` to the
    initiator, which then commits the global checkpoint
 
-Recovery additions (Section 4.2's suppression mechanism plus a quiescence
-guard):
+Recovery addition (a quiescence guard; Section 4.2's early-message
+suppression lists travel in one ``alltoall`` at restore, not as tokens):
 
-* :class:`SuppressList` — a restarted receiver tells each sender which
-  message IDs were received early and must not be resent;
 * :class:`ReplayDone` — a restarted process tells the initiator it has
   consumed its logs, so the initiator can safely start the next checkpoint
   wave (no wave may overlap a replay).
@@ -27,12 +25,18 @@ guard):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class ControlMessage:
     """Base class; ``epoch`` scopes every token to one checkpoint wave."""
+
+    #: Tokens are frozen values with int fields only, so equal tokens
+    #: pickle to equal lengths and :func:`repro.simmpi.datatypes.sizeof`
+    #: may size each distinct value once.
+    sizeof_by_value: ClassVar[bool] = True
 
     epoch: int
 
@@ -73,16 +77,6 @@ class StoppedLogging(ControlMessage):
     """Phase 4: the sender has flushed its log to stable storage."""
 
     sender: int
-
-
-@dataclass(frozen=True)
-class SuppressList(ControlMessage):
-    """Recovery: ``message_ids`` sent by the addressee in epoch ``epoch``
-    were received early (pre-checkpoint) by ``receiver`` and must not be
-    re-posted to the network during re-execution."""
-
-    receiver: int
-    message_ids: tuple[int, ...] = field(default=())
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,17 @@ class Initiator:
         """Called from the layer's progress engine; may start a wave."""
         coop.run_inline(self.co_poll(current_epoch))
 
-    def co_poll(self, current_epoch: int):
+    def wave_due(self) -> bool:
+        """Whether a poll would start a wave now (the idle rule's test)."""
         if self.phase is not WavePhase.IDLE or self.awaiting_replay:
-            return
-        due = (
+            return False
+        return self.force_initiate or (
             self.interval is not None
             and self._now() - self.last_commit_time >= self.interval
         )
-        if due or self.force_initiate:
+
+    def co_poll(self, current_epoch: int):
+        if self.wave_due():
             self.force_initiate = False
             yield from self.co_initiate(current_epoch)
 

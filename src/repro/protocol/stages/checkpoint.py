@@ -2,8 +2,9 @@
 
 Owns everything that makes checkpoints happen (paper Section 4.1):
 
-* the out-of-band control plane on ``TAG_CONTROL`` (drained at every
-  scheduling opportunity via :meth:`progress`);
+* the out-of-band control plane on ``TAG_CONTROL``: the rank's mailbox
+  control queue, drained by :meth:`co_progress` whenever an operation
+  finds it non-empty (or a wave due at the initiator);
 * the initiator state machine, embedded in the configured rank's stage;
 * ``potentialCheckpoint`` — the local checkpoint at application-chosen
   points, with the epoch-transition bookkeeping of Figure 4;
@@ -20,8 +21,6 @@ from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator
 from repro.protocol.logs import EpochLogs
 from repro.protocol.stages.base import C3Config, ProtocolStage
-from repro.simmpi import coop
-from repro.simmpi.constants import TAG_CONTROL
 from repro.statesave.format import CheckpointData
 
 
@@ -36,6 +35,8 @@ class CheckpointStage(ProtocolStage):
 
     def bind(self, core) -> None:
         super().bind(core)
+        self._mailbox = core.comm.proc.mailbox
+        core._control = self._mailbox.control
         if core.rank == self.config.initiator_rank:
             self.initiator = Initiator(
                 nprocs=core.nprocs,
@@ -59,23 +60,15 @@ class CheckpointStage(ProtocolStage):
             core.storage.commit(epoch, now)
         core.storage.gc(core.nprocs, keep_epoch=epoch)
 
-    def progress(self) -> None:
-        """Drain and handle queued control messages; poll the initiator."""
-        coop.drive(self.co_progress(), self.core.comm)
-
     def co_progress(self):
+        """Drain and handle queued control messages; poll the initiator."""
         core = self.core
-        while True:
-            env = core.comm.take_matching(tag=TAG_CONTROL)
-            if env is None:
-                break
+        pop_control = self._mailbox.pop_control
+        while (env := pop_control()) is not None:
             core.stats.control_messages += 1
             yield from self.co_handle_control(env.payload, env.source)
         if self.initiator is not None:
             yield from self.initiator.co_poll(core.state.epoch)
-
-    def handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self.co_handle_control(msg, source), self.core.comm)
 
     def co_handle_control(self, msg: ctl.ControlMessage, source: int):
         core = self.core
@@ -120,9 +113,6 @@ class CheckpointStage(ProtocolStage):
 
     # -- receivedAll? / finalizeLog (Figure 4) --------------------------- #
 
-    def received_all_check(self) -> None:
-        coop.drive(self.co_received_all_check(), self.core.comm)
-
     def co_received_all_check(self):
         core = self.core
         state = core.state
@@ -135,9 +125,6 @@ class CheckpointStage(ProtocolStage):
                 ctl.ReadyToStopLogging(epoch=state.epoch, sender=core.rank),
                 self.config.initiator_rank,
             )
-
-    def finalize_log(self) -> None:
-        coop.drive(self.co_finalize_log(), self.core.comm)
 
     def co_finalize_log(self):
         core = self.core
@@ -159,16 +146,13 @@ class CheckpointStage(ProtocolStage):
 
     # -- potentialCheckpoint (Figure 4) ---------------------------------- #
 
-    def potential_checkpoint(self) -> bool:
+    def co_potential_checkpoint(self):
         """Take a local checkpoint if one has been requested.
 
         Checkpointing is deferred while a recovery replay is in progress
         (the initiator never starts a wave during replay, so this can only
         trigger in exotic interleavings and is safe to postpone).
         """
-        return coop.drive(self.co_potential_checkpoint(), self.core.comm)
-
-    def co_potential_checkpoint(self):
         core = self.core
         if core.replay is not None:
             return False
@@ -176,9 +160,6 @@ class CheckpointStage(ProtocolStage):
             return False
         yield from self.co_take_local_checkpoint()
         return True
-
-    def take_local_checkpoint(self) -> None:
-        coop.drive(self.co_take_local_checkpoint(), self.core.comm)
 
     def co_take_local_checkpoint(self):
         core = self.core

@@ -112,6 +112,15 @@ class ProtocolPipeline:
         self.codec = get_codec(self.config.codec)
         self.rank = comm.rank
         self.nprocs = comm.size
+        # The communicator's generator operations, resolved once.
+        self._comm_send = coop.co_method(comm, "send")
+        self._comm_recv = coop.co_method(comm, "recv")
+        self._comm_recv_envelope = coop.co_method(comm, "recv_envelope")
+        self._comm_sendrecv = coop.co_method(comm, "sendrecv")
+        self._comm_yield_point = coop.co_method(comm, "yield_point", sync="_yield_point")
+        #: This rank's mailbox control queue; bound by the checkpoint
+        #: stage (the only consumer), empty forever on other stacks.
+        self._control: Any = ()
         #: The simulator's repro.trace recorder, when armed (None otherwise;
         #: every emit site below guards on that, so tracing off costs one
         #: attribute read per traced operation).
@@ -191,47 +200,11 @@ class ProtocolPipeline:
         self.stats.stage_seconds[name] += perf_counter() - t0
 
     # ------------------------------------------------------------------ #
-    # Cooperative-core plumbing.
-    #
-    # Every CommLike operation below is written ONCE, as a ``co_*``
-    # generator whose yields are the scheduling points; the synchronous
-    # method of the same name just drives that generator (under the
-    # threaded core a yield suspends the calling rank thread on its baton
-    # gate; under the cooperative core the generator is resumed by the
-    # scheduler directly).  ``_co_call`` routes an underlying-communicator
-    # operation through its generator twin when one exists and falls back
-    # to the plain method for comm doubles that only implement the
-    # synchronous surface (such stand-ins never suspend, so the generators
-    # complete on first resume and the sync wrappers behave exactly like
-    # the historical code).
-    # ------------------------------------------------------------------ #
-
-    def _co_call(self, target: Any, name: str, *args: Any, **kwargs: Any):
-        co = getattr(target, "co_" + name, None)
-        if co is None:
-            return getattr(target, name)(*args, **kwargs)
-        return (yield from co(*args, **kwargs))
-
-    def _co_recv_envelope(self, source: int, tag: int, predicate: Any = None):
-        # ``predicate`` is only forwarded when set so doubles implementing
-        # the plain two-argument recv_envelope keep working.
-        if predicate is None:
-            return (yield from self._co_call(self.comm, "recv_envelope", source, tag))
-        return (
-            yield from self._co_call(
-                self.comm, "recv_envelope", source, tag, predicate=predicate
-            )
-        )
-
-    def _co_yield_point(self):
-        co = getattr(self.comm, "co_yield_point", None)
-        if co is None:
-            self.comm._yield_point()
-        else:
-            yield from co()
-
-    # ------------------------------------------------------------------ #
     # Control plane (shared by the checkpoint and replay stages).
+    #
+    # Every CommLike operation of this class is written ONCE, as a
+    # ``co_*`` generator whose yields are the scheduling points; the
+    # synchronous method of the same name just drives that generator.
     # ------------------------------------------------------------------ #
 
     def _send_control(self, msg: ctl.ControlMessage, dest: int) -> None:
@@ -241,10 +214,7 @@ class ProtocolPipeline:
         if dest == self.rank:
             yield from self._co_handle_control(msg, self.rank)
         else:
-            yield from self._co_call(self.comm, "send", msg, dest, tag=TAG_CONTROL)
-
-    def _handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self._co_handle_control(msg, source), self.comm)
+            yield from self._comm_send(msg, dest, TAG_CONTROL)
 
     def _co_handle_control(self, msg: ctl.ControlMessage, source: int):
         if self.ckpt is None:
@@ -254,36 +224,32 @@ class ProtocolPipeline:
             )
         yield from self.ckpt.co_handle_control(msg, source)
 
-    def _progress(self) -> None:
-        """Drain control traffic and poll the initiator (checkpoint stage)."""
-        coop.drive(self._co_progress(), self.comm)
+    def _idle(self) -> bool:
+        """The idle rule, tested before an operation builds the progress
+        generator chain: no control message queued and no wave due means
+        the checkpoint stage's poll is counted and nothing else happens."""
+        if self._control:
+            return False
+        initiator = self.initiator
+        if initiator is not None and initiator.wave_due():
+            return False
+        if self.ckpt is not None:
+            self.stats.stage_calls["checkpoint"] += 1
+        return True
 
     def _co_progress(self):
-        if self.ckpt is None:
-            return
+        """Drain control traffic, poll the initiator (when not :meth:`_idle`)."""
         t0 = perf_counter()
         yield from self.ckpt.co_progress()
         self._charge("checkpoint", t0)
-
-    def _finalize_log(self) -> None:
-        if self.ckpt is not None:
-            self.ckpt.finalize_log()
 
     def _co_finalize_log(self):
         if self.ckpt is not None:
             yield from self.ckpt.co_finalize_log()
 
-    def _received_all_check(self) -> None:
-        if self.ckpt is not None:
-            self.ckpt.received_all_check()
-
     def _co_received_all_check(self):
         if self.ckpt is not None:
             yield from self.ckpt.co_received_all_check()
-
-    def _maybe_end_replay(self) -> None:
-        if self.rep is not None:
-            self.rep.maybe_end_replay()
 
     def _co_maybe_end_replay(self):
         if self.rep is not None:
@@ -307,6 +273,10 @@ class ProtocolPipeline:
             raise ProtocolError(f"not a communicator handle: {handle!r}")
         return live
 
+    def _raw_co(self, handle: Any, name: str) -> Callable[..., Any]:
+        """Generator form of operation ``name`` on a raw-mode communicator."""
+        return coop.co_method(self._resolve(handle), name)
+
     # ------------------------------------------------------------------ #
     # Send path.
     # ------------------------------------------------------------------ #
@@ -318,9 +288,10 @@ class ProtocolPipeline:
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         if self._raw:
             self.stats.sends += 1
-            yield from self._co_call(self.comm, "send", payload, dest, tag)
+            yield from self._comm_send(payload, dest, tag)
             return
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         self.stats.sends += 1
         for stage in self._send_observers:
             t0 = perf_counter()
@@ -328,14 +299,12 @@ class ProtocolPipeline:
             self._charge(stage.name, t0)
         if not self._protocol:
             if self.pb is None:
-                yield from self._co_call(self.comm, "send", payload, dest, tag)
+                yield from self._comm_send(payload, dest, tag)
                 return
             t0 = perf_counter()
             wire = self.pb.blank()
             self._charge("piggyback", t0)
-            yield from self._co_call(
-                self.comm, "send", payload, dest, tag, piggyback=wire
-            )
+            yield from self._comm_send(payload, dest, tag, wire)
             return
         message_id = self.state.note_send(dest)
         tr = self.tracer
@@ -359,7 +328,7 @@ class ProtocolPipeline:
         t0 = perf_counter()
         wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
         self._charge("piggyback", t0)
-        yield from self._co_call(self.comm, "send", payload, dest, tag, piggyback=wire)
+        yield from self._comm_send(payload, dest, tag, wire)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
         """Nonblocking send; returns a pseudo-request (Section 5.2) on a
@@ -372,7 +341,8 @@ class ProtocolPipeline:
         if self._raw:
             self.stats.sends += 1
             return self.comm.isend(payload, dest, tag)
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         self.stats.sends += 1
         for stage in self._send_observers:
             t0 = perf_counter()
@@ -420,11 +390,12 @@ class ProtocolPipeline:
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         if self._raw:
             self.stats.receives += 1
-            return (yield from self._co_call(self.comm, "recv", source, tag))
-        yield from self._co_progress()
+            return (yield from self._comm_recv(source, tag))
+        if not self._idle():
+            yield from self._co_progress()
         self.stats.receives += 1
         if not self._protocol:
-            env = yield from self._co_recv_envelope(source, tag)
+            env = yield from self._comm_recv_envelope(source, tag)
             if self.pb is not None and env.piggyback is not None:
                 # Piggyback-only variant still pays the decode cost.
                 t0 = perf_counter()
@@ -437,7 +408,7 @@ class ProtocolPipeline:
             return env.payload
         if self.replay is not None and not self.replay.matches.exhausted:
             return (yield from self._co_replay_recv())
-        env = yield from self._co_recv_envelope(source, tag)
+        env = yield from self._comm_recv_envelope(source, tag)
         return (yield from self._co_classify_and_deliver(env))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
@@ -448,7 +419,8 @@ class ProtocolPipeline:
         # Posting the receive never suspends; only the progress drain does.
         if self._raw:
             return self.comm.irecv(source, tag)
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         req = self.requests.new("irecv", source=source, tag=tag)
         if self._protocol and self.replay is not None:
             # During replay, completion is resolved through the match log at
@@ -466,8 +438,9 @@ class ProtocolPipeline:
         if self._raw:
             if isinstance(req, Request) and not req.completed and hasattr(req, "_desc"):
                 self.stats.receives += 1
-            return (yield from self._co_call(req, "wait"))
-        yield from self._co_progress()
+            return (yield from coop.co_method(req, "wait")())
+        if not self._idle():
+            yield from self._co_progress()
         if req.consumed:
             raise ProtocolError("wait() on an already-completed pseudo-request")
         if req.kind == "isend":
@@ -475,7 +448,7 @@ class ProtocolPipeline:
             # request completes immediately — the message is in the
             # receiver's checkpoint or its late-message log.
             self.requests.retire(req)
-            yield from self._co_yield_point()
+            yield from self._comm_yield_point()
             return None
         # irecv:
         if req.has_payload:
@@ -493,12 +466,12 @@ class ProtocolPipeline:
             ):
                 payload = yield from self._co_replay_recv()
             else:
-                env = yield from self._co_recv_envelope(req.source, req.tag)
+                env = yield from self._comm_recv_envelope(req.source, req.tag)
                 payload = yield from self._co_classify_and_deliver(env)
             self.requests.retire(req)
             return payload
         self.stats.receives += 1
-        yield from self._co_call(req._live, "wait")
+        yield from coop.co_method(req._live, "wait")()
         env = req._live._desc.matched
         self.requests.retire(req)
         if not self._protocol:
@@ -512,7 +485,8 @@ class ProtocolPipeline:
     def co_test(self, req: Any):
         if self._raw:
             return req.test()
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         if req.kind == "isend":
             return True
         if req.has_payload:
@@ -548,8 +522,8 @@ class ProtocolPipeline:
             self.stats.sends += 1
             self.stats.receives += 1
             return (
-                yield from self._co_call(
-                    self.comm, "sendrecv", payload, dest, recv_source, send_tag, recv_tag
+                yield from self._comm_sendrecv(
+                    payload, dest, recv_source, send_tag, recv_tag
                 )
             )
         if recv_tag is None:
@@ -608,7 +582,8 @@ class ProtocolPipeline:
     def co_nondet(self, compute: Callable[[], Any]):
         if self._raw:
             return compute()
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         if (
             self._protocol
             and self.replay is not None
@@ -661,7 +636,8 @@ class ProtocolPipeline:
         restart — guaranteed by the epoch-alignment rule) and never
         recorded.
         """
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
         if not self._protocol:
@@ -715,7 +691,7 @@ class ProtocolPipeline:
     def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "bcast", obj, root))
+            return (yield from self._raw_co(comm, "bcast")(obj, root))
         return (
             yield from self._co_collective(
                 "bcast", lambda ep: coll_impl.co_bcast(ep, obj, root), comm
@@ -728,9 +704,7 @@ class ProtocolPipeline:
     def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "reduce", obj, op, root)
-            )
+            return (yield from self._raw_co(comm, "reduce")(obj, op, root))
         return (
             yield from self._co_collective(
                 "reduce", lambda ep: coll_impl.co_reduce(ep, obj, op, root), comm
@@ -743,9 +717,7 @@ class ProtocolPipeline:
     def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "allreduce", obj, op)
-            )
+            return (yield from self._raw_co(comm, "allreduce")(obj, op))
         return (
             yield from self._co_collective(
                 "allreduce", lambda ep: coll_impl.co_allreduce(ep, obj, op), comm
@@ -758,7 +730,7 @@ class ProtocolPipeline:
     def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "gather", obj, root))
+            return (yield from self._raw_co(comm, "gather")(obj, root))
         return (
             yield from self._co_collective(
                 "gather", lambda ep: coll_impl.co_gather(ep, obj, root), comm
@@ -771,7 +743,7 @@ class ProtocolPipeline:
     def co_allgather(self, obj: Any, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "allgather", obj))
+            return (yield from self._raw_co(comm, "allgather")(obj))
         return (
             yield from self._co_collective(
                 "allgather", lambda ep: coll_impl.co_allgather(ep, obj), comm
@@ -784,9 +756,7 @@ class ProtocolPipeline:
     def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "scatter", objs, root)
-            )
+            return (yield from self._raw_co(comm, "scatter")(objs, root))
         return (
             yield from self._co_collective(
                 "scatter", lambda ep: coll_impl.co_scatter(ep, objs, root), comm
@@ -799,7 +769,7 @@ class ProtocolPipeline:
     def co_alltoall(self, objs: list[Any], comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "alltoall", objs))
+            return (yield from self._raw_co(comm, "alltoall")(objs))
         return (
             yield from self._co_collective(
                 "alltoall", lambda ep: coll_impl.co_alltoall(ep, objs), comm
@@ -812,7 +782,7 @@ class ProtocolPipeline:
     def co_scan(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "scan", obj, op))
+            return (yield from self._raw_co(comm, "scan")(obj, op))
         return (
             yield from self._co_collective(
                 "scan", lambda ep: coll_impl.co_scan(ep, obj, op), comm
@@ -832,9 +802,10 @@ class ProtocolPipeline:
     def co_barrier(self, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            yield from self._co_call(self._resolve(comm), "barrier")
+            yield from self._raw_co(comm, "barrier")()
             return
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
         if self._protocol and self.replay is None:
             ctl_ep = self._coll_endpoint(handle_id, 0)
@@ -876,7 +847,8 @@ class ProtocolPipeline:
     def co_potential_checkpoint(self):
         if self._raw:
             return False
-        yield from self._co_progress()
+        if not self._idle():
+            yield from self._co_progress()
         if self.ckpt is None:
             return False
         t0 = perf_counter()
@@ -949,7 +921,7 @@ class ProtocolPipeline:
 
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
         if self._raw:
-            child = yield from self._co_call(self._resolve(parent), "split", color, key)
+            child = yield from self._raw_co(parent, "split")(color, key)
             if child is None:
                 return None
             return self._new_handle("comm", child)
@@ -960,7 +932,7 @@ class ProtocolPipeline:
             if replayed:
                 return handle
         parent_id = parent.handle_id if parent is not None else WORLD_HANDLE
-        raw_child = yield from self._co_call(self._raw_comm(parent_id), "split", color, key)
+        raw_child = yield from coop.co_method(self._raw_comm(parent_id), "split")(color, key)
         if raw_child is None:
             # Participation is still recorded: the split must be re-executed
             # collectively on restore even by ranks that got no child.
@@ -1023,10 +995,10 @@ class ProtocolPipeline:
             yield  # pragma: no cover -- marks this function as a generator
 
         def comm_split(parent_id: int, color: int, key: int | None):
-            return (yield from self._co_call(self._raw_comm(parent_id), "split", color, key))
+            return (yield from coop.co_method(self._raw_comm(parent_id), "split")(color, key))
 
         def comm_split_undefined(parent_id: int, key: int | None):
-            yield from self._co_call(self._raw_comm(parent_id), "split", None, key)
+            yield from coop.co_method(self._raw_comm(parent_id), "split")(None, key)
             return None
 
         def op_create(name: str):
@@ -1134,45 +1106,22 @@ class _LayerCollEndpoint:
     counter: replay-served collectives perform no raw communication, so raw
     counters would drift apart between ranks.  The pipeline derives tags
     from its own checkpointed per-communicator sequence numbers instead.
+
+    Sends and receives *are* the raw communicator's generator forms.
     """
 
+    __slots__ = ("coll_rank", "coll_size", "co_coll_send", "co_coll_recv", "_base", "_used")
+
     def __init__(self, raw: Comm, base: int) -> None:
-        self._raw = raw
+        self.coll_rank = raw.rank
+        self.coll_size = raw.size
+        self.co_coll_send = coop.co_method(raw, "coll_send")
+        self.co_coll_recv = coop.co_method(raw, "coll_recv")
         self._base = base
         self._used = False
-
-    @property
-    def coll_rank(self) -> int:
-        return self._raw.rank
-
-    @property
-    def coll_size(self) -> int:
-        return self._raw.size
 
     def coll_next_tag_block(self) -> int:
         if self._used:
             raise ProtocolError("layer collective endpoint reused")
         self._used = True
         return self._base
-
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._raw.coll_send(dest, payload, tag)
-
-    def coll_recv(self, source: int, tag: int) -> Any:
-        return self._raw.coll_recv(source, tag)
-
-    # Generator twins (cooperative core); fall back to the synchronous
-    # surface for comm doubles, which never suspend.
-
-    def co_coll_send(self, dest: int, payload: Any, tag: int):
-        co = getattr(self._raw, "co_coll_send", None)
-        if co is None:
-            self._raw.coll_send(dest, payload, tag)
-        else:
-            yield from co(dest, payload, tag)
-
-    def co_coll_recv(self, source: int, tag: int):
-        co = getattr(self._raw, "co_coll_recv", None)
-        if co is None:
-            return self._raw.coll_recv(source, tag)
-        return (yield from co(source, tag))

@@ -18,7 +18,6 @@ from repro.errors import RecoveryError
 from repro.protocol import control as ctl
 from repro.protocol.logs import CollectiveRecord, MatchRecord
 from repro.protocol.stages.base import ProtocolStage
-from repro.simmpi import coop
 
 
 class ReplayStage(ProtocolStage):
@@ -34,11 +33,8 @@ class ReplayStage(ProtocolStage):
 
     # -- receive path --------------------------------------------------- #
 
-    def serve_recv(self) -> Any:
-        """Serve one receive deterministically from the match log."""
-        return coop.drive(self.co_serve_recv(), self.core.comm)
-
     def co_serve_recv(self):
+        """Serve one receive deterministically from the match log."""
         core = self.core
         assert core.replay is not None
         rec: MatchRecord = core.replay.matches.next()
@@ -63,7 +59,7 @@ class ReplayStage(ProtocolStage):
             info = core.codec.decode(env.piggyback, core.state.epoch)
             return info.message_id == wanted_id
 
-        env = yield from core._co_recv_envelope(rec.source, rec.tag, predicate=_matches)
+        env = yield from core._comm_recv_envelope(rec.source, rec.tag, _matches)
         core.state.current_receive_count[rec.source] = (
             core.state.current_receive_count.get(rec.source, 0) + 1
         )
@@ -71,9 +67,6 @@ class ReplayStage(ProtocolStage):
         return env.payload
 
     # -- nondet / collectives ------------------------------------------- #
-
-    def serve_nondet(self) -> Any:
-        return coop.drive(self.co_serve_nondet(), self.core.comm)
 
     def co_serve_nondet(self):
         core = self.core
@@ -93,9 +86,6 @@ class ReplayStage(ProtocolStage):
         return rec.result
 
     # -- lifecycle ------------------------------------------------------- #
-
-    def maybe_end_replay(self) -> None:
-        coop.drive(self.co_maybe_end_replay(), self.core.comm)
 
     def co_maybe_end_replay(self):
         core = self.core

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigError
+from repro.simmpi import coop
 from repro.simmpi.simulator import RankContext
 from repro.statesave.globals_registry import DEFAULT_REGISTRY
 
@@ -50,6 +51,10 @@ class C3AppContext:
         #: Opaque run parameters (set by PrecompiledApp or harness code).
         self.params: Any = None
         layer.state_provider = self._capture_state
+        # Generator twins of the two protocol hooks, bound once (a CommLike
+        # double without a co_* surface gets its synchronous method wrapped).
+        self.co_potential_checkpoint = coop.co_method(layer, "potential_checkpoint")
+        self.co_nondet = coop.co_method(layer, "nondet")
         # Registered module globals (repro.statesave.checkpointable_state)
         # ride along in every checkpoint blob.  Module globals are shared
         # process-wide in the simulator, so rank 0's snapshot is the
@@ -140,24 +145,6 @@ class C3AppContext:
         """Protocol-logged uniform variate from the per-rank stream."""
         return self.nondet(self._rank_ctx.rng.random)
 
-    # -- generator twins (cooperative core) ----------------------------- #
-    #
-    # Used by generator application mains and by the precompiler's
-    # cooperative code objects; CommLike implementations without a co_*
-    # surface (hand-written doubles) are called synchronously, which is
-    # correct because such stand-ins never suspend.
-
-    def co_potential_checkpoint(self):
-        co = getattr(self.mpi, "co_potential_checkpoint", None)
-        if co is None:
-            return self.mpi.potential_checkpoint()
-        return (yield from co())
-
-    def co_nondet(self, compute: Callable[[], Any]):
-        co = getattr(self.mpi, "co_nondet", None)
-        if co is None:
-            return self.mpi.nondet(compute)
-        return (yield from co(compute))
-
     def co_random(self):
+        """Generator twin of :meth:`random` (cooperative core)."""
         return (yield from self.co_nondet(self._rank_ctx.rng.random))

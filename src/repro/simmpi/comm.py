@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError
 from repro.simmpi import collectives_impl as coll
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, is_user_tag
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
 from repro.simmpi.group import Group
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.message import Envelope
@@ -44,9 +44,13 @@ class Comm:
         #: The simulation clock, cached: every send/recv charges it.
         self._clock = sim.clock
         self._network = sim.network
+        self._scheduler = sim.scheduler
         self._coll_seq = 0
         self._child_seq = 0
         self.last_status: Optional[Status] = None
+        self._members = group.members
+        #: Group-local rank (fixed; the lookup scans the member tuple).
+        self._rank = group.rank_of(proc.rank)
 
     # ------------------------------------------------------------------ #
     # Identity.
@@ -55,12 +59,12 @@ class Comm:
     @property
     def rank(self) -> int:
         """This process's rank within the communicator."""
-        return self.group.rank_of(self.proc.rank)
+        return self._rank
 
     @property
     def size(self) -> int:
         """Number of processes in the communicator."""
-        return self.group.size
+        return len(self._members)
 
     def wtime(self) -> float:
         """Current virtual time (the MPI_Wtime analogue)."""
@@ -79,36 +83,34 @@ class Comm:
         return self.group.rank_of(world_rank)
 
     def _yield_point(self) -> None:
-        self.sim.scheduler.yield_point(self.proc)
+        self._scheduler.yield_point(self.proc)
 
     def co_yield_point(self):
-        yield from self.sim.scheduler.co_yield_point(self.proc)
+        yield from self._scheduler.co_yield_point(self.proc)
 
     def _block_on_recv(self, desc: RecvDescriptor) -> None:
-        self.sim.scheduler.block_on_recv(self.proc, desc)
+        self._scheduler.block_on_recv(self.proc, desc)
 
     def _co_block_on_recv(self, desc: RecvDescriptor):
-        yield from self.sim.scheduler.co_block_on_recv(self.proc, desc)
+        yield from self._scheduler.co_block_on_recv(self.proc, desc)
 
     def _cancel_recv(self, desc: RecvDescriptor) -> bool:
         return self.proc.mailbox.cancel(desc)
 
-    def _check_send_args(self, dest: int, tag: int) -> None:
-        if not 0 <= dest < self.size:
-            raise MatchError(f"send dest {dest} out of range for size {self.size}")
-        if not is_user_tag(tag) and tag >= 0:
+    def _send_target(self, dest: int, tag: int) -> int:
+        """Validate a send's arguments; returns ``dest``'s world rank."""
+        members = self._members
+        if not 0 <= dest < len(members):
+            raise MatchError(f"send dest {dest} out of range for size {len(members)}")
+        if tag > MAX_USER_TAG:
             raise MatchError(f"tag {tag} exceeds MAX_USER_TAG")
+        return members[dest]
 
     def _post_envelope(
         self, dest_world: int, payload: Any, tag: int, piggyback: Any = None
     ) -> Envelope:
         env = Envelope(
-            source=self.proc.rank,
-            dest=dest_world,
-            tag=tag,
-            context=self.context,
-            payload=payload,
-            piggyback=piggyback,
+            self.proc.rank, dest_world, tag, self.context, payload, piggyback
         )
         clock = self._clock
         clock.charge(clock.cost.message_cost(env.nbytes))
@@ -125,8 +127,7 @@ class Comm:
         ``piggyback`` is reserved for the C3 protocol layer; application code
         should never pass it.
         """
-        self._check_send_args(dest, tag)
-        self._post_envelope(self._world(dest), payload, tag, piggyback)
+        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
         self._yield_point()
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
@@ -169,12 +170,17 @@ class Comm:
     #
     # Same bodies as the synchronous calls above with each scheduling
     # point expressed as a yield; the suspension-free calls (``isend``,
-    # ``irecv``, ``iprobe``, ``take_matching``, ``dup``) have no twins.
+    # ``irecv``, ``iprobe``, ``dup``) have no twins.  The per-message calls
+    # bracket a bare ``yield`` with ``Scheduler.before_yield`` /
+    # ``after_yield`` (the body of ``co_yield_point``) instead of
+    # allocating that generator for every message.
 
     def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
-        self._check_send_args(dest, tag)
-        self._post_envelope(self._world(dest), payload, tag, piggyback)
-        yield from self.sim.scheduler.co_yield_point(self.proc)
+        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
+        scheduler, proc = self._scheduler, self.proc
+        scheduler.before_yield(proc)
+        yield
+        scheduler.after_yield(proc)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         env = yield from self.co_recv_envelope(source, tag)
@@ -187,13 +193,16 @@ class Comm:
         predicate: Optional[Callable[[Envelope], bool]] = None,
     ):
         desc = RecvDescriptor(self._world(source), tag, self.context, predicate)
-        self.proc.mailbox.post(desc)
+        proc = self.proc
+        proc.mailbox.post(desc)
         if desc.matched is None:
-            yield from self.sim.scheduler.co_block_on_recv(self.proc, desc)
+            yield from self._scheduler.co_block_on_recv(proc, desc)
         else:
             # Matching an already-queued message is still a scheduling point;
             # without it, tight recv loops would starve other ranks.
-            yield from self.sim.scheduler.co_yield_point(self.proc)
+            self._scheduler.before_yield(proc)
+            yield
+            self._scheduler.after_yield(proc)
         env = desc.matched
         assert env is not None
         self._clock.charge(self._clock.cost.step)
@@ -212,8 +221,7 @@ class Comm:
     ):
         if recv_tag is None:
             recv_tag = send_tag
-        self._check_send_args(dest, send_tag)
-        self._post_envelope(self._world(dest), payload, send_tag)
+        self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
         return (yield from self.co_recv(recv_source, recv_tag))
 
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
@@ -223,12 +231,11 @@ class Comm:
                 return Status(
                     source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
                 )
-            yield from self.sim.scheduler.co_yield_point(self.proc)
+            yield from self._scheduler.co_yield_point(self.proc)
 
     def isend(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
-        self._check_send_args(dest, tag)
-        self._post_envelope(self._world(dest), payload, tag, piggyback)
+        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
         return SendRequest(self)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
@@ -248,8 +255,7 @@ class Comm:
         """Combined send+receive (deadlock-free under eager sends)."""
         if recv_tag is None:
             recv_tag = send_tag
-        self._check_send_args(dest, send_tag)
-        self._post_envelope(self._world(dest), payload, send_tag)
+        self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
         return self.recv(recv_source, recv_tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
@@ -266,16 +272,6 @@ class Comm:
         if env is None:
             return None
         return Status(source=self._local(env.source), tag=env.tag, nbytes=env.nbytes)
-
-    def take_matching(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        predicate: Optional[Callable[[Envelope], bool]] = None,
-    ) -> Optional[Envelope]:
-        """Nonblocking receive of a queued message (used by the C3 layer to
-        drain control traffic without blocking)."""
-        return self.proc.mailbox.take(self._world(source), tag, self.context, predicate)
 
     # ------------------------------------------------------------------ #
     # Collective endpoint interface (see collectives_impl).
@@ -310,7 +306,10 @@ class Comm:
 
     def co_coll_send(self, dest: int, payload: Any, tag: int):
         self._post_envelope(self._world(dest), payload, tag)
-        yield from self.sim.scheduler.co_yield_point(self.proc)
+        scheduler, proc = self._scheduler, self.proc
+        scheduler.before_yield(proc)
+        yield
+        scheduler.after_yield(proc)
 
     def co_coll_recv(self, source: int, tag: int):
         desc = RecvDescriptor(self._world(source), tag, self.context)
@@ -319,7 +318,7 @@ class Comm:
             # Note the asymmetry with co_recv_envelope: an already-matched
             # collective receive is not a scheduling point (parity with the
             # synchronous path above).
-            yield from self.sim.scheduler.co_block_on_recv(self.proc, desc)
+            yield from self._scheduler.co_block_on_recv(self.proc, desc)
         self._clock.charge(self._clock.cost.step)
         return desc.matched.payload
 

@@ -35,11 +35,6 @@ TAG_CONTROL: int = -2
 TAG_HEARTBEAT: int = -3
 
 
-def is_user_tag(tag: int) -> bool:
-    """True if ``tag`` is legal for application sends."""
-    return 0 <= tag <= MAX_USER_TAG
-
-
 def collective_tag(sequence: int) -> int:
     """Reserved tag for the ``sequence``-th collective on a communicator."""
     return TAG_COLLECTIVE_BASE - sequence

@@ -28,7 +28,7 @@ runtime) reads it first: under coop all ranks share one thread, so
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import SimMPIError
 
@@ -46,6 +46,24 @@ def set_current_proc(proc: Optional["Proc"]) -> None:
 def current_proc() -> Optional["Proc"]:
     """The rank the coop core is currently resuming on this thread, if any."""
     return getattr(_here, "proc", None)
+
+
+def co_method(
+    target: Any, name: str, sync: str | None = None
+) -> Callable[..., Generator[None, None, Any]]:
+    """``target.co_<name>`` — bind it once and a call costs no lookup or
+    wrapper frame.  A double with only the synchronous method (``sync``,
+    by default ``name``) gets a generator that calls it and never
+    suspends (such stand-ins never block)."""
+    co = getattr(target, "co_" + name, None)
+    if co is not None:
+        return co
+
+    def co_sync(*args: Any, **kwargs: Any):
+        return getattr(target, sync or name)(*args, **kwargs)
+        yield  # pragma: no cover - generator marker, unreachable
+
+    return co_sync
 
 
 def thread_suspend(proc: "Proc") -> None:

@@ -24,22 +24,64 @@ PIGGYBACK_PACKED_BYTES = 4
 PIGGYBACK_FULL_BYTES = 12
 
 
+#: Exact-type widths: the scalars that dominate payloads cost one probe.
+_FIXED_WIDTH = {int: 8, float: 8, bool: 1, complex: 16, type(None): 0}
+
+#: Pickle lengths of payloads whose class sets ``sizeof_by_value`` — a
+#: promise that instances are frozen, hashable, and that equal values
+#: pickle to equal lengths (a wave's O(nprocs^2) control messages).
+_PICKLED_SIZE: dict[object, int] = {}
+_PICKLED_SIZE_LIMIT = 4096
+
+
 def sizeof(payload: object) -> int:
     """Best-effort wire size of a payload in bytes.
 
     numpy arrays report their buffer size; ``bytes``/``bytearray`` report
-    their length; scalars report their native width; everything else falls
+    their length; scalars report their native width; containers sum their
+    elements plus a small per-element overhead; everything else falls
     back to the pickle length (an upper bound on a reasonable encoding).
+
+    Exact builtin types are dispatched here; what that cannot answer
+    (bytes, str, numpy scalars, subclasses, arbitrary objects) takes
+    :func:`_sizeof_general`'s ``isinstance`` ladder.
     """
-    if type(payload) is int:
-        # Exact-type fast path: plain ints are the dominant payload on
-        # the per-message hot path (protocol control words, benchmark
-        # rings), and the isinstance chain below costs more than the
-        # answer.  ``bool`` is not ``int`` under ``type()``, so it still
-        # reaches its 1-byte case.
-        return 8
-    if payload is None:
-        return 0
+    kind = type(payload)
+    width = _FIXED_WIDTH.get(kind)
+    if width is not None:
+        return width
+    if kind is np.ndarray:
+        return int(payload.nbytes)
+    if kind is tuple or kind is list:
+        return _sizeof_items(payload)
+    if kind is dict:
+        return _sizeof_mapping(payload)
+    return _sizeof_general(payload)
+
+
+def _sizeof_items(items) -> int:
+    # Sum of elements plus a small per-element overhead; cheaper than
+    # pickling and accurate for the homogeneous containers apps send.
+    fixed = _FIXED_WIDTH.get
+    total = 8 + 4 * len(items)
+    for item in items:
+        width = fixed(type(item))
+        total += sizeof(item) if width is None else width
+    return total
+
+
+def _sizeof_mapping(mapping) -> int:
+    fixed = _FIXED_WIDTH.get
+    total = 8 + 8 * len(mapping)
+    for key, value in mapping.items():
+        width = fixed(type(key))
+        total += sizeof(key) if width is None else width
+        width = fixed(type(value))
+        total += sizeof(value) if width is None else width
+    return total
+
+
+def _sizeof_general(payload: object) -> int:
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray, memoryview)):
@@ -55,11 +97,20 @@ def sizeof(payload: object) -> int:
     if isinstance(payload, str):
         return len(payload.encode("utf-8"))
     if isinstance(payload, (tuple, list)):
-        # Sum of elements plus a small per-element overhead; cheaper than
-        # pickling and accurate for the homogeneous containers apps send.
-        return 8 + sum(sizeof(item) + 4 for item in payload)
+        return _sizeof_items(payload)
     if isinstance(payload, dict):
-        return 8 + sum(sizeof(k) + sizeof(v) + 8 for k, v in payload.items())
+        return _sizeof_mapping(payload)
+    if not getattr(type(payload), "sizeof_by_value", False):
+        return _pickled_size(payload)
+    size = _PICKLED_SIZE.get(payload)
+    if size is None:
+        if len(_PICKLED_SIZE) >= _PICKLED_SIZE_LIMIT:
+            _PICKLED_SIZE.clear()
+        size = _PICKLED_SIZE[payload] = _pickled_size(payload)
+    return size
+
+
+def _pickled_size(payload: object) -> int:
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:

@@ -9,22 +9,29 @@ Implements MPI's two-queue matching discipline:
 
 A newly delivered message is matched against posted receives in post order;
 a newly posted receive is matched against unexpected messages in delivery
-order.  ``ANY_SOURCE``/``ANY_TAG`` wildcards are honoured.  Matching is also
+order.  ``ANY_SOURCE``/``ANY_TAG`` wildcards are honoured; ``ANY_TAG`` is any
+*user* tag (``>= 0``) — the library's reserved negative tags (collective
+rounds) match only a receive naming that exact tag.  Matching is also
 extensible with an arbitrary predicate, which the C3 recovery engine uses to
 wait for the message with a specific piggybacked ``messageID`` during
 deterministic replay.
+
+Protocol control messages (``TAG_CONTROL``) are not matched at all: they go
+to a dedicated *control queue* popped in O(1) by the protocol layer, so
+application receives never scan past them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.simmpi.message import Envelope
 
 
-@dataclass
+@dataclass(slots=True)
 class RecvDescriptor:
     """A posted receive waiting to be matched."""
 
@@ -45,15 +52,12 @@ class RecvDescriptor:
             return False
         if self.source != ANY_SOURCE and self.source != env.source:
             return False
-        if self.tag != ANY_TAG and self.tag != env.tag:
+        tag = env.tag
+        if self.tag != tag and (self.tag != ANY_TAG or tag < 0):
             return False
         if self.predicate is not None and not self.predicate(env):
             return False
         return True
-
-    @property
-    def completed(self) -> bool:
-        return self.matched is not None
 
 
 class Mailbox:
@@ -63,6 +67,8 @@ class Mailbox:
         self.rank = rank
         self.unexpected: list[Envelope] = []
         self.posted: list[RecvDescriptor] = []
+        #: Delivered ``TAG_CONTROL`` messages, in delivery order.
+        self.control: deque[Envelope] = deque()
         self._post_counter = 0
         #: Counters for observability and tests.
         self.delivered_count = 0
@@ -76,9 +82,12 @@ class Mailbox:
         """Hand an arriving message to this rank.
 
         Returns the receive descriptor it completed, or ``None`` if the
-        message was queued as unexpected.
+        message was queued (as unexpected, or on the control queue).
         """
         self.delivered_count += 1
+        if env.tag == TAG_CONTROL:
+            self.control.append(env)
+            return None
         for desc in self.posted:
             if desc.accepts(env):
                 desc.matched = env
@@ -127,21 +136,12 @@ class Mailbox:
                 return env
         return None
 
-    def take(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        context: int = 0,
-        predicate: Optional[Callable[[Envelope], bool]] = None,
-    ) -> Optional[Envelope]:
-        """Non-blocking receive: pop the first matching unexpected message."""
-        desc = RecvDescriptor(source, tag, context, predicate)
-        for i, env in enumerate(self.unexpected):
-            if desc.accepts(env):
-                del self.unexpected[i]
-                self.matched_count += 1
-                return env
-        return None
+    def pop_control(self) -> Optional[Envelope]:
+        """Pop the oldest queued control message (None when idle)."""
+        if not self.control:
+            return None
+        self.matched_count += 1
+        return self.control.popleft()
 
     def pending_unexpected(self) -> int:
         """Number of queued unexpected messages (for stats/assertions)."""
@@ -150,6 +150,7 @@ class Mailbox:
     def clear(self) -> None:
         """Drop all state (used when a rank dies or the sim restarts)."""
         self.unexpected.clear()
+        self.control.clear()
         for desc in self.posted:
             desc.cancelled = True
         self.posted.clear()

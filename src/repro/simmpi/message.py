@@ -14,7 +14,7 @@ from typing import Any
 from repro.simmpi.datatypes import HEADER_BYTES, sizeof
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One in-flight message.
 

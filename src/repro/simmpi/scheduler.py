@@ -92,28 +92,24 @@ class Scheduler:
         proc.state = ProcState.RUNNABLE
         self._switch_to_scheduler(proc)
 
-    def block(self, proc: Proc, info: BlockInfo) -> None:
-        """Block the calling rank; returns when the scheduler re-grants it.
-
-        The caller must re-check its wake condition in a loop: the scheduler
-        wakes blocked ranks whenever a message is delivered to them, which
-        may be a spurious wake for this particular descriptor.
-        """
-        self._check_kill(proc)
-        proc.state = ProcState.BLOCKED
-        proc.block_info = info
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("sched", "block", rank=proc.rank, why=info.kind)
-        self._switch_to_scheduler(proc)
-        proc.block_info = None
-
     def block_on_recv(self, proc: Proc, desc: RecvDescriptor) -> None:
-        """Block until ``desc`` has been matched (or the rank is killed)."""
-        while desc.matched is None:
-            self.block(proc, BlockInfo("recv", desc))
+        """Block until ``desc`` has been matched (or the rank is killed).
 
-    # -- generator twins of the three primitives above ------------------- #
+        The scheduler wakes a blocked rank whenever *any* message is
+        delivered to it, so the wake condition is re-checked in a loop.
+        """
+        tr = self.tracer
+        info = BlockInfo("recv", desc)
+        while desc.matched is None:
+            self._check_kill(proc)
+            proc.state = ProcState.BLOCKED
+            proc.block_info = info
+            if tr is not None:
+                tr.emit("sched", "block", rank=proc.rank, why="recv")
+            self._switch_to_scheduler(proc)
+            proc.block_info = None
+
+    # -- generator twins of the primitives above ------------------------- #
     #
     # Under the cooperative core a scheduling point is a ``yield`` instead
     # of a gate handoff; everything around it (kill checks, state flips,
@@ -121,32 +117,39 @@ class Scheduler:
     # produce the same event sequence.  Synchronous callers reach these
     # through ``coop.drive``.
 
-    def co_yield_point(self, proc: Proc):
-        # Kill checks are inlined (``_raise_kill`` is the cold path): this
-        # generator brackets every suspension on the coop hot path.
+    def before_yield(self, proc: Proc) -> None:
+        """What a voluntary scheduling point does before it suspends."""
         if proc.kill_flag:
             self._raise_kill(proc)
         proc.state = ProcState.RUNNABLE
-        yield
+
+    def after_yield(self, proc: Proc) -> None:
+        """What a voluntary scheduling point does once it is resumed."""
         if proc.kill_flag:
             self._raise_kill(proc)
 
-    def co_block(self, proc: Proc, info: BlockInfo):
-        if proc.kill_flag:
-            self._raise_kill(proc)
-        proc.state = ProcState.BLOCKED
-        proc.block_info = info
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("sched", "block", rank=proc.rank, why=info.kind)
+    def co_yield_point(self, proc: Proc):
+        # The per-message ``Comm`` twins (``co_send``, ``co_recv_envelope``,
+        # ``co_coll_send``) bracket a bare ``yield`` with the same pair
+        # instead of allocating this generator for every message.
+        self.before_yield(proc)
         yield
-        if proc.kill_flag:
-            self._raise_kill(proc)
-        proc.block_info = None
+        self.after_yield(proc)
 
     def co_block_on_recv(self, proc: Proc, desc: RecvDescriptor):
+        tr = self.tracer
+        info = BlockInfo("recv", desc)
         while desc.matched is None:
-            yield from self.co_block(proc, BlockInfo("recv", desc))
+            if proc.kill_flag:
+                self._raise_kill(proc)
+            proc.state = ProcState.BLOCKED
+            proc.block_info = info
+            if tr is not None:
+                tr.emit("sched", "block", rank=proc.rank, why="recv")
+            yield
+            if proc.kill_flag:
+                self._raise_kill(proc)
+            proc.block_info = None
 
     def _switch_to_scheduler(self, proc: Proc) -> None:
         if proc.task is not None:

@@ -92,6 +92,48 @@ class TestWaveCompletion:
         assert not storage.store.has_generation("rank0/state", committed - 1)
 
 
+class TestWildcardReceiveAcrossWave:
+    def test_wildcard_recv_gets_the_payload_not_the_protocol_traffic(self):
+        """``ANY_TAG`` means any *user* tag: a rank blocked in
+        ``recv(ANY_SOURCE, ANY_TAG)`` while a wave's control messages
+        arrive must still receive the application payload, and the wave
+        must commit (the wildcard used to steal ``pleaseCheckpoint``)."""
+        storage = Storage()
+
+        def main(ctx):
+            layer = C3Layer(
+                ctx.comm, C3Config(checkpoint_interval=None), storage,
+                state_provider=lambda: {"rank": ctx.rank},
+            )
+            got = None
+            if ctx.rank == 3:
+                got = layer.recv()  # ANY_SOURCE, ANY_TAG
+                for peer in (0, 1, 2):
+                    layer.send("release", peer, tag=6)
+            else:
+                if ctx.rank == 0:
+                    layer.request_checkpoint_now()
+                    layer.potential_checkpoint()  # wave starts: pleaseCheckpoint is out
+                    layer.send("go", 1, tag=5)
+                elif ctx.rank == 1:
+                    layer.recv(source=0, tag=5)  # ... before the payload is posted
+                    layer.send("payload", 3, tag=9)
+                layer.recv(source=3, tag=6)
+            for i in range(30):
+                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                layer.potential_checkpoint()
+            return (got, layer.state.epoch, layer.stats.control_messages)
+
+        # Zero jitter: the control message, posted first, is delivered first.
+        result = run_simple(main, nprocs=4, seed=0, jitter=0.0)
+        assert result.completed
+        assert result.results[3][0] == "payload"
+        assert all(epoch == 1 for _, epoch, _ in result.results)
+        assert all(control > 0 for _, _, control in result.results)
+        assert storage.committed_epoch() == 1
+
+
 class TestLegacyStorageCompat:
     def test_two_argument_commit_still_supported(self):
         """Custom storages implementing the pre-1.2 ``commit(epoch, vt)``

@@ -129,3 +129,41 @@ class TestSizeof:
             pass
 
         assert sizeof(Thing()) > 0
+
+    def test_sizes_by_type(self):
+        """Every kind of payload, exact builtin or subclass, nested or not,
+        sizes by the documented rule: scalar widths, buffer lengths,
+        8 + 4/element for sequences, 8 + 8/entry for mappings."""
+        from collections import namedtuple
+
+        pair = namedtuple("pair", "a b")
+        cases = [
+            (None, 0), (True, 1), (7, 8), (3.14, 8), (1 + 2j, 16),
+            (b"abcd", 4), (bytearray(3), 3), ("héllo", 6),
+            (np.zeros(5), 40), (np.float64(1.5), 8), (np.int32(3), 8),
+            (np.bool_(True), 1), ([], 8), ({}, 8), ((), 8),
+            ((1, 2.0, None), 8 + (8 + 4) + (8 + 4) + (0 + 4)),
+            ((1, 2.0, False), 37),
+            ([1, [2, (3, "x")], np.ones(2)], 93),
+            (pair(1, (2, 3)), 56),
+            ({0: 1.5}, 8 + (8 + 8 + 8)),
+            ({0: np.zeros(3), 1: (1, 2)}, 96),
+            ({"k": [1.0, True], 2: {3: 4}}, 90),
+        ]
+        for payload, expected in cases:
+            assert sizeof(payload) == expected, repr(payload)
+
+    def test_value_sized_classes_pickle_once_per_value(self, monkeypatch):
+        import pickle
+
+        from repro.protocol.control import MySendCount as Token
+        from repro.simmpi import datatypes
+
+        assert Token.sizeof_by_value
+        monkeypatch.setattr(datatypes, "_PICKLED_SIZE", {})
+        expected = len(pickle.dumps(Token(3, 1, 0), protocol=pickle.HIGHEST_PROTOCOL))
+        assert sizeof(Token(3, 1, 0)) == sizeof(Token(3, 1, 0)) == expected
+        assert list(datatypes._PICKLED_SIZE) == [Token(3, 1, 0)]
+        monkeypatch.setattr(datatypes, "_PICKLED_SIZE_LIMIT", 1)
+        assert sizeof(Token(4, 1, 0)) == expected  # the memo is bounded: it restarts
+        assert list(datatypes._PICKLED_SIZE) == [Token(4, 1, 0)]

@@ -1,7 +1,15 @@
 """Unit tests for the MPI matching engine."""
 
 
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
+import pytest
+
+from repro.simmpi.constants import (
+    ANY_SOURCE,
+    ANY_TAG,
+    TAG_CONTROL,
+    TAG_HEARTBEAT,
+    collective_tag,
+)
 from repro.simmpi.mailbox import Mailbox, RecvDescriptor
 from repro.simmpi.message import Envelope
 
@@ -69,6 +77,41 @@ class TestWildcards:
         assert mb.pending_unexpected() == 1
 
 
+class TestReservedTags:
+    """``ANY_TAG`` is any *user* tag: library traffic on the reserved
+    negative tags is invisible to application wildcards."""
+
+    RESERVED = [TAG_CONTROL, TAG_HEARTBEAT, collective_tag(0), -10_000_000]
+
+    @pytest.mark.parametrize("tag", RESERVED)
+    def test_wildcard_post_skips_reserved_tag(self, tag):
+        mb = Mailbox(0)
+        mb.deliver(env(dest=0, tag=tag, payload="library"))
+        mb.deliver(env(dest=0, tag=7, payload="app"))
+        desc = mb.post(RecvDescriptor(ANY_SOURCE, ANY_TAG, 0))
+        assert desc.matched.payload == "app"
+
+    @pytest.mark.parametrize("tag", RESERVED)
+    def test_posted_wildcard_not_completed_by_reserved_tag(self, tag):
+        mb = Mailbox(0)
+        desc = mb.post(RecvDescriptor(ANY_SOURCE, ANY_TAG, 0))
+        assert mb.deliver(env(dest=0, tag=tag)) is None
+        assert desc.matched is None
+        assert mb.deliver(env(dest=0, tag=3)) is desc
+
+    @pytest.mark.parametrize("tag", RESERVED)
+    def test_wildcard_probe_skips_reserved_tag(self, tag):
+        mb = Mailbox(0)
+        mb.deliver(env(dest=0, tag=tag))
+        assert mb.probe() is None
+
+    def test_exact_reserved_tag_still_matches(self):
+        mb = Mailbox(0)
+        tag = collective_tag(2)
+        mb.deliver(env(dest=0, tag=tag, payload="round"))
+        assert mb.post(RecvDescriptor(0, tag, 0)).matched.payload == "round"
+
+
 class TestContextIsolation:
     def test_context_mismatch_never_matches(self):
         mb = Mailbox(1)
@@ -94,15 +137,28 @@ class TestPredicates:
         assert mb.deliver(env(piggyback=9)) is desc
 
 
-class TestTakeAndProbe:
-    def test_take_nonblocking(self):
+class TestControlQueue:
+    def test_control_messages_queue_apart_in_delivery_order(self):
         mb = Mailbox(1)
-        assert mb.take(tag=4) is None
-        mb.deliver(env(tag=4))
-        taken = mb.take(tag=4)
-        assert taken is not None and taken.tag == 4
-        assert mb.take(tag=4) is None
+        assert mb.pop_control() is None
+        assert mb.deliver(env(tag=TAG_CONTROL, payload="first")) is None
+        mb.deliver(env(tag=4, payload="app"))
+        mb.deliver(env(source=2, tag=TAG_CONTROL, payload="second"))
+        assert mb.pending_unexpected() == 1  # application matching never sees them
+        assert [e.payload for e in mb.control] == ["first", "second"]
+        assert mb.pop_control().payload == "first"
+        assert mb.pop_control().source == 2
+        assert mb.pop_control() is None
+        assert mb.matched_count == 2 and mb.delivered_count == 3
 
+    def test_posted_receive_never_takes_a_control_message(self):
+        mb = Mailbox(1)
+        desc = mb.post(RecvDescriptor(ANY_SOURCE, TAG_CONTROL, 0))
+        assert mb.deliver(env(tag=TAG_CONTROL)) is None
+        assert desc.matched is None and len(mb.control) == 1
+
+
+class TestProbe:
     def test_probe_does_not_consume(self):
         mb = Mailbox(1)
         mb.deliver(env())
@@ -128,7 +184,9 @@ class TestClear:
     def test_clear_drops_everything(self):
         mb = Mailbox(1)
         mb.deliver(env())
+        mb.deliver(env(tag=TAG_CONTROL))
         desc = mb.post(RecvDescriptor(9, 9, 0))
         mb.clear()
         assert mb.pending_unexpected() == 0
+        assert mb.pop_control() is None
         assert desc.cancelled

@@ -146,3 +146,34 @@ class TestRoundRobinCursor:
         # After the solo slice at rank 3 the cycle wraps to rank 0 — the
         # stale-cursor bug replayed rank 2 and 3 before wrapping.
         assert grants == [0, 1, 3, 0, 1, 2]
+
+
+class TestCoMethod:
+    """``coop.co_method`` binds ``co_<name>`` or wraps the sync method."""
+
+    def test_sync_only_double_is_wrapped_under_its_sync_name(self):
+        from repro.simmpi import coop
+
+        class SyncOnlyComm:
+            yields = 0
+
+            def _yield_point(self):
+                self.yields += 1
+
+            def recv(self, source):
+                return ("payload", source)
+
+        comm = SyncOnlyComm()
+        co_yield = coop.co_method(comm, "yield_point", sync="_yield_point")
+        assert list(co_yield()) == [] and comm.yields == 1
+        assert coop.drive(coop.co_method(comm, "recv")(3), comm) == ("payload", 3)
+
+    def test_generator_method_is_returned_unwrapped(self):
+        from repro.simmpi import coop
+
+        class CoComm:
+            def co_yield_point(self):
+                yield
+
+        comm = CoComm()
+        assert coop.co_method(comm, "yield_point", sync="_yield_point") == comm.co_yield_point
