@@ -257,3 +257,75 @@ def test_dense_cg_constant_matrix_dedupes():
     # Later generations write less than the first (which had no prior
     # generation to dedupe against).
     assert sum(per_gen[g] for g in later) / len(later) < per_gen[first]
+
+
+# --------------------------------------------------------------------- #
+# Timing-free guard: a checkpoint holds the live state and nothing else.
+# --------------------------------------------------------------------- #
+
+#: Every local a gallery app's checkpoint may hold, per transformed
+#: function (the liveness pass's answer, pinned): initialisation inputs
+#: and last iteration's temporaries must not creep back in.
+GALLERY_SAVED = {
+    "laplace.laplace_main": {"block", "hi", "it", "iterations", "lo", "n"},
+    "laplace.halo_exchange": set(),
+    "dense_cg.cg_main": {
+        "a_block", "hi", "it", "iterations", "lo", "n",
+        "p_local", "r_local", "rs_old", "x_local",
+    },
+    "dense_cg.cg_iteration": {"rs_new"},
+    "neurosys.neurosys_main": {
+        "dt", "hi", "i_block", "it", "lo", "v_local", "w_block",
+    },
+    "neurosys.neurosys_iteration": {"v_new"},
+    "stencil3d.stencil3d_main": {"block", "hi", "it", "iterations", "lo", "n"},
+    "stencil3d.halo_exchange_z": set(),
+}
+
+
+def _gallery_params():
+    from repro.apps import dense_cg, laplace, neurosys, stencil3d
+
+    return {
+        "laplace": laplace.LaplaceParams(n=16, iterations=60),
+        "dense_cg": dense_cg.CGParams(n=48, iterations=30),
+        "neurosys": neurosys.NeurosysParams(grid=8, iterations=12),
+        "stencil3d": stencil3d.Stencil3DParams(n=12, iterations=48),
+    }
+
+
+@pytest.mark.parametrize("app_name", ["laplace", "dense_cg", "neurosys", "stencil3d"])
+def test_gallery_checkpoints_hold_only_live_names(app_name):
+    from repro.api.registry import get_app
+
+    storage = Storage(None)
+    config = RunConfig(
+        nprocs=4, seed=3, checkpoint_interval=0.002, detector_timeout=0.05
+    )
+    app = get_app(app_name).build(_gallery_params()[app_name])
+    run_with_recovery(app, config, storage=storage)
+    epoch = storage.committed_epoch()
+    assert epoch is not None
+    for rank in range(config.nprocs):
+        frames = storage.read_state(rank, epoch).app_state["frames"]
+        assert len(frames) == 2
+        for func_id, saved in frames:
+            assert set(saved) - {"_pc"} <= GALLERY_SAVED[func_id], func_id
+
+
+def test_laplace_checkpoint_is_the_papers_state_size():
+    """Logical bytes per rank-checkpoint match ``LaplaceParams.state_bytes``
+    (the label on the paper's Figure 8 bars) to within 5 %."""
+    from repro.apps import laplace
+
+    params = laplace.LaplaceParams(n=256, iterations=12)
+    config = RunConfig(
+        nprocs=4, seed=7, checkpoint_interval=0.0025, detector_timeout=0.05
+    )
+    outcome = run_with_recovery(laplace.build(params), config)
+    taken = sum(s.checkpoints_taken for s in outcome.layer_stats)
+    logical = sum(s.ckpt_logical_bytes for s in outcome.layer_stats)
+    assert taken >= config.nprocs
+    assert logical / taken == pytest.approx(
+        params.state_bytes(config.nprocs), rel=0.05
+    )

@@ -100,6 +100,9 @@ def main() -> None:
     print("=== generated code for main_loop ===")
     print(unit.sources["main_loop"])
     print()
+    print("'# saved:' lists what a checkpoint taken inside that block keeps:")
+    print("the locals live on entry to it (unit.saved_locals); the rest is dead.")
+    print()
 
     runtime = C3StackRuntime(unit).activate()
     try:

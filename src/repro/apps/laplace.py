@@ -51,14 +51,22 @@ def _row_block(rank: int, size: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
+def make_initial_rows(n: int, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of the deterministic initial condition: hot top
+    edge, cold bottom edge, warm sides, zero elsewhere."""
+    rows = np.zeros((hi - lo, n))
+    if lo == 0 < hi:
+        rows[0, :] = 100.0
+    if lo < hi == n:
+        rows[-1, :] = -25.0
+    rows[:, 0] = 50.0
+    rows[:, -1] = 50.0
+    return rows
+
+
 def make_initial_grid(n: int) -> np.ndarray:
-    """Deterministic initial condition: hot top edge, cold elsewhere."""
-    grid = np.zeros((n, n))
-    grid[0, :] = 100.0
-    grid[-1, :] = -25.0
-    grid[:, 0] = 50.0
-    grid[:, -1] = 50.0
-    return grid
+    """The whole initial grid (the serial reference's starting point)."""
+    return make_initial_rows(n, 0, n)
 
 
 def laplace_reference(n: int, iterations: int) -> np.ndarray:
@@ -105,14 +113,12 @@ def laplace_main(ctx):
     n = ctx.params.n
     iterations = ctx.params.iterations
     lo, hi = _row_block(ctx.rank, ctx.size, n)
-    full = make_initial_grid(n)
-    # Owned rows plus one halo row on each side.
+    # Owned rows plus one halo row on each side (left zero where the
+    # grid ends); only these rows of the initial grid are ever built.
+    first = max(lo - 1, 0)
+    last = min(hi + 1, n)
     block = np.zeros((hi - lo + 2, n))
-    block[1:-1] = full[lo:hi]
-    if lo > 0:
-        block[0] = full[lo - 1]
-    if hi < n:
-        block[-1] = full[hi]
+    block[first - lo + 1:last - lo + 1] = make_initial_rows(n, first, last)
     it = 0
     while it < iterations:
         halo_exchange(ctx, block)

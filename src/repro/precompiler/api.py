@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 import textwrap
 from typing import Any, Callable, Optional
 
@@ -53,11 +54,13 @@ from repro.precompiler.codegen import (
     compile_module,
 )
 from repro.precompiler.desugar import Desugarer
-from repro.precompiler.flatten import Flattener
+from repro.precompiler.flatten import Block, Flattener
 from repro.precompiler.iterators import c3_iter
+from repro.precompiler.liveness import live_in
 from repro.precompiler.runtime import C3StackRuntime, c3_enter
 
-DEFAULT_EXCLUDED_LOCALS = frozenset({"ctx", "_c3fr"})
+#: Head of one dispatch arm in generated source (``if _pc == 3:``).
+_DISPATCH_ARM = re.compile(r"^\s*(?:el)?if _pc == (\d+):$", re.MULTILINE)
 
 
 class PrecompiledUnit:
@@ -67,16 +70,21 @@ class PrecompiledUnit:
         self,
         functions: dict[str, Callable],
         code_map: dict[Any, str],
-        exclude_locals: frozenset[str],
+        saved_locals: dict[str, dict[int, frozenset[str]]],
         transformed_names: set[str],
         sources: dict[str, str],
         co_functions: Optional[dict[str, Callable]] = None,
     ) -> None:
         self.functions = functions
         self.code_map = code_map
-        self.exclude_locals = exclude_locals
+        #: What a checkpoint keeps of each frame: func_id → ``_pc`` of each
+        #: checkpointable block → the locals live on entry to that block
+        #: (:mod:`repro.precompiler.liveness`), minus the context parameter,
+        #: which the caller's re-executed call re-supplies.
+        self.saved_locals = saved_locals
         self.transformed_names = transformed_names
-        #: Generated source text per transformed function (debugging aid).
+        #: Generated source text per transformed function (debugging aid);
+        #: each checkpointable block is annotated ``# saved: a, b, c``.
         self.sources = sources
         #: Cooperative (generator) twin per transformed function.  Shares
         #: the synchronous form's func_id in ``code_map``, so captured
@@ -99,13 +107,11 @@ class Precompiler:
     def __init__(
         self,
         functions: list[Callable],
-        exclude_locals: tuple[str, ...] = (),
         unit_name: str = "unit",
     ) -> None:
         if not functions:
             raise PrecompilerError("empty compilation unit")
         self.functions = functions
-        self.exclude_locals = DEFAULT_EXCLUDED_LOCALS | frozenset(exclude_locals)
         self.unit_name = unit_name
 
     # ------------------------------------------------------------------ #
@@ -169,8 +175,9 @@ class Precompiler:
                 check_result.render(), diagnostics=check_result.errors
             )
 
-        transformed_defs: list[ast.FunctionDef] = []
-        sources: dict[str, str] = {}
+        #: Per reaching function: blocks, every local name, and the
+        #: (synchronous, cooperative) FunctionDefs built from them.
+        built: dict[str, tuple] = {}
         for name, tree in trees.items():
             if name not in reaching:
                 continue
@@ -184,13 +191,13 @@ class Precompiler:
             local_names = list(analysis.infos[name].local_names)
             local_names += [n for n in desugarer.new_locals if n not in local_names]
             new_fn = build_function(tree, func_id, blocks, local_names)
-            transformed_defs.append(new_fn)
-            sources[name] = ast.unparse(new_fn)
             co_fn = build_co_function(new_fn, reaching, comm_names)
-            transformed_defs.append(co_fn)
-            sources[co_fn.name] = ast.unparse(co_fn)
+            built[name] = (blocks, local_names, (new_fn, co_fn))
 
-        module = compile_module(transformed_defs, self.unit_name)
+        module = compile_module(
+            [fn_def for *_, fn_defs in built.values() for fn_def in fn_defs],
+            self.unit_name,
+        )
         namespace = dict(globals_ns)
         namespace["_c3_enter"] = c3_enter
         namespace["_c3_iter"] = c3_iter
@@ -200,16 +207,26 @@ class Precompiler:
         functions: dict[str, Callable] = {}
         co_functions: dict[str, Callable] = {}
         code_map: dict[Any, str] = {}
+        saved_locals: dict[str, dict[int, frozenset[str]]] = {}
+        sources: dict[str, str] = {}
         for name in trees:
             if name in reaching:
                 fn = namespace[name]
+                func_id = f"{self.unit_name}.{name}"
                 functions[name] = fn
-                code_map[fn.__code__] = f"{self.unit_name}.{name}"
+                code_map[fn.__code__] = func_id
                 # The cooperative twin maps to the *same* func_id: frames
                 # captured from either form restore into either form.
                 co = namespace[CO_PREFIX + name]
                 co_functions[name] = co
-                code_map[co.__code__] = f"{self.unit_name}.{name}"
+                code_map[co.__code__] = func_id
+                blocks, local_names, fn_defs = built[name]
+                saved = saved_locals[func_id] = self._saved_locals(
+                    blocks, local_names, analysis.infos[name].comm_names,
+                    fn.__code__.co_cellvars,
+                )
+                for fn_def in fn_defs:
+                    sources[fn_def.name] = _annotate_saved(ast.unparse(fn_def), saved)
             else:
                 functions[name] = next(
                     f for f in self.functions if f.__name__ == name
@@ -220,13 +237,54 @@ class Precompiler:
         unit = PrecompiledUnit(
             functions=functions,
             code_map=code_map,
-            exclude_locals=self.exclude_locals,
+            saved_locals=saved_locals,
             transformed_names=set(reaching),
             sources=sources,
             co_functions=co_functions,
         )
         unit.diagnostics = check_result.diagnostics
         return unit
+
+    @staticmethod
+    def _saved_locals(
+        blocks: list[Block],
+        local_names: list[str],
+        comm_names: frozenset[str],
+        cellvars: tuple[str, ...],
+    ) -> dict[int, frozenset[str]]:
+        """Live-in of every checkpointable block, minus the context roots.
+
+        A context parameter holds the unpicklable protocol layer and is
+        re-supplied by the caller's re-executed call — unless the function
+        rebinds it: then the caller's value would be the wrong one, and the
+        name stays (to fail in pickle, not restore a different value).
+        """
+        rebound = {
+            node.id
+            for block in blocks
+            for stmt in block.stmts
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+        }
+        roots = comm_names - rebound
+        live = live_in(blocks, local_names, always_live=cellvars)
+        return {
+            block.index: live[block.index] - roots
+            for block in blocks
+            if block.checkpointable
+        }
+
+
+def _annotate_saved(source: str, saved: dict[int, frozenset[str]]) -> str:
+    """Append ``# saved: a, b`` to the head of each checkpointable block."""
+
+    def note(match: re.Match) -> str:
+        names = saved.get(int(match[1]))
+        if names is None:
+            return match[0]
+        return f"{match[0]}  # saved: {', '.join(sorted(names)) or '(nothing)'}"
+
+    return _DISPATCH_ARM.sub(note, source)
 
 
 def _parse_function(fn: Callable) -> tuple[ast.FunctionDef, str]:

@@ -17,11 +17,12 @@ Given a function's basic blocks, emit::
                 ...
 
 The prologue is the restart jump: a restored frame's locals and ``_pc`` are
-re-seeded and the dispatch loop lands in the middle of the function.  Names
-in the unit's exclusion set (runtime handles such as ``ctx``) are never in
-the saved dict, so the fresh argument values survive — they are re-supplied
-by the caller's re-executed call expression, layer by layer, exactly like
-the paper's rebuilt activation stack.
+re-seeded and the dispatch loop lands in the middle of the function.  The
+saved dict holds only the locals live on entry to the active block (see
+:mod:`repro.precompiler.liveness`); the context parameter is never in it,
+so its fresh argument value survives — re-supplied by the caller's
+re-executed call expression, layer by layer, exactly like the paper's
+rebuilt activation stack.
 """
 
 from __future__ import annotations

@@ -43,9 +43,10 @@ class Block:
 
     index: int
     stmts: list[ast.stmt] = field(default_factory=list)
-    #: Unconditional successor (block index) if not ended by return/cond.
-    next: int | None = None
     terminated: bool = False
+    #: First statement is a checkpointable call: a frame can be captured
+    #: (and restored) with this block active.
+    checkpointable: bool = False
 
 
 def _jump(target: int) -> list[ast.stmt]:
@@ -176,6 +177,7 @@ class Flattener:
             cur.terminated = True
             cur = target
         cur.stmts.append(stmt)
+        cur.checkpointable = True
         return cur
 
     def _emit_if(self, stmt: ast.If, cur: Block) -> Block:

@@ -10,9 +10,10 @@ runtime realises the same architecture lazily:
   transformed function's ``_pc`` local *is* the position label: it names the
   basic block whose first statement is the checkpointable call (or the
   ``potential_checkpoint``) currently active in that frame.
-* **VDS** — the captured ``f_locals`` dict plays the VDS role; names listed
-  in the unit's ``exclude`` set (runtime handles like ``ctx``) are skipped
-  and re-supplied naturally by re-executed call expressions during restore.
+* **VDS** — the captured ``f_locals`` dict plays the VDS role, cut down to
+  the names live on entry to the active block (the unit's ``saved_locals``
+  table); dead locals are never read again, and the context parameter is
+  re-supplied naturally by re-executed call expressions during restore.
 
 On restart, each transformed function's prologue calls :func:`c3_enter`;
 while a restore is active this pops the next saved frame, re-seeds the
@@ -116,23 +117,24 @@ class C3StackRuntime:
         current thread is live and its ``_pc`` names the active block.
         """
         self.captures += 1
-        exclude = self.unit.exclude_locals
+        saved_locals = self.unit.saved_locals
         records: list[FrameRecord] = []
         frame = sys._getframe()
         while frame is not None:
             func_id = self.unit.code_map.get(frame.f_code)
             if func_id is not None:
-                locals_copy = {
-                    name: value
-                    for name, value in frame.f_locals.items()
-                    if name not in exclude and name != "_c3fr"
-                }
-                if "_pc" not in locals_copy:
+                f_locals = frame.f_locals
+                try:
+                    live = saved_locals[func_id][f_locals["_pc"]]
+                except KeyError:
                     raise RecoveryError(
-                        f"transformed frame {func_id} has no _pc — "
-                        "capture outside the dispatch loop?"
-                    )
-                records.append((func_id, locals_copy))
+                        f"transformed frame {func_id} is not at a checkpointable "
+                        "block — capture outside the dispatch loop?"
+                    ) from None
+                # Frame order, not set order: the pickle must not depend
+                # on the hash seed.
+                record = {n: v for n, v in f_locals.items() if n in live or n == "_pc"}
+                records.append((func_id, record))
             frame = frame.f_back
         records.reverse()
         return records

@@ -1,5 +1,6 @@
 """Stack capture/restore mechanics and end-to-end precompiled recovery."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.errors import RecoveryError
 from repro.precompiler import PrecompiledApp, Precompiler
 from repro.precompiler.runtime import C3StackRuntime
-from repro.runtime import RunConfig, run_with_recovery
+from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.simmpi import SUM, FailureSchedule
 
 from tests.precompiler import support_functions as sf
@@ -117,7 +118,31 @@ def deep_main(ctx):
     return acc
 
 
+def comm_ring(comm):
+    """The context parameter spelled ``comm``, as ``comm_roots`` allows."""
+    peer = (comm.rank + 1) % comm.size
+    acc = comm.rank
+    for i in range(120):
+        acc = (acc + comm.mpi.sendrecv(acc + i, peer, peer, send_tag=3)) % 1000003
+        comm.potential_checkpoint()
+    return acc
+
+
 class TestEndToEndPrecompiled:
+    def test_context_parameter_named_comm_is_not_pickled(self):
+        """Whatever name carries the context, it is re-supplied by the
+        caller on restore and never saved (it holds locks)."""
+        unit = Precompiler([comm_ring], unit_name="ring").compile()
+        app = PrecompiledApp(unit, entry="comm_ring")
+        cfg = RunConfig(nprocs=2, seed=5, checkpoint_interval=0.002,
+                        detector_timeout=0.04)
+        gold = run_with_recovery(app, dataclasses.replace(cfg, variant=Variant.UNMODIFIED))
+        full = run_with_recovery(app, cfg)
+        assert full.checkpoints_committed >= 1
+        out = run_with_recovery(app, cfg, failures=FailureSchedule.single(0.004, 1))
+        assert out.results == full.results == gold.results
+        assert out.attempts[1].started_from_epoch >= 1
+
     def test_recovery_through_deep_recursion(self):
         """Checkpoints taken five frames deep must rebuild the whole stack."""
         unit = Precompiler([deep_main, deep_worker, exchange], unit_name="deep").compile()

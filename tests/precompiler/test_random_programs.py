@@ -1,15 +1,20 @@
 """Property test: the precompiler preserves semantics on randomly generated
-structured programs.
+structured programs — uninterrupted, and restored from any checkpoint.
 
 Hypothesis builds small programs from the supported subset (assignments,
 arithmetic, ``for`` over ranges, ``while`` with counters, ``if``/``else``,
-``break``/``continue``, calls to a checkpointable leaf), writes them to a
-real file (``inspect.getsource`` needs one), compiles them, and checks the
-transformed function computes exactly what the original does.
+``break``/``continue``, calls to a checkpointable leaf) plus the shapes the
+liveness analysis reasons about (dead temporaries, rebinding after a
+checkpoint, conditionally defined names, ``del``, an atomic ``try``, a
+value read two iterations after it was written), writes them to a real
+file (``inspect.getsource`` needs one), compiles them, and checks that the
+transformed function computes exactly what the original does and that a
+fresh run restored from *each* pickled capture finishes with that result.
 """
 
 import importlib.util
 import itertools
+import pickle
 import sys
 import textwrap
 
@@ -17,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.precompiler import Precompiler
+from repro.precompiler import C3StackRuntime, Precompiler
 
 _counter = itertools.count()
 
@@ -48,8 +53,19 @@ _simple_stmt = st.sampled_from([
     "acc -= 3",
     "acc = leaf(ctx, acc % 50)",
     "tmp = leaf(ctx, i) + leaf(ctx, acc % 11)",
-    "acc += tmp if 'tmp' in dir() else 0" if False else "acc += 1",
+    "acc += 1",
     "ctx.potential_checkpoint()",
+    # Dead temporary; rebinding after the checkpoint, then a read.
+    "scratch = [acc, i] * 3",
+    "ctx.potential_checkpoint()\ntmp = acc + 1",
+    "acc += tmp",
+    # Conditionally defined name, read and deleted inside atomic trys.
+    "if acc % 3 == 0:\n    maybe = acc + i",
+    "try:\n    acc += maybe\nexcept NameError:\n    acc -= 1",
+    "try:\n    del maybe\nexcept NameError:\n    pass",
+    "spare = acc % 5\nctx.potential_checkpoint()\ndel spare",
+    # A value read only on the iteration after next.
+    "acc += older\nolder = old\nold = i * 3 + 1",
 ])
 
 
@@ -102,6 +118,7 @@ def leaf(ctx, x):
 def prog(ctx, n):
     acc = 0
     tmp = 0
+    old = older = 0
     for i in range(n):
 {body}
     return acc
@@ -109,8 +126,30 @@ def prog(ctx, n):
 
 
 class _Ctx:
+    """Captures the live stack, through pickle, at every checkpoint."""
+
+    def __init__(self, rt=None):
+        self.rt = rt
+        self.captures = []
+
     def potential_checkpoint(self):
-        pass
+        if self.rt is not None:
+            self.captures.append(pickle.dumps(self.rt.capture()))
+
+
+def _run_and_restore_everywhere(unit, n):
+    """The uninterrupted result, then one fresh run per capture."""
+    rt = C3StackRuntime(unit).activate()
+    try:
+        ctx = _Ctx(rt)
+        result = unit.entry("prog")(ctx, n)
+        restored = []
+        for blob in ctx.captures:
+            rt.begin_restore(pickle.loads(blob))
+            restored.append(unit.entry("prog")(_Ctx(rt), n))
+    finally:
+        rt.deactivate()
+    return result, restored
 
 
 @settings(max_examples=30, deadline=None,
@@ -121,8 +160,35 @@ def test_transformed_equals_original(tmp_path_factory, source, n):
     module = _load_module(tmp_dir, source)
     expected = module.prog(_Ctx(), n)
     unit = Precompiler([module.prog, module.leaf], unit_name="rand").compile()
-    got = unit.entry("prog")(_Ctx(), n)
+    got, restored = _run_and_restore_everywhere(unit, n)
     assert got == expected, f"\n--- program ---\n{source}"
+    assert restored == [expected] * len(restored), f"\n--- program ---\n{source}"
+
+
+def test_dropping_a_live_name_fails_loudly(tmp_path):
+    """A live set that is one name short must not restore a different
+    answer: the missing local is unbound and its first read raises."""
+    source = """\
+def leaf(ctx, x):
+    ctx.potential_checkpoint()
+    return x
+
+
+def prog(ctx, n):
+    acc = 0
+    for i in range(n):
+        acc += leaf(ctx, i)
+    return acc
+"""
+    module = _load_module(tmp_path, source)
+    unit = Precompiler([module.prog, module.leaf], unit_name="rand").compile()
+    assert _run_and_restore_everywhere(unit, 4) == (6, [6] * 4)
+    saved = unit.saved_locals["rand.prog"]
+    (pc,) = saved
+    assert "acc" in saved[pc]
+    saved[pc] = saved[pc] - {"acc"}
+    with pytest.raises(UnboundLocalError, match="acc"):
+        _run_and_restore_everywhere(unit, 4)
 
 
 @pytest.fixture(scope="session")
