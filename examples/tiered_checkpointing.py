@@ -5,8 +5,10 @@ Three demonstrations on the dense-CG benchmark application:
 
 1. **Bytes** — the same run under a flat full-pickle store, an
    incremental (content-addressed delta) store, and an incremental +
-   zlib-compressed store: the constant matrix block dedupes to zero
-   after its first generation, and compression shrinks the rest.
+   zlib-compressed store, all at the default 64 KiB chunk size: the
+   constant 4.6 KB matrix block is a segment of its own (any contiguous
+   buffer of a filesystem block or more is), so it dedupes to zero after
+   its first generation, and compression shrinks the rest.
 2. **Torn write** — a rank is killed *in the middle of writing* its
    epoch-2 checkpoint (`FailureSchedule.during_checkpoint`).  The
    two-phase commit never publishes the torn generation, so recovery
@@ -29,7 +31,7 @@ from repro.statesave.storage import Storage
 PARAMS = CGParams(n=48, iterations=60)
 BASE = dict(
     nprocs=4, seed=7, checkpoint_interval=0.0025, detector_timeout=0.05,
-    ckpt_chunk_size=2048, ckpt_keep_last=2,
+    ckpt_keep_last=2,
 )
 
 

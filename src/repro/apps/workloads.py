@@ -103,11 +103,6 @@ DEFAULT_NPROCS = 4
 DEFAULT_CHECKPOINT_INTERVAL = 0.004
 
 #: Storage-engine profile for the scaled runs (see :mod:`repro.ckpt`).
-#: The scaled per-rank states are tens of KB where the paper's were MBs,
-#: so the content-addressing granularity scales down with them — at the
-#: default 64 KiB chunk a whole scaled checkpoint fits one chunk and the
-#: delta engine has nothing to dedupe.
-SCALED_CKPT_CHUNK_SIZE = 2048
 #: Measured sweet spot for the scaled float-heavy states: zlib recovers
 #: 25-60% of the bytes at tolerable serialisation cost (lzma compresses
 #: harder but its latency distorts the overhead charts).

@@ -18,12 +18,14 @@ shift — and stop deduplicating — whenever anything pickled before it changes
 length (a counter gaining a digit, a list growing); cut per segment, an
 array's chunks start at its own byte 0 whatever the in-band stream does.
 For dense CG the constant matrix block — the bulk of the paper's
-8 MB–131 MB state — dedupes to zero bytes every wave, *provided it is at
-least one chunk long*: a buffer under ``chunk_size`` stays in the in-band
-stream (see :func:`capture_segments`) and is re-stored whenever the bytes
-around it change.  At the repo benchmark's ``cg_collectives`` size (n=128
-on 4 ranks) the block is 32 KB against the 64 KB default chunk, so it is
-written again in every one of the run's 200 rank-checkpoints.
+8 MB–131 MB state — dedupes to zero bytes every wave.
+
+Which buffers are segments is one fixed rule: every contiguous buffer of at
+least one filesystem block (:data:`SEGMENT_FLOOR`), a sub-chunk one being a
+one-chunk segment; ``chunk_size`` only says how a segment is cut.  Strong
+scaling shrinks a rank's arrays below any useful chunk size while they are
+still the bulk of its state; below one block a separate backend object fills
+a block and costs an atomic rename anyway — hence the floor.
 """
 
 from __future__ import annotations
@@ -37,19 +39,20 @@ from typing import Any, Iterator
 #: bytes, large enough that digest/lookup overhead stays negligible.
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
+#: Smallest buffer that is a segment of its own: one filesystem block.
+SEGMENT_FLOOR = 4096
+
 
 def chunk_digest(data: bytes | memoryview) -> str:
     """Content address of one chunk (computed over *decoded* bytes)."""
     return hashlib.blake2b(data, digest_size=20).hexdigest()
 
 
-def capture_segments(obj: Any, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[memoryview]:
+def capture_segments(obj: Any) -> list[memoryview]:
     """Pickle ``obj`` once; return the in-band stream, then every contiguous
-    buffer of at least ``chunk_size`` bytes as a byte view of live memory.
-    Smaller ones stay in the stream — a threshold, not a necessity: as a
-    one-chunk segment an unchanged small buffer would dedup too, at the
-    price of one chunk reference per small array.  The views alias
-    ``obj``'s arrays — consume them before the application runs again."""
+    buffer of at least :data:`SEGMENT_FLOOR` bytes as a byte view of live
+    memory.  Smaller and non-contiguous ones stay in the stream.  The views
+    alias ``obj``'s arrays — consume them before the application runs again."""
     buffers: list[memoryview] = []
 
     def in_band(buffer: pickle.PickleBuffer) -> bool:
@@ -57,7 +60,7 @@ def capture_segments(obj: Any, chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[mem
             view = buffer.raw()
         except BufferError:  # neither C- nor Fortran-contiguous
             return True
-        if view.nbytes < chunk_size:
+        if view.nbytes < SEGMENT_FLOOR:
             return True
         buffers.append(view)
         return False

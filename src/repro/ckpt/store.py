@@ -12,8 +12,8 @@ A *stream* is one logical sequence of generations (``rank0/state``,
 indexed by epoch.  Saving a generation is a two-phase commit:
 
 1. every new chunk of every segment (the in-band pickle stream, then each
-   out-of-band buffer; see :mod:`repro.ckpt.delta`) is written atomically
-   under its content address — chunks are invisible until referenced;
+   contiguous buffer of a filesystem block or more; :mod:`repro.ckpt.delta`)
+   is written atomically under its content address, invisible until referenced;
 2. the checksummed manifest is published with one atomic rename.
 
 A crash anywhere in phase 1, or before phase 2's rename, leaves at most
@@ -153,7 +153,7 @@ class CheckpointStore:
         otherwise-identical runs produce different backends, poisoning
         byte-level rerun determinism and content-addressed result caches.
         """
-        segments = capture_segments(obj, self.chunk_size)
+        segments = capture_segments(obj)
         # Overwrite awareness: a recovery attempt that re-takes an epoch's
         # checkpoint republishes (stream, generation).  Remember the old
         # manifest's chunks so those only it referenced can be reclaimed after

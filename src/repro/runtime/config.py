@@ -95,7 +95,7 @@ class RunConfig:
     #: committed generation is torn or corrupt), …
     ckpt_keep_last: int = 1
     ckpt_keep_every: Optional[int] = None
-    #: … and the content-addressing granularity.
+    #: … and the content-addressing granularity: how a segment is cut, only.
     ckpt_chunk_size: int = 65536
     max_restarts: int = 16
     #: Execution core for the simulated ranks: ``"coop"`` (default) runs

@@ -395,21 +395,23 @@ class Simulator:
 
         # Hot-loop locals: one scheduling step runs for every simulated MPI
         # call, so attribute traffic here is a measurable fraction of total
-        # wall time at large rank counts.  The inline peeks (pending kills,
+        # wall time at large rank counts.  The inline peeks (next kill time,
         # due deliveries, registered deaths) skip whole handler calls on
         # the overwhelmingly common step where nothing is due.
         procs = self.procs
         scheduler = self.scheduler
         clock = self.clock
-        failures = self.failures
+        # Attempt-aware; only _apply_due_failures consumes kills mid-run.
+        next_kill = self.failures.next_time()
         net_heap = self.network._heap
         runnable_ranks = self._runnable_ranks
         death_time = self._death_time
         max_slices = self.config.max_slices
 
         while True:
-            if failures._pending:
+            if next_kill is not None and next_kill <= clock._now:
                 self._apply_due_failures()
+                next_kill = self.failures.next_time()
             if net_heap and net_heap[0][0] <= clock._now:
                 self._deliver_due_messages()
             if death_time and self._detector_due():
@@ -458,7 +460,7 @@ class Simulator:
                 t
                 for t in (
                     self.network.next_delivery_time(),
-                    self.failures.next_time(),
+                    next_kill,
                     self._next_detector_fire(),
                 )
                 if t is not None

@@ -11,9 +11,11 @@ from repro.ckpt import (
     MemoryBackend,
     RetentionPolicy,
 )
-from repro.ckpt.delta import capture_segments, chunk_views
+from repro.ckpt.delta import SEGMENT_FLOOR, capture_segments, chunk_views
 from repro.ckpt.store import STAGE_MANIFEST
-from repro.errors import ManifestCorruptError, StorageError
+from repro.errors import ManifestCorruptError, ProcessKilled, StorageError
+from repro.simmpi.failures import FailureSchedule
+from repro.statesave.storage import Storage
 
 
 def make_store(tmp_path=None, **kwargs):
@@ -64,11 +66,31 @@ class TestSaveLoad:
 
     def test_large_buffers_leave_the_stream_as_views_of_live_memory(self):
         big, small = np.zeros(512), np.zeros(8)
-        stream, *buffers = capture_segments({"big": big, "small": small}, 1024)
+        stream, *buffers = capture_segments({"big": big, "small": small})
         assert [len(b) for b in buffers] == [big.nbytes]  # small stays in-band
         assert len(stream) < 1024
         big[0] = 1.0
         assert bytes(buffers[0][:8]) == big[:1].tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [256, 4096, 65536, 1 << 20])
+    def test_segment_floor_is_one_block_whatever_the_chunk_size(self, chunk_size):
+        """Which buffers are segments is fixed; ``chunk_size`` only cuts them."""
+        assert SEGMENT_FLOOR == 4096
+        at_floor = np.zeros(SEGMENT_FLOOR, dtype=np.uint8)
+        under = np.zeros(SEGMENT_FLOOR - 8, dtype=np.uint8)
+        strided = np.zeros(1 << 17, dtype=np.uint8)[::2]  # 64 KB, non-contiguous
+        obj = {"under": under, "strided": strided, "at_floor": at_floor}
+        stream, *buffers = capture_segments(obj)
+        assert [len(b) for b in buffers] == [SEGMENT_FLOOR]
+        assert len(stream) > under.nbytes + strided.nbytes
+        store = make_store(chunk_size=chunk_size)
+        manifest = store.save("s", 1, obj)
+        in_band, out_of_band = manifest.segments
+        assert sum(ref.length for ref in in_band) == len(stream)
+        assert sum(ref.length for ref in out_of_band) == SEGMENT_FLOOR
+        assert len(out_of_band) == -(-SEGMENT_FLOOR // chunk_size)
+        back = store.load("s", 1)
+        assert all(np.array_equal(back[name], obj[name]) for name in obj)
 
     def test_restored_arrays_are_writable_and_own_their_memory(self):
         store = make_store(chunk_size=1024)
@@ -101,6 +123,24 @@ class TestSaveLoad:
         back["a"][0][5] = -5.0
         assert back["b"][0][5] == -5.0
 
+    def test_sub_chunk_segment_restores_like_any_other(self):
+        """An array under one (default 64 KiB) chunk but over the floor is
+        out of band: it comes back writable, in memory of its own, still
+        one object where two containers shared it; read-only stays so."""
+        shared, frozen = np.arange(1024.0), np.arange(1024.0) + 0.5
+        frozen.flags.writeable = False
+        store = make_store()
+        manifest = store.save("s", 1, {"a": [shared], "b": (shared, 1), "f": frozen})
+        assert [len(refs) for refs in manifest.segments] == [1, 1, 1]
+        first, second = store.load("s", 1), store.load("s", 1)
+        assert first["a"][0] is first["b"][0]
+        assert first["a"][0].flags.writeable
+        first["a"][0][5] = -5.0  # in place, visible through the alias only
+        assert first["b"][0][5] == -5.0 and second["a"][0][5] == 5.0
+        assert not first["f"].flags.writeable
+        assert np.array_equal(first["f"], frozen)
+        assert store.validate_generation("s", 1)
+
     @pytest.mark.parametrize(
         "array",
         [
@@ -109,7 +149,7 @@ class TestSaveLoad:
             np.arange(4096.0).reshape(64, 64).T[1:],           # F-order view
             np.zeros((0, 3)),                                  # zero-size
             np.array([{"k": 1}, None, "s"] * 400, dtype=object),
-            np.arange(16.0),                                   # under one chunk
+            np.arange(16.0),                                   # under the floor
             np.arange(4096, dtype=">i4"),                      # non-native dtype
         ],
         ids=["strided", "fortran", "fortran-view", "empty", "object", "small", "big-endian"],
@@ -183,6 +223,35 @@ class TestIncremental:
         assert sum(a != b for a, b in zip(m1.chunks, m2.chunks)) == 1
         assert np.array_equal(store.load("s", 2)["a"], arr)
         assert store.load("s", 1)["a"][len(arr) // 2] == 0  # old bytes intact
+
+    def test_constant_sub_chunk_array_beside_a_changing_one_is_stored_once(self):
+        """Dense CG at small per-rank sizes: a constant 32 KB block next to
+        a changing 1 KB vector, under the default 64 KiB chunk."""
+        store = make_store()
+        const, hot = np.arange(4096.0), np.zeros(128)
+        m1 = store.save("s", 1, {"const": const, "hot": hot})
+        assert m1.stored_bytes > const.nbytes
+        hashed = store.chunks_hashed
+        hot += 1.0
+        m2 = store.save("s", 2, {"const": const, "hot": hot})
+        assert m2.stored_bytes < 2048
+        assert store.chunks_hashed - hashed == 1  # the in-band stream only
+        assert m2.segments[1] == m1.segments[1] and m2.reused_chunks == 1
+        assert store.load("s", 2)["hot"][0] == 1.0
+
+    def test_shifted_segment_numbers_fall_back_to_the_content_address(self):
+        """A new array pickled *before* an unchanged one renumbers it, so the
+        positional compare misses: it is hashed once, found, and stores 0."""
+        store = make_store()
+        keep, new = np.arange(1024.0), np.arange(1024.0) + 0.5
+        m1 = store.save("s", 1, {"keep": keep})
+        hashed, written = store.chunks_hashed, store.chunks_written
+        m2 = store.save("s", 2, {"new": new, "keep": keep})
+        assert m2.segments[2] == m1.segments[1]
+        assert store.chunks_hashed - hashed == 3  # stream, new, keep
+        assert store.chunks_written - written == 2  # stream, new
+        assert m2.stored_bytes == m2.segments[0][0].length + new.nbytes
+        assert np.array_equal(store.load("s", 2)["keep"], keep)
 
     def test_in_band_growth_does_not_shift_array_chunks(self):
         """Per-segment boundaries: the array's chunks start at its own byte
@@ -329,6 +398,19 @@ class TestTwoPhaseCommit:
         assert len(store.backend.keys("objects/")) == k
         assert set(totals[:9]) == {9}
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_checkpoint_crash_over_sub_chunk_segments_leaves_k_chunks(self, k):
+        """Default chunk size: the stream and two 8 KB arrays are one chunk
+        each, and a ``CheckpointCrash`` with ``after_chunks=k`` counts across them."""
+        storage = Storage(None)
+        storage.crash_plan = FailureSchedule.during_checkpoint(0, 1, after_chunks=k)
+        state = {"a": np.arange(1024.0), "b": np.arange(1024.0) + 0.5}
+        with pytest.raises(ProcessKilled):
+            storage.write_state(0, 1, state)
+        assert len(storage.store.backend.keys("objects/")) == k
+        assert not storage.store.has_generation("rank0/state", 1)
+        assert storage.store.sweep_orphans() == k
+
     def test_crash_at_manifest_publish_leaves_generation_invisible(self):
         store = make_store()
         store.save("s", 1, "good")
@@ -455,6 +537,38 @@ class TestRetentionAndGC:
         store.collect()
         assert store.generations("s") == [2]
         assert np.array_equal(store.load("s", 2)["const"], constant)
+
+    def test_directory_backend_holds_one_object_per_distinct_chunk(self, tmp_path):
+        """Sub-chunk segments on disk: save, rewrite and collect leave one
+        file per distinct referenced chunk and nothing for the sweep."""
+        store = make_store(tmp_path, retention=RetentionPolicy(keep_last=1))
+        const, hot = np.arange(1024.0), np.zeros(512)
+
+        def check():
+            referenced = {
+                ref.digest
+                for stream in store.streams()
+                for gen in store.generations(stream)
+                for ref in store.read_manifest(stream, gen).chunks
+            }
+            assert len(store.backend.keys("objects/")) == len(referenced)
+            assert store.sweep_orphans() == 0
+            return len(referenced)
+
+        def state(rank, value):
+            return {"rank": rank, "const": const, "hot": hot + value}
+
+        for rank in range(2):
+            store.save(f"rank{rank}/state", 1, state(rank, rank))
+        assert check() == 5  # per stream an in-band and a hot chunk; one const
+        store.save("rank0/state", 1, state(0, 7))  # rewrite: old hot reclaimed
+        assert check() == 5
+        for rank in range(2):
+            store.save(f"rank{rank}/state", 2, state(rank, -1 - rank))
+        assert check() == 7  # two more hot chunks, nothing else new
+        assert store.collect() == 2
+        assert check() == 5
+        assert np.array_equal(store.load("rank1/state", 2)["const"], const)
 
     def test_gc_lists_the_manifest_keys_once(self):
         """collect / sweep walk one stream -> generations index instead of

@@ -222,3 +222,39 @@ class TestEndToEndFailure:
         )
         result = sim.run()
         assert result.completed and not result.failed
+
+
+class CountingSchedule(FailureSchedule):
+    """Counts how often the run loop asks for due kills."""
+
+    due_calls = 0
+
+    def due(self, now):
+        self.due_calls += 1
+        return super().due(now)
+
+
+class TestRunLoopPolling:
+    """The run loop peeks at the next kill time; it does not poll
+    ``due()`` on every slice."""
+
+    def test_one_kill_asks_for_due_events_at_most_twice(self):
+        failures = CountingSchedule([KillEvent(0.001, 3)])
+        sim = Simulator(
+            SimConfig(nprocs=4, seed=0, detector_timeout=0.02),
+            busy_worker,
+            failures=failures,
+        )
+        result = sim.run()
+        assert result.failed and result.dead_ranks == (3,)
+        assert result.total_slices > 100
+        assert 1 <= failures.due_calls <= 2
+        assert failures.consumed_events() == (KillEvent(0.001, 3),)
+
+    def test_event_pinned_to_another_attempt_is_never_polled(self):
+        failures = CountingSchedule([KillEvent(0.001, 3, attempt=1)])
+        sim = Simulator(SimConfig(nprocs=4, seed=0), busy_worker, failures=failures)
+        result = sim.run()
+        assert result.completed and not result.failed
+        assert failures.due_calls == 0
+        assert failures.remaining() == [KillEvent(0.001, 3, attempt=1)]
