@@ -18,10 +18,10 @@ indexed by epoch.  Saving a generation is a two-phase commit:
 
 A crash anywhere in phase 1, or before phase 2's rename, leaves at most
 orphaned chunks: the previous generation's manifest — and therefore the
-previous generation — is untouched.  Per-commit GC (:meth:`collect`)
-sweeps only the chunks of the generations it deletes; chunks orphaned by
-torn writes are reclaimed by the full :meth:`sweep_orphans`, run off the
-hot path (the recovery driver calls it after a failed attempt).
+previous generation — is untouched.  Per-commit GC (:meth:`collect`) and a
+rewrite reclaim only chunks of the manifests they delete or replace, checked
+against an index of what each manifest names; torn writes' orphans go in the
+full re-read, :meth:`sweep_orphans` (the driver runs it after a failed attempt).
 
 Incremental mode consults the backend before writing each chunk: a chunk
 whose content address already exists (from any generation of any stream)
@@ -95,6 +95,9 @@ class CheckpointStore:
         #: The newest manifest saved per stream, which that stream's next
         #: save compares its chunks against before hashing them.
         self._previous: dict[str, GenerationManifest] = {}
+        #: ``(stream, generation) -> chunk keys`` of each manifest this instance
+        #: built or parsed; dropped wherever one is deleted or overwritten.
+        self._refs: dict[tuple[str, int], frozenset[str]] = {}
         #: Bumped whenever published data may have changed underneath a
         #: reader (deletes, GC, tampering helpers); validation caches use
         #: it as their invalidation stamp.
@@ -160,7 +163,7 @@ class CheckpointStore:
         # the new one is published — otherwise every post-failure rewrite
         # strands the previous write's chunks as permanent orphans.
         rewrite = self.backend.exists(self._manifest_key(stream, generation))
-        replaced = self._chunk_keys(stream, generation) if rewrite else set()
+        replaced = self._chunk_keys(stream, generation) if rewrite else frozenset()
         # Compare-before-hash needs stored bytes to *be* the decoded bytes
         # (identity codec) and is pointless when every chunk is rewritten.
         previous: tuple[tuple[ChunkRef, ...], ...] = ()
@@ -195,6 +198,7 @@ class CheckpointStore:
         if progress is not None:
             progress(STAGE_MANIFEST, 0, 1)
         blob = dumps_framed(manifest)
+        self._refs.pop((stream, generation), None)  # re-indexed once published
         self.backend.put(self._manifest_key(stream, generation), blob)
         self.bytes_written += stats.bytes_stored + len(blob)
         self.logical_bytes += stats.bytes_logical
@@ -204,15 +208,10 @@ class CheckpointStore:
         self.generations_saved += 1
         self.history.append(manifest)
         self._previous[stream] = manifest
+        # Only chunks a rewrite actually replaced are candidates: none in the
+        # common recovery case (same state re-taken, chunks dedupe).
+        self._reclaim(replaced - self._chunk_keys(stream, generation, manifest))
         if rewrite:
-            # Only chunks the rewrite actually replaced are candidates; in
-            # the common recovery case (same state re-taken, chunks dedupe)
-            # this set is empty and the full reference scan is skipped —
-            # keeping the write path on the targeted-GC cost model.
-            candidates = replaced - self._chunk_keys(stream, generation)
-            if candidates:
-                for key in candidates - self._referenced_chunk_keys():
-                    self.backend.delete(key)
             # Published bytes changed underneath any cached validation.
             self.mutations += 1
         tr = self.tracer
@@ -341,10 +340,12 @@ class CheckpointStore:
         # The checksum field rides along unchanged and no longer matches.
         tampered = replace(manifest, chunk_size=manifest.chunk_size + 1)
         self.backend.put(self._manifest_key(stream, generation), dumps_framed(tampered))
+        self._refs.pop((stream, generation), None)
         self.mutations += 1
 
     def delete_generation(self, stream: str, generation: int) -> None:
         self.backend.delete(self._manifest_key(stream, generation))
+        self._refs.pop((stream, generation), None)
         self.mutations += 1
 
     # ------------------------------------------------------------------ #
@@ -395,9 +396,7 @@ class CheckpointStore:
                     candidates |= self._chunk_keys(stream, generation)
                     self.delete_generation(stream, generation)
                     removed += 1
-        if candidates:
-            for key in candidates - self._referenced_chunk_keys():
-                self.backend.delete(key)
+        self._reclaim(candidates)
         tr = self.tracer
         if tr is not None and removed:
             tr.emit("store", "gc", removed=removed, pinned=pinned)
@@ -406,9 +405,11 @@ class CheckpointStore:
     def sweep_orphans(self) -> int:
         """Full mark-and-sweep: delete every chunk no manifest references.
 
-        O(entire store); meant for off-hot-path moments — after a failed
-        attempt (reclaiming a torn write's chunks) or administratively.
+        O(entire store) — every manifest is read again, which rebuilds the
+        index; meant for off-hot-path moments: after a failed attempt
+        (reclaiming a torn write's chunks) or administratively.
         """
+        self._refs.clear()
         referenced = self._referenced_chunk_keys()
         swept = 0
         for key in self.backend.keys("objects/"):
@@ -420,22 +421,39 @@ class CheckpointStore:
             tr.emit("store", "sweep_orphans", swept=swept)
         return swept
 
+    def _reclaim(self, candidates: set[str] | frozenset[str]) -> None:
+        """Delete those of ``candidates`` no published manifest references."""
+        if candidates:
+            for key in candidates - self._referenced_chunk_keys():
+                self.backend.delete(key)
+
     def _referenced_chunk_keys(self) -> set[str]:
+        """One backend listing (other instances publish too), each manifest
+        answered from the index or parsed once into it."""
         referenced: set[str] = set()
         for stream, generations in self._generation_index().items():
             for generation in generations:
                 referenced |= self._chunk_keys(stream, generation)
         return referenced
 
-    def _chunk_keys(self, stream: str, generation: int) -> set[str]:
-        """Backend keys of the chunks one generation references (none when
-        its manifest is torn or corrupt: it references nothing)."""
-        try:
-            manifest = self.read_manifest(stream, generation, verify=False)
-        except StorageError:
-            return set()
-        return {self._chunk_key(ref.digest, manifest.codec) for ref in manifest.chunks}
+    def _chunk_keys(
+        self, stream: str, generation: int, manifest: Optional[GenerationManifest] = None
+    ) -> frozenset[str]:
+        """Backend keys of the chunks one generation references: indexed from
+        ``manifest`` when the caller has just published it, else parsed from
+        the backend (a torn manifest references nothing and is not indexed)."""
+        keys = self._refs.get((stream, generation))
+        if keys is None:
+            try:
+                manifest = manifest or self.read_manifest(stream, generation, verify=False)
+            except StorageError:
+                return frozenset()
+            keys = self._refs[stream, generation] = frozenset(
+                self._chunk_key(ref.digest, manifest.codec) for ref in manifest.chunks
+            )
+        return keys
 
     def wipe(self) -> None:
         self.backend.wipe()
+        self._refs.clear()
         self.mutations += 1

@@ -18,20 +18,19 @@ on:
   order into "non-deterministic decisions"; recording it per receive makes
   replay exact even for wildcard receives under non-FIFO delivery.
 
-All four are plain record lists with cursor-based replay consumption, saved
-to stable storage together at ``finalizeLog`` time.
+All four are plain lists of write-once records (named tuples: no field names in
+the pickle) with cursor-based replay consumption, saved at ``finalizeLog`` time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import RecoveryError
 
 
-@dataclass
-class LateRecord:
+class LateRecord(NamedTuple):
     """One logged late message."""
 
     source: int
@@ -40,8 +39,7 @@ class LateRecord:
     payload: Any
 
 
-@dataclass
-class MatchRecord:
+class MatchRecord(NamedTuple):
     """Which message completed one application receive."""
 
     source: int
@@ -50,8 +48,7 @@ class MatchRecord:
     was_late: bool
 
 
-@dataclass
-class CollectiveRecord:
+class CollectiveRecord(NamedTuple):
     """Result of one collective executed while logging."""
 
     kind: str

@@ -195,7 +195,9 @@ class CheckpointStage(ProtocolStage):
             core.stats.ckpt_stored_bytes += manifest.stored_bytes
             core.stats.ckpt_chunks_reused += manifest.reused_chunks
         core.stats.checkpoints_taken += 1
-        for q in state.receivers:
+        # receivedAll? waits for every peer's count: one absent from the
+        # sparse ``send_counts`` was sent nothing and is told 0.
+        for q in state.peers():
             yield from core._co_send_control(
                 ctl.MySendCount(
                     epoch=state.epoch, sender=core.rank,

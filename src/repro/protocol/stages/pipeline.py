@@ -23,7 +23,6 @@ overhead accounting the flat layer could not.
 
 from __future__ import annotations
 
-import copy
 import inspect
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
@@ -1046,6 +1045,9 @@ class ProtocolPipeline:
         application re-execution: it performs a synchronous suppression
         exchange (each receiver tells each sender which early-message IDs to
         suppress) and arms the deterministic replay engine.
+
+        Consumes ``data`` and ``logs``: both are kept and mutated uncopied (the
+        driver hands over what it just unpickled, a graph nobody else holds).
         """
         coop.drive(self.co_restore_from(data, logs), self.comm)
 
@@ -1058,16 +1060,15 @@ class ProtocolPipeline:
             raise RecoveryError(
                 f"rank {self.rank} handed checkpoint of rank {data.rank}"
             )
-        self.state = copy.deepcopy(data.protocol)
-        self.coll_seqs = dict(data.coll_seqs)
-        self.mpi_log = copy.deepcopy(data.mpi_records) if data.mpi_records else MpiStateLog()
-        self.handles.restore([copy.deepcopy(h) for h in data.handles])
+        self.state = data.protocol
+        self.coll_seqs = data.coll_seqs
+        self.mpi_log = data.mpi_records or MpiStateLog()
+        self.handles.restore(data.handles)
         yield from self._co_mpi_replay()
         # Arm the creation cursor: a from-the-top restart will re-execute
         # these recorded creations and must be handed the restored handles.
         self._creation_cursor = 0
-        self.requests.restore([copy.deepcopy(r) for r in data.requests])
-        logs = copy.deepcopy(logs)
+        self.requests.restore(data.requests)
         logs.rewind()
         self.replay = logs
         self._replay_done_sent = False

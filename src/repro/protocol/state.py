@@ -12,18 +12,18 @@ maintains, under the paper's names (snake_cased):
 * ``current_receive_count[q]`` / ``previous_receive_count[q]`` — the paper's
   two receive counters (late messages of the previous epoch may intersperse
   with intra-epoch messages of the new one, Section 4.3);
-* ``total_sent[q]`` — the count announced by ``q``'s ``mySendCount``, or
-  ``None`` for the paper's ⊥.
+* ``total_sent[q]`` — the count announced by ``q``'s ``mySendCount``; no
+  entry is the paper's ⊥.
 
-The state is a plain picklable object: it rides inside every local
-checkpoint.  ``senders``/``receivers`` realise the paper's communication
-topology sets; by default every process may talk to every other one.
+The per-peer dicts are sparse — a missing key *is* the paper's initial value
+(0, ``[]``, ⊥) — so the state riding inside every local checkpoint names only
+the peers a rank exchanged messages with, whatever ``nprocs``.  The topology is
+derived, not stored: every other rank is a peer (:meth:`ProtocolState.peers`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 @dataclass
@@ -39,31 +39,21 @@ class ProtocolState:
     #: Epoch this process has been asked to move into (wave target), used to
     #: ignore duplicate/stale pleaseCheckpoint tokens.
     requested_target: int = 0
+    #: Sparse per-peer variables; an absent peer has sent/received nothing.
     send_count: dict[int, int] = field(default_factory=dict)
     early_ids: dict[int, list[int]] = field(default_factory=dict)
     current_receive_count: dict[int, int] = field(default_factory=dict)
     previous_receive_count: dict[int, int] = field(default_factory=dict)
-    total_sent: dict[int, Optional[int]] = field(default_factory=dict)
+    #: Absent = ⊥: that peer's ``mySendCount`` has not arrived yet.
+    total_sent: dict[int, int] = field(default_factory=dict)
     #: Whether readyToStopLogging has been sent for the current epoch.
     ready_sent: bool = False
-    senders: tuple[int, ...] = ()
-    receivers: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        others = tuple(r for r in range(self.nprocs) if r != self.rank)
-        if not self.senders:
-            self.senders = others
-        if not self.receivers:
-            self.receivers = others
-        for q in self.receivers:
-            self.send_count.setdefault(q, 0)
-        for q in self.senders:
-            self.early_ids.setdefault(q, [])
-            self.current_receive_count.setdefault(q, 0)
-            self.previous_receive_count.setdefault(q, 0)
-            self.total_sent.setdefault(q, None)
 
     # ------------------------------------------------------------------ #
+
+    def peers(self) -> list[int]:
+        """Every other rank, ascending (the paper's senders = receivers)."""
+        return [q for q in range(self.nprocs) if q != self.rank]
 
     def note_send(self, dest: int) -> int:
         """Account for one application send; returns the message's ID."""
@@ -74,17 +64,13 @@ class ProtocolState:
 
     def all_late_received(self) -> bool:
         """The paper's receivedAll? condition over every sender."""
-        for q in self.senders:
-            expected = self.total_sent.get(q)
-            if expected is None:
-                return False
-            if self.previous_receive_count.get(q, 0) != expected:
-                return False
-        return True
+        if len(self.total_sent) < self.nprocs - 1:
+            return False  # some peer's count is still ⊥
+        received, expected = self.previous_receive_count, self.total_sent
+        return all(received.get(q, 0) == expected.get(q) for q in self.peers())
 
     def reset_total_sent(self) -> None:
-        for q in self.senders:
-            self.total_sent[q] = None
+        self.total_sent = {}
 
     def epoch_transition(self) -> dict[int, int]:
         """Apply the potentialCheckpoint bookkeeping of Figure 4.
@@ -93,16 +79,16 @@ class ProtocolState:
         early-message IDs (early messages belong to the *new* epoch), clears
         the early lists and the per-epoch send state, and increments the
         epoch.  Returns the per-receiver send counts of the epoch that just
-        ended (the ``mySendCount`` payloads).
+        ended (the ``mySendCount`` payloads; a receiver not in it was sent 0).
         """
-        old_send_counts = dict(self.send_count)
+        old_send_counts = self.send_count
         self.epoch += 1
-        for q in self.senders:
-            self.previous_receive_count[q] = self.current_receive_count.get(q, 0)
-            self.current_receive_count[q] = len(self.early_ids.get(q, []))
-            self.early_ids[q] = []
-        for q in self.receivers:
-            self.send_count[q] = 0
+        self.previous_receive_count = self.current_receive_count
+        self.current_receive_count = {
+            q: len(ids) for q, ids in self.early_ids.items() if ids
+        }
+        self.early_ids = {}
+        self.send_count = {}
         self.checkpoint_requested = False
         self.next_message_id = 0
         self.ready_sent = False
@@ -116,7 +102,7 @@ class ProtocolState:
         mode, not logging mode, and awaits fresh ``mySendCount`` tokens only
         at its next checkpoint.
         """
-        snap = replace(
+        return replace(
             self,
             am_logging=False,
             checkpoint_requested=False,
@@ -125,10 +111,6 @@ class ProtocolState:
             send_count=dict(self.send_count),
             early_ids={q: list(ids) for q, ids in self.early_ids.items()},
             current_receive_count=dict(self.current_receive_count),
-            previous_receive_count=dict(self.previous_receive_count),
-            total_sent=dict(self.total_sent),
+            previous_receive_count={},
+            total_sent={},
         )
-        for q in snap.senders:
-            snap.total_sent[q] = None
-            snap.previous_receive_count[q] = 0
-        return snap

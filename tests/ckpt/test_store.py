@@ -467,6 +467,77 @@ class TestTwoPhaseCommit:
         assert store.load("s", 2)["v"][3] == 3.0
         assert store.sweep_orphans() == 0
 
+    def test_retaken_wave_reads_no_manifest_twice(self):
+        """A 16-rank wave re-taken after a kill, every rank's chunks changed:
+        the store that wrote the wave knows what each manifest references
+        (no manifest read at all); one opened on the same backend afterwards
+        parses each manifest at most once, not once per rewrite (the old
+        full scan cost 16 x 34 reads here)."""
+        reads = []
+
+        class CountingBackend(MemoryBackend):
+            def get(self, key):
+                if key.startswith("manifests/"):
+                    reads.append(key)
+                return super().get(key)
+
+        def take_wave(store, generation, shift):
+            for rank in range(16):
+                store.save(f"rank{rank}/state", generation, np.arange(256.0) + rank + shift)
+
+        backend = CountingBackend()
+        store = CheckpointStore(backend, chunk_size=512)
+        take_wave(store, 1, 0.0)
+        take_wave(store, 2, 100.0)
+        chunks = len(backend.keys("objects/"))
+        reads.clear()
+        take_wave(store, 2, 200.0)
+        assert reads == []
+        restarted = CheckpointStore(backend, chunk_size=512)
+        take_wave(restarted, 2, 300.0)
+        assert len(reads) == len(set(reads)) <= 32
+        assert len(backend.keys("objects/")) == chunks  # replaced chunks reclaimed
+        assert restarted.sweep_orphans() == 0
+        assert restarted.load("rank5/state", 2)[0] == 305.0
+        assert restarted.load("rank5/state", 1)[0] == 5.0
+
+    def test_second_store_on_the_same_directory_sees_every_reference(self, tmp_path):
+        """The reference index is per instance and lazily rebuilt from the
+        backend, never assumed complete: a store opened after another one
+        wrote must not reclaim chunks the other's manifests still name."""
+        shared = np.arange(512.0)
+        first = make_store(tmp_path, chunk_size=512)
+        first.save("a", 1, {"v": shared})
+        first.save("b", 1, {"v": shared, "own": np.ones(512)})
+        second = make_store(tmp_path, chunk_size=512)
+        second.save("b", 1, {"v": shared + 1, "own": np.ones(512)})  # drops b's use of shared
+        assert first.validate_generation("a", 1)
+        assert np.array_equal(second.load("a", 1)["v"], shared)
+        second.save("a", 1, {"v": shared + 2})  # now nothing names shared's chunks
+        assert second.sweep_orphans() == 0
+        assert make_store(tmp_path, chunk_size=512).sweep_orphans() == 0
+
+    def test_rewrite_after_corrupt_manifest_leaves_no_orphans(self):
+        """rewrite -> tamper -> rewrite: the tampered manifest's index entry
+        is dropped, so the second rewrite reclaims against what the backend
+        holds, and a manifest that cannot be parsed references nothing."""
+        store = make_store(chunk_size=256)
+        store.save("s", 1, {"v": np.arange(512.0)})
+        store.save("s", 1, {"v": np.arange(512.0) + 1})
+        store.corrupt_manifest("s", 1)
+        assert ("s", 1) not in store._refs
+        store.save("s", 1, {"v": np.arange(512.0) + 2})
+        assert store.load("s", 1)["v"][0] == 2.0
+        assert store.sweep_orphans() == 0
+        torn = store.save("t", 1, {"v": np.arange(512.0) + 3})
+        store.backend.put(store._manifest_key("t", 1), b"torn")
+        # The full pass trusts the backend, not the index: the chunks only the
+        # unreadable manifest named go, and it is not indexed again.
+        only_torn = set(torn.chunks) - set(store.read_manifest("s", 1).chunks)
+        assert store.sweep_orphans() == len(only_torn) > 0
+        assert ("t", 1) not in store._refs and ("s", 1) in store._refs
+        assert store.load("s", 1)["v"][0] == 2.0
+
     def test_rewrite_bumps_mutation_stamp(self):
         store = make_store()
         store.save("s", 1, "old")

@@ -9,11 +9,15 @@ interleaving, some kill time in the sweep exposes it as a wrong answer,
 a deadlock, or a protocol assertion.
 """
 
+import copy
+
 import pytest
 
 from repro.apps import laplace, neurosys
-from repro.runtime import RunConfig, run_with_recovery
+from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.simmpi import SUM, FailureSchedule, KillEvent
+from repro.statesave import Storage
+from repro.trace import TraceRecorder
 
 
 def mixed_traffic_app(n_iters=160):
@@ -155,3 +159,66 @@ class TestSeededFuzz:
         )
         out = run_with_recovery(mixed_traffic_app(80), cfg, failures=sched)
         assert out.results == gold.results
+
+
+class TestRestoreConsumesWhatItIsHanded:
+    def test_two_restores_from_one_epoch_copy_nothing(self, gold_mixed, monkeypatch):
+        """A second kill inside attempt 1's replay window makes attempt 2
+        restore from the same committed epoch.  ``restore_from`` keeps the
+        freshly unpickled objects instead of deep-copying them: no
+        ``copy.deepcopy`` runs between an attempt's first ``read_state`` and
+        the first application slice (every rank is past its restore
+        assignments by then — the suppression exchange needs all of them),
+        and the answer is still the failure-free one, V0's included."""
+        real_deepcopy = copy.deepcopy
+        marks = []  # ("read" | "app", deepcopy calls so far)
+        calls = 0
+
+        def counting_deepcopy(obj, memo=None):
+            nonlocal calls
+            calls += 1
+            return real_deepcopy(obj, memo)
+
+        class MarkingStorage(Storage):
+            def read_state(self, rank, epoch):
+                marks.append(("read", calls))
+                return super().read_state(rank, epoch)
+
+        inner = mixed_traffic_app()
+
+        def app(ctx):
+            marks.append(("app", calls))
+            return inner(ctx)
+
+        config = RunConfig(**BASE)
+        tracer = TraceRecorder(capacity=None)
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        out = run_with_recovery(
+            app, config,
+            failures=FailureSchedule(
+                [KillEvent(0.008, 1), KillEvent(0.0003, 0, attempt=1)]
+            ),
+            storage=MarkingStorage.from_config(config), tracer=tracer,
+        )
+        monkeypatch.undo()
+
+        assert [a.started_from_epoch for a in out.attempts] == [None, 2, 2]
+        replay = [
+            (e.name, e.attempt) for e in tracer.events
+            if e.category == "proto" and e.name in ("restore", "replay_end")
+        ]
+        assert replay.count(("restore", 1)) == 4
+        assert replay.count(("replay_end", 1)) < 4, "kill must land mid-replay"
+        # One window per restoring attempt: its first read to the next app entry.
+        windows = [
+            (at_read, next(n for kind, n in marks[i:] if kind == "app"))
+            for i, (kind, at_read) in enumerate(marks)
+            if kind == "read" and marks[i - 1][0] == "app"
+        ]
+        assert len(windows) == 2
+        assert all(at_app == at_read for at_read, at_app in windows)
+        assert calls > 0  # the counter is live: checkpoints still snapshot
+        v0 = run_with_recovery(
+            mixed_traffic_app(), RunConfig(variant=Variant.UNMODIFIED, **BASE)
+        )
+        assert out.results == gold_mixed.results == v0.results
