@@ -10,7 +10,8 @@ single attribute read every hot path pays; on, the full ring append).
 The ``test_guard_*`` functions at the end are timing-free: they count
 the host work the per-operation path must *not* do (pickling to size a
 repeated control message, building a receive descriptor or a progress
-generator for an idle poll) and run as plain assertions in CI.
+generator for an idle poll, entering numpy for one random draw) and run
+as plain assertions in CI.
 """
 
 import os
@@ -405,3 +406,76 @@ def test_guard_idle_operations_build_no_progress_generator(monkeypatch):
         _total(waves, "control_messages") + waves.checkpoints_committed
     )
     assert len(progress) < waves.stage_totals()["checkpoint"]["calls"]
+
+
+class _CountingProxy:
+    """Forwards to a numpy ``Generator`` (and its ``bit_generator``),
+    recording every call that enters numpy."""
+
+    def __init__(self, target, entered):
+        self._target = target
+        self._entered = entered
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if name == "bit_generator":
+            return _CountingProxy(attr, self._entered)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            self._entered.append(name)
+            return attr(*args, **kwargs)
+
+        return call
+
+
+def test_guard_random_draws_come_in_blocks(monkeypatch):
+    """The simulator's two per-event random consumers enter numpy once per
+    ``BLOCK`` draws, and a ``round_robin`` / ``jitter=0`` run never does."""
+    from math import ceil
+
+    from repro.api.registry import get_app
+    from repro.apps.dense_cg import CGParams
+    from repro.runtime import RunConfig, Variant, run_with_recovery
+    from repro.util import rng
+
+    entered = {"scheduler": [], "network": []}
+    draws = {"scheduler": 0, "network": 0}
+    real_init = rng.RngStream.__init__
+
+    def counting_init(self, master_seed, name):
+        real_init(self, master_seed, name)
+        if name in entered:
+            self._gen = _CountingProxy(self._gen, entered[name])
+
+    def counting(reader):
+        def draw(self, arg):
+            draws[self.name] += 1
+            return reader(self, arg)
+
+        return draw
+
+    monkeypatch.setattr(rng.RngStream, "__init__", counting_init)
+    for reader in ("next_below", "next_exponential"):
+        monkeypatch.setattr(rng.RngStream, reader, counting(getattr(rng.RngStream, reader)))
+
+    # The default configuration: sched_policy="random", jitter=20e-6.
+    out = run_with_recovery(
+        get_app("dense_cg").build(CGParams(n=48, iterations=30)),
+        RunConfig(nprocs=4, seed=3, variant=Variant.PIGGYBACK),
+    )
+    assert out.completed and out.restarts == 0
+    assert draws["network"] >= out.network_messages > rng.BLOCK  # one per post
+    assert draws["scheduler"] > rng.BLOCK
+    for name, calls in entered.items():
+        assert 0 < len(calls) <= ceil(draws[name] / rng.BLOCK) + 1, (
+            f"{name}: {len(calls)} calls into numpy for {draws[name]} draws "
+            f"({sorted(set(calls))}) - a per-event scalar draw is back"
+        )
+
+    for calls in entered.values():
+        calls.clear()
+    draws.update(scheduler=0, network=0)
+    _guard_run(0.002)  # round_robin, jitter=0.0
+    assert entered == {"scheduler": [], "network": []} and not any(draws.values())

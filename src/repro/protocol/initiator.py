@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.protocol.control import PleaseCheckpoint, StopLogging
 from repro.simmpi import coop
 
 
@@ -132,8 +133,6 @@ class Initiator:
         coop.run_inline(self.co_initiate(current_epoch))
 
     def co_initiate(self, current_epoch: int):
-        from repro.protocol.control import PleaseCheckpoint
-
         self.target_epoch = current_epoch + 1
         self.phase = WavePhase.COLLECTING_READY
         self.ready.clear()
@@ -154,8 +153,6 @@ class Initiator:
         if self._current is not None:
             self._current.ready_times[rank] = self._now()
         if self.phase is WavePhase.COLLECTING_READY and len(self.ready) == self.nprocs:
-            from repro.protocol.control import StopLogging
-
             self.phase = WavePhase.COLLECTING_STOPPED
             msg = StopLogging(epoch=self.target_epoch)
             for r in range(self.nprocs):

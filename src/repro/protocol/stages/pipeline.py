@@ -24,6 +24,7 @@ overhead accounting the flat layer could not.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
@@ -63,11 +64,14 @@ _STAGE_REQUIRES = {
 }
 
 
+@lru_cache(maxsize=16)
 def _accepts_nprocs(commit: Callable[..., Any]) -> bool:
     """Whether a storage's ``commit`` takes the (1.2+) ``nprocs`` keyword.
 
     Decided once by signature inspection — a runtime TypeError fallback
-    would mask genuine TypeErrors raised inside a modern commit.
+    would mask genuine TypeErrors raised inside a modern commit.  The
+    answer belongs to the storage's class, so callers pass the function
+    under the bound method and every rank of every attempt shares it.
     """
     try:
         params = inspect.signature(commit).parameters
@@ -138,8 +142,8 @@ class ProtocolPipeline:
         #: Per-communicator collective call sequence (world = WORLD_HANDLE).
         self.coll_seqs: dict[int, int] = {WORLD_HANDLE: 0}
         self.stats = LayerStats()
-        self._commit_accepts_nprocs = (
-            _accepts_nprocs(storage.commit) if storage is not None else True
+        self._commit_accepts_nprocs = storage is None or _accepts_nprocs(
+            getattr(storage.commit, "__func__", storage.commit)
         )
         #: Set by the checkpoint stage at bind time (initiator rank only).
         self.initiator = None

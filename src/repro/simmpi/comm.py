@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError
 from repro.simmpi import collectives_impl as coll
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
+from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, TAG_COLLECTIVE_BASE
 from repro.simmpi.group import Group
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.message import Envelope
@@ -286,8 +286,6 @@ class Comm:
         return self.size
 
     def coll_next_tag_block(self) -> int:
-        from repro.simmpi.constants import TAG_COLLECTIVE_BASE
-
         base = TAG_COLLECTIVE_BASE - self._coll_seq * coll._TAG_STRIDE
         self._coll_seq += 1
         return base

@@ -4,7 +4,11 @@ Models a *reliable* transport (the paper assumes one, e.g. LA-MPI): no
 message is ever lost or corrupted while both endpoints are alive.  What the
 model does vary — under seed control — is **delivery timing and order**:
 
-* every message gets a delivery delay ``base + Exp(jitter)``;
+* every message gets a delivery delay ``base + Exp(jitter)``; the
+  ``network`` stream has this one consumer, so ``post`` block-reads it
+  (:meth:`RngStream.next_exponential`: numpy is entered once per
+  ``rng.BLOCK`` messages, the sequence is the scalar one bit for bit, and
+  ``jitter=0`` draws nothing);
 * ordering mode ``"fifo"`` forces per-(source, dest) FIFO delivery,
   ``"per_tag_fifo"`` forces FIFO only among messages with equal
   ``(source, dest, tag, context)`` (MPI's non-overtaking guarantee), and
@@ -80,13 +84,6 @@ class Network:
 
     # ------------------------------------------------------------------ #
 
-    def _ordering_key(self, env: Envelope) -> tuple | None:
-        if self.ordering == "fifo":
-            return (env.source, env.dest)
-        if self.ordering == "per_tag_fifo":
-            return (env.source, env.dest, env.tag, env.context)
-        return None
-
     def post(self, env: Envelope, now: float) -> None:
         """Accept a message from a live sender and schedule its delivery."""
         if env.source in self._dead:
@@ -97,7 +94,7 @@ class Network:
         env.send_time = now
         delay = self.base_delay
         if self.jitter > 0:
-            delay += self.rng.exponential(self.jitter)
+            delay += self.rng.next_exponential(self.jitter)
         deliver = now + delay
         if self._order_per_tag:
             key = (env.source, env.dest, env.tag, env.context)

@@ -245,13 +245,6 @@ class Scheduler:
         self._sched_gate.clear()
         proc.wall_seconds += _time.perf_counter() - t0
 
-    def pick(self, runnable: list[Proc]) -> Proc:
-        """Choose the next rank to run according to the policy."""
-        if not runnable:
-            raise DeadlockError("pick() called with no runnable ranks")
-        rank = self.pick_rank(sorted(p.rank for p in runnable))
-        return next(p for p in runnable if p.rank == rank)
-
     def pick_rank(self, ranks: list[int]) -> int:
         """Policy choice over an ascending list of runnable ranks.
 
@@ -259,7 +252,11 @@ class Scheduler:
         so a pick is O(1)-ish instead of rebuilding and re-sorting a proc
         list every scheduling step.  RNG consumption is identical to the
         historical proc-list path (no draw for a solo rank, one draw
-        otherwise), so seeded interleavings are unchanged.
+        otherwise) and, bit for bit, to the scalar
+        ``ranks[int(Generator.integers(len(ranks)))]`` it replaced: the
+        ``scheduler`` stream has this one consumer, so it is block-read
+        (:meth:`RngStream.next_below`) and seeded interleavings are
+        unchanged.  ``round_robin`` never draws.
         """
         if not ranks:
             raise DeadlockError("pick_rank() called with no runnable ranks")
@@ -277,7 +274,7 @@ class Scheduler:
             chosen = ranks[i] if i < len(ranks) else ranks[0]
             self._rr_cursor = chosen + 1
             return chosen
-        return self.rng.choice(ranks)
+        return ranks[self.rng.next_below(len(ranks))]
 
     def wake(self, proc: Proc) -> None:
         """Make a blocked rank runnable (a message arrived, or teardown)."""

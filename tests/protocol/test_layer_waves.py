@@ -157,6 +157,32 @@ class TestLegacyStorageCompat:
         assert result.completed
         assert storage.committed_epoch() is not None
 
+    def test_commit_signature_is_inspected_once_per_storage_class(self, monkeypatch):
+        """The ``nprocs`` question is about the storage's class: 64 ranks
+        (and every later attempt) share one ``inspect.signature`` call."""
+        import inspect
+
+        from repro.protocol.stages import pipeline
+
+        inspected = []
+        real_signature = inspect.signature
+
+        def counting_signature(obj, **kwargs):
+            inspected.append(obj)
+            return real_signature(obj, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting_signature)
+        pipeline._accepts_nprocs.cache_clear()
+        storage = Storage()
+
+        def main(ctx):
+            return wire(ctx, storage)._commit_accepts_nprocs
+
+        for _attempt in range(2):
+            result = run_simple(main, nprocs=64, seed=0)
+            assert result.results == [True] * 64
+        assert inspected == [Storage.commit]
+
 
 class TestLoggingBehaviour:
     def test_logging_starts_at_checkpoint_and_stops(self):

@@ -116,33 +116,25 @@ class TestRoundRobinCursor:
 
         from repro.simmpi.scheduler import Scheduler
 
-        # pick() never touches the simulator, only policy state.
+        # pick_rank() never touches the simulator, only policy state.
         return Scheduler(sim=SimpleNamespace(), seed=0, policy="round_robin")
-
-    @staticmethod
-    def _procs(*ranks):
-        from types import SimpleNamespace
-
-        return [SimpleNamespace(rank=r) for r in ranks]
 
     def test_solo_slice_advances_cursor(self):
         sched = self._scheduler()
-        p0, p1, p2, p3 = self._procs(0, 1, 2, 3)
-        everyone = [p0, p1, p2, p3]
-        assert sched.pick(everyone).rank == 0  # cursor -> 1
+        everyone = [0, 1, 2, 3]
+        assert sched.pick_rank(everyone) == 0  # cursor -> 1
         # A solo slice for rank 2 (everyone else briefly blocked) is a real
         # turn: the cursor must move past rank 2 …
-        assert sched.pick([p2]).rank == 2
+        assert sched.pick_rank([2]) == 2
         # … so the next full pick resumes *after* it, not back at rank 1.
-        assert sched.pick(everyone).rank == 3
+        assert sched.pick_rank(everyone) == 3
 
     def test_grant_sequence_after_solo_slice(self):
         sched = self._scheduler()
-        p0, p1, p2, p3 = self._procs(0, 1, 2, 3)
-        everyone = [p0, p1, p2, p3]
-        grants = [sched.pick(everyone).rank for _ in range(2)]  # 0, 1
-        grants.append(sched.pick([p3]).rank)                    # solo 3
-        grants.extend(sched.pick(everyone).rank for _ in range(3))
+        everyone = [0, 1, 2, 3]
+        grants = [sched.pick_rank(everyone) for _ in range(2)]  # 0, 1
+        grants.append(sched.pick_rank([3]))                     # solo 3
+        grants.extend(sched.pick_rank(everyone) for _ in range(3))
         # After the solo slice at rank 3 the cycle wraps to rank 0 — the
         # stale-cursor bug replayed rank 2 and 3 before wrapping.
         assert grants == [0, 1, 3, 0, 1, 2]
