@@ -109,6 +109,46 @@ def test_unchanged_resave_hashes_and_stores_nothing():
     assert again.chunks == first.chunks
 
 
+def test_restore_is_one_verified_read(benchmark, monkeypatch):
+    """Restore throughput of a committed 4-rank, 4 MB epoch, and a
+    timing-free guard that it measures *one* verified read: choosing and
+    loading the epoch hashes each of its chunk refs once per restore, with
+    no validation pass reading the epoch beforehand."""
+    import time
+
+    import repro.ckpt.store as store_module
+    from repro.ckpt.delta import chunk_digest
+
+    benchmark.group = "ckpt-restore"
+    nprocs = 4
+    storage = Storage(None)
+    for rank in range(nprocs):
+        storage.write_state(rank, 1, make_ckpt(SIZES["1MB"]))
+        storage.write_log(rank, 1, {"late": []})
+    storage.commit(1, 0.0, nprocs=nprocs)
+    manifests = [
+        storage.store.read_manifest(f"rank{rank}/{kind}", 1)
+        for rank in range(nprocs)
+        for kind in ("state", "log")
+    ]
+    digests = []
+    monkeypatch.setattr(
+        store_module, "chunk_digest", lambda data: digests.append(1) or chunk_digest(data)
+    )
+    seconds = []
+
+    def restore():
+        started = time.perf_counter()
+        line = storage.restore_line()
+        seconds.append(time.perf_counter() - started)
+        assert line.epoch == 1 and len(line.pairs) == nprocs
+
+    benchmark.pedantic(restore, rounds=5, iterations=1)
+    assert len(digests) == len(seconds) * sum(len(m.chunks) for m in manifests)
+    megabytes = sum(m.logical_bytes for m in manifests) / 1e6
+    benchmark.extra_info["restore_mb_s"] = megabytes / min(seconds)
+
+
 def test_unchanged_resave_copies_nothing():
     """Timing-free guard on zero-copy capture: the peak traced allocation
     during that re-save stays under 1 MB — a copy of the 8 MB state (a
@@ -326,10 +366,10 @@ def test_gallery_checkpoints_hold_only_live_names(app_name):
     )
     app = get_app(app_name).build(_gallery_params()[app_name])
     run_with_recovery(app, config, storage=storage)
-    epoch = storage.committed_epoch()
-    assert epoch is not None
-    for rank in range(config.nprocs):
-        frames = storage.read_state(rank, epoch).app_state["frames"]
+    line = storage.restore_line()
+    assert line is not None
+    for data, _logs in line.pairs:
+        frames = data.app_state["frames"]
         assert len(frames) == 2
         for func_id, saved in frames:
             assert set(saved) - {"_pc"} <= GALLERY_SAVED[func_id], func_id

@@ -15,8 +15,8 @@ Three demonstrations on the dense-CG benchmark application:
    restarts from committed generation 1 and the answer is bit-identical.
 3. **Bit rot** — after a successful run with `ckpt_keep_last=2`, the
    newest committed generation's manifest is corrupted in place.  The
-   checksum rejects it at the next restart and the run resumes from
-   generation N-1 — same final answer.
+   checksum rejects it when the next restart loads it, and the run resumes
+   from generation N-1 — same final answer.
 
 Run:  python examples/tiered_checkpointing.py
 """
@@ -82,10 +82,11 @@ def bit_rot_fallback(session: Session) -> None:
         config = RunConfig(storage_path=root, ckpt_codec="zlib", **BASE)
         storage = Storage.from_config(config)
         gold = session.run("dense_cg", config, params=PARAMS, storage=storage)
-        newest = storage.committed_epoch()
+        newest = storage.commit_history()[-1].epoch
         storage.store.corrupt_manifest("rank0/state", newest)
         reopened = Storage.from_config(config)
-        fallback = reopened.committed_epoch()
+        # What the restart will restore: the newest commit that loads cleanly.
+        fallback = reopened.restore_line().epoch
         assert fallback == newest - 1, "checksum did not fall back to N-1!"
         out = session.run("dense_cg", config, params=PARAMS, storage=reopened)
         assert out.results == gold.results, "fallback rerun diverged!"

@@ -268,7 +268,7 @@ def _execute_cell(payload: tuple) -> RunOutcome:
         # directory, but a retried cell — e.g. the serial fallback after a
         # worker-pool failure part-way through — must not resume from its
         # own first pass's checkpoints and skew the row's accounting.
-        if storage.committed_epoch() is not None or storage.store.streams():
+        if storage.commit_history() or storage.store.streams():
             storage.wipe()
     elif kind == "config":
         storage = Storage.from_config(config)  # in-memory, knobs honoured

@@ -5,10 +5,9 @@
    failure-free run of the same configuration (the paper's transparency
    claim, checked on pickled bytes, not ``==``).
 2. **Storage consistency** — after the run, stable storage is internally
-   coherent: the committed generation is readable for every rank, every
-   commit record still validates (manifest checksum + chunk digests), the
-   newest valid commit is the one recovery would choose, and no orphan
-   chunks are left at rest.
+   coherent: every commit record still loads for every rank (manifest
+   checksum + chunk digests, one verified read each), so the newest one
+   is what recovery would restore, and no orphan chunks are left at rest.
 3. **Rerun determinism** — replaying the same scenario (same seeds, fresh
    storage, pristine schedule) reproduces the same outcome: results,
    attempt-by-attempt failure accounting, commit and byte counters.
@@ -23,6 +22,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import StorageError
 from repro.runtime.driver import RunOutcome
 from repro.statesave.storage import Storage
 
@@ -106,34 +106,23 @@ def equivalence_violations(
 def storage_violations(storage: Storage, nprocs: int) -> list[str]:
     out: list[str] = []
     history = storage.commit_history()
-    for record in history:
-        if record.nprocs is not None and not storage.validate_epoch(
-            record.nprocs, record.epoch
-        ):
-            out.append(
-                f"committed epoch {record.epoch} no longer validates "
-                "(manifest checksum or chunk digests broken)"
-            )
-    committed = storage.committed_epoch()
-    if history:
-        newest = history[-1].epoch
-        if committed != newest:
-            out.append(
-                f"recovery would choose epoch {committed}, but the newest "
-                f"commit record names epoch {newest}"
-            )
-    elif committed is not None:
-        out.append(f"committed_epoch()={committed} with an empty commit history")
-    if committed is not None:
-        for rank in range(nprocs):
-            try:
-                storage.read_state(rank, committed)
-                storage.read_log(rank, committed)
-            except Exception as exc:
-                out.append(
-                    f"rank {rank} state/log of committed epoch {committed} "
-                    f"unreadable: {exc}"
-                )
+    # Newest first, each record loaded once: the first that loads is the
+    # one Storage.restore_line would restore.
+    chosen = None
+    for record in reversed(history):
+        ranks = record.nprocs if record.nprocs is not None else nprocs
+        try:
+            storage.read_line(record.epoch, ranks)
+        except StorageError as exc:
+            out.append(f"committed epoch {record.epoch} no longer validates: {exc}")
+        else:
+            if chosen is None:
+                chosen = record.epoch
+    if history and chosen != history[-1].epoch:
+        out.append(
+            f"recovery would choose epoch {chosen}, but the newest "
+            f"commit record names epoch {history[-1].epoch}"
+        )
     orphans = storage.sweep_orphans()
     if orphans:
         out.append(f"{orphans} orphan chunk(s) left at rest after the run")

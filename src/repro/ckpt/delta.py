@@ -8,8 +8,8 @@ buffer (a numpy array's data) leave the stream *out of band* as a view of
 live memory: a generation is an ordered list of **segments**, the in-band
 stream first, then each buffer.  Each segment is cut on its own fixed-size
 chunk boundaries into ``memoryview`` slices, each addressed by a digest of
-its decoded bytes; a chunk already in the backend writes nothing, and only
-a chunk that is actually new is ever copied.
+its decoded bytes (:func:`chunk_digest`); a chunk already in the backend
+writes nothing, and only a chunk that is actually new is ever stored.
 
 Per-segment boundaries are what make fixed-size chunking dedup.  Scientific
 state is dominated by in-place-mutated arrays of stable shape (the dense CG
@@ -44,8 +44,13 @@ SEGMENT_FLOOR = 4096
 
 
 def chunk_digest(data: bytes | memoryview) -> str:
-    """Content address of one chunk (computed over *decoded* bytes)."""
-    return hashlib.blake2b(data, digest_size=20).hexdigest()
+    """Content address of one chunk (over *decoded* bytes): SHA-256 cut to
+    160 bits.  SHA-256 runs on the CPU's SHA extensions at about twice
+    BLAKE2b's speed, and is the manifest checksum's hash family; 40 hex
+    characters keep chunk keys and manifests at their byte length.  A store
+    addressed by the former BLAKE2b digest fails content verification on
+    load (a :class:`~repro.errors.StorageError`): restart begins from scratch."""
+    return hashlib.sha256(data).hexdigest()[:40]
 
 
 def capture_segments(obj: Any) -> list[memoryview]:

@@ -27,9 +27,16 @@ Incremental mode consults the backend before writing each chunk: a chunk
 whose content address already exists (from any generation of any stream)
 costs zero bytes.  Under the identity codec it first compares the chunk
 with the one at the same position of the stream's previous generation and
-on equality inherits that digest (a memcmp runs ~30x faster than the hash):
-unchanged state is never hashed.  Compression happens per chunk, after
-dedup, so the codec never disturbs content addressing.
+on equality inherits that digest: the compare copies the chunk once
+(``bytes(chunk)``) and memcmps it, about 11x cheaper than the digest
+(≈ 4.5 µs against ≈ 49 µs per 64 KiB chunk, x86 with SHA extensions), so
+unchanged state is copied but never hashed or stored.  Compression happens
+per chunk, after dedup, so the codec never disturbs content addressing.
+
+:meth:`load` is the one verified read: the manifest's frame CRC and
+checksum, then every chunk's presence, decoding, length and digest, each
+chunk hashed once.  Every way a generation can be bad raises a
+:class:`~repro.errors.StorageError`; anything else is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -98,10 +105,6 @@ class CheckpointStore:
         #: ``(stream, generation) -> chunk keys`` of each manifest this instance
         #: built or parsed; dropped wherever one is deleted or overwritten.
         self._refs: dict[tuple[str, int], frozenset[str]] = {}
-        #: Bumped whenever published data may have changed underneath a
-        #: reader (deletes, GC, tampering helpers); validation caches use
-        #: it as their invalidation stamp.
-        self.mutations = 0
         self._decoders: dict[str, ChunkCodec] = {self.codec.name: self.codec}
         #: Optional :class:`repro.trace.TraceRecorder`; armed per run by the
         #: recovery driver (via the ``Storage`` facade).  Emission sites
@@ -211,9 +214,6 @@ class CheckpointStore:
         # Only chunks a rewrite actually replaced are candidates: none in the
         # common recovery case (same state re-taken, chunks dedupe).
         self._reclaim(replaced - self._chunk_keys(stream, generation, manifest))
-        if rewrite:
-            # Published bytes changed underneath any cached validation.
-            self.mutations += 1
         tr = self.tracer
         if tr is not None:
             # The manifest publish is the atomic point of two-phase commit;
@@ -255,8 +255,9 @@ class CheckpointStore:
         return ChunkRef(digest, len(chunk), len(encoded))
 
     def load(self, stream: str, generation: int) -> Any:
-        """Reassemble and deserialise one generation, verifying everything;
-        each segment gets a buffer of its own, so restored arrays are writable."""
+        """Reassemble and deserialise one generation, verifying everything
+        (a :class:`StorageError` for any bad byte); each segment gets a
+        buffer of its own, so restored arrays are writable."""
         manifest = self.read_manifest(stream, generation)
         pickled, *buffers = (
             bytearray().join(self._verified_chunks(manifest, refs))
@@ -321,18 +322,6 @@ class CheckpointStore:
                 index.setdefault(stream, []).append(int(leaf[3:-4]))
         return index
 
-    def validate_generation(self, stream: str, generation: int) -> bool:
-        """True iff the generation's manifest checks out and every chunk
-        is present with matching content (a full read, used before trusting
-        a generation for recovery)."""
-        try:
-            manifest = self.read_manifest(stream, generation)
-            for _chunk in self._verified_chunks(manifest, manifest.chunks):
-                pass
-            return True
-        except Exception:
-            return False
-
     def corrupt_manifest(self, stream: str, generation: int) -> None:
         """Tamper with a published manifest *without* breaking its frame CRC
         (test/fault-injection helper): the inner checksum must catch it."""
@@ -341,12 +330,10 @@ class CheckpointStore:
         tampered = replace(manifest, chunk_size=manifest.chunk_size + 1)
         self.backend.put(self._manifest_key(stream, generation), dumps_framed(tampered))
         self._refs.pop((stream, generation), None)
-        self.mutations += 1
 
     def delete_generation(self, stream: str, generation: int) -> None:
         self.backend.delete(self._manifest_key(stream, generation))
         self._refs.pop((stream, generation), None)
-        self.mutations += 1
 
     # ------------------------------------------------------------------ #
     # Named records (commit records and other small control data).
@@ -456,4 +443,3 @@ class CheckpointStore:
     def wipe(self) -> None:
         self.backend.wipe()
         self._refs.clear()
-        self.mutations += 1

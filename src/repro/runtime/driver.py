@@ -5,9 +5,10 @@ processes are rolled back to the last checkpoint, and the computation is
 restarted from there."  :func:`run_with_recovery` realises it:
 
 1. Execute one simulator attempt.  Every rank builds a fresh protocol layer;
-   if a committed global checkpoint exists, the rank restores from it
-   (suppression exchange + deterministic replay arming) before re-entering
-   the application.
+   if a committed global checkpoint loads (:meth:`Storage.restore_line`,
+   once per attempt, before the simulator starts), the rank restores from
+   its share of it (suppression exchange + deterministic replay arming)
+   before re-entering the application.
 2. If the attempt completes, collect results.
 3. If the failure detector fires, the whole attempt is torn down (all ranks
    rolled back) and a new attempt starts from the last *committed*
@@ -271,7 +272,10 @@ def _recovery_loop(
         failures.begin_attempt(attempt_index)
         kills_before = len(failures.consumed_events())
         crashes_before = len(failures.fired_checkpoint_crashes())
-        committed = storage.committed_epoch() if can_restore else None
+        # One verified read picks the epoch *and* loads it: each rank body
+        # takes its own (state, log) pair from the line.
+        line = storage.restore_line(config.nprocs) if can_restore else None
+        committed = line.epoch if line is not None else None
         layers[:] = [None] * config.nprocs
         if tracer is not None:
             tracer.begin_attempt(attempt_index)
@@ -280,7 +284,7 @@ def _recovery_loop(
                 from_epoch=committed, restarts=attempt_index,
             )
 
-        def rank_main(rank_ctx, _committed=committed):
+        def rank_main(rank_ctx, _line=line):
             if use_raw:
                 adapter = RawCommAdapter(rank_ctx.comm)
                 layers[rank_ctx.rank] = adapter
@@ -292,15 +296,15 @@ def _recovery_loop(
             layer = C3Layer(rank_ctx.comm, c3cfg, storage, stack=spec)
             layers[rank_ctx.rank] = layer
             rank_ctx.c3 = layer
+            pair = _line.take(rank_ctx.rank) if _line is not None else None
             if sim_core == "coop":
                 # Returns a generator: the coop core drives restore and the
                 # application as one resumable rank body.
-                return _co_staged_rank(rank_ctx, layer, _committed)
+                return _co_staged_rank(rank_ctx, layer, pair)
             restored_state = None
             restored = False
-            if _committed is not None:
-                data = storage.read_state(rank_ctx.rank, _committed)
-                logs = storage.read_log(rank_ctx.rank, _committed)
+            if pair is not None:
+                data, logs = pair
                 layer.restore_from(data, logs)
                 restored_state = data.app_state
                 restored = True
@@ -310,12 +314,11 @@ def _recovery_loop(
             )
             return app_main(app_ctx)
 
-        def _co_staged_rank(rank_ctx, layer, _committed):
+        def _co_staged_rank(rank_ctx, layer, pair):
             restored_state = None
             restored = False
-            if _committed is not None:
-                data = storage.read_state(rank_ctx.rank, _committed)
-                logs = storage.read_log(rank_ctx.rank, _committed)
+            if pair is not None:
+                data, logs = pair
                 yield from layer.co_restore_from(data, logs)
                 restored_state = data.app_state
                 restored = True

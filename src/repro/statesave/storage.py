@@ -10,12 +10,18 @@ Layout inside the engine's backend (in-memory or a directory)::
 Commit discipline (paper Section 4.1, phase 4): the initiator writes the
 commit record only after every process has reported ``stoppedLogging`` — so
 a committed epoch is guaranteed to have both the state and the log of every
-rank on disk.  Recovery always starts from :meth:`Storage.committed_epoch`,
-which walks the commit history newest-first and *validates* each candidate
-generation (manifest checksum + chunk digests): a committed generation that
-has since been torn or bit-rotted is rejected and recovery falls back to
+rank on disk.  Recovery starts from :meth:`Storage.restore_line`, which
+walks the commit history newest-first and *loads* each candidate epoch
+through the engine's verified read; the first that loads is handed to the
+ranks as loaded.  One since torn or bit-rotted raises a
+:class:`~repro.errors.StorageError` on some rank, and recovery falls back to
 the newest older commit still retained — keep at least two generations
 (``keep_last=2``) to make that fallback possible.
+
+Deliberate tradeoff: choosing the epoch costs a full read of each
+candidate.  A manifest-only check is cheaper but blind to chunk bit rot,
+and a load failing after the choice could only raise, not fall back; since
+the read is the restore, a restart hashes each chunk once.
 
 Every generation write is the engine's two-phase commit (chunks, then one
 atomic checksummed manifest), so a crash mid-write — including the injected
@@ -48,9 +54,10 @@ COMMIT_RECORD = "COMMIT"
 class CommitRecord:
     """Names one committed global checkpoint.
 
-    ``nprocs`` lets :meth:`Storage.committed_epoch` validate the epoch's
+    ``nprocs`` lets :meth:`Storage.restore_line` load the epoch's
     generations without outside help; ``None`` (a record written by code
-    that did not know the world size) disables validation for that entry.
+    that did not know the world size) takes the caller's world size, or —
+    without one — trusts the epoch while some generation of it survives.
 
     ``committed_at`` is *virtual* time.  Persisted bytes must never carry
     host wall-clock readings: they would make two identical runs write
@@ -64,6 +71,21 @@ class CommitRecord:
     epoch: int
     committed_at: float
     nprocs: Optional[int] = None
+
+
+@dataclass
+class RestoreLine:
+    """A committed global checkpoint as loaded: rank ``r``'s
+    ``(CheckpointData, EpochLogs)`` pair is ``pairs[r]`` (empty when the
+    world size was unknown and nothing was loaded)."""
+
+    epoch: int
+    pairs: list[Optional[tuple[Any, Any]]]
+
+    def take(self, rank: int) -> tuple[Any, Any]:
+        """Hand rank ``rank`` its pair and drop this line's reference to it."""
+        pair, self.pairs[rank] = self.pairs[rank], None
+        return pair
 
 
 class Storage:
@@ -105,10 +127,6 @@ class Storage:
         #: for the duration of one run; None means no tracing (and the
         #: engine-level ``store.tracer`` mirrors this assignment).
         self._tracer: Optional[Any] = None
-        #: Epochs whose deep validation already passed (see validate_epoch),
-        #: invalidated wholesale when the store's mutation stamp moves.
-        self._validated_epochs: set[tuple[int, int]] = set()
-        self._validated_stamp = 0
 
     @classmethod
     def from_config(cls, config: Any) -> "Storage":
@@ -197,18 +215,12 @@ class Storage:
         self.writes += 1
         return self.store.save(self._stream(rank, "log"), epoch, logs)
 
+    # A missing generation is a missing manifest: load raises StorageError.
     def read_state(self, rank: int, epoch: int) -> Any:
-        return self._load(self._stream(rank, "state"), epoch)
+        return self.store.load(self._stream(rank, "state"), epoch)
 
     def read_log(self, rank: int, epoch: int) -> Any:
-        return self._load(self._stream(rank, "log"), epoch)
-
-    def _load(self, stream: str, epoch: int) -> Any:
-        if not self.store.has_generation(stream, epoch):
-            raise StorageError(
-                f"missing stable-storage object {stream!r} epoch {epoch}"
-            )
-        return self.store.load(stream, epoch)
+        return self.store.load(self._stream(rank, "log"), epoch)
 
     def state_manifest(self, rank: int, epoch: int) -> GenerationManifest:
         """The recorded manifest of one rank's state generation."""
@@ -222,35 +234,13 @@ class Storage:
             for kind in ("state", "log")
         )
 
-    def validate_epoch(self, nprocs: int, epoch: int) -> bool:
-        """Deep check: every rank's state and log generation for ``epoch``
-        reassembles byte-perfectly (manifest checksum + chunk digests).
-
-        A passing verdict is cached per store instance: recovery calls this
-        at the top of every attempt and must not re-read the whole global
-        checkpoint each time.  Failures are never cached (a re-written
-        generation may validate later).
-
-        Deliberate tradeoff: the deep check costs one extra full read of
-        the candidate generation per restart, but it is what lets recovery
-        *fall back* to an older commit on chunk bit rot — a cheap
-        manifest-only check would defer detection to ``load()``, which can
-        only raise, not fall back.
-        """
-        if self.store.mutations != self._validated_stamp:
-            self._validated_epochs.clear()
-            self._validated_stamp = self.store.mutations
-        key = (nprocs, epoch)
-        if key in self._validated_epochs:
-            return True
-        ok = all(
-            self.store.validate_generation(self._stream(rank, kind), epoch)
-            for rank in range(nprocs)
-            for kind in ("state", "log")
+    def read_line(self, epoch: int, nprocs: int) -> RestoreLine:
+        """Every rank's state and log of ``epoch``, each generation read
+        and verified once; raises :class:`StorageError` if any is bad."""
+        return RestoreLine(
+            epoch,
+            [(self.read_state(rank, epoch), self.read_log(rank, epoch)) for rank in range(nprocs)],
         )
-        if ok:
-            self._validated_epochs.add(key)
-        return ok
 
     # ------------------------------------------------------------------ #
     # Commit record.
@@ -284,24 +274,35 @@ class Storage:
         if tr is not None:
             tr.emit("store", "commit", t=virtual_time, epoch=epoch, nprocs=nprocs)
 
-    def committed_epoch(self) -> Optional[int]:
-        """Epoch of the newest committed global checkpoint that still
-        validates, or None.
+    def restore_line(self, nprocs: Optional[int] = None) -> Optional[RestoreLine]:
+        """The newest committed global checkpoint that loads cleanly, loaded;
+        None when there is none (recovery then starts from scratch).
 
-        A record whose generations are torn or corrupt is skipped and the
-        next older retained commit is tried — the generation-N → N-1
-        fallback.  A record written without ``nprocs`` cannot be deep-
-        validated; it is trusted as long as *some* generation for its epoch
-        still exists (so a gc'd epoch falls through instead of sending
-        recovery into a missing-object error).
+        Each record is tried through :meth:`read_line`; a
+        :class:`StorageError` on any rank — torn, bit-rotted, gc'd, or
+        addressed by an older digest — skips to the next older retained
+        commit, the generation-N → N-1 fallback.  Any other exception is a
+        bug and propagates.  A record written without ``nprocs`` is loaded
+        for ``nprocs`` ranks; with neither it is trusted, unloaded, as long
+        as *some* generation for its epoch still exists (so a gc'd epoch
+        falls through).
         """
         for record in reversed(self._commit_history()):
-            if record.nprocs is not None:
-                if self.validate_epoch(record.nprocs, record.epoch):
-                    return record.epoch
-            elif self._epoch_present(record.epoch):
-                return record.epoch
+            ranks = record.nprocs if record.nprocs is not None else nprocs
+            if ranks is None:
+                if self._epoch_present(record.epoch):
+                    return RestoreLine(record.epoch, [])
+                continue
+            try:
+                return self.read_line(record.epoch, ranks)
+            except StorageError:
+                continue
         return None
+
+    def committed_epoch(self) -> Optional[int]:
+        """Epoch :meth:`restore_line` would restore, or None (a full read)."""
+        line = self.restore_line()
+        return line.epoch if line is not None else None
 
     def _epoch_present(self, epoch: int) -> bool:
         """Loose retention check for records lacking ``nprocs``: the epoch
