@@ -35,10 +35,10 @@ def chatty_app(ctx):
     state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0.0})
     while state["i"] < 150:
         right = (ctx.rank + 1) % ctx.size
-        ctx.mpi.send(float(state["i"]), right, tag=1)
-        state["acc"] += ctx.mpi.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+        yield from ctx.mpi.co_send(float(state["i"]), right, tag=1)
+        state["acc"] += (yield from ctx.mpi.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1))
         state["i"] += 1
-        ctx.potential_checkpoint()
+        yield from ctx.co_potential_checkpoint()
     return state["acc"]
 
 

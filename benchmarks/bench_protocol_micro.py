@@ -3,9 +3,10 @@
 Per-operation throughput of the pieces that run on every message:
 classification, counter bookkeeping, match logging, and the late-message
 log — the constant factors behind the layer's per-message overhead —
-plus the simulator's scheduler baton handoff, which sits under every
-simulated MPI call, and the :mod:`repro.trace` emission path (off, the
-single attribute read every hot path pays; on, the full ring append).
+plus the simulator's scheduling slice (a rank generator resumed once per
+simulated MPI call) across rank counts, and the :mod:`repro.trace`
+emission path (off, the single attribute read every hot path pays; on,
+the full ring append).
 
 The ``test_guard_*`` functions at the end are timing-free: they count
 the host work the per-operation path must *not* do (pickling to size a
@@ -23,7 +24,7 @@ from repro.farm.engine import FarmStats
 from repro.protocol.classify import classify_by_color, classify_by_epoch
 from repro.protocol.logs import LateMessageLog, LateRecord, MatchLog, MatchRecord
 from repro.protocol.state import ProtocolState
-from repro.simmpi import SUM, run_simple
+from repro.simmpi import SUM
 from repro.simmpi.simulator import SimConfig, Simulator
 from repro.trace import TraceRecorder
 
@@ -118,30 +119,6 @@ def test_snapshot_cost(benchmark):
     assert snap.rank == 0
 
 
-def test_scheduler_baton_handoff(benchmark):
-    """Scheduler hot path: baton handoffs with 8 parked rank threads.
-
-    Every simulated MPI call hands the baton rank → scheduler → rank.
-    With per-proc events a handoff wakes exactly the target thread; the
-    previous shared-condition design ``notify_all``-ed every handoff,
-    waking all nprocs parked threads per MPI call (O(nprocs) spurious
-    wakeups), which dominated simulator wall time at higher rank counts.
-    """
-    benchmark.group = "protocol-micro"
-
-    def ring(ctx):
-        peer = (ctx.rank + 1) % ctx.size
-        for i in range(60):
-            ctx.comm.send(i, peer, tag=1)
-            ctx.comm.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-        return 1
-
-    def run():
-        return sum(run_simple(ring, nprocs=8, seed=3).results)
-
-    assert benchmark(run) == 8
-
-
 # --------------------------------------------------------------------- #
 # Trace-emission overhead (the tentpole's cost envelope).
 #
@@ -156,8 +133,8 @@ def test_scheduler_baton_handoff(benchmark):
 def _ring(ctx):
     peer = (ctx.rank + 1) % ctx.size
     for i in range(60):
-        ctx.comm.send(i, peer, tag=1)
-        ctx.comm.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+        yield from ctx.comm.co_send(i, peer, tag=1)
+        yield from ctx.comm.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
     return 1
 
 
@@ -197,26 +174,20 @@ def test_trace_emit_throughput(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# Rank scaling: threads core vs cooperative core.
+# Rank scaling.
 #
-# The same seeded workload under both execution cores, across rank
-# counts.  Both cores run identical scheduling decisions (round_robin,
-# zero network jitter: no RNG draws anywhere), so the measured gap is
-# purely the control-transfer mechanism — an OS baton handoff (two event
-# waits and a context switch, ~25us) versus a generator resume (~1us).
-# The threaded core is excluded at 1024 ranks: a thread per rank at that
-# scale exhausts default thread/stack budgets on small CI runners, which
-# is exactly the scaling wall the cooperative core removes.
+# The same seeded workload across rank counts, under round_robin and zero
+# network jitter (no RNG draws anywhere), so the measured time is the
+# simulator's per-slice work and how it grows with nprocs.
 #
 # Medians land in ``_SCALING_MEDIANS`` and, when ``RANK_SCALING_BENCH``
 # names a trajectory file, ``test_rank_scaling_record`` stamps them into
-# the BENCH trajectory (labels ``rank_scaling.<workload>.n<N>.<core>``,
-# coop records carrying ``speedup_vs_threads``).
+# the BENCH trajectory (labels ``rank_scaling.<workload>.n<N>``).
 # --------------------------------------------------------------------- #
 
 RING_ITERS = 10
 
-#: ``(workload, nprocs, core) -> median seconds`` from this process's run.
+#: ``(workload, nprocs) -> median seconds`` from this process's run.
 _SCALING_MEDIANS: dict = {}
 
 
@@ -241,35 +212,20 @@ _SCALING_WORKLOADS = {
     "allreduce": (_co_scaling_allreduce, lambda n: n * n),
 }
 
-_SCALING_CELLS = [
-    (8, "threads"), (8, "coop"),
-    (64, "threads"), (64, "coop"),
-    (256, "threads"), (256, "coop"),
-    (1024, "coop"),
-]
 
-
-def _scaling_config(nprocs, core):
-    # round_robin + zero jitter keeps numpy out of both cores' hot loops,
-    # so the comparison isolates the handoff mechanism itself.
-    return SimConfig(
-        nprocs=nprocs, seed=3, sim_core=core,
-        sched_policy="round_robin", jitter=0.0,
-    )
-
-
-@pytest.mark.parametrize("nprocs,core", _SCALING_CELLS)
+@pytest.mark.parametrize("nprocs", [8, 64, 256, 1024])
 @pytest.mark.parametrize("workload", sorted(_SCALING_WORKLOADS))
-def test_rank_scaling(benchmark, workload, nprocs, core):
+def test_rank_scaling(benchmark, workload, nprocs):
     benchmark.group = f"rank-scaling-{workload}"
     main, expected = _SCALING_WORKLOADS[workload]
+    # round_robin + zero jitter keeps numpy out of the hot loop.
+    config = SimConfig(nprocs=nprocs, seed=3, sched_policy="round_robin", jitter=0.0)
 
     def run():
-        sim = Simulator(_scaling_config(nprocs, core), main)
-        return sum(sim.run().results)
+        return sum(Simulator(config, main).run().results)
 
     assert benchmark(run) == expected(nprocs)
-    _SCALING_MEDIANS[(workload, nprocs, core)] = benchmark.stats.stats.median
+    _SCALING_MEDIANS[(workload, nprocs)] = benchmark.stats.stats.median
 
 
 def test_rank_scaling_record():
@@ -286,22 +242,12 @@ def test_rank_scaling_record():
     if not _SCALING_MEDIANS:
         pytest.skip("no rank-scaling samples collected in this run")
     recorder = BenchRecorder(path)
-    for (workload, nprocs, core), median in sorted(_SCALING_MEDIANS.items()):
-        extra = {"workload": workload, "ranks": nprocs, "sim_core": core}
-        threads_median = _SCALING_MEDIANS.get((workload, nprocs, "threads"))
-        if core == "coop" and threads_median:
-            extra["speedup_vs_threads"] = round(threads_median / median, 3)
+    for (workload, nprocs), median in sorted(_SCALING_MEDIANS.items()):
         recorder.record(
-            f"rank_scaling.{workload}.n{nprocs}.{core}",
+            f"rank_scaling.{workload}.n{nprocs}",
             FarmStats(cells=1, misses=1, executed=1, wall_seconds=median),
-            extra=extra,
+            extra={"workload": workload, "ranks": nprocs},
         )
-    # Regression floor for the tentpole's headline number: a quiet runner
-    # measures ~5.5-5.8x at 64 ranks; 3x means the coop win regressed.
-    ring = _SCALING_MEDIANS
-    if ("ring", 64, "threads") in ring and ("ring", 64, "coop") in ring:
-        speedup = ring[("ring", 64, "threads")] / ring[("ring", 64, "coop")]
-        assert speedup >= 3.0, f"coop speedup at 64 ranks regressed: {speedup:.2f}x"
 
 
 # --------------------------------------------------------------------- #

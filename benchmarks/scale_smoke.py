@@ -1,11 +1,9 @@
-"""Large-rank-count smoke: kill + detect + recover under the coop core.
+"""Large-rank-count smoke: kill + detect + recover.
 
-A 256-rank (by default) Laplace run under the cooperative core, with a
-mid-run stopping fault: the failure detector must suspect the victim and
-the recovery driver must restart and complete the job.  Thread-per-rank
-made this scale painful (256 OS threads, ~25us per baton handoff); under
-the cooperative core the whole smoke is a few wall seconds, so CI runs
-it on every push (the ``scale-smoke`` job).
+A 256-rank (by default) Laplace run with a mid-run stopping fault: the
+failure detector must suspect the victim and the recovery driver must
+restart and complete the job.  The whole smoke is a few wall seconds, so
+CI runs it on every push (the ``scale-smoke`` job).
 
 With ``--bench`` the run is stamped into a BENCH trajectory — wall
 seconds, virtual time, restart count, and per-stage ``stage_seconds``
@@ -28,7 +26,8 @@ from repro.api.registry import get_app
 from repro.apps.laplace import LaplaceParams
 from repro.farm.bench import BenchRecorder
 from repro.farm.engine import FarmStats
-from repro.runtime import RunConfig, Variant, run_with_recovery
+from repro.runtime import RunConfig, Variant
+from repro.runtime.driver import run_with_recovery
 from repro.simmpi import FailureSchedule
 
 
@@ -45,7 +44,7 @@ def main(argv=None) -> int:
     # round_robin + zero jitter: the deterministic no-RNG configuration
     # the rank-scaling benchmarks use, so wall numbers are comparable.
     cfg = RunConfig(
-        nprocs=n, seed=3, variant=Variant.FULL, sim_core="coop",
+        nprocs=n, seed=3, variant=Variant.FULL,
         checkpoint_interval=0.02, detector_timeout=0.05,
         sched_policy="round_robin", jitter=0.0,
     )
@@ -80,7 +79,6 @@ def main(argv=None) -> int:
             virtual_time=out.total_virtual_time,
             extra={
                 "ranks": n,
-                "sim_core": "coop",
                 "restarts": out.restarts,
                 "stage_seconds": stage_seconds,
             },

@@ -14,7 +14,8 @@ import pickle
 from repro import RunConfig, Session
 from repro.precompiler import C3StackRuntime, Precompiler
 from repro.precompiler.api import PrecompiledApp
-from repro.simmpi import FailureSchedule
+from repro.simmpi import FailureSchedule, coop
+from repro.simmpi.process import Proc
 
 
 def work(ctx, x):
@@ -104,6 +105,9 @@ def main() -> None:
     print("the locals live on entry to it (unit.saved_locals); the rest is dead.")
     print()
 
+    # The active runtime lives on the executing rank; with no simulator
+    # running, install a stand-in rank for the round trip.
+    coop.set_current_proc(Proc(None, 0, None))
     runtime = C3StackRuntime(unit).activate()
     try:
         ctx = CheckpointingCtx(runtime)
@@ -129,6 +133,7 @@ def main() -> None:
         print("identical to the uninterrupted run ✓")
     finally:
         runtime.deactivate()
+        coop.set_current_proc(None)
 
     # The same machinery under the real recovery driver: a Session runs
     # the precompiled unit on 2 ranks, a rank dies mid-run, and the saved

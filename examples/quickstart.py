@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Quickstart: make a small MPI program fault-tolerant in ~20 lines.
 
-Runs a 4-rank ring/allreduce computation under the C3 protocol with a
-checkpoint wave every 3 simulated milliseconds, kills a rank mid-run, and
-shows the system recovering from the last committed global checkpoint with
-a bit-identical final answer.
+Precompiles a 4-rank ring/allreduce computation written with plain MPI
+calls, runs it under the C3 protocol with a checkpoint wave every 3
+simulated milliseconds, kills a rank mid-run, and shows the system
+recovering from the last committed global checkpoint with a bit-identical
+final answer.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import RunConfig, Session
+from repro.precompiler import PrecompiledApp, Precompiler
 from repro.simmpi import SUM, FailureSchedule
 
 
 def app(ctx):
     """The application: iterate, communicate, and offer checkpoint points.
 
-    The only fault-tolerance-specific lines are ``checkpointable_state``
-    (register what to save) and ``potential_checkpoint()`` (where saving may
-    happen) — the paper's sole source-code requirement.
+    The only fault-tolerance-specific line is ``potential_checkpoint()``
+    (where saving may happen) — the paper's sole source-code requirement.
+    The precompiler makes the function save and restore its own locals.
     """
-    state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0.0})
+    state = {"i": 0, "acc": 0.0}
     while state["i"] < 300:
         right = (ctx.rank + 1) % ctx.size
         left = (ctx.rank - 1) % ctx.size
@@ -33,6 +35,9 @@ def app(ctx):
 
 
 def main() -> None:
+    program = PrecompiledApp(
+        Precompiler([app], unit_name="quickstart").compile(), entry="app"
+    )
     session = Session()
     config = RunConfig(
         nprocs=4,
@@ -42,14 +47,14 @@ def main() -> None:
     )
 
     print("=== failure-free run ===")
-    gold = session.run(app, config)
+    gold = session.run(program, config)
     print(f"results: {gold.results}")
     print(f"checkpoint waves committed: {gold.checkpoints_committed}")
 
     print()
     print("=== same run, rank 2 killed at t=10ms ===")
     outcome = session.run(
-        app, config, failures=FailureSchedule.single(0.010, 2)
+        program, config, failures=FailureSchedule.single(0.010, 2)
     )
     for attempt in outcome.attempts:
         if attempt.failed:

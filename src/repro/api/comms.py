@@ -18,15 +18,15 @@ surface down as a structural protocol so an application written against
   V1–V3 share one code path — the pipeline — differing only in which
   stages are stacked.
 
-The V1–V3 implementation is :class:`~repro.protocol.layer.C3Layer`, the
-facade over the same pipeline with the protocol stages present.
+The V1–V3 implementation is the same
+:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with the
+protocol stages present.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro.protocol.layer import LayerStats  # noqa: F401  (historical re-export)
 from repro.protocol.stages.pipeline import ProtocolPipeline, RawHandle  # noqa: F401
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
@@ -37,8 +37,8 @@ from repro.simmpi.op import Op
 class CommLike(Protocol):
     """Structural type of the application-facing messaging surface.
 
-    ``C3Layer`` and ``RawCommAdapter`` both satisfy it; ``C3AppContext.mpi``
-    is typed against it.  Handles returned by ``isend``/``irecv`` and by the
+    ``ProtocolPipeline`` and ``RawCommAdapter`` both satisfy it;
+    ``C3AppContext.mpi`` is typed against it.  Handles returned by ``isend``/``irecv`` and by the
     constructors are opaque — only this interface may consume them.
     """
 

@@ -1,8 +1,9 @@
 """Application registration: one way to name a driver-runnable program.
 
-The driver accepts any callable ``app_main(ctx)``; the paper's benchmark
-applications are :class:`~repro.precompiler.api.PrecompiledApp` units built
-by per-module ``build(params)`` factories.  :class:`AppSpec` unifies the
+The driver runs an ``app_main`` that is a generator function ``main(ctx)``
+or has a ``co_call(ctx)`` generator entry (:func:`app_entry`); the paper's
+benchmark applications are :class:`~repro.precompiler.api.PrecompiledApp`
+units built by per-module ``build(params)`` factories.  :class:`AppSpec` unifies the
 two shapes behind a name, which buys three things:
 
 * ``session.run("dense_cg", cfg, params=...)`` — no import plumbing in
@@ -16,22 +17,48 @@ Register a factory (``params -> app_main``) explicitly::
 
     SPEC = register(AppSpec("dense_cg", factory=build, default_params=CGParams()))
 
-or decorate a plain ``main(ctx)`` function::
+or decorate a generator ``main(ctx)`` function::
 
     @repro.app
-    def my_solver(ctx): ...
+    def my_solver(ctx):
+        total = yield from ctx.mpi.co_allreduce(ctx.rank, SUM)
+        ...
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigError
 
-#: Anything the recovery driver can execute for one rank.
+#: Anything the recovery driver can execute for one rank (see app_entry).
 AppMain = Callable[[Any], Any]
+
+
+def app_entry(app_main: Any) -> Callable[[Any], Any]:
+    """The generator entry the driver runs on every rank of ``app_main``.
+
+    Every simulated MPI call that can block is a scheduling point, which a
+    rank reaches through a ``yield``.  So a main is either a generator
+    function or an object with a ``co_call(ctx)`` generator entry — a
+    :class:`~repro.precompiler.api.PrecompiledApp`, whose transformed code
+    keeps plain MPI calls in the source.  Anything else is a
+    :class:`ConfigError`, raised before any rank runs.
+    """
+    co_call = getattr(app_main, "co_call", None)
+    if co_call is not None:
+        return co_call
+    if inspect.isgeneratorfunction(app_main):
+        return app_main
+    raise ConfigError(
+        f"{getattr(app_main, '__name__', app_main)!r} is not a runnable rank "
+        "main: write it as a generator function (yield from "
+        "ctx.mpi.co_send(...)), or keep plain MPI calls and precompile it: "
+        "PrecompiledApp(Precompiler([main]).compile(), entry='main')"
+    )
 
 _REGISTRY: dict[str, "AppSpec"] = {}
 
@@ -66,16 +93,17 @@ class AppSpec:
 
 
 class _FunctionApp:
-    """Driver adapter for a plain ``main(ctx)`` function: exposes run
-    parameters as ``ctx.params``, like :class:`PrecompiledApp` does."""
+    """Driver adapter for a ``main(ctx)`` app: exposes run parameters as
+    ``ctx.params``, like :class:`PrecompiledApp` does."""
 
     def __init__(self, fn: AppMain, params: Any) -> None:
         self.fn = fn
         self.params = params
+        self._entry = app_entry(fn)
 
-    def __call__(self, ctx: Any) -> Any:
+    def co_call(self, ctx: Any):
         ctx.params = self.params
-        return self.fn(ctx)
+        return (yield from self._entry(ctx))
 
 
 def register(spec: AppSpec) -> AppSpec:
@@ -90,7 +118,7 @@ def register(spec: AppSpec) -> AppSpec:
 
 
 def app(fn: Optional[AppMain] = None, *, name: str = "", default_params: Any = None):
-    """Decorator registering a plain ``main(ctx)`` function as an app.
+    """Decorator registering a generator ``main(ctx)`` function as an app.
 
     Usable bare (``@repro.app``) or configured
     (``@repro.app(name="ring", default_params=...)``).  The decorated

@@ -330,7 +330,7 @@ class Session:
         spec = getattr(app, "__app_spec__", None)
         if isinstance(spec, AppSpec):
             return ("spec", spec.module, spec.name)
-        if callable(app):
+        if callable(app) or hasattr(app, "co_call"):
             return ("callable", app)
         raise ConfigError(f"not a runnable application: {app!r}")
 

@@ -212,6 +212,25 @@ def _enclosing_function(
 # loaders
 # --------------------------------------------------------------------- #
 
+class _PlainCalls(ast.NodeTransformer):
+    """``yield from X.co_op(...)`` reads as the plain call ``X.op(...)``.
+
+    A generator rank main spells each MPI call in its suspending form;
+    the analyses know the plain names, so they see the same program.
+    """
+
+    def visit_YieldFrom(self, node: ast.YieldFrom) -> ast.AST:
+        call = self.generic_visit(node).value
+        if (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr.startswith("co_")
+        ):
+            call.func.attr = call.func.attr[3:]
+            return call
+        return node
+
+
 def _parse_callable(fn: Callable) -> tuple[ast.FunctionDef, str]:
     # ``inspect.getsource`` follows ``__wrapped__`` to the original def,
     # but ``co_firstlineno`` on the wrapper belongs to the *wrapper's*
@@ -224,7 +243,7 @@ def _parse_callable(fn: Callable) -> tuple[ast.FunctionDef, str]:
         first_line = fn.__code__.co_firstlineno
     except (OSError, TypeError) as exc:
         raise PrecompilerError(f"cannot read source of {fn!r}: {exc}") from exc
-    module = ast.parse(source)
+    module = _PlainCalls().visit(ast.parse(source))
     defs = [n for n in module.body if isinstance(n, ast.FunctionDef)]
     if len(defs) != 1:
         raise PrecompilerError(
@@ -418,7 +437,7 @@ def slice_module(
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     sib_source = fh.read()
-                sib_tree = ast.parse(sib_source, filename=path)
+                sib_tree = _PlainCalls().visit(ast.parse(sib_source, filename=path))
             except (OSError, SyntaxError):
                 cache[path] = None
             else:
@@ -632,7 +651,7 @@ def check_source(
     source: str, file: str = "<string>", target: Optional[str] = None
 ) -> CheckResult:
     """Check source text (module coordinates are already absolute)."""
-    module_tree = ast.parse(source, filename=file)
+    module_tree = _PlainCalls().visit(ast.parse(source, filename=file))
     sliced = slice_module(module_tree, file, source)
     extra_constants = (
         {file: sliced.imported_constants}

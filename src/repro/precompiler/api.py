@@ -344,9 +344,9 @@ class PrecompiledApp:
         extra_state: Optional[Callable[[], Any]] = None,
         params: Any = None,
     ) -> None:
+        unit.entry(entry)  # an unknown name raises here
         self.unit = unit
         self.entry_name = entry
-        self.entry_fn = unit.entry(entry)
         self.extra_state = extra_state
         #: Opaque run parameters, exposed to the app as ``ctx.params``.
         self.params = params
@@ -355,6 +355,22 @@ class PrecompiledApp:
                 f"entry {entry!r} is not checkpoint-reaching; "
                 "it would never take a checkpoint"
             )
+
+    def co_call(self, ctx):
+        """The application as a resumable generator.
+
+        The driver's rank body ``yield from``-s this; every suspending MPI
+        call inside the transformed code yields through its generator
+        form, so the whole rank suspends at that call.
+        """
+        ctx.params = self.params
+        co_entry = self.unit.co_functions[self.entry_name]
+        rt = C3StackRuntime(self.unit).activate()
+        try:
+            self._arm(ctx, rt)
+            return (yield from co_entry(ctx))
+        finally:
+            rt.deactivate()
 
     def _arm(self, ctx, rt: C3StackRuntime) -> None:
         """Wire the state provider and (on a restart) the frame restore."""
@@ -377,30 +393,3 @@ class PrecompiledApp:
             # creations; it must not consume the creation-replay cursor.
             ctx.mpi.skip_creation_replay()
             rt.begin_restore(blob["frames"])
-
-    def __call__(self, ctx) -> Any:
-        ctx.params = self.params
-        rt = C3StackRuntime(self.unit).activate()
-        try:
-            self._arm(ctx, rt)
-            return self.entry_fn(ctx)
-        finally:
-            rt.deactivate()
-
-    def co_call(self, ctx):
-        """Cooperative entry: the application as a resumable generator.
-
-        The coop core's rank body ``yield from``-s this; every suspending
-        MPI call inside the transformed code yields through its generator
-        twin, so the whole rank suspends cooperatively.  Frames captured
-        here are interchangeable with the synchronous form's (same
-        func_ids), so checkpoints restore across cores.
-        """
-        ctx.params = self.params
-        co_entry = self.unit.co_functions[self.entry_name]
-        rt = C3StackRuntime(self.unit).activate()
-        try:
-            self._arm(ctx, rt)
-            return (yield from co_entry(ctx))
-        finally:
-            rt.deactivate()

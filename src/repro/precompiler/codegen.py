@@ -151,8 +151,7 @@ def build_co_function(
     Structurally identical to the synchronous form (same prologue, same
     ``_pc`` dispatch, same locals — it shares the func_id and restore
     records), but every suspending call yields through its generator
-    twin, so a rank running this form suspends cooperatively instead of
-    parking its thread.
+    twin, so a rank running this form suspends at that call.
     """
     co_fn = copy.deepcopy(sync_fn)
     co_fn.name = CO_PREFIX + sync_fn.name

@@ -5,7 +5,7 @@ Stack (VDS) because C offers no stack introspection.  Python does, so this
 runtime realises the same architecture lazily:
 
 * **PS** — at checkpoint time, :meth:`C3StackRuntime.capture` walks the live
-  Python frames of the calling thread; every frame belonging to a
+  Python frames of the executing rank; every frame belonging to a
   transformed function contributes ``(function id, frame locals)``.  The
   transformed function's ``_pc`` local *is* the position label: it names the
   basic block whose first statement is the checkpointable call (or the
@@ -22,13 +22,14 @@ middle of the function — re-executing the active call, which re-enters the
 next function down, until the innermost frame's ``potential_checkpoint``
 block is reached and normal execution resumes (the Figure-6 mechanism).
 
-One runtime instance is active per thread (rank), via a ``threading.local``.
+One runtime instance is active per rank: it lives in the executing
+:class:`~repro.simmpi.process.Proc`'s ``c3_runtime`` slot, found through
+the simulator's current-proc registry (:mod:`repro.simmpi.coop`).
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import RecoveryError
@@ -40,22 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: One saved frame: (function id, locals-dict including '_pc').
 FrameRecord = tuple[str, dict[str, Any]]
 
-_tls = threading.local()
-
 
 def current_runtime() -> Optional["C3StackRuntime"]:
-    """The calling rank's active runtime.
-
-    Under the cooperative core every rank shares one OS thread, so "which
-    rank is executing" is the coop current-proc registry, not the thread;
-    each :class:`~repro.simmpi.process.Proc` carries its runtime in its
-    ``c3_runtime`` slot.  Rank *threads* (the threaded core, or plain
-    unit-test calls) fall back to the historical thread-local.
-    """
+    """The executing rank's active runtime (None outside any rank)."""
     proc = coop.current_proc()
-    if proc is not None:
-        return proc.c3_runtime
-    return getattr(_tls, "runtime", None)
+    return proc.c3_runtime if proc is not None else None
 
 
 def c3_enter(func_id: str) -> Optional[dict[str, Any]]:
@@ -85,27 +75,20 @@ class C3StackRuntime:
     # ------------------------------------------------------------------ #
 
     def activate(self) -> "C3StackRuntime":
-        """Install as the calling rank's active runtime.
-
-        When the cooperative core is resuming a rank generator the runtime
-        lands in that rank's ``Proc.c3_runtime`` slot; otherwise (rank
-        threads, plain test calls) in the thread-local, as always.
-        """
+        """Install as the executing rank's active runtime."""
         proc = coop.current_proc()
-        if proc is not None:
-            proc.c3_runtime = self
-        else:
-            _tls.runtime = self
+        if proc is None:
+            raise RecoveryError(
+                "C3StackRuntime.activate() outside a rank: run the unit under "
+                "the simulator, or install a rank with coop.set_current_proc()"
+            )
+        proc.c3_runtime = self
         return self
 
     def deactivate(self) -> None:
         proc = coop.current_proc()
-        if proc is not None:
-            if proc.c3_runtime is self:
-                proc.c3_runtime = None
-            return
-        if getattr(_tls, "runtime", None) is self:
-            _tls.runtime = None
+        if proc is not None and proc.c3_runtime is self:
+            proc.c3_runtime = None
 
     # ------------------------------------------------------------------ #
 
@@ -114,7 +97,7 @@ class C3StackRuntime:
 
         Called (indirectly) from inside ``potential_checkpoint`` via the
         protocol layer's state provider, so every transformed frame of the
-        current thread is live and its ``_pc`` names the active block.
+        executing rank is live and its ``_pc`` names the active block.
         """
         self.captures += 1
         saved_locals = self.unit.saved_locals

@@ -21,7 +21,6 @@ from repro.protocol.control import (
     StoppedLogging,
 )
 from repro.protocol.initiator import Initiator, WavePhase
-from repro.protocol.layer import C3Config, C3Layer, LayerStats
 from repro.protocol.logs import (
     CollectiveRecord,
     EpochLogs,
@@ -40,6 +39,8 @@ from repro.protocol.piggyback import (
 )
 from repro.protocol.pseudo_handles import PseudoHandle, PseudoRequest, RequestTable
 from repro.protocol.stages import (
+    C3Config,
+    LayerStats,
     ProtocolPipeline,
     ProtocolStage,
     StackSpec,
@@ -61,7 +62,6 @@ __all__ = [
     "register_stage",
     "variant_stack",
     "C3Config",
-    "C3Layer",
     "CollectiveRecord",
     "EpochLogs",
     "FullCodec",

@@ -112,7 +112,7 @@ class Initiator:
 
     def poll(self, current_epoch: int) -> None:
         """Called from the layer's progress engine; may start a wave."""
-        coop.run_inline(self.co_poll(current_epoch))
+        coop.drive(self.co_poll(current_epoch))
 
     def wave_due(self) -> bool:
         """Whether a poll would start a wave now (the idle rule's test)."""
@@ -130,7 +130,7 @@ class Initiator:
 
     def initiate(self, current_epoch: int) -> None:
         """Phase 1: ask every process to checkpoint into ``current_epoch+1``."""
-        coop.run_inline(self.co_initiate(current_epoch))
+        coop.drive(self.co_initiate(current_epoch))
 
     def co_initiate(self, current_epoch: int):
         self.target_epoch = current_epoch + 1
@@ -144,7 +144,7 @@ class Initiator:
 
     def on_ready(self, rank: int, epoch: int) -> None:
         """Phase 2→3: collect readyToStopLogging; broadcast stopLogging."""
-        coop.run_inline(self.co_on_ready(rank, epoch))
+        coop.drive(self.co_on_ready(rank, epoch))
 
     def co_on_ready(self, rank: int, epoch: int):
         if epoch != self.target_epoch:

@@ -24,7 +24,6 @@ from repro.protocol.stages.registry import (
     build_stages,
     list_stacks,
     register_stack,
-    stages_for_config,
     variant_stack,
 )
 from repro.protocol.stages.replay import ReplayStage
@@ -59,6 +58,5 @@ __all__ = [
     "make_stage",
     "register_stack",
     "register_stage",
-    "stages_for_config",
     "variant_stack",
 ]

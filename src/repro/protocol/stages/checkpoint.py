@@ -52,12 +52,7 @@ class CheckpointStage(ProtocolStage):
 
     def _commit(self, epoch: int, now: float) -> None:
         core = self.core
-        if core._commit_accepts_nprocs:
-            core.storage.commit(epoch, now, nprocs=core.nprocs)
-        else:
-            # Custom storages implementing the pre-1.2 two-argument commit
-            # keep working; they just forgo validated N->N-1 fallback.
-            core.storage.commit(epoch, now)
+        core.storage.commit(epoch, now, nprocs=core.nprocs)
         core.storage.gc(core.nprocs, keep_epoch=epoch)
 
     def co_progress(self):

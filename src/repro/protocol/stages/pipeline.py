@@ -1,10 +1,12 @@
 """The protocol pipeline: a stage stack behind the ``CommLike`` surface.
 
-:class:`ProtocolPipeline` is the engine that used to be the monolithic
-``C3Layer``: it owns the shared protocol state (Figure 4's variables,
-the epoch logs, pseudo-handle tables, per-communicator collective
-sequence numbers) and threads every ``CommLike`` call through the
-single-responsibility stages of this package.  Which concerns are active
+:class:`ProtocolPipeline` is the per-process C3 protocol layer: it sits
+between the application and the (simulated) MPI library and intercepts
+every communication call (the paper's Figure 2).  It owns the shared
+protocol state (Figure 4's variables, the epoch logs, pseudo-handle
+tables, per-communicator collective sequence numbers) and threads every
+``CommLike`` call through the single-responsibility stages of this
+package.  Which concerns are active
 is decided purely by which stages are present:
 
 * the **empty stack** is the paper's V0 "Unmodified Program": every call
@@ -19,12 +21,19 @@ is decided purely by which stages are present:
 Per-stage dispatch is counted and timed into
 ``LayerStats.stage_calls`` / ``stage_seconds``, giving the per-stage
 overhead accounting the flat layer could not.
+
+One deliberate refinement over the paper's prose: the collective logging
+rule exchanges ``(epoch, amLogging)`` rather than ``amLogging`` alone.  A
+bare conjunction cannot distinguish Figure 5's call A (a participant that
+has *not yet checkpointed* — result must be logged) from call B (a
+participant that *finished* logging — logging must stop).  Classifying each
+participant's contribution with the same late/intra/early rule as
+point-to-point messages resolves both cases; with the packed codec this is
+exactly the paper's color-bit reasoning applied to collectives.
 """
 
 from __future__ import annotations
 
-import inspect
-from functools import lru_cache
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
@@ -62,24 +71,6 @@ _STAGE_REQUIRES = {
     "classifier": ("piggyback", "message-log"),
     "checkpoint": ("classifier", "result-log", "replay"),
 }
-
-
-@lru_cache(maxsize=16)
-def _accepts_nprocs(commit: Callable[..., Any]) -> bool:
-    """Whether a storage's ``commit`` takes the (1.2+) ``nprocs`` keyword.
-
-    Decided once by signature inspection — a runtime TypeError fallback
-    would mask genuine TypeErrors raised inside a modern commit.  The
-    answer belongs to the storage's class, so callers pass the function
-    under the bound method and every rank of every attempt shares it.
-    """
-    try:
-        params = inspect.signature(commit).parameters
-    except (TypeError, ValueError):  # builtins/uninspectable: assume modern
-        return True
-    return "nprocs" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
 
 
 class RawHandle:
@@ -120,7 +111,7 @@ class ProtocolPipeline:
         self._comm_recv = coop.co_method(comm, "recv")
         self._comm_recv_envelope = coop.co_method(comm, "recv_envelope")
         self._comm_sendrecv = coop.co_method(comm, "sendrecv")
-        self._comm_yield_point = coop.co_method(comm, "yield_point", sync="_yield_point")
+        self._comm_yield_point = coop.co_method(comm, "yield_point")
         #: This rank's mailbox control queue; bound by the checkpoint
         #: stage (the only consumer), empty forever on other stacks.
         self._control: Any = ()
@@ -142,9 +133,6 @@ class ProtocolPipeline:
         #: Per-communicator collective call sequence (world = WORLD_HANDLE).
         self.coll_seqs: dict[int, int] = {WORLD_HANDLE: 0}
         self.stats = LayerStats()
-        self._commit_accepts_nprocs = storage is None or _accepts_nprocs(
-            getattr(storage.commit, "__func__", storage.commit)
-        )
         #: Set by the checkpoint stage at bind time (initiator rank only).
         self.initiator = None
         #: Per-generation storage manifests for this rank's checkpoints,
@@ -211,7 +199,7 @@ class ProtocolPipeline:
     # ------------------------------------------------------------------ #
 
     def _send_control(self, msg: ctl.ControlMessage, dest: int) -> None:
-        coop.drive(self._co_send_control(msg, dest), self.comm)
+        coop.drive(self._co_send_control(msg, dest))
 
     def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
         if dest == self.rank:
@@ -286,7 +274,7 @@ class ProtocolPipeline:
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Application blocking send with piggybacked protocol data."""
-        coop.drive(self.co_send(payload, dest, tag), self.comm)
+        coop.drive(self.co_send(payload, dest, tag))
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         if self._raw:
@@ -336,7 +324,7 @@ class ProtocolPipeline:
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
         """Nonblocking send; returns a pseudo-request (Section 5.2) on a
         staged stack, a raw request on the empty stack."""
-        return coop.drive(self.co_isend(payload, dest, tag), self.comm)
+        return coop.drive(self.co_isend(payload, dest, tag))
 
     def co_isend(self, payload: Any, dest: int, tag: int = 0):
         # The underlying isend never suspends (eager sends); the scheduling
@@ -388,7 +376,7 @@ class ProtocolPipeline:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Application blocking receive."""
-        return coop.drive(self.co_recv(source, tag), self.comm)
+        return coop.drive(self.co_recv(source, tag))
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         if self._raw:
@@ -416,7 +404,7 @@ class ProtocolPipeline:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Nonblocking receive pseudo-request (raw request on empty stack)."""
-        return coop.drive(self.co_irecv(source, tag), self.comm)
+        return coop.drive(self.co_irecv(source, tag))
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         # Posting the receive never suspends; only the progress drain does.
@@ -435,7 +423,7 @@ class ProtocolPipeline:
 
     def wait(self, req: Any) -> Any:
         """Complete a pseudo-request (the MPI_Wait analogue)."""
-        return coop.drive(self.co_wait(req), self.comm)
+        return coop.drive(self.co_wait(req))
 
     def co_wait(self, req: Any):
         if self._raw:
@@ -483,7 +471,7 @@ class ProtocolPipeline:
 
     def test(self, req: Any) -> bool:
         """Nonblocking completion check for a pseudo-request."""
-        return coop.drive(self.co_test(req), self.comm)
+        return coop.drive(self.co_test(req))
 
     def co_test(self, req: Any):
         if self._raw:
@@ -509,8 +497,7 @@ class ProtocolPipeline:
     ) -> Any:
         """Combined exchange built from the pipeline's own send + recv."""
         return coop.drive(
-            self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag),
-            self.comm,
+            self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag)
         )
 
     def co_sendrecv(
@@ -538,7 +525,7 @@ class ProtocolPipeline:
 
     def _classify_and_deliver(self, env) -> Any:
         """Figure 4's communicationEventHandler for one arrived message."""
-        return coop.drive(self._co_classify_and_deliver(env), self.comm)
+        return coop.drive(self._co_classify_and_deliver(env))
 
     def _co_classify_and_deliver(self, env):
         t0 = perf_counter()
@@ -580,7 +567,7 @@ class ProtocolPipeline:
         recorded result is returned instead of re-computing, so the replayed
         execution is identical to the one peers' checkpoints observed.
         """
-        return coop.drive(self.co_nondet(compute), self.comm)
+        return coop.drive(self.co_nondet(compute))
 
     def co_nondet(self, compute: Callable[[], Any]):
         if self._raw:
@@ -689,7 +676,7 @@ class ProtocolPipeline:
         return self._raw_comm(handle_id).rank
 
     def bcast(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_bcast(obj, root, comm), self.comm)
+        return coop.drive(self.co_bcast(obj, root, comm))
 
     def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
@@ -702,7 +689,7 @@ class ProtocolPipeline:
         )
 
     def reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_reduce(obj, op, root, comm), self.comm)
+        return coop.drive(self.co_reduce(obj, op, root, comm))
 
     def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
         if self._raw:
@@ -715,7 +702,7 @@ class ProtocolPipeline:
         )
 
     def allreduce(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_allreduce(obj, op, comm), self.comm)
+        return coop.drive(self.co_allreduce(obj, op, comm))
 
     def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
@@ -728,7 +715,7 @@ class ProtocolPipeline:
         )
 
     def gather(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_gather(obj, root, comm), self.comm)
+        return coop.drive(self.co_gather(obj, root, comm))
 
     def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
@@ -741,7 +728,7 @@ class ProtocolPipeline:
         )
 
     def allgather(self, obj: Any, comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_allgather(obj, comm), self.comm)
+        return coop.drive(self.co_allgather(obj, comm))
 
     def co_allgather(self, obj: Any, comm: Any = None):
         if self._raw:
@@ -754,7 +741,7 @@ class ProtocolPipeline:
         )
 
     def scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_scatter(objs, root, comm), self.comm)
+        return coop.drive(self.co_scatter(objs, root, comm))
 
     def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
         if self._raw:
@@ -767,7 +754,7 @@ class ProtocolPipeline:
         )
 
     def alltoall(self, objs: list[Any], comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_alltoall(objs, comm), self.comm)
+        return coop.drive(self.co_alltoall(objs, comm))
 
     def co_alltoall(self, objs: list[Any], comm: Any = None):
         if self._raw:
@@ -780,7 +767,7 @@ class ProtocolPipeline:
         )
 
     def scan(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_scan(obj, op, comm), self.comm)
+        return coop.drive(self.co_scan(obj, op, comm))
 
     def co_scan(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
@@ -800,7 +787,7 @@ class ProtocolPipeline:
         in the same epoch.  If not, processes that have not yet taken their
         local checkpoints do so."
         """
-        coop.drive(self.co_barrier(comm), self.comm)
+        coop.drive(self.co_barrier(comm))
 
     def co_barrier(self, comm: Any = None):
         if self._raw:
@@ -845,7 +832,7 @@ class ProtocolPipeline:
         Returns True if a checkpoint was taken; always False on stacks
         without a checkpoint stage.
         """
-        return coop.drive(self.co_potential_checkpoint(), self.comm)
+        return coop.drive(self.co_potential_checkpoint())
 
     def co_potential_checkpoint(self):
         if self._raw:
@@ -920,7 +907,7 @@ class ProtocolPipeline:
         self, color: int, key: int | None = None, parent: Any = None
     ) -> Optional[Any]:
         """Split a communicator behind a (pseudo or raw) handle (collective)."""
-        return coop.drive(self.co_comm_split(color, key, parent), self.comm)
+        return coop.drive(self.co_comm_split(color, key, parent))
 
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
         if self._raw:
@@ -1053,7 +1040,7 @@ class ProtocolPipeline:
         Consumes ``data`` and ``logs``: both are kept and mutated uncopied (the
         driver hands over what it just unpickled, a graph nobody else holds).
         """
-        coop.drive(self.co_restore_from(data, logs), self.comm)
+        coop.drive(self.co_restore_from(data, logs))
 
     def co_restore_from(self, data: CheckpointData, logs: EpochLogs):
         if self.rep is None:

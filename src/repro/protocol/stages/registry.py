@@ -53,9 +53,9 @@ class StackSpec:
 
         ``run_config`` is any object with ``codec`` and
         ``checkpoint_interval`` attributes (in practice a
-        :class:`repro.runtime.config.RunConfig`).  The legacy
-        ``protocol_enabled``/``piggyback_enabled`` flags are mirrors of
-        stage presence, kept for observability and the ``C3Layer`` facade.
+        :class:`repro.runtime.config.RunConfig`).  The
+        ``protocol_enabled``/``piggyback_enabled`` flags mirror stage
+        presence, for observability.
         """
         has_ckpt = "checkpoint" in self.stages
         return C3Config(
@@ -126,19 +126,6 @@ def build_stages(spec: StackSpec | Sequence[str], config: C3Config) -> list[Prot
     """Instantiate the (unbound) stage objects for a stack."""
     names = spec.stages if isinstance(spec, StackSpec) else tuple(spec)
     return [make_stage(name, config) for name in names]
-
-
-def stages_for_config(config: C3Config) -> tuple[str, ...]:
-    """Legacy flag-soup mapping: the stack implied by a bare ``C3Config``.
-
-    Kept for the ``C3Layer`` facade, whose constructor still accepts the
-    historical boolean switches.
-    """
-    if config.protocol_enabled:
-        return FULL_STACK
-    if config.piggyback_enabled:
-        return ("piggyback",)
-    return ()
 
 
 # -- built-in stacks ---------------------------------------------------- #

@@ -115,11 +115,8 @@ class C3AppContext:
         self._state_registered = True
         if self.restored and self._restored_app_state is not None:
             blob = self._restored_app_state
-            if isinstance(blob, dict) and "user" in blob and "rng" in blob:
-                self._rank_ctx.rng = blob["rng"]
-                self._registered_state = blob["user"]
-            else:  # legacy/bare blob
-                self._registered_state = blob
+            self._rank_ctx.rng = blob["rng"]
+            self._registered_state = blob["user"]
         else:
             self._registered_state = init()
         return self._registered_state
@@ -146,5 +143,5 @@ class C3AppContext:
         return self.nondet(self._rank_ctx.rng.random)
 
     def co_random(self):
-        """Generator twin of :meth:`random` (cooperative core)."""
+        """Generator twin of :meth:`random`."""
         return (yield from self.co_nondet(self._rank_ctx.rng.random))

@@ -21,14 +21,15 @@ attempt *n* does not fire again in attempt *n+1* (the faulty node has been
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.api.comms import CommLike, RawCommAdapter
+from repro.api.registry import app_entry
 from repro.errors import RecoveryError
-from repro.protocol.layer import C3Layer
+from repro.protocol.stages.pipeline import ProtocolPipeline
+from repro.protocol.stages.registry import build_stages
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.context import C3AppContext
 from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
@@ -37,31 +38,6 @@ from repro.statesave.storage import Storage
 from repro.trace.recorder import TraceRecorder
 
 AppMain = Callable[[C3AppContext], Any]
-
-
-def resolve_sim_core(app_main: AppMain, config: RunConfig) -> str:
-    """The effective simulator core for this app under this config.
-
-    ``sim_core="coop"`` needs a resumable application: either a
-    ``co_call`` generator entry (:class:`~repro.precompiler.api.
-    PrecompiledApp`) or a ``main(ctx)`` that is itself a generator
-    function.  Plain synchronous mains fall back to the threaded core —
-    outcomes are identical either way, so the fallback is silent.
-    """
-    if config.sim_core == "threads":
-        return "threads"
-    coop_capable = hasattr(app_main, "co_call") or inspect.isgeneratorfunction(
-        app_main
-    )
-    return "coop" if coop_capable else "threads"
-
-
-def _co_app_result(app_main: AppMain, app_ctx: C3AppContext):
-    """Invoke the application's generator form (coop-core rank bodies)."""
-    co_call = getattr(app_main, "co_call", None)
-    if co_call is not None:
-        return (yield from co_call(app_ctx))
-    return (yield from app_main(app_ctx))
 
 
 @dataclass
@@ -174,8 +150,11 @@ def run_with_recovery(
 ) -> RunOutcome:
     """Execute ``app_main`` under the given variant until it completes.
 
-    ``app_main`` receives a :class:`C3AppContext`.  Returns per-rank results
-    plus attempt/overhead accounting.  Raises :class:`RecoveryError` when
+    ``app_main`` receives a :class:`C3AppContext`; it is a generator
+    function or has a ``co_call`` generator entry (see
+    :func:`repro.api.registry.app_entry`, which rejects anything else
+    before the simulator starts).  Returns per-rank results plus
+    attempt/overhead accounting.  Raises :class:`RecoveryError` when
     ``config.max_restarts`` is exceeded.
 
     ``tracer`` arms the :mod:`repro.trace` event bus for this run even when
@@ -183,6 +162,7 @@ def run_with_recovery(
     survive a raising run (the chaos flight recorder relies on this).
     ``config.trace=True`` builds one sized by ``config.trace_buffer``.
     """
+    entry = app_entry(app_main)
     storage = storage if storage is not None else Storage.from_config(config)
     if tracer is None and config.trace:
         tracer = TraceRecorder(capacity=config.trace_buffer)
@@ -224,7 +204,7 @@ def run_with_recovery(
 
     try:
         outcome = _recovery_loop(
-            app_main, config, failures, storage, tracer, outcome, layers,
+            entry, config, failures, storage, tracer, outcome, layers,
             spec, c3cfg, can_restore, use_raw,
         )
     finally:
@@ -254,7 +234,7 @@ def _attempt_stage_totals(
 
 
 def _recovery_loop(
-    app_main: AppMain,
+    entry: Callable[[C3AppContext], Any],
     config: RunConfig,
     failures: FailureSchedule,
     storage: Storage,
@@ -266,7 +246,6 @@ def _recovery_loop(
     can_restore: bool,
     use_raw: bool,
 ) -> RunOutcome:
-    sim_core = resolve_sim_core(app_main, config)
     attempt_index = 0
     while True:
         failures.begin_attempt(attempt_index)
@@ -285,38 +264,20 @@ def _recovery_loop(
             )
 
         def rank_main(rank_ctx, _line=line):
+            # A generator: restore and the application run as one
+            # resumable rank body.
             if use_raw:
-                adapter = RawCommAdapter(rank_ctx.comm)
-                layers[rank_ctx.rank] = adapter
-                rank_ctx.c3 = adapter
-                app_ctx = C3AppContext(rank_ctx, adapter)
-                if sim_core == "coop":
-                    return _co_app_result(app_main, app_ctx)
-                return app_main(app_ctx)
-            layer = C3Layer(rank_ctx.comm, c3cfg, storage, stack=spec)
+                layer = RawCommAdapter(rank_ctx.comm)
+            else:
+                layer = ProtocolPipeline(
+                    rank_ctx.comm, stages=build_stages(spec, c3cfg),
+                    config=c3cfg, storage=storage,
+                )
             layers[rank_ctx.rank] = layer
             rank_ctx.c3 = layer
+            restored_state = None
+            restored = False
             pair = _line.take(rank_ctx.rank) if _line is not None else None
-            if sim_core == "coop":
-                # Returns a generator: the coop core drives restore and the
-                # application as one resumable rank body.
-                return _co_staged_rank(rank_ctx, layer, pair)
-            restored_state = None
-            restored = False
-            if pair is not None:
-                data, logs = pair
-                layer.restore_from(data, logs)
-                restored_state = data.app_state
-                restored = True
-                rank_ctx.restoring = True
-            app_ctx = C3AppContext(
-                rank_ctx, layer, restored_app_state=restored_state, restored=restored
-            )
-            return app_main(app_ctx)
-
-        def _co_staged_rank(rank_ctx, layer, pair):
-            restored_state = None
-            restored = False
             if pair is not None:
                 data, logs = pair
                 yield from layer.co_restore_from(data, logs)
@@ -326,7 +287,7 @@ def _recovery_loop(
             app_ctx = C3AppContext(
                 rank_ctx, layer, restored_app_state=restored_state, restored=restored
             )
-            return (yield from _co_app_result(app_main, app_ctx))
+            return (yield from entry(app_ctx))
 
         sim = Simulator(
             SimConfig(
@@ -340,7 +301,6 @@ def _recovery_loop(
                 detector_timeout=config.detector_timeout,
                 cost_model=config.cost_model,
                 max_slices=config.max_slices,
-                sim_core=sim_core,
             ),
             rank_main,
             failures=failures,

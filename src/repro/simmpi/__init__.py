@@ -1,9 +1,10 @@
 """simmpi: a deterministic MPI simulator substrate.
 
 This package stands in for the paper's cluster + vendor MPI: it provides
-ranks with real Python call stacks (one thread each, deterministically
-interleaved), an MPI-style communicator API, a reliable but reorderable
-network, stopping-fault injection, and heartbeat failure detection.
+ranks as generators deterministically interleaved on one thread (each
+``yield`` is a scheduling point), an MPI-style communicator API, a reliable
+but reorderable network, stopping-fault injection, and heartbeat failure
+detection.
 
 Quick use::
 
@@ -11,9 +12,9 @@ Quick use::
 
     def main(ctx):
         if ctx.rank == 0:
-            ctx.comm.send("hello", dest=1)
+            yield from ctx.comm.co_send("hello", dest=1)
         elif ctx.rank == 1:
-            return ctx.comm.recv(source=0)
+            return (yield from ctx.comm.co_recv(source=0))
 
     result = run_simple(main, nprocs=2)
     assert result.results[1] == "hello"
@@ -27,7 +28,7 @@ from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
 from repro.simmpi.group import Group
 from repro.simmpi.message import Envelope
 from repro.simmpi.op import BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM, Op
-from repro.simmpi.request import Request, waitall, waitany
+from repro.simmpi.request import Request, co_waitall, co_waitany
 from repro.simmpi.simulator import RankContext, SimConfig, SimResult, Simulator, run_simple
 from repro.simmpi.status import Status
 
@@ -62,6 +63,6 @@ __all__ = [
     "Status",
     "VirtualClock",
     "run_simple",
-    "waitall",
-    "waitany",
+    "co_waitall",
+    "co_waitany",
 ]

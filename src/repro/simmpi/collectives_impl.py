@@ -27,13 +27,7 @@ network's ``random`` ordering mode.
 
 Each algorithm exists once, as a ``co_*`` generator whose sends/receives
 are ``yield from`` calls on the endpoint's ``co_coll_send``/``co_coll_recv``
-— the cooperative simulator core suspends the whole rank there.  The
-synchronous entry points (``bcast(ep, ...)`` etc.) wrap the endpoint in
-:class:`_SyncView`, whose ``co_*`` methods call the endpoint's plain
-``coll_send``/``coll_recv`` and never yield, then run the algorithm with
-:func:`~repro.simmpi.coop.run_inline` — on a real communicator under the
-threaded core the blocking happens inside ``coll_recv`` exactly as it
-always did, and test endpoints need only implement the sync interface.
+— the simulator suspends the whole rank there.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from __future__ import annotations
 from typing import Any, Protocol
 
 from repro.errors import SimMPIError
-from repro.simmpi.coop import run_inline
 from repro.simmpi.op import Op, reduce_sequence
 
 #: Rounds per collective instance reserved in the tag space.
@@ -65,46 +58,13 @@ class P2PEndpoint(Protocol):
         """Reserve and return the base tag for one collective instance."""
         ...
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        """Group-local-rank addressed send."""
-        ...
-
-    def coll_recv(self, source: int, tag: int) -> Any:
-        """Group-local-rank addressed blocking receive."""
-        ...
-
-
-class _SyncView:
-    """Adapter presenting a synchronous endpoint through the ``co_*`` shape.
-
-    Its generators complete without yielding, so an algorithm driven over
-    it runs inline — the endpoint's own ``coll_recv`` does any blocking.
-    """
-
-    __slots__ = ("_ep",)
-
-    def __init__(self, ep: P2PEndpoint) -> None:
-        self._ep = ep
-
-    @property
-    def coll_rank(self) -> int:
-        return self._ep.coll_rank
-
-    @property
-    def coll_size(self) -> int:
-        return self._ep.coll_size
-
-    def coll_next_tag_block(self) -> int:
-        return self._ep.coll_next_tag_block()
-
     def co_coll_send(self, dest: int, payload: Any, tag: int):
-        self._ep.coll_send(dest, payload, tag)
-        return
-        yield  # pragma: no cover - generator marker, unreachable
+        """Group-local-rank addressed send (a generator)."""
+        ...
 
     def co_coll_recv(self, source: int, tag: int):
-        return self._ep.coll_recv(source, tag)
-        yield  # pragma: no cover - generator marker, unreachable
+        """Group-local-rank addressed blocking receive (a generator)."""
+        ...
 
 
 def _round_tag(base: int, rnd: int) -> int:
@@ -143,10 +103,6 @@ def co_bcast(ep, obj: Any, root: int = 0):
     return received
 
 
-def bcast(ep: P2PEndpoint, obj: Any, root: int = 0) -> Any:
-    return run_inline(co_bcast(_SyncView(ep), obj, root))
-
-
 def co_reduce(ep, obj: Any, op: Op, root: int = 0):
     """Gather-then-fold reduce preserving rank order; result only at root.
 
@@ -167,10 +123,6 @@ def co_reduce(ep, obj: Any, op: Op, root: int = 0):
         return reduce_sequence(op, parts)
     yield from ep.co_coll_send(root, obj, _round_tag(base, 0))
     return None
-
-
-def reduce(ep: P2PEndpoint, obj: Any, op: Op, root: int = 0) -> Any:
-    return run_inline(co_reduce(_SyncView(ep), obj, op, root))
 
 
 def co_allreduce(ep, obj: Any, op: Op):
@@ -224,10 +176,6 @@ def co_allreduce(ep, obj: Any, op: Op):
     return value
 
 
-def allreduce(ep: P2PEndpoint, obj: Any, op: Op) -> Any:
-    return run_inline(co_allreduce(_SyncView(ep), obj, op))
-
-
 def co_gather(ep, obj: Any, root: int = 0):
     """Linear gather; returns the list of contributions at root, else None."""
     size, rank = ep.coll_size, ep.coll_rank
@@ -241,10 +189,6 @@ def co_gather(ep, obj: Any, root: int = 0):
         return out
     yield from ep.co_coll_send(root, obj, _round_tag(base, 0))
     return None
-
-
-def gather(ep: P2PEndpoint, obj: Any, root: int = 0) -> list[Any] | None:
-    return run_inline(co_gather(_SyncView(ep), obj, root))
 
 
 def co_allgather(ep, obj: Any):
@@ -291,10 +235,6 @@ def co_allgather(ep, obj: Any):
     return result
 
 
-def allgather(ep: P2PEndpoint, obj: Any) -> list[Any]:
-    return run_inline(co_allgather(_SyncView(ep), obj))
-
-
 def co_scatter(ep, objs: list[Any] | None, root: int = 0):
     """Linear scatter from root; returns this rank's element."""
     size, rank = ep.coll_size, ep.coll_rank
@@ -309,10 +249,6 @@ def co_scatter(ep, objs: list[Any] | None, root: int = 0):
                 yield from ep.co_coll_send(dst, objs[dst], _round_tag(base, 0))
         return objs[root]
     return (yield from ep.co_coll_recv(root, _round_tag(base, 0)))
-
-
-def scatter(ep: P2PEndpoint, objs: list[Any] | None, root: int = 0) -> Any:
-    return run_inline(co_scatter(_SyncView(ep), objs, root))
 
 
 def co_alltoall(ep, objs: list[Any]):
@@ -347,10 +283,6 @@ def co_alltoall(ep, objs: list[Any]):
     return result
 
 
-def alltoall(ep: P2PEndpoint, objs: list[Any]) -> list[Any]:
-    return run_inline(co_alltoall(_SyncView(ep), objs))
-
-
 def co_barrier(ep):
     """Dissemination barrier: ceil(log2(size)) rounds of token exchange."""
     size, rank = ep.coll_size, ep.coll_rank
@@ -368,10 +300,6 @@ def co_barrier(ep):
         rnd += 1
 
 
-def barrier(ep: P2PEndpoint) -> None:
-    run_inline(co_barrier(_SyncView(ep)))
-
-
 def co_scan(ep, obj: Any, op: Op):
     """Inclusive prefix scan (linear chain)."""
     size, rank = ep.coll_size, ep.coll_rank
@@ -383,7 +311,3 @@ def co_scan(ep, obj: Any, op: Op):
     if rank + 1 < size:
         yield from ep.co_coll_send(rank + 1, value, _round_tag(base, 0))
     return value
-
-
-def scan(ep: P2PEndpoint, obj: Any, op: Op) -> Any:
-    return run_inline(co_scan(_SyncView(ep), obj, op))

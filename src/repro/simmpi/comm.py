@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError
 from repro.simmpi import collectives_impl as coll
+from repro.simmpi import coop
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, TAG_COLLECTIVE_BASE
 from repro.simmpi.group import Group
 from repro.simmpi.mailbox import RecvDescriptor
@@ -82,14 +83,8 @@ class Comm:
     def _local(self, world_rank: int) -> int:
         return self.group.rank_of(world_rank)
 
-    def _yield_point(self) -> None:
-        self._scheduler.yield_point(self.proc)
-
     def co_yield_point(self):
         yield from self._scheduler.co_yield_point(self.proc)
-
-    def _block_on_recv(self, desc: RecvDescriptor) -> None:
-        self._scheduler.block_on_recv(self.proc, desc)
 
     def _co_block_on_recv(self, desc: RecvDescriptor):
         yield from self._scheduler.co_block_on_recv(self.proc, desc)
@@ -121,61 +116,22 @@ class Comm:
     # Point-to-point.
     # ------------------------------------------------------------------ #
 
-    def send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> None:
+    # Each operation is written once, as a ``co_*`` generator whose yields
+    # are its scheduling points.  The synchronous name of a suspending
+    # operation drives that generator and is valid only where the call
+    # cannot suspend (``coop.drive`` raises otherwise); the
+    # suspension-free calls (``isend``, ``irecv``, ``iprobe``, ``dup``)
+    # have no generator form.  The per-message calls bracket a bare
+    # ``yield`` with ``Scheduler.before_yield`` / ``after_yield`` (the body
+    # of ``co_yield_point``) instead of allocating that generator for
+    # every message.
+
+    def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
         """Eager-buffered blocking send (returns once the message is posted).
 
         ``piggyback`` is reserved for the C3 protocol layer; application code
         should never pass it.
         """
-        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
-        self._yield_point()
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload.
-
-        The matched message's metadata is available as ``last_status``.
-        """
-        env = self.recv_envelope(source, tag)
-        return env.payload
-
-    def recv_envelope(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        predicate: Optional[Callable[[Envelope], bool]] = None,
-    ) -> Envelope:
-        """Blocking receive returning the full envelope (piggyback included).
-
-        The C3 protocol layer uses this to read piggybacked words and, during
-        recovery replay, to wait for the message with a specific
-        ``messageID`` via ``predicate``.
-        """
-        desc = RecvDescriptor(self._world(source), tag, self.context, predicate)
-        self.proc.mailbox.post(desc)
-        if desc.matched is None:
-            self._block_on_recv(desc)
-        else:
-            # Matching an already-queued message is still a scheduling point;
-            # without it, tight recv loops would starve other ranks.
-            self._yield_point()
-        env = desc.matched
-        assert env is not None
-        self._clock.charge(self._clock.cost.step)
-        self.last_status = Status(
-            source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
-        )
-        return env
-
-    # -- generator twins (cooperative core) ----------------------------- #
-    #
-    # Same bodies as the synchronous calls above with each scheduling
-    # point expressed as a yield; the suspension-free calls (``isend``,
-    # ``irecv``, ``iprobe``, ``dup``) have no twins.  The per-message calls
-    # bracket a bare ``yield`` with ``Scheduler.before_yield`` /
-    # ``after_yield`` (the body of ``co_yield_point``) instead of
-    # allocating that generator for every message.
-
-    def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
         self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
         scheduler, proc = self._scheduler, self.proc
         scheduler.before_yield(proc)
@@ -183,6 +139,10 @@ class Comm:
         scheduler.after_yield(proc)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        """Blocking receive; returns the payload.
+
+        The matched message's metadata is available as ``last_status``.
+        """
         env = yield from self.co_recv_envelope(source, tag)
         return env.payload
 
@@ -192,6 +152,12 @@ class Comm:
         tag: int = ANY_TAG,
         predicate: Optional[Callable[[Envelope], bool]] = None,
     ):
+        """Blocking receive returning the full envelope (piggyback included).
+
+        The C3 protocol layer uses this to read piggybacked words and, during
+        recovery replay, to wait for the message with a specific
+        ``messageID`` via ``predicate``.
+        """
         desc = RecvDescriptor(self._world(source), tag, self.context, predicate)
         proc = self.proc
         proc.mailbox.post(desc)
@@ -219,12 +185,14 @@ class Comm:
         send_tag: int = 0,
         recv_tag: int | None = None,
     ):
+        """Combined send+receive (deadlock-free under eager sends)."""
         if recv_tag is None:
             recv_tag = send_tag
         self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
         return (yield from self.co_recv(recv_source, recv_tag))
 
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        """Blocking probe: wait until a matching message is queued."""
         while True:
             env = self.proc.mailbox.probe(self._world(source), tag, self.context)
             if env is not None:
@@ -232,6 +200,33 @@ class Comm:
                     source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
                 )
             yield from self._scheduler.co_yield_point(self.proc)
+
+    def send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> None:
+        coop.drive(self.co_send(payload, dest, tag, piggyback))
+
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+        return coop.drive(self.co_recv(source, tag))
+
+    def recv_envelope(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        predicate: Optional[Callable[[Envelope], bool]] = None,
+    ) -> Envelope:
+        return coop.drive(self.co_recv_envelope(source, tag, predicate))
+
+    def sendrecv(
+        self,
+        payload: Any,
+        dest: int,
+        recv_source: int,
+        send_tag: int = 0,
+        recv_tag: int | None = None,
+    ) -> Any:
+        return coop.drive(self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag))
+
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
+        return coop.drive(self.co_probe(source, tag))
 
     def isend(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
@@ -243,28 +238,6 @@ class Comm:
         desc = RecvDescriptor(self._world(source), tag, self.context)
         self.proc.mailbox.post(desc)
         return RecvRequest(self, desc)
-
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        recv_source: int,
-        send_tag: int = 0,
-        recv_tag: int | None = None,
-    ) -> Any:
-        """Combined send+receive (deadlock-free under eager sends)."""
-        if recv_tag is None:
-            recv_tag = send_tag
-        self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
-        return self.recv(recv_source, recv_tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: wait until a matching message is queued."""
-        while True:
-            env = self.proc.mailbox.probe(self._world(source), tag, self.context)
-            if env is not None:
-                return Status(source=self._local(env.source), tag=env.tag, nbytes=env.nbytes)
-            self._yield_point()
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe; None if no matching message is queued."""
@@ -290,18 +263,6 @@ class Comm:
         self._coll_seq += 1
         return base
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._post_envelope(self._world(dest), payload, tag)
-        self._yield_point()
-
-    def coll_recv(self, source: int, tag: int) -> Any:
-        desc = RecvDescriptor(self._world(source), tag, self.context)
-        self.proc.mailbox.post(desc)
-        if desc.matched is None:
-            self._block_on_recv(desc)
-        self._clock.charge(self._clock.cost.step)
-        return desc.matched.payload
-
     def co_coll_send(self, dest: int, payload: Any, tag: int):
         self._post_envelope(self._world(dest), payload, tag)
         scheduler, proc = self._scheduler, self.proc
@@ -314,8 +275,7 @@ class Comm:
         self.proc.mailbox.post(desc)
         if desc.matched is None:
             # Note the asymmetry with co_recv_envelope: an already-matched
-            # collective receive is not a scheduling point (parity with the
-            # synchronous path above).
+            # collective receive is not a scheduling point.
             yield from self._scheduler.co_block_on_recv(self.proc, desc)
         self._clock.charge(self._clock.cost.step)
         return desc.matched.payload
@@ -323,35 +283,6 @@ class Comm:
     # ------------------------------------------------------------------ #
     # Collectives.
     # ------------------------------------------------------------------ #
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        return coll.bcast(self, obj, root)
-
-    def reduce(self, obj: Any, op: Op, root: int = 0) -> Any:
-        return coll.reduce(self, obj, op, root)
-
-    def allreduce(self, obj: Any, op: Op) -> Any:
-        return coll.allreduce(self, obj, op)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        return coll.gather(self, obj, root)
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return coll.allgather(self, obj)
-
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        return coll.scatter(self, objs, root)
-
-    def alltoall(self, objs: list[Any]) -> list[Any]:
-        return coll.alltoall(self, objs)
-
-    def barrier(self) -> None:
-        coll.barrier(self)
-
-    def scan(self, obj: Any, op: Op) -> Any:
-        return coll.scan(self, obj, op)
-
-    # -- generator twins of the collectives ----------------------------- #
 
     def co_bcast(self, obj: Any, root: int = 0):
         return (yield from coll.co_bcast(self, obj, root))
@@ -380,6 +311,33 @@ class Comm:
     def co_scan(self, obj: Any, op: Op):
         return (yield from coll.co_scan(self, obj, op))
 
+    def bcast(self, obj: Any, root: int = 0) -> Any:
+        return coop.drive(self.co_bcast(obj, root))
+
+    def reduce(self, obj: Any, op: Op, root: int = 0) -> Any:
+        return coop.drive(self.co_reduce(obj, op, root))
+
+    def allreduce(self, obj: Any, op: Op) -> Any:
+        return coop.drive(self.co_allreduce(obj, op))
+
+    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
+        return coop.drive(self.co_gather(obj, root))
+
+    def allgather(self, obj: Any) -> list[Any]:
+        return coop.drive(self.co_allgather(obj))
+
+    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
+        return coop.drive(self.co_scatter(objs, root))
+
+    def alltoall(self, objs: list[Any]) -> list[Any]:
+        return coop.drive(self.co_alltoall(objs))
+
+    def barrier(self) -> None:
+        coop.drive(self.co_barrier())
+
+    def scan(self, obj: Any, op: Op) -> Any:
+        return coop.drive(self.co_scan(obj, op))
+
     # ------------------------------------------------------------------ #
     # Communicator construction.
     # ------------------------------------------------------------------ #
@@ -390,7 +348,7 @@ class Comm:
         self._child_seq += 1
         return Comm(self.sim, self.proc, self.group, ctx)
 
-    def split(self, color: int, key: int | None = None) -> Optional["Comm"]:
+    def co_split(self, color: int, key: int | None = None):
         """Split by color/key (collective: every member must call it).
 
         Returns None for ``color is None`` (the MPI_UNDEFINED analogue).
@@ -398,14 +356,11 @@ class Comm:
         """
         if key is None:
             key = self.rank
-        triples = self.allgather((color, key, self.rank))
-        return self._split_from_triples(triples, color)
-
-    def co_split(self, color: int, key: int | None = None):
-        if key is None:
-            key = self.rank
         triples = yield from self.co_allgather((color, key, self.rank))
         return self._split_from_triples(triples, color)
+
+    def split(self, color: int, key: int | None = None) -> Optional["Comm"]:
+        return coop.drive(self.co_split(color, key))
 
     def _split_from_triples(self, triples: list[Any], color: int) -> Optional["Comm"]:
         child_seq = self._child_seq

@@ -98,7 +98,7 @@ class Mailbox:
         return None
 
     # ------------------------------------------------------------------ #
-    # Receive side (called by the rank's own thread).
+    # Receive side (called by the rank itself).
     # ------------------------------------------------------------------ #
 
     def post(self, desc: RecvDescriptor) -> RecvDescriptor:

@@ -1,17 +1,17 @@
 """Simulated rank processes.
 
-Each rank runs its application function on a dedicated Python thread, but the
-scheduler guarantees **exactly one** rank thread executes at any moment
-(baton-passing over per-process events — each ``Proc`` owns its private
-``run_gate``, so a handoff wakes exactly one thread).  This gives every rank
-a real Python call stack — which the precompiler's checkpoint runtime walks
-with ``sys._getframe`` — while keeping execution fully deterministic.
+Each rank runs its application main as a generator (its ``task``) that
+the scheduler resumes on the simulator's one thread, so **exactly one**
+rank executes at any moment and every interleaving is a deterministic
+function of the scheduler's policy and seed.  Inside a slice the rank has
+a real Python call stack — which the precompiler's checkpoint runtime
+walks with ``sys._getframe`` — that ends at the ``yield`` of its current
+scheduling point.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ProcState(enum.Enum):
-    NEW = "new"            # thread not yet granted its first slice
+    NEW = "new"            # task not yet built
     RUNNABLE = "runnable"  # ready to run
     BLOCKED = "blocked"    # waiting on a receive (or explicit wait)
     DONE = "done"          # main returned normally
@@ -54,7 +54,7 @@ class BlockInfo:
 
 
 class Proc:
-    """One simulated rank: thread, mailbox, and scheduling state."""
+    """One simulated rank: task, mailbox, and scheduling state."""
 
     def __init__(self, sim: "Simulator", rank: int, main: Callable[..., Any]) -> None:
         self.sim = sim
@@ -62,17 +62,10 @@ class Proc:
         self.main = main
         self._state = ProcState.NEW
         self.mailbox = Mailbox(rank)
-        #: Private baton gate: set by the scheduler to grant this rank a
-        #: slice, cleared by the rank on wake.  Being per-process, a grant
-        #: wakes exactly this thread (no shared-condition thundering herd).
-        self.run_gate = threading.Event()
-        self.thread: Optional[threading.Thread] = None
-        #: Cooperative core: the rank's resumable generator (None under the
-        #: threaded core — the scheduler dispatches on this being set).
+        #: The rank's resumable generator, resumed by ``Scheduler.grant``.
         self.task: Any = None
-        #: Per-rank slot for the precompiler's active checkpoint runtime;
-        #: under the coop core all ranks share one OS thread, so the
-        #: historical thread-local cannot distinguish them.
+        #: Slot for the precompiler's active checkpoint runtime (all ranks
+        #: share one thread, so the runtime lives on the rank).
         self.c3_runtime: Any = None
         self.kill_flag = False
         self.block_info: Optional[BlockInfo] = None

@@ -3,7 +3,7 @@
 The simulator uses an eager-buffered send model (a reliable transport with
 unbounded buffering, per the paper's assumption), so send requests complete
 as soon as they are posted.  Receive requests complete when the matching
-engine pairs them with a message.  ``wait`` is a scheduling point: the
+engine pairs them with a message.  ``co_wait`` is a scheduling point: the
 calling rank blocks cooperatively until completion.
 
 These are the *simulator's* request objects; the C3 protocol layer never
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import SimMPIError
+from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.status import Status
 
@@ -35,10 +36,13 @@ class Request:
         """Nonblocking completion check."""
         raise NotImplementedError
 
-    def wait(self) -> Any:
+    def co_wait(self):
         """Block (cooperatively) until complete; returns the received object
         for receive requests and ``None`` for send requests."""
         raise NotImplementedError
+
+    def wait(self) -> Any:
+        return coop.drive(self.co_wait())
 
     @property
     def completed(self) -> bool:
@@ -55,13 +59,9 @@ class SendRequest(Request):
     def test(self) -> bool:
         return True
 
-    def wait(self) -> None:
+    def co_wait(self):
         # Even an already-complete wait is a scheduling point, matching the
         # behaviour of a real MPI progress engine.
-        self._comm._yield_point()
-        return None
-
-    def co_wait(self):
         yield from self._comm.co_yield_point()
         return None
 
@@ -86,13 +86,6 @@ class RecvRequest(Request):
         self._harvest()
         return self._done
 
-    def wait(self) -> Any:
-        self._harvest()
-        while not self._done:
-            self._comm._block_on_recv(self._desc)
-            self._harvest()
-        return self._payload
-
     def co_wait(self):
         self._harvest()
         while not self._done:
@@ -107,12 +100,15 @@ class RecvRequest(Request):
         return self._comm._cancel_recv(self._desc)
 
 
-def waitall(requests: list[Request]) -> list[Any]:
+def co_waitall(requests: list[Request]):
     """Wait for every request; returns their payloads in order."""
-    return [req.wait() for req in requests]
+    payloads = []
+    for req in requests:
+        payloads.append((yield from req.co_wait()))
+    return payloads
 
 
-def waitany(requests: list[Request]) -> tuple[int, Any]:
+def co_waitany(requests: list[Request]):
     """Wait until at least one request completes; returns (index, payload).
 
     Polls in index order at each scheduling step, which is deterministic
@@ -123,6 +119,6 @@ def waitany(requests: list[Request]) -> tuple[int, Any]:
     while True:
         for i, req in enumerate(requests):
             if req.test():
-                return i, req.wait()
+                return i, (yield from req.co_wait())
         # Nothing ready: let the world make progress.
-        requests[0]._comm._yield_point()
+        yield from requests[0]._comm.co_yield_point()

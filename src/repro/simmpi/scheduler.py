@@ -2,24 +2,15 @@
 
 Design
 ------
-Baton passing over per-thread events.  Each rank's :class:`Proc` owns a
-private ``run_gate`` event and the scheduler owns one of its own; a
-control transfer sets exactly the target's event, so a handoff wakes
-exactly one thread.  (The original design shared a single condition
-variable and ``notify_all``-ed every handoff, waking all ``nprocs``
-parked rank threads per simulated MPI call just so they could observe
-``running != my_rank`` and sleep again — O(nprocs) spurious wakeups per
-scheduling point, measurable in ``bench_protocol_micro``.)  Control
-transfers are explicit (``_switch_to_scheduler`` / ``grant``), so the
-interleaving of ranks is fully determined by the scheduler's policy and
-seed — a requirement for reproducing protocol bugs found by randomised
-testing.  The strict baton discipline (exactly one thread is ever
-runnable) is what makes the two-event ping-pong safe: an event is only
-ever set by the thread handing over the baton and cleared by its owner
-on wake.
+Every rank is a generator (``Proc.task``) and the scheduler runs on the
+simulator's one thread: :meth:`Scheduler.grant` resumes the chosen rank
+with ``task.send(None)`` and gets control back when the rank reaches its
+next ``yield``.  Control transfers are explicit, so the interleaving of
+ranks is fully determined by the scheduler's policy and seed — a
+requirement for reproducing protocol bugs found by randomised testing.
 
 Scheduling points occur at every simulated MPI call (and anywhere the
-application calls ``yield_point`` explicitly).  Between scheduling points a
+application calls ``co_yield_point`` explicitly).  Between scheduling points a
 rank runs uninterrupted, which models the paper's single-threaded C/MPI
 processes faithfully.
 
@@ -39,12 +30,11 @@ which it never runs again.
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
+from repro.errors import ConfigError, DeadlockError, ProcessKilled
 from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.process import BlockInfo, Proc, ProcState
@@ -57,7 +47,7 @@ POLICIES = ("random", "round_robin")
 
 
 class Scheduler:
-    """Baton-passing scheduler over the simulation's rank threads."""
+    """Deterministic scheduler over the simulation's rank generators."""
 
     def __init__(self, sim: "Simulator", seed: int, policy: str = "random") -> None:
         if policy not in POLICIES:
@@ -72,50 +62,17 @@ class Scheduler:
         self._clock = getattr(sim, "clock", None)
         self.rng = RngStream(seed, "scheduler")
         #: Per-rank wall accounting is opt-in (``SimConfig.wall_accounting``):
-        #: two ``perf_counter`` reads per baton handoff are pure overhead on
-        #: the hot path and the numbers never enter deterministic outputs.
+        #: two ``perf_counter`` reads per slice are pure overhead on the hot
+        #: path and the numbers never enter deterministic outputs.
         self._wall_accounting = bool(getattr(sim, "wall_accounting", False))
-        #: Set when the baton is handed back to the scheduler thread.
-        self._sched_gate = threading.Event()
         self._rr_cursor = 0
         #: Total scheduling slices granted (observability).
         self.total_slices = 0
-        self._started = False
 
     # ------------------------------------------------------------------ #
-    # Rank-thread side.
+    # Rank side: scheduling points, written as generators.  A ``yield`` is
+    # where the rank hands control back to :meth:`grant`.
     # ------------------------------------------------------------------ #
-
-    def yield_point(self, proc: Proc) -> None:
-        """Voluntary scheduling point for a running rank."""
-        self._check_kill(proc)
-        proc.state = ProcState.RUNNABLE
-        self._switch_to_scheduler(proc)
-
-    def block_on_recv(self, proc: Proc, desc: RecvDescriptor) -> None:
-        """Block until ``desc`` has been matched (or the rank is killed).
-
-        The scheduler wakes a blocked rank whenever *any* message is
-        delivered to it, so the wake condition is re-checked in a loop.
-        """
-        tr = self.tracer
-        info = BlockInfo("recv", desc)
-        while desc.matched is None:
-            self._check_kill(proc)
-            proc.state = ProcState.BLOCKED
-            proc.block_info = info
-            if tr is not None:
-                tr.emit("sched", "block", rank=proc.rank, why="recv")
-            self._switch_to_scheduler(proc)
-            proc.block_info = None
-
-    # -- generator twins of the primitives above ------------------------- #
-    #
-    # Under the cooperative core a scheduling point is a ``yield`` instead
-    # of a gate handoff; everything around it (kill checks, state flips,
-    # trace emissions) is kept line-for-line identical so both cores
-    # produce the same event sequence.  Synchronous callers reach these
-    # through ``coop.drive``.
 
     def before_yield(self, proc: Proc) -> None:
         """What a voluntary scheduling point does before it suspends."""
@@ -151,19 +108,6 @@ class Scheduler:
                 self._raise_kill(proc)
             proc.block_info = None
 
-    def _switch_to_scheduler(self, proc: Proc) -> None:
-        if proc.task is not None:
-            # A synchronous primitive on a coop-core rank would park the
-            # one real thread on its own gate; fail loudly instead.
-            raise SimMPIError(
-                f"rank {proc.rank}: synchronous scheduling point under the "
-                "cooperative core (missing co_* conversion)"
-            )
-        self._sched_gate.set()
-        proc.run_gate.wait()
-        proc.run_gate.clear()
-        self._check_kill(proc)
-
     def _check_kill(self, proc: Proc) -> None:
         if proc.kill_flag:
             self._raise_kill(proc)
@@ -172,27 +116,12 @@ class Scheduler:
         proc.kill_flag = False
         raise ProcessKilled(proc.rank, self.sim.clock.now)
 
-    def finish(self, proc: Proc) -> None:
-        """Called by a rank thread as its very last act: hand back the baton."""
-        self._sched_gate.set()
-
-    def wait_first_grant(self, proc: Proc) -> None:
-        """Entry gate: a new thread parks here until its first slice."""
-        if proc.task is not None:
-            raise SimMPIError(
-                f"rank {proc.rank}: thread entry gate reached under the "
-                "cooperative core"
-            )
-        proc.run_gate.wait()
-        proc.run_gate.clear()
-        self._check_kill(proc)
-
     # ------------------------------------------------------------------ #
-    # Scheduler side (runs on the thread that called Simulator.run).
+    # Scheduler side.
     # ------------------------------------------------------------------ #
 
     def grant(self, proc: Proc) -> None:
-        """Give ``proc`` one slice; returns when it hands the baton back."""
+        """Give ``proc`` one slice; returns at its next scheduling point."""
         self.total_slices += 1
         proc.slices += 1
         tr = self.tracer
@@ -207,42 +136,30 @@ class Scheduler:
         # Inlined ``clock.charge(clock.cost.step)``: the step cost is a
         # non-negative constant and this runs once per scheduling slice.
         clock._now += clock.cost.step
+        # Resume the rank generator until its next scheduling point.
+        # StopIteration is the handback of a finished rank (``_rank_body``
+        # already recorded the state).  The current-proc registry is
+        # written directly (two writes per slice on the hottest path in
+        # the simulator).
         task = proc.task
-        if task is not None:
-            # Cooperative core: resume the rank generator until its next
-            # scheduling point.  StopIteration is the baton handback of a
-            # finished rank (``_co_rank_body`` already recorded the state).
-            # The current-proc registry is written directly (it is two
-            # writes per slice on the hottest path in the simulator).
-            if not self._wall_accounting:
-                registry = coop._here
-                registry.proc = proc
-                try:
-                    task.send(None)
-                except StopIteration:
-                    pass
-                finally:
-                    registry.proc = None
-                return
-            t0 = _time.perf_counter()
-            coop.set_current_proc(proc)
+        registry = coop._here
+        if not self._wall_accounting:
+            registry.proc = proc
             try:
                 task.send(None)
             except StopIteration:
                 pass
             finally:
-                coop.set_current_proc(None)
-            proc.wall_seconds += _time.perf_counter() - t0
-            return
-        if not self._wall_accounting:
-            proc.run_gate.set()
-            self._sched_gate.wait()
-            self._sched_gate.clear()
+                registry.proc = None
             return
         t0 = _time.perf_counter()
-        proc.run_gate.set()
-        self._sched_gate.wait()
-        self._sched_gate.clear()
+        registry.proc = proc
+        try:
+            task.send(None)
+        except StopIteration:
+            pass
+        finally:
+            registry.proc = None
         proc.wall_seconds += _time.perf_counter() - t0
 
     def pick_rank(self, ranks: list[int]) -> int:

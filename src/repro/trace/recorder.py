@@ -5,9 +5,9 @@ Design constraints, in order:
 1. **Zero cost when off.**  Every layer guards emission on a single
    attribute read (``tr = self.tracer``; ``if tr is not None``).  The
    recorder itself never appears on a hot path unless tracing is armed.
-2. **No locks.**  The simulator's baton-passing scheduler guarantees at
-   most one Proc thread runs at a time, and driver/farm emissions happen
-   outside simulation, so a plain ``collections.deque`` is safe.
+2. **No locks.**  The simulator runs every rank on one thread, one slice
+   at a time, and driver/farm emissions happen outside simulation, so a
+   plain ``collections.deque`` is safe.
 3. **Bounded when on.**  The default ring keeps the last
    ``DEFAULT_RING_CAPACITY`` events; ``capacity=None`` keeps everything
    (what the CLI uses for full exports).
@@ -44,7 +44,7 @@ class TraceRecorder:
     def __init__(self, capacity: Optional[int] = DEFAULT_RING_CAPACITY) -> None:
         self.capacity = capacity
         # The ring holds raw tuples, not TraceEvent objects: emit() sits
-        # under every scheduler baton handoff, and skipping dataclass
+        # under every scheduling slice, and skipping dataclass
         # construction there keeps traced runs within the ~10% overhead
         # envelope.  Events are materialised lazily on read.
         self._ring: Deque[tuple] = deque(maxlen=capacity)

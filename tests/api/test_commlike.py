@@ -11,7 +11,6 @@ import pytest
 
 from repro.api.comms import CommLike, RawCommAdapter, RawHandle
 from repro.errors import ProtocolError
-from repro.protocol.layer import C3Layer
 from repro.protocol.stages import (
     FULL_STACK,
     ProtocolPipeline,
@@ -58,7 +57,7 @@ register_stack(
 ALL_STACKS = list_stacks()
 
 
-@pytest.mark.parametrize("impl", [C3Layer, RawCommAdapter, ProtocolPipeline])
+@pytest.mark.parametrize("impl", [RawCommAdapter, ProtocolPipeline])
 def test_class_declares_full_surface(impl):
     for name in COMMLIKE_METHODS:
         member = inspect.getattr_static(impl, name)
@@ -77,15 +76,16 @@ def conformance_app(ctx):
     while state["i"] < 8:
         sreq = mpi.isend(state["i"] * 10 + ctx.rank, peer, tag=2)
         rreq = mpi.irecv(source=prev, tag=2)
-        got = mpi.wait(rreq)
-        mpi.wait(sreq)
-        state["acc"] += got + mpi.allreduce(ctx.nondet(lambda: 1), SUM)
-        state["acc"] += mpi.sendrecv(got, peer, prev, send_tag=3)
+        got = yield from mpi.co_wait(rreq)
+        yield from mpi.co_wait(sreq)
+        one = yield from ctx.co_nondet(lambda: 1)
+        state["acc"] += got + (yield from mpi.co_allreduce(one, SUM))
+        state["acc"] += (yield from mpi.co_sendrecv(got, peer, prev, send_tag=3))
         state["i"] += 1
-        ctx.potential_checkpoint()
+        yield from ctx.co_potential_checkpoint()
     dup = mpi.comm_dup()
-    total = mpi.allreduce(1, SUM, comm=dup)
-    mpi.barrier()
+    total = yield from mpi.co_allreduce(1, SUM, comm=dup)
+    yield from mpi.co_barrier()
     return (state["acc"], total, mpi.comm_rank(), mpi.comm_size())
 
 
@@ -119,9 +119,9 @@ def test_custom_stack_observer_stage_sees_traffic():
     "variant, expected",
     [
         (Variant.UNMODIFIED, "RawCommAdapter"),
-        (Variant.PIGGYBACK, "C3Layer"),
-        (Variant.NO_APP_STATE, "C3Layer"),
-        (Variant.FULL, "C3Layer"),
+        (Variant.PIGGYBACK, "ProtocolPipeline"),
+        (Variant.NO_APP_STATE, "ProtocolPipeline"),
+        (Variant.FULL, "ProtocolPipeline"),
     ],
 )
 def test_isinstance_commlike_under_every_variant(variant, expected):
@@ -129,6 +129,7 @@ def test_isinstance_commlike_under_every_variant(variant, expected):
 
     def app(ctx):
         assert isinstance(ctx.mpi, CommLike)
+        yield from ctx.mpi.co_barrier()
         return type(ctx.mpi).__name__
 
     cfg = RunConfig(nprocs=2, seed=1, variant=variant,
@@ -144,11 +145,10 @@ def test_app_runs_unmodified_under_all_variants():
     def app(ctx):
         state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
         while state["i"] < 25:
-            state["acc"] += ctx.mpi.allreduce(
-                state["i"] + ctx.nondet(lambda: 1), SUM
-            )
+            one = yield from ctx.co_nondet(lambda: 1)
+            state["acc"] += yield from ctx.mpi.co_allreduce(state["i"] + one, SUM)
             state["i"] += 1
-            ctx.potential_checkpoint()
+            yield from ctx.co_potential_checkpoint()
         return state["acc"]
 
     results = {}
@@ -169,10 +169,10 @@ class TestRawCommAdapter:
             peer = (ctx.rank + 1) % ctx.size
             req = ctx.mpi.isend(ctx.rank * 10, peer, tag=3)
             rreq = ctx.mpi.irecv(source=(ctx.rank - 1) % ctx.size, tag=3)
-            got = ctx.mpi.wait(rreq)
-            ctx.mpi.wait(req)
-            assert ctx.mpi.test(req)
-            back = ctx.mpi.sendrecv(got, peer, (ctx.rank - 1) % ctx.size, send_tag=4)
+            got = yield from ctx.mpi.co_wait(rreq)
+            yield from ctx.mpi.co_wait(req)
+            assert (yield from ctx.mpi.co_test(req))
+            back = yield from ctx.mpi.co_sendrecv(got, peer, (ctx.rank - 1) % ctx.size, send_tag=4)
             return (got, back)
 
         out = self.run_app(app, nprocs=3)
@@ -183,10 +183,10 @@ class TestRawCommAdapter:
             dup = ctx.mpi.comm_dup()
             assert ctx.mpi.comm_rank(dup) == ctx.rank
             assert ctx.mpi.comm_size(dup) == ctx.size
-            total = ctx.mpi.allreduce(1, SUM, comm=dup)
-            half = ctx.mpi.comm_split(color=ctx.rank % 2)
-            sub = ctx.mpi.allreduce(ctx.rank, SUM, comm=half)
-            ctx.mpi.barrier()
+            total = yield from ctx.mpi.co_allreduce(1, SUM, comm=dup)
+            half = yield from ctx.mpi.co_comm_split(color=ctx.rank % 2)
+            sub = yield from ctx.mpi.co_allreduce(ctx.rank, SUM, comm=half)
+            yield from ctx.mpi.co_barrier()
             return (total, sub)
 
         out = self.run_app(app, nprocs=4)
@@ -196,23 +196,25 @@ class TestRawCommAdapter:
         def app(ctx):
             h = ctx.mpi.op_create("rawmax2", lambda a, b: max(a, b))
             assert isinstance(h, RawHandle)
-            return ctx.mpi.allreduce(ctx.rank, h._live)
+            return (yield from ctx.mpi.co_allreduce(ctx.rank, h._live))
 
         out = self.run_app(app, nprocs=3)
         assert out.results == [2, 2, 2]
 
     def test_hooks_are_noops(self):
         def app(ctx):
-            assert ctx.potential_checkpoint() is False
-            return ctx.nondet(lambda: 7)
+            assert (yield from ctx.co_potential_checkpoint()) is False
+            return (yield from ctx.co_nondet(lambda: 7))
 
         assert self.run_app(app).results == [7, 7]
 
     def test_no_piggyback_on_wire(self):
         def app(ctx):
             peer = (ctx.rank + 1) % ctx.size
-            ctx.mpi.send("x", peer, tag=1)
-            env = ctx.mpi.comm.recv_envelope(source=(ctx.rank - 1) % ctx.size, tag=1)
+            yield from ctx.mpi.co_send("x", peer, tag=1)
+            env = yield from ctx.mpi.comm.co_recv_envelope(
+                source=(ctx.rank - 1) % ctx.size, tag=1
+            )
             return env.piggyback
 
         assert self.run_app(app).results == [None, None]
@@ -221,6 +223,7 @@ class TestRawCommAdapter:
         def app(ctx):
             with pytest.raises(ProtocolError):
                 ctx.mpi.request_checkpoint_now()
+            yield from ctx.mpi.co_barrier()
             return True
 
         assert self.run_app(app).results == [True, True]

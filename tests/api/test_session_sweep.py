@@ -21,11 +21,11 @@ def ring_app(ctx):
     n = ctx.params if ctx.params is not None else 20
     while state["i"] < n:
         right = (ctx.rank + 1) % ctx.size
-        ctx.mpi.send(float(state["i"]), right, tag=1)
-        incoming = ctx.mpi.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-        state["acc"] += ctx.mpi.allreduce(incoming, SUM)
+        yield from ctx.mpi.co_send(float(state["i"]), right, tag=1)
+        incoming = yield from ctx.mpi.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+        state["acc"] += (yield from ctx.mpi.co_allreduce(incoming, SUM))
         state["i"] += 1
-        ctx.potential_checkpoint()
+        yield from ctx.co_potential_checkpoint()
     return state["acc"]
 
 
@@ -36,9 +36,9 @@ def param_driven_app(ctx):
     n = ctx.params() if callable(ctx.params) else ctx.params
     state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
     while state["i"] < n:
-        state["acc"] += ctx.mpi.allreduce(state["i"], SUM)
+        state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM))
         state["i"] += 1
-        ctx.potential_checkpoint()
+        yield from ctx.co_potential_checkpoint()
     return state["acc"]
 
 
@@ -137,9 +137,9 @@ class TestSweep:
         def closure_app(ctx):
             state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
             while state["i"] < bound:
-                state["acc"] += ctx.mpi.allreduce(state["i"], SUM)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["acc"]
 
         result = Session().sweep(closure_app, RunConfig(**CFG))
@@ -365,21 +365,12 @@ class TestRunVariantSuiteSatellites:
         assert "from dataclasses import replace" not in src
 
 
-class TestDeprecationShims:
-    def test_top_level_shims_warn_and_work(self):
-        cfg = RunConfig(**CFG)
-        with pytest.warns(DeprecationWarning):
-            out = repro.run_with_recovery(ring_app, cfg)
-        assert out.results
-        with pytest.warns(DeprecationWarning):
-            outcomes = repro.run_variant_suite(
-                ring_app, cfg, variants=(Variant.PIGGYBACK,)
-            )
-        assert outcomes[Variant.PIGGYBACK].results == out.results
-
+class TestTopLevelExports:
     def test_stable_reexports(self):
         assert repro.Session is Session
         assert repro.RunConfig is RunConfig
         assert repro.Variant is Variant
         assert callable(repro.app)
         assert default_storage_factory().path is None
+        assert not hasattr(repro, "run_with_recovery")
+        assert not hasattr(repro, "run_variant_suite")

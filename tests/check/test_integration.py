@@ -62,6 +62,26 @@ class TestStrictCompile:
         assert unit.diagnostics == ()
 
 
+def _conditional_collective_generator(ctx):
+    x = 1.0
+    yield from ctx.co_potential_checkpoint()
+    if ctx.rank == 0:
+        x = yield from ctx.co_allreduce(x, op="sum")
+    return x
+
+
+class TestGeneratorMainsCheckedLikePlainOnes:
+    def test_same_findings_as_the_plain_spelling(self):
+        from repro.check import check_functions
+
+        def codes(fn):
+            return [d.code for d in check_functions([fn], target="t").errors]
+
+        assert codes(_conditional_collective_generator) == codes(
+            _conditional_collective
+        ) != []
+
+
 # --------------------------------------------------------------------- #
 # Session.run / sweep check= knob
 # --------------------------------------------------------------------- #
@@ -71,8 +91,8 @@ def _clean_session_app(ctx):
 
     total = 0.0
     for i in range(3):
-        ctx.potential_checkpoint()
-        total = ctx.mpi.allreduce(total + float(ctx.rank), SUM)
+        yield from ctx.co_potential_checkpoint()
+        total = yield from ctx.mpi.co_allreduce(total + float(ctx.rank), SUM)
     return total
 
 
@@ -80,8 +100,8 @@ def _global_mutating_app(ctx):
     from repro.simmpi.op import SUM
 
     sys.modules["check_probe"] = None  # store through a non-local root
-    ctx.potential_checkpoint()
-    return ctx.mpi.allreduce(1.0, SUM)
+    yield from ctx.co_potential_checkpoint()
+    return (yield from ctx.mpi.co_allreduce(1.0, SUM))
 
 
 class TestSessionCheckKnob:
@@ -137,8 +157,8 @@ class TestSessionCheckKnob:
         exec(
             "def sourceless(ctx):\n"
             "    from repro.simmpi.op import SUM\n"
-            "    ctx.potential_checkpoint()\n"
-            "    return ctx.mpi.allreduce(1.0, SUM)\n",
+            "    yield from ctx.co_potential_checkpoint()\n"
+            "    return (yield from ctx.mpi.co_allreduce(1.0, SUM))\n",
             ns,
         )
         outcome = Session().run(
@@ -170,8 +190,8 @@ STATS = {}
 def broken_check_app(ctx):
     total = 0.0
     for i in range(3):
-        ctx.potential_checkpoint()
-        total = ctx.mpi.allreduce(total + float(ctx.rank), SUM)
+        yield from ctx.co_potential_checkpoint()
+        total = yield from ctx.mpi.co_allreduce(total + float(ctx.rank), SUM)
     STATS["total"] = total
     return total
 '''

@@ -36,18 +36,18 @@ def mixed_traffic_app(n_iters=160):
         while state["i"] < n_iters:
             i = state["i"]
             if i % 20 == 0:
-                ctx.mpi.barrier()
+                yield from ctx.mpi.co_barrier()
             right = (ctx.rank + 1) % ctx.size
             left = (ctx.rank - 1) % ctx.size
-            req = ctx.mpi.isend(float(i), right, tag=1)
-            ctx.mpi.send(ctx.rng.random(), right, tag=2)
-            rreq = ctx.mpi.irecv(source=left, tag=1)
-            noise = ctx.mpi.recv(source=left, tag=2)
-            base = ctx.mpi.wait(rreq)
-            ctx.mpi.wait(req)
-            state["acc"] += ctx.mpi.allreduce(base + noise, SUM)
+            req = yield from ctx.mpi.co_isend(float(i), right, tag=1)
+            yield from ctx.mpi.co_send(ctx.rng.random(), right, tag=2)
+            rreq = yield from ctx.mpi.co_irecv(source=left, tag=1)
+            noise = yield from ctx.mpi.co_recv(source=left, tag=2)
+            base = yield from ctx.mpi.co_wait(rreq)
+            yield from ctx.mpi.co_wait(req)
+            state["acc"] += (yield from ctx.mpi.co_allreduce(base + noise, SUM))
             state["i"] += 1
-            ctx.potential_checkpoint()
+            yield from ctx.co_potential_checkpoint()
         return round(state["acc"], 10)
 
     return app
@@ -188,7 +188,7 @@ class TestRestoreConsumesWhatItIsHanded:
 
         def app(ctx):
             marks.append(("app", calls))
-            return inner(ctx)
+            return (yield from inner(ctx))
 
         config = RunConfig(**BASE)
         tracer = TraceRecorder(capacity=None)

@@ -3,7 +3,8 @@ must never be used for recovery (commit discipline, paper Section 4.1
 phase 4 + our storage commit record)."""
 
 
-from repro.protocol import C3Config, C3Layer
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.protocol.stages import FULL_STACK, build_stages
 from repro.runtime import RunConfig, run_with_recovery
 from repro.simmpi import (
     SUM,
@@ -15,6 +16,12 @@ from repro.simmpi import (
 from repro.statesave import Storage
 
 
+def make_pipeline(comm, cfg, storage):
+    return ProtocolPipeline(
+        comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
+    )
+
+
 class TestPartialWaveIgnored:
     def test_uncommitted_epoch_left_on_storage_is_not_used(self):
         """Rank 0 takes its local epoch-1 checkpoint, but the wave can never
@@ -24,14 +31,14 @@ class TestPartialWaveIgnored:
         storage = Storage()
 
         def main(ctx):
-            layer = C3Layer(ctx.comm, C3Config(save_app_state=False), storage)
+            layer = make_pipeline(ctx.comm, C3Config(save_app_state=False), storage)
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(400):
-                layer.send(i, 1 - ctx.rank, tag=1)
-                layer.recv(source=1 - ctx.rank, tag=1)
+                yield from layer.co_send(i, 1 - ctx.rank, tag=1)
+                yield from layer.co_recv(source=1 - ctx.rank, tag=1)
                 if ctx.rank == 0:
-                    layer.potential_checkpoint()
+                    yield from layer.co_potential_checkpoint()
             return layer.state.epoch
 
         sim = Simulator(
@@ -54,9 +61,9 @@ class TestPartialWaveIgnored:
         def app(ctx):
             state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
             while state["i"] < 120:
-                state["acc"] += ctx.mpi.allreduce(state["i"], SUM)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["acc"]
 
         cfg = RunConfig(nprocs=3, seed=6, checkpoint_interval=0.0015,
@@ -76,9 +83,9 @@ class TestPartialWaveIgnored:
         def app(ctx):
             state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
             while state["i"] < 200:
-                state["acc"] += ctx.mpi.allreduce(1, SUM)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(1, SUM))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["acc"]
 
         cfg = RunConfig(nprocs=3, seed=2, checkpoint_interval=0.002,

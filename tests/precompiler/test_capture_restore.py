@@ -9,7 +9,8 @@ from repro.errors import RecoveryError
 from repro.precompiler import PrecompiledApp, Precompiler
 from repro.precompiler.runtime import C3StackRuntime
 from repro.runtime import RunConfig, Variant, run_with_recovery
-from repro.simmpi import SUM, FailureSchedule
+from repro.simmpi import SUM, FailureSchedule, coop
+from repro.simmpi.process import Proc
 
 from tests.precompiler import support_functions as sf
 
@@ -28,6 +29,15 @@ class CapturingCtx:
 
     def potential_checkpoint(self):
         self.captures.append(pickle.dumps(self.rt.capture()))
+
+
+@pytest.fixture(autouse=True)
+def rank():
+    """The active runtime lives on the executing rank; outside the
+    simulator the tests install one themselves."""
+    coop.set_current_proc(Proc(None, 0, None))
+    yield
+    coop.set_current_proc(None)
 
 
 @pytest.fixture()

@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.precompiler import C3StackRuntime, Precompiler
+from repro.simmpi import coop
+from repro.simmpi.process import Proc
 
 _counter = itertools.count()
 
@@ -139,6 +141,7 @@ class _Ctx:
 
 def _run_and_restore_everywhere(unit, n):
     """The uninterrupted result, then one fresh run per capture."""
+    coop.set_current_proc(Proc(None, 0, None))  # the runtime lives on a rank
     rt = C3StackRuntime(unit).activate()
     try:
         ctx = _Ctx(rt)
@@ -149,6 +152,7 @@ def _run_and_restore_everywhere(unit, n):
             restored.append(unit.entry("prog")(_Ctx(rt), n))
     finally:
         rt.deactivate()
+        coop.set_current_proc(None)
     return result, restored
 
 

@@ -11,14 +11,18 @@ These reconstruct the exact situations the paper draws:
 import pytest
 
 from repro.errors import ProtocolError
-from repro.protocol import C3Config, C3Layer
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.simmpi.message import Envelope
 from repro.statesave import Storage
 
 
 def wire(ctx, storage, **kw):
-    return C3Layer(ctx.comm, C3Config(save_app_state=False, **kw), storage)
+    cfg = C3Config(save_app_state=False, **kw)
+    return ProtocolPipeline(
+        ctx.comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
+    )
 
 
 def craft(layer, source, epoch, am_logging, message_id, tag=1, payload="x"):
@@ -34,7 +38,7 @@ def craft(layer, source, epoch, am_logging, message_id, tag=1, payload="x"):
 
 
 class TestFigure4Handler:
-    """Unit-feeds to _classify_and_deliver inside a one-rank simulation
+    """Unit-feeds to _co_classify_and_deliver inside a one-rank simulation
     (the layer needs a live comm for its control sends)."""
 
     def _with_layer(self, body, nprocs=2, codec="packed"):
@@ -43,7 +47,7 @@ class TestFigure4Handler:
         def main(ctx):
             if ctx.rank == 0:
                 layer = wire(ctx, storage, codec=codec)
-                return body(layer, storage)
+                return (yield from body(layer, storage))
             return None
 
         result = run_simple(main, nprocs=nprocs, seed=0)
@@ -53,7 +57,7 @@ class TestFigure4Handler:
     def test_intra_epoch_message_counted(self):
         def body(layer, storage):
             env = craft(layer, source=1, epoch=0, am_logging=False, message_id=0)
-            layer._classify_and_deliver(env)
+            yield from layer._co_classify_and_deliver(env)
             return layer.state.current_receive_count[1]
 
         assert self._with_layer(body) == 1
@@ -62,7 +66,7 @@ class TestFigure4Handler:
         def body(layer, storage):
             # Sender already in epoch 1, this rank still in epoch 0.
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=7)
-            layer._classify_and_deliver(env)
+            yield from layer._co_classify_and_deliver(env)
             return list(layer.state.early_ids[1])
 
         assert self._with_layer(body) == [7]
@@ -76,7 +80,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=0)
             with pytest.raises(ProtocolError, match="early"):
-                layer._classify_and_deliver(env)
+                yield from layer._co_classify_and_deliver(env)
             return True
 
         assert self._with_layer(body, codec="full")
@@ -87,7 +91,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=0, am_logging=True,
                         message_id=3, payload=[1, 2])
-            layer._classify_and_deliver(env)
+            yield from layer._co_classify_and_deliver(env)
             rec = layer.logs.late.records[0]
             return (rec.source, rec.message_id, rec.payload,
                     layer.state.previous_receive_count[1])
@@ -99,7 +103,7 @@ class TestFigure4Handler:
             layer.state.epoch = 1  # not logging
             env = craft(layer, source=1, epoch=0, am_logging=True, message_id=0)
             with pytest.raises(ProtocolError, match="late"):
-                layer._classify_and_deliver(env)
+                yield from layer._co_classify_and_deliver(env)
             return True
 
         assert self._with_layer(body, codec="full")
@@ -112,7 +116,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             layer.logs.epoch = 1
             env = craft(layer, source=1, epoch=1, am_logging=False, message_id=0)
-            layer._classify_and_deliver(env)
+            yield from layer._co_classify_and_deliver(env)
             return (layer.state.am_logging, layer.stats.log_finalizations)
 
         # Logging terminated exactly once, by the message.
@@ -127,7 +131,7 @@ class TestFigure4Handler:
             payload = [1, 2]
             env = craft(layer, source=1, epoch=0, am_logging=True,
                         message_id=0, payload=payload)
-            out = layer._classify_and_deliver(env)
+            out = yield from layer._co_classify_and_deliver(env)
             out.append(999)  # app mutates its copy
             return layer.logs.late.records[0].payload
 
@@ -138,7 +142,7 @@ class TestFigure4Handler:
             layer.state.epoch = 1
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=5)
-            layer._classify_and_deliver(env)
+            yield from layer._co_classify_and_deliver(env)
             rec = layer.logs.matches.records[0]
             return (rec.source, rec.message_id, rec.was_late)
 
@@ -159,12 +163,12 @@ class TestFigure3Classes:
             # Heavy cross-traffic while the wave is in flight maximises the
             # chance of late/early classifications at *some* rank.
             for i in range(120):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.send(i, (ctx.rank + 2) % ctx.size, tag=2)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 2) % ctx.size, tag=2)
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_send(i, (ctx.rank + 2) % ctx.size, tag=2)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 2) % ctx.size, tag=2)
                 if i % 3 == ctx.rank % 3:
-                    layer.potential_checkpoint()
+                    yield from layer.co_potential_checkpoint()
             return (layer.stats.late_logged, layer.stats.early_recorded)
 
         # Random delivery ordering stirs the pot.
@@ -185,12 +189,12 @@ class TestFigure3Classes:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(100):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
                 # Rank 1 drags its feet so rank 0's epoch-1 messages reach
                 # it early (before its own checkpoint).
                 if ctx.rank == 0 or i > 40:
-                    layer.potential_checkpoint()
+                    yield from layer.co_potential_checkpoint()
             return layer.stats.early_recorded
 
         result = run_simple(main, nprocs=2, seed=3)
@@ -213,15 +217,15 @@ class TestFigure5Collectives:
                 layer.request_checkpoint_now()
             # Rank 0 checkpoints before the collective; rank 1 only after.
             if ctx.rank == 0:
-                layer.potential_checkpoint()     # -> epoch 1, logging
-            r = layer.allreduce(ctx.rank + 1, SUM)
+                yield from layer.co_potential_checkpoint()     # -> epoch 1, logging
+            r = yield from layer.co_allreduce(ctx.rank + 1, SUM)
             if ctx.rank == 1:
-                layer.potential_checkpoint()     # now catches up
+                yield from layer.co_potential_checkpoint()     # now catches up
             # Drain the wave.
             for i in range(30):
-                layer.send(i, 1 - ctx.rank, tag=4)
-                layer.recv(source=1 - ctx.rank, tag=4)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, 1 - ctx.rank, tag=4)
+                yield from layer.co_recv(source=1 - ctx.rank, tag=4)
+                yield from layer.co_potential_checkpoint()
             return (r, layer.stats.collective_results_logged)
 
         result = run_simple(main, nprocs=2, seed=1)

@@ -1,14 +1,17 @@
 """Protocol-layer collectives: result logging, conjunction, barrier alignment
 (paper Section 4.5 / Figure 5)."""
 
-from repro.protocol import C3Config, C3Layer
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.statesave import Storage
 
 
 def wire(ctx, storage, interval=None):
     cfg = C3Config(checkpoint_interval=interval, save_app_state=False)
-    return C3Layer(ctx.comm, cfg, storage)
+    return ProtocolPipeline(
+        ctx.comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
+    )
 
 
 class TestCollectiveCorrectness:
@@ -19,14 +22,14 @@ class TestCollectiveCorrectness:
             layer = wire(ctx, storage, interval=0.002)
             out = []
             for i in range(25):
-                out.append(layer.allreduce(ctx.rank + i, SUM))
-                out.append(tuple(layer.allgather(ctx.rank)))
-                out.append(layer.bcast(i if ctx.rank == 1 else None, root=1))
-                out.append(layer.reduce(1, SUM, root=0))
-                sc = layer.scatter(list(range(ctx.size)) if ctx.rank == 0 else None)
+                out.append((yield from layer.co_allreduce(ctx.rank + i, SUM)))
+                out.append(tuple((yield from layer.co_allgather(ctx.rank))))
+                out.append((yield from layer.co_bcast(i if ctx.rank == 1 else None, root=1)))
+                out.append((yield from layer.co_reduce(1, SUM, root=0)))
+                sc = yield from layer.co_scatter(list(range(ctx.size)) if ctx.rank == 0 else None)
                 out.append(sc)
-                layer.barrier()
-                layer.potential_checkpoint()
+                yield from layer.co_barrier()
+                yield from layer.co_potential_checkpoint()
             return out
 
         result = run_simple(main, nprocs=4, seed=0)
@@ -50,12 +53,12 @@ class TestCollectiveCorrectness:
         def with_layer(ctx):
             layer = wire(ctx, storage)
             for _ in range(10):
-                layer.allgather(ctx.rank)
+                yield from layer.co_allgather(ctx.rank)
             return None
 
         def raw(ctx):
             for _ in range(10):
-                ctx.comm.allgather(ctx.rank)
+                yield from ctx.comm.co_allgather(ctx.rank)
             return None
 
         layered = run_simple(with_layer, nprocs=4, seed=1)
@@ -73,8 +76,8 @@ class TestResultLogging:
                 layer.request_checkpoint_now()
             logged = 0
             for i in range(40):
-                layer.allreduce(i, SUM)
-                layer.potential_checkpoint()
+                yield from layer.co_allreduce(i, SUM)
+                yield from layer.co_potential_checkpoint()
                 logged = max(logged, layer.stats.collective_results_logged)
             return logged
 
@@ -90,8 +93,8 @@ class TestResultLogging:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(40):
-                layer.allreduce(i, SUM)
-                layer.potential_checkpoint()
+                yield from layer.co_allreduce(i, SUM)
+                yield from layer.co_potential_checkpoint()
             return None
 
         result = run_simple(main, nprocs=2, seed=3)
@@ -109,8 +112,8 @@ class TestResultLogging:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(30):
-                layer.barrier()
-                layer.potential_checkpoint()
+                yield from layer.co_barrier()
+                yield from layer.co_potential_checkpoint()
             return None
 
         result = run_simple(main, nprocs=2, seed=4)
@@ -137,13 +140,13 @@ class TestBarrierAlignment:
             # only the barrier alignment can advance its epoch.
             if ctx.rank == 0:
                 for _ in range(5):
-                    layer.send(1, 1, tag=1)
-                    layer.potential_checkpoint()
-                layer.barrier()
+                    yield from layer.co_send(1, 1, tag=1)
+                    yield from layer.co_potential_checkpoint()
+                yield from layer.co_barrier()
             else:
                 for _ in range(5):
-                    layer.recv(source=0, tag=1)
-                layer.barrier()
+                    yield from layer.co_recv(source=0, tag=1)
+                yield from layer.co_barrier()
             return layer.state.epoch
 
         result = run_simple(main, nprocs=2, seed=5)
@@ -156,7 +159,7 @@ class TestBarrierAlignment:
         def main(ctx):
             layer = wire(ctx, storage)
             for _ in range(5):
-                layer.barrier()
+                yield from layer.co_barrier()
             return (layer.state.epoch, layer.stats.checkpoints_taken)
 
         result = run_simple(main, nprocs=3, seed=6)

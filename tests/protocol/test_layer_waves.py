@@ -7,14 +7,21 @@ content, message classification effects, and the mySendCount bookkeeping.
 
 import pytest
 
-from repro.protocol import C3Config, C3Layer
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import run_simple
 from repro.statesave import Storage
 
 
+def pipeline(ctx, cfg, storage, stack=FULL_STACK, **kwargs):
+    return ProtocolPipeline(
+        ctx.comm, stages=build_stages(stack, cfg), config=cfg, storage=storage, **kwargs
+    )
+
+
 def wire(ctx, storage, interval=None, **cfg_kwargs):
     cfg = C3Config(checkpoint_interval=interval, save_app_state=False, **cfg_kwargs)
-    return C3Layer(ctx.comm, cfg, storage)
+    return pipeline(ctx, cfg, storage)
 
 
 class TestWaveCompletion:
@@ -26,9 +33,9 @@ class TestWaveCompletion:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(40):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return (layer.state.epoch, layer.stats.checkpoints_taken)
 
         result = run_simple(main, nprocs=4, seed=0)
@@ -42,9 +49,9 @@ class TestWaveCompletion:
         def main(ctx):
             layer = wire(ctx, storage, interval=0.002)
             for i in range(150):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return layer.state.epoch
 
         result = run_simple(main, nprocs=3, seed=1)
@@ -61,9 +68,9 @@ class TestWaveCompletion:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(30):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return layer.state.epoch
 
         result = run_simple(main, nprocs=3, seed=2)
@@ -79,9 +86,9 @@ class TestWaveCompletion:
         def main(ctx):
             layer = wire(ctx, storage, interval=0.001)
             for i in range(200):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return layer.state.epoch
 
         run_simple(main, nprocs=2, seed=3)
@@ -101,28 +108,28 @@ class TestWildcardReceiveAcrossWave:
         storage = Storage()
 
         def main(ctx):
-            layer = C3Layer(
-                ctx.comm, C3Config(checkpoint_interval=None), storage,
+            layer = pipeline(
+                ctx, C3Config(checkpoint_interval=None), storage,
                 state_provider=lambda: {"rank": ctx.rank},
             )
             got = None
             if ctx.rank == 3:
-                got = layer.recv()  # ANY_SOURCE, ANY_TAG
+                got = yield from layer.co_recv()  # ANY_SOURCE, ANY_TAG
                 for peer in (0, 1, 2):
-                    layer.send("release", peer, tag=6)
+                    yield from layer.co_send("release", peer, tag=6)
             else:
                 if ctx.rank == 0:
                     layer.request_checkpoint_now()
-                    layer.potential_checkpoint()  # wave starts: pleaseCheckpoint is out
-                    layer.send("go", 1, tag=5)
+                    yield from layer.co_potential_checkpoint()  # wave starts: pleaseCheckpoint is out
+                    yield from layer.co_send("go", 1, tag=5)
                 elif ctx.rank == 1:
-                    layer.recv(source=0, tag=5)  # ... before the payload is posted
-                    layer.send("payload", 3, tag=9)
-                layer.recv(source=3, tag=6)
+                    yield from layer.co_recv(source=0, tag=5)  # ... before the payload is posted
+                    yield from layer.co_send("payload", 3, tag=9)
+                yield from layer.co_recv(source=3, tag=6)
             for i in range(30):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return (got, layer.state.epoch, layer.stats.control_messages)
 
         # Zero jitter: the control message, posted first, is delivered first.
@@ -132,56 +139,6 @@ class TestWildcardReceiveAcrossWave:
         assert all(epoch == 1 for _, epoch, _ in result.results)
         assert all(control > 0 for _, _, control in result.results)
         assert storage.committed_epoch() == 1
-
-
-class TestLegacyStorageCompat:
-    def test_two_argument_commit_still_supported(self):
-        """Custom storages implementing the pre-1.2 ``commit(epoch, vt)``
-        signature must keep working under the layer's commit path."""
-
-        class LegacyStorage(Storage):
-            def commit(self, epoch, virtual_time):  # no nprocs kwarg
-                return super().commit(epoch, virtual_time)
-
-        storage = LegacyStorage()
-
-        def main(ctx):
-            layer = wire(ctx, storage, interval=0.001)
-            for i in range(60):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
-            return layer.state.epoch
-
-        result = run_simple(main, nprocs=2, seed=1)
-        assert result.completed
-        assert storage.committed_epoch() is not None
-
-    def test_commit_signature_is_inspected_once_per_storage_class(self, monkeypatch):
-        """The ``nprocs`` question is about the storage's class: 64 ranks
-        (and every later attempt) share one ``inspect.signature`` call."""
-        import inspect
-
-        from repro.protocol.stages import pipeline
-
-        inspected = []
-        real_signature = inspect.signature
-
-        def counting_signature(obj, **kwargs):
-            inspected.append(obj)
-            return real_signature(obj, **kwargs)
-
-        monkeypatch.setattr(inspect, "signature", counting_signature)
-        pipeline._accepts_nprocs.cache_clear()
-        storage = Storage()
-
-        def main(ctx):
-            return wire(ctx, storage)._commit_accepts_nprocs
-
-        for _attempt in range(2):
-            result = run_simple(main, nprocs=64, seed=0)
-            assert result.results == [True] * 64
-        assert inspected == [Storage.commit]
 
 
 class TestLoggingBehaviour:
@@ -194,9 +151,9 @@ class TestLoggingBehaviour:
                 layer.request_checkpoint_now()
             saw_logging = False
             for i in range(60):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
                 saw_logging = saw_logging or layer.state.am_logging
             return (saw_logging, layer.state.am_logging, layer.stats.log_finalizations)
 
@@ -215,9 +172,9 @@ class TestLoggingBehaviour:
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(50):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return None
 
         result = run_simple(main, nprocs=2, seed=5)
@@ -238,14 +195,14 @@ class TestLoggingBehaviour:
 
         def main(ctx):
             layer = wire(ctx, storage)
-            layer.nondet(lambda: 1)  # before any checkpoint: not logged
+            yield from layer.co_nondet(lambda: 1)  # before any checkpoint: not logged
             if ctx.rank == 0:
                 layer.request_checkpoint_now()
             for i in range(40):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
-                layer.nondet(lambda: i)
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
+                yield from layer.co_nondet(lambda: i)
             return layer.stats.nondet_logged
 
         result = run_simple(main, nprocs=2, seed=6)
@@ -261,9 +218,9 @@ class TestVariantConfigs:
         def main(ctx):
             layer = wire(ctx, storage)  # no interval, no force
             for i in range(30):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return (layer.state.epoch, layer.stats.checkpoints_taken)
 
         result = run_simple(main, nprocs=2, seed=7)
@@ -277,9 +234,9 @@ class TestVariantConfigs:
         def main(ctx):
             cfg = C3Config(protocol_enabled=False, piggyback_enabled=False,
                            save_app_state=False)
-            layer = C3Layer(ctx.comm, cfg, storage)
-            layer.send("x", 1 - ctx.rank, tag=1)
-            return layer.recv(source=1 - ctx.rank, tag=1)
+            layer = pipeline(ctx, cfg, storage, stack=())
+            yield from layer.co_send("x", 1 - ctx.rank, tag=1)
+            return (yield from layer.co_recv(source=1 - ctx.rank, tag=1))
 
         result = run_simple(main, nprocs=2, seed=8)
         assert result.completed
@@ -292,9 +249,9 @@ class TestVariantConfigs:
         def main(ctx):
             layer = wire(ctx, storage, interval=0.002, codec=codec)
             for i in range(80):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
+                yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
+                yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from layer.co_potential_checkpoint()
             return layer.state.epoch
 
         result = run_simple(main, nprocs=3, seed=9)

@@ -7,9 +7,16 @@ import pytest
 from repro.errors import ProtocolError, RecoveryError
 from repro.protocol.mpi_state import CallRecord, HandleRegistry, MpiStateLog
 from repro.protocol.pseudo_handles import PseudoHandle, PseudoRequest, RequestTable
-from repro.protocol import C3Config, C3Layer
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.statesave import Storage
+
+
+def make_pipeline(comm, cfg, storage):
+    return ProtocolPipeline(
+        comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
+    )
 
 
 class TestPseudoRequest:
@@ -115,9 +122,9 @@ class TestLayerPersistentObjects:
         storage = Storage()
 
         def main(ctx):
-            layer = C3Layer(ctx.comm, C3Config(save_app_state=False), storage)
+            layer = make_pipeline(ctx.comm, C3Config(save_app_state=False), storage)
             sub = layer.comm_dup()
-            total = layer.allreduce(ctx.rank, SUM, comm=sub)
+            total = yield from layer.co_allreduce(ctx.rank, SUM, comm=sub)
             return (total, layer.comm_rank(sub), layer.comm_size(sub))
 
         result = run_simple(main, nprocs=3, seed=0)
@@ -128,9 +135,9 @@ class TestLayerPersistentObjects:
         storage = Storage()
 
         def main(ctx):
-            layer = C3Layer(ctx.comm, C3Config(save_app_state=False), storage)
-            sub = layer.comm_split(color=ctx.rank % 2)
-            return layer.allreduce(1, SUM, comm=sub)
+            layer = make_pipeline(ctx.comm, C3Config(save_app_state=False), storage)
+            sub = yield from layer.co_comm_split(color=ctx.rank % 2)
+            return (yield from layer.co_allreduce(1, SUM, comm=sub))
 
         result = run_simple(main, nprocs=4, seed=1)
         assert result.completed
@@ -140,7 +147,7 @@ class TestLayerPersistentObjects:
         storage = Storage()
 
         def main(ctx):
-            layer = C3Layer(ctx.comm, C3Config(save_app_state=False), storage)
+            layer = make_pipeline(ctx.comm, C3Config(save_app_state=False), storage)
             layer.op_create("concat-strings", lambda a, b: a + b)
             layer.attach_buffer(4096)
             return [r.fn for r in layer.mpi_log.records]
@@ -158,9 +165,9 @@ class TestLayerPersistentObjects:
             sub = ctx.mpi.comm_dup()
             state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
             while state["i"] < 100:
-                state["acc"] += ctx.mpi.allreduce(state["i"], SUM, comm=sub)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM, comm=sub))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["acc"]
 
         cfg = RunConfig(nprocs=3, seed=5, checkpoint_interval=0.002,

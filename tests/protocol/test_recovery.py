@@ -19,15 +19,15 @@ def ring_allreduce_app(n_iters=200):
             i = state["i"]
             right = (ctx.rank + 1) % ctx.size
             left = (ctx.rank - 1) % ctx.size
-            ctx.mpi.send(float(i + ctx.rank), right, tag=1)
-            v = ctx.mpi.recv(source=left, tag=1)
+            yield from ctx.mpi.co_send(float(i + ctx.rank), right, tag=1)
+            v = yield from ctx.mpi.co_recv(source=left, tag=1)
             noise = ctx.rng.random()
-            total = ctx.mpi.allreduce(v + noise, SUM)
+            total = yield from ctx.mpi.co_allreduce(v + noise, SUM)
             state["acc"] += total
             if i % 16 == 0:
                 state["trace"].append(round(total, 9))
             state["i"] += 1
-            ctx.potential_checkpoint()
+            yield from ctx.co_potential_checkpoint()
         return (state["acc"], tuple(state["trace"]))
 
     return app
@@ -132,11 +132,11 @@ class TestNondeterminismReplay:
             while state["i"] < 150:
                 right = (ctx.rank + 1) % ctx.size
                 draw = ctx.rng.random()
-                ctx.mpi.send(draw, right, tag=2)
-                got = ctx.mpi.recv(source=(ctx.rank - 1) % ctx.size, tag=2)
-                state["acc"] += ctx.mpi.allreduce(got, SUM)
+                yield from ctx.mpi.co_send(draw, right, tag=2)
+                got = yield from ctx.mpi.co_recv(source=(ctx.rank - 1) % ctx.size, tag=2)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(got, SUM))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return round(state["acc"], 12)
 
         cfg = RunConfig(**CFG)
@@ -154,14 +154,14 @@ class TestNondeterminismReplay:
             state = ctx.checkpointable_state(lambda: {"i": 0, "trace": []})
             while state["i"] < 120:
                 if ctx.rank == 0:
-                    stamp = ctx.nondet(lambda: round(ctx.wtime() * 1e7))
+                    stamp = yield from ctx.co_nondet(lambda: round(ctx.wtime() * 1e7))
                     for dest in range(1, ctx.size):
-                        ctx.mpi.send(stamp, dest, tag=3)
+                        yield from ctx.mpi.co_send(stamp, dest, tag=3)
                 else:
-                    stamp = ctx.mpi.recv(source=0, tag=3)
+                    stamp = yield from ctx.mpi.co_recv(source=0, tag=3)
                 state["trace"].append(stamp)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return tuple(state["trace"])
 
         cfg = RunConfig(**CFG)
@@ -177,9 +177,9 @@ class TestVariantSemantics:
         def app(ctx):
             state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
             while state["i"] < 60:
-                state["acc"] += ctx.mpi.allreduce(state["i"], SUM)
+                state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM))
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["acc"]
 
         cfg = RunConfig(variant=Variant.PIGGYBACK, **CFG)

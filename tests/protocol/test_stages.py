@@ -13,7 +13,7 @@ from repro.api.session import Session
 from repro.errors import ConfigError
 from repro.protocol import (
     C3Config,
-    C3Layer,
+    ProtocolPipeline,
     register_stack,
     register_stage,
     variant_stack,
@@ -25,7 +25,6 @@ from repro.protocol.stages import (
     build_stages,
     list_stacks,
     list_stages,
-    stages_for_config,
 )
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.simmpi import SUM, run_simple
@@ -73,13 +72,6 @@ class TestVariantStacksPinned:
         assert "protocol layer is active" in C3Config.__doc__
         assert "``protocol_enabled=True``" in C3Config.__doc__
 
-    def test_c3_config_method_is_deprecated_but_equivalent(self):
-        run_cfg = RunConfig(nprocs=2, variant=Variant.NO_APP_STATE,
-                            checkpoint_interval=0.5)
-        with pytest.warns(DeprecationWarning, match="stack_spec"):
-            legacy = run_cfg.c3_config()
-        assert legacy == run_cfg.stack_spec().c3_config(run_cfg)
-
     def test_active_stages_per_variant_in_a_live_run(self):
         """End-to-end pin: which stages actually dispatch under each
         variant (stage_calls keys == the declared stack)."""
@@ -87,8 +79,8 @@ class TestVariantStacksPinned:
         def app(ctx):
             acc = 0
             for i in range(10):
-                acc += ctx.mpi.allreduce(i, SUM)
-                ctx.potential_checkpoint()
+                acc += (yield from ctx.mpi.co_allreduce(i, SUM))
+                yield from ctx.co_potential_checkpoint()
             return acc
 
         for variant in Variant:
@@ -130,23 +122,15 @@ class TestRegistries:
 
         def main(ctx):
             cfg = C3Config()
-            with pytest.raises(ConfigError, match="requires stages"):
-                C3Layer(ctx.comm, cfg, storage, stack=("classifier",))
-            with pytest.raises(ConfigError, match="requires stages"):
-                C3Layer(ctx.comm, cfg, storage,
-                        stack=PROTOCOL_STAGES[:1] + ("checkpoint",))
+            for stack in (("classifier",), PROTOCOL_STAGES[:1] + ("checkpoint",)):
+                with pytest.raises(ConfigError, match="requires stages"):
+                    ProtocolPipeline(
+                        ctx.comm, stages=build_stages(stack, cfg), config=cfg,
+                        storage=storage,
+                    )
             return True
 
         assert run_simple(main, nprocs=1, seed=0).results == [True]
-
-    def test_legacy_flag_derivation(self):
-        assert stages_for_config(C3Config(protocol_enabled=True)) == FULL_STACK
-        assert stages_for_config(
-            C3Config(protocol_enabled=False, piggyback_enabled=True)
-        ) == ("piggyback",)
-        assert stages_for_config(
-            C3Config(protocol_enabled=False, piggyback_enabled=False)
-        ) == ()
 
 
 class TestPerStageObservability:
@@ -155,11 +139,11 @@ class TestPerStageObservability:
             state = ctx.checkpointable_state(lambda: {"i": 0})
             peer = (ctx.rank + 1) % ctx.size
             while state["i"] < 20:
-                ctx.mpi.send(state["i"], peer, tag=1)
-                ctx.mpi.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                ctx.nondet(lambda: 1)
+                yield from ctx.mpi.co_send(state["i"], peer, tag=1)
+                yield from ctx.mpi.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)
+                yield from ctx.co_nondet(lambda: 1)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["i"]
 
         cfg = RunConfig(nprocs=3, seed=8, variant=variant,
@@ -191,7 +175,7 @@ class TestPerStageObservability:
 
     def test_sweep_table_surfaces_stage_columns(self):
         def app(ctx):
-            return ctx.mpi.allreduce(1, SUM)
+            return (yield from ctx.mpi.co_allreduce(1, SUM))
 
         rows = Session().sweep(
             app,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session
 from repro.errors import ConfigError
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.runtime.driver import run_variant_suite
@@ -39,11 +40,6 @@ class TestVariantMapping:
                                 checkpoint_interval=0.5))
         assert cfg.save_app_state
 
-    def test_c3_config_shim_warns_and_matches(self):
-        run_cfg = RunConfig(nprocs=2, variant=Variant.FULL, checkpoint_interval=0.5)
-        with pytest.warns(DeprecationWarning, match="stack_spec"):
-            assert run_cfg.c3_config() == derived(run_cfg)
-
     def test_checkpointing_active_flag(self):
         assert RunConfig(nprocs=2, variant=Variant.FULL).checkpointing_active
         assert not RunConfig(nprocs=2, variant=Variant.PIGGYBACK).checkpointing_active
@@ -66,9 +62,9 @@ def counting_app(n=80):
     def app(ctx):
         state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0})
         while state["i"] < n:
-            state["acc"] += ctx.mpi.allreduce(state["i"], SUM)
+            state["acc"] += (yield from ctx.mpi.co_allreduce(state["i"], SUM))
             state["i"] += 1
-            ctx.potential_checkpoint()
+            yield from ctx.co_potential_checkpoint()
         return state["acc"]
 
     return app
@@ -149,3 +145,32 @@ class TestDriver:
         assert len({tuple(r) for r in results.values()}) == 1
         assert outcomes[Variant.FULL].checkpoints_committed >= 1
         assert outcomes[Variant.PIGGYBACK].checkpoints_committed == 0
+
+
+class TestRankMainForms:
+    """A rank main is a generator function or a precompiled app."""
+
+    def test_plain_main_rejected_before_any_rank_runs(self):
+        calls = []
+
+        def plain_sync_main(ctx):
+            calls.append(ctx.rank)
+            return ctx.mpi.allreduce(ctx.rank, SUM)
+
+        with pytest.raises(ConfigError, match="generator function.*PrecompiledApp"):
+            Session().run(plain_sync_main, RunConfig(nprocs=2))
+        assert calls == []
+
+    def test_plain_main_with_params_rejected_too(self):
+        with pytest.raises(ConfigError, match="plain_sync_main"):
+            Session().run(plain_sync_main, RunConfig(nprocs=2), params=3)
+
+    def test_generator_main_runs(self):
+        def generator_main(ctx):
+            return (yield from ctx.mpi.co_allreduce(ctx.rank, SUM))
+
+        assert Session().run(generator_main, RunConfig(nprocs=3)).results == [3, 3, 3]
+
+
+def plain_sync_main(ctx):
+    return ctx.params

@@ -25,34 +25,14 @@ class _StubRankCtx:
         self.rng = object()
 
 
-class TestLegacyBlobRestore:
-    """The legacy/bare-blob branch of ``checkpointable_state``: a restored
-    blob without the ``{"user": ..., "rng": ...}`` wrapper is handed back
-    verbatim and the live RNG stream is left untouched."""
+class TestRestoredBlob:
+    """``checkpointable_state`` unpacks the ``{"user": ..., "rng": ...}``
+    blob a restart hands it."""
 
     def make_ctx(self, blob):
         return C3AppContext(
             _StubRankCtx(), _StubLayer(), restored_app_state=blob, restored=True
         )
-
-    def test_bare_blob_returned_verbatim(self):
-        blob = {"grid": [1, 2, 3]}  # dict, but not the user/rng wrapper
-        ctx = self.make_ctx(blob)
-        rng_before = ctx._rank_ctx.rng
-        state = ctx.checkpointable_state(lambda: {"grid": []})
-        assert state is blob
-        assert ctx._rank_ctx.rng is rng_before
-
-    def test_non_dict_blob_returned_verbatim(self):
-        blob = [4, 5, 6]
-        ctx = self.make_ctx(blob)
-        assert ctx.checkpointable_state(list) is blob
-
-    def test_partial_wrapper_treated_as_legacy(self):
-        # "user" present but "rng" missing: not the modern wrapper.
-        blob = {"user": {"x": 1}}
-        ctx = self.make_ctx(blob)
-        assert ctx.checkpointable_state(dict) is blob
 
     def test_modern_wrapper_unpacks_user_and_rng(self):
         rng = object()
@@ -72,6 +52,7 @@ class TestLegacyBlobRestore:
 class TestStateRegistration:
     def test_double_registration_rejected(self):
         def app(ctx):
+            yield from ctx.mpi.co_barrier()
             ctx.checkpointable_state(dict)
             ctx.checkpointable_state(dict)
 
@@ -83,9 +64,9 @@ class TestStateRegistration:
             state = ctx.checkpointable_state(lambda: {"calls": 0, "i": 0})
             state["calls"] += 1
             while state["i"] < 30:
-                ctx.mpi.allreduce(1, SUM)
+                yield from ctx.mpi.co_allreduce(1, SUM)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["calls"]
 
         out = run_with_recovery(app, RunConfig(**CFG))
@@ -97,9 +78,9 @@ class TestStateRegistration:
             fresh_at_entry = state["fresh"]
             state["fresh"] = False
             while state["i"] < 60:
-                ctx.mpi.allreduce(1, SUM)
+                yield from ctx.mpi.co_allreduce(1, SUM)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return fresh_at_entry
 
         out = run_with_recovery(
@@ -116,9 +97,9 @@ class TestRngCheckpointing:
             state = ctx.checkpointable_state(lambda: {"i": 0, "draws": []})
             while state["i"] < 60:
                 state["draws"].append(round(ctx.rng.random(), 12))
-                ctx.mpi.allreduce(1, SUM)
+                yield from ctx.mpi.co_allreduce(1, SUM)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return state["draws"]
 
         gold = run_with_recovery(app, RunConfig(**CFG))
@@ -137,10 +118,10 @@ class TestNondetHelpers:
             state = ctx.checkpointable_state(lambda: {"i": 0})
             values = []
             while state["i"] < 20:
-                values.append(ctx.random())
-                ctx.mpi.allreduce(1, SUM)
+                values.append((yield from ctx.co_random()))
+                yield from ctx.mpi.co_allreduce(1, SUM)
                 state["i"] += 1
-                ctx.potential_checkpoint()
+                yield from ctx.co_potential_checkpoint()
             return all(0.0 <= v < 1.0 for v in values)
 
         out = run_with_recovery(app, RunConfig(**CFG))
@@ -149,6 +130,7 @@ class TestNondetHelpers:
     def test_wtime_monotone_through_context(self):
         def app(ctx):
             ctx.checkpointable_state(lambda: {})
+            yield from ctx.mpi.co_barrier()
             t0 = ctx.wtime()
             ctx.compute(seconds=0.001)
             return ctx.wtime() - t0

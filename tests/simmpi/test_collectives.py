@@ -17,14 +17,16 @@ def run(main, n, ordering="per_tag_fifo", seed=11):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_allreduce_sum(n):
-    results = run(lambda ctx: ctx.comm.allreduce(ctx.rank + 1, SUM), n)
+    results = run(lambda ctx: (yield from ctx.comm.co_allreduce(ctx.rank + 1, SUM)), n)
     assert results == [n * (n + 1) // 2] * n
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_allreduce_max_min(n):
     def main(ctx):
-        return (ctx.comm.allreduce(ctx.rank, MAX), ctx.comm.allreduce(ctx.rank, MIN))
+        high = yield from ctx.comm.co_allreduce(ctx.rank, MAX)
+        low = yield from ctx.comm.co_allreduce(ctx.rank, MIN)
+        return (high, low)
 
     assert run(main, n) == [(n - 1, 0)] * n
 
@@ -33,7 +35,7 @@ def test_allreduce_max_min(n):
 def test_allreduce_arrays(n):
     def main(ctx):
         vec = np.full(16, float(ctx.rank + 1))
-        return float(ctx.comm.allreduce(vec, SUM).sum())
+        return float((yield from ctx.comm.co_allreduce(vec, SUM)).sum())
 
     expected = 16.0 * n * (n + 1) / 2
     assert run(main, n) == [expected] * n
@@ -46,7 +48,7 @@ def test_bcast(n, root):
 
     def main(ctx):
         obj = {"data": 42} if ctx.rank == r else None
-        return ctx.comm.bcast(obj, root=r)
+        return (yield from ctx.comm.co_bcast(obj, root=r))
 
     assert run(main, n) == [{"data": 42}] * n
 
@@ -54,7 +56,7 @@ def test_bcast(n, root):
 @pytest.mark.parametrize("n", SIZES)
 def test_reduce_at_root(n):
     def main(ctx):
-        return ctx.comm.reduce(float(ctx.rank), SUM, root=0)
+        return (yield from ctx.comm.co_reduce(float(ctx.rank), SUM, root=0))
 
     results = run(main, n)
     assert results[0] == float(sum(range(n)))
@@ -65,7 +67,7 @@ def test_reduce_rank_order_determinism():
     """Linear fold in rank order keeps float reductions bit-stable."""
     def main(ctx):
         value = 0.1 * (ctx.rank + 1) + 1e-14 * ctx.rank
-        return ctx.comm.allreduce(value, SUM)
+        return (yield from ctx.comm.co_allreduce(value, SUM))
 
     a = run(main, 5, seed=1)
     b = run(main, 5, seed=99)  # different interleavings, same fold order
@@ -75,7 +77,7 @@ def test_reduce_rank_order_determinism():
 @pytest.mark.parametrize("n", SIZES)
 def test_gather(n):
     def main(ctx):
-        return ctx.comm.gather(ctx.rank * 3, root=0)
+        return (yield from ctx.comm.co_gather(ctx.rank * 3, root=0))
 
     results = run(main, n)
     assert results[0] == [i * 3 for i in range(n)]
@@ -85,7 +87,7 @@ def test_gather(n):
 @pytest.mark.parametrize("ordering", ORDERINGS)
 def test_allgather(n, ordering):
     def main(ctx):
-        return ctx.comm.allgather(chr(ord("a") + ctx.rank))
+        return (yield from ctx.comm.co_allgather(chr(ord("a") + ctx.rank)))
 
     expected = [chr(ord("a") + i) for i in range(n)]
     assert run(main, n, ordering) == [expected] * n
@@ -95,7 +97,7 @@ def test_allgather(n, ordering):
 def test_scatter(n):
     def main(ctx):
         objs = [i * i for i in range(n)] if ctx.rank == 0 else None
-        return ctx.comm.scatter(objs, root=0)
+        return (yield from ctx.comm.co_scatter(objs, root=0))
 
     assert run(main, n) == [i * i for i in range(n)]
 
@@ -104,7 +106,7 @@ def test_scatter(n):
 @pytest.mark.parametrize("ordering", ORDERINGS)
 def test_alltoall(n, ordering):
     def main(ctx):
-        return ctx.comm.alltoall([ctx.rank * 100 + d for d in range(n)])
+        return (yield from ctx.comm.co_alltoall([ctx.rank * 100 + d for d in range(n)]))
 
     results = run(main, n, ordering)
     for rank, got in enumerate(results):
@@ -114,7 +116,7 @@ def test_alltoall(n, ordering):
 @pytest.mark.parametrize("n", SIZES)
 def test_scan(n):
     def main(ctx):
-        return ctx.comm.scan(ctx.rank + 1, SUM)
+        return (yield from ctx.comm.co_scan(ctx.rank + 1, SUM))
 
     assert run(main, n) == [sum(range(1, i + 2)) for i in range(n)]
 
@@ -124,8 +126,8 @@ def test_barrier_synchronisation(n):
     """No rank may pass the barrier before every rank reached it: the
     pre-barrier flags must all be visible after it."""
     def main(ctx):
-        flag = ctx.comm.allgather(True)  # warm-up
-        ctx.comm.barrier()
+        flag = yield from ctx.comm.co_allgather(True)  # warm-up
+        yield from ctx.comm.co_barrier()
         return all(flag)
 
     assert run(main, n) == [True] * n
@@ -134,8 +136,8 @@ def test_barrier_synchronisation(n):
 def test_concurrent_collectives_on_split_comms():
     """Disjoint sub-communicators run independent collectives."""
     def main(ctx):
-        sub = ctx.comm.split(color=ctx.rank % 2, key=ctx.rank)
-        total = sub.allreduce(ctx.rank, SUM)
+        sub = yield from ctx.comm.co_split(color=ctx.rank % 2, key=ctx.rank)
+        total = yield from sub.co_allreduce(ctx.rank, SUM)
         return (ctx.rank % 2, total)
 
     results = run(main, 6)
@@ -149,12 +151,12 @@ def test_dup_isolates_tag_space():
     def main(ctx):
         dup = ctx.comm.dup()
         if ctx.rank == 0:
-            ctx.comm.send("on-world", 1, tag=5)
-            dup.send("on-dup", 1, tag=5)
+            yield from ctx.comm.co_send("on-world", 1, tag=5)
+            yield from dup.co_send("on-dup", 1, tag=5)
             return None
         if ctx.rank == 1:
-            got_dup = dup.recv(source=0, tag=5)
-            got_world = ctx.comm.recv(source=0, tag=5)
+            got_dup = yield from dup.co_recv(source=0, tag=5)
+            got_world = yield from ctx.comm.co_recv(source=0, tag=5)
             return (got_world, got_dup)
         return None
 
@@ -164,7 +166,7 @@ def test_dup_isolates_tag_space():
 
 def test_split_undefined_color():
     def main(ctx):
-        sub = ctx.comm.split(color=None if ctx.rank == 0 else 1, key=ctx.rank)
+        sub = yield from ctx.comm.co_split(color=None if ctx.rank == 0 else 1, key=ctx.rank)
         if sub is None:
             return "excluded"
         return sub.size

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, MatchError
-from repro.simmpi import ANY_SOURCE, ANY_TAG, run_simple, waitall, waitany
+from repro.simmpi import ANY_SOURCE, ANY_TAG, co_waitall, co_waitany, run_simple
 
 
 def run(main, n=2, **kw):
@@ -17,27 +17,27 @@ class TestBlocking:
     def test_send_recv(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send({"k": [1, 2]}, dest=1, tag=9)
+                yield from ctx.comm.co_send({"k": [1, 2]}, dest=1, tag=9)
             elif ctx.rank == 1:
-                return ctx.comm.recv(source=0, tag=9)
+                return (yield from ctx.comm.co_recv(source=0, tag=9))
 
         assert run(main)[1] == {"k": [1, 2]}
 
     def test_numpy_payload(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send(np.arange(10.0), dest=1)
+                yield from ctx.comm.co_send(np.arange(10.0), dest=1)
             else:
-                return float(ctx.comm.recv(source=0).sum())
+                return float((yield from ctx.comm.co_recv(source=0)).sum())
 
         assert run(main)[1] == 45.0
 
     def test_status_populated(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send(b"abc", dest=1, tag=3)
+                yield from ctx.comm.co_send(b"abc", dest=1, tag=3)
             else:
-                payload = ctx.comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
+                payload = yield from ctx.comm.co_recv(source=ANY_SOURCE, tag=ANY_TAG)
                 st = ctx.comm.last_status
                 return (payload, st.source, st.tag)
 
@@ -46,11 +46,11 @@ class TestBlocking:
     def test_tag_selectivity(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send("one", dest=1, tag=1)
-                ctx.comm.send("two", dest=1, tag=2)
+                yield from ctx.comm.co_send("one", dest=1, tag=1)
+                yield from ctx.comm.co_send("two", dest=1, tag=2)
             else:
-                second = ctx.comm.recv(source=0, tag=2)
-                first = ctx.comm.recv(source=0, tag=1)
+                second = yield from ctx.comm.co_recv(source=0, tag=2)
+                first = yield from ctx.comm.co_recv(source=0, tag=1)
                 return (first, second)
 
         assert run(main)[1] == ("one", "two")
@@ -59,23 +59,26 @@ class TestBlocking:
         def main(ctx):
             if ctx.rank == 0:
                 for i in range(20):
-                    ctx.comm.send(i, dest=1, tag=0)
+                    yield from ctx.comm.co_send(i, dest=1, tag=0)
             else:
-                return [ctx.comm.recv(source=0, tag=0) for _ in range(20)]
+                got = []
+                for _ in range(20):
+                    got.append((yield from ctx.comm.co_recv(source=0, tag=0)))
+                return got
 
         assert run(main)[1] == list(range(20))
 
     def test_sendrecv(self):
         def main(ctx):
             partner = 1 - ctx.rank
-            return ctx.comm.sendrecv(f"from{ctx.rank}", partner, partner, send_tag=4)
+            return (yield from ctx.comm.co_sendrecv(f"from{ctx.rank}", partner, partner, send_tag=4))
 
         assert run(main) == ["from1", "from0"]
 
     def test_bad_dest_raises(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send("x", dest=99)
+                yield from ctx.comm.co_send("x", dest=99)
 
         with pytest.raises(MatchError):
             run(main)
@@ -86,25 +89,25 @@ class TestNonblocking:
         def main(ctx):
             if ctx.rank == 0:
                 req = ctx.comm.isend("hello", dest=1)
-                req.wait()
+                yield from req.co_wait()
             else:
                 req = ctx.comm.irecv(source=0)
-                return req.wait()
+                return (yield from req.co_wait())
 
         assert run(main)[1] == "hello"
 
     def test_irecv_test_polling(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send("late", dest=1)
+                yield from ctx.comm.co_send("late", dest=1)
             else:
                 req = ctx.comm.irecv(source=0)
                 polls = 0
                 while not req.test():
-                    ctx.yield_point()
+                    yield from ctx.co_yield_point()
                     polls += 1
                     assert polls < 10_000
-                return req.wait()
+                return (yield from req.co_wait())
 
         assert run(main)[1] == "late"
 
@@ -112,20 +115,20 @@ class TestNonblocking:
         def main(ctx):
             if ctx.rank == 0:
                 for i in range(5):
-                    ctx.comm.send(i * 2, dest=1, tag=i)
+                    yield from ctx.comm.co_send(i * 2, dest=1, tag=i)
             else:
                 reqs = [ctx.comm.irecv(source=0, tag=i) for i in range(5)]
-                return waitall(reqs)
+                return (yield from co_waitall(reqs))
 
         assert run(main)[1] == [0, 2, 4, 6, 8]
 
     def test_waitany(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send("only-tag-3", dest=1, tag=3)
+                yield from ctx.comm.co_send("only-tag-3", dest=1, tag=3)
             else:
                 reqs = [ctx.comm.irecv(source=0, tag=t) for t in range(5)]
-                idx, payload = waitany(reqs)
+                idx, payload = yield from co_waitany(reqs)
                 for i, r in enumerate(reqs):
                     if i != idx:
                         r.cancel()
@@ -136,12 +139,12 @@ class TestNonblocking:
     def test_posted_irecv_takes_priority_over_later_recv(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send("m1", dest=1, tag=0)
-                ctx.comm.send("m2", dest=1, tag=0)
+                yield from ctx.comm.co_send("m1", dest=1, tag=0)
+                yield from ctx.comm.co_send("m2", dest=1, tag=0)
             else:
                 early = ctx.comm.irecv(source=0, tag=0)
-                later = ctx.comm.recv(source=0, tag=0)
-                return (early.wait(), later)
+                later = yield from ctx.comm.co_recv(source=0, tag=0)
+                return ((yield from early.co_wait()), later)
 
         assert run(main)[1] == ("m1", "m2")
 
@@ -150,12 +153,12 @@ class TestProbe:
     def test_iprobe_and_take(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.send(123, dest=1, tag=8)
+                yield from ctx.comm.co_send(123, dest=1, tag=8)
             else:
                 while ctx.comm.iprobe(source=0, tag=8) is None:
-                    ctx.yield_point()
+                    yield from ctx.co_yield_point()
                 st = ctx.comm.iprobe(source=0, tag=8)
-                value = ctx.comm.recv(source=0, tag=8)
+                value = yield from ctx.comm.co_recv(source=0, tag=8)
                 return (st.source, st.tag, value)
 
         assert run(main)[1] == (0, 8, 123)
@@ -164,7 +167,7 @@ class TestProbe:
 class TestDeadlock:
     def test_mutual_recv_detected(self):
         def main(ctx):
-            ctx.comm.recv(source=1 - ctx.rank, tag=0)
+            yield from ctx.comm.co_recv(source=1 - ctx.rank, tag=0)
 
         with pytest.raises(DeadlockError):
             run(main)
@@ -172,7 +175,7 @@ class TestDeadlock:
     def test_deadlock_reports_blocked_ranks(self):
         def main(ctx):
             if ctx.rank == 0:
-                ctx.comm.recv(source=1, tag=77)
+                yield from ctx.comm.co_recv(source=1, tag=77)
 
         with pytest.raises(DeadlockError, match="tag=77"):
             run(main)

@@ -21,7 +21,7 @@ from repro.simmpi.simulator import SimConfig, Simulator
 def _deaf_pair(ctx):
     """Both ranks block on a receive that is never posted."""
     peer = 1 - ctx.rank
-    return ctx.comm.recv(source=peer, tag=99)
+    return (yield from ctx.comm.co_recv(source=peer, tag=99))
 
 
 class TestExactDetectionLatency:

@@ -165,7 +165,7 @@ class TestHeartbeatDetector:
 
 def busy_worker(ctx):
     for _ in range(500):
-        ctx.comm.allreduce(1, SUM)
+        yield from ctx.comm.co_allreduce(1, SUM)
     return "done"
 
 

@@ -54,10 +54,10 @@ def mixed_traffic(ctx):
     right, left = (rank + 1) % size, (rank - 1) % size
     acc = rank
     for step in range(6):
-        comm.send(acc, dest=right, tag=1)
-        comm.send(step, dest=right, tag=2)
-        acc += comm.recv(source=left, tag=2) + comm.recv(source=left, tag=1)
-        acc = comm.allreduce(acc, SUM) % 1009
+        yield from comm.co_send(acc, dest=right, tag=1)
+        yield from comm.co_send(step, dest=right, tag=2)
+        acc += (yield from comm.co_recv(source=left, tag=2)) + (yield from comm.co_recv(source=left, tag=1))
+        acc = (yield from comm.co_allreduce(acc, SUM)) % 1009
     return acc
 
 

@@ -9,7 +9,7 @@ from repro.simmpi import SUM, SimConfig, Simulator, run_simple
 def chatty(ctx):
     acc = ctx.rank
     for _ in range(15):
-        acc = ctx.comm.allreduce(acc + 1, SUM)
+        acc = yield from ctx.comm.co_allreduce(acc + 1, SUM)
     return acc
 
 
@@ -57,7 +57,7 @@ class TestGuards:
     def test_max_slices_livelock_guard(self):
         def spinner(ctx):
             while True:
-                ctx.yield_point()
+                yield from ctx.co_yield_point()
 
         with pytest.raises(SimMPIError, match="max_slices"):
             run_simple(spinner, nprocs=2, seed=0, max_slices=500)
@@ -66,10 +66,17 @@ class TestGuards:
         def buggy(ctx):
             if ctx.rank == 1:
                 raise ValueError("application bug")
-            ctx.comm.recv(source=1)
+            yield from ctx.comm.co_recv(source=1)
 
         with pytest.raises(ValueError, match="application bug"):
             run_simple(buggy, nprocs=2, seed=0)
+
+    def test_sync_call_that_must_suspend_names_the_fix(self):
+        def plain(ctx):
+            ctx.comm.send("x", dest=1 - ctx.rank)
+
+        with pytest.raises(SimMPIError, match="generator function.*PrecompiledApp"):
+            run_simple(plain, nprocs=2, seed=0)
 
     def test_simulator_single_use(self):
         sim = Simulator(SimConfig(nprocs=1), lambda ctx: 1)
@@ -81,11 +88,11 @@ class TestGuards:
 class TestPerRankMains:
     def test_distinct_mains(self):
         def producer(ctx):
-            ctx.comm.send("payload", dest=1)
+            yield from ctx.comm.co_send("payload", dest=1)
             return "sent"
 
         def consumer(ctx):
-            return ctx.comm.recv(source=0)
+            return (yield from ctx.comm.co_recv(source=0))
 
         result = run_simple([producer, consumer], nprocs=2, seed=0)
         assert result.results == ["sent", "payload"]
@@ -143,22 +150,15 @@ class TestRoundRobinCursor:
 class TestCoMethod:
     """``coop.co_method`` binds ``co_<name>`` or wraps the sync method."""
 
-    def test_sync_only_double_is_wrapped_under_its_sync_name(self):
+    def test_sync_only_double_is_wrapped(self):
         from repro.simmpi import coop
 
         class SyncOnlyComm:
-            yields = 0
-
-            def _yield_point(self):
-                self.yields += 1
-
             def recv(self, source):
                 return ("payload", source)
 
         comm = SyncOnlyComm()
-        co_yield = coop.co_method(comm, "yield_point", sync="_yield_point")
-        assert list(co_yield()) == [] and comm.yields == 1
-        assert coop.drive(coop.co_method(comm, "recv")(3), comm) == ("payload", 3)
+        assert coop.drive(coop.co_method(comm, "recv")(3)) == ("payload", 3)
 
     def test_generator_method_is_returned_unwrapped(self):
         from repro.simmpi import coop
@@ -168,4 +168,4 @@ class TestCoMethod:
                 yield
 
         comm = CoComm()
-        assert coop.co_method(comm, "yield_point", sync="_yield_point") == comm.co_yield_point
+        assert coop.co_method(comm, "yield_point") == comm.co_yield_point

@@ -22,11 +22,11 @@ def ring_app(ctx):
     while state["i"] < 60:
         right = (ctx.rank + 1) % ctx.size
         left = (ctx.rank - 1) % ctx.size
-        ctx.mpi.send(float(state["i"]), right, tag=1)
-        incoming = ctx.mpi.recv(source=left, tag=1)
-        state["acc"] += ctx.mpi.allreduce(incoming, SUM)
+        yield from ctx.mpi.co_send(float(state["i"]), right, tag=1)
+        incoming = yield from ctx.mpi.co_recv(source=left, tag=1)
+        state["acc"] += (yield from ctx.mpi.co_allreduce(incoming, SUM))
         state["i"] += 1
-        ctx.potential_checkpoint()
+        yield from ctx.co_potential_checkpoint()
     return round(state["acc"], 10)
 
 

@@ -79,8 +79,8 @@ def _tally_app(ctx):
 
     state = ctx.checkpointable_state(lambda: {"i": 0})
     while state["i"] < 40:
-        ctx.potential_checkpoint()
-        x = ctx.mpi.allreduce(1.0, SUM)
+        yield from ctx.co_potential_checkpoint()
+        x = yield from ctx.mpi.co_allreduce(1.0, SUM)
         if ctx.rank == 0:
             TALLY["total"] += x
         state["i"] += 1

@@ -131,7 +131,7 @@ def test_trace_gauges_in_snapshot(outcome):
 
 def test_deadlock_message_includes_recent_trace_events():
     def both_recv_first(ctx):
-        return ctx.comm.recv(source=(ctx.rank + 1) % 2, tag=1)
+        return (yield from ctx.comm.co_recv(source=(ctx.rank + 1) % 2, tag=1))
 
     recorder = TraceRecorder()
     sim = Simulator(SimConfig(nprocs=2, seed=0), both_recv_first, tracer=recorder)
@@ -144,7 +144,7 @@ def test_deadlock_message_includes_recent_trace_events():
 
 def test_deadlock_message_without_tracer_still_describes():
     def both_recv_first(ctx):
-        return ctx.comm.recv(source=(ctx.rank + 1) % 2, tag=1)
+        return (yield from ctx.comm.co_recv(source=(ctx.rank + 1) % 2, tag=1))
 
     sim = Simulator(SimConfig(nprocs=2, seed=0), both_recv_first)
     with pytest.raises(DeadlockError) as excinfo:
