@@ -1,5 +1,7 @@
 """Session facade and sweep semantics (identity with the serial path)."""
 
+import warnings
+
 import pytest
 
 import repro
@@ -374,3 +376,10 @@ class TestTopLevelExports:
         assert default_storage_factory().path is None
         assert not hasattr(repro, "run_with_recovery")
         assert not hasattr(repro, "run_variant_suite")
+
+    def test_session_run_is_warning_free(self):
+        cfg = RunConfig(nprocs=2, checkpoint_interval=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Session().run(param_driven_app, cfg, params=3)
+        assert out.results == [6, 6]
