@@ -354,6 +354,62 @@ def test_guard_idle_operations_build_no_progress_generator(monkeypatch):
     assert len(progress) < waves.stage_totals()["checkpoint"]["calls"]
 
 
+def test_guard_stage_dispatch_reads_no_host_clock(monkeypatch):
+    """Stage dispatch is counted, never timed: a run with waves reads
+    ``time.perf_counter`` a few times per attempt (the simulator's run
+    bracket), not once per dispatch."""
+    import sys
+    import time
+
+    reads = []
+    real = time.perf_counter
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(time, "perf_counter", counting)
+    # ``from time import perf_counter`` binds the function into a module.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "perf_counter", None) is real:
+            monkeypatch.setattr(module, "perf_counter", counting)
+    out = _guard_run(0.002)
+    assert out.checkpoints_committed >= 2
+    assert sum(entry["calls"] for entry in out.stage_totals().values()) > 10_000
+    assert 0 < len(reads) <= 8 * len(out.attempts)
+
+
+def test_guard_one_send_count_token_per_distinct_count(monkeypatch):
+    """A local checkpoint builds one ``MySendCount`` per distinct count:
+    at most 1 (the zero every silent peer is told) + the peers it sent to."""
+    from repro.protocol.control import MySendCount
+    from repro.protocol.state import ProtocolState
+
+    bounds: dict[int, list[int]] = {}  # rank -> allowed tokens, per checkpoint
+    built: dict[int, list[int]] = {}  # rank -> tokens built, per checkpoint
+    real_transition = ProtocolState.epoch_transition
+    real_init = MySendCount.__init__
+
+    def transition(self):
+        send_counts = real_transition(self)
+        bounds.setdefault(self.rank, []).append(1 + len(send_counts))
+        built.setdefault(self.rank, []).append(0)
+        return send_counts
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built[self.sender][-1] += 1
+
+    monkeypatch.setattr(ProtocolState, "epoch_transition", transition)
+    monkeypatch.setattr(MySendCount, "__init__", counting_init)
+    out = _guard_run(0.002)
+    assert out.checkpoints_committed >= 2 and len(built) == 16
+    for rank, counts in built.items():
+        assert all(0 < n <= bound for n, bound in zip(counts, bounds[rank])), rank
+    # laplace's 1-D stencil: a rank sends to at most two of its 15 peers
+    assert max(max(b) for b in bounds.values()) <= 3
+
+
 class _CountingProxy:
     """Forwards to a numpy ``Generator`` (and its ``bit_generator``),
     recording every call that enters numpy."""

@@ -5,10 +5,11 @@ failure detector must suspect the victim and the recovery driver must
 restart and complete the job.  The whole smoke is a few wall seconds, so
 CI runs it on every push (the ``scale-smoke`` job).
 
-With ``--bench`` the run is stamped into a BENCH trajectory — wall
-seconds, virtual time, restart count, and per-stage ``stage_seconds``
-totals, which the ``repro.bench.trajectory`` gate checks against
-per-stage budgets (``--stage-budget checkpoint=...``).
+The ok line names the epoch the final attempt restarted from and the
+waves committed, so a restart from scratch (``started_from_epoch=None``)
+is visible, and the per-stage dispatch counts (``stage_calls``, exact
+simulated facts).  With ``--bench`` the same facts and the wall seconds
+are stamped into a BENCH trajectory.
 
 CLI::
 
@@ -62,14 +63,16 @@ def main(argv=None) -> int:
         print("scale smoke FAILED: kill forced no restart", file=sys.stderr)
         return 1
 
-    stage_seconds = {
-        name: round(entry["seconds"], 6)
-        for name, entry in sorted(out.stage_totals().items())
+    stage_calls = {
+        name: entry["calls"] for name, entry in sorted(out.stage_totals().items())
     }
+    started_from_epoch = out.attempts[-1].started_from_epoch
     print(
         f"scale smoke ok: {n} ranks, {wall:.2f}s wall, "
         f"vt={out.total_virtual_time:.4f}, restarts={out.restarts}, "
-        f"stage_seconds={stage_seconds}"
+        f"started_from_epoch={started_from_epoch}, "
+        f"checkpoints_committed={out.checkpoints_committed}, "
+        f"stage_calls={stage_calls}"
     )
 
     if args.bench:
@@ -80,7 +83,9 @@ def main(argv=None) -> int:
             extra={
                 "ranks": n,
                 "restarts": out.restarts,
-                "stage_seconds": stage_seconds,
+                "started_from_epoch": started_from_epoch,
+                "checkpoints_committed": out.checkpoints_committed,
+                "stage_calls": stage_calls,
             },
         )
         print(f"stamped scale_smoke.n{n}.recovery into {args.bench}")

@@ -128,10 +128,6 @@ class RunRow:
         for name, value in snap["counters"].items():
             if name.startswith("proto.stage_calls."):
                 stage_calls[name[len("proto.stage_calls."):]] = int(value)
-        stage_seconds: dict[str, float] = {}
-        for name, hist in snap["histograms"].items():
-            if name.startswith("proto.stage_seconds."):
-                stage_seconds[name[len("proto.stage_seconds."):]] = hist["sum"]
         row.update(
             results=self.outcome.results,
             attempts=int(snapshot_get(snap, "gauges", "run.attempts", 0.0)),
@@ -143,7 +139,6 @@ class RunRow:
             network_messages=int(counter("net.messages")),
             network_bytes=int(counter("net.bytes")),
             stage_calls=stage_calls,
-            stage_seconds=stage_seconds,
         )
         return row
 

@@ -67,60 +67,6 @@ def record_hit_rate(record: Dict[str, Any]) -> Optional[float]:
     return _metric(record, "gauges", "farm.hit_rate", "hit_rate")
 
 
-#: Histogram-name prefix for per-stage pipeline overhead in a record's
-#: ``repro.metrics/1`` snapshot (written by ``outcome_metrics``).
-_STAGE_PREFIX = "proto.stage_seconds."
-
-
-def record_stage_seconds(record: Dict[str, Any]) -> Dict[str, float]:
-    """Per-stage wall seconds carried by a bench record.
-
-    Reads ``proto.stage_seconds.<stage>`` histograms from the record's
-    metrics snapshot when present, merged over a flat ``stage_seconds``
-    dict (how driver-level smokes stamp stage totals without routing a
-    whole outcome snapshot through :class:`BenchRecorder`).
-    """
-    out: Dict[str, float] = {}
-    snap = record.get("metrics")
-    if isinstance(snap, dict):
-        for name, value in snap.get("histograms", {}).items():
-            if not name.startswith(_STAGE_PREFIX):
-                continue
-            stage = name[len(_STAGE_PREFIX):]
-            out[stage] = float(value["sum"]) if isinstance(value, dict) else float(value)
-    flat = record.get("stage_seconds")
-    if isinstance(flat, dict):
-        for stage, seconds in flat.items():
-            out[str(stage)] = float(seconds)
-    return out
-
-
-def check_stage_budgets(
-    records: Sequence[Dict[str, Any]],
-    budgets: Dict[str, float],
-) -> List[str]:
-    """Per-stage wall-time budgets over the newest record per label.
-
-    ``budgets`` maps a stage name (``checkpoint``, ``piggyback``, …) to a
-    ceiling in seconds.  A record that carries no accounting for a
-    budgeted stage is not a violation — only measured overshoot fails,
-    so farm-campaign records (which carry no stage totals) coexist with
-    driver smokes in one trajectory.
-    """
-    problems: List[str] = []
-    for label, record in sorted(newest_by_label(records).items()):
-        stages = record_stage_seconds(record)
-        for stage, budget in sorted(budgets.items()):
-            seconds = stages.get(stage)
-            if seconds is not None and seconds > budget:
-                problems.append(
-                    f"stage budget exceeded for {label!r}: "
-                    f"{_STAGE_PREFIX}{stage} = {seconds:.3f}s "
-                    f"> budget {budget:.3f}s"
-                )
-    return problems
-
-
 def load_records(path: str) -> List[Dict[str, Any]]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -220,27 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--warm-label", default="warm", help="label of the warm record"
     )
-    parser.add_argument(
-        "--stage-budget", action="append", default=[], metavar="STAGE=SECONDS",
-        help="per-stage wall-time ceiling checked against every label's "
-             "newest proto.stage_seconds.* accounting (repeatable)",
-    )
-    parser.add_argument(
-        "--no-warm-check", action="store_true",
-        help="skip the warm cache-hit check (trajectories without farm "
-             "records, e.g. the rank-scaling artifact)",
-    )
     return parser
-
-
-def parse_stage_budgets(specs: Sequence[str]) -> Dict[str, float]:
-    budgets: Dict[str, float] = {}
-    for spec in specs:
-        stage, sep, seconds = spec.partition("=")
-        if not sep or not stage:
-            raise ValueError(f"bad --stage-budget {spec!r}; expected STAGE=SECONDS")
-        budgets[stage] = float(seconds)
-    return budgets
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -254,17 +180,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{args.current}: empty trajectory", file=sys.stderr)
         return 2
 
-    try:
-        budgets = parse_stage_budgets(args.stage_budget)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    problems = [] if args.no_warm_check else check_warm_hit_rate(
+    problems = check_warm_hit_rate(
         current, warm_label=args.warm_label, min_hit_rate=args.min_warm_hit_rate
     )
-    if budgets:
-        problems.extend(check_stage_budgets(current, budgets))
 
     if args.against is not None:
         if not os.path.exists(args.against):

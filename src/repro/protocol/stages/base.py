@@ -93,11 +93,10 @@ class LayerStats:
     ckpt_logical_bytes: int = 0
     ckpt_stored_bytes: int = 0
     ckpt_chunks_reused: int = 0
-    #: Per-stage observability: dispatches into each pipeline stage and
-    #: the wall-clock seconds spent inside them (keys are stage names;
-    #: populated only for the stages present in this rank's stack).
+    #: Per-stage observability: dispatches into each pipeline stage (keys
+    #: are stage names; populated only for the stages present in this
+    #: rank's stack).
     stage_calls: dict[str, int] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 class ProtocolStage:

@@ -21,6 +21,7 @@ from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator
 from repro.protocol.logs import EpochLogs
 from repro.protocol.stages.base import C3Config, ProtocolStage
+from repro.simmpi.constants import TAG_CONTROL
 from repro.statesave.format import CheckpointData
 
 
@@ -191,15 +192,19 @@ class CheckpointStage(ProtocolStage):
             core.stats.ckpt_chunks_reused += manifest.reused_chunks
         core.stats.checkpoints_taken += 1
         # receivedAll? waits for every peer's count: one absent from the
-        # sparse ``send_counts`` was sent nothing and is told 0.
+        # sparse ``send_counts`` was sent nothing and is told 0.  Tokens
+        # are frozen values, so peers told the same count share one; none
+        # of the peers is this rank, so each goes straight to the wire.
+        tokens: dict[int, ctl.MySendCount] = {}
+        send = core._comm_send
         for q in state.peers():
-            yield from core._co_send_control(
-                ctl.MySendCount(
-                    epoch=state.epoch, sender=core.rank,
-                    count=send_counts.get(q, 0),
-                ),
-                q,
-            )
+            count = send_counts.get(q, 0)
+            token = tokens.get(count)
+            if token is None:
+                token = tokens[count] = ctl.MySendCount(
+                    epoch=state.epoch, sender=core.rank, count=count
+                )
+            yield from send(token, q, TAG_CONTROL)
         state.am_logging = True
         core.logs = EpochLogs(epoch=state.epoch)
         if core.on_checkpoint is not None:

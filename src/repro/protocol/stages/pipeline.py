@@ -18,9 +18,11 @@ is decided purely by which stages are present:
   ``result-log``/``replay``) runs the full Figure-4 event handler; adding
   ``checkpoint`` enables waves — the paper's V2/V3.
 
-Per-stage dispatch is counted and timed into
-``LayerStats.stage_calls`` / ``stage_seconds``, giving the per-stage
-overhead accounting the flat layer could not.
+Every dispatch into a stage is counted into ``LayerStats.stage_calls``
+(exact, and pinned per run by the golden-facts suite).  Dispatch reads no
+host clock: a clock read costs more than most stages, and a timer around
+a stage that suspends would charge it with other ranks' slices.
+Durations come from a profiler or from ``repro.trace`` events.
 
 One deliberate refinement over the paper's prose: the collective logging
 rule exchanges ``(epoch, amLogging)`` rather than ``amLogging`` alone.  A
@@ -34,7 +36,6 @@ exactly the paper's color-bit reasoning applied to collectives.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, ProtocolError, RecoveryError
@@ -169,8 +170,9 @@ class ProtocolPipeline:
         self._protocol = self.clf is not None
         if self.ckpt is not None and storage is None:
             raise ConfigError("a checkpoint stage requires a storage")
-        self.stats.stage_calls = {s.name: 0 for s in self.stages}
-        self.stats.stage_seconds = {s.name: 0.0 for s in self.stages}
+        #: ``stats.stage_calls``, bound once: a dispatch counts itself
+        #: with one item increment after the stage returns.
+        self._calls = self.stats.stage_calls = {s.name: 0 for s in self.stages}
         for stage in self.stages:
             stage.bind(self)
         # Generic observer hooks: dispatched only when overridden, so the
@@ -181,14 +183,6 @@ class ProtocolPipeline:
         self._recv_observers = [
             s for s in self.stages if type(s).on_receive is not ProtocolStage.on_receive
         ]
-
-    # ------------------------------------------------------------------ #
-    # Per-stage accounting.
-    # ------------------------------------------------------------------ #
-
-    def _charge(self, name: str, t0: float) -> None:
-        self.stats.stage_calls[name] += 1
-        self.stats.stage_seconds[name] += perf_counter() - t0
 
     # ------------------------------------------------------------------ #
     # Control plane (shared by the checkpoint and replay stages).
@@ -225,14 +219,13 @@ class ProtocolPipeline:
         if initiator is not None and initiator.wave_due():
             return False
         if self.ckpt is not None:
-            self.stats.stage_calls["checkpoint"] += 1
+            self._calls["checkpoint"] += 1
         return True
 
     def _co_progress(self):
         """Drain control traffic, poll the initiator (when not :meth:`_idle`)."""
-        t0 = perf_counter()
         yield from self.ckpt.co_progress()
-        self._charge("checkpoint", t0)
+        self._calls["checkpoint"] += 1
 
     def _co_finalize_log(self):
         if self.ckpt is not None:
@@ -285,16 +278,14 @@ class ProtocolPipeline:
             yield from self._co_progress()
         self.stats.sends += 1
         for stage in self._send_observers:
-            t0 = perf_counter()
             stage.on_send(payload, dest, tag)
-            self._charge(stage.name, t0)
+            self._calls[stage.name] += 1
         if not self._protocol:
             if self.pb is None:
                 yield from self._comm_send(payload, dest, tag)
                 return
-            t0 = perf_counter()
             wire = self.pb.blank()
-            self._charge("piggyback", t0)
+            self._calls["piggyback"] += 1
             yield from self._comm_send(payload, dest, tag, wire)
             return
         message_id = self.state.note_send(dest)
@@ -316,9 +307,8 @@ class ProtocolPipeline:
                 "proto", "send", rank=self.rank, epoch=self.state.epoch,
                 dest=dest, mid=message_id, logging=self.state.am_logging,
             )
-        t0 = perf_counter()
         wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
-        self._charge("piggyback", t0)
+        self._calls["piggyback"] += 1
         yield from self._comm_send(payload, dest, tag, wire)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
@@ -336,17 +326,15 @@ class ProtocolPipeline:
             yield from self._co_progress()
         self.stats.sends += 1
         for stage in self._send_observers:
-            t0 = perf_counter()
             stage.on_send(payload, dest, tag)
-            self._charge(stage.name, t0)
+            self._calls[stage.name] += 1
         req = self.requests.new("isend", dest=dest, tag=tag)
         if not self._protocol:
             if self.pb is None:
                 self.comm.isend(payload, dest, tag)
                 return req
-            t0 = perf_counter()
             wire = self.pb.blank()
-            self._charge("piggyback", t0)
+            self._calls["piggyback"] += 1
             self.comm.isend(payload, dest, tag, piggyback=wire)
             return req
         message_id = self.state.note_send(dest)
@@ -364,9 +352,8 @@ class ProtocolPipeline:
                 "proto", "send", rank=self.rank, epoch=self.state.epoch,
                 dest=dest, mid=message_id, logging=self.state.am_logging,
             )
-        t0 = perf_counter()
         wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
-        self._charge("piggyback", t0)
+        self._calls["piggyback"] += 1
         self.comm.isend(payload, dest, tag, piggyback=wire)
         return req
 
@@ -389,13 +376,11 @@ class ProtocolPipeline:
             env = yield from self._comm_recv_envelope(source, tag)
             if self.pb is not None and env.piggyback is not None:
                 # Piggyback-only variant still pays the decode cost.
-                t0 = perf_counter()
                 self.pb.decode(env)
-                self._charge("piggyback", t0)
+                self._calls["piggyback"] += 1
             for stage in self._recv_observers:
-                t0 = perf_counter()
                 stage.on_receive(env)
-                self._charge(stage.name, t0)
+                self._calls[stage.name] += 1
             return env.payload
         if self.replay is not None and not self.replay.matches.exhausted:
             return (yield from self._co_replay_recv())
@@ -528,32 +513,27 @@ class ProtocolPipeline:
         return coop.drive(self._co_classify_and_deliver(env))
 
     def _co_classify_and_deliver(self, env):
-        t0 = perf_counter()
         info = self.pb.decode(env)
-        self._charge("piggyback", t0)
-        t0 = perf_counter()
+        self._calls["piggyback"] += 1
         mclass = self.clf.classify(info)
-        self._charge("classifier", t0)
+        self._calls["classifier"] += 1
         tr = self.tracer
         if tr is not None:
             tr.emit(
                 "proto", "classify", rank=self.rank, epoch=self.state.epoch,
                 source=env.source, cls=mclass.name.lower(), mid=info.message_id,
             )
-        t0 = perf_counter()
         yield from self.msg_log.co_on_message(env, info, mclass)
-        self._charge("message-log", t0)
+        self._calls["message-log"] += 1
         for stage in self._recv_observers:
-            t0 = perf_counter()
             stage.on_receive(env)
-            self._charge(stage.name, t0)
+            self._calls[stage.name] += 1
         return env.payload
 
     def _co_replay_recv(self):
         """Serve one receive deterministically from the match log."""
-        t0 = perf_counter()
         payload = yield from self.rep.co_serve_recv()
-        self._charge("replay", t0)
+        self._calls["replay"] += 1
         return payload
 
     # ------------------------------------------------------------------ #
@@ -579,15 +559,13 @@ class ProtocolPipeline:
             and self.replay is not None
             and not self.replay.nondet.exhausted
         ):
-            t0 = perf_counter()
             value = yield from self.rep.co_serve_nondet()
-            self._charge("replay", t0)
+            self._calls["replay"] += 1
             return value
         value = compute()
         if self._protocol and self.state.am_logging:
-            t0 = perf_counter()
             self.res_log.record_nondet(value)
-            self._charge("result-log", t0)
+            self._calls["result-log"] += 1
         return value
 
     # ------------------------------------------------------------------ #
@@ -639,9 +617,8 @@ class ProtocolPipeline:
             and self.replay is not None
             and not self.replay.collectives.exhausted
         ):
-            t0 = perf_counter()
             result = self.rep.serve_collective(kind)
-            self._charge("replay", t0)
+            self._calls["replay"] += 1
             self._advance_coll_seq(handle_id)
             yield from self._co_maybe_end_replay()
             return result
@@ -667,9 +644,8 @@ class ProtocolPipeline:
                 # globally terminated; do not record the result.
                 yield from self._co_finalize_log()
             else:
-                t0 = perf_counter()
                 self.res_log.record_collective(kind, result)
-                self._charge("result-log", t0)
+                self._calls["result-log"] += 1
         return result
 
     def _group_rank(self, handle_id: int) -> int:
@@ -807,9 +783,8 @@ class ProtocolPipeline:
                 # potentialCheckpoint-before-barrier), so its snapshot must
                 # not count the alignment exchange the re-execution will
                 # perform again.
-                t0 = perf_counter()
                 yield from self.ckpt.co_take_local_checkpoint()
-                self._charge("checkpoint", t0)
+                self._calls["checkpoint"] += 1
             self._advance_coll_seq(handle_id)
         elif self._protocol:
             # Re-executed barrier during replay: alignment already held in
@@ -841,9 +816,8 @@ class ProtocolPipeline:
             yield from self._co_progress()
         if self.ckpt is None:
             return False
-        t0 = perf_counter()
         taken = yield from self.ckpt.co_potential_checkpoint()
-        self._charge("checkpoint", t0)
+        self._calls["checkpoint"] += 1
         return taken
 
     def request_checkpoint_now(self) -> None:

@@ -21,7 +21,6 @@ attempt *n* does not fire again in attempt *n+1* (the faulty node has been
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -62,7 +61,6 @@ class AttemptRecord:
     #: attempts — each attempt builds fresh layers, so summing never
     #: double-counts.
     stage_calls: dict[str, int] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -71,7 +69,6 @@ class RunOutcome:
 
     results: list[Any]
     attempts: list[AttemptRecord] = field(default_factory=list)
-    total_wall_seconds: float = 0.0
     total_virtual_time: float = 0.0
     #: Number of checkpoint waves committed *during this run* (commit
     #: events observed on the storage, not the last epoch index — the two
@@ -97,40 +94,27 @@ class RunOutcome:
     def completed(self) -> bool:
         return bool(self.attempts) and self.attempts[-1].completed
 
-    def stage_totals(self) -> dict[str, dict[str, float]]:
-        """Per-stage pipeline overhead, aggregated over ranks *and attempts*.
+    @property
+    def total_wall_seconds(self) -> float:
+        """Host seconds the simulator ran, summed over attempts (each
+        attempt's ``wall_seconds``; the committed-line read that precedes
+        an attempt is outside it)."""
+        return sum(rec.wall_seconds for rec in self.attempts)
 
-        ``{stage_name: {"calls": int, "seconds": float}}`` summed from each
-        attempt's :class:`AttemptRecord` stage accounting (every attempt
-        builds fresh layers, so the sum never double-counts); empty for V0
-        (the empty stack dispatches into no stages).  Falls back to the
-        final attempt's ``layer_stats`` for outcomes recorded before
-        per-attempt accounting existed.
+    def stage_totals(self) -> dict[str, dict[str, int]]:
+        """Per-stage dispatch counts, aggregated over ranks *and attempts*.
+
+        ``{stage_name: {"calls": int}}`` summed from each attempt's
+        :class:`AttemptRecord` (every attempt builds fresh layers, so the
+        sum never double-counts); empty for V0 (the empty stack dispatches
+        into no stages).  The counts are exact simulated facts; where the
+        host time goes is for a profiler or the trace spans to say.
         """
-        totals: dict[str, dict[str, float]] = {}
-        saw_attempt_stats = False
+        totals: dict[str, dict[str, int]] = {}
         for rec in self.attempts:
-            calls_map = getattr(rec, "stage_calls", None) or {}
-            seconds_map = getattr(rec, "stage_seconds", None) or {}
-            if calls_map or seconds_map:
-                saw_attempt_stats = True
-            for name, calls in calls_map.items():
-                entry = totals.setdefault(name, {"calls": 0, "seconds": 0.0})
+            for name, calls in rec.stage_calls.items():
+                entry = totals.setdefault(name, {"calls": 0})
                 entry["calls"] += calls
-            for name, seconds in seconds_map.items():
-                entry = totals.setdefault(name, {"calls": 0, "seconds": 0.0})
-                entry["seconds"] += seconds
-        if saw_attempt_stats:
-            return totals
-        for stats in self.layer_stats:
-            if stats is None:
-                continue
-            for name, calls in getattr(stats, "stage_calls", {}).items():
-                entry = totals.setdefault(name, {"calls": 0, "seconds": 0.0})
-                entry["calls"] += calls
-            for name, seconds in getattr(stats, "stage_seconds", {}).items():
-                entry = totals.setdefault(name, {"calls": 0, "seconds": 0.0})
-                entry["seconds"] += seconds
         return totals
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -190,7 +174,6 @@ def run_with_recovery(
     # pass-through mode — no piggyback word, no protocol state.
     use_raw = not spec.stages
     outcome = RunOutcome(results=[], trace=tracer)
-    wall_start = time.perf_counter()
     commits_at_start = storage.commits
     bytes_at_start = storage.bytes_written
     # The per-attempt layer registry lets us read stats after a run; keyed
@@ -210,27 +193,21 @@ def run_with_recovery(
     finally:
         if tracer is not None:
             storage.tracer = None
-    outcome.total_wall_seconds = time.perf_counter() - wall_start
     outcome.checkpoints_committed = storage.commits - commits_at_start
     outcome.storage_bytes_written = storage.bytes_written - bytes_at_start
     return outcome
 
 
-def _attempt_stage_totals(
-    layers: list[Optional[CommLike]],
-) -> tuple[dict[str, int], dict[str, float]]:
-    """Aggregate one attempt's per-rank stage accounting over ranks."""
+def _attempt_stage_calls(layers: list[Optional[CommLike]]) -> dict[str, int]:
+    """Aggregate one attempt's per-rank stage dispatch counts over ranks."""
     calls: dict[str, int] = {}
-    seconds: dict[str, float] = {}
     for layer in layers:
         stats = getattr(layer, "stats", None)
         if stats is None:
             continue
         for name, n in getattr(stats, "stage_calls", {}).items():
             calls[name] = calls.get(name, 0) + n
-        for name, secs in getattr(stats, "stage_seconds", {}).items():
-            seconds[name] = seconds.get(name, 0.0) + secs
-    return calls, seconds
+    return calls
 
 
 def _recovery_loop(
@@ -314,7 +291,6 @@ def _recovery_loop(
             if tracer is not None:
                 tracer.end_attempt(sim.clock.now)
             raise
-        attempt_calls, attempt_seconds = _attempt_stage_totals(layers)
         outcome.attempts.append(
             AttemptRecord(
                 index=attempt_index,
@@ -328,8 +304,7 @@ def _recovery_loop(
                 checkpoint_crashes=failures.fired_checkpoint_crashes()[
                     crashes_before:
                 ],
-                stage_calls=attempt_calls,
-                stage_seconds=attempt_seconds,
+                stage_calls=_attempt_stage_calls(layers),
             )
         )
         outcome.total_virtual_time += result.virtual_time

@@ -33,6 +33,10 @@ _FIXED_WIDTH = {int: 8, float: 8, bool: 1, complex: 16, type(None): 0}
 _PICKLED_SIZE: dict[object, int] = {}
 _PICKLED_SIZE_LIMIT = 4096
 
+#: The exact classes seen with ``sizeof_by_value`` set: :func:`sizeof`
+#: probes ``_PICKLED_SIZE`` for these before any ``isinstance`` test.
+_BY_VALUE_KINDS: set[type] = set()
+
 
 def sizeof(payload: object) -> int:
     """Best-effort wire size of a payload in bytes.
@@ -42,8 +46,9 @@ def sizeof(payload: object) -> int:
     elements plus a small per-element overhead; everything else falls
     back to the pickle length (an upper bound on a reasonable encoding).
 
-    Exact builtin types are dispatched here; what that cannot answer
-    (bytes, str, numpy scalars, subclasses, arbitrary objects) takes
+    Exact builtin types are dispatched here, and so is a by-value payload
+    whose length is already cached; what that cannot answer (bytes, str,
+    numpy scalars, subclasses, arbitrary objects, a first sighting) takes
     :func:`_sizeof_general`'s ``isinstance`` ladder.
     """
     kind = type(payload)
@@ -56,6 +61,10 @@ def sizeof(payload: object) -> int:
         return _sizeof_items(payload)
     if kind is dict:
         return _sizeof_mapping(payload)
+    if kind in _BY_VALUE_KINDS:
+        size = _PICKLED_SIZE.get(payload)
+        if size is not None:
+            return size
     return _sizeof_general(payload)
 
 
@@ -100,13 +109,13 @@ def _sizeof_general(payload: object) -> int:
         return _sizeof_items(payload)
     if isinstance(payload, dict):
         return _sizeof_mapping(payload)
-    if not getattr(type(payload), "sizeof_by_value", False):
+    kind = type(payload)
+    if not getattr(kind, "sizeof_by_value", False):
         return _pickled_size(payload)
-    size = _PICKLED_SIZE.get(payload)
-    if size is None:
-        if len(_PICKLED_SIZE) >= _PICKLED_SIZE_LIMIT:
-            _PICKLED_SIZE.clear()
-        size = _PICKLED_SIZE[payload] = _pickled_size(payload)
+    _BY_VALUE_KINDS.add(kind)
+    if len(_PICKLED_SIZE) >= _PICKLED_SIZE_LIMIT:
+        _PICKLED_SIZE.clear()
+    size = _PICKLED_SIZE[payload] = _pickled_size(payload)
     return size
 
 

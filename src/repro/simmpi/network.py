@@ -25,7 +25,7 @@ from it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimMPIError
 from repro.simmpi.message import Envelope
@@ -44,8 +44,6 @@ class NetworkStats:
     dropped_dead_source: int = 0
     bytes_posted: int = 0
     bytes_delivered: int = 0
-    per_rank_sent: dict = field(default_factory=dict)
-    per_rank_received: dict = field(default_factory=dict)
 
 
 class Network:
@@ -111,9 +109,6 @@ class Network:
         heapq.heappush(self._heap, (deliver, env.seq, env))
         self.stats.posted += 1
         self.stats.bytes_posted += env.nbytes
-        self.stats.per_rank_sent[env.source] = (
-            self.stats.per_rank_sent.get(env.source, 0) + 1
-        )
 
     def mark_dead(self, rank: int) -> None:
         """Record a stopping fault: drop traffic to/from ``rank`` from now on."""
@@ -167,9 +162,6 @@ class Network:
                 )
             self.stats.delivered += 1
             self.stats.bytes_delivered += env.nbytes
-            self.stats.per_rank_received[env.dest] = (
-                self.stats.per_rank_received.get(env.dest, 0) + 1
-            )
             due.append(env)
         return due
 

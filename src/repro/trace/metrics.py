@@ -8,7 +8,7 @@ own shape.  The registry gives them one vocabulary:
 * **counter** — monotone event count (messages logged, cache hits).
 * **gauge**   — point-in-time value (committed epoch, virtual time).
 * **histogram** — distribution summarised as count/min/max/sum/mean
-  (per-stage seconds across ranks).
+  (farm wall seconds, chaos virtual times).
 
 ``snapshot()`` renders everything as one JSON-safe dict under the
 ``repro.metrics/1`` schema; ``RunOutcome.metrics_snapshot()``, sweep
@@ -114,13 +114,11 @@ def snapshot_get(snapshot: Mapping[str, Any], kind: str, name: str, default: Any
 def outcome_metrics(outcome: Any) -> MetricsRegistry:
     """Registry view of a :class:`repro.runtime.driver.RunOutcome`.
 
-    Everything here is derived from *virtual-time* accounting — wall-clock
-    readings (``total_wall_seconds``, per-attempt ``wall_seconds``) are
-    deliberately excluded so two same-seed runs snapshot identically and
-    the snapshot can feed bit-identity invariants.  Per-stage *seconds*
-    are the one wall-derived exception, kept under histograms because the
-    paper's per-stage overhead accounting needs them; consumers that
-    require determinism should read counters/gauges only.
+    Everything here is derived from *virtual-time* accounting and exact
+    counts — wall-clock readings (``total_wall_seconds``, per-attempt
+    ``wall_seconds``) are deliberately excluded so two same-seed runs
+    snapshot identically and the snapshot can feed bit-identity
+    invariants.
     """
     reg = MetricsRegistry()
     attempts = list(getattr(outcome, "attempts", ()) or ())
@@ -144,7 +142,6 @@ def outcome_metrics(outcome: Any) -> MetricsRegistry:
     reg.count("net.bytes", float(outcome.network_bytes))
     for name, entry in outcome.stage_totals().items():
         reg.count(f"proto.stage_calls.{name}", float(entry["calls"]))
-        reg.observe(f"proto.stage_seconds.{name}", float(entry["seconds"]))
     tracer = getattr(outcome, "trace", None)
     if tracer is not None:
         reg.gauge("trace.events", float(len(tracer)))

@@ -97,50 +97,3 @@ def test_main_unusable_input(tmp_path, capsys):
     assert main([str(tmp_path / "absent.json")]) == 2
     empty = write_traj(tmp_path / "empty.json", [])
     assert main([empty]) == 2
-
-
-def test_stage_seconds_reader_merges_snapshot_and_flat():
-    from repro.bench.trajectory import record_stage_seconds
-
-    reg = MetricsRegistry()
-    reg.observe("proto.stage_seconds.checkpoint", 0.25)
-    reg.observe("proto.stage_seconds.piggyback", 0.05)
-    record = {
-        "label": "smoke",
-        "metrics": reg.snapshot(),
-        "stage_seconds": {"replay": 0.125},
-    }
-    stages = record_stage_seconds(record)
-    assert stages["checkpoint"] == 0.25
-    assert stages["piggyback"] == 0.05
-    assert stages["replay"] == 0.125
-    assert record_stage_seconds(rec("warm", 1.0)) == {}
-
-
-def test_stage_budget_check():
-    from repro.bench.trajectory import check_stage_budgets
-
-    records = [
-        rec("warm", 1.0),  # no stage accounting: never a violation
-        {"label": "smoke", "stage_seconds": {"checkpoint": 0.4, "replay": 0.01}},
-    ]
-    assert check_stage_budgets(records, {"checkpoint": 0.5}) == []
-    problems = check_stage_budgets(records, {"checkpoint": 0.1, "replay": 1.0})
-    assert len(problems) == 1
-    assert "proto.stage_seconds.checkpoint" in problems[0]
-    assert "'smoke'" in problems[0]
-
-
-def test_main_stage_budget_flag(tmp_path, capsys):
-    current = write_traj(
-        tmp_path / "cur.json",
-        [
-            rec("warm", 1.0, hit_rate=1.0),
-            {"label": "smoke", "stage_seconds": {"checkpoint": 2.0}},
-        ],
-    )
-    assert main([current, "--stage-budget", "checkpoint=5.0"]) == 0
-    capsys.readouterr()
-    assert main([current, "--stage-budget", "checkpoint=1.0"]) == 1
-    assert "stage budget exceeded" in capsys.readouterr().err
-    assert main([current, "--stage-budget", "nonsense"]) == 2

@@ -167,3 +167,33 @@ class TestSizeof:
         monkeypatch.setattr(datatypes, "_PICKLED_SIZE_LIMIT", 1)
         assert sizeof(Token(4, 1, 0)) == expected  # the memo is bounded: it restarts
         assert list(datatypes._PICKLED_SIZE) == [Token(4, 1, 0)]
+
+    def test_cached_value_size_is_answered_before_the_isinstance_ladder(
+        self, monkeypatch
+    ):
+        from dataclasses import dataclass
+
+        from repro.protocol.control import MySendCount, StoppedLogging
+        from repro.simmpi import datatypes
+
+        @dataclass(frozen=True)
+        class Plain:  # frozen and hashable, but no sizeof_by_value promise
+            epoch: int
+
+        monkeypatch.setattr(datatypes, "_PICKLED_SIZE", {})
+        first = {t: sizeof(t) for t in (MySendCount(2, 1, 0), StoppedLogging(2, 1))}
+        for token, size in first.items():
+            assert size == len(pickle.dumps(token, protocol=pickle.HIGHEST_PROTOCOL))
+
+        def ladder(payload):
+            raise AssertionError(f"{payload!r} took the isinstance ladder")
+
+        monkeypatch.setattr(datatypes, "_sizeof_general", ladder)
+        # Equal values of the same exact class hit the cache; an equal-field
+        # token of another class does not alias a cached one.
+        assert sizeof(MySendCount(2, 1, 0)) == first[MySendCount(2, 1, 0)]
+        assert sizeof(StoppedLogging(2, 1)) == first[StoppedLogging(2, 1)]
+        with pytest.raises(AssertionError, match="ladder"):
+            sizeof(MySendCount(2, 1, 5))  # a new value is sized once, by pickle
+        with pytest.raises(AssertionError, match="ladder"):
+            sizeof(Plain(2))

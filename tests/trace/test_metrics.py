@@ -104,8 +104,8 @@ def test_outcome_metrics_on_real_run(killed_outcome):
     assert totals
     for name, entry in totals.items():
         assert snapshot_get(snap, "counters", f"proto.stage_calls.{name}") == float(entry["calls"])
-        hist = snapshot_get(snap, "histograms", f"proto.stage_seconds.{name}")
-        assert hist["sum"] == pytest.approx(entry["seconds"])
+    # ... and the snapshot carries no host-time reading of them
+    assert not any(name.startswith("proto.") for name in snap["histograms"])
 
 
 def test_run_row_columns_match_outcome(killed_outcome):
@@ -119,6 +119,9 @@ def test_run_row_columns_match_outcome(killed_outcome):
     assert row["checkpoints_committed"] == killed_outcome.checkpoints_committed
     assert row["network_messages"] == killed_outcome.network_messages
     assert row["wall_seconds"] == killed_outcome.total_wall_seconds
+    assert killed_outcome.total_wall_seconds == sum(
+        rec.wall_seconds for rec in killed_outcome.attempts
+    ) > 0
     totals = killed_outcome.stage_totals()
     assert row["stage_calls"] == {k: int(v["calls"]) for k, v in totals.items()}
 
