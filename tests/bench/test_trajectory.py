@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.trajectory import (
     check_warm_hit_rate,
     compare_trajectories,
@@ -97,3 +99,34 @@ def test_main_unusable_input(tmp_path, capsys):
     assert main([str(tmp_path / "absent.json")]) == 2
     empty = write_traj(tmp_path / "empty.json", [])
     assert main([empty]) == 2
+
+
+def test_records_carrying_stage_seconds_still_pass_the_gate(tmp_path):
+    # Trajectories written while per-stage wall timing existed carry
+    # proto.stage_seconds.* histograms and a flat stage_seconds dict; the
+    # gate reads the same wall/hit-rate metrics from them and ignores both.
+    reg = MetricsRegistry()
+    reg.observe("farm.wall_seconds", 1.0)
+    reg.gauge("farm.hit_rate", 1.0)
+    reg.observe("proto.stage_seconds.checkpoint", 3.24)
+    old_warm = {"label": "warm", "metrics": reg.snapshot()}
+    old_smoke = {"label": "smoke", "wall_seconds": 2.0,
+                 "stage_seconds": {"checkpoint": 50.0}}
+    assert record_wall_seconds(old_warm) == 1.0
+    assert record_hit_rate(old_warm) == 1.0
+    assert check_warm_hit_rate([old_warm, old_smoke]) == []
+    baseline = write_traj(tmp_path / "base.json", [old_warm, old_smoke])
+    current = write_traj(
+        tmp_path / "cur.json", [rec("warm", 1.1, hit_rate=1.0), rec("smoke", 2.1)]
+    )
+    assert main([current, "--against", baseline]) == 0
+
+
+def test_main_rejects_the_deleted_stage_budget_flag(tmp_path, capsys):
+    # A caller still passing --stage-budget must fail loudly, not have its
+    # budget silently ignored.
+    current = write_traj(tmp_path / "cur.json", [rec("warm", 1.0, hit_rate=1.0)])
+    with pytest.raises(SystemExit) as exc:
+        main([current, "--stage-budget", "checkpoint=1.0"])
+    assert exc.value.code == 2
+    assert "--stage-budget" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from repro.api.registry import get_app
 from repro.api.session import RunRow, SweepCell
 from repro.farm.engine import FarmStats
 from repro.runtime.config import RunConfig, Variant
-from repro.runtime.driver import run_with_recovery
+from repro.runtime.driver import AttemptRecord, RunOutcome, run_with_recovery
 from repro.simmpi.failures import FailureSchedule
 from repro.trace.metrics import (
     METRICS_SCHEMA,
@@ -124,6 +124,31 @@ def test_run_row_columns_match_outcome(killed_outcome):
     ) > 0
     totals = killed_outcome.stage_totals()
     assert row["stage_calls"] == {k: int(v["calls"]) for k, v in totals.items()}
+
+
+def test_outcome_sums_attempts_and_its_snapshot_excludes_wall_time():
+    def outcome(walls):
+        return RunOutcome(
+            results=[],
+            attempts=[
+                AttemptRecord(
+                    index=i, completed=i == len(walls) - 1, failed=i < len(walls) - 1,
+                    dead_ranks=(), started_from_epoch=None, virtual_time=0.5,
+                    wall_seconds=wall, stage_calls={"send": 3 + i, "checkpoint": 1},
+                )
+                for i, wall in enumerate(walls)
+            ],
+            total_virtual_time=1.0,
+        )
+
+    fast, slow = outcome([0.25, 0.5]), outcome([4.0, 8.0])
+    assert fast.total_wall_seconds == 0.75
+    assert slow.total_wall_seconds == 12.0
+    assert fast.stage_totals() == {"send": {"calls": 7}, "checkpoint": {"calls": 2}}
+    # host time differs, every simulated fact agrees: the snapshots match
+    assert fast.metrics_snapshot() == slow.metrics_snapshot()
+    assert RunOutcome(results=[]).total_wall_seconds == 0
+    assert RunOutcome(results=[]).stage_totals() == {}
 
 
 def test_farm_metrics():
