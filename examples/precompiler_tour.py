@@ -3,8 +3,9 @@
 
 Shows the Figure-6 machinery on a small function: basic blocks with an
 explicit program counter (the goto-label analogue), the restartable loop
-iterator, the restore prologue (the VDS read), and a live capture/restore
-round trip — no simulator involved.
+iterator, the restore prologue (the VDS read), the ``yield from`` each
+suspending call becomes (the transformed function is a generator), and a
+live capture/restore round trip — no simulator involved.
 
 Run:  python examples/precompiler_tour.py
 """
@@ -56,8 +57,9 @@ class CheckpointingCtx:
         self.runtime = runtime
         self.snapshots = []
 
-    def potential_checkpoint(self):
+    def co_potential_checkpoint(self):
         self.snapshots.append(pickle.dumps(self.runtime.capture()))
+        yield from ()
 
 
 def static_check_tour() -> None:
@@ -110,8 +112,10 @@ def main() -> None:
     coop.set_current_proc(Proc(None, 0, None))
     runtime = C3StackRuntime(unit).activate()
     try:
+        # Outside the simulator nothing suspends, so coop.drive runs the
+        # generator to completion.
         ctx = CheckpointingCtx(runtime)
-        answer = unit.entry("main_loop")(ctx, 10)
+        answer = coop.drive(unit.entry("main_loop")(ctx, 10))
         print(f"plain run: answer={answer}, "
               f"checkpoints captured={len(ctx.snapshots)}")
 
@@ -126,7 +130,7 @@ def main() -> None:
             print(f"  {func_id}: _pc={frame['_pc']} locals={interesting}")
 
         runtime.begin_restore(frames)
-        resumed = unit.entry("main_loop")(CheckpointingCtx(runtime), 10)
+        resumed = coop.drive(unit.entry("main_loop")(CheckpointingCtx(runtime), 10))
         print()
         print(f"resumed run completes with answer={resumed}")
         assert resumed == answer

@@ -8,7 +8,10 @@ surface down as a structural protocol so an application written against
 * :class:`CommLike` — a ``typing.Protocol`` (``@runtime_checkable``, so
   ``isinstance(x, CommLike)`` works) naming the point-to-point calls, the
   eight collectives plus barrier, the persistent-object constructors, and
-  the two protocol hooks (``potential_checkpoint`` / ``nondet``).
+  the two protocol hooks.  Every call that can suspend the rank exists
+  once, as a ``co_*`` generator (``yield from mpi.co_send(...)``); the
+  calls that never suspend (``comm_dup``, ``op_create``, ``comm_rank``,
+  ``comm_size``) are plain methods.
 * :class:`RawCommAdapter` — the V0 "Unmodified Program" implementation:
   the :class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with the
   *empty* stage stack.  Every call is a pass-through over a raw
@@ -38,25 +41,26 @@ class CommLike(Protocol):
     """Structural type of the application-facing messaging surface.
 
     ``ProtocolPipeline`` and ``RawCommAdapter`` both satisfy it;
-    ``C3AppContext.mpi`` is typed against it.  Handles returned by ``isend``/``irecv`` and by the
-    constructors are opaque — only this interface may consume them.
+    ``C3AppContext.mpi`` is typed against it.  Handles returned by
+    ``co_isend``/``co_irecv`` and by the constructors are opaque — only
+    this interface may consume them.
     """
 
-    # -- point-to-point ------------------------------------------------- #
+    # -- point-to-point (generators: ``yield from mpi.co_send(...)``) ---- #
 
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None: ...
+    def co_send(self, payload: Any, dest: int, tag: int = 0) -> Any: ...
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Any: ...
+    def co_isend(self, payload: Any, dest: int, tag: int = 0) -> Any: ...
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any: ...
+    def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any: ...
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any: ...
+    def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any: ...
 
-    def wait(self, req: Any) -> Any: ...
+    def co_wait(self, req: Any) -> Any: ...
 
-    def test(self, req: Any) -> bool: ...
+    def co_test(self, req: Any) -> Any: ...
 
-    def sendrecv(
+    def co_sendrecv(
         self,
         payload: Any,
         dest: int,
@@ -65,31 +69,31 @@ class CommLike(Protocol):
         recv_tag: int | None = None,
     ) -> Any: ...
 
-    # -- the eight collectives, plus barrier ---------------------------- #
+    # -- the eight collectives, plus barrier (generators) --------------- #
 
-    def bcast(self, obj: Any, root: int = 0, comm: Any = None) -> Any: ...
+    def co_bcast(self, obj: Any, root: int = 0, comm: Any = None) -> Any: ...
 
-    def reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None) -> Any: ...
+    def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None) -> Any: ...
 
-    def allreduce(self, obj: Any, op: Op, comm: Any = None) -> Any: ...
+    def co_allreduce(self, obj: Any, op: Op, comm: Any = None) -> Any: ...
 
-    def gather(self, obj: Any, root: int = 0, comm: Any = None) -> Any: ...
+    def co_gather(self, obj: Any, root: int = 0, comm: Any = None) -> Any: ...
 
-    def allgather(self, obj: Any, comm: Any = None) -> list[Any]: ...
+    def co_allgather(self, obj: Any, comm: Any = None) -> Any: ...
 
-    def scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None) -> Any: ...
+    def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None) -> Any: ...
 
-    def alltoall(self, objs: list[Any], comm: Any = None) -> list[Any]: ...
+    def co_alltoall(self, objs: list[Any], comm: Any = None) -> Any: ...
 
-    def scan(self, obj: Any, op: Op, comm: Any = None) -> Any: ...
+    def co_scan(self, obj: Any, op: Op, comm: Any = None) -> Any: ...
 
-    def barrier(self, comm: Any = None) -> None: ...
+    def co_barrier(self, comm: Any = None) -> Any: ...
 
     # -- persistent opaque objects (Section 5.2) ------------------------ #
 
     def comm_dup(self, parent: Any = None) -> Any: ...
 
-    def comm_split(self, color: int, key: int | None = None, parent: Any = None) -> Any: ...
+    def co_comm_split(self, color: int, key: int | None = None, parent: Any = None) -> Any: ...
 
     def op_create(self, name: str, fn: Callable[[Any, Any], Any]) -> Any: ...
 
@@ -97,11 +101,11 @@ class CommLike(Protocol):
 
     def comm_size(self, handle: Any = None) -> int: ...
 
-    # -- protocol hooks ------------------------------------------------- #
+    # -- protocol hooks (generators) ------------------------------------ #
 
-    def potential_checkpoint(self) -> bool: ...
+    def co_potential_checkpoint(self) -> Any: ...
 
-    def nondet(self, compute: Callable[[], Any]) -> Any: ...
+    def co_nondet(self, compute: Callable[[], Any]) -> Any: ...
 
 
 class RawCommAdapter(ProtocolPipeline):
@@ -109,8 +113,8 @@ class RawCommAdapter(ProtocolPipeline):
 
     The empty stage stack: no piggyback word is attached to any message
     and no protocol state is kept; the cost of every call is exactly the
-    underlying library call.  ``potential_checkpoint`` always answers
-    False and ``nondet`` simply computes — so a fault-tolerance-
+    underlying library call.  ``co_potential_checkpoint`` always answers
+    False and ``co_nondet`` simply computes — so a fault-tolerance-
     instrumented application runs unmodified, it just is not protected.
     """
 

@@ -95,7 +95,7 @@ _SUBSET_CODE_BY_PREFIX = (
 _SUBSET_HINTS = {
     "RPR001": "hoist the checkpointable call out of the try block",
     "RPR002": "replace the with-statement by explicit acquire/release around the call",
-    "RPR003": "move the checkpointable call to a top-level unit function",
+    "RPR003": "move the call out of the lambda/comprehension/inner def",
     "RPR004": "assign the call result to a local first, then test it",
     "RPR005": "the checkpointable subset is synchronous; remove async/await",
     "RPR006": "rewrite the generator as a loop accumulating into a list",

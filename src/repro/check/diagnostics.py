@@ -105,7 +105,7 @@ CODES: dict[str, CodeInfo] = _codes([
     CodeInfo("RPR002", Severity.ERROR, "supported-subset",
              "checkpointable call inside with"),
     CodeInfo("RPR003", Severity.ERROR, "supported-subset",
-             "checkpointable call inside nested scope"),
+             "suspending call inside nested scope"),
     CodeInfo("RPR004", Severity.ERROR, "supported-subset",
              "checkpointable call in short-circuit position"),
     CodeInfo("RPR005", Severity.ERROR, "supported-subset",

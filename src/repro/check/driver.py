@@ -46,7 +46,6 @@ from repro.precompiler.analysis import (
     UnitAnalysis,
     Violation,
     module_registered_globals,
-    validate_supported,
 )
 
 
@@ -77,14 +76,7 @@ def run_unit_checks(
         sources = _read_sources(files.values())
     violations: list[Violation] = list(extra_violations)
     analysis = UnitAnalysis(functions, collect=violations)
-    reaching = analysis.reaching
-    for name in sorted(reaching):
-        validate_supported(
-            functions[name],
-            reaching,
-            analysis.infos[name].comm_names,
-            collect=violations,
-        )
+    analysis.validate(violations)
     constants: dict[str, object] = {}
     file_constants: dict[str, dict[str, object]] = {}
     registered: dict[str, set[str]] = {}

@@ -13,6 +13,12 @@ that *checkpoint-reaching* set over a compilation unit:
   call (computed to fixpoint over the unit's call graph, which handles
   mutual recursion).
 
+A wider fixpoint gives the *suspending* set: functions that reach, make a
+call that can suspend the rank (``ctx.mpi.recv(...)``, see
+:func:`is_suspending_call`), or call a suspending unit function.  The
+precompiler turns every suspending function into a generator; only the
+reaching ones get restart labels.
+
 Method-call matches are anchored to the function's *communication root* —
 the ``ctx``/``comm`` parameter that carries the protocol layer — so a
 user's ``lock.barrier()`` is an ordinary call, not a checkpoint site (see
@@ -21,7 +27,8 @@ user's ``lock.barrier()`` is an ordinary call, not a checkpoint site (see
 The analysis also enumerates every local name a function can bind (the VDS
 membership) and validates the supported subset, rejecting checkpointable
 calls in positions the transformation cannot relabel (inside ``try``/
-``with``/nested functions/comprehensions/boolean short-circuits).
+``with``/boolean short-circuits) and suspending calls inside nested
+functions/lambdas/comprehensions, which a ``yield from`` cannot reach.
 
 Two reporting modes exist for subset validation: the historical *raise*
 mode (first violation aborts with :class:`UnsupportedConstructError`) and
@@ -106,6 +113,54 @@ def is_checkpoint_site(
         if comm_names is None:
             return True
         return attr_root(fn) in comm_names
+    return False
+
+
+#: Context-surface methods that can suspend, called on the comm root
+#: itself (``ctx.potential_checkpoint()``, ``ctx.yield_point()``).  Roots
+#: named ``comm`` or ``mpi`` may carry the MPI surface directly, so the
+#: direct-receiver set is the union with :data:`MPI_SUSPENDING`.
+CTX_SUSPENDING = frozenset(
+    {"potential_checkpoint", "nondet", "random", "yield_point"}
+)
+
+#: MPI-surface methods that can suspend the calling rank (block on a
+#: peer, reach a scheduling point, or take a checkpoint), called on the
+#: comm root's ``.mpi`` attribute — or the root itself.  Methods *not*
+#: listed (``comm_rank``, ``comm_dup``, ``op_create``, ``attach_buffer``,
+#: ``wtime``, ``iprobe`` …) never suspend and keep their plain form.
+MPI_SUSPENDING = frozenset(
+    {
+        "send", "recv", "sendrecv", "isend", "irecv", "wait", "test",
+        "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
+        "alltoall", "scan", "barrier", "probe",
+        "potential_checkpoint", "nondet", "comm_split",
+    }
+)
+
+_DIRECT_SUSPENDING = CTX_SUSPENDING | MPI_SUSPENDING
+
+
+def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
+    """Is ``node`` a call to a suspending method of the comm surface?
+
+    Matches exactly ``<root>.m(...)`` and ``<root>.mpi.m(...)`` with the
+    root a comm parameter — deeper chains (``ctx.rng.random()``) are
+    ordinary application calls.  The precompiler rewrites each match into
+    ``yield from <receiver>.co_m(...)``.
+    """
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    func = node.func
+    recv = func.value
+    if isinstance(recv, ast.Name):
+        return recv.id in comm_names and func.attr in _DIRECT_SUSPENDING
+    if (
+        isinstance(recv, ast.Attribute)
+        and recv.attr == "mpi"
+        and isinstance(recv.value, ast.Name)
+    ):
+        return recv.value.id in comm_names and func.attr in MPI_SUSPENDING
     return False
 
 
@@ -210,6 +265,8 @@ class FunctionInfo:
     has_checkpoint_site: bool = False
     callees: set[str] = field(default_factory=set)
     reaches: bool = False
+    #: Reaches, or can suspend the rank: transformed into a generator.
+    suspends: bool = False
     local_names: list[str] = field(default_factory=list)
     #: Names the function's checkpoint sites / comm calls must be rooted at.
     comm_names: frozenset[str] = frozenset()
@@ -238,6 +295,9 @@ class UnitAnalysis:
             info.has_checkpoint_site = any(
                 is_checkpoint_site(n, info.comm_names) for n in ast.walk(tree)
             )
+            info.suspends = any(
+                is_suspending_call(n, info.comm_names) for n in ast.walk(tree)
+            )
             info.call_sites = unit_call_sites(tree, unit_names)
             info.callees = set(info.call_sites)
             info.local_names = discover_locals(
@@ -250,29 +310,45 @@ class UnitAnalysis:
                 ),
             )
             self.infos[name] = info
-        self._compute_reaching()
-
-    def _compute_reaching(self) -> None:
-        """Fixpoint: f reaches iff it has a site or calls a reaching callee."""
         for info in self.infos.values():
             info.reaches = info.has_checkpoint_site
+        self._close("reaches")
+        for info in self.infos.values():
+            info.suspends |= info.reaches
+        self._close("suspends")
+
+    def _close(self, flag: str) -> None:
+        """Fixpoint: ``flag`` holds for every caller of a function it holds
+        for (mutual recursion included)."""
         changed = True
         while changed:
             changed = False
             for info in self.infos.values():
-                if info.reaches:
+                if getattr(info, flag):
                     continue
-                if any(
-                    self.infos[c].reaches
-                    for c in info.callees
-                    if c in self.infos
-                ):
-                    info.reaches = True
+                if any(getattr(self.infos[c], flag) for c in info.callees):
+                    setattr(info, flag, True)
                     changed = True
 
     @property
     def reaching(self) -> set[str]:
         return {n for n, i in self.infos.items() if i.reaches}
+
+    @property
+    def suspending(self) -> set[str]:
+        """Every function the precompiler transforms (a superset of
+        :attr:`reaching`)."""
+        return {n for n, i in self.infos.items() if i.suspends}
+
+    def validate(self, collect: list[Violation]) -> None:
+        """Subset-validate every function the transform rewrites."""
+        reaching, suspending = self.reaching, self.suspending
+        for name in sorted(suspending):
+            info = self.infos[name]
+            validate_supported(
+                info.tree, reaching, info.comm_names,
+                collect=collect, suspending=suspending,
+            )
 
     def checkpointable_callees(self, name: str) -> set[str]:
         """Unit functions whose call sites in ``name`` need labels."""
@@ -398,8 +474,11 @@ def validate_supported(
     reaching: set[str],
     comm_names: Optional[frozenset[str]] = None,
     collect: Optional[list[Violation]] = None,
+    suspending: frozenset[str] | set[str] = frozenset(),
 ) -> None:
-    """Reject checkpointable calls in untransformable positions.
+    """Reject checkpointable calls in untransformable positions, and
+    suspending calls (``suspending`` names the unit's suspending
+    functions) inside nested scopes.
 
     Raise mode (``collect=None``) aborts on the first violation, as the
     precompiler historically did; collect mode appends every violation in
@@ -418,18 +497,30 @@ def validate_supported(
                 function=tree.name,
             )
 
+    def unit_call(sub: ast.AST, names) -> bool:
+        return (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id in names
+        )
+
+    def labelled(sub: ast.AST) -> bool:
+        return is_checkpoint_site(sub, comm_names) or unit_call(sub, reaching)
+
+    def suspends(sub: ast.AST) -> bool:
+        return (
+            labelled(sub)
+            or unit_call(sub, suspending)
+            or is_suspending_call(sub, comm_names or frozenset())
+        )
+
     def check_no_reach(node: ast.AST, construct: str) -> None:
-        for sub in ast.walk(node):
-            if is_checkpoint_site(sub, comm_names) or (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id in reaching
-            ):
-                reject(
-                    construct, node,
-                    "checkpointable calls cannot be labelled here",
-                )
-                return
+        if any(labelled(sub) for sub in ast.walk(node)):
+            reject(construct, node, "checkpointable calls cannot be labelled here")
+
+    def check_no_suspend(node: ast.AST, construct: str) -> None:
+        if any(suspends(sub) for sub in ast.walk(node)):
+            reject(construct, node, "a yield from cannot suspend through a nested scope")
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.Try,)):
@@ -437,9 +528,9 @@ def validate_supported(
         elif isinstance(node, ast.With):
             check_no_reach(node, "with containing checkpointable call")
         elif isinstance(node, (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            check_no_reach(node, "nested scope containing checkpointable call")
+            check_no_suspend(node, "nested scope containing suspending call")
         elif isinstance(node, ast.FunctionDef) and node is not tree:
-            check_no_reach(node, "nested def containing checkpointable call")
+            check_no_suspend(node, "nested def containing suspending call")
         elif isinstance(node, (ast.BoolOp, ast.IfExp)):
             check_no_reach(node, "short-circuit expression containing checkpointable call")
         elif isinstance(node, (ast.For, ast.While)) and node.orelse:

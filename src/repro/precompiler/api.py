@@ -18,16 +18,19 @@ Usage::
 
 ``Precompiler`` reads the functions' sources ("almost unmodified" — the only
 requirement, as in the paper, is inserting ``potential_checkpoint()`` calls),
-computes the checkpoint-reaching set, desugars and flattens every reaching
-function, and compiles the transformed module.  ``PrecompiledApp`` glues a
+computes the checkpoint-reaching and suspending sets, and compiles every
+suspending function into one generator: reaching functions are desugared
+and flattened into labelled blocks, and every call that can suspend the
+rank becomes a ``yield from`` (see :mod:`repro.precompiler.codegen`).  ``PrecompiledApp`` glues a
 unit into the recovery driver: it activates a per-rank stack runtime, wires
 the protocol layer's state provider to live-frame capture, and arms the
 stack rebuild on restart.
 
 Supported subset (violations raise :class:`UnsupportedConstructError`): any
 straight-line/``if``/``while``/``for`` code may contain checkpointable
-calls; ``try``/``with``/nested scopes/short-circuit positions may not (they
-can still appear anywhere as *atomic* statements).  Checkpointable calls
+calls; ``try``/``with``/short-circuit positions may not (they can still
+appear anywhere as *atomic* statements), and nested scopes (lambdas,
+comprehensions, inner defs) may not contain any call that can suspend.  Checkpointable calls
 must target unit functions by plain name; arguments of such calls should be
 side-effect-free (they are re-evaluated on restart — the paper's statement
 decomposition makes the same assumption).
@@ -42,17 +45,8 @@ import textwrap
 from typing import Any, Callable, Optional
 
 from repro.errors import CheckError, PrecompilerError, UnsupportedConstructError
-from repro.precompiler.analysis import (
-    UnitAnalysis,
-    Violation,
-    validate_supported,
-)
-from repro.precompiler.codegen import (
-    CO_PREFIX,
-    build_co_function,
-    build_function,
-    compile_module,
-)
+from repro.precompiler.analysis import UnitAnalysis, Violation
+from repro.precompiler.codegen import build_function, compile_module
 from repro.precompiler.desugar import Desugarer
 from repro.precompiler.flatten import Block, Flattener
 from repro.precompiler.iterators import c3_iter
@@ -73,7 +67,6 @@ class PrecompiledUnit:
         saved_locals: dict[str, dict[int, frozenset[str]]],
         transformed_names: set[str],
         sources: dict[str, str],
-        co_functions: Optional[dict[str, Callable]] = None,
     ) -> None:
         self.functions = functions
         self.code_map = code_map
@@ -82,19 +75,19 @@ class PrecompiledUnit:
         #: (:mod:`repro.precompiler.liveness`), minus the context parameter,
         #: which the caller's re-executed call re-supplies.
         self.saved_locals = saved_locals
+        #: Every function compiled into a generator (the unit's suspending
+        #: set); the others are served back untouched.
         self.transformed_names = transformed_names
         #: Generated source text per transformed function (debugging aid);
         #: each checkpointable block is annotated ``# saved: a, b, c``.
         self.sources = sources
-        #: Cooperative (generator) twin per transformed function.  Shares
-        #: the synchronous form's func_id in ``code_map``, so captured
-        #: frames restore interchangeably across cores.
-        self.co_functions: dict[str, Callable] = co_functions or {}
         #: Static-check findings (:class:`repro.check.Diagnostic` tuple)
         #: attached by :meth:`Precompiler.compile`; empty for a clean unit.
         self.diagnostics: tuple = ()
 
     def entry(self, name: str) -> Callable:
+        """Function ``name``: a generator function when it was transformed
+        (run it with ``yield from``), the original otherwise."""
         try:
             return self.functions[name]
         except KeyError:
@@ -144,14 +137,7 @@ class Precompiler:
 
         violations: list[Violation] = []
         analysis = UnitAnalysis(trees, collect=violations)
-        reaching = analysis.reaching
-        for name in sorted(reaching):
-            validate_supported(
-                trees[name],
-                reaching,
-                analysis.infos[name].comm_names,
-                collect=violations,
-            )
+        analysis.validate(violations)
         if violations:
             first = violations[0]
             raise UnsupportedConstructError(
@@ -175,29 +161,27 @@ class Precompiler:
                 check_result.render(), diagnostics=check_result.errors
             )
 
-        #: Per reaching function: blocks, every local name, and the
-        #: (synchronous, cooperative) FunctionDefs built from them.
+        # Only reaching functions get restart labels; every suspending one
+        # becomes a generator.
+        reaching, suspending = analysis.reaching, analysis.suspending
         built: dict[str, tuple] = {}
         for name, tree in trees.items():
-            if name not in reaching:
+            if name not in suspending:
                 continue
             comm_names = analysis.infos[name].comm_names
-            func_id = f"{self.unit_name}.{name}"
             body = _strip_docstring(tree.body)
             desugarer = Desugarer(reaching, comm_names)
             body = desugarer.desugar_body(body)
-            flattener = Flattener(reaching, comm_names)
-            blocks = flattener.flatten_function_body(body)
+            blocks = Flattener(reaching, comm_names).flatten_function_body(body)
             local_names = list(analysis.infos[name].local_names)
             local_names += [n for n in desugarer.new_locals if n not in local_names]
-            new_fn = build_function(tree, func_id, blocks, local_names)
-            co_fn = build_co_function(new_fn, reaching, comm_names)
-            built[name] = (blocks, local_names, (new_fn, co_fn))
+            fn_def = build_function(
+                tree, f"{self.unit_name}.{name}", blocks, local_names,
+                suspending, comm_names,
+            )
+            built[name] = (blocks, local_names, fn_def)
 
-        module = compile_module(
-            [fn_def for *_, fn_defs in built.values() for fn_def in fn_defs],
-            self.unit_name,
-        )
+        module = compile_module([fn_def for *_, fn_def in built.values()], self.unit_name)
         namespace = dict(globals_ns)
         namespace["_c3_enter"] = c3_enter
         namespace["_c3_iter"] = c3_iter
@@ -205,28 +189,19 @@ class Precompiler:
         exec(code, namespace)
 
         functions: dict[str, Callable] = {}
-        co_functions: dict[str, Callable] = {}
         code_map: dict[Any, str] = {}
         saved_locals: dict[str, dict[int, frozenset[str]]] = {}
         sources: dict[str, str] = {}
         for name in trees:
-            if name in reaching:
-                fn = namespace[name]
-                func_id = f"{self.unit_name}.{name}"
-                functions[name] = fn
-                code_map[fn.__code__] = func_id
-                # The cooperative twin maps to the *same* func_id: frames
-                # captured from either form restore into either form.
-                co = namespace[CO_PREFIX + name]
-                co_functions[name] = co
-                code_map[co.__code__] = func_id
-                blocks, local_names, fn_defs = built[name]
+            if name in built:
+                fn = functions[name] = namespace[name]
+                func_id = code_map[fn.__code__] = f"{self.unit_name}.{name}"
+                blocks, local_names, fn_def = built[name]
                 saved = saved_locals[func_id] = self._saved_locals(
                     blocks, local_names, analysis.infos[name].comm_names,
                     fn.__code__.co_cellvars,
                 )
-                for fn_def in fn_defs:
-                    sources[fn_def.name] = _annotate_saved(ast.unparse(fn_def), saved)
+                sources[name] = _annotate_saved(ast.unparse(fn_def), saved)
             else:
                 functions[name] = next(
                     f for f in self.functions if f.__name__ == name
@@ -238,9 +213,8 @@ class Precompiler:
             functions=functions,
             code_map=code_map,
             saved_locals=saved_locals,
-            transformed_names=set(reaching),
+            transformed_names=set(suspending),
             sources=sources,
-            co_functions=co_functions,
         )
         unit.diagnostics = check_result.diagnostics
         return unit
@@ -352,8 +326,8 @@ class PrecompiledApp:
         self.params = params
         if entry not in unit.transformed_names:
             raise PrecompilerError(
-                f"entry {entry!r} is not checkpoint-reaching; "
-                "it would never take a checkpoint"
+                f"entry {entry!r} was not transformed: it neither "
+                "communicates nor reaches a checkpoint"
             )
 
     def co_call(self, ctx):
@@ -364,11 +338,11 @@ class PrecompiledApp:
         form, so the whole rank suspends at that call.
         """
         ctx.params = self.params
-        co_entry = self.unit.co_functions[self.entry_name]
+        entry = self.unit.entry(self.entry_name)
         rt = C3StackRuntime(self.unit).activate()
         try:
             self._arm(ctx, rt)
-            return (yield from co_entry(ctx))
+            return (yield from entry(ctx))
         finally:
             rt.deactivate()
 

@@ -1,6 +1,6 @@
 """Code generation: assemble the transformed function (paper Figure 6).
 
-Given a function's basic blocks, emit::
+Given a function's basic blocks, emit one generator function::
 
     def f(<original args>):
         _c3fr = _c3_enter('<unit>.<name>')
@@ -14,11 +14,17 @@ Given a function's basic blocks, emit::
             if _pc == 0:
                 ...
             elif _pc == 1:
+                got = yield from ctx.mpi.co_recv(source=left)
                 ...
 
-The prologue is the restart jump: a restored frame's locals and ``_pc`` are
-re-seeded and the dispatch loop lands in the middle of the function.  The
-saved dict holds only the locals live on entry to the active block (see
+Every call that can suspend the rank — a suspending comm-surface call, or
+a call to another transformed function — becomes a ``yield from`` of its
+generator form, so the precompiled program exists once, as generators the
+scheduler resumes.
+
+The prologue is the restart jump: a restored frame's locals and ``_pc``
+are re-seeded and the dispatch loop lands in the middle of the function.
+The saved dict holds only the locals live on entry to the active block (see
 :mod:`repro.precompiler.liveness`); the context parameter is never in it,
 so its fresh argument value survives — re-supplied by the caller's
 re-executed call expression, layer by layer, exactly like the paper's
@@ -28,149 +34,42 @@ rebuilt activation stack.
 from __future__ import annotations
 
 import ast
-import copy
 from typing import cast
 
 from repro.errors import PrecompilerError
+from repro.precompiler.analysis import is_suspending_call
 from repro.precompiler.desugar import _const, _name
 from repro.precompiler.flatten import Block
 
 ENTER_HELPER = "_c3_enter"
 ITER_HELPER = "_c3_iter"
 
-#: Name prefix of the cooperative (generator) twin of each transformed
-#: function.  Both forms share one namespace and one ``func_id`` in the
-#: unit's ``code_map``, so stack capture and restore work identically
-#: whichever form is executing.
-CO_PREFIX = "_c3co_"
 
-#: Context-surface methods with generator twins: the receiver is the comm
-#: root itself (``ctx.potential_checkpoint()`` →
-#: ``yield from ctx.co_potential_checkpoint()``).  Roots named ``comm`` or
-#: ``mpi`` may carry the MPI surface directly, so the direct-receiver set
-#: is the union of both.
-CTX_SUSPENDING = frozenset(
-    {"potential_checkpoint", "nondet", "random", "yield_point"}
-)
+class _YieldFromRewriter(ast.NodeTransformer):
+    """Rewrite every suspending call into a ``yield from`` of its generator.
 
-#: MPI-surface methods that can suspend the calling rank (block on a
-#: peer, reach a scheduling point, or take a checkpoint).  The receiver is
-#: the comm root's ``.mpi`` attribute — or the root itself.  Methods *not*
-#: listed (``comm_rank``, ``comm_dup``, ``op_create``, ``attach_buffer``,
-#: ``wtime``, ``iprobe`` …) never suspend and keep their synchronous form.
-MPI_SUSPENDING = frozenset(
-    {
-        "send", "recv", "sendrecv", "isend", "irecv", "wait", "test",
-        "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
-        "alltoall", "scan", "barrier", "probe",
-        "potential_checkpoint", "nondet", "comm_split",
-    }
-)
-
-_DIRECT_SUSPENDING = CTX_SUSPENDING | MPI_SUSPENDING
-
-
-def _suspending_attr(func: ast.Attribute, comm_names: frozenset[str]) -> bool:
-    """Is this attribute call a suspending method of the comm surface?
-
-    Matches exactly ``<root>.m(...)`` and ``<root>.mpi.m(...)`` with the
-    root a comm parameter — deeper chains (``ctx.rng.random()``) are
-    ordinary application calls and stay synchronous.
-    """
-    recv = func.value
-    if isinstance(recv, ast.Name):
-        return recv.id in comm_names and func.attr in _DIRECT_SUSPENDING
-    if (
-        isinstance(recv, ast.Attribute)
-        and recv.attr == "mpi"
-        and isinstance(recv.value, ast.Name)
-    ):
-        return recv.value.id in comm_names and func.attr in MPI_SUSPENDING
-    return False
-
-
-class _CoopCallRewriter(ast.NodeTransformer):
-    """Rewrite suspending calls into ``yield from`` of their generator twins.
-
-    Applied to a *transformed* (flattened) function body to produce its
-    cooperative form: calls to checkpoint-reaching unit functions become
-    ``yield from _c3co_<name>(...)`` and suspending comm-surface method
-    calls become ``yield from <recv>.co_<method>(...)``.  Nested scopes
-    are left untouched — a ``yield`` inside them would turn *them* into
-    generators (the analysis already rejects checkpointable calls there).
+    Calls to suspending unit functions become ``yield from name(...)`` (the
+    transformed function *is* the generator) and suspending comm-surface
+    calls become ``yield from <receiver>.co_<method>(...)``.  Validation
+    has rejected suspending calls in nested scopes, where a ``yield`` would
+    turn the scope itself into a generator.
     """
 
-    def __init__(self, reaching: set[str], comm_names: frozenset[str]) -> None:
-        self.reaching = reaching
+    def __init__(self, suspending: set[str], comm_names: frozenset[str]) -> None:
+        self.suspending = suspending
         self.comm_names = comm_names
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
-        return node  # nested def: separate scope
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> ast.AST:
-        return node
-
-    def visit_Lambda(self, node: ast.Lambda) -> ast.AST:
-        return node
-
-    def visit_ListComp(self, node: ast.ListComp) -> ast.AST:
-        return node
-
-    def visit_SetComp(self, node: ast.SetComp) -> ast.AST:
-        return node
-
-    def visit_DictComp(self, node: ast.DictComp) -> ast.AST:
-        return node
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> ast.AST:
-        return node
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
         func = node.func
-        if isinstance(func, ast.Name) and func.id in self.reaching:
-            node.func = _name(CO_PREFIX + func.id)
+        if isinstance(func, ast.Name) and func.id in self.suspending:
             return ast.YieldFrom(value=node)
-        if isinstance(func, ast.Attribute) and _suspending_attr(
-            func, self.comm_names
-        ):
+        if isinstance(func, ast.Attribute) and is_suspending_call(node, self.comm_names):
             node.func = ast.Attribute(
                 value=func.value, attr="co_" + func.attr, ctx=ast.Load()
             )
             return ast.YieldFrom(value=node)
         return node
-
-
-def build_co_function(
-    sync_fn: ast.FunctionDef,
-    reaching: set[str],
-    comm_names: frozenset[str],
-) -> ast.FunctionDef:
-    """The cooperative twin of a transformed function.
-
-    Structurally identical to the synchronous form (same prologue, same
-    ``_pc`` dispatch, same locals — it shares the func_id and restore
-    records), but every suspending call yields through its generator
-    twin, so a rank running this form suspends at that call.
-    """
-    co_fn = copy.deepcopy(sync_fn)
-    co_fn.name = CO_PREFIX + sync_fn.name
-    rewriter = _CoopCallRewriter(reaching, comm_names)
-    co_fn.body = [cast(ast.stmt, rewriter.visit(stmt)) for stmt in co_fn.body]
-    # A reaching function always contains at least one rewritten call, but
-    # generator-ness must not depend on that invariant.
-    if not any(
-        isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(co_fn)
-    ):
-        co_fn.body.append(
-            ast.If(
-                test=_const(False),
-                body=[ast.Expr(value=ast.Yield(value=None))],
-                orelse=[],
-            )
-        )
-    ast.fix_missing_locations(co_fn)
-    return co_fn
 
 
 def build_dispatch(blocks: list[Block]) -> ast.While:
@@ -268,9 +167,15 @@ def build_function(
     func_id: str,
     blocks: list[Block],
     local_names: list[str],
+    suspending: set[str],
+    comm_names: frozenset[str],
 ) -> ast.FunctionDef:
-    """The full transformed FunctionDef (decorators stripped: the transform
-    *is* the decoration)."""
+    """The full transformed FunctionDef, a generator (decorators stripped:
+    the transform *is* the decoration).
+
+    Every suspending call yields through its generator form, so a rank
+    running this function suspends at that call.
+    """
     body: list[ast.stmt] = []
     if (
         original.body
@@ -280,7 +185,18 @@ def build_function(
     ):
         body.append(original.body[0])  # keep the docstring
     body.extend(build_prologue(func_id, local_names))
-    body.append(build_dispatch(blocks))
+    rewriter = _YieldFromRewriter(suspending, comm_names)
+    body.append(cast(ast.stmt, rewriter.visit(build_dispatch(blocks))))
+    if not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(body[-1])):
+        # A checkpoint site the rewrite does not know (a plain-name
+        # ``potential_checkpoint()``): the function is still a generator.
+        body.append(
+            ast.If(
+                test=_const(False),
+                body=[ast.Expr(value=ast.Yield(value=None))],
+                orelse=[],
+            )
+        )
     fn = ast.FunctionDef(
         name=original.name,
         args=original.args,

@@ -7,7 +7,7 @@ processes control traffic.
 
 Wave lifecycle::
 
-    IDLE --initiate()--> COLLECTING_READY --all readyToStopLogging-->
+    IDLE --co_initiate()--> COLLECTING_READY --all readyToStopLogging-->
          (send stopLogging to all) COLLECTING_STOPPED
          --all stoppedLogging--> commit + gc --> IDLE
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.protocol.control import PleaseCheckpoint, StopLogging
-from repro.simmpi import coop
 
 
 class WavePhase(enum.Enum):
@@ -58,18 +57,14 @@ class Initiator:
         self,
         nprocs: int,
         interval: Optional[float],
-        send_control: Callable[[object, int], None],
+        co_send_control: Callable[[object, int], Any],
         commit: Callable[[int, float], None],
         now: Callable[[], float],
-        co_send_control: Optional[Callable[[object, int], Any]] = None,
     ) -> None:
         self.nprocs = nprocs
         self.interval = interval
-        self._send_control = send_control
-        #: Generator-function variant of ``send_control`` (the pipeline's
-        #: ``_co_send_control``).  When set, the co_* methods route control
-        #: traffic through it so a send is a resumable scheduling point;
-        #: when absent (unit harnesses), the synchronous callback is used.
+        #: Generator function sending one control message (the pipeline's
+        #: ``_co_send_control``): each send is a resumable scheduling point.
         self._co_send_control = co_send_control
         self._commit = commit
         self._now = now
@@ -97,22 +92,9 @@ class Initiator:
         self.awaiting_replay.discard(rank)
 
     # ------------------------------------------------------------------ #
-    # Wave lifecycle.  Each step is written once, as a generator (the
-    # cooperative form); the synchronous entry points run the generator to
-    # completion.  Outside a simulator (unit harnesses with recording
-    # callbacks) the generators never suspend, so the sync wrappers are
-    # exact equivalents of the historical methods.
+    # Wave lifecycle.  A step that sends control messages is a generator;
+    # its sends are scheduling points.
     # ------------------------------------------------------------------ #
-
-    def _co_send(self, msg: object, dest: int):
-        if self._co_send_control is not None:
-            yield from self._co_send_control(msg, dest)
-        else:
-            self._send_control(msg, dest)
-
-    def poll(self, current_epoch: int) -> None:
-        """Called from the layer's progress engine; may start a wave."""
-        coop.drive(self.co_poll(current_epoch))
 
     def wave_due(self) -> bool:
         """Whether a poll would start a wave now (the idle rule's test)."""
@@ -124,15 +106,13 @@ class Initiator:
         )
 
     def co_poll(self, current_epoch: int):
+        """Called from the layer's progress engine; may start a wave."""
         if self.wave_due():
             self.force_initiate = False
             yield from self.co_initiate(current_epoch)
 
-    def initiate(self, current_epoch: int) -> None:
-        """Phase 1: ask every process to checkpoint into ``current_epoch+1``."""
-        coop.drive(self.co_initiate(current_epoch))
-
     def co_initiate(self, current_epoch: int):
+        """Phase 1: ask every process to checkpoint into ``current_epoch+1``."""
         self.target_epoch = current_epoch + 1
         self.phase = WavePhase.COLLECTING_READY
         self.ready.clear()
@@ -140,13 +120,10 @@ class Initiator:
         self._current = WaveStats(epoch=self.target_epoch, initiated_at=self._now())
         msg = PleaseCheckpoint(epoch=self.target_epoch)
         for rank in range(self.nprocs):
-            yield from self._co_send(msg, rank)
-
-    def on_ready(self, rank: int, epoch: int) -> None:
-        """Phase 2→3: collect readyToStopLogging; broadcast stopLogging."""
-        coop.drive(self.co_on_ready(rank, epoch))
+            yield from self._co_send_control(msg, rank)
 
     def co_on_ready(self, rank: int, epoch: int):
+        """Phase 2→3: collect readyToStopLogging; broadcast stopLogging."""
         if epoch != self.target_epoch:
             return  # stale token from an aborted attempt
         self.ready.add(rank)
@@ -156,7 +133,7 @@ class Initiator:
             self.phase = WavePhase.COLLECTING_STOPPED
             msg = StopLogging(epoch=self.target_epoch)
             for r in range(self.nprocs):
-                yield from self._co_send(msg, r)
+                yield from self._co_send_control(msg, r)
             self._check_commit()
 
     def on_stopped(self, rank: int, epoch: int) -> None:

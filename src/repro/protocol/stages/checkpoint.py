@@ -42,10 +42,9 @@ class CheckpointStage(ProtocolStage):
             self.initiator = Initiator(
                 nprocs=core.nprocs,
                 interval=self.config.checkpoint_interval,
-                send_control=core._send_control,
+                co_send_control=core._co_send_control,
                 commit=self._commit,
                 now=core.comm.wtime,
-                co_send_control=core._co_send_control,
             )
         core.initiator = self.initiator
 

@@ -47,7 +47,6 @@ from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
 from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage
 from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
-from repro.simmpi import coop
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.simmpi.op import Op
@@ -65,6 +64,10 @@ RESTORE_BASE = -1_000_000_000
 
 #: Pseudo-handle id denoting the world communicator.
 WORLD_HANDLE = -1
+
+#: ``_stamp``'s answer for a send that replay suppresses (any wire word,
+#: ``None`` included, means "post it").
+_SUPPRESSED = object()
 
 #: Stage-presence requirements: a stack naming the key must also name the
 #: values (e.g. classification is meaningless without the piggyback word).
@@ -107,12 +110,11 @@ class ProtocolPipeline:
         self.codec = get_codec(self.config.codec)
         self.rank = comm.rank
         self.nprocs = comm.size
-        # The communicator's generator operations, resolved once.
-        self._comm_send = coop.co_method(comm, "send")
-        self._comm_recv = coop.co_method(comm, "recv")
-        self._comm_recv_envelope = coop.co_method(comm, "recv_envelope")
-        self._comm_sendrecv = coop.co_method(comm, "sendrecv")
-        self._comm_yield_point = coop.co_method(comm, "yield_point")
+        # The communicator's generator operations, bound once.
+        self._comm_send = comm.co_send
+        self._comm_recv_envelope = comm.co_recv_envelope
+        self._comm_sendrecv = comm.co_sendrecv
+        self._comm_yield_point = comm.co_yield_point
         #: This rank's mailbox control queue; bound by the checkpoint
         #: stage (the only consumer), empty forever on other stacks.
         self._control: Any = ()
@@ -187,13 +189,11 @@ class ProtocolPipeline:
     # ------------------------------------------------------------------ #
     # Control plane (shared by the checkpoint and replay stages).
     #
-    # Every CommLike operation of this class is written ONCE, as a
-    # ``co_*`` generator whose yields are the scheduling points; the
-    # synchronous method of the same name just drives that generator.
+    # Every CommLike operation that can suspend exists once, as a ``co_*``
+    # generator whose yields are its scheduling points; the calls that
+    # never suspend (``comm_dup``, ``op_create``, ``comm_rank`` ...) are
+    # plain methods.
     # ------------------------------------------------------------------ #
-
-    def _send_control(self, msg: ctl.ControlMessage, dest: int) -> None:
-        coop.drive(self._co_send_control(msg, dest))
 
     def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
         if dest == self.rank:
@@ -257,37 +257,23 @@ class ProtocolPipeline:
             raise ProtocolError(f"not a communicator handle: {handle!r}")
         return live
 
-    def _raw_co(self, handle: Any, name: str) -> Callable[..., Any]:
-        """Generator form of operation ``name`` on a raw-mode communicator."""
-        return coop.co_method(self._resolve(handle), name)
-
     # ------------------------------------------------------------------ #
     # Send path.
     # ------------------------------------------------------------------ #
 
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        """Application blocking send with piggybacked protocol data."""
-        coop.drive(self.co_send(payload, dest, tag))
-
-    def co_send(self, payload: Any, dest: int, tag: int = 0):
-        if self._raw:
-            self.stats.sends += 1
-            yield from self._comm_send(payload, dest, tag)
-            return
-        if not self._idle():
-            yield from self._co_progress()
+    def _stamp(self, payload: Any, dest: int, tag: int) -> Any:
+        """Account one send and build its wire word: observers, message ID,
+        resend suppression, trace.  Returns the piggyback word (None on a
+        stack without one), or ``_SUPPRESSED`` for a send not to post."""
         self.stats.sends += 1
         for stage in self._send_observers:
             stage.on_send(payload, dest, tag)
             self._calls[stage.name] += 1
         if not self._protocol:
             if self.pb is None:
-                yield from self._comm_send(payload, dest, tag)
-                return
-            wire = self.pb.blank()
+                return None
             self._calls["piggyback"] += 1
-            yield from self._comm_send(payload, dest, tag, wire)
-            return
+            return self.pb.blank()
         message_id = self.state.note_send(dest)
         tr = self.tracer
         if self.rep is not None and self.rep.is_suppressed(dest, message_id):
@@ -301,74 +287,47 @@ class ProtocolPipeline:
                     "proto", "suppress_send", rank=self.rank,
                     epoch=self.state.epoch, dest=dest, mid=message_id,
                 )
-            return
+            return _SUPPRESSED
         if tr is not None:
             tr.emit(
                 "proto", "send", rank=self.rank, epoch=self.state.epoch,
                 dest=dest, mid=message_id, logging=self.state.am_logging,
             )
-        wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
         self._calls["piggyback"] += 1
-        yield from self._comm_send(payload, dest, tag, wire)
+        return self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
-        """Nonblocking send; returns a pseudo-request (Section 5.2) on a
-        staged stack, a raw request on the empty stack."""
-        return coop.drive(self.co_isend(payload, dest, tag))
+    def co_send(self, payload: Any, dest: int, tag: int = 0):
+        """Application blocking send with piggybacked protocol data."""
+        if not self._idle():
+            yield from self._co_progress()
+        wire = self._stamp(payload, dest, tag)
+        if wire is not _SUPPRESSED:
+            yield from self._comm_send(payload, dest, tag, wire)
 
     def co_isend(self, payload: Any, dest: int, tag: int = 0):
-        # The underlying isend never suspends (eager sends); the scheduling
-        # points here are the progress drain only.
+        """Nonblocking send; returns a pseudo-request (Section 5.2) on a
+        staged stack, a raw request on the empty stack.
+
+        The underlying isend never suspends (eager sends); the scheduling
+        points here are the progress drain only.
+        """
         if self._raw:
             self.stats.sends += 1
             return self.comm.isend(payload, dest, tag)
         if not self._idle():
             yield from self._co_progress()
-        self.stats.sends += 1
-        for stage in self._send_observers:
-            stage.on_send(payload, dest, tag)
-            self._calls[stage.name] += 1
+        wire = self._stamp(payload, dest, tag)
         req = self.requests.new("isend", dest=dest, tag=tag)
-        if not self._protocol:
-            if self.pb is None:
-                self.comm.isend(payload, dest, tag)
-                return req
-            wire = self.pb.blank()
-            self._calls["piggyback"] += 1
+        if wire is not _SUPPRESSED:
             self.comm.isend(payload, dest, tag, piggyback=wire)
-            return req
-        message_id = self.state.note_send(dest)
-        tr = self.tracer
-        if self.rep is not None and self.rep.is_suppressed(dest, message_id):
-            self.stats.suppressed_sends += 1
-            if tr is not None:
-                tr.emit(
-                    "proto", "suppress_send", rank=self.rank,
-                    epoch=self.state.epoch, dest=dest, mid=message_id,
-                )
-            return req
-        if tr is not None:
-            tr.emit(
-                "proto", "send", rank=self.rank, epoch=self.state.epoch,
-                dest=dest, mid=message_id, logging=self.state.am_logging,
-            )
-        wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
-        self._calls["piggyback"] += 1
-        self.comm.isend(payload, dest, tag, piggyback=wire)
         return req
 
     # ------------------------------------------------------------------ #
     # Receive path.
     # ------------------------------------------------------------------ #
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Application blocking receive."""
-        return coop.drive(self.co_recv(source, tag))
-
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        if self._raw:
-            self.stats.receives += 1
-            return (yield from self._comm_recv(source, tag))
+        """Application blocking receive."""
         if not self._idle():
             yield from self._co_progress()
         self.stats.receives += 1
@@ -387,12 +346,11 @@ class ProtocolPipeline:
         env = yield from self._comm_recv_envelope(source, tag)
         return (yield from self._co_classify_and_deliver(env))
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Nonblocking receive pseudo-request (raw request on empty stack)."""
-        return coop.drive(self.co_irecv(source, tag))
-
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        # Posting the receive never suspends; only the progress drain does.
+        """Nonblocking receive pseudo-request (raw request on empty stack).
+
+        Posting the receive never suspends; only the progress drain does.
+        """
         if self._raw:
             return self.comm.irecv(source, tag)
         if not self._idle():
@@ -406,15 +364,12 @@ class ProtocolPipeline:
         req._live = self.comm.irecv(source, tag)
         return req
 
-    def wait(self, req: Any) -> Any:
-        """Complete a pseudo-request (the MPI_Wait analogue)."""
-        return coop.drive(self.co_wait(req))
-
     def co_wait(self, req: Any):
+        """Complete a pseudo-request (the MPI_Wait analogue)."""
         if self._raw:
             if isinstance(req, Request) and not req.completed and hasattr(req, "_desc"):
                 self.stats.receives += 1
-            return (yield from coop.co_method(req, "wait")())
+            return (yield from req.co_wait())
         if not self._idle():
             yield from self._co_progress()
         if req.consumed:
@@ -447,18 +402,15 @@ class ProtocolPipeline:
             self.requests.retire(req)
             return payload
         self.stats.receives += 1
-        yield from coop.co_method(req._live, "wait")()
+        yield from req._live.co_wait()
         env = req._live._desc.matched
         self.requests.retire(req)
         if not self._protocol:
             return env.payload
         return (yield from self._co_classify_and_deliver(env))
 
-    def test(self, req: Any) -> bool:
-        """Nonblocking completion check for a pseudo-request."""
-        return coop.drive(self.co_test(req))
-
     def co_test(self, req: Any):
+        """Nonblocking completion check for a pseudo-request."""
         if self._raw:
             return req.test()
         if not self._idle():
@@ -472,19 +424,6 @@ class ProtocolPipeline:
             return self.replay is not None and not self.replay.matches.exhausted
         return req._live.test()
 
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        recv_source: int,
-        send_tag: int = 0,
-        recv_tag: int | None = None,
-    ) -> Any:
-        """Combined exchange built from the pipeline's own send + recv."""
-        return coop.drive(
-            self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag)
-        )
-
     def co_sendrecv(
         self,
         payload: Any,
@@ -493,6 +432,7 @@ class ProtocolPipeline:
         send_tag: int = 0,
         recv_tag: int | None = None,
     ):
+        """Combined exchange built from the pipeline's own send + recv."""
         if self._raw:
             self.stats.sends += 1
             self.stats.receives += 1
@@ -508,11 +448,8 @@ class ProtocolPipeline:
 
     # ------------------------------------------------------------------ #
 
-    def _classify_and_deliver(self, env) -> Any:
-        """Figure 4's communicationEventHandler for one arrived message."""
-        return coop.drive(self._co_classify_and_deliver(env))
-
     def _co_classify_and_deliver(self, env):
+        """Figure 4's communicationEventHandler for one arrived message."""
         info = self.pb.decode(env)
         self._calls["piggyback"] += 1
         mclass = self.clf.classify(info)
@@ -540,18 +477,13 @@ class ProtocolPipeline:
     # Non-determinism (Section 3.2 / Figure 4 phase 2).
     # ------------------------------------------------------------------ #
 
-    def nondet(self, compute: Callable[[], Any]) -> Any:
+    def co_nondet(self, compute: Callable[[], Any]):
         """Execute a non-deterministic decision under protocol control.
 
         While logging, the result is recorded; during recovery replay, the
         recorded result is returned instead of re-computing, so the replayed
         execution is identical to the one peers' checkpoints observed.
         """
-        return coop.drive(self.co_nondet(compute))
-
-    def co_nondet(self, compute: Callable[[], Any]):
-        if self._raw:
-            return compute()
         if not self._idle():
             yield from self._co_progress()
         if (
@@ -592,14 +524,14 @@ class ProtocolPipeline:
     def _co_collective(
         self,
         kind: str,
-        executor: Callable[[Any], Any],
-        comm: Optional[PseudoHandle] = None,
+        comm: Optional[PseudoHandle],
+        args: tuple,
         loggable: bool = True,
     ):
         """Shared machinery for every staged collective call.
 
-        ``executor`` builds the generator form of the collective algorithm
-        over the handed endpoint.  ``loggable=False`` marks barrier: never
+        Runs ``coll_impl.co_<kind>(endpoint, *args)`` over the pipeline's
+        own tag space.  ``loggable=False`` marks barrier: never
         served from the result log (all participants re-execute it after
         restart — guaranteed by the epoch-alignment rule) and never
         recorded.
@@ -608,10 +540,11 @@ class ProtocolPipeline:
             yield from self._co_progress()
         self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
+        algorithm = getattr(coll_impl, "co_" + kind)
         if not self._protocol:
             ep = self._coll_endpoint(handle_id, 1)
             self._advance_coll_seq(handle_id)
-            return (yield from executor(ep))
+            return (yield from algorithm(ep, *args))
         if (
             loggable
             and self.replay is not None
@@ -630,7 +563,7 @@ class ProtocolPipeline:
             ctl_ep, (self.state.epoch, self.state.am_logging)
         )
         data_ep = self._coll_endpoint(handle_id, 1)
-        result = yield from executor(data_ep)
+        result = yield from algorithm(data_ep, *args)
         self._advance_coll_seq(handle_id)
         if self.state.am_logging and loggable:
             my_epoch = self.state.epoch
@@ -651,111 +584,42 @@ class ProtocolPipeline:
     def _group_rank(self, handle_id: int) -> int:
         return self._raw_comm(handle_id).rank
 
-    def bcast(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_bcast(obj, root, comm))
+    def _co_coll(self, kind: str, comm: Any, *args: Any):
+        """One data collective: the communicator's own ``co_<kind>`` on the
+        empty stack, the staged algorithm under :meth:`_co_collective`
+        otherwise."""
+        if self._raw:
+            self.stats.collectives += 1
+            return (yield from getattr(self._resolve(comm), "co_" + kind)(*args))
+        return (yield from self._co_collective(kind, comm, args))
+
+    # The eight data collectives; each hands back ``_co_coll``'s generator.
 
     def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "bcast")(obj, root))
-        return (
-            yield from self._co_collective(
-                "bcast", lambda ep: coll_impl.co_bcast(ep, obj, root), comm
-            )
-        )
-
-    def reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_reduce(obj, op, root, comm))
+        return self._co_coll("bcast", comm, obj, root)
 
     def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "reduce")(obj, op, root))
-        return (
-            yield from self._co_collective(
-                "reduce", lambda ep: coll_impl.co_reduce(ep, obj, op, root), comm
-            )
-        )
-
-    def allreduce(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_allreduce(obj, op, comm))
+        return self._co_coll("reduce", comm, obj, op, root)
 
     def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "allreduce")(obj, op))
-        return (
-            yield from self._co_collective(
-                "allreduce", lambda ep: coll_impl.co_allreduce(ep, obj, op), comm
-            )
-        )
-
-    def gather(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_gather(obj, root, comm))
+        return self._co_coll("allreduce", comm, obj, op)
 
     def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "gather")(obj, root))
-        return (
-            yield from self._co_collective(
-                "gather", lambda ep: coll_impl.co_gather(ep, obj, root), comm
-            )
-        )
-
-    def allgather(self, obj: Any, comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_allgather(obj, comm))
+        return self._co_coll("gather", comm, obj, root)
 
     def co_allgather(self, obj: Any, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "allgather")(obj))
-        return (
-            yield from self._co_collective(
-                "allgather", lambda ep: coll_impl.co_allgather(ep, obj), comm
-            )
-        )
-
-    def scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_scatter(objs, root, comm))
+        return self._co_coll("allgather", comm, obj)
 
     def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "scatter")(objs, root))
-        return (
-            yield from self._co_collective(
-                "scatter", lambda ep: coll_impl.co_scatter(ep, objs, root), comm
-            )
-        )
-
-    def alltoall(self, objs: list[Any], comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_alltoall(objs, comm))
+        return self._co_coll("scatter", comm, objs, root)
 
     def co_alltoall(self, objs: list[Any], comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "alltoall")(objs))
-        return (
-            yield from self._co_collective(
-                "alltoall", lambda ep: coll_impl.co_alltoall(ep, objs), comm
-            )
-        )
-
-    def scan(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_scan(obj, op, comm))
+        return self._co_coll("alltoall", comm, objs)
 
     def co_scan(self, obj: Any, op: Op, comm: Any = None):
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from self._raw_co(comm, "scan")(obj, op))
-        return (
-            yield from self._co_collective(
-                "scan", lambda ep: coll_impl.co_scan(ep, obj, op), comm
-            )
-        )
+        return self._co_coll("scan", comm, obj, op)
 
-    def barrier(self, comm: Any = None) -> None:
+    def co_barrier(self, comm: Any = None):
         """MPI_Barrier with the paper's epoch-alignment rule (Section 4.5).
 
         "All processes involved in the barrier execute an all-to-all
@@ -763,13 +627,8 @@ class ProtocolPipeline:
         in the same epoch.  If not, processes that have not yet taken their
         local checkpoints do so."
         """
-        coop.drive(self.co_barrier(comm))
-
-    def co_barrier(self, comm: Any = None):
         if self._raw:
-            self.stats.collectives += 1
-            yield from self._raw_co(comm, "barrier")()
-            return
+            return (yield from self._co_coll("barrier", comm))
         if not self._idle():
             yield from self._co_progress()
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
@@ -793,25 +652,18 @@ class ProtocolPipeline:
             ctl_ep = self._coll_endpoint(handle_id, 0)
             yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
             self._advance_coll_seq(handle_id)
-        yield from self._co_collective(
-            "barrier", lambda ep: coll_impl.co_barrier(ep), comm, loggable=False
-        )
+        yield from self._co_collective("barrier", comm, (), loggable=False)
 
     # ------------------------------------------------------------------ #
     # potentialCheckpoint (Figure 4).
     # ------------------------------------------------------------------ #
 
-    def potential_checkpoint(self) -> bool:
+    def co_potential_checkpoint(self):
         """Take a local checkpoint if one has been requested.
 
         Returns True if a checkpoint was taken; always False on stacks
         without a checkpoint stage.
         """
-        return coop.drive(self.co_potential_checkpoint())
-
-    def co_potential_checkpoint(self):
-        if self._raw:
-            return False
         if not self._idle():
             yield from self._co_progress()
         if self.ckpt is None:
@@ -877,15 +729,10 @@ class ProtocolPipeline:
         self.coll_seqs[handle.handle_id] = 0
         return handle
 
-    def comm_split(
-        self, color: int, key: int | None = None, parent: Any = None
-    ) -> Optional[Any]:
-        """Split a communicator behind a (pseudo or raw) handle (collective)."""
-        return coop.drive(self.co_comm_split(color, key, parent))
-
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
+        """Split a communicator behind a (pseudo or raw) handle (collective)."""
         if self._raw:
-            child = yield from self._raw_co(parent, "split")(color, key)
+            child = yield from self._resolve(parent).co_split(color, key)
             if child is None:
                 return None
             return self._new_handle("comm", child)
@@ -896,7 +743,7 @@ class ProtocolPipeline:
             if replayed:
                 return handle
         parent_id = parent.handle_id if parent is not None else WORLD_HANDLE
-        raw_child = yield from coop.co_method(self._raw_comm(parent_id), "split")(color, key)
+        raw_child = yield from self._raw_comm(parent_id).co_split(color, key)
         if raw_child is None:
             # Participation is still recorded: the split must be re-executed
             # collectively on restore even by ranks that got no child.
@@ -959,10 +806,10 @@ class ProtocolPipeline:
             yield  # pragma: no cover -- marks this function as a generator
 
         def comm_split(parent_id: int, color: int, key: int | None):
-            return (yield from coop.co_method(self._raw_comm(parent_id), "split")(color, key))
+            return (yield from self._raw_comm(parent_id).co_split(color, key))
 
         def comm_split_undefined(parent_id: int, key: int | None):
-            yield from coop.co_method(self._raw_comm(parent_id), "split")(None, key)
+            yield from self._raw_comm(parent_id).co_split(None, key)
             return None
 
         def op_create(name: str):
@@ -1003,20 +850,17 @@ class ProtocolPipeline:
     # Recovery (restart from a committed checkpoint).
     # ------------------------------------------------------------------ #
 
-    def restore_from(self, data: CheckpointData, logs: EpochLogs) -> None:
+    def co_restore_from(self, data: CheckpointData, logs: EpochLogs):
         """Reinitialise this pipeline from a committed local checkpoint.
 
-        Must be called by *every* rank of the job at restart, before any
-        application re-execution: it performs a synchronous suppression
+        Must be run by *every* rank of the job at restart, before any
+        application re-execution: it performs a collective suppression
         exchange (each receiver tells each sender which early-message IDs to
         suppress) and arms the deterministic replay engine.
 
         Consumes ``data`` and ``logs``: both are kept and mutated uncopied (the
         driver hands over what it just unpickled, a graph nobody else holds).
         """
-        coop.drive(self.co_restore_from(data, logs))
-
-    def co_restore_from(self, data: CheckpointData, logs: EpochLogs):
         if self.rep is None:
             raise RecoveryError(
                 f"rank {self.rank}: restore_from on a stack without a replay stage"
@@ -1081,8 +925,8 @@ class _LayerCollEndpoint:
     def __init__(self, raw: Comm, base: int) -> None:
         self.coll_rank = raw.rank
         self.coll_size = raw.size
-        self.co_coll_send = coop.co_method(raw, "coll_send")
-        self.co_coll_recv = coop.co_method(raw, "coll_recv")
+        self.co_coll_send = raw.co_coll_send
+        self.co_coll_recv = raw.co_coll_recv
         self._base = base
         self._used = False
 

@@ -5,15 +5,17 @@ run under the recovery driver.  It exposes:
 
 * ``ctx.mpi`` — the full MPI interface, routed through the C3 protocol
   layer (or a pass-through configuration for baseline variants);
-* ``ctx.potential_checkpoint()`` — the paper's ``PotentialCheckpoint``
-  call, the only source modification the paper asks of programmers;
+* ``ctx.co_potential_checkpoint()`` — the paper's ``PotentialCheckpoint``
+  call, the only source modification the paper asks of programmers
+  (precompiled code spells it ``ctx.potential_checkpoint()``; the
+  precompiler emits the generator form);
 * ``ctx.checkpointable_state(init)`` — the *manual* state-saving path: the
   application registers one state object; on a fresh start ``init()``
   builds it, on restart the checkpointed copy is returned.  (The
   precompiler package provides the *automated* path, where the transformed
   code saves and rebuilds its own stack.)
-* ``ctx.nondet(fn)`` — non-deterministic decisions, logged/replayed by the
-  protocol (Section 3.2);
+* ``ctx.co_nondet(fn)`` / ``ctx.co_random()`` — non-deterministic
+  decisions, logged/replayed by the protocol (Section 3.2);
 * ``ctx.compute(flops)`` — virtual-time accounting for compute phases.
 """
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigError
-from repro.simmpi import coop
 from repro.simmpi.simulator import RankContext
 from repro.statesave.globals_registry import DEFAULT_REGISTRY
 
@@ -51,10 +52,11 @@ class C3AppContext:
         #: Opaque run parameters (set by PrecompiledApp or harness code).
         self.params: Any = None
         layer.state_provider = self._capture_state
-        # Generator twins of the two protocol hooks, bound once (a CommLike
-        # double without a co_* surface gets its synchronous method wrapped).
-        self.co_potential_checkpoint = coop.co_method(layer, "potential_checkpoint")
-        self.co_nondet = coop.co_method(layer, "nondet")
+        # The two protocol hooks are the layer's generators, bound once:
+        # ``yield from ctx.co_potential_checkpoint()`` /
+        # ``yield from ctx.co_nondet(fn)``.
+        self.co_potential_checkpoint = layer.co_potential_checkpoint
+        self.co_nondet = layer.co_nondet
         # Registered module globals (repro.statesave.checkpointable_state)
         # ride along in every checkpoint blob.  Module globals are shared
         # process-wide in the simulator, so rank 0's snapshot is the
@@ -130,18 +132,10 @@ class C3AppContext:
 
     # ------------------------------------------------------------------ #
 
-    def potential_checkpoint(self) -> bool:
-        """The paper's ``PotentialCheckpoint()`` call."""
-        return self.mpi.potential_checkpoint()
-
-    def nondet(self, compute: Callable[[], Any]) -> Any:
-        """Make a non-deterministic decision under protocol logging."""
-        return self.mpi.nondet(compute)
-
-    def random(self) -> float:
-        """Protocol-logged uniform variate from the per-rank stream."""
-        return self.nondet(self._rank_ctx.rng.random)
-
     def co_random(self):
-        """Generator twin of :meth:`random`."""
+        """Protocol-logged uniform variate from the per-rank stream."""
         return (yield from self.co_nondet(self._rank_ctx.rng.random))
+
+    def co_yield_point(self):
+        """Voluntary scheduling point (lets other ranks run)."""
+        yield from self._rank_ctx.co_yield_point()

@@ -7,9 +7,13 @@ Scheduling points are therefore ``yield`` statements inside ``co_*``
 generator code, and a rank main is either a generator function or a
 precompiled app (whose transformed code reaches the ``co_*`` forms).
 
-:func:`drive` runs a ``co_*`` generator for a synchronous caller; it is
-valid only where the call cannot suspend (a stage double, an operation
-with nothing to wait for) and names the fix otherwise.
+:func:`drive` runs a ``co_*`` generator for a synchronous caller.  The
+simulator's own ``Comm`` and ``Request`` keep mpi4py-shaped synchronous
+names built on it, valid only where the call cannot suspend (an operation
+with nothing to wait for, a unit test outside any rank); a call that
+reaches a scheduling point raises and names the fix.  Everything above the
+simulator — the protocol pipeline, the application context, precompiled
+code — exists only in generator form.
 
 The module also keeps the **current proc** registry, set by the scheduler
 around every ``task.send``: all ranks share one thread, so "which rank is
@@ -20,7 +24,7 @@ proc it names.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import SimMPIError
 
@@ -38,22 +42,6 @@ def set_current_proc(proc: Optional["Proc"]) -> None:
 def current_proc() -> Optional["Proc"]:
     """The rank the scheduler is currently resuming, if any."""
     return _here.proc
-
-
-def co_method(target: Any, name: str) -> Callable[..., Generator[None, None, Any]]:
-    """``target.co_<name>`` — bind it once and a call costs no lookup or
-    wrapper frame.  A double with only the synchronous method gets a
-    generator that calls it and never suspends (such stand-ins never
-    block)."""
-    co = getattr(target, "co_" + name, None)
-    if co is not None:
-        return co
-
-    def co_sync(*args: Any, **kwargs: Any):
-        return getattr(target, name)(*args, **kwargs)
-        yield  # pragma: no cover - generator marker, unreachable
-
-    return co_sync
 
 
 def drive(gen: Generator[None, None, Any]) -> Any:

@@ -27,7 +27,6 @@ from typing import Any, Callable, Optional, Sequence
 from types import GeneratorType
 
 from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
-from repro.simmpi import coop
 from repro.simmpi.clock import CostModel, VirtualClock
 from repro.simmpi.comm import Comm
 from repro.simmpi.failure_detector import HeartbeatFailureDetector
@@ -127,7 +126,7 @@ class RankContext:
     def co_potential_checkpoint(self):
         """No-op unless the recovery driver attached the C3 machinery."""
         if self.c3 is not None:
-            return (yield from coop.co_method(self.c3, "potential_checkpoint")())
+            return (yield from self.c3.co_potential_checkpoint())
         return None
 
 

@@ -20,15 +20,20 @@ from repro.protocol.stages import (
     register_stage,
 )
 from repro.runtime import RunConfig, Variant, run_with_recovery
+from repro.runtime.context import C3AppContext
 from repro.simmpi import SUM
 
-#: Every method the protocol names (the paper's Figure-2 surface).
-COMMLIKE_METHODS = (
+#: The operations that can suspend a rank: each exists once, as ``co_<name>``.
+SUSPENDING = (
     "send", "isend", "recv", "irecv", "wait", "test", "sendrecv",
     "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
-    "alltoall", "scan", "barrier",
-    "comm_dup", "comm_split", "op_create", "comm_rank", "comm_size",
+    "alltoall", "scan", "barrier", "comm_split",
     "potential_checkpoint", "nondet",
+)
+
+#: Every method the protocol names (the paper's Figure-2 surface).
+COMMLIKE_METHODS = tuple("co_" + name for name in SUSPENDING) + (
+    "comm_dup", "op_create", "comm_rank", "comm_size",
 )
 
 
@@ -64,6 +69,14 @@ def test_class_declares_full_surface(impl):
         assert callable(member), f"{impl.__name__}.{name} is not callable"
 
 
+@pytest.mark.parametrize("impl", [RawCommAdapter, ProtocolPipeline, C3AppContext])
+def test_suspending_operations_have_one_form(impl):
+    """No synchronous twin of a suspending operation above the simulator."""
+    for name in SUSPENDING + ("restore_from", "random", "yield_point"):
+        with pytest.raises(AttributeError):
+            inspect.getattr_static(impl, name)
+
+
 def conformance_app(ctx):
     """Exercises the full CommLike surface and returns a digest."""
     mpi = ctx.mpi
@@ -74,8 +87,8 @@ def conformance_app(ctx):
     peer = (ctx.rank + 1) % ctx.size
     prev = (ctx.rank - 1) % ctx.size
     while state["i"] < 8:
-        sreq = mpi.isend(state["i"] * 10 + ctx.rank, peer, tag=2)
-        rreq = mpi.irecv(source=prev, tag=2)
+        sreq = yield from mpi.co_isend(state["i"] * 10 + ctx.rank, peer, tag=2)
+        rreq = yield from mpi.co_irecv(source=prev, tag=2)
         got = yield from mpi.co_wait(rreq)
         yield from mpi.co_wait(sreq)
         one = yield from ctx.co_nondet(lambda: 1)
@@ -167,8 +180,8 @@ class TestRawCommAdapter:
     def test_point_to_point_and_requests(self):
         def app(ctx):
             peer = (ctx.rank + 1) % ctx.size
-            req = ctx.mpi.isend(ctx.rank * 10, peer, tag=3)
-            rreq = ctx.mpi.irecv(source=(ctx.rank - 1) % ctx.size, tag=3)
+            req = yield from ctx.mpi.co_isend(ctx.rank * 10, peer, tag=3)
+            rreq = yield from ctx.mpi.co_irecv(source=(ctx.rank - 1) % ctx.size, tag=3)
             got = yield from ctx.mpi.co_wait(rreq)
             yield from ctx.mpi.co_wait(req)
             assert (yield from ctx.mpi.co_test(req))

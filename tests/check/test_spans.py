@@ -132,29 +132,27 @@ class TestStackedDecoratorSpans:
             assert diag.span.line >= def_line
 
 
-class TestPrecompiledDualFormSpans:
+class TestPrecompiledSpans:
     def test_compile_diagnostics_use_original_coordinates(
         self, stacked_module, tmp_path
     ):
-        # The precompiler checks the *original* defs and then builds both
-        # cores (sync + co_ generator twin); the attached diagnostics
-        # must keep pointing at the original file regardless.
+        # The precompiler checks the *original* defs and then builds the
+        # generator form; the attached diagnostics must keep pointing at
+        # the original file regardless.
         from repro.precompiler.api import Precompiler
 
         unit = Precompiler([stacked_module.main]).compile()
-        assert unit.co_functions  # the dual form exists
+        assert unit.transformed_names == {"main"}
         diag = next(d for d in unit.diagnostics if d.code == "RPR021")
         lines = (tmp_path / "stacked_app.py").read_text().splitlines()
         assert "time.time()" in lines[diag.span.line - 1]
         assert diag.span.file.endswith("stacked_app.py")
 
-    def test_both_cores_share_the_func_id(self, stacked_module):
+    def test_one_code_object_per_function(self, stacked_module):
         from repro.precompiler.api import Precompiler
 
         unit = Precompiler([stacked_module.main]).compile()
-        sync_id = unit.code_map[unit.functions["main"].__code__]
-        co_id = unit.code_map[unit.co_functions["main"].__code__]
-        assert sync_id == co_id
+        assert unit.code_map == {unit.entry("main").__code__: "unit.main"}
 
 
 class TestUndecoratedSpans:

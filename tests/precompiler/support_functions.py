@@ -125,6 +125,31 @@ def aug_assign_with_call(ctx, n):
     return total
 
 
+def halo_step(ctx, x):
+    """Blocks on its neighbours but never checkpoints."""
+    ctx.mpi.send(x, (ctx.rank + 1) % ctx.size, tag=7)
+    return ctx.mpi.recv(source=(ctx.rank - 1) % ctx.size, tag=7)
+
+
+def exchange_loop(ctx):
+    acc = ctx.rank
+    for i in range(120):
+        acc = (acc + halo_step(ctx, acc + i)) % 1000003
+        ctx.potential_checkpoint()
+    return acc
+
+
+def yielding_loop(ctx):
+    """Gives way to the other ranks at a voluntary scheduling point."""
+    peer = (ctx.rank + 1) % ctx.size
+    acc = ctx.rank
+    for i in range(120):
+        ctx.yield_point()
+        acc = (acc + ctx.mpi.sendrecv(acc + i, peer, peer, send_tag=5)) % 1000003
+        ctx.potential_checkpoint()
+    return acc
+
+
 # --- functions that must be REJECTED -------------------------------------
 
 
@@ -153,6 +178,22 @@ def bad_boolop(ctx, flag):
 
 def bad_comprehension(ctx, n):
     return sum(leaf(ctx, i) for i in range(n))
+
+
+def bad_recv_in_comprehension(ctx, n):
+    return [ctx.mpi.recv(source=s) for s in range(n)]
+
+
+def bad_helper_in_lambda(ctx):
+    later = lambda x: halo_step(ctx, x)  # noqa: E731
+    return later(1)
+
+
+def bad_send_in_nested_def(ctx):
+    def inner(x):
+        ctx.mpi.send(x, 0)
+
+    inner(1)
 
 
 def bad_generator(ctx):

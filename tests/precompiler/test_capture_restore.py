@@ -16,7 +16,7 @@ from tests.precompiler import support_functions as sf
 
 
 class CapturingCtx:
-    """Fake ctx whose potential_checkpoint captures the live stack.
+    """Fake ctx whose potential checkpoint captures the live stack.
 
     ``capture()`` returns live references, so — exactly like the protocol
     layer's checkpoint writer — the snapshot must be serialised at capture
@@ -27,8 +27,14 @@ class CapturingCtx:
         self.rt = rt
         self.captures = []
 
-    def potential_checkpoint(self):
+    def co_potential_checkpoint(self):
         self.captures.append(pickle.dumps(self.rt.capture()))
+        yield from ()
+
+
+def run(unit, name, *args):
+    """Run a transformed function outside the simulator (nothing suspends)."""
+    return coop.drive(unit.entry(name)(*args))
 
 
 @pytest.fixture(autouse=True)
@@ -50,7 +56,7 @@ class TestCapture:
         rt = C3StackRuntime(unit).activate()
         try:
             ctx = CapturingCtx(rt)
-            unit.entry("branches")(ctx, 4)
+            run(unit, "branches", ctx, 4)
         finally:
             rt.deactivate()
         assert ctx.captures
@@ -63,7 +69,7 @@ class TestCapture:
         rt = C3StackRuntime(unit).activate()
         try:
             ctx = CapturingCtx(rt)
-            unit.entry("branches")(ctx, 4)
+            run(unit, "branches", ctx, 4)
         finally:
             rt.deactivate()
         for _fid, frame in pickle.loads(ctx.captures[0]):
@@ -74,7 +80,7 @@ class TestCapture:
         rt = C3StackRuntime(unit).activate()
         try:
             ctx = CapturingCtx(rt)
-            unit.entry("branches")(ctx, 6)
+            run(unit, "branches", ctx, 6)
         finally:
             rt.deactivate()
         assert pickle.loads(ctx.captures[-1])[0][0] == "cap.branches"
@@ -86,11 +92,11 @@ class TestCapture:
         rt = C3StackRuntime(unit).activate()
         try:
             ctx = CapturingCtx(rt)
-            expected = unit.entry("branches")(ctx, 9)
+            expected = run(unit, "branches", ctx, 9)
             # Pick a mid-run capture and replay from it.
             frames = pickle.loads(ctx.captures[1])
             rt.begin_restore(frames)
-            resumed = unit.entry("branches")(CapturingCtx(rt), 9)
+            resumed = run(unit, "branches", CapturingCtx(rt), 9)
         finally:
             rt.deactivate()
         assert resumed == expected
@@ -100,7 +106,7 @@ class TestCapture:
         try:
             rt.begin_restore([("cap.leaf", {"_pc": 0})])
             with pytest.raises(RecoveryError, match="mismatch"):
-                unit.entry("branches")(CapturingCtx(rt), 3)
+                run(unit, "branches", CapturingCtx(rt), 3)
         finally:
             rt.deactivate()
 
@@ -164,3 +170,29 @@ class TestEndToEndPrecompiled:
         assert out.results == gold.results
         assert len(out.attempts) == 2
         assert out.attempts[1].started_from_epoch >= 1
+
+    def test_blocking_helper_without_a_checkpoint(self):
+        """A helper that sends and receives but never checkpoints is
+        transformed too: the program completes, and a run killed after a
+        committed wave recovers the failure-free answer."""
+        unit = Precompiler([sf.exchange_loop, sf.halo_step], unit_name="halo").compile()
+        app = PrecompiledApp(unit, entry="exchange_loop")
+        cfg = RunConfig(nprocs=3, seed=4, checkpoint_interval=0.002,
+                        detector_timeout=0.04)
+        gold = run_with_recovery(app, cfg)
+        assert gold.checkpoints_committed >= 1
+        out = run_with_recovery(app, cfg, failures=FailureSchedule.single(0.004, 2))
+        assert out.results == gold.results
+        assert out.attempts[1].started_from_epoch >= 1
+
+    def test_yield_point_in_precompiled_code(self):
+        """``ctx.yield_point()`` compiles to the context's generator form
+        and changes no answer between V0 and V3."""
+        unit = Precompiler([sf.yielding_loop], unit_name="yp").compile()
+        app = PrecompiledApp(unit, entry="yielding_loop")
+        cfg = RunConfig(nprocs=2, seed=3, checkpoint_interval=0.002,
+                        detector_timeout=0.04)
+        v3 = run_with_recovery(app, cfg)
+        v0 = run_with_recovery(app, dataclasses.replace(cfg, variant=Variant.UNMODIFIED))
+        assert v3.checkpoints_committed >= 1
+        assert v3.results == v0.results

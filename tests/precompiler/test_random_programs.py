@@ -138,6 +138,17 @@ class _Ctx:
         if self.rt is not None:
             self.captures.append(pickle.dumps(self.rt.capture()))
 
+    def co_potential_checkpoint(self):
+        self.potential_checkpoint()
+        yield from ()
+
+
+def _run_prog(unit, ctx, n):
+    """A transformed ``prog`` is a generator (nothing suspends here); one
+    whose body never calls ``leaf`` is served back untouched."""
+    result = unit.entry("prog")(ctx, n)
+    return coop.drive(result) if "prog" in unit.transformed_names else result
+
 
 def _run_and_restore_everywhere(unit, n):
     """The uninterrupted result, then one fresh run per capture."""
@@ -145,11 +156,11 @@ def _run_and_restore_everywhere(unit, n):
     rt = C3StackRuntime(unit).activate()
     try:
         ctx = _Ctx(rt)
-        result = unit.entry("prog")(ctx, n)
+        result = _run_prog(unit, ctx, n)
         restored = []
         for blob in ctx.captures:
             rt.begin_restore(pickle.loads(blob))
-            restored.append(unit.entry("prog")(_Ctx(rt), n))
+            restored.append(_run_prog(unit, _Ctx(rt), n))
     finally:
         rt.deactivate()
         coop.set_current_proc(None)

@@ -2,10 +2,13 @@
 its original under plain execution (no active runtime), and the analysis
 must classify/reject constructs per the documented subset."""
 
+import inspect
+
 import pytest
 
 from repro.errors import UnsupportedConstructError
 from repro.precompiler import Precompiler
+from repro.simmpi import coop
 
 from tests.precompiler import support_functions as sf
 
@@ -13,6 +16,9 @@ from tests.precompiler import support_functions as sf
 class DummyCtx:
     def potential_checkpoint(self):
         pass
+
+    def co_potential_checkpoint(self):
+        yield from ()
 
 
 FULL_UNIT = [
@@ -50,6 +56,31 @@ class TestReachingSet:
         assert "plain_math" not in unit.transformed_names
         assert unit.functions["plain_math"] is sf.plain_math
 
+    def test_suspending_helper_adds_no_restart_label(self):
+        """A helper that blocks but never checkpoints becomes a generator
+        its callers ``yield from``; it gets no labels and the callers'
+        ``_pc`` numbering is what it is without the helper in the unit."""
+        alone = Precompiler([sf.exchange_loop], unit_name="x").compile()
+        both = Precompiler([sf.exchange_loop, sf.halo_step], unit_name="x").compile()
+        assert both.transformed_names == {"exchange_loop", "halo_step"}
+        assert both.saved_locals["x.halo_step"] == {}
+        assert both.saved_locals["x.exchange_loop"] == alone.saved_locals["x.exchange_loop"]
+        assert "yield from halo_step(ctx" in both.sources["exchange_loop"]
+
+
+class TestOneForm:
+    def test_each_transformed_function_is_one_generator(self, unit):
+        assert len(unit.code_map) == len(unit.transformed_names)
+        for name in unit.transformed_names:
+            assert inspect.isgeneratorfunction(unit.entry(name)), name
+
+    def test_gallery_units_have_one_code_object_per_function(self):
+        from repro.apps import dense_cg, laplace, neurosys, stencil3d
+
+        for app in (dense_cg, laplace, neurosys, stencil3d):
+            gallery = app.unit()
+            assert len(gallery.code_map) == len(gallery.transformed_names)
+
 
 CASES = [
     ("straight_line", (), None),
@@ -74,7 +105,7 @@ class TestSemanticEquivalence:
     def test_plain_execution_matches_original(self, unit, name, args, _):
         original = getattr(sf, name)
         transformed = unit.entry(name)
-        assert transformed(DummyCtx(), *args) == original(DummyCtx(), *args)
+        assert coop.drive(transformed(DummyCtx(), *args)) == original(DummyCtx(), *args)
 
     def test_docstring_preserved(self, unit):
         assert "survive" in unit.entry("uses_docstring").__doc__
@@ -89,11 +120,14 @@ class TestRejections:
             (sf.bad_nested_def, "nested"),
             (sf.bad_boolop, "short-circuit"),
             (sf.bad_comprehension, "scope"),
+            (sf.bad_recv_in_comprehension, "nested scope containing suspending"),
+            (sf.bad_helper_in_lambda, "nested scope containing suspending"),
+            (sf.bad_send_in_nested_def, "nested def containing suspending"),
         ],
     )
     def test_unsupported_constructs_rejected(self, fn, construct):
         with pytest.raises(UnsupportedConstructError, match=construct):
-            Precompiler([fn, sf.leaf]).compile()
+            Precompiler([fn, sf.leaf, sf.halo_step]).compile()
 
     def test_generator_rejected(self):
         with pytest.raises(UnsupportedConstructError, match="generator"):

@@ -4,10 +4,15 @@ import pytest
 
 from repro.protocol.control import PleaseCheckpoint, StopLogging
 from repro.protocol.initiator import Initiator, WavePhase
+from repro.simmpi import coop
 
 
 class Harness:
-    """Fake control fabric recording everything the initiator sends."""
+    """Fake control fabric recording everything the initiator sends.
+
+    Outside a simulator nothing suspends, so each generator step is run to
+    completion with ``coop.drive``.
+    """
 
     def __init__(self, nprocs=4, interval=10.0):
         self.sent = []          # (message, dest)
@@ -16,16 +21,29 @@ class Harness:
         self.initiator = Initiator(
             nprocs=nprocs,
             interval=interval,
-            send_control=lambda msg, dest: self.sent.append((msg, dest)),
+            co_send_control=self.co_send_control,
             commit=lambda epoch, t: self.commits.append((epoch, t)),
             now=lambda: self.now,
         )
+
+    def co_send_control(self, msg, dest):
+        self.sent.append((msg, dest))
+        yield from ()
+
+    def initiate(self, current_epoch):
+        coop.drive(self.initiator.co_initiate(current_epoch))
+
+    def poll(self, current_epoch):
+        coop.drive(self.initiator.co_poll(current_epoch))
+
+    def on_ready(self, rank, epoch):
+        coop.drive(self.initiator.co_on_ready(rank, epoch))
 
 
 class TestWaveLifecycle:
     def test_initiate_broadcasts_please_checkpoint(self):
         h = Harness()
-        h.initiator.initiate(current_epoch=0)
+        h.initiate(current_epoch=0)
         assert h.initiator.phase is WavePhase.COLLECTING_READY
         assert h.initiator.target_epoch == 1
         please = [m for m, _ in h.sent if isinstance(m, PleaseCheckpoint)]
@@ -34,27 +52,27 @@ class TestWaveLifecycle:
 
     def test_all_ready_triggers_stop_logging(self):
         h = Harness()
-        h.initiator.initiate(0)
+        h.initiate(0)
         h.sent.clear()
         for rank in range(4):
-            h.initiator.on_ready(rank, epoch=1)
+            h.on_ready(rank, epoch=1)
         stops = [m for m, _ in h.sent if isinstance(m, StopLogging)]
         assert len(stops) == 4
         assert h.initiator.phase is WavePhase.COLLECTING_STOPPED
 
     def test_partial_ready_does_not_stop(self):
         h = Harness()
-        h.initiator.initiate(0)
+        h.initiate(0)
         h.sent.clear()
         for rank in range(3):
-            h.initiator.on_ready(rank, epoch=1)
+            h.on_ready(rank, epoch=1)
         assert h.sent == []
 
     def test_all_stopped_commits(self):
         h = Harness()
-        h.initiator.initiate(0)
+        h.initiate(0)
         for rank in range(4):
-            h.initiator.on_ready(rank, epoch=1)
+            h.on_ready(rank, epoch=1)
         h.now = 5.0
         for rank in range(4):
             h.initiator.on_stopped(rank, epoch=1)
@@ -65,18 +83,18 @@ class TestWaveLifecycle:
     def test_early_stopped_before_stop_logging(self):
         """Phase 4 condition (ii): stoppedLogging may precede stopLogging."""
         h = Harness()
-        h.initiator.initiate(0)
+        h.initiate(0)
         h.initiator.on_stopped(2, epoch=1)  # early terminator
         for rank in range(4):
-            h.initiator.on_ready(rank, epoch=1)
+            h.on_ready(rank, epoch=1)
         for rank in (0, 1, 3):
             h.initiator.on_stopped(rank, epoch=1)
         assert len(h.commits) == 1
 
     def test_stale_tokens_ignored(self):
         h = Harness()
-        h.initiator.initiate(0)
-        h.initiator.on_ready(0, epoch=99)
+        h.initiate(0)
+        h.on_ready(0, epoch=99)
         assert h.initiator.ready == set()
         h.initiator.on_stopped(0, epoch=0)
         assert h.initiator.stopped == set()
@@ -84,10 +102,10 @@ class TestWaveLifecycle:
     def test_wave_stats_recorded(self):
         h = Harness()
         h.now = 1.0
-        h.initiator.initiate(0)
+        h.initiate(0)
         h.now = 2.0
         for rank in range(4):
-            h.initiator.on_ready(rank, epoch=1)
+            h.on_ready(rank, epoch=1)
         h.now = 3.0
         for rank in range(4):
             h.initiator.on_stopped(rank, epoch=1)
@@ -102,31 +120,31 @@ class TestPolling:
     def test_poll_respects_interval(self):
         h = Harness(interval=10.0)
         h.now = 5.0
-        h.initiator.poll(current_epoch=0)
+        h.poll(current_epoch=0)
         assert h.initiator.phase is WavePhase.IDLE
         h.now = 10.0
-        h.initiator.poll(current_epoch=0)
+        h.poll(current_epoch=0)
         assert h.initiator.phase is WavePhase.COLLECTING_READY
 
     def test_poll_never_overlaps_waves(self):
         h = Harness(interval=1.0)
         h.now = 100.0
-        h.initiator.poll(0)
+        h.poll(0)
         sent_before = len(h.sent)
         h.now = 200.0
-        h.initiator.poll(0)  # wave still collecting: no second initiation
+        h.poll(0)  # wave still collecting: no second initiation
         assert len(h.sent) == sent_before
 
     def test_interval_none_never_fires(self):
         h = Harness(interval=None)
         h.now = 1e9
-        h.initiator.poll(0)
+        h.poll(0)
         assert h.initiator.phase is WavePhase.IDLE
 
     def test_force_initiate(self):
         h = Harness(interval=None)
         h.initiator.force_initiate = True
-        h.initiator.poll(0)
+        h.poll(0)
         assert h.initiator.phase is WavePhase.COLLECTING_READY
 
 
@@ -135,18 +153,18 @@ class TestRecoveryQuiescence:
         h = Harness(interval=1.0)
         h.initiator.begin_recovery({0, 1, 2, 3})
         h.now = 100.0
-        h.initiator.poll(5)
+        h.poll(5)
         assert h.initiator.phase is WavePhase.IDLE
         for rank in range(4):
             h.initiator.on_replay_done(rank)
-        h.initiator.poll(5)
+        h.poll(5)
         assert h.initiator.phase is WavePhase.COLLECTING_READY
         assert h.initiator.target_epoch == 6
 
     def test_begin_recovery_resets_wave_state(self):
         h = Harness()
-        h.initiator.initiate(0)
-        h.initiator.on_ready(1, epoch=1)
+        h.initiate(0)
+        h.on_ready(1, epoch=1)
         h.initiator.begin_recovery({0, 1, 2, 3})
         assert h.initiator.phase is WavePhase.IDLE
         assert h.initiator.ready == set()

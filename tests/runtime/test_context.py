@@ -16,6 +16,14 @@ class _StubLayer:
 
     state_provider = None
 
+    def co_potential_checkpoint(self):
+        return False
+        yield  # pragma: no cover - generator marker
+
+    def co_nondet(self, compute):
+        return compute()
+        yield  # pragma: no cover - generator marker
+
 
 class _StubRankCtx:
     rank = 0

@@ -146,26 +146,3 @@ class TestRoundRobinCursor:
         # stale-cursor bug replayed rank 2 and 3 before wrapping.
         assert grants == [0, 1, 3, 0, 1, 2]
 
-
-class TestCoMethod:
-    """``coop.co_method`` binds ``co_<name>`` or wraps the sync method."""
-
-    def test_sync_only_double_is_wrapped(self):
-        from repro.simmpi import coop
-
-        class SyncOnlyComm:
-            def recv(self, source):
-                return ("payload", source)
-
-        comm = SyncOnlyComm()
-        assert coop.drive(coop.co_method(comm, "recv")(3)) == ("payload", 3)
-
-    def test_generator_method_is_returned_unwrapped(self):
-        from repro.simmpi import coop
-
-        class CoComm:
-            def co_yield_point(self):
-                yield
-
-        comm = CoComm()
-        assert coop.co_method(comm, "yield_point") == comm.co_yield_point
