@@ -21,15 +21,15 @@ is validated against the full codec by property tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import PiggybackError
 from repro.util.intpack import pack_piggyback, unpack_piggyback
 
 
-@dataclass(frozen=True)
-class PiggybackInfo:
-    """Decoded piggyback data as seen by a receiver.
+class PiggybackInfo(NamedTuple):
+    """Decoded piggyback data as seen by a receiver (one per received
+    message: an immutable tuple, compared by value).
 
     ``epoch`` is the sender's epoch at send time.  With the packed codec it
     is reconstructed relative to the receiver's epoch and is exact as long as

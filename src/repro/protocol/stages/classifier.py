@@ -18,8 +18,13 @@ class ClassifierStage(ProtocolStage):
 
     name = "classifier"
 
+    def bind(self, core) -> None:
+        super().bind(core)
+        #: The codec is fixed for the pipeline's life, so its rule is too.
+        self._by_epoch = isinstance(core.codec, FullCodec)
+
     def classify(self, info: PiggybackInfo) -> MessageClass:
-        core = self.core
-        if isinstance(core.codec, FullCodec):
-            return classify_by_epoch(info.epoch, core.state.epoch)
-        return classify_by_color(info.color, core.state.epoch, core.state.am_logging)
+        state = self.core.state
+        if self._by_epoch:
+            return classify_by_epoch(info.epoch, state.epoch)
+        return classify_by_color(info.epoch & 1, state.epoch, state.am_logging)

@@ -276,7 +276,9 @@ class ProtocolPipeline:
             return self.pb.blank()
         message_id = self.state.note_send(dest)
         tr = self.tracer
-        if self.rep is not None and self.rep.is_suppressed(dest, message_id):
+        # ``suppress`` is non-empty only after a restore armed the replay
+        # stage with the receivers' early IDs.
+        if self.suppress and self.rep.is_suppressed(dest, message_id):
             # Early-message resend suppression (Section 4.2 question 3):
             # the receiver's checkpoint already contains this message, so it
             # must not be re-posted; bookkeeping still advances so that

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import MatchError
+from repro.errors import MatchError, SimMPIError
 from repro.simmpi import collectives_impl as coll
 from repro.simmpi import coop
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, TAG_COLLECTIVE_BASE
@@ -48,7 +48,9 @@ class Comm:
         self._scheduler = sim.scheduler
         self._coll_seq = 0
         self._child_seq = 0
-        self.last_status: Optional[Status] = None
+        #: The envelope the latest ``co_recv_envelope`` matched; read by
+        #: ``last_status`` only when someone asks.
+        self._last_env: Optional[Envelope] = None
         self._members = group.members
         #: Group-local rank (fixed; the lookup scans the member tuple).
         self._rank = group.rank_of(proc.rank)
@@ -71,6 +73,20 @@ class Comm:
         """Current virtual time (the MPI_Wtime analogue)."""
         return self.sim.clock.now
 
+    @property
+    def last_status(self) -> Optional[Status]:
+        """Status of the latest blocking receive on this communicator
+        (``None`` before the first one): the group-local source, the tag
+        and the wire size of the message it matched.
+
+        Described on demand from the matched envelope, so a receive that
+        nobody asks about builds no ``Status`` and does no member lookup.
+        """
+        env = self._last_env
+        if env is None:
+            return None
+        return Status(source=self._local(env.source), tag=env.tag, nbytes=env.nbytes)
+
     # ------------------------------------------------------------------ #
     # Internal plumbing.
     # ------------------------------------------------------------------ #
@@ -78,7 +94,10 @@ class Comm:
     def _world(self, local_rank: int) -> int:
         if local_rank == ANY_SOURCE:
             return ANY_SOURCE
-        return self.group.world_rank(local_rank)
+        members = self._members
+        if not 0 <= local_rank < len(members):
+            raise SimMPIError(f"group rank {local_rank} out of range for {members}")
+        return members[local_rank]
 
     def _local(self, world_rank: int) -> int:
         return self.group.rank_of(world_rank)
@@ -107,9 +126,12 @@ class Comm:
         env = Envelope(
             self.proc.rank, dest_world, tag, self.context, payload, piggyback
         )
+        # ``CostModel.message_cost``, added directly: the model's fields
+        # were checked when it was built.
         clock = self._clock
-        clock.charge(clock.cost.message_cost(env.nbytes))
-        self._network.post(env, clock.now)
+        cost = clock.cost
+        clock._now += cost.alpha + cost.beta * env.nbytes
+        self._network.post(env, clock._now)
         return env
 
     # ------------------------------------------------------------------ #
@@ -171,10 +193,9 @@ class Comm:
             self._scheduler.after_yield(proc)
         env = desc.matched
         assert env is not None
-        self._clock.charge(self._clock.cost.step)
-        self.last_status = Status(
-            source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
-        )
+        clock = self._clock
+        clock._now += clock.cost.step
+        self._last_env = env
         return env
 
     def co_sendrecv(
@@ -277,7 +298,8 @@ class Comm:
             # Note the asymmetry with co_recv_envelope: an already-matched
             # collective receive is not a scheduling point.
             yield from self._scheduler.co_block_on_recv(self.proc, desc)
-        self._clock.charge(self._clock.cost.step)
+        clock = self._clock
+        clock._now += clock.cost.step
         return desc.matched.payload
 
     # ------------------------------------------------------------------ #

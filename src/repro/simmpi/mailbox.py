@@ -24,25 +24,37 @@ application receives never scan past them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.simmpi.message import Envelope
 
 
-@dataclass(slots=True)
 class RecvDescriptor:
-    """A posted receive waiting to be matched."""
+    """A posted receive waiting to be matched.
 
-    source: int
-    tag: int
-    context: int
-    predicate: Optional[Callable[[Envelope], bool]] = None
-    matched: Optional[Envelope] = None
-    cancelled: bool = False
-    #: Post-order sequence assigned by the mailbox.
-    order: int = field(default=-1)
+    Descriptors compare by identity: a posted receive is one particular
+    call, and the queue operations (``remove``, ``in``) look for that
+    call, never for an equal-looking one.
+    """
+
+    __slots__ = ("source", "tag", "context", "predicate", "matched", "cancelled", "order")
+
+    def __init__(
+        self,
+        source: int,
+        tag: int,
+        context: int,
+        predicate: Optional[Callable[[Envelope], bool]] = None,
+    ) -> None:
+        self.source = source
+        self.tag = tag
+        self.context = context
+        self.predicate = predicate
+        self.matched: Optional[Envelope] = None
+        self.cancelled = False
+        #: Post-order sequence assigned by the mailbox.
+        self.order = -1
 
     def accepts(self, env: Envelope) -> bool:
         """True if this descriptor matches ``env``."""

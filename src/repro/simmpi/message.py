@@ -8,15 +8,13 @@ layer, and bookkeeping used by the deterministic network model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.simmpi.datatypes import HEADER_BYTES, sizeof
 
 
-@dataclass(slots=True)
 class Envelope:
-    """One in-flight message.
+    """One in-flight message, sized once when it is built.
 
     Attributes
     ----------
@@ -39,30 +37,45 @@ class Envelope:
         destination mailbox (set by the network model).
     seq:
         Global monotone sequence number (deterministic tiebreaker).
+    nbytes:
+        Wire size: the payload's ``sizeof`` plus the header, plus the
+        piggyback word when there is one.  Computed here unless given.
     """
 
-    source: int
-    dest: int
-    tag: int
-    context: int
-    payload: Any
-    piggyback: Any = None
-    send_time: float = 0.0
-    deliver_time: float = 0.0
-    seq: int = 0
-    nbytes: int = field(default=-1)
+    __slots__ = (
+        "source", "dest", "tag", "context", "payload", "piggyback",
+        "send_time", "deliver_time", "seq", "nbytes",
+    )
 
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            self.nbytes = sizeof(self.payload) + HEADER_BYTES
-            if self.piggyback is not None:
+    def __init__(
+        self,
+        source: int,
+        dest: int,
+        tag: int,
+        context: int,
+        payload: Any,
+        piggyback: Any = None,
+        send_time: float = 0.0,
+        deliver_time: float = 0.0,
+        seq: int = 0,
+        nbytes: int = -1,
+    ) -> None:
+        self.source = source
+        self.dest = dest
+        self.tag = tag
+        self.context = context
+        self.payload = payload
+        self.piggyback = piggyback
+        self.send_time = send_time
+        self.deliver_time = deliver_time
+        self.seq = seq
+        if nbytes < 0:
+            nbytes = sizeof(payload) + HEADER_BYTES
+            if piggyback is not None:
                 # Packed codec: one 32-bit word; full codec: ~12 bytes
                 # (paper Section 4.2's two designs).
-                self.nbytes += 4 if isinstance(self.piggyback, int) else 12
-
-    def routing(self) -> tuple[int, int, int, int]:
-        """The matching tuple ``(source, dest, tag, context)``."""
-        return (self.source, self.dest, self.tag, self.context)
+                nbytes += 4 if isinstance(piggyback, int) else 12
+        self.nbytes = nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

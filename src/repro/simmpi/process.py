@@ -36,23 +36,6 @@ class ProcState(enum.Enum):
 _FINISHED_STATES = (ProcState.DONE, ProcState.DEAD, ProcState.ERRORED)
 
 
-class BlockInfo:
-    """Why a rank is blocked (for deadlock diagnostics)."""
-
-    def __init__(self, kind: str, desc: Optional[RecvDescriptor] = None, detail: str = ""):
-        self.kind = kind
-        self.desc = desc
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        if self.desc is not None:
-            return (
-                f"{self.kind}(source={self.desc.source}, tag={self.desc.tag}, "
-                f"ctx={self.desc.context})"
-            )
-        return f"{self.kind}({self.detail})"
-
-
 class Proc:
     """One simulated rank: task, mailbox, and scheduling state."""
 
@@ -68,7 +51,10 @@ class Proc:
         #: share one thread, so the runtime lives on the rank).
         self.c3_runtime: Any = None
         self.kill_flag = False
-        self.block_info: Optional[BlockInfo] = None
+        #: The receive this rank is blocked on, while it is blocked (set by
+        #: ``Scheduler.co_block_on_recv``; ``None`` once it resumes).  Kept
+        #: as the posted descriptor and rendered only by :meth:`describe`.
+        self.block_info: Optional[RecvDescriptor] = None
         self.result: Any = None
         self.error: Optional[BaseException] = None
         #: Number of scheduling slices this rank has received.
@@ -109,7 +95,10 @@ class Proc:
         return self._state in _FINISHED_STATES
 
     def describe(self) -> str:
-        base = f"rank {self.rank}: {self.state.value}"
-        if self.state is ProcState.BLOCKED and self.block_info is not None:
-            base += f" on {self.block_info!r}"
+        """One line for deadlock reports, e.g. ``rank 1: blocked on
+        recv(source=0, tag=3, ctx=0)``."""
+        base = f"rank {self.rank}: {self._state.value}"
+        desc = self.block_info
+        if self._state is ProcState.BLOCKED and desc is not None:
+            base += f" on recv(source={desc.source}, tag={desc.tag}, ctx={desc.context})"
         return base

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigError, DeadlockError, ProcessKilled
 from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
-from repro.simmpi.process import BlockInfo, Proc, ProcState
+from repro.simmpi.process import Proc, ProcState
 from repro.util.rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,7 +78,11 @@ class Scheduler:
         """What a voluntary scheduling point does before it suspends."""
         if proc.kill_flag:
             self._raise_kill(proc)
-        proc.state = ProcState.RUNNABLE
+        # A rank that reaches a voluntary point was granted from the
+        # runnable index, so this is almost never a transition; the setter
+        # (which maintains that index) runs only when it is one.
+        if proc._state is not ProcState.RUNNABLE:
+            proc.state = ProcState.RUNNABLE
 
     def after_yield(self, proc: Proc) -> None:
         """What a voluntary scheduling point does once it is resumed."""
@@ -95,12 +99,13 @@ class Scheduler:
 
     def co_block_on_recv(self, proc: Proc, desc: RecvDescriptor):
         tr = self.tracer
-        info = BlockInfo("recv", desc)
         while desc.matched is None:
             if proc.kill_flag:
                 self._raise_kill(proc)
             proc.state = ProcState.BLOCKED
-            proc.block_info = info
+            # The descriptor itself is the diagnostic: ``Proc.describe``
+            # renders it only if a deadlock report asks.
+            proc.block_info = desc
             if tr is not None:
                 tr.emit("sched", "block", rank=proc.rank, why="recv")
             yield
@@ -133,8 +138,8 @@ class Scheduler:
         clock = self._clock
         if clock is None:
             clock = self._clock = self.sim.clock
-        # Inlined ``clock.charge(clock.cost.step)``: the step cost is a
-        # non-negative constant and this runs once per scheduling slice.
+        # Added directly: ``CostModel`` checked ``step`` (finite, >= 0)
+        # when it was built, and this runs once per scheduling slice.
         clock._now += clock.cost.step
         # Resume the rank generator until its next scheduling point.
         # StopIteration is the handback of a finished rank (``_rank_body``

@@ -33,7 +33,7 @@ from repro.simmpi.failure_detector import HeartbeatFailureDetector
 from repro.simmpi.failures import FailureSchedule
 from repro.simmpi.group import Group
 from repro.simmpi.network import Network, NetworkStats
-from repro.simmpi.process import Proc, ProcState
+from repro.simmpi.process import _FINISHED_STATES, Proc, ProcState
 from repro.simmpi.scheduler import Scheduler
 from repro.util.rng import RngStream
 
@@ -255,12 +255,19 @@ class Simulator:
             self.scheduler.request_kill(proc)
 
     def _deliver_due_messages(self) -> None:
-        for env in self.network.pop_due(self.clock.now):
-            proc = self.procs[env.dest]
-            if proc.finished:
+        # Two phases, as the trace records them: ``pop_due`` emits every
+        # due ``net/deliver`` event first, then the mailboxes take the
+        # messages and any ``sched/wake`` events follow.
+        procs = self.procs
+        wake = self.scheduler.wake
+        for env in self.network.pop_due(self.clock._now):
+            proc = procs[env.dest]
+            state = proc._state
+            if state in _FINISHED_STATES:
                 continue
             proc.mailbox.deliver(env)
-            self.scheduler.wake(proc)
+            if state is ProcState.BLOCKED:
+                wake(proc)
 
     def _detector_due(self) -> bool:
         """Can this step's detector tick possibly produce a suspicion?

@@ -180,6 +180,64 @@ class TestDeadlock:
         with pytest.raises(DeadlockError, match="tag=77"):
             run(main)
 
+    def test_deadlock_names_each_blocked_receive(self):
+        """The parked descriptor is rendered per blocked rank: world source,
+        tag and the communicator's context id."""
+
+        def main(ctx):
+            sub = ctx.comm.dup()
+            if ctx.rank == 0:
+                yield from ctx.comm.co_recv(source=1, tag=5)
+            elif ctx.rank == 1:
+                yield from sub.co_recv(source=2, tag=6)
+            return sub.context
+
+        with pytest.raises(DeadlockError) as excinfo:
+            run(main, n=3)
+        message = str(excinfo.value)
+        assert "rank 0: blocked on recv(source=1, tag=5, ctx=0)" in message
+        assert "rank 1: blocked on recv(source=2, tag=6, ctx=1)" in message
+        assert "rank 2" not in message
+
+
+class TestLastStatus:
+    """``Comm.last_status`` is described on demand from the last match."""
+
+    def test_none_before_the_first_receive(self):
+        def main(ctx):
+            before = ctx.comm.last_status
+            yield from ctx.comm.co_send("x", dest=1 - ctx.rank, tag=2)
+            after_send = ctx.comm.last_status
+            yield from ctx.comm.co_recv(source=1 - ctx.rank, tag=2)
+            return before, after_send, ctx.comm.last_status.tag
+
+        assert run(main) == [(None, None, 2), (None, None, 2)]
+
+    def test_split_communicator_reports_the_latest_receive_group_locally(self):
+        from repro.simmpi.datatypes import HEADER_BYTES, sizeof
+
+        payloads = {1: "a", 9: list(range(40))}
+
+        def main(ctx):
+            # color by parity, key reversed: world ranks {0, 2} become local
+            # ranks {1, 0}, world {1, 3} become {1, 0}.
+            sub = yield from ctx.comm.co_split(ctx.rank % 2, key=-ctx.rank)
+            partner = 1 - sub.rank
+            for tag, payload in payloads.items():
+                yield from sub.co_send(payload, dest=partner, tag=tag)
+            for tag in payloads:
+                yield from sub.co_recv(source=partner, tag=tag)
+            st = sub.last_status
+            # the split's own collective rounds are not receives here
+            return sub.rank, ctx.comm.last_status, (st.source, st.tag, st.nbytes)
+
+        expected_nbytes = sizeof(payloads[9]) + HEADER_BYTES
+        results = run(main, n=4)
+        assert [local for local, _, _ in results] == [1, 1, 0, 0]
+        for local, world_status, status in results:
+            assert world_status is None
+            assert status == (1 - local, 9, expected_nbytes)
+
 
 class TestWtime:
     def test_wtime_monotone(self):
