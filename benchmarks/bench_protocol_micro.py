@@ -311,7 +311,7 @@ def test_guard_control_messages_are_sized_once_per_value(monkeypatch):
     assert 0 < len(dumps_calls) <= len(set(sized)) < len(sized)
 
 
-def test_guard_receive_descriptors_only_for_application_receives(monkeypatch):
+def test_guard_receive_descriptors_only_for_app_receives(monkeypatch):
     """Draining control traffic and polling build no ``RecvDescriptor``."""
     from repro.simmpi.mailbox import RecvDescriptor
 
@@ -421,9 +421,10 @@ def _co_guard_ring(ctx):
 
 
 #: Python calls per delivered message on the 16-rank ring, per variant.
-#: Measured 38.5 / 51.8 / 52.1 (Python 3.11); the build-every-message
-#: path this replaced made 53.3 / 68.7 / 68.9.
-_CALLS_PER_MESSAGE = {"UNMODIFIED": 42, "PIGGYBACK": 55, "FULL": 55}
+#: Measured 35.4 / 51.6 / 51.8 (Python 3.11).  V0's own pass-through arms
+#: in ``co_send`` / ``co_recv`` took it from 38.5; the build-every-message
+#: path before that made 53.3 / 68.7 / 68.9.
+_CALLS_PER_MESSAGE = {"UNMODIFIED": 37, "PIGGYBACK": 53, "FULL": 53}
 
 
 @pytest.mark.parametrize("variant", sorted(_CALLS_PER_MESSAGE))

@@ -13,17 +13,16 @@ surface down as a structural protocol so an application written against
   calls that never suspend (``comm_dup``, ``op_create``, ``comm_rank``,
   ``comm_size``) are plain methods.
 * :class:`RawCommAdapter` — the V0 "Unmodified Program" implementation:
-  the :class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with the
-  *empty* stage stack.  Every call is a pass-through over a raw
+  the :class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with no
+  stages.  Every call is a pass-through over a raw
   :class:`~repro.simmpi.comm.Comm` with no piggybacking, no logging and
   no checkpoints; the protocol hooks are no-ops, so instrumented
-  applications still run (and uninstrumented ones pay nothing).  V0 and
-  V1–V3 share one code path — the pipeline — differing only in which
-  stages are stacked.
+  applications still run (and uninstrumented ones pay nothing).
 
-The V1–V3 implementation is the same
-:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with the
-protocol stages present.
+The V1–V3 implementation is the
+:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` itself: its five
+protocol stages under V1, plus the checkpoint stage that a storage adds
+under V2/V3.
 """
 
 from __future__ import annotations
@@ -111,12 +110,14 @@ class CommLike(Protocol):
 class RawCommAdapter(ProtocolPipeline):
     """``CommLike`` over a bare simulator communicator (variant V0).
 
-    The empty stage stack: no piggyback word is attached to any message
-    and no protocol state is kept; the cost of every call is exactly the
+    No stages: no piggyback word is attached to any message and no
+    protocol state is kept; the cost of every call is exactly the
     underlying library call.  ``co_potential_checkpoint`` always answers
     False and ``co_nondet`` simply computes — so a fault-tolerance-
     instrumented application runs unmodified, it just is not protected.
     """
 
+    _raw = True
+
     def __init__(self, comm: Comm) -> None:
-        super().__init__(comm, stages=())
+        super().__init__(comm)

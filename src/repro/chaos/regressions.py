@@ -9,12 +9,12 @@ silently.
 The bugs these schedules caught:
 
 * **No-app-state restore desync** (``v2-collective-replay-desync``,
-  ``v2-halo-deadlock``): a V2 stack saves no application state, yet the
+  ``v2-halo-deadlock``): a V2 run saves no application state, yet the
   driver restored protocol state from the committed epoch and armed the
   replay window.  The application re-executes from its entry point while
   the logs describe the checkpoint's re-execution suffix, so replay served
   the wrong records — a ``RecoveryError`` kind-mismatch on dense CG's
-  collectives, a halo-exchange deadlock on Laplace.  Fix: a stack with
+  collectives, a halo-exchange deadlock on Laplace.  Fix: a run with
   ``save_app_state=False`` recovers by re-execution from scratch
   (``runtime/driver.py``).
 * **Generation-rewrite orphans** (``rewrite-orphans``,

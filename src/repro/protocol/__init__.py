@@ -43,24 +43,12 @@ from repro.protocol.stages import (
     LayerStats,
     ProtocolPipeline,
     ProtocolStage,
-    StackSpec,
-    list_stacks,
-    list_stages,
-    register_stack,
-    register_stage,
-    variant_stack,
 )
 from repro.protocol.state import ProtocolState
 
 __all__ = [
     "ProtocolPipeline",
     "ProtocolStage",
-    "StackSpec",
-    "list_stacks",
-    "list_stages",
-    "register_stack",
-    "register_stage",
-    "variant_stack",
     "C3Config",
     "CollectiveRecord",
     "EpochLogs",

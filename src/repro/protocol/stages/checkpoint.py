@@ -5,7 +5,7 @@ Owns everything that makes checkpoints happen (paper Section 4.1):
 * the out-of-band control plane on ``TAG_CONTROL``: the rank's mailbox
   control queue, drained by :meth:`co_progress` whenever an operation
   finds it non-empty (or a wave due at the initiator);
-* the initiator state machine, embedded in the configured rank's stage;
+* the initiator state machine, embedded in ``INITIATOR_RANK``'s stage;
 * ``potentialCheckpoint`` — the local checkpoint at application-chosen
   points, with the epoch-transition bookkeeping of Figure 4;
 * the ``mySendCount`` / ``receivedAll?`` / ``finalizeLog`` completion
@@ -20,7 +20,7 @@ from repro.errors import ProtocolError
 from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator
 from repro.protocol.logs import EpochLogs
-from repro.protocol.stages.base import C3Config, ProtocolStage
+from repro.protocol.stages.base import INITIATOR_RANK, C3Config, ProtocolStage
 from repro.simmpi.constants import TAG_CONTROL
 from repro.statesave.format import CheckpointData
 
@@ -38,7 +38,7 @@ class CheckpointStage(ProtocolStage):
         super().bind(core)
         self._mailbox = core.comm.proc.mailbox
         core._control = self._mailbox.control
-        if core.rank == self.config.initiator_rank:
+        if core.rank == INITIATOR_RANK:
             self.initiator = Initiator(
                 nprocs=core.nprocs,
                 interval=self.config.checkpoint_interval,
@@ -118,7 +118,7 @@ class CheckpointStage(ProtocolStage):
             state.reset_total_sent()
             yield from core._co_send_control(
                 ctl.ReadyToStopLogging(epoch=state.epoch, sender=core.rank),
-                self.config.initiator_rank,
+                INITIATOR_RANK,
             )
 
     def co_finalize_log(self):
@@ -136,7 +136,7 @@ class CheckpointStage(ProtocolStage):
         core.storage.write_log(core.rank, core.state.epoch, core.logs)
         yield from core._co_send_control(
             ctl.StoppedLogging(epoch=core.state.epoch, sender=core.rank),
-            self.config.initiator_rank,
+            INITIATOR_RANK,
         )
 
     # -- potentialCheckpoint (Figure 4) ---------------------------------- #
@@ -185,7 +185,6 @@ class CheckpointStage(ProtocolStage):
         )
         manifest = core.storage.write_state(core.rank, state.epoch, data)
         if manifest is not None:  # custom storages may return nothing
-            core.generation_manifests.append(manifest)
             core.stats.ckpt_logical_bytes += manifest.logical_bytes
             core.stats.ckpt_stored_bytes += manifest.stored_bytes
             core.stats.ckpt_chunks_reused += manifest.reused_chunks

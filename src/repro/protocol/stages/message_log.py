@@ -60,13 +60,11 @@ class MessageLogStage(ProtocolStage):
                 raise ProtocolError(
                     f"rank {core.rank}: late message from {src} after logging ended"
                 )
-            payload = env.payload
-            logged = (
-                copy.deepcopy(payload) if self.config.copy_logged_payloads else payload
-            )
+            # The copy protects the log from later mutation by the application.
             core.logs.late.append(
                 LateRecord(
-                    source=src, tag=env.tag, message_id=info.message_id, payload=logged
+                    source=src, tag=env.tag, message_id=info.message_id,
+                    payload=copy.deepcopy(env.payload),
                 )
             )
             core.stats.late_logged += 1

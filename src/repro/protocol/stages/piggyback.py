@@ -25,11 +25,6 @@ class PiggybackStage(ProtocolStage):
         """The wire word for one outgoing application message."""
         return self.codec.encode(epoch, am_logging, message_id)
 
-    def blank(self):
-        """The wire word used when the protocol itself is disabled (the
-        legacy piggyback-only configuration still pays the encode cost)."""
-        return self.codec.encode(0, False, 0)
-
     def decode(self, env) -> PiggybackInfo:
         """Strip one arrived envelope's piggyback word."""
         return self.codec.decode(env.piggyback, self.core.state.epoch)

@@ -1,4 +1,4 @@
-"""The protocol pipeline: a stage stack behind the ``CommLike`` surface.
+"""The protocol pipeline: a fixed stage sequence behind the ``CommLike`` surface.
 
 :class:`ProtocolPipeline` is the per-process C3 protocol layer: it sits
 between the application and the (simulated) MPI library and intercepts
@@ -6,17 +6,16 @@ every communication call (the paper's Figure 2).  It owns the shared
 protocol state (Figure 4's variables, the epoch logs, pseudo-handle
 tables, per-communicator collective sequence numbers) and threads every
 ``CommLike`` call through the single-responsibility stages of this
-package.  Which concerns are active
-is decided purely by which stages are present:
+package.  The paper's four variants differ only in how it is built:
 
-* the **empty stack** is the paper's V0 "Unmodified Program": every call
-  is a raw pass-through over the underlying communicator — the same code
-  path :class:`repro.api.comms.RawCommAdapter` exposes;
-* a stack with the ``piggyback`` stage alone attaches/strips the wire
-  word but runs no protocol (the legacy piggyback-only configuration);
-* a stack with the protocol stages (``classifier``/``message-log``/
-  ``result-log``/``replay``) runs the full Figure-4 event handler; adding
-  ``checkpoint`` enables waves — the paper's V2/V3.
+* :class:`repro.api.comms.RawCommAdapter` is V0 "Unmodified Program":
+  the pipeline with no stages, every call a raw pass-through over the
+  underlying communicator;
+* built without a storage, the pipeline runs the full Figure-4 event
+  handler (``piggyback``/``classifier``/``message-log``/``result-log``/
+  ``replay``) but has no ``checkpoint`` stage, so no wave ever starts —
+  V1;
+* handed a storage, it adds the ``checkpoint`` stage — V2/V3.
 
 Every dispatch into a stage is counted into ``LayerStats.stage_calls``
 (exact, and pinned per run by the golden-facts suite).  Dispatch reads no
@@ -36,21 +35,26 @@ exactly the paper's color-bit reasoning applied to collectives.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
-from repro.errors import ConfigError, ProtocolError, RecoveryError
+from repro.errors import ProtocolError, RecoveryError
 from repro.protocol import control as ctl
 from repro.protocol.logs import EpochLogs
 from repro.protocol.mpi_state import HandleRegistry, MpiStateLog
 from repro.protocol.piggyback import get_codec
 from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
 from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage
+from repro.protocol.stages.checkpoint import CheckpointStage
+from repro.protocol.stages.classifier import ClassifierStage
+from repro.protocol.stages.message_log import MessageLogStage
+from repro.protocol.stages.piggyback import PiggybackStage
+from repro.protocol.stages.replay import ReplayStage
+from repro.protocol.stages.result_log import ResultLogStage
 from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.simmpi.op import Op
-from repro.simmpi.request import Request
 from repro.statesave.format import CheckpointData
 
 #: Base of the tag region used by pipeline-level collective instances.  Raw
@@ -69,13 +73,6 @@ WORLD_HANDLE = -1
 #: ``None`` included, means "post it").
 _SUPPRESSED = object()
 
-#: Stage-presence requirements: a stack naming the key must also name the
-#: values (e.g. classification is meaningless without the piggyback word).
-_STAGE_REQUIRES = {
-    "classifier": ("piggyback", "message-log"),
-    "checkpoint": ("classifier", "result-log", "replay"),
-}
-
 
 class RawHandle:
     """Opaque handle over a raw communicator or op (the V0 analogue of a
@@ -93,12 +90,19 @@ class RawHandle:
 
 
 class ProtocolPipeline:
-    """Per-process protocol engine: shared state + a stage stack."""
+    """Per-process protocol engine: shared state + the fixed stage sequence.
+
+    The five protocol stages are always present; ``storage`` (the checkpoint
+    stage is its only reader) adds the ``checkpoint`` stage.
+    """
+
+    #: True only on :class:`repro.api.comms.RawCommAdapter`: no stages,
+    #: every call a raw pass-through.
+    _raw = False
 
     def __init__(
         self,
         comm: Comm,
-        stages: Sequence[ProtocolStage] = (),
         config: Optional[C3Config] = None,
         storage: Any = None,
         state_provider: Optional[Callable[[], Any]] = None,
@@ -116,7 +120,7 @@ class ProtocolPipeline:
         self._comm_sendrecv = comm.co_sendrecv
         self._comm_yield_point = comm.co_yield_point
         #: This rank's mailbox control queue; bound by the checkpoint
-        #: stage (the only consumer), empty forever on other stacks.
+        #: stage (the only consumer), empty forever without one.
         self._control: Any = ()
         #: The simulator's repro.trace recorder, when armed (None otherwise;
         #: every emit site below guards on that, so tracing off costs one
@@ -138,53 +142,31 @@ class ProtocolPipeline:
         self.stats = LayerStats()
         #: Set by the checkpoint stage at bind time (initiator rank only).
         self.initiator = None
-        #: Per-generation storage manifests for this rank's checkpoints,
-        #: in wave order (observability; see :mod:`repro.ckpt`).
-        self.generation_manifests: list[Any] = []
         #: Hook invoked right after a local checkpoint is written (tests).
         self.on_checkpoint: Optional[Callable[[CheckpointData], None]] = None
-        #: Raw-handle table (empty-stack mode).
+        #: Raw-handle table (pass-through mode).
         self._handles: dict[int, RawHandle] = {}
         self._next_handle_id = 0
 
-        # -- stage stack ------------------------------------------------ #
-        self.stages: list[ProtocolStage] = list(stages)
-        by_name: dict[str, ProtocolStage] = {}
-        for stage in self.stages:
-            if stage.name in by_name:
-                raise ConfigError(f"duplicate stage {stage.name!r} in stack")
-            by_name[stage.name] = stage
-        for name, needs in _STAGE_REQUIRES.items():
-            if name in by_name:
-                missing = [n for n in needs if n not in by_name]
-                if missing:
-                    raise ConfigError(
-                        f"stage {name!r} requires stages {missing} in the stack"
-                    )
-        self.stage_by_name = by_name
-        self.pb = by_name.get("piggyback")
-        self.clf = by_name.get("classifier")
-        self.msg_log = by_name.get("message-log")
-        self.res_log = by_name.get("result-log")
-        self.rep = by_name.get("replay")
-        self.ckpt = by_name.get("checkpoint")
-        self._raw = not self.stages
-        self._protocol = self.clf is not None
-        if self.ckpt is not None and storage is None:
-            raise ConfigError("a checkpoint stage requires a storage")
+        # -- stages ------------------------------------------------------ #
+        self.ckpt: Optional[CheckpointStage] = None
+        self.stages: tuple[ProtocolStage, ...] = ()
+        if not self._raw:
+            cfg = self.config
+            self.pb = PiggybackStage(cfg)
+            self.clf = ClassifierStage(cfg)
+            self.msg_log = MessageLogStage(cfg)
+            self.res_log = ResultLogStage(cfg)
+            self.rep = ReplayStage(cfg)
+            self.stages = (self.pb, self.clf, self.msg_log, self.res_log, self.rep)
+            if storage is not None:
+                self.ckpt = CheckpointStage(cfg)
+                self.stages += (self.ckpt,)
         #: ``stats.stage_calls``, bound once: a dispatch counts itself
         #: with one item increment after the stage returns.
         self._calls = self.stats.stage_calls = {s.name: 0 for s in self.stages}
         for stage in self.stages:
             stage.bind(self)
-        # Generic observer hooks: dispatched only when overridden, so the
-        # built-in stacks pay nothing for them.
-        self._send_observers = [
-            s for s in self.stages if type(s).on_send is not ProtocolStage.on_send
-        ]
-        self._recv_observers = [
-            s for s in self.stages if type(s).on_receive is not ProtocolStage.on_receive
-        ]
 
     # ------------------------------------------------------------------ #
     # Control plane (shared by the checkpoint and replay stages).
@@ -196,18 +178,13 @@ class ProtocolPipeline:
     # ------------------------------------------------------------------ #
 
     def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
+        """Send one control message; only the checkpoint stage, its
+        initiator and a replay armed by :meth:`co_restore_from` (which
+        needs the checkpoint stage) send any."""
         if dest == self.rank:
-            yield from self._co_handle_control(msg, self.rank)
+            yield from self.ckpt.co_handle_control(msg, self.rank)
         else:
             yield from self._comm_send(msg, dest, TAG_CONTROL)
-
-    def _co_handle_control(self, msg: ctl.ControlMessage, source: int):
-        if self.ckpt is None:
-            raise ProtocolError(
-                f"rank {self.rank}: control message {msg!r} but the stack "
-                "has no checkpoint stage"
-            )
-        yield from self.ckpt.co_handle_control(msg, source)
 
     def _idle(self) -> bool:
         """The idle rule, tested before an operation builds the progress
@@ -235,12 +212,8 @@ class ProtocolPipeline:
         if self.ckpt is not None:
             yield from self.ckpt.co_received_all_check()
 
-    def _co_maybe_end_replay(self):
-        if self.rep is not None:
-            yield from self.rep.co_maybe_end_replay()
-
     # ------------------------------------------------------------------ #
-    # Raw-mode helpers (empty stack — the V0 pass-through).
+    # Raw-mode helpers (no stages — the V0 pass-through).
     # ------------------------------------------------------------------ #
 
     def _new_handle(self, kind: str, live: Any) -> RawHandle:
@@ -261,19 +234,11 @@ class ProtocolPipeline:
     # Send path.
     # ------------------------------------------------------------------ #
 
-    def _stamp(self, payload: Any, dest: int, tag: int) -> Any:
-        """Account one send and build its wire word: observers, message ID,
-        resend suppression, trace.  Returns the piggyback word (None on a
-        stack without one), or ``_SUPPRESSED`` for a send not to post."""
+    def _stamp(self, dest: int) -> Any:
+        """Account one send and build its wire word: message ID, resend
+        suppression, trace.  Returns the piggyback word, or
+        ``_SUPPRESSED`` for a send not to post."""
         self.stats.sends += 1
-        for stage in self._send_observers:
-            stage.on_send(payload, dest, tag)
-            self._calls[stage.name] += 1
-        if not self._protocol:
-            if self.pb is None:
-                return None
-            self._calls["piggyback"] += 1
-            return self.pb.blank()
         message_id = self.state.note_send(dest)
         tr = self.tracer
         # ``suppress`` is non-empty only after a restore armed the replay
@@ -300,15 +265,18 @@ class ProtocolPipeline:
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         """Application blocking send with piggybacked protocol data."""
+        if self._raw:
+            self.stats.sends += 1
+            return (yield from self._comm_send(payload, dest, tag))
         if not self._idle():
             yield from self._co_progress()
-        wire = self._stamp(payload, dest, tag)
+        wire = self._stamp(dest)
         if wire is not _SUPPRESSED:
             yield from self._comm_send(payload, dest, tag, wire)
 
     def co_isend(self, payload: Any, dest: int, tag: int = 0):
-        """Nonblocking send; returns a pseudo-request (Section 5.2) on a
-        staged stack, a raw request on the empty stack.
+        """Nonblocking send; returns a pseudo-request (Section 5.2), or a
+        raw request in pass-through mode.
 
         The underlying isend never suspends (eager sends); the scheduling
         points here are the progress drain only.
@@ -318,7 +286,7 @@ class ProtocolPipeline:
             return self.comm.isend(payload, dest, tag)
         if not self._idle():
             yield from self._co_progress()
-        wire = self._stamp(payload, dest, tag)
+        wire = self._stamp(dest)
         req = self.requests.new("isend", dest=dest, tag=tag)
         if wire is not _SUPPRESSED:
             self.comm.isend(payload, dest, tag, piggyback=wire)
@@ -330,26 +298,21 @@ class ProtocolPipeline:
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Application blocking receive."""
+        if self._raw:
+            self.stats.receives += 1
+            env = yield from self._comm_recv_envelope(source, tag)
+            return env.payload
         if not self._idle():
             yield from self._co_progress()
         self.stats.receives += 1
-        if not self._protocol:
-            env = yield from self._comm_recv_envelope(source, tag)
-            if self.pb is not None and env.piggyback is not None:
-                # Piggyback-only variant still pays the decode cost.
-                self.pb.decode(env)
-                self._calls["piggyback"] += 1
-            for stage in self._recv_observers:
-                stage.on_receive(env)
-                self._calls[stage.name] += 1
-            return env.payload
         if self.replay is not None and not self.replay.matches.exhausted:
             return (yield from self._co_replay_recv())
         env = yield from self._comm_recv_envelope(source, tag)
         return (yield from self._co_classify_and_deliver(env))
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive pseudo-request (raw request on empty stack).
+        """Nonblocking receive pseudo-request (a raw request in pass-through
+        mode).
 
         Posting the receive never suspends; only the progress drain does.
         """
@@ -358,7 +321,7 @@ class ProtocolPipeline:
         if not self._idle():
             yield from self._co_progress()
         req = self.requests.new("irecv", source=source, tag=tag)
-        if self._protocol and self.replay is not None:
+        if self.replay is not None:
             # During replay, completion is resolved through the match log at
             # wait time; posting a raw receive could steal messages that the
             # replay engine must route by messageID.
@@ -369,7 +332,9 @@ class ProtocolPipeline:
     def co_wait(self, req: Any):
         """Complete a pseudo-request (the MPI_Wait analogue)."""
         if self._raw:
-            if isinstance(req, Request) and not req.completed and hasattr(req, "_desc"):
+            # A raw receive counts when its completion is first seen, here
+            # or in co_test (send requests are complete at creation).
+            if not req.completed:
                 self.stats.receives += 1
             return (yield from req.co_wait())
         if not self._idle():
@@ -392,11 +357,7 @@ class ProtocolPipeline:
             # Restored-unmatched or replay-posted: resolve like a fresh recv
             # (paper rule: match the late log, else re-post the receive).
             self.stats.receives += 1
-            if (
-                self._protocol
-                and self.replay is not None
-                and not self.replay.matches.exhausted
-            ):
+            if self.replay is not None and not self.replay.matches.exhausted:
                 payload = yield from self._co_replay_recv()
             else:
                 env = yield from self._comm_recv_envelope(req.source, req.tag)
@@ -407,14 +368,14 @@ class ProtocolPipeline:
         yield from req._live.co_wait()
         env = req._live._desc.matched
         self.requests.retire(req)
-        if not self._protocol:
-            return env.payload
         return (yield from self._co_classify_and_deliver(env))
 
     def co_test(self, req: Any):
         """Nonblocking completion check for a pseudo-request."""
         if self._raw:
-            return req.test()
+            if not req.completed and req.test():
+                self.stats.receives += 1
+            return req.completed
         if not self._idle():
             yield from self._co_progress()
         if req.kind == "isend":
@@ -464,9 +425,6 @@ class ProtocolPipeline:
             )
         yield from self.msg_log.co_on_message(env, info, mclass)
         self._calls["message-log"] += 1
-        for stage in self._recv_observers:
-            stage.on_receive(env)
-            self._calls[stage.name] += 1
         return env.payload
 
     def _co_replay_recv(self):
@@ -486,18 +444,16 @@ class ProtocolPipeline:
         recorded result is returned instead of re-computing, so the replayed
         execution is identical to the one peers' checkpoints observed.
         """
+        if self._raw:
+            return compute()
         if not self._idle():
             yield from self._co_progress()
-        if (
-            self._protocol
-            and self.replay is not None
-            and not self.replay.nondet.exhausted
-        ):
+        if self.replay is not None and not self.replay.nondet.exhausted:
             value = yield from self.rep.co_serve_nondet()
             self._calls["replay"] += 1
             return value
         value = compute()
-        if self._protocol and self.state.am_logging:
+        if self.state.am_logging:
             self.res_log.record_nondet(value)
             self._calls["result-log"] += 1
         return value
@@ -542,11 +498,6 @@ class ProtocolPipeline:
             yield from self._co_progress()
         self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
-        algorithm = getattr(coll_impl, "co_" + kind)
-        if not self._protocol:
-            ep = self._coll_endpoint(handle_id, 1)
-            self._advance_coll_seq(handle_id)
-            return (yield from algorithm(ep, *args))
         if (
             loggable
             and self.replay is not None
@@ -555,7 +506,7 @@ class ProtocolPipeline:
             result = self.rep.serve_collective(kind)
             self._calls["replay"] += 1
             self._advance_coll_seq(handle_id)
-            yield from self._co_maybe_end_replay()
+            yield from self.rep.co_maybe_end_replay()
             return result
         # Command exchange before the data call (paper: "each data
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
@@ -565,7 +516,7 @@ class ProtocolPipeline:
             ctl_ep, (self.state.epoch, self.state.am_logging)
         )
         data_ep = self._coll_endpoint(handle_id, 1)
-        result = yield from algorithm(data_ep, *args)
+        result = yield from getattr(coll_impl, "co_" + kind)(data_ep, *args)
         self._advance_coll_seq(handle_id)
         if self.state.am_logging and loggable:
             my_epoch = self.state.epoch
@@ -587,8 +538,8 @@ class ProtocolPipeline:
         return self._raw_comm(handle_id).rank
 
     def _co_coll(self, kind: str, comm: Any, *args: Any):
-        """One data collective: the communicator's own ``co_<kind>`` on the
-        empty stack, the staged algorithm under :meth:`_co_collective`
+        """One data collective: the communicator's own ``co_<kind>`` in
+        pass-through mode, the staged algorithm under :meth:`_co_collective`
         otherwise."""
         if self._raw:
             self.stats.collectives += 1
@@ -634,26 +585,24 @@ class ProtocolPipeline:
         if not self._idle():
             yield from self._co_progress()
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
-        if self._protocol and self.replay is None:
-            ctl_ep = self._coll_endpoint(handle_id, 0)
-            epochs = yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
-            if self.state.epoch < max(epochs) and self.ckpt is not None:
-                # The forced local checkpoint happens BEFORE this barrier's
-                # collective-sequence advance: the checkpoint's resume point
-                # re-executes the whole barrier call (the paper's inserted
-                # potentialCheckpoint-before-barrier), so its snapshot must
-                # not count the alignment exchange the re-execution will
-                # perform again.
-                yield from self.ckpt.co_take_local_checkpoint()
-                self._calls["checkpoint"] += 1
-            self._advance_coll_seq(handle_id)
-        elif self._protocol:
-            # Re-executed barrier during replay: alignment already held in
-            # the original execution (all participants were in this epoch),
-            # but the exchange itself must re-run so tags stay aligned.
-            ctl_ep = self._coll_endpoint(handle_id, 0)
-            yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
-            self._advance_coll_seq(handle_id)
+        # A re-executed barrier during replay re-runs the exchange so tags
+        # stay aligned, but alignment already held in the original execution.
+        ctl_ep = self._coll_endpoint(handle_id, 0)
+        epochs = yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
+        if (
+            self.replay is None
+            and self.state.epoch < max(epochs)
+            and self.ckpt is not None
+        ):
+            # The forced local checkpoint happens BEFORE this barrier's
+            # collective-sequence advance: the checkpoint's resume point
+            # re-executes the whole barrier call (the paper's inserted
+            # potentialCheckpoint-before-barrier), so its snapshot must
+            # not count the alignment exchange the re-execution will
+            # perform again.
+            yield from self.ckpt.co_take_local_checkpoint()
+            self._calls["checkpoint"] += 1
+        self._advance_coll_seq(handle_id)
         yield from self._co_collective("barrier", comm, (), loggable=False)
 
     # ------------------------------------------------------------------ #
@@ -663,7 +612,7 @@ class ProtocolPipeline:
     def co_potential_checkpoint(self):
         """Take a local checkpoint if one has been requested.
 
-        Returns True if a checkpoint was taken; always False on stacks
+        Returns True if a checkpoint was taken; always False on a pipeline
         without a checkpoint stage.
         """
         if not self._idle():
@@ -761,8 +710,8 @@ class ProtocolPipeline:
     def op_create(self, name: str, fn: Callable[[Any, Any], Any]) -> Any:
         """Create a user-defined reduction op behind a (pseudo or raw) handle.
 
-        On staged stacks ``fn`` must be importable/stable under ``name``:
-        the call record replays ``Op.create(name, fn)`` by looking the op up
+        Outside pass-through mode ``fn`` must be stable under ``name``: the
+        call record replays ``Op.create(name, fn)`` by looking the op up
         at restore, so the application must re-register the op before
         restore (module import time is the natural place).
         """
@@ -863,9 +812,10 @@ class ProtocolPipeline:
         Consumes ``data`` and ``logs``: both are kept and mutated uncopied (the
         driver hands over what it just unpickled, a graph nobody else holds).
         """
-        if self.rep is None:
+        if self.ckpt is None:
             raise RecoveryError(
-                f"rank {self.rank}: restore_from on a stack without a replay stage"
+                f"rank {self.rank}: restore_from on a pipeline without a "
+                "checkpoint stage"
             )
         if data.rank != self.rank:
             raise RecoveryError(
@@ -895,20 +845,13 @@ class ProtocolPipeline:
         if self.initiator is not None:
             self.initiator.begin_recovery(set(range(self.nprocs)))
             self.initiator.last_commit_time = self.comm.wtime()
-        for stage in self.stages:
-            if type(stage).on_restore is not ProtocolStage.on_restore:
-                stage.on_restore(data, logs)
         tr = self.tracer
         if tr is not None:
             tr.emit(
                 "proto", "restore", rank=self.rank, epoch=self.state.epoch,
                 late=len(logs.late), matches=len(logs.matches),
             )
-        yield from self._co_maybe_end_replay()
-
-    @property
-    def in_replay(self) -> bool:
-        return self.replay is not None
+        yield from self.rep.co_maybe_end_replay()
 
 
 class _LayerCollEndpoint:

@@ -17,7 +17,7 @@ from typing import Any
 from repro.errors import RecoveryError
 from repro.protocol import control as ctl
 from repro.protocol.logs import CollectiveRecord, MatchRecord
-from repro.protocol.stages.base import ProtocolStage
+from repro.protocol.stages.base import INITIATOR_RANK, ProtocolStage
 
 
 class ReplayStage(ProtocolStage):
@@ -104,5 +104,5 @@ class ReplayStage(ProtocolStage):
                 )
             yield from core._co_send_control(
                 ctl.ReplayDone(epoch=core.state.epoch, sender=core.rank),
-                self.config.initiator_rank,
+                INITIATOR_RANK,
             )

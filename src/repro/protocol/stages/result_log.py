@@ -20,17 +20,16 @@ class ResultLogStage(ProtocolStage):
 
     name = "result-log"
 
-    def _logged_copy(self, value: Any) -> Any:
-        return copy.deepcopy(value) if self.config.copy_logged_payloads else value
+    # Logged values are deep copies: the application may mutate its own.
 
     def record_nondet(self, value: Any) -> None:
         core = self.core
-        core.logs.nondet.append(self._logged_copy(value))
+        core.logs.nondet.append(copy.deepcopy(value))
         core.stats.nondet_logged += 1
 
     def record_collective(self, kind: str, result: Any) -> None:
         core = self.core
         core.logs.collectives.append(
-            CollectiveRecord(kind=kind, result=self._logged_copy(result))
+            CollectiveRecord(kind=kind, result=copy.deepcopy(result))
         )
         core.stats.collective_results_logged += 1

@@ -14,6 +14,12 @@ V2        "Checkpointing, No Application State"       full protocol, app
                                                       state omitted
 V3        "Full Checkpoints"                          everything
 ========  ==========================================  =======================
+
+The variant is the only selector of which protocol concerns run: V0 runs
+the application over :class:`~repro.api.comms.RawCommAdapter`, V1 over a
+:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` built without a
+storage, and V2/V3 over one handed the run's storage (which adds the
+checkpoint stage).  :meth:`Variant.coerce` is the one table of spellings.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.protocol.stages.registry import StackSpec, variant_stack
 from repro.simmpi.clock import CostModel
 
 
@@ -37,25 +42,31 @@ class Variant(enum.Enum):
     def coerce(cls, value: "Variant | str") -> "Variant":
         """Accept a :class:`Variant` or its string spelling.
 
-        Strings match either the enum value (``"no-app-state"``) or the
-        member name in any case (``"NO_APP_STATE"``, ``"full"``) —
-        mirroring how ``Session.run`` accepts registered app names in
-        place of app objects.
+        Strings match the paper label (``"V0"``–``"V3"``), the enum value
+        (``"no-app-state"``) or the member name in any case
+        (``"NO_APP_STATE"``, ``"full"``) — mirroring how ``Session.run``
+        accepts registered app names in place of app objects.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
-            try:
-                return cls(value)
-            except ValueError:
-                try:
-                    return cls[value.upper().replace("-", "_")]
-                except KeyError:
-                    known = ", ".join(v.value for v in cls)
-                    raise ConfigError(
-                        f"unknown variant {value!r}; known: {known}"
-                    ) from None
+            key = value.upper().replace("-", "_")  # "no-app-state" -> NO_APP_STATE
+            for member in cls:
+                if key in (member.label, member.name):
+                    return member
+            known = ", ".join(f"{v.label}/{v.value}" for v in cls)
+            raise ConfigError(f"unknown variant {value!r}; known: {known}")
         raise ConfigError(f"not a variant: {value!r}")
+
+    @property
+    def label(self) -> str:
+        """The paper-table label: ``"V0"``–``"V3"`` in Section 6.2 order."""
+        return f"V{list(Variant).index(self)}"
+
+    @property
+    def checkpoints(self) -> bool:
+        """Whether the variant runs the checkpoint stage (V2 and V3)."""
+        return self in (Variant.NO_APP_STATE, Variant.FULL)
 
     @property
     def paper_name(self) -> str:
@@ -74,10 +85,6 @@ class RunConfig:
     nprocs: int
     seed: int = 0
     variant: Variant = Variant.FULL
-    #: Explicit stage-stack name (overrides the variant→stack mapping).
-    #: Any name registered with :func:`repro.protocol.register_stack`
-    #: works — this is how custom user-defined variants are run.
-    stack: Optional[str] = None
     #: Virtual-time distance between checkpoint waves (paper: 30 s).
     checkpoint_interval: Optional[float] = 0.030
     codec: str = "packed"
@@ -135,27 +142,6 @@ class RunConfig:
         if self.trace_buffer is not None and self.trace_buffer < 1:
             raise ConfigError("trace_buffer must be >= 1 or None")
 
-    def stack_spec(self) -> StackSpec:
-        """The declared stage stack for this run.
-
-        ``stack`` (a registered stack name) wins when set; otherwise the
-        variant maps onto its canonical V0–V3 stack.
-        """
-        if self.stack is not None:
-            return variant_stack(self.stack)
-        return variant_stack(_VARIANT_STACK_NAMES[self.variant])
-
     @property
     def checkpointing_active(self) -> bool:
-        return "checkpoint" in self.stack_spec().stages and (
-            self.checkpoint_interval is not None
-        )
-
-
-#: Canonical variant → stack-name mapping (Section 6.2).
-_VARIANT_STACK_NAMES = {
-    Variant.UNMODIFIED: "V0",
-    Variant.PIGGYBACK: "V1",
-    Variant.NO_APP_STATE: "V2",
-    Variant.FULL: "V3",
-}
+        return self.variant.checkpoints and self.checkpoint_interval is not None

@@ -27,8 +27,8 @@ from typing import Any, Callable, Optional
 from repro.api.comms import CommLike, RawCommAdapter
 from repro.api.registry import app_entry
 from repro.errors import RecoveryError
+from repro.protocol.stages.base import C3Config
 from repro.protocol.stages.pipeline import ProtocolPipeline
-from repro.protocol.stages.registry import build_stages
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.context import C3AppContext
 from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
@@ -106,8 +106,8 @@ class RunOutcome:
 
         ``{stage_name: {"calls": int}}`` summed from each attempt's
         :class:`AttemptRecord` (every attempt builds fresh layers, so the
-        sum never double-counts); empty for V0 (the empty stack dispatches
-        into no stages).  The counts are exact simulated facts; where the
+        sum never double-counts); empty for V0 (``RawCommAdapter`` has no
+        stages).  The counts are exact simulated facts; where the
         host time goes is for a profiler or the trace spans to say.
         """
         totals: dict[str, dict[str, int]] = {}
@@ -159,20 +159,6 @@ def run_with_recovery(
     storage.crash_plan = (
         failures if failures.remaining_checkpoint_crashes() else None
     )
-    # Resolve the declared stage stack for this run (the V0-V3 mapping, or
-    # a custom registered stack named by config.stack).
-    spec = config.stack_spec()
-    c3cfg = spec.c3_config(config)
-    # A stack that omits application state from its checkpoints (V2,
-    # "Checkpointing, No Application State") cannot *resume* from one: the
-    # protocol window would be mid-run while the application restarts from
-    # its entry point, desynchronising replay (log-kind mismatches, served
-    # stale early messages, deadlocks).  Such runs measure checkpointing
-    # overhead; their only sound recovery is re-execution from scratch.
-    can_restore = config.checkpointing_active and c3cfg.save_app_state
-    # The empty stack is V0 "Unmodified Program": the pipeline in raw
-    # pass-through mode — no piggyback word, no protocol state.
-    use_raw = not spec.stages
     outcome = RunOutcome(results=[], trace=tracer)
     commits_at_start = storage.commits
     bytes_at_start = storage.bytes_written
@@ -188,7 +174,6 @@ def run_with_recovery(
     try:
         outcome = _recovery_loop(
             entry, config, failures, storage, tracer, outcome, layers,
-            spec, c3cfg, can_restore, use_raw,
         )
     finally:
         if tracer is not None:
@@ -218,11 +203,23 @@ def _recovery_loop(
     tracer: Optional[TraceRecorder],
     outcome: RunOutcome,
     layers: list[Optional[CommLike]],
-    spec: Any,
-    c3cfg: Any,
-    can_restore: bool,
-    use_raw: bool,
 ) -> RunOutcome:
+    variant = config.variant
+    c3cfg = C3Config(
+        codec=config.codec,
+        checkpoint_interval=config.checkpoint_interval,
+        save_app_state=variant is Variant.FULL,
+    )
+    # A variant that omits application state from its checkpoints (V2,
+    # "Checkpointing, No Application State") cannot *resume* from one: the
+    # protocol window would be mid-run while the application restarts from
+    # its entry point, desynchronising replay (log-kind mismatches, served
+    # stale early messages, deadlocks).  Such runs measure checkpointing
+    # overhead; their only sound recovery is re-execution from scratch.
+    can_restore = config.checkpointing_active and c3cfg.save_app_state
+    # V2/V3 hand the pipeline the storage, which adds the checkpoint stage
+    # (its only reader); V1 is the same pipeline built without one.
+    ckpt_storage = storage if variant.checkpoints else None
     attempt_index = 0
     while True:
         failures.begin_attempt(attempt_index)
@@ -243,13 +240,11 @@ def _recovery_loop(
         def rank_main(rank_ctx, _line=line):
             # A generator: restore and the application run as one
             # resumable rank body.
-            if use_raw:
+            if variant is Variant.UNMODIFIED:
+                # V0 "Unmodified Program": no piggyback word, no protocol.
                 layer = RawCommAdapter(rank_ctx.comm)
             else:
-                layer = ProtocolPipeline(
-                    rank_ctx.comm, stages=build_stages(spec, c3cfg),
-                    config=c3cfg, storage=storage,
-                )
+                layer = ProtocolPipeline(rank_ctx.comm, c3cfg, ckpt_storage)
             layers[rank_ctx.rank] = layer
             rank_ctx.c3 = layer
             restored_state = None

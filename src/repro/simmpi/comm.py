@@ -1,9 +1,11 @@
 """Communicators: the application-facing MPI interface of the simulator.
 
 A :class:`Comm` binds a rank's :class:`~repro.simmpi.process.Proc` to a
-:class:`~repro.simmpi.group.Group` and a context id.  The API mirrors
-mpi4py's lowercase object interface (``send``/``recv``/``isend``/``irecv``/
-``bcast``/``allreduce``...), with ranks expressed group-locally.
+:class:`~repro.simmpi.group.Group` and a context id.  The API follows
+mpi4py's lowercase object interface, with ranks expressed group-locally:
+every operation that can suspend is a ``co_*`` generator
+(``co_send``/``co_recv``/``co_allreduce``...), and the suspension-free
+calls (``isend``/``irecv``/``iprobe``/``dup``) are plain methods.
 
 Context ids isolate communicators: a message sent on one communicator can
 never match a receive on another.  ``dup``/``split`` derive child contexts
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError, SimMPIError
 from repro.simmpi import collectives_impl as coll
-from repro.simmpi import coop
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, TAG_COLLECTIVE_BASE
 from repro.simmpi.group import Group
 from repro.simmpi.mailbox import RecvDescriptor
@@ -139,14 +140,13 @@ class Comm:
     # ------------------------------------------------------------------ #
 
     # Each operation is written once, as a ``co_*`` generator whose yields
-    # are its scheduling points.  The synchronous name of a suspending
-    # operation drives that generator and is valid only where the call
-    # cannot suspend (``coop.drive`` raises otherwise); the
-    # suspension-free calls (``isend``, ``irecv``, ``iprobe``, ``dup``)
-    # have no generator form.  The per-message calls bracket a bare
-    # ``yield`` with ``Scheduler.before_yield`` / ``after_yield`` (the body
-    # of ``co_yield_point``) instead of allocating that generator for
-    # every message.
+    # are its scheduling points; the suspension-free calls (``isend``,
+    # ``irecv``, ``iprobe``, ``dup``) have no generator form.  To run one
+    # outside a rank, ``coop.drive`` completes it where it cannot suspend.
+    # The per-message calls bracket a bare ``yield`` with
+    # ``Scheduler.before_yield`` / ``after_yield`` (the body of
+    # ``co_yield_point``) instead of allocating that generator for every
+    # message.
 
     def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
         """Eager-buffered blocking send (returns once the message is posted).
@@ -222,40 +222,13 @@ class Comm:
                 )
             yield from self._scheduler.co_yield_point(self.proc)
 
-    def send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> None:
-        coop.drive(self.co_send(payload, dest, tag, piggyback))
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        return coop.drive(self.co_recv(source, tag))
-
-    def recv_envelope(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        predicate: Optional[Callable[[Envelope], bool]] = None,
-    ) -> Envelope:
-        return coop.drive(self.co_recv_envelope(source, tag, predicate))
-
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        recv_source: int,
-        send_tag: int = 0,
-        recv_tag: int | None = None,
-    ) -> Any:
-        return coop.drive(self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag))
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        return coop.drive(self.co_probe(source, tag))
-
     def isend(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
         self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
         return SendRequest(self)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Nonblocking receive; complete it with ``req.wait()``/``req.test()``."""
+        """Nonblocking receive; complete it with ``req.co_wait()``/``req.test()``."""
         desc = RecvDescriptor(self._world(source), tag, self.context)
         self.proc.mailbox.post(desc)
         return RecvRequest(self, desc)
@@ -333,33 +306,6 @@ class Comm:
     def co_scan(self, obj: Any, op: Op):
         return (yield from coll.co_scan(self, obj, op))
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        return coop.drive(self.co_bcast(obj, root))
-
-    def reduce(self, obj: Any, op: Op, root: int = 0) -> Any:
-        return coop.drive(self.co_reduce(obj, op, root))
-
-    def allreduce(self, obj: Any, op: Op) -> Any:
-        return coop.drive(self.co_allreduce(obj, op))
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        return coop.drive(self.co_gather(obj, root))
-
-    def allgather(self, obj: Any) -> list[Any]:
-        return coop.drive(self.co_allgather(obj))
-
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        return coop.drive(self.co_scatter(objs, root))
-
-    def alltoall(self, objs: list[Any]) -> list[Any]:
-        return coop.drive(self.co_alltoall(objs))
-
-    def barrier(self) -> None:
-        coop.drive(self.co_barrier())
-
-    def scan(self, obj: Any, op: Op) -> Any:
-        return coop.drive(self.co_scan(obj, op))
-
     # ------------------------------------------------------------------ #
     # Communicator construction.
     # ------------------------------------------------------------------ #
@@ -380,9 +326,6 @@ class Comm:
             key = self.rank
         triples = yield from self.co_allgather((color, key, self.rank))
         return self._split_from_triples(triples, color)
-
-    def split(self, color: int, key: int | None = None) -> Optional["Comm"]:
-        return coop.drive(self.co_split(color, key))
 
     def _split_from_triples(self, triples: list[Any], color: int) -> Optional["Comm"]:
         child_seq = self._child_seq

@@ -7,13 +7,12 @@ Scheduling points are therefore ``yield`` statements inside ``co_*``
 generator code, and a rank main is either a generator function or a
 precompiled app (whose transformed code reaches the ``co_*`` forms).
 
-:func:`drive` runs a ``co_*`` generator for a synchronous caller.  The
-simulator's own ``Comm`` and ``Request`` keep mpi4py-shaped synchronous
-names built on it, valid only where the call cannot suspend (an operation
-with nothing to wait for, a unit test outside any rank); a call that
-reaches a scheduling point raises and names the fix.  Everything above the
-simulator — the protocol pipeline, the application context, precompiled
-code — exists only in generator form.
+Every suspending operation — on the simulator's ``Comm`` and ``Request``,
+the protocol pipeline, the application context, precompiled code — exists
+only in generator form.  :func:`drive` runs one for a synchronous caller
+where it cannot suspend (a precompiled unit under test, an operation with
+nothing to wait for); one that reaches a scheduling point raises and names
+the fix.
 
 The module also keeps the **current proc** registry, set by the scheduler
 around every ``task.send``: all ranks share one thread, so "which rank is

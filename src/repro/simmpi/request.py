@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import SimMPIError
-from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.status import Status
 
@@ -40,9 +39,6 @@ class Request:
         """Block (cooperatively) until complete; returns the received object
         for receive requests and ``None`` for send requests."""
         raise NotImplementedError
-
-    def wait(self) -> Any:
-        return coop.drive(self.co_wait())
 
     @property
     def completed(self) -> bool:

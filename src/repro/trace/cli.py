@@ -40,14 +40,6 @@ from repro.trace.export import (
     write_jsonl,
 )
 
-#: Stack-name spellings accepted for ``--variant`` alongside the enum ones.
-_STACK_VARIANTS = {
-    "V0": "unmodified",
-    "V1": "piggyback",
-    "V2": "no-app-state",
-    "V3": "full",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -167,7 +159,7 @@ def _cmd_record(args) -> int:
     from repro.runtime.config import RunConfig, Variant
     from repro.runtime.driver import run_with_recovery
 
-    variant = Variant.coerce(_STACK_VARIANTS.get(args.variant, args.variant))
+    variant = Variant.coerce(args.variant)
     config = RunConfig(
         nprocs=args.nprocs,
         seed=args.seed,

@@ -1,8 +1,7 @@
-"""CommLike conformance: every stage stack exposes one surface.
+"""CommLike conformance: every variant exposes one surface.
 
-The conformance suite is parametrized over *all registered stacks* —
-the built-in V0–V3 plus a custom user-registered composition — so any
-new stage stack is conformance-checked for free.
+The conformance suite is parametrized over the four variants of Section
+6.2, so a new ``Variant`` member is conformance-checked for free.
 """
 
 import inspect
@@ -11,17 +10,12 @@ import pytest
 
 from repro.api.comms import CommLike, RawCommAdapter, RawHandle
 from repro.errors import ProtocolError
-from repro.protocol.stages import (
-    FULL_STACK,
-    ProtocolPipeline,
-    ProtocolStage,
-    list_stacks,
-    register_stack,
-    register_stage,
-)
+from repro.protocol.stages import ProtocolPipeline
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.runtime.context import C3AppContext
 from repro.simmpi import SUM
+from repro.simmpi.comm import Comm
+from repro.simmpi.request import RecvRequest, SendRequest
 
 #: The operations that can suspend a rank: each exists once, as ``co_<name>``.
 SUSPENDING = (
@@ -37,31 +31,6 @@ COMMLIKE_METHODS = tuple("co_" + name for name in SUSPENDING) + (
 )
 
 
-class _ConformanceTraceStage(ProtocolStage):
-    """Custom observer stage: proves user stages ride the pipeline."""
-
-    name = "conformance-trace"
-
-    def on_send(self, payload, dest, tag):
-        pass
-
-    def on_receive(self, env):
-        pass
-
-
-register_stage("conformance-trace", _ConformanceTraceStage, replace=True)
-register_stack(
-    "conformance-custom",
-    FULL_STACK + ("conformance-trace",),
-    description="V3 plus a tracing observer stage (conformance fixture)",
-    replace=True,
-)
-
-#: Evaluated at collection time: V0-V3 plus the custom stack above (and
-#: any stack registered before this module imports).
-ALL_STACKS = list_stacks()
-
-
 @pytest.mark.parametrize("impl", [RawCommAdapter, ProtocolPipeline])
 def test_class_declares_full_surface(impl):
     for name in COMMLIKE_METHODS:
@@ -73,6 +42,18 @@ def test_class_declares_full_surface(impl):
 def test_suspending_operations_have_one_form(impl):
     """No synchronous twin of a suspending operation above the simulator."""
     for name in SUSPENDING + ("restore_from", "random", "yield_point"):
+        with pytest.raises(AttributeError):
+            inspect.getattr_static(impl, name)
+
+
+@pytest.mark.parametrize("impl", [Comm, SendRequest, RecvRequest])
+def test_simulator_has_no_sync_names(impl):
+    """The simulator's ``Comm`` and ``Request`` are generator-only too."""
+    for name in (
+        "send", "recv", "recv_envelope", "sendrecv", "probe", "bcast", "reduce",
+        "allreduce", "gather", "allgather", "scatter", "alltoall", "barrier",
+        "scan", "split", "wait",
+    ):
         with pytest.raises(AttributeError):
             inspect.getattr_static(impl, name)
 
@@ -102,11 +83,11 @@ def conformance_app(ctx):
     return (state["acc"], total, mpi.comm_rank(), mpi.comm_size())
 
 
-@pytest.mark.parametrize("stack", ALL_STACKS)
-def test_stack_conformance(stack):
-    """Every registered stack satisfies CommLike and computes the same
-    answer for the same seed (the protocol is application-transparent)."""
-    cfg = RunConfig(nprocs=3, seed=13, stack=stack,
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.label)
+def test_stack_conformance(variant):
+    """Every variant satisfies CommLike and computes the same answer for
+    the same seed (the protocol is application-transparent)."""
+    cfg = RunConfig(nprocs=3, seed=13, variant=variant,
                     checkpoint_interval=0.002, detector_timeout=0.04)
     out = run_with_recovery(conformance_app, cfg)
     baseline = run_with_recovery(
@@ -116,16 +97,29 @@ def test_stack_conformance(stack):
     assert out.results == baseline.results
 
 
-def test_custom_stack_observer_stage_sees_traffic():
-    """The custom stage is dispatched and shows up in per-stage counters."""
-    cfg = RunConfig(nprocs=2, seed=1, stack="conformance-custom",
-                    checkpoint_interval=0.002, detector_timeout=0.04)
-    out = run_with_recovery(conformance_app, cfg)
-    totals = out.stage_totals()
-    assert totals["conformance-trace"]["calls"] > 0
-    # The observer rides along with all six built-in stages.
-    for name in FULL_STACK:
-        assert name in totals
+def test_receive_counts_agree_across_variants():
+    """``LayerStats`` counts one receive per completed request under every
+    variant, including a raw receive that ``co_test`` completed first."""
+
+    def app(ctx):
+        peer = (ctx.rank + 1) % ctx.size
+        prev = (ctx.rank - 1) % ctx.size
+        yield from ctx.mpi.co_send(ctx.rank, peer, tag=1)
+        req = yield from ctx.mpi.co_irecv(source=prev, tag=1)
+        while not (yield from ctx.mpi.co_test(req)):
+            yield from ctx.co_yield_point()
+        first = yield from ctx.mpi.co_wait(req)
+        req = yield from ctx.mpi.co_irecv(source=prev, tag=2)
+        yield from ctx.mpi.co_send(ctx.rank + 10, peer, tag=2)
+        second = yield from ctx.mpi.co_wait(req)
+        return (first, second)
+
+    counts = {}
+    for variant in Variant:
+        out = run_with_recovery(app, RunConfig(nprocs=2, seed=1, variant=variant))
+        assert out.results == [(1, 11), (0, 10)], variant
+        counts[variant] = [(s.sends, s.receives) for s in out.layer_stats]
+    assert set(map(tuple, counts.values())) == {((2, 2), (2, 2))}, counts
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,11 @@ class TestCoverage:
         assert {s.variant for s in scenarios} == {"full"}
         assert {s.nprocs for s in scenarios} == {2}
 
+    def test_paper_labels_select_variants(self):
+        """``--variants V1,V3`` spellings normalise to the enum values."""
+        scenarios = generate_campaign(5, 30, variants=("V1", "V3"))
+        assert {s.variant for s in scenarios} == {"piggyback", "full"}
+
     def test_kind_filter(self):
         scenarios = generate_campaign(5, 20, kinds=("multi_kill",))
         assert len(scenarios) == 20

@@ -4,7 +4,6 @@ phase 4 + our storage commit record)."""
 
 
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.protocol.stages import FULL_STACK, build_stages
 from repro.runtime import RunConfig, run_with_recovery
 from repro.simmpi import (
     SUM,
@@ -17,9 +16,7 @@ from repro.statesave import Storage
 
 
 def make_pipeline(comm, cfg, storage):
-    return ProtocolPipeline(
-        comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
-    )
+    return ProtocolPipeline(comm, cfg, storage)
 
 
 class TestPartialWaveIgnored:

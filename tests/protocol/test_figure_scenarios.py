@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.simmpi.message import Envelope
 from repro.statesave import Storage
@@ -20,9 +19,7 @@ from repro.statesave import Storage
 
 def wire(ctx, storage, **kw):
     cfg = C3Config(save_app_state=False, **kw)
-    return ProtocolPipeline(
-        ctx.comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
-    )
+    return ProtocolPipeline(ctx.comm, cfg, storage)
 
 
 def craft(layer, source, epoch, am_logging, message_id, tag=1, payload="x"):

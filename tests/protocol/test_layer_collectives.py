@@ -2,16 +2,13 @@
 (paper Section 4.5 / Figure 5)."""
 
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.statesave import Storage
 
 
 def wire(ctx, storage, interval=None):
     cfg = C3Config(checkpoint_interval=interval, save_app_state=False)
-    return ProtocolPipeline(
-        ctx.comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
-    )
+    return ProtocolPipeline(ctx.comm, cfg, storage)
 
 
 class TestCollectiveCorrectness:

@@ -7,16 +7,15 @@ content, message classification effects, and the mySendCount bookkeeping.
 
 import pytest
 
+from repro.api.comms import RawCommAdapter
+from repro.errors import ProtocolError, RecoveryError
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import run_simple
 from repro.statesave import Storage
 
 
-def pipeline(ctx, cfg, storage, stack=FULL_STACK, **kwargs):
-    return ProtocolPipeline(
-        ctx.comm, stages=build_stages(stack, cfg), config=cfg, storage=storage, **kwargs
-    )
+def pipeline(ctx, cfg, storage, **kwargs):
+    return ProtocolPipeline(ctx.comm, cfg, storage, **kwargs)
 
 
 def wire(ctx, storage, interval=None, **cfg_kwargs):
@@ -228,19 +227,57 @@ class TestVariantConfigs:
         assert all(r == (0, 0) for r in result.results)
         assert storage.committed_epoch() is None
 
-    def test_unpiggybacked_mode(self):
-        storage = Storage()
+    def test_raw_adapter_mode(self):
+        """V0: the pipeline with no stages sends no piggyback word and keeps
+        no protocol state."""
 
         def main(ctx):
-            cfg = C3Config(protocol_enabled=False, piggyback_enabled=False,
-                           save_app_state=False)
-            layer = pipeline(ctx, cfg, storage, stack=())
+            layer = RawCommAdapter(ctx.comm)
             yield from layer.co_send("x", 1 - ctx.rank, tag=1)
-            return (yield from layer.co_recv(source=1 - ctx.rank, tag=1))
+            env = yield from ctx.comm.co_recv_envelope(source=1 - ctx.rank, tag=1)
+            return (env.payload, env.piggyback, layer.stages, layer.stats.stage_calls)
 
         result = run_simple(main, nprocs=2, seed=8)
         assert result.completed
-        assert result.results == ["x", "x"]
+        assert result.results == [("x", None, (), {})] * 2
+
+    def test_pipeline_without_storage_has_no_checkpoint_stage(self):
+        """V1: built without a storage, the pipeline runs the five protocol
+        stages, never checkpoints, and refuses to start a wave."""
+
+        def main(ctx):
+            layer = ProtocolPipeline(ctx.comm, C3Config(checkpoint_interval=0.001))
+            with pytest.raises(ProtocolError, match="needs a checkpoint stage"):
+                layer.request_checkpoint_now()
+            for i in range(20):
+                yield from layer.co_send(i, 1 - ctx.rank, tag=1)
+                yield from layer.co_recv(source=1 - ctx.rank, tag=1)
+                assert (yield from layer.co_potential_checkpoint()) is False
+            return (
+                tuple(stage.name for stage in layer.stages),
+                layer.ckpt, layer.initiator, layer.state.epoch,
+            )
+
+        result = run_simple(main, nprocs=2, seed=8)
+        assert result.completed
+        stages = ("piggyback", "classifier", "message-log", "result-log", "replay")
+        assert result.results == [(stages, None, None, 0)] * 2
+
+    @pytest.mark.parametrize("storage", [None, "raw"])
+    def test_restore_needs_a_checkpoint_stage(self, storage):
+        """Neither V0 nor V1 can be restored: replay reports to an
+        initiator that only the checkpoint stage runs."""
+
+        def main(ctx):
+            if storage == "raw":
+                layer = RawCommAdapter(ctx.comm)
+            else:
+                layer = ProtocolPipeline(ctx.comm, C3Config())
+            with pytest.raises(RecoveryError, match="without a checkpoint stage"):
+                yield from layer.co_restore_from(None, None)
+            return True
+
+        assert run_simple(main, nprocs=1, seed=0).results == [True]
 
     @pytest.mark.parametrize("codec", ["full", "packed"])
     def test_both_codecs_complete_waves(self, codec):

@@ -8,15 +8,12 @@ from repro.errors import ProtocolError, RecoveryError
 from repro.protocol.mpi_state import CallRecord, HandleRegistry, MpiStateLog
 from repro.protocol.pseudo_handles import PseudoHandle, PseudoRequest, RequestTable
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.protocol.stages import FULL_STACK, build_stages
 from repro.simmpi import SUM, run_simple
 from repro.statesave import Storage
 
 
 def make_pipeline(comm, cfg, storage):
-    return ProtocolPipeline(
-        comm, stages=build_stages(FULL_STACK, cfg), config=cfg, storage=storage
-    )
+    return ProtocolPipeline(comm, cfg, storage)
 
 
 class TestPseudoRequest:

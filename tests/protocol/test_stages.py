@@ -1,80 +1,30 @@
-"""Stage pipeline: variant stacks, registries, per-stage observability.
+"""Stage pipeline: the variant → pipeline mapping, per-stage observability.
 
-Pins the paper-faithful V0-V3 stage compositions (the V1 regression: the
-protocol layer is *active* under V1 — "Using Protocol Layer, No
-Checkpoints" — it simply has no checkpoint stage and never initiates a
-wave), the open stage/stack registries, and the per-stage overhead
-counters the flat layer could not provide.
+Pins the paper-faithful V0-V3 pipelines (the V1 regression: the protocol
+layer is *active* under V1 — "Using Protocol Layer, No Checkpoints" — it
+simply has no checkpoint stage and never initiates a wave) and the
+per-stage overhead counters the flat layer could not provide.
 """
 
 import pytest
 
 from repro.api.session import Session
 from repro.errors import ConfigError
-from repro.protocol import (
-    C3Config,
-    ProtocolPipeline,
-    register_stack,
-    register_stage,
-    variant_stack,
-)
-from repro.protocol.stages import (
-    FULL_STACK,
-    PROTOCOL_STAGES,
-    ProtocolStage,
-    build_stages,
-    list_stacks,
-    list_stages,
-)
 from repro.runtime import RunConfig, Variant, run_with_recovery
-from repro.simmpi import SUM, run_simple
-from repro.statesave import Storage
+from repro.simmpi import SUM
+
+#: The five protocol stages every V1-V3 pipeline runs.
+PROTOCOL_STAGES = ("piggyback", "classifier", "message-log", "result-log", "replay")
+
+#: V2/V3: the protocol stages plus the checkpoint controller.
+FULL_STACK = PROTOCOL_STAGES + ("checkpoint",)
 
 
-class TestVariantStacksPinned:
-    """Regression for the V1 semantics mismatch (docstring vs c3_config)."""
-
-    def test_v0_is_the_empty_stack(self):
-        assert variant_stack("V0").stages == ()
-
-    def test_v1_is_protocol_without_checkpoint(self):
-        """Paper: V1 = "Using Protocol Layer, No Checkpoints" — the layer
-        (piggyback, classification, logging machinery) is active, but no
-        checkpoint stage exists and no wave can ever start."""
-        spec = variant_stack("V1")
-        assert spec.stages == (
-            "piggyback", "classifier", "message-log", "result-log", "replay"
-        )
-        assert "checkpoint" not in spec.stages
-
-    def test_v2_v3_differ_only_in_app_state(self):
-        v2, v3 = variant_stack("V2"), variant_stack("V3")
-        assert v2.stages == v3.stages == PROTOCOL_STAGES + ("checkpoint",)
-        assert v2.save_app_state is False
-        assert v3.save_app_state is True
-
-    def test_variant_enum_values_resolve(self):
-        for variant, name in [
-            (Variant.UNMODIFIED, "V0"), (Variant.PIGGYBACK, "V1"),
-            (Variant.NO_APP_STATE, "V2"), (Variant.FULL, "V3"),
-        ]:
-            assert variant_stack(variant.value).name == name
-            assert RunConfig(nprocs=2, variant=variant).stack_spec().name == name
-
-    def test_v1_c3_config_agrees_with_docstring(self):
-        """Code and docs now agree: V1 has the protocol *enabled* and the
-        checkpoint interval forced to None."""
-        cfg = variant_stack("V1").c3_config(RunConfig(nprocs=2, checkpoint_interval=0.5))
-        assert cfg.protocol_enabled
-        assert cfg.piggyback_enabled
-        assert cfg.checkpoint_interval is None
-        assert not cfg.save_app_state
-        assert "protocol layer is active" in C3Config.__doc__
-        assert "``protocol_enabled=True``" in C3Config.__doc__
-
+class TestVariantPipelines:
     def test_active_stages_per_variant_in_a_live_run(self):
         """End-to-end pin: which stages actually dispatch under each
-        variant (stage_calls keys == the declared stack)."""
+        variant — none for V0, the five protocol stages for V1 (a pipeline
+        built without a storage), those five plus ``checkpoint`` for V2/V3."""
 
         def app(ctx):
             acc = 0
@@ -83,54 +33,60 @@ class TestVariantStacksPinned:
                 yield from ctx.co_potential_checkpoint()
             return acc
 
+        expected = {
+            Variant.UNMODIFIED: (),
+            Variant.PIGGYBACK: PROTOCOL_STAGES,
+            Variant.NO_APP_STATE: FULL_STACK,
+            Variant.FULL: FULL_STACK,
+        }
         for variant in Variant:
             cfg = RunConfig(nprocs=2, seed=2, variant=variant,
                             checkpoint_interval=0.002, detector_timeout=0.04)
             out = run_with_recovery(app, cfg)
-            expected = set(cfg.stack_spec().stages)
-            assert set(out.stage_totals()) == expected, variant
+            assert tuple(out.stage_totals()) == expected[variant], variant
+
+    def test_v1_never_checkpoints_even_with_an_interval(self):
+        def app(ctx):
+            for i in range(30):
+                yield from ctx.mpi.co_allreduce(i, SUM)
+                yield from ctx.co_potential_checkpoint()
+            return ctx.mpi.ckpt
+
+        cfg = RunConfig(nprocs=2, seed=2, variant=Variant.PIGGYBACK,
+                        checkpoint_interval=0.0005)
+        assert not cfg.checkpointing_active
+        out = run_with_recovery(app, cfg)
+        assert out.results == [None, None]
+        assert out.checkpoints_committed == 0
+        assert out.storage_bytes_written == 0
+        assert all(stats.checkpoints_taken == 0 for stats in out.layer_stats)
 
 
-class TestRegistries:
-    def test_builtin_stages_registered(self):
-        assert set(FULL_STACK) <= set(list_stages())
+class TestVariantSpellings:
+    @pytest.mark.parametrize("label, variant", [
+        ("V0", Variant.UNMODIFIED), ("V1", Variant.PIGGYBACK),
+        ("V2", Variant.NO_APP_STATE), ("V3", Variant.FULL),
+    ])
+    def test_paper_labels(self, label, variant):
+        assert variant.label == label
+        assert Variant.coerce(label) is variant
+        assert Variant.coerce(label.lower()) is variant
+        assert Variant.coerce(variant.value) is variant
+        assert Variant.coerce(variant.name) is variant
 
-    def test_builtin_stacks_registered(self):
-        assert {"V0", "V1", "V2", "V3"} <= set(list_stacks())
+    def test_unknown_spelling_rejected(self):
+        with pytest.raises(ConfigError, match="unknown variant 'V4'.*V3/full"):
+            Variant.coerce("V4")
 
-    def test_unknown_stack_rejected(self):
-        with pytest.raises(ConfigError, match="unknown variant stack"):
-            variant_stack("V9")
+    def test_sweep_accepts_paper_labels(self):
+        def app(ctx):
+            return (yield from ctx.mpi.co_allreduce(ctx.rank, SUM))
 
-    def test_duplicate_stack_requires_replace(self):
-        register_stack("test-dup-stack", (), replace=True)
-        with pytest.raises(ConfigError, match="already registered"):
-            register_stack("test-dup-stack", ())
-        register_stack("test-dup-stack", (), replace=True)
-
-    def test_duplicate_stage_requires_replace(self):
-        register_stage("test-dup-stage", ProtocolStage, replace=True)
-        with pytest.raises(ConfigError, match="already registered"):
-            register_stage("test-dup-stage", ProtocolStage)
-
-    def test_unknown_stage_in_stack_rejected_at_build(self):
-        with pytest.raises(ConfigError, match="unknown protocol stage"):
-            build_stages(("no-such-stage",), C3Config())
-
-    def test_stage_dependencies_validated(self):
-        storage = Storage()
-
-        def main(ctx):
-            cfg = C3Config()
-            for stack in (("classifier",), PROTOCOL_STAGES[:1] + ("checkpoint",)):
-                with pytest.raises(ConfigError, match="requires stages"):
-                    ProtocolPipeline(
-                        ctx.comm, stages=build_stages(stack, cfg), config=cfg,
-                        storage=storage,
-                    )
-            return True
-
-        assert run_simple(main, nprocs=1, seed=0).results == [True]
+        rows = Session().sweep(
+            app, RunConfig(nprocs=2), variants=("V0", "V1"), parallel=False,
+        ).table()
+        assert [row["variant"] for row in rows] == ["unmodified", "piggyback"]
+        assert [row["results"] for row in rows] == [[1, 1], [1, 1]]
 
 
 class TestPerStageObservability:

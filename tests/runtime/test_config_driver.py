@@ -10,35 +10,44 @@ from repro.simmpi import SUM, FailureSchedule
 from repro.statesave import Storage
 
 
-def derived(run_cfg):
-    """The modern path: C3Config derived from the declared stage stack."""
-    return run_cfg.stack_spec().c3_config(run_cfg)
-
-
 class TestVariantMapping:
-    def test_unmodified(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.UNMODIFIED))
-        assert not cfg.protocol_enabled
-        assert not cfg.piggyback_enabled
-        assert cfg.checkpoint_interval is None
+    @pytest.mark.parametrize("variant, layer, stages", [
+        (Variant.UNMODIFIED, "RawCommAdapter", 0),
+        (Variant.PIGGYBACK, "ProtocolPipeline", 5),
+        (Variant.NO_APP_STATE, "ProtocolPipeline", 6),
+        (Variant.FULL, "ProtocolPipeline", 6),
+    ], ids=["V0", "V1", "V2", "V3"])
+    def test_variant_builds_its_pipeline(self, variant, layer, stages):
+        """The variant alone picks the layer and its stages; the pipeline
+        sees the run's storage only under V2/V3, and app state only V3."""
 
-    def test_piggyback(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.PIGGYBACK))
-        assert cfg.protocol_enabled
-        assert cfg.piggyback_enabled
-        assert cfg.checkpoint_interval is None
+        def app(ctx):
+            mpi = ctx.mpi
+            yield from mpi.co_barrier()
+            ckpt = getattr(mpi, "ckpt", None)
+            return (
+                type(mpi).__name__, len(mpi.stages), mpi.storage is not None,
+                ckpt is not None and ckpt.config.save_app_state,
+            )
 
-    def test_no_app_state(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.NO_APP_STATE,
-                                checkpoint_interval=0.5))
-        assert cfg.protocol_enabled
-        assert not cfg.save_app_state
-        assert cfg.checkpoint_interval == 0.5
+        cfg = RunConfig(nprocs=2, variant=variant, checkpoint_interval=0.5)
+        out = run_with_recovery(app, cfg)
+        assert out.results[0] == (
+            layer, stages, variant.checkpoints, variant is Variant.FULL
+        )
 
-    def test_full(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.FULL,
-                                checkpoint_interval=0.5))
-        assert cfg.save_app_state
+    def test_variant_is_the_only_selector(self):
+        """No stack name or mirror flags: the pipeline config carries only
+        what the checkpoint stage reads."""
+        from dataclasses import fields
+
+        from repro.protocol import C3Config
+
+        assert "stack" not in {f.name for f in fields(RunConfig)}
+        assert {f.name for f in fields(C3Config)} == {
+            "codec", "checkpoint_interval", "save_app_state",
+        }
+        assert [v.checkpoints for v in Variant] == [False, False, True, True]
 
     def test_checkpointing_active_flag(self):
         assert RunConfig(nprocs=2, variant=Variant.FULL).checkpointing_active

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimMPIError
-from repro.simmpi import SUM, SimConfig, Simulator, run_simple
+from repro.simmpi import SUM, SimConfig, Simulator, coop, run_simple
 
 
 def chatty(ctx):
@@ -73,7 +73,7 @@ class TestGuards:
 
     def test_sync_call_that_must_suspend_names_the_fix(self):
         def plain(ctx):
-            ctx.comm.send("x", dest=1 - ctx.rank)
+            coop.drive(ctx.comm.co_send("x", dest=1 - ctx.rank))
 
         with pytest.raises(SimMPIError, match="generator function.*PrecompiledApp"):
             run_simple(plain, nprocs=2, seed=0)
