@@ -16,12 +16,8 @@ bound it (Python calls per simulated message) and run as plain
 assertions in CI.
 """
 
-import os
-
 import pytest
 
-from repro.farm.bench import BenchRecorder
-from repro.farm.engine import FarmStats
 from repro.protocol.classify import classify_by_color, classify_by_epoch
 from repro.protocol.logs import LateMessageLog, LateRecord, MatchLog, MatchRecord
 from repro.protocol.state import ProtocolState
@@ -180,16 +176,9 @@ def test_trace_emit_throughput(benchmark):
 # The same seeded workload across rank counts, under round_robin and zero
 # network jitter (no RNG draws anywhere), so the measured time is the
 # simulator's per-slice work and how it grows with nprocs.
-#
-# Medians land in ``_SCALING_MEDIANS`` and, when ``RANK_SCALING_BENCH``
-# names a trajectory file, ``test_rank_scaling_record`` stamps them into
-# the BENCH trajectory (labels ``rank_scaling.<workload>.n<N>``).
 # --------------------------------------------------------------------- #
 
 RING_ITERS = 10
-
-#: ``(workload, nprocs) -> median seconds`` from this process's run.
-_SCALING_MEDIANS: dict = {}
 
 
 def _co_scaling_ring(ctx):
@@ -226,29 +215,6 @@ def test_rank_scaling(benchmark, workload, nprocs):
         return sum(Simulator(config, main).run().results)
 
     assert benchmark(run) == expected(nprocs)
-    _SCALING_MEDIANS[(workload, nprocs)] = benchmark.stats.stats.median
-
-
-def test_rank_scaling_record():
-    """Stamp the rank-scaling medians into the BENCH trajectory.
-
-    Opt-in (``RANK_SCALING_BENCH=<path>``): a plain test run must not
-    grow the checked-in trajectory.  Runs after the parametrized cells
-    above (pytest executes a module in definition order), so the medians
-    dict is full whenever the benchmarks actually ran.
-    """
-    path = os.environ.get("RANK_SCALING_BENCH")
-    if not path:
-        pytest.skip("set RANK_SCALING_BENCH=<trajectory path> to record")
-    if not _SCALING_MEDIANS:
-        pytest.skip("no rank-scaling samples collected in this run")
-    recorder = BenchRecorder(path)
-    for (workload, nprocs), median in sorted(_SCALING_MEDIANS.items()):
-        recorder.record(
-            f"rank_scaling.{workload}.n{nprocs}",
-            FarmStats(cells=1, misses=1, executed=1, wall_seconds=median),
-            extra={"workload": workload, "ranks": nprocs},
-        )
 
 
 # --------------------------------------------------------------------- #

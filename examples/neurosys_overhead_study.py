@@ -6,50 +6,44 @@ costs up to 160% — not from checkpointing, but from the *command* collective
 the layer sends before each of Neurosys's 5 allgathers + 1 gather per
 iteration — and the overhead fades to 2.7% at 128×128 as computation grows.
 
-This script measures the same four build variants across scaled problem
-sizes and prints the chart plus the overhead-decay series.
+This script sweeps the Unmodified build (V0) and the protocol layer with no
+checkpoints (V1) across scaled problem sizes and prints, per size, the
+messages each build delivers (exact) and V1's wall-time overhead over V0
+(host time, so indicative only).
 
 Run:  python examples/neurosys_overhead_study.py
 """
 
 from repro import RunConfig, Session, Variant
-from repro.apps import neurosys
 from repro.apps.neurosys import NeurosysParams
-from repro.apps.workloads import WorkloadPoint
-from repro.bench import ChartResult, measure_point, render_chart
+
+#: (paper size, scaled grid actually run)
+SIZES = [("16x16", 4), ("32x32", 8), ("64x64", 16), ("128x128", 32)]
 
 
 def main() -> None:
-    session = Session()
     config = RunConfig(
         nprocs=4, seed=11, checkpoint_interval=0.004, detector_timeout=0.05
     )
-    points = [
-        WorkloadPoint("neurosys", "16x16 (scaled 4x4)", "18KB",
-                      NeurosysParams(grid=4, iterations=30)),
-        WorkloadPoint("neurosys", "32x32 (scaled 8x8)", "75KB",
-                      NeurosysParams(grid=8, iterations=30)),
-        WorkloadPoint("neurosys", "64x64 (scaled 16x16)", "308KB",
-                      NeurosysParams(grid=16, iterations=30)),
-        WorkloadPoint("neurosys", "128x128 (scaled 32x32)", "1.24MB",
-                      NeurosysParams(grid=32, iterations=30)),
-    ]
+    sweep = Session().sweep(
+        "neurosys", config,
+        variants=(Variant.UNMODIFIED, Variant.PIGGYBACK),
+        params=[NeurosysParams(grid=grid, iterations=30) for _, grid in SIZES],
+        parallel=False,  # wall time per run is the measured quantity
+    )
+    rows = {(row.cell.variant, row.cell.params.grid): row.outcome for row in sweep}
 
-    chart = ChartResult(app="neurosys")
-    decay = []
-    for point in points:
-        print(f"measuring {point.label} ...")
-        result = measure_point(neurosys.SPEC, point, config, repeats=2,
-                               session=session)
-        chart.points.append(result)
-        decay.append((point.label, result.overheads()[Variant.PIGGYBACK]))
-
-    print()
-    print(render_chart(chart))
-    print("protocol-layer (command-collective) overhead decay:")
-    for label, overhead in decay:
+    print(f"{'size (scaled)':<22} {'V0 msgs':>8} {'V1 msgs':>8} {'V1 overhead':>12}")
+    for label, grid in SIZES:
+        v0 = rows[(Variant.UNMODIFIED, grid)]
+        v1 = rows[(Variant.PIGGYBACK, grid)]
+        assert v1.results == v0.results, "the layer changed the answer"
+        overhead = 100.0 * (v1.total_wall_seconds / v0.total_wall_seconds - 1.0)
         bar = "#" * max(1, int(overhead / 4))
-        print(f"  {label:<24} {overhead:7.1f}%  {bar}")
+        print(
+            f"{label + f' ({grid}x{grid})':<22} {v0.network_messages:>8} "
+            f"{v1.network_messages:>8} {overhead:>11.1f}%  {bar}"
+        )
     print()
     print("paper series at full scale: 160% → 85% → 34% → 2.7%")
 

@@ -38,12 +38,10 @@ Subpackages
     The run -> fail -> restart orchestration driver and application context.
 ``repro.apps``
     The paper's three benchmark applications (dense CG, Laplace, Neurosys).
-``repro.bench``
-    The four-variant overhead harness that regenerates Figure 8.
 ``repro.farm``
-    Cached, resumable campaign execution: content-addressed result cache
-    + durable job queue under ``Session.sweep`` and chaos campaigns
-    (``repro-farm run | status | gc``).
+    Content-keyed result cache under ``Session.sweep(farm=)`` and chaos
+    campaigns (``repro-chaos --farm-dir``); an interrupted campaign
+    resumes on cache hits.
 """
 
 from repro.api import (

@@ -105,8 +105,8 @@ class RunRow:
 
         Column names and types are stable (they predate the registry);
         only the source changed — every numeric column now reads from
-        ``outcome.metrics_snapshot()`` so tables, chaos reports and bench
-        records cannot drift apart.  ``wall_seconds`` is read directly:
+        ``outcome.metrics_snapshot()`` so tables and chaos reports cannot
+        drift apart.  ``wall_seconds`` is read directly:
         the snapshot deliberately excludes run-level wall clock.
         """
         from repro.trace.metrics import snapshot_get
@@ -148,7 +148,7 @@ class SweepResult:
 
     def __init__(self, rows: list[RunRow]) -> None:
         self.rows = rows
-        #: Cache/queue accounting when the sweep ran through a farm
+        #: Cache accounting when the sweep ran through a farm
         #: (:class:`repro.farm.FarmStats`); None for direct execution.
         self.farm_stats = None
 
@@ -234,14 +234,6 @@ def _cell_cacheable(payload: tuple) -> bool:
     — or building storage through a user factory — have side effects a
     cache hit would silently skip."""
     return payload[4][0] == "config"
-
-
-def _cell_label(payload: tuple) -> str:
-    cell = payload[1]
-    return (
-        f"{cell.app}/{cell.variant.value} seed={cell.seed} np={cell.nprocs}"
-        + (f" params={cell.params!r}" if cell.params is not None else "")
-    )
 
 
 def _execute_cell(payload: tuple) -> RunOutcome:
@@ -438,10 +430,10 @@ class Session:
 
         ``farm`` routes execution through a :class:`repro.farm.Farm`:
         cells whose fingerprint is already cached are returned without
-        running a simulator (bit-identical outcomes), the rest become
-        durable, resumable jobs.  Cells that persist checkpoints
-        externally (``storage_path`` or a factory) run uncached.  The
-        returned :class:`SweepResult` carries ``farm_stats``.
+        running a simulator (bit-identical outcomes), the rest execute
+        and are cached.  Cells that persist checkpoints externally
+        (``storage_path`` or a factory) run uncached.  The returned
+        :class:`SweepResult` carries ``farm_stats``.
         """
         base_config = base_config if base_config is not None else RunConfig(nprocs=4)
         base_config = self._apply_defaults(base_config)
@@ -520,7 +512,6 @@ class Session:
                 # session's fan-out width when the call does not name one.
                 max_workers=max_workers or self.max_workers,
                 cacheable=_cell_cacheable,
-                labels=_cell_label,
             )
         else:
             outcomes = self._execute(payloads, parallel, max_workers)

@@ -4,30 +4,12 @@ from repro.apps.dense_cg import CGParams
 from repro.apps.laplace import LaplaceParams
 from repro.apps.neurosys import NeurosysParams
 from repro.apps.stencil3d import Stencil3DParams
-from repro.apps.workloads import (
-    ALL_CHARTS,
-    DEFAULT_CHECKPOINT_INTERVAL,
-    DEFAULT_NPROCS,
-    DENSE_CG_POINTS,
-    LAPLACE_POINTS,
-    NEUROSYS_POINTS,
-    PAPER_NPROCS,
-    STENCIL3D_POINTS,
-    WorkloadPoint,
-)
+from repro.apps.workloads import DEFAULT_CHECKPOINT_INTERVAL
 
 __all__ = [
-    "ALL_CHARTS",
     "CGParams",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    "DEFAULT_NPROCS",
-    "DENSE_CG_POINTS",
-    "LAPLACE_POINTS",
     "LaplaceParams",
-    "NEUROSYS_POINTS",
     "NeurosysParams",
-    "PAPER_NPROCS",
-    "STENCIL3D_POINTS",
     "Stencil3DParams",
-    "WorkloadPoint",
 ]

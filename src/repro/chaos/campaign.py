@@ -341,8 +341,8 @@ def run_campaign(
 
     With a ``farm``, baselines and scenario verdicts are served from the
     content-addressed result cache when their cells are unchanged (same
-    scenario, config, params, code version) and executed as durable,
-    resumable jobs otherwise — a warm rerun of an identical campaign
+    scenario, config, params, code version) and executed and cached
+    otherwise — a warm rerun of an identical campaign
     executes zero simulator cells and reproduces the report bit-for-bit
     (modulo ``wall_seconds``, which is excluded from fingerprints).
 
@@ -359,7 +359,7 @@ def run_campaign(
 
         check_preflight(config.apps, level="error")
 
-    def fan_out(fn, payloads, labels):
+    def fan_out(fn, payloads):
         if farm is not None:
             return farm.map(
                 fn, payloads,
@@ -367,7 +367,6 @@ def run_campaign(
                 # The farm runs through its own Session; keep the caller's
                 # configured pool width when the call does not name one.
                 max_workers=max_workers or session.max_workers,
-                labels=labels,
             )
         return session.map(fn, payloads, parallel=parallel, max_workers=max_workers)
 
@@ -395,20 +394,14 @@ def run_campaign(
     probes = dict(
         zip(
             payload_by_cell,
-            fan_out(
-                _baseline_job, list(payload_by_cell.values()),
-                labels=lambda p: f"baseline {p[0]}/{p[1].variant.value} "
-                                 f"seed={p[1].seed} np={p[1].nprocs}",
-            ),
+            fan_out(_baseline_job, list(payload_by_cell.values())),
         )
     )
 
     payloads = [
         scenario_payload(s, config, probes[s.cell_key()]) for s in scenarios
     ]
-    verdicts = fan_out(
-        _scenario_job, payloads, labels=lambda p: p[0].name
-    )
+    verdicts = fan_out(_scenario_job, payloads)
 
     if config.shrink_failures:
         from repro.chaos.shrink import shrink_scenario

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--farm-dir", default=None, metavar="DIR",
         help="execute through a repro.farm cache at DIR: unchanged cells "
-             "are served from the cache, the rest become resumable jobs",
+             "are served from the cache, the rest execute and are cached",
     )
     return parser
 

@@ -143,11 +143,11 @@ class HeapError(ReproError):
 
 
 class FarmError(ReproError):
-    """Campaign-execution engine failure (cache, job queue, or cell)."""
+    """Campaign-execution failure (result cache or cell)."""
 
 
 class FarmJobError(FarmError):
-    """One or more farm cells failed permanently (attempts exhausted)."""
+    """One or more farm cells failed (failed cells are never cached)."""
 
     def __init__(self, failures: list[tuple[str, str]]) -> None:
         self.failures = list(failures)

@@ -1,31 +1,22 @@
-"""``repro.farm`` — cached, resumable campaign execution.
+"""``repro.farm`` — a content-keyed result cache for campaign execution.
 
-The execution layer under :meth:`repro.Session.sweep`, chaos campaigns
-and the benchmark harness:
+The cache under :meth:`repro.Session.sweep` and chaos campaigns:
 
-* :class:`Farm` — content-addressed result cache + durable job queue over
-  a :mod:`repro.ckpt` backend; ``Farm.map`` is ``Session.map`` with
-  caching and resume.
-* :class:`FarmStats` — per-call cache/queue accounting.
-* :class:`BenchRecorder` — stamps campaign wall/virtual-time and
-  cache-hit stats into the ``BENCH_5.json`` perf trajectory.
-* CLI — ``repro-farm run | status | gc`` (also ``python -m repro.farm``).
+* :class:`Farm` — ``Farm.map`` is ``Session.map`` through a
+  content-addressed result cache over a :mod:`repro.ckpt` backend; an
+  interrupted campaign resumes on cache hits.
+* :class:`FarmStats` — per-call cache accounting.
+* :func:`fingerprint` / :func:`code_salt` — the cache key.
 """
 
-from repro.farm.bench import DEFAULT_BENCH_PATH, BenchRecorder
 from repro.farm.cache import ResultCache
 from repro.farm.engine import Farm, FarmStats
 from repro.farm.fingerprint import code_salt, fingerprint
-from repro.farm.jobs import JobQueue, JobRecord
 
 __all__ = [
     "Farm",
     "FarmStats",
     "ResultCache",
-    "JobQueue",
-    "JobRecord",
-    "BenchRecorder",
-    "DEFAULT_BENCH_PATH",
     "code_salt",
     "fingerprint",
 ]

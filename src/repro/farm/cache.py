@@ -1,13 +1,12 @@
 """The content-addressed result cache.
 
-Stores one framed, checksummed, optionally compressed blob per cache key
-in a :mod:`repro.ckpt` backend — the same pluggable backend + chunk-codec
-idiom the checkpoint engine uses, so a farm directory sits next to (or
-inside) a checkpoint directory and speaks the same on-disk dialect::
+Stores one framed, checksummed pickle per cache key in a
+:mod:`repro.ckpt` backend — the same pluggable backend the checkpoint
+engine uses, so a farm directory sits next to (or inside) a checkpoint
+directory::
 
     results/<k0k1>/<key>     -- framed pickle of the cell's outcome
-    jobs/<k0k1>/<key>        -- JSON job record (see repro.farm.jobs)
-    meta/FARM                -- farm metadata (schema, codec)
+    meta/FARM                -- farm metadata (schema)
 
 Because cell outcomes are deterministic functions of their fingerprint
 (seeded simulation + code salt), a hit can simply be deserialised and
@@ -17,10 +16,9 @@ returned: it is bit-identical to what re-executing the cell would produce.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, Optional
+from typing import Any
 
 from repro.ckpt.backends import Backend
-from repro.ckpt.codecs import get_chunk_codec
 from repro.errors import StorageError
 from repro.farm.fingerprint import SCHEMA_VERSION
 from repro.util.serialization import dumps_framed, loads_framed
@@ -31,23 +29,15 @@ META_KEY = "meta/FARM"
 class ResultCache:
     """Keyed outcome store over a checkpoint backend."""
 
-    def __init__(self, backend: Backend, codec: str = "none") -> None:
+    def __init__(self, backend: Backend) -> None:
         self.backend = backend
-        meta = self._load_meta()
-        if meta is not None:
-            # An existing farm directory keeps its codec: entries written
-            # under one codec must stay readable regardless of what a later
-            # session asks for.
-            codec = meta.get("codec", codec)
-        self.codec = get_chunk_codec(codec)
-        if meta is None:
-            self._write_meta()
+        if backend.exists(META_KEY):
+            self._check_meta()
+        else:
+            blob = json.dumps({"schema": SCHEMA_VERSION}, sort_keys=True)
+            backend.put(META_KEY, blob.encode("utf-8"))
 
-    # ------------------------------------------------------------------ #
-
-    def _load_meta(self) -> Optional[dict]:
-        if not self.backend.exists(META_KEY):
-            return None
+    def _check_meta(self) -> None:
         try:
             meta = json.loads(self.backend.get(META_KEY).decode("utf-8"))
         except Exception as exc:
@@ -55,21 +45,12 @@ class ResultCache:
         if meta.get("schema") != SCHEMA_VERSION:
             raise StorageError(
                 f"farm directory speaks schema {meta.get('schema')!r}, "
-                f"this build speaks {SCHEMA_VERSION}; use a fresh --dir"
+                f"this build speaks {SCHEMA_VERSION}; use a fresh --farm-dir"
             )
-        return meta
-
-    def _write_meta(self) -> None:
-        blob = json.dumps(
-            {"schema": SCHEMA_VERSION, "codec": self.codec.name}, sort_keys=True
-        ).encode("utf-8")
-        self.backend.put(META_KEY, blob)
 
     @staticmethod
     def _result_key(key: str) -> str:
         return f"results/{key[:2]}/{key}"
-
-    # ------------------------------------------------------------------ #
 
     def has(self, key: str) -> bool:
         return self.backend.exists(self._result_key(key))
@@ -79,24 +60,11 @@ class ResultCache:
         :class:`repro.farm.engine.FarmStats`, not here)."""
         blob = self.backend.get(self._result_key(key))
         try:
-            return loads_framed(self.codec.decode(blob))
+            return loads_framed(blob)
         except Exception as exc:
             raise StorageError(
                 f"cached result {key[:12]}… failed to decode: {exc}"
             ) from exc
 
     def put(self, key: str, value: Any) -> None:
-        self.backend.put(self._result_key(key), self.codec.encode(dumps_framed(value)))
-
-    def delete(self, key: str) -> None:
-        self.backend.delete(self._result_key(key))
-
-    def keys(self) -> Iterator[str]:
-        for full in self.backend.keys("results/"):
-            yield full.rsplit("/", 1)[-1]
-
-    def entry_count(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def bytes_at_rest(self) -> int:
-        return sum(self.backend.size(k) for k in self.backend.keys("results/"))
+        self.backend.put(self._result_key(key), dumps_framed(value))

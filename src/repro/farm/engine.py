@@ -1,42 +1,30 @@
-"""The farm engine: cached, resumable fan-out over deterministic cells.
+"""The farm engine: a content-keyed result cache over :meth:`Session.map`.
 
-:meth:`Farm.map` is a drop-in for :meth:`repro.Session.map` with two extra
-properties:
+:meth:`Farm.map` is a drop-in for :meth:`repro.Session.map`: each
+``(fn, payload)`` cell is fingerprinted (payload pickle + function
+identity + code-version salt) and looked up in the result cache; a hit is
+returned without executing the cell.  Because cells are seeded
+deterministic simulations, a cached outcome is bit-identical to a fresh
+execution.
 
-* **cache** — each ``(fn, payload)`` cell is fingerprinted (payload pickle
-  + function identity + code-version salt) and looked up in the
-  content-addressed result cache; a hit is returned without executing the
-  cell.  Because cells are seeded deterministic simulations, a cached
-  outcome is bit-identical to a fresh execution.
-* **resume** — every miss becomes a durable job record before execution
-  and is marked done/failed after.  Results are written *per cell as the
-  batch completes*, so killing a 200-cell campaign part-way strands
-  nothing: the next run hits the cache for every finished cell and
-  executes only the remainder (``running`` records from the interrupted
-  run are reclaimed, attempt counts intact).
-
-Execution itself rides :meth:`Session.map` — the worker-pool policy with
-the picklability probe and the in-process serial fallback — so a farm run
-parallelises exactly like a plain sweep and still produces bit-identical
-results serially.
+Misses run through :meth:`Session.map` — the worker-pool policy with the
+picklability probe and the in-process serial fallback — in batches of
+:data:`DEFAULT_BATCH_SIZE`, and each batch's results are written before
+the next batch starts.  An interrupted campaign therefore resumes on
+cache hits: every finished batch is served from the cache on the next
+call and only the remainder executes.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
+from repro.api.session import Session
 from repro.ckpt.backends import DirectoryBackend, MemoryBackend
 from repro.errors import FarmJobError
 from repro.farm.cache import ResultCache
-from repro.farm.fingerprint import code_salt, fingerprint, fn_identity
-from repro.farm.jobs import JobQueue
-
-#: Give a persistently dying cell this many executions before reporting it
-#: instead of retrying (attempt counts live in the durable job records).
-DEFAULT_MAX_ATTEMPTS = 3
+from repro.farm.fingerprint import code_salt, fingerprint
 
 #: Misses are executed (and their results persisted) in batches of this
 #: size, so interrupting a long campaign strands at most one batch of
@@ -46,7 +34,7 @@ DEFAULT_BATCH_SIZE = 32
 
 @dataclass
 class FarmStats:
-    """Cache/queue accounting for one :meth:`Farm.map` call."""
+    """Cache accounting for one :meth:`Farm.map` call."""
 
     cells: int = 0
     hits: int = 0
@@ -55,16 +43,10 @@ class FarmStats:
     failed: int = 0
     #: Cells whose payload defied fingerprinting (ran uncached).
     uncached: int = 0
-    wall_seconds: float = 0.0
 
     @property
     def hit_rate(self) -> float:
         return self.hits / self.cells if self.cells else 0.0
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["hit_rate"] = self.hit_rate
-        return out
 
     def merged(self, other: "FarmStats") -> "FarmStats":
         return FarmStats(
@@ -74,7 +56,6 @@ class FarmStats:
             executed=self.executed + other.executed,
             failed=self.failed + other.failed,
             uncached=self.uncached + other.uncached,
-            wall_seconds=self.wall_seconds + other.wall_seconds,
         )
 
 
@@ -83,75 +64,32 @@ def _guarded_call(item: tuple) -> tuple:
     fn, payload = item
     try:
         return ("ok", fn(payload))
-    except Exception as exc:  # noqa: BLE001 - becomes a failed job record
-        return ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-
-
-@dataclass
-class _Cell:
-    index: int
-    payload: Any
-    key: Optional[str]
+    except Exception as exc:  # noqa: BLE001 - reported through FarmJobError
+        return ("error", f"{type(exc).__name__}: {exc}")
 
 
 class Farm:
-    """Persistent campaign-execution engine.
+    """Content-keyed result cache for deterministic cells.
 
     Parameters
     ----------
     path:
-        Directory for the result cache + job queue (the ``repro.ckpt``
-        directory backend).  ``None`` keeps everything in memory — same
-        semantics, process-lifetime durability (useful for tests and for
+        Directory for the result cache (the ``repro.ckpt`` directory
+        backend).  ``None`` keeps it in memory — same semantics,
+        process-lifetime durability (useful for tests and for
         deduplicating repeated cells within one campaign).
-    codec:
-        Chunk codec for cached result blobs (``none``/``zlib``/``lzma`` or
-        anything registered with :func:`repro.ckpt.register_chunk_codec`).
-        An existing farm directory keeps the codec it was created with.
-    session:
-        The :class:`repro.Session` whose ``map`` fan-out policy executes
-        cache misses.  A default one is built when omitted.
     salt:
         Override the code-version salt (tests; normally derived from the
         ``repro`` source tree).
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        *,
-        codec: str = "none",
-        session: Any = None,
-        salt: Optional[str] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    ) -> None:
-        from repro.api.session import Session  # cycle: session imports nothing of ours
-
-        self.path = path
-        backend = MemoryBackend() if path is None else DirectoryBackend(path)
-        self.backend = backend
-        self.cache = ResultCache(backend, codec=codec)
-        self.jobs = JobQueue(backend)
-        self.session = session if session is not None else Session()
+    def __init__(self, path: Optional[str] = None, *, salt: Optional[str] = None) -> None:
+        self.cache = ResultCache(MemoryBackend() if path is None else DirectoryBackend(path))
         self.salt = salt if salt is not None else code_salt()
-        self.max_attempts = max_attempts
         #: Stats of the most recent :meth:`map` call.
         self.last_stats = FarmStats()
         #: Aggregate stats over this Farm instance's lifetime.
         self.total_stats = FarmStats()
-        #: Optional :class:`repro.trace.TraceRecorder` for job-lifecycle
-        #: events (hit/miss/execute/fail).  Farm events carry no virtual
-        #: clock — they happen outside any simulation — so they land at the
-        #: recorder's current offset; they are observability only and never
-        #: feed determinism fingerprints.
-        self.tracer: Optional[Any] = None
-
-    def _emit(self, name: str, **payload: Any) -> None:
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("farm", name, **payload)
-
-    # ------------------------------------------------------------------ #
 
     def map(
         self,
@@ -161,187 +99,61 @@ class Farm:
         parallel: bool = True,
         max_workers: Optional[int] = None,
         cacheable: Optional[Callable[[Any], bool]] = None,
-        labels: Optional[Callable[[Any], str]] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> list:
-        """Apply ``fn`` to every payload, through the cache and job queue.
+        """Apply ``fn`` to every payload, through the cache.
 
         Results preserve payload order and are bit-identical to
         ``Session.map(fn, payloads)`` — hits deserialise the stored
         outcome, misses execute.  ``cacheable`` (payload -> bool) lets a
         caller exempt cells whose execution has side effects the cache
         would skip (e.g. sweep cells persisting checkpoints to their own
-        directory).  ``labels`` renders a human-readable job label.
+        directory).
 
-        Raises :class:`FarmJobError` when any cell fails (or has already
-        exhausted ``max_attempts``) — but only after every runnable cell
-        in the call has executed and been cached, so one poisoned cell
-        never blocks the rest of a campaign.  Earlier failures are
-        retried on the next call (that is what the attempt counter is
-        for); :meth:`gc` clears failed records to re-arm exhausted cells.
+        A failing cell is never cached.  Every other cell still executes
+        and lands in the cache, then :class:`FarmJobError` reports the
+        failures; the next call runs the failed cells again.
         """
-        t0 = time.perf_counter()
         stats = FarmStats()
-        cells = []
+        results: list = []
+        to_run: list[tuple[int, Any, Optional[str]]] = []
         for index, payload in enumerate(payloads):
+            results.append(None)
+            stats.cells += 1
             key = None
             if cacheable is None or cacheable(payload):
                 key = fingerprint(fn, payload, self.salt)
-            cells.append(_Cell(index=index, payload=payload, key=key))
-        stats.cells = len(cells)
-
-        results: list = [None] * len(cells)
-        to_run: list[_Cell] = []
-        # Attempts-exhausted cells are reported, not retried — but they
-        # must not block the rest of the batch: every runnable cell still
-        # executes (and lands in the cache) before the error is raised.
-        failures: list[tuple[str, str]] = []
-        fn_name = fn_identity(fn)
-        for cell in cells:
-            if cell.key is None:
+            if key is None:
                 stats.uncached += 1
-                to_run.append(cell)
-                continue
-            if self.cache.has(cell.key):
-                results[cell.index] = self.cache.get(cell.key)
+            elif self.cache.has(key):
+                results[index] = self.cache.get(key)
                 stats.hits += 1
-                self._emit("cache_hit", cell=cell.index, key=cell.key[:16])
                 continue
-            stats.misses += 1
-            self._emit("cache_miss", cell=cell.index, key=cell.key[:16])
-            record = self.jobs.load(cell.key)
-            if (
-                record is not None
-                and record.status in ("failed", "running")
-                and record.attempts >= self.max_attempts
-            ):
-                # A 'running' record here means the cell's execution died
-                # with the orchestrator (OOM, segfault) — it counts against
-                # max_attempts exactly like a recorded failure, or a cell
-                # that crashes the process would be retried forever.
-                error = record.error or "interrupted mid-execution (possible crash)"
-                failures.append(
-                    (cell.key, f"attempts exhausted ({record.attempts}): {error}")
-                )
-                continue
-            to_run.append(cell)
+            else:
+                stats.misses += 1
+            to_run.append((index, payload, key))
 
-        for start in range(0, len(to_run), max(1, batch_size)):
-            batch = to_run[start : start + max(1, batch_size)]
-            # Claim just before executing: cells in batches never reached
-            # by an interrupted run keep their previous (or no) record.
-            claimed = {}
-            for cell in batch:
-                if cell.key is not None:
-                    claimed[cell.key] = self.jobs.claim(
-                        cell.key,
-                        fn_name,
-                        labels(cell.payload) if labels is not None else "",
-                        self.salt,
-                    )
-            outcomes = self.session.map(
+        failures: list[tuple[str, str]] = []
+        session = Session()
+        for start in range(0, len(to_run), DEFAULT_BATCH_SIZE):
+            batch = to_run[start : start + DEFAULT_BATCH_SIZE]
+            outcomes = session.map(
                 _guarded_call,
-                [(fn, cell.payload) for cell in batch],
+                [(fn, payload) for _, payload, _ in batch],
                 parallel=parallel,
                 max_workers=max_workers,
             )
-            for cell, outcome in zip(batch, outcomes):
-                record = claimed.get(cell.key)
-                if outcome[0] == "ok":
-                    results[cell.index] = outcome[1]
+            for (index, _, key), (status, value) in zip(batch, outcomes):
+                if status == "ok":
+                    results[index] = value
                     stats.executed += 1
-                    self._emit("job_done", cell=cell.index)
-                    if cell.key is not None:
-                        self.cache.put(cell.key, outcome[1])
-                        self.jobs.finish(record)
+                    if key is not None:
+                        self.cache.put(key, value)
                 else:
                     stats.failed += 1
-                    error = outcome[1]
-                    self._emit("job_failed", cell=cell.index, error=error)
-                    if record is not None:
-                        # Keep the short message in `error`; the worker's
-                        # formatted traceback rides along for post-mortems.
-                        self.jobs.finish(record, error=error, trace=outcome[2])
-                    failures.append((cell.key or f"<uncached #{cell.index}>", error))
+                    failures.append((key or f"<uncached #{index}>", value))
 
-        stats.wall_seconds = time.perf_counter() - t0
-        self._account(stats)
+        self.last_stats = stats
+        self.total_stats = self.total_stats.merged(stats)
         if failures:
             raise FarmJobError(failures)
         return results
-
-    def _account(self, stats: FarmStats) -> None:
-        self.last_stats = stats
-        self.total_stats = self.total_stats.merged(stats)
-
-    # ------------------------------------------------------------------ #
-    # Maintenance.
-    # ------------------------------------------------------------------ #
-
-    def gc(self) -> dict:
-        """Drop entries stranded by code changes, failures, and orphans.
-
-        * job records (and their results) whose recorded salt is not the
-          current code salt — their keys can never be requested again;
-        * ``failed`` job records — failures cache nothing, and clearing
-          them resets attempt accounting so a cell whose attempts were
-          exhausted can be retried (the operator's unwedge knob);
-        * stale ``running`` records (one orchestrator per directory, so
-          any found offline are leftovers of an interruption): one whose
-          result *did* land is reconciled to ``done``, one without a
-          result is deleted — re-arming crash-looping cells;
-        * result blobs with no job record (an interrupted write, or a
-          record deleted by an earlier gc).
-
-        Returns ``{"stale_jobs": …, "failed_jobs": …, "orphan_results": …}``.
-        """
-        stale_jobs = 0
-        failed_jobs = 0
-        live_keys = set()
-        for record in list(self.jobs.records()):
-            if record.salt != self.salt:
-                self.jobs.delete(record.key)
-                self.cache.delete(record.key)
-                stale_jobs += 1
-            elif record.status == "failed":
-                self.jobs.delete(record.key)
-                failed_jobs += 1
-            elif record.status == "running":
-                if self.cache.has(record.key):
-                    self.jobs.finish(record)  # result landed; claim did not
-                    live_keys.add(record.key)
-                else:
-                    self.jobs.delete(record.key)
-                    failed_jobs += 1
-            else:
-                live_keys.add(record.key)
-        orphan_results = 0
-        for key in list(self.cache.keys()):
-            if key not in live_keys:
-                self.cache.delete(key)
-                orphan_results += 1
-        return {
-            "stale_jobs": stale_jobs,
-            "failed_jobs": failed_jobs,
-            "orphan_results": orphan_results,
-        }
-
-    def status(self) -> dict:
-        """Aggregate queue/cache view (the ``repro-farm status`` payload)."""
-        counts = self.jobs.counts()
-        return {
-            "path": self.path or "<memory>",
-            "jobs": {
-                "total": counts.total,
-                "pending": counts.pending,
-                "running": counts.running,
-                "done": counts.done,
-                "failed": counts.failed,
-                "by_fn": dict(sorted(counts.by_fn.items())),
-            },
-            "cache": {
-                "entries": self.cache.entry_count(),
-                "bytes_at_rest": self.cache.bytes_at_rest(),
-            },
-            "salt": self.salt[:16],
-        }

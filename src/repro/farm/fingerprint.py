@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 _CODE_SALT: Optional[str] = None
 
 #: Bumped when the farm's own record formats change shape.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def code_salt() -> str:

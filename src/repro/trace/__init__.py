@@ -8,15 +8,15 @@ our reproduction:
 * :class:`TraceEvent` / :class:`TraceRecorder` — a low-overhead
   structured event bus threaded through every layer (scheduler grants,
   network deliveries, detector suspicions, protocol-stage events,
-  checkpoint-store two-phase commits, recovery attempts, farm jobs).
+  checkpoint-store two-phase commits, recovery attempts).
   Events are stamped with **virtual** time only — never the host clock —
   so two runs with the same seed export byte-identical traces.
 * :mod:`repro.trace.export` — JSONL and Chrome trace-event JSON
   (Perfetto-loadable, one track per rank on the virtual clock), a text
   timeline and per-category summaries.
 * :mod:`repro.trace.metrics` — counters/gauges/histograms behind one
-  snapshot schema that ``RunOutcome``, sweep tables, chaos reports and
-  the bench trajectory all read from.
+  snapshot schema that ``RunOutcome``, sweep tables and chaos reports
+  all read from.
 * the flight recorder — ``repro.chaos`` embeds each failing cell's
   per-rank event tails into its report, turning "invariant violated"
   into a readable story.
@@ -42,7 +42,6 @@ from repro.trace.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     campaign_metrics,
-    farm_metrics,
     outcome_metrics,
 )
 from repro.trace.recorder import DEFAULT_RING_CAPACITY, TraceRecorder, flight_dump
@@ -55,7 +54,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "campaign_metrics",
-    "farm_metrics",
     "flight_dump",
     "outcome_metrics",
     "read_jsonl",

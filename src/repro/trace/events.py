@@ -25,7 +25,6 @@ CATEGORIES = (
     "ckpt",      # checkpoint protocol phases (local ckpt, log finalize, ...)
     "store",     # checkpoint store two-phase commit / retention GC
     "recovery",  # driver-level attempt begin/end and restore decisions
-    "farm",      # farm cache hits/misses and job lifecycle
 )
 
 _CATEGORY_SET = frozenset(CATEGORIES)

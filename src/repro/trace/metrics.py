@@ -1,24 +1,22 @@
 """Unified metrics registry.
 
 Before this module the repo's counters were scattered: ``LayerStats``
-per rank, ``RunOutcome.stage_totals()``, ``FarmStats`` tuples,
-chaos-report dict literals, ``BenchRecorder`` flat keys — each with its
-own shape.  The registry gives them one vocabulary:
+per rank, ``RunOutcome.stage_totals()``, chaos-report dict literals —
+each with its own shape.  The registry gives them one vocabulary:
 
-* **counter** — monotone event count (messages logged, cache hits).
+* **counter** — monotone event count (messages logged, waves committed).
 * **gauge**   — point-in-time value (committed epoch, virtual time).
 * **histogram** — distribution summarised as count/min/max/sum/mean
-  (farm wall seconds, chaos virtual times).
+  (chaos virtual times).
 
 ``snapshot()`` renders everything as one JSON-safe dict under the
 ``repro.metrics/1`` schema; ``RunOutcome.metrics_snapshot()``, sweep
-rows, chaos verdicts and ``BenchRecorder`` records all read from it, and
-``repro.bench.trajectory`` diffs two snapshots for the CI perf gate.
+rows and chaos verdicts all read from it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping
 
 METRICS_SCHEMA = "repro.metrics/1"
 
@@ -146,22 +144,6 @@ def outcome_metrics(outcome: Any) -> MetricsRegistry:
     if tracer is not None:
         reg.gauge("trace.events", float(len(tracer)))
         reg.gauge("trace.dropped", float(tracer.dropped))
-    return reg
-
-
-def farm_metrics(stats: Any) -> MetricsRegistry:
-    """Registry view of a :class:`repro.farm.FarmStats`."""
-    reg = MetricsRegistry()
-    for name in ("cells", "hits", "misses", "executed", "failed", "uncached"):
-        value = getattr(stats, name, None)
-        if value is not None:
-            reg.count(f"farm.{name}", float(value))
-    hit_rate = getattr(stats, "hit_rate", None)
-    if hit_rate is not None:
-        reg.gauge("farm.hit_rate", float(hit_rate))
-    wall = getattr(stats, "wall_seconds", None)
-    if wall is not None:
-        reg.observe("farm.wall_seconds", float(wall))
     return reg
 
 

@@ -6,7 +6,7 @@ Design constraints, in order:
    attribute read (``tr = self.tracer``; ``if tr is not None``).  The
    recorder itself never appears on a hot path unless tracing is armed.
 2. **No locks.**  The simulator runs every rank on one thread, one slice
-   at a time, and driver/farm emissions happen outside simulation, so a
+   at a time, and driver emissions happen outside simulation, so a
    plain ``collections.deque`` is safe.
 3. **Bounded when on.**  The default ring keeps the last
    ``DEFAULT_RING_CAPACITY`` events; ``capacity=None`` keeps everything

@@ -1,14 +1,17 @@
-"""The farm engine: caching, durability, resume, retry accounting."""
+"""The farm engine: caching, resume on cache hits, uncapped retry of failures."""
 
+import json
 import os
 
 import pytest
 
-from repro.errors import FarmJobError
-from repro.farm.engine import Farm
-from repro.farm.jobs import DONE, FAILED
+from repro.ckpt.backends import DirectoryBackend
+from repro.errors import FarmJobError, StorageError
+from repro.farm import engine
+from repro.farm.cache import META_KEY
+from repro.farm.engine import Farm, FarmStats
 
-# Module-level jobs (picklable; the tests run them serially anyway).
+# Module-level jobs, picklable so the parallel case can ship them to workers.
 
 CALL_LOG: list = []
 
@@ -27,7 +30,20 @@ def fail_if_flagged(payload):
 
 
 def always_fails(x):
+    CALL_LOG.append(x)
     raise ValueError(f"no dice for {x}")
+
+
+def log_only(x):
+    CALL_LOG.append(x)
+
+
+def interrupt_at_three(x):
+    """Stands in for a campaign killed part-way (Ctrl-C, not a cell error)."""
+    if x == 3:
+        raise KeyboardInterrupt
+    CALL_LOG.append(x)
+    return x * 2
 
 
 @pytest.fixture(autouse=True)
@@ -83,148 +99,156 @@ class TestCaching:
         assert farm.last_stats.hits == 1       # cell 1 cached
         assert farm.last_stats.uncached == 1   # cell 2 re-ran
 
+    def test_parallel_map_matches_serial_and_caches(self, tmp_path):
+        """Misses fan out over Session.map's worker pool; outcomes come
+        back in payload order and land in the cache."""
+        farm = Farm(str(tmp_path / "farm"))
+        assert farm.map(double, [1, 2, 3], parallel=True, max_workers=2) == [2, 4, 6]
+        assert farm.last_stats.executed == 3
+        assert farm.map(double, [1, 2, 3], parallel=False) == [2, 4, 6]
+        assert farm.last_stats.hits == 3
+
+    def test_schema_1_directory_is_refused(self, tmp_path):
+        """A directory written by the job-queue farm (schema 1, with a
+        codec) is refused whole instead of being half-read."""
+        path = str(tmp_path / "farm")
+        blob = json.dumps({"codec": "none", "schema": 1}).encode("utf-8")
+        DirectoryBackend(path).put(META_KEY, blob)
+        with pytest.raises(StorageError, match="schema 1"):
+            Farm(path)
+
+    def test_empty_payloads_return_an_empty_list(self):
+        farm = Farm(None)
+        assert farm.map(double, [], parallel=False) == []
+        assert farm.last_stats == FarmStats()
+        assert CALL_LOG == []
+
+    def test_none_result_is_a_hit_on_the_next_call(self):
+        farm = Farm(None)
+        assert farm.map(log_only, [4], parallel=False) == [None]
+        assert farm.map(log_only, [4], parallel=False) == [None]
+        assert farm.last_stats.hits == 1
+        assert CALL_LOG == [4]
+
+    def test_hits_and_misses_interleave_in_payload_order(self, tmp_path, monkeypatch):
+        """Misses spanning several batches still land at their own index
+        between the hits."""
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_SIZE", 2)
+        farm = Farm(str(tmp_path / "farm"))
+        farm.map(double, [2, 4], parallel=False)
+        CALL_LOG.clear()
+        assert farm.map(double, [1, 2, 3, 4, 5, 6], parallel=False) == [2, 4, 6, 8, 10, 12]
+        assert CALL_LOG == [1, 3, 5, 6]
+        assert farm.last_stats.hits == 2
+        assert farm.last_stats.executed == 4
+
+
+class TestStats:
+    def test_hit_rate(self):
+        assert FarmStats().hit_rate == 0.0
+        assert FarmStats(cells=4, hits=3, misses=1).hit_rate == 0.75
+
+    def test_merged_sums_every_field(self):
+        a = FarmStats(cells=1, hits=2, misses=3, executed=4, failed=5, uncached=6)
+        b = FarmStats(cells=10, hits=20, misses=30, executed=40, failed=50, uncached=60)
+        assert a.merged(b) == FarmStats(
+            cells=11, hits=22, misses=33, executed=44, failed=55, uncached=66
+        )
+
+    def test_total_stats_accumulate_across_calls(self):
+        farm = Farm(None)
+        farm.map(double, [1, 2], parallel=False)
+        farm.map(double, [2, 3], parallel=False)
+        assert farm.last_stats == FarmStats(cells=2, hits=1, misses=1, executed=1)
+        assert farm.total_stats == FarmStats(cells=4, hits=1, misses=3, executed=3)
+
+
+class TestFailureReport:
+    def test_message_counts_failures_and_truncates_after_five(self):
+        with pytest.raises(FarmJobError) as info:
+            Farm(None).map(always_fails, list(range(7)), parallel=False)
+        assert len(info.value.failures) == 7
+        message = str(info.value)
+        assert message.startswith("7 farm cell(s) failed:")
+        assert "ValueError: no dice for 4" in message
+        assert "no dice for 5" not in message
+        assert "… and 2 more" in message
+
+    def test_uncached_failure_is_named_by_its_position(self):
+        farm = Farm(None)
+        with pytest.raises(FarmJobError) as info:
+            farm.map(lambda p: p[0](), [(lambda: 1,), (lambda: 1 / 0,)], parallel=False)
+        ((key, error),) = info.value.failures
+        assert key == "<uncached #1>"
+        assert error.startswith("ZeroDivisionError")
+        assert farm.last_stats.uncached == 2
+        assert farm.last_stats.executed == 1
+
+    def test_parallel_failure_keeps_the_other_cells(self):
+        """A cell raising inside a worker is reported, not fatal to the
+        pool: its neighbours still execute and are cached."""
+        farm = Farm(None)
+        payloads = [(x, __file__) for x in (1, 2, 3, 4)]
+        with pytest.raises(FarmJobError, match="cell 3 exploded"):
+            farm.map(fail_if_flagged, payloads, parallel=True, max_workers=2)
+        assert farm.last_stats.executed == 3
+        assert farm.last_stats.failed == 1
+        with pytest.raises(FarmJobError):
+            farm.map(fail_if_flagged, payloads, parallel=False)
+        assert farm.last_stats.hits == 3
+
 
 class TestResume:
     def test_interrupted_run_resumes_where_it_stopped(self, tmp_path):
         flag = str(tmp_path / "flag")
         open(flag, "w").close()
         payloads = [(x, flag) for x in range(1, 6)]
-        labels = lambda p: f"cell-{p[0]}"  # noqa: E731
         farm = Farm(str(tmp_path / "farm"))
-        # Small batches: completed batches persist even though cell 3 dies.
+        # Cell 3 dies; every other cell still executes and is cached.
         with pytest.raises(FarmJobError, match="cell 3 exploded"):
-            farm.map(
-                fail_if_flagged, payloads, parallel=False, batch_size=2, labels=labels
-            )
+            farm.map(fail_if_flagged, payloads, parallel=False)
         assert farm.last_stats.executed == 4
         assert farm.last_stats.failed == 1
         # "The interruption is fixed" — the next run executes only cell 3.
         os.unlink(flag)
         resumed = Farm(str(tmp_path / "farm"))
-        out = resumed.map(
-            fail_if_flagged, payloads, parallel=False, batch_size=2, labels=labels
-        )
+        out = resumed.map(fail_if_flagged, payloads, parallel=False)
         assert out == [10, 20, 30, 40, 50]
         assert resumed.last_stats.hits == 4
         assert resumed.last_stats.executed == 1
-        # The durable record remembers both attempts of the dying cell.
-        record = next(r for r in resumed.jobs.records() if r.label == "cell-3")
-        assert record.status == DONE
-        assert record.attempts == 2
 
-    def test_attempt_counts_accumulate_then_exhaust(self, tmp_path):
-        farm = Farm(str(tmp_path / "farm"), max_attempts=2)
-        for expected_attempts in (1, 2):
-            with pytest.raises(FarmJobError):
+    def test_killed_campaign_keeps_its_completed_batches(self, tmp_path, monkeypatch):
+        """Each batch's results are written before the next batch starts,
+        so a campaign killed in batch two resumes on batch one's hits."""
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_SIZE", 2)
+        farm = Farm(str(tmp_path / "farm"))
+        with pytest.raises(KeyboardInterrupt):
+            farm.map(interrupt_at_three, [1, 2, 3, 4], parallel=False)
+        assert CALL_LOG == [1, 2]
+        resumed = Farm(str(tmp_path / "farm"))
+        assert resumed.map(interrupt_at_three, [1, 2], parallel=False) == [2, 4]
+        assert resumed.last_stats.hits == 2
+        assert CALL_LOG == [1, 2]  # served from the cache, not re-run
+
+    def test_failing_cell_runs_again_on_every_call(self, tmp_path):
+        """No attempt cap: the cells are deterministic, and a campaign is
+        only retried when someone re-invokes it."""
+        farm = Farm(str(tmp_path / "farm"))
+        for call in range(1, 5):
+            with pytest.raises(FarmJobError, match="no dice for 9"):
                 farm.map(always_fails, [9], parallel=False)
-            (record,) = list(farm.jobs.records())
-            assert record.status == FAILED
-            assert record.attempts == expected_attempts
-            assert "no dice" in record.error
-        # Attempts exhausted: reported without executing again.
-        with pytest.raises(FarmJobError, match="attempts exhausted"):
-            farm.map(always_fails, [9], parallel=False)
-        (record,) = list(farm.jobs.records())
-        assert record.attempts == 2  # third call did not execute
-        assert "always_fails" in (record.trace or "")  # post-mortem kept
+            assert CALL_LOG == [9] * call
+            assert farm.last_stats.executed == 0
+            assert farm.last_stats.failed == 1
+            assert farm.last_stats.hits == 0
 
-    def test_exhausted_cell_does_not_block_others(self, tmp_path):
-        """One poisoned cell must not wedge the rest of a campaign: good
-        cells still execute and cache, and gc re-arms the poisoned one."""
-        farm = Farm(str(tmp_path / "farm"), max_attempts=1)
+    def test_failed_cell_is_never_cached(self, tmp_path):
+        flag = str(tmp_path / "flag")
+        open(flag, "w").close()
+        farm = Farm(str(tmp_path / "farm"))
         with pytest.raises(FarmJobError):
-            farm.map(always_fails, [9], parallel=False)
-        # Cell 9 is exhausted, but cells 1 and 2 run (mixed via two fns is
-        # not possible in one map call, so check caching across calls).
-        farm.map(double, [1, 2], parallel=False)
-        assert farm.last_stats.executed == 2
-        with pytest.raises(FarmJobError, match="attempts exhausted"):
-            farm.map(always_fails, [9], parallel=False)
-        swept = farm.gc()
-        assert swept["failed_jobs"] == 1
-        # Re-armed: the cell executes again instead of reporting exhausted.
-        with pytest.raises(FarmJobError, match="no dice"):
-            farm.map(always_fails, [9], parallel=False)
-        (record,) = [r for r in farm.jobs.records() if r.fn.endswith("always_fails")]
-        assert record.attempts == 1  # accounting reset by gc
-
-    def test_stale_running_record_is_reclaimed(self, tmp_path):
-        farm = Farm(str(tmp_path / "farm"))
-        farm.map(double, [4], parallel=False)
-        (record,) = list(farm.jobs.records())
-        # Simulate a hard interruption: running record, no result.
-        record.status = "running"
-        farm.jobs.save(record)
-        farm.cache.delete(record.key)
-        again = Farm(str(tmp_path / "farm"))
-        assert again.map(double, [4], parallel=False) == [8]
-        (record,) = list(again.jobs.records())
-        assert record.status == DONE
-        assert record.attempts == 2
-
-
-class TestMaintenance:
-    def test_gc_drops_stale_salt_and_orphans(self, tmp_path):
-        old = Farm(str(tmp_path / "farm"), salt="old-code")
-        old.map(double, [1, 2], parallel=False)
-        new = Farm(str(tmp_path / "farm"), salt="new-code")
-        new.map(double, [1], parallel=False)
-        swept = new.gc()
-        assert swept == {"stale_jobs": 2, "failed_jobs": 0, "orphan_results": 0}
-        status = new.status()
-        assert status["jobs"]["total"] == 1
-        assert status["cache"]["entries"] == 1
-        # The surviving entry still hits.
-        new.map(double, [1], parallel=False)
-        assert new.last_stats.hits == 1
-
-    def test_status_counts(self, tmp_path):
-        farm = Farm(str(tmp_path / "farm"))
-        farm.map(double, [1, 2, 3], parallel=False)
-        status = farm.status()
-        assert status["jobs"]["done"] == 3
-        assert status["jobs"]["failed"] == 0
-        assert status["cache"]["entries"] == 3
-        assert status["cache"]["bytes_at_rest"] > 0
-
-    def test_existing_directory_keeps_its_codec(self, tmp_path):
-        Farm(str(tmp_path / "farm"), codec="zlib").map(double, [1], parallel=False)
-        reopened = Farm(str(tmp_path / "farm"), codec="none")
-        assert reopened.cache.codec.name == "zlib"
-        reopened.map(double, [1], parallel=False)
-        assert reopened.last_stats.hits == 1
-
-
-class TestCrashLoopingCells:
-    def test_crash_looping_cell_reported_after_max_attempts(self, tmp_path):
-        """A cell that dies *with the orchestrator* leaves a 'running'
-        record each time; once attempts hit the cap it must be reported,
-        not reclaimed forever."""
-        from repro.farm.fingerprint import fingerprint, fn_identity
-
-        farm = Farm(str(tmp_path / "farm"), max_attempts=2)
-        key = fingerprint(double, 7, farm.salt)
-        for _ in range(2):  # two interrupted executions, no result landed
-            farm.jobs.claim(key, fn_identity(double), "cell-7", farm.salt)
-        with pytest.raises(FarmJobError, match="interrupted mid-execution"):
-            farm.map(double, [7], parallel=False)
-
-    def test_gc_reconciles_and_rearms_running_records(self, tmp_path):
-        farm = Farm(str(tmp_path / "farm"))
-        farm.map(double, [1, 2], parallel=False)
-        records = list(farm.jobs.records())
-        # Record 1: result landed but the 'done' write was interrupted.
-        records[0].status = "running"
-        farm.jobs.save(records[0])
-        # Record 2: claimed, executed nothing (crash), result missing.
-        records[1].status = "running"
-        farm.jobs.save(records[1])
-        farm.cache.delete(records[1].key)
-        swept = farm.gc()
-        assert swept["failed_jobs"] == 1  # the resultless zombie, re-armed
-        statuses = {r.key: r.status for r in farm.jobs.records()}
-        assert statuses[records[0].key] == "done"  # reconciled, still a hit
-        assert records[1].key not in statuses
-        farm.map(double, [1, 2], parallel=False)
-        assert farm.last_stats.hits == 1
+            farm.map(fail_if_flagged, [(3, flag)], parallel=False)
+        os.unlink(flag)
+        assert farm.map(fail_if_flagged, [(3, flag)], parallel=False) == [30]
+        assert farm.last_stats.misses == 1
         assert farm.last_stats.executed == 1

@@ -2,7 +2,7 @@
 
 import pickle
 
-from repro.api.session import Session
+from repro.api.session import Session, default_storage_factory
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.farm import Farm
 from repro.runtime.config import RunConfig
@@ -42,6 +42,28 @@ class TestSweepThroughFarm:
         session.sweep("laplace", cfg, variants=["full"], parallel=False, farm=farm)
         assert farm.last_stats.uncached == 1
         assert farm.last_stats.hits == 0
+
+    def test_factory_storage_cells_bypass_cache(self):
+        session = Session()
+        farm = Farm(None)
+        for _ in range(2):
+            session.sweep(
+                "laplace", RunConfig(nprocs=2), variants=["full"], parallel=False,
+                storage_factory=default_storage_factory, farm=farm,
+            )
+            assert farm.last_stats.uncached == 1
+            assert farm.last_stats.hits == 0
+
+    def test_farm_outcomes_equal_direct_execution(self):
+        session = Session()
+        cfg = RunConfig(nprocs=2)
+        direct = session.sweep("laplace", cfg, seeds=[3], parallel=False)
+        assert direct.farm_stats is None
+        farmed = session.sweep("laplace", cfg, seeds=[3], parallel=False, farm=Farm(None))
+        for a, b in zip(direct.rows, farmed.rows):
+            assert a.cell == b.cell
+            assert pickle.dumps(a.outcome.results) == pickle.dumps(b.outcome.results)
+            assert a.outcome.total_virtual_time == b.outcome.total_virtual_time
 
 
 class TestChaosThroughFarm:

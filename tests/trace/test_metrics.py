@@ -4,7 +4,6 @@ import pytest
 
 from repro.api.registry import get_app
 from repro.api.session import RunRow, SweepCell
-from repro.farm.engine import FarmStats
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import AttemptRecord, RunOutcome, run_with_recovery
 from repro.simmpi.failures import FailureSchedule
@@ -12,7 +11,6 @@ from repro.trace.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     campaign_metrics,
-    farm_metrics,
     outcome_metrics,
     snapshot_get,
 )
@@ -149,15 +147,6 @@ def test_outcome_sums_attempts_and_its_snapshot_excludes_wall_time():
     assert fast.metrics_snapshot() == slow.metrics_snapshot()
     assert RunOutcome(results=[]).total_wall_seconds == 0
     assert RunOutcome(results=[]).stage_totals() == {}
-
-
-def test_farm_metrics():
-    stats = FarmStats(cells=10, hits=9, misses=1, executed=1, wall_seconds=1.5)
-    snap = farm_metrics(stats).snapshot()
-    assert snapshot_get(snap, "counters", "farm.cells") == 10.0
-    assert snapshot_get(snap, "counters", "farm.hits") == 9.0
-    assert snapshot_get(snap, "gauges", "farm.hit_rate") == pytest.approx(0.9)
-    assert snapshot_get(snap, "histograms", "farm.wall_seconds")["sum"] == 1.5
 
 
 def test_campaign_metrics_over_verdict_dicts():

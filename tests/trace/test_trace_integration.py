@@ -1,5 +1,5 @@
 """End-to-end observability: traced recovery runs, deadlock diagnostics,
-chaos flight recorder, farm job-lifecycle events.
+chaos flight recorder.
 
 Carries the PR's two required integration properties: multi-attempt
 ``stage_totals()`` sums without double-counting, and same-seed traced
@@ -15,7 +15,6 @@ from repro.apps.laplace import LaplaceParams
 from repro.chaos.campaign import ScenarioVerdict, _capture_flight, default_base_config
 from repro.chaos.scenario import ChaosScenario, KillSpec
 from repro.errors import DeadlockError
-from repro.farm.engine import Farm
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import run_with_recovery
 from repro.simmpi.failures import FailureSchedule
@@ -187,26 +186,3 @@ def test_verdict_to_dict_embeds_flight():
     assert "flight" not in verdict.to_dict()
     verdict.flight = {"0": [{"t": 0.0, "name": "kill"}]}
     assert verdict.to_dict()["flight"] == verdict.flight
-
-
-# --------------------------------------------------------------------- #
-# Farm job-lifecycle events.
-# --------------------------------------------------------------------- #
-
-
-def _triple(x):
-    return x * 3
-
-
-def test_farm_emits_cache_and_job_events():
-    farm = Farm(None)
-    farm.tracer = TraceRecorder()
-    assert farm.map(_triple, [1, 2], parallel=False) == [3, 6]
-    names = [ev.name for ev in farm.tracer.events if ev.category == "farm"]
-    assert names.count("cache_miss") == 2
-    assert names.count("job_done") == 2
-    farm.tracer.clear()
-    assert farm.map(_triple, [1, 2], parallel=False) == [3, 6]
-    names = [ev.name for ev in farm.tracer.events if ev.category == "farm"]
-    assert names.count("cache_hit") == 2
-    assert "job_done" not in names
