@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps.workloads import SCALED_CKPT_CODEC
-from repro.runtime.config import RunConfig
+from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import run_with_recovery
 from repro.statesave.format import CheckpointData
 from repro.statesave.heap import ManagedHeap
@@ -234,7 +234,9 @@ def _per_generation_state_bytes(storage: Storage) -> dict[int, int]:
     return dict(sorted(per_gen.items()))
 
 
-def _run_paper_app(app_name: str, storage: Storage):
+def _run_paper_app(
+    app_name: str, storage: Storage, variant: Variant = Variant.FULL
+):
     from repro.apps import dense_cg, laplace
 
     if app_name == "laplace":
@@ -242,7 +244,8 @@ def _run_paper_app(app_name: str, storage: Storage):
     else:
         app = dense_cg.build(dense_cg.CGParams(n=48, iterations=60))
     config = RunConfig(
-        nprocs=4, seed=7, checkpoint_interval=0.0025, detector_timeout=0.05
+        nprocs=4, seed=7, variant=variant,
+        checkpoint_interval=0.0025, detector_timeout=0.05,
     )
     return run_with_recovery(app, config, storage=storage)
 
@@ -319,6 +322,31 @@ def test_sub_chunk_constant_block_is_stored_once():
     for manifest in later:
         assert manifest.stored_bytes < 8192, (manifest.stream, manifest.generation)
         assert manifest.reused_chunks >= 1
+
+
+#: Bytes one V2 (protocol-only) local checkpoint of ``_run_paper_app``'s
+#: dense CG writes, averaged over its 40: the ``CheckpointData`` chunk, the
+#: ``EpochLogs`` chunk, and the two manifests.  Records are positional
+#: pickles and manifests fixed binary records; a schema creeping back into
+#: the bytes (field names, pickled manifests, hex digests) fails this.
+V2_CHECKPOINT_BYTES = {"state": 211, "log": 301, "manifests": 262}
+
+
+def test_v2_checkpoint_stores_values_not_schema():
+    storage = Storage(None)
+    _run_paper_app("dense_cg", storage, variant=Variant.NO_APP_STATE)
+    history = storage.store.history
+    states = [m for m in history if m.stream.endswith("/state")]
+    logs = [m for m in history if m.stream.endswith("/log")]
+    assert len(states) == len(logs) == 40
+    written = {
+        "state": sum(m.stored_bytes for m in states),
+        "log": sum(m.stored_bytes for m in logs),
+        "manifests": sum(len(m.to_bytes()) for m in history),
+    }
+    per_checkpoint = {kind: total / len(states) for kind, total in written.items()}
+    for kind, limit in V2_CHECKPOINT_BYTES.items():
+        assert per_checkpoint[kind] <= limit, (kind, per_checkpoint[kind])
 
 
 # --------------------------------------------------------------------- #

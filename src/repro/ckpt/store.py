@@ -16,6 +16,9 @@ indexed by epoch.  Saving a generation is a two-phase commit:
    is written atomically under its content address, invisible until referenced;
 2. the checksummed manifest is published with one atomic rename.
 
+Every write holds values, not schema: manifests are binary records and
+checkpoint objects pickle positionally (``util.serialization.Positional``).
+
 A crash anywhere in phase 1, or before phase 2's rename, leaves at most
 orphaned chunks: the previous generation's manifest — and therefore the
 previous generation — is untouched.  Per-commit GC (:meth:`collect`) and a
@@ -200,7 +203,7 @@ class CheckpointStore:
         ).sealed()
         if progress is not None:
             progress(STAGE_MANIFEST, 0, 1)
-        blob = dumps_framed(manifest)
+        blob = manifest.to_bytes()
         self._refs.pop((stream, generation), None)  # re-indexed once published
         self.backend.put(self._manifest_key(stream, generation), blob)
         self.bytes_written += stats.bytes_stored + len(blob)
@@ -293,12 +296,7 @@ class CheckpointStore:
         self, stream: str, generation: int, verify: bool = True
     ) -> GenerationManifest:
         blob = self.backend.get(self._manifest_key(stream, generation))
-        manifest = loads_framed(blob)
-        if not isinstance(manifest, GenerationManifest):
-            raise StorageError(
-                f"object at {self._manifest_key(stream, generation)!r} "
-                "is not a manifest"
-            )
+        manifest = GenerationManifest.from_bytes(blob)
         if verify:
             manifest.verify()
         return manifest
@@ -328,7 +326,7 @@ class CheckpointStore:
         manifest = self.read_manifest(stream, generation, verify=False)
         # The checksum field rides along unchanged and no longer matches.
         tampered = replace(manifest, chunk_size=manifest.chunk_size + 1)
-        self.backend.put(self._manifest_key(stream, generation), dumps_framed(tampered))
+        self.backend.put(self._manifest_key(stream, generation), tampered.to_bytes())
         self._refs.pop((stream, generation), None)
 
     def delete_generation(self, stream: str, generation: int) -> None:

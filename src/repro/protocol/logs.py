@@ -19,15 +19,17 @@ on:
   replay exact even for wildcard receives under non-FIFO delivery.
 
 All four are plain lists of write-once records (named tuples: no field names in
-the pickle) with cursor-based replay consumption, saved at ``finalizeLog`` time.
+the pickle) with cursor-based replay consumption, saved at ``finalizeLog`` time
+as records only: replay has not read them yet, which pickling asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import RecoveryError
+from repro.util.serialization import Positional
 
 
 class LateRecord(NamedTuple):
@@ -55,12 +57,16 @@ class CollectiveRecord(NamedTuple):
     result: Any
 
 
-class _CursorLog:
+class _CursorLog(Positional):
     """A record list with an append side and a replay cursor."""
 
-    def __init__(self) -> None:
-        self.records: list[Any] = []
+    def __init__(self, records: Optional[list[Any]] = None) -> None:
+        self.records: list[Any] = [] if records is None else records
         self.cursor = 0
+
+    def __reduce__(self):
+        assert self.cursor == 0, f"{type(self).__name__} saved mid-replay"
+        return super().__reduce__()
 
     def append(self, record: Any) -> None:
         self.records.append(record)
@@ -98,7 +104,7 @@ class CollectiveResultLog(_CursorLog):
     """Collective results, in call order."""
 
 
-class LateMessageLog:
+class LateMessageLog(Positional):
     """Late messages, consumable by (source, tag) or by exact message id.
 
     Unlike the cursor logs, late messages are consumed *by match*: during
@@ -107,9 +113,13 @@ class LateMessageLog:
     oldest record matching ``(source, tag)``.
     """
 
-    def __init__(self) -> None:
-        self.records: list[LateRecord] = []
-        self._consumed: list[bool] = []
+    def __init__(self, records: Optional[list[LateRecord]] = None) -> None:
+        self.records: list[LateRecord] = [] if records is None else records
+        self._consumed: list[bool] = [False] * len(self.records)
+
+    def __reduce__(self):
+        assert not any(self._consumed), "LateMessageLog saved mid-replay"
+        return super().__reduce__()
 
     def append(self, record: LateRecord) -> None:
         self.records.append(record)
@@ -151,7 +161,7 @@ class LateMessageLog:
 
 
 @dataclass
-class EpochLogs:
+class EpochLogs(Positional):
     """Everything ``finalizeLog`` writes for one checkpoint epoch."""
 
     epoch: int

@@ -17,10 +17,11 @@ from typing import Any, Callable
 
 from repro.errors import RecoveryError
 from repro.protocol.pseudo_handles import PseudoHandle
+from repro.util.serialization import Positional
 
 
 @dataclass
-class CallRecord:
+class CallRecord(Positional):
     """One recorded library call: ``fn(*args)`` creating/mutating
     ``handle_id`` (or -1 for pure mutations like attach_buffer)."""
 
@@ -30,7 +31,7 @@ class CallRecord:
 
 
 @dataclass
-class MpiStateLog:
+class MpiStateLog(Positional):
     """The persistent-object call log for one process."""
 
     records: list[CallRecord] = field(default_factory=list)

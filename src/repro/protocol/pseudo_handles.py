@@ -28,15 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ProtocolError
+from repro.util.serialization import Positional
 
 
 @dataclass
-class PseudoRequest:
+class PseudoRequest(Positional):
     """Application-visible handle for a nonblocking operation.
 
     Picklable by design: the live simulator request (if any) is stored in a
-    transient slot that is dropped at checkpoint time and re-bound on
-    restore.
+    transient slot, not a constructor argument, so it is dropped at
+    checkpoint time and re-bound on restore.
     """
 
     kind: str                      # "isend" | "irecv"
@@ -54,27 +55,17 @@ class PseudoRequest:
             raise ProtocolError(f"unknown request kind {self.kind!r}")
 
     # Transient binding to the live simulator request; never pickled.
-    _live: Any = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_live"] = None
-        return state
+    _live: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
-class PseudoHandle:
+class PseudoHandle(Positional):
     """Application-visible handle for a persistent opaque object."""
 
     kind: str                      # "comm" | "op" | "datatype" | "errhandler"
     handle_id: int
     #: Transient binding to the live library object; re-bound by replay.
-    _live: Any = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_live"] = None
-        return state
+    _live: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 class RequestTable:

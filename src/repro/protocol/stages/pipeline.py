@@ -853,6 +853,16 @@ class ProtocolPipeline:
             )
         yield from self.rep.co_maybe_end_replay()
 
+    def release(self) -> None:
+        """After its attempt, cut what points back at this layer (stage
+        cores, the initiator's callbacks, the app context's state provider)
+        so reference counting frees it and its storage; stats stay readable."""
+        for stage in self.stages:
+            stage.core = None
+        if self.ckpt is not None:
+            self.ckpt.initiator = None
+        self.initiator = self.state_provider = None
+
 
 class _LayerCollEndpoint:
     """Collective endpoint over a raw communicator with an explicit tag base.

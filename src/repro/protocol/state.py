@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.util.serialization import Positional
+
 
 @dataclass
-class ProtocolState:
+class ProtocolState(Positional):
     """Figure-4 variables for one process."""
 
     rank: int

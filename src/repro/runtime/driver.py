@@ -286,6 +286,9 @@ def _recovery_loop(
             if tracer is not None:
                 tracer.end_attempt(sim.clock.now)
             raise
+        finally:
+            for layer in filter(None, layers):
+                layer.release()
         outcome.attempts.append(
             AttemptRecord(
                 index=attempt_index,

@@ -339,6 +339,17 @@ class Simulator:
         if self._ran:
             raise SimMPIError("a Simulator instance can only run once")
         self._ran = True
+        try:
+            return self._run()
+        finally:
+            # Cut the back-links (ranks and scheduler to the simulator, a
+            # rank's main to its layers) so reference counting, not the
+            # cyclic collector, frees the attempt and the state it holds.
+            self.scheduler.sim = None
+            for proc in self.procs:
+                proc.sim = proc.main = None
+
+    def _run(self) -> SimResult:
         import time as _time
 
         wall_start = _time.perf_counter()

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.util.serialization import Positional
+
 
 @dataclass
-class CheckpointData:
+class CheckpointData(Positional):
     """One rank's local checkpoint for one epoch boundary."""
 
     rank: int

@@ -7,6 +7,10 @@ Layout inside the engine's backend (in-memory or a directory)::
     manifests/rank<r>/log/gen<e>.mft         -- EpochLogs generations
     refs/COMMIT                              -- commit history (framed+CRC)
 
+Manifests are binary records (:mod:`repro.ckpt.manifest`); the state, log
+and commit objects pickle positionally, with no field names.  A store whose
+manifests are pickled (older code) fails to load: the run restarts afresh.
+
 Commit discipline (paper Section 4.1, phase 4): the initiator writes the
 commit record only after every process has reported ``stoppedLogging`` — so
 a committed epoch is guaranteed to have both the state and the log of every
@@ -42,6 +46,7 @@ from repro.ckpt.manifest import GenerationManifest
 from repro.ckpt.retention import RetentionPolicy
 from repro.ckpt.store import STAGE_MANIFEST, CheckpointStore
 from repro.errors import ProcessKilled, StorageError
+from repro.util.serialization import Positional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.failures import CheckpointCrash, FailureSchedule
@@ -51,7 +56,7 @@ COMMIT_RECORD = "COMMIT"
 
 
 @dataclass
-class CommitRecord:
+class CommitRecord(Positional):
     """Names one committed global checkpoint.
 
     ``nprocs`` lets :meth:`Storage.restore_line` load the epoch's
@@ -64,8 +69,8 @@ class CommitRecord:
     different commit records, breaking byte-level rerun determinism (and
     the farm's content-addressed caching of run outcomes).  A historical
     ``wall_time`` field duplicated ``committed_at`` for this reason and
-    has been folded away; records pickled by older code simply carry an
-    ignored extra attribute when read back.
+    has been folded away; records pickled by field name (older code)
+    still load, and simply carry an ignored extra attribute.
     """
 
     epoch: int
@@ -246,20 +251,17 @@ class Storage:
     # Commit record.
     # ------------------------------------------------------------------ #
 
-    def _commit_history(self) -> list[CommitRecord]:
+    def commit_history(self) -> list[CommitRecord]:
+        """The commit records currently on storage, oldest first (a copy;
+        consistency auditors — e.g. chaos-campaign invariants — read this)."""
         if not self.store.has_record(COMMIT_RECORD):
             return []
         return list(self.store.get_record(COMMIT_RECORD))
 
-    def commit_history(self) -> list[CommitRecord]:
-        """The commit records currently on storage, oldest first (a copy;
-        consistency auditors — e.g. chaos-campaign invariants — read this)."""
-        return self._commit_history()
-
     def commit(
         self, epoch: int, virtual_time: float, nprocs: Optional[int] = None
     ) -> None:
-        history = self._commit_history()
+        history = self.commit_history()
         history.append(
             CommitRecord(
                 epoch=epoch,
@@ -287,7 +289,7 @@ class Storage:
         as *some* generation for its epoch still exists (so a gc'd epoch
         falls through).
         """
-        for record in reversed(self._commit_history()):
+        for record in reversed(self.commit_history()):
             ranks = record.nprocs if record.nprocs is not None else nprocs
             if ranks is None:
                 if self._epoch_present(record.epoch):
@@ -327,7 +329,7 @@ class Storage:
 
     def _prune_commit_history(self) -> None:
         """Drop commit records whose generations retention has deleted."""
-        history = self._commit_history()
+        history = self.commit_history()
         live = [
             record
             for record in history

@@ -13,10 +13,14 @@ objects and protocol state, which is the Python analogue of the paper's
 "restore every object to the same virtual address so pointers remain valid"
 strategy (Section 5.1.4).  A rank's checkpoint keeps the single pickler but
 not the single byte string: :mod:`repro.ckpt.delta` takes array buffers out.
+Checkpoint records are :class:`Positional`: values, no field names.  A
+frame may hold a non-pickle payload (:func:`frame`), e.g. a manifest.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import io
 import os
 import pickle
@@ -37,19 +41,47 @@ class FrameCorruptError(StorageError):
     """A frame failed its magic/version/length/CRC validation."""
 
 
-def dumps_framed(obj: Any) -> bytes:
-    """Serialise ``obj`` into a single framed, checksummed byte string."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+class Positional:
+    """Pickles as its class plus its constructor arguments, each read from
+    the same-named attribute (a dataclass's ``init`` fields): no field names
+    are stored, and what ``__init__`` does not take is rebuilt, not stored."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        cls = type(self)
+        return cls, tuple([getattr(self, name) for name in _arguments(cls)])
+
+
+@functools.cache
+def _arguments(cls: type) -> tuple[str, ...]:
+    return tuple(inspect.signature(cls).parameters)
+
+
+def frame(payload: bytes) -> bytes:
+    """``payload`` behind a header of magic, version, length and CRC32."""
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     return _HEADER.pack(MAGIC, FORMAT_VERSION, len(payload), crc) + payload
 
 
-def loads_framed(data: bytes) -> Any:
-    """Inverse of :func:`dumps_framed`, validating the frame first."""
-    obj, remainder = _parse_frame(data)
+def unframe(data: bytes) -> bytes:
+    """Inverse of :func:`frame`, validating the frame first."""
+    fh = io.BytesIO(data)
+    payload = _read_payload(fh)
+    remainder = fh.read()
     if remainder:
         raise FrameCorruptError(f"{len(remainder)} trailing bytes after frame")
-    return obj
+    return payload
+
+
+def dumps_framed(obj: Any) -> bytes:
+    """Serialise ``obj`` into a single framed, checksummed byte string."""
+    return frame(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def loads_framed(data: bytes) -> Any:
+    """Inverse of :func:`dumps_framed`, validating the frame first."""
+    return pickle.loads(unframe(data))
 
 
 def write_frame(fh: BinaryIO, obj: Any) -> int:
@@ -65,6 +97,20 @@ def read_frame(fh: BinaryIO) -> Any:
     Raises :class:`EOFError` at a clean end of file and
     :class:`FrameCorruptError` on a short or invalid frame.
     """
+    return pickle.loads(_read_payload(fh))
+
+
+def read_all_frames(fh: BinaryIO) -> list[Any]:
+    """Read every frame in ``fh`` until EOF."""
+    out: list[Any] = []
+    while True:
+        try:
+            out.append(read_frame(fh))
+        except EOFError:
+            return out
+
+
+def _read_payload(fh: BinaryIO) -> bytes:
     header = fh.read(_HEADER.size)
     if not header:
         raise EOFError("no more frames")
@@ -79,23 +125,7 @@ def read_frame(fh: BinaryIO) -> Any:
         )
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
         raise FrameCorruptError("frame CRC mismatch")
-    return pickle.loads(payload)
-
-
-def read_all_frames(fh: BinaryIO) -> list[Any]:
-    """Read every frame in ``fh`` until EOF."""
-    out: list[Any] = []
-    while True:
-        try:
-            out.append(read_frame(fh))
-        except EOFError:
-            return out
-
-
-def _parse_frame(data: bytes) -> tuple[Any, bytes]:
-    fh = io.BytesIO(data)
-    obj = read_frame(fh)
-    return obj, fh.read()
+    return payload
 
 
 def _check_header(magic: bytes, version: int) -> None:

@@ -67,8 +67,16 @@ def _cases():
 CASES = _cases()
 
 
+#: What each entry of ``_fingerprint``'s list is, in order.
+FINGERPRINT_LABELS = (
+    "results", "virtual time", "network bytes", "messages", "waves",
+    "stored bytes", "attempts",
+)
+
+
 def _fingerprint(out):
-    """Every deterministic observable of a run (wall clock excluded)."""
+    """Every deterministic observable of a run (wall clock excluded), in
+    ``FINGERPRINT_LABELS`` order."""
     attempts = [
         (
             a.index,
@@ -123,13 +131,54 @@ def observe(case_id):
     }
 
 
+def moved_facts(observed, expected):
+    """One line per fact that differs: the fingerprint entry's label (or the
+    key) with the golden and the observed value.  A fingerprint whose length
+    differs from the golden's or from ``FINGERPRINT_LABELS`` is a move too."""
+    old_fp, new_fp = expected["fingerprint"], observed["fingerprint"]
+    if len(old_fp) == len(new_fp) == len(FINGERPRINT_LABELS):
+        lines = [
+            f"{label} moved: golden {old!r}, observed {new!r}"
+            for label, old, new in zip(FINGERPRINT_LABELS, old_fp, new_fp)
+            if old != new
+        ]
+    else:
+        lines = [
+            f"fingerprint length moved: golden {len(old_fp)}, observed "
+            f"{len(new_fp)}, labels {len(FINGERPRINT_LABELS)}"
+        ]
+    lines += [
+        f"{key} moved: golden {expected[key]!r}, observed {observed[key]!r}"
+        for key in ("total_slices", "trace_sha256")
+        if observed[key] != expected[key]
+    ]
+    return lines
+
+
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_exact_facts_match_golden(case_id):
     golden = json.loads(GOLDEN_PATH.read_text())
-    observed = observe(case_id)
-    expected = golden[case_id]
-    for key in ("fingerprint", "total_slices", "trace_sha256"):
-        assert observed[key] == expected[key], f"{case_id}: {key} moved"
+    moved = moved_facts(observe(case_id), golden[case_id])
+    assert not moved, f"{case_id}: " + "; ".join(moved)
+
+
+def test_a_moved_fact_is_named_with_both_values():
+    expected = {
+        "fingerprint": ["[1]", "0.5", 10, 2, 1, 300, "[]"],
+        "total_slices": 7,
+        "trace_sha256": "a",
+    }
+    observed = {**expected, "fingerprint": ["[1]", "0.5", 10, 2, 1, 200, "[]"]}
+    assert moved_facts(observed, expected) == [
+        "stored bytes moved: golden 300, observed 200"
+    ]
+    longer = {**expected, "fingerprint": expected["fingerprint"] + [0]}
+    assert moved_facts(longer, expected) == [
+        "fingerprint length moved: golden 7, observed 8, labels 7"
+    ]
+    assert moved_facts(expected, longer) == [
+        "fingerprint length moved: golden 8, observed 7, labels 7"
+    ]
 
 
 def test_golden_covers_exactly_the_cases():
