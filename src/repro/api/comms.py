@@ -10,26 +10,28 @@ surface down as a structural protocol so an application written against
   eight collectives plus barrier, the persistent-object constructors, and
   the two protocol hooks.  Every call that can suspend the rank exists
   once, as a ``co_*`` generator (``yield from mpi.co_send(...)``); the
-  calls that never suspend (``comm_dup``, ``op_create``, ``comm_rank``,
-  ``comm_size``) are plain methods.
+  calls that never suspend (``comm_dup``, ``op_create``, ``attach_buffer``,
+  ``comm_rank``, ``comm_size``) are plain methods.
 * :class:`RawCommAdapter` — the V0 "Unmodified Program" implementation:
-  the :class:`~repro.protocol.stages.pipeline.ProtocolPipeline` with no
-  stages.  Every call is a pass-through over a raw
+  no protocol layer at all.  Every call is a pass-through over a raw
   :class:`~repro.simmpi.comm.Comm` with no piggybacking, no logging and
   no checkpoints; the protocol hooks are no-ops, so instrumented
   applications still run (and uninstrumented ones pay nothing).
 
 The V1–V3 implementation is the
-:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` itself: its five
+:class:`~repro.protocol.stages.pipeline.ProtocolPipeline`: its five
 protocol stages under V1, plus the checkpoint stage that a storage adds
-under V2/V3.
+under V2/V3.  Both implementations inherit the eight data collectives
+and ``comm_rank``/``comm_size`` from
+:class:`~repro.protocol.stages.base.SharedSurface`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.protocol.stages.pipeline import ProtocolPipeline, RawHandle  # noqa: F401
+from repro.errors import ProtocolError
+from repro.protocol.stages.base import LayerStats, SharedSurface
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
 from repro.simmpi.op import Op
@@ -100,6 +102,8 @@ class CommLike(Protocol):
 
     def comm_size(self, handle: Any = None) -> int: ...
 
+    def attach_buffer(self, nbytes: int) -> None: ...
+
     # -- protocol hooks (generators) ------------------------------------ #
 
     def co_potential_checkpoint(self) -> Any: ...
@@ -107,17 +111,135 @@ class CommLike(Protocol):
     def co_nondet(self, compute: Callable[[], Any]) -> Any: ...
 
 
-class RawCommAdapter(ProtocolPipeline):
+class RawHandle:
+    """Opaque handle over a raw communicator or op (the V0 analogue of a
+    pseudo-handle: same ``handle_id`` surface, no record/replay)."""
+
+    __slots__ = ("kind", "handle_id", "_live")
+
+    def __init__(self, kind: str, handle_id: int, live: Any) -> None:
+        self.kind = kind
+        self.handle_id = handle_id
+        self._live = live
+
+
+class RawCommAdapter(SharedSurface):
     """``CommLike`` over a bare simulator communicator (variant V0).
 
-    No stages: no piggyback word is attached to any message and no
-    protocol state is kept; the cost of every call is exactly the
-    underlying library call.  ``co_potential_checkpoint`` always answers
-    False and ``co_nondet`` simply computes — so a fault-tolerance-
-    instrumented application runs unmodified, it just is not protected.
+    No piggyback word is attached to any message and no protocol state is
+    kept; the cost of every call is exactly the underlying library call.
+    ``co_potential_checkpoint`` always answers False and ``co_nondet``
+    simply computes — so a fault-tolerance-instrumented application runs
+    unmodified, it just is not protected.  ``stats`` counts sends,
+    receives and collectives as the pipeline does.
     """
 
-    _raw = True
-
     def __init__(self, comm: Comm) -> None:
-        super().__init__(comm)
+        self.comm = comm
+        self.stats = LayerStats()
+        #: Set by the application context; V0 never checkpoints, so
+        #: nothing calls it.
+        self.state_provider: Optional[Callable[[], Any]] = None
+        self._comm_send = comm.co_send
+        self._comm_recv_envelope = comm.co_recv_envelope
+        self._next_handle_id = 0
+
+    def _comm_of(self, handle: Any) -> Comm:
+        if handle is None:
+            return self.comm
+        live = getattr(handle, "_live", None)
+        if not isinstance(live, Comm):
+            raise ProtocolError(f"not a communicator handle: {handle!r}")
+        return live
+
+    def _new_handle(self, kind: str, live: Any) -> RawHandle:
+        handle = RawHandle(kind, self._next_handle_id, live)
+        self._next_handle_id += 1
+        return handle
+
+    # -- point-to-point -------------------------------------------------- #
+
+    def co_send(self, payload: Any, dest: int, tag: int = 0):
+        self.stats.sends += 1
+        return self._comm_send(payload, dest, tag)
+
+    def co_isend(self, payload: Any, dest: int, tag: int = 0):
+        self.stats.sends += 1
+        return self.comm.isend(payload, dest, tag)
+        yield  # pragma: no cover -- marks this function as a generator
+
+    def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        self.stats.receives += 1
+        env = yield from self._comm_recv_envelope(source, tag)
+        return env.payload
+
+    def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        return self.comm.irecv(source, tag)
+        yield  # pragma: no cover
+
+    def co_wait(self, req: Any):
+        # A receive counts when its completion is first seen, here or in
+        # co_test (send requests are complete at creation).
+        if not req.completed:
+            self.stats.receives += 1
+        return req.co_wait()
+
+    def co_test(self, req: Any):
+        if not req.completed and req.test():
+            self.stats.receives += 1
+        return req.completed
+        yield  # pragma: no cover
+
+    def co_sendrecv(
+        self,
+        payload: Any,
+        dest: int,
+        recv_source: int,
+        send_tag: int = 0,
+        recv_tag: int | None = None,
+    ):
+        self.stats.sends += 1
+        self.stats.receives += 1
+        return self.comm.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag)
+
+    # -- collectives: the communicator's own ------------------------------ #
+
+    def _co_coll(self, kind: str, comm: Any, *args: Any):
+        self.stats.collectives += 1
+        return getattr(self._comm_of(comm), "co_" + kind)(*args)
+
+    def co_barrier(self, comm: Any = None):
+        return self._co_coll("barrier", comm)
+
+    # -- persistent objects: plain handles, nothing recorded -------------- #
+
+    def comm_dup(self, parent: Any = None) -> Any:
+        return self._new_handle("comm", self._comm_of(parent).dup())
+
+    def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
+        child = yield from self._comm_of(parent).co_split(color, key)
+        return None if child is None else self._new_handle("comm", child)
+
+    def op_create(self, name: str, fn: Callable[[Any, Any], Any]) -> Any:
+        return self._new_handle("op", Op.create(name, fn))
+
+    def attach_buffer(self, nbytes: int) -> None:
+        pass
+
+    # -- protocol hooks: no-ops ------------------------------------------- #
+
+    def co_potential_checkpoint(self):
+        return False
+        yield  # pragma: no cover
+
+    def co_nondet(self, compute: Callable[[], Any]):
+        return compute()
+        yield  # pragma: no cover
+
+    def request_checkpoint_now(self) -> None:
+        raise ProtocolError("request_checkpoint_now needs a checkpoint stage (initiator-only)")
+
+    def release(self) -> None:
+        """Drop the application context's state provider (see
+        ``ProtocolPipeline.release``)."""
+        self.state_provider = None

@@ -365,5 +365,5 @@ class PrecompiledApp:
                 ctx._rank_ctx.rng = blob["rng"]
             # Precompiled code resumes past pre-checkpoint object
             # creations; it must not consume the creation-replay cursor.
-            ctx.mpi.skip_creation_replay()
+            ctx.mpi.objects.skip_creation_replay()
             rt.begin_restore(blob["frames"])

@@ -51,12 +51,3 @@ def classify_by_color(
     if (receiver_epoch & 1) == sender_color:
         return MessageClass.INTRA_EPOCH
     return MessageClass.LATE if receiver_logging else MessageClass.EARLY
-
-
-def sender_epoch_from_class(msg_class: MessageClass, receiver_epoch: int) -> int:
-    """Absolute sender epoch implied by a classification (for bookkeeping)."""
-    if msg_class is MessageClass.LATE:
-        return receiver_epoch - 1
-    if msg_class is MessageClass.INTRA_EPOCH:
-        return receiver_epoch
-    return receiver_epoch + 1

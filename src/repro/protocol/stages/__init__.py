@@ -9,7 +9,7 @@ from repro.protocol.stages.checkpoint import CheckpointStage
 from repro.protocol.stages.classifier import ClassifierStage
 from repro.protocol.stages.message_log import MessageLogStage
 from repro.protocol.stages.piggyback import PiggybackStage
-from repro.protocol.stages.pipeline import ProtocolPipeline, RawHandle
+from repro.protocol.stages.pipeline import ProtocolPipeline
 from repro.protocol.stages.replay import ReplayStage
 from repro.protocol.stages.result_log import ResultLogStage
 
@@ -22,7 +22,6 @@ __all__ = [
     "PiggybackStage",
     "ProtocolPipeline",
     "ProtocolStage",
-    "RawHandle",
     "ReplayStage",
     "ResultLogStage",
 ]

@@ -24,16 +24,17 @@ Stages share the pipeline as a blackboard: protocol variables
 (:class:`~repro.protocol.state.ProtocolState`), logs, handle tables and
 stats live on the pipeline core; stages carry behaviour.  The pipeline
 always builds the first five and adds ``checkpoint`` exactly when it is
-handed a storage.
+handed a storage.  V0 builds no pipeline at all (``RawCommAdapter``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, ClassVar, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.protocol.stages.pipeline import ProtocolPipeline
+    from repro.simmpi.op import Op
 
 #: The rank whose checkpoint stage runs the wave initiator (Section 4.1).
 INITIATOR_RANK = 0
@@ -45,7 +46,8 @@ class C3Config:
 
     The four benchmark variants of Section 6 map onto pipelines as follows:
 
-    * V0 "unmodified"      — no layer at all (``RawCommAdapter``; raw comm);
+    * V0 "unmodified"      — no protocol layer: ``RawCommAdapter`` passes
+      every call straight to the raw communicator and takes no config;
     * V1 "piggyback only"  — the protocol layer is active (piggybacking,
       classification, logging machinery) but the pipeline is built without
       a storage, so it has no checkpoint stage and no wave is ever
@@ -108,3 +110,41 @@ class ProtocolStage:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class SharedSurface:
+    """The ``CommLike`` members written once for both implementations
+    (``ProtocolPipeline`` and ``RawCommAdapter``).  Each data collective
+    hands back ``self._co_coll(kind, comm, *args)``, the implementation's
+    generator for one collective call; ``self._comm_of(handle)`` is the
+    live communicator behind a handle (``None`` = world)."""
+
+    def comm_rank(self, handle: Any = None) -> int:
+        return self._comm_of(handle).rank
+
+    def comm_size(self, handle: Any = None) -> int:
+        return self._comm_of(handle).size
+
+    def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
+        return self._co_coll("bcast", comm, obj, root)
+
+    def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
+        return self._co_coll("reduce", comm, obj, op, root)
+
+    def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
+        return self._co_coll("allreduce", comm, obj, op)
+
+    def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
+        return self._co_coll("gather", comm, obj, root)
+
+    def co_allgather(self, obj: Any, comm: Any = None):
+        return self._co_coll("allgather", comm, obj)
+
+    def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
+        return self._co_coll("scatter", comm, objs, root)
+
+    def co_alltoall(self, objs: list[Any], comm: Any = None):
+        return self._co_coll("alltoall", comm, objs)
+
+    def co_scan(self, obj: Any, op: Op, comm: Any = None):
+        return self._co_coll("scan", comm, obj, op)

@@ -177,8 +177,8 @@ class CheckpointStage(ProtocolStage):
             protocol=snapshot,
             early_ids=saved_early,
             requests=copy.deepcopy(core.requests.snapshot()),
-            mpi_records=copy.deepcopy(core.mpi_log),
-            handles=core.handles.snapshot(),
+            mpi_records=copy.deepcopy(core.objects.log),
+            handles=core.objects.handles.snapshot(),
             coll_seqs=dict(core.coll_seqs),
             app_state=app_state,
             taken_at=core.comm.wtime(),
@@ -208,9 +208,3 @@ class CheckpointStage(ProtocolStage):
         if core.on_checkpoint is not None:
             core.on_checkpoint(data)
         yield from self.co_received_all_check()
-
-    def request_checkpoint_now(self) -> None:
-        """Ask the initiator to start a wave at its next poll (tests/API)."""
-        if self.initiator is None:
-            raise ProtocolError("request_checkpoint_now is initiator-only")
-        self.initiator.force_initiate = True

@@ -50,8 +50,9 @@ class MessageLogStage(ProtocolStage):
         elif mclass is MessageClass.INTRA_EPOCH:
             if state.am_logging and not info.am_logging:
                 # Phase 4 condition (ii): a message from a process that has
-                # stopped logging means every process has checkpointed.
-                yield from core._co_finalize_log()
+                # stopped logging means every process has checkpointed
+                # (logging implies a checkpoint stage).
+                yield from core.ckpt.co_finalize_log()
             state.current_receive_count[src] = (
                 state.current_receive_count.get(src, 0) + 1
             )
@@ -87,4 +88,4 @@ class MessageLogStage(ProtocolStage):
                 )
             )
         if mclass is MessageClass.LATE:
-            yield from core._co_received_all_check()
+            yield from core.ckpt.co_received_all_check()

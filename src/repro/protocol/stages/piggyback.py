@@ -8,8 +8,8 @@ envelope gets it stripped and decoded into a
 
 from __future__ import annotations
 
-from repro.protocol.piggyback import PiggybackInfo, get_codec
-from repro.protocol.stages.base import C3Config, ProtocolStage
+from repro.protocol.piggyback import PiggybackInfo
+from repro.protocol.stages.base import ProtocolStage
 
 
 class PiggybackStage(ProtocolStage):
@@ -17,9 +17,10 @@ class PiggybackStage(ProtocolStage):
 
     name = "piggyback"
 
-    def __init__(self, config: C3Config) -> None:
-        super().__init__(config)
-        self.codec = get_codec(config.codec)
+    def bind(self, core) -> None:
+        super().bind(core)
+        #: The pipeline's codec (built once from ``config.codec``).
+        self.codec = core.codec
 
     def encode(self, epoch: int, am_logging: bool, message_id: int):
         """The wire word for one outgoing application message."""

@@ -6,16 +6,18 @@ every communication call (the paper's Figure 2).  It owns the shared
 protocol state (Figure 4's variables, the epoch logs, pseudo-handle
 tables, per-communicator collective sequence numbers) and threads every
 ``CommLike`` call through the single-responsibility stages of this
-package.  The paper's four variants differ only in how it is built:
+package.  It implements variants V1–V3 of Section 6.2:
 
-* :class:`repro.api.comms.RawCommAdapter` is V0 "Unmodified Program":
-  the pipeline with no stages, every call a raw pass-through over the
-  underlying communicator;
 * built without a storage, the pipeline runs the full Figure-4 event
   handler (``piggyback``/``classifier``/``message-log``/``result-log``/
   ``replay``) but has no ``checkpoint`` stage, so no wave ever starts —
   V1;
 * handed a storage, it adds the ``checkpoint`` stage — V2/V3.
+
+V0, the unmodified program, is not a pipeline: it is
+:class:`repro.api.comms.RawCommAdapter`.  Persistent MPI objects (Section
+5.2) are :class:`repro.protocol.mpi_state.PersistentObjects`; the
+pipeline's constructors delegate to it.
 
 Every dispatch into a stage is counted into ``LayerStats.stage_calls``
 (exact, and pinned per run by the golden-facts suite).  Dispatch reads no
@@ -40,10 +42,10 @@ from typing import Any, Callable, Optional
 from repro.errors import ProtocolError, RecoveryError
 from repro.protocol import control as ctl
 from repro.protocol.logs import EpochLogs
-from repro.protocol.mpi_state import HandleRegistry, MpiStateLog
+from repro.protocol.mpi_state import WORLD_HANDLE, PersistentObjects
 from repro.protocol.piggyback import get_codec
 from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
-from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage
+from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage, SharedSurface
 from repro.protocol.stages.checkpoint import CheckpointStage
 from repro.protocol.stages.classifier import ClassifierStage
 from repro.protocol.stages.message_log import MessageLogStage
@@ -54,7 +56,6 @@ from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
-from repro.simmpi.op import Op
 from repro.statesave.format import CheckpointData
 
 #: Base of the tag region used by pipeline-level collective instances.  Raw
@@ -66,39 +67,17 @@ LAYER_COLL_BASE = -10_000_000
 #: Tag block used by the one-shot suppression exchange at restart.
 RESTORE_BASE = -1_000_000_000
 
-#: Pseudo-handle id denoting the world communicator.
-WORLD_HANDLE = -1
-
 #: ``_stamp``'s answer for a send that replay suppresses (any wire word,
 #: ``None`` included, means "post it").
 _SUPPRESSED = object()
 
 
-class RawHandle:
-    """Opaque handle over a raw communicator or op (the V0 analogue of a
-    pseudo-handle: same ``handle_id`` surface, no record/replay)."""
-
-    __slots__ = ("kind", "handle_id", "_live")
-
-    def __init__(self, kind: str, handle_id: int, live: Any) -> None:
-        self.kind = kind
-        self.handle_id = handle_id
-        self._live = live
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RawHandle(kind={self.kind!r}, id={self.handle_id})"
-
-
-class ProtocolPipeline:
+class ProtocolPipeline(SharedSurface):
     """Per-process protocol engine: shared state + the fixed stage sequence.
 
     The five protocol stages are always present; ``storage`` (the checkpoint
     stage is its only reader) adds the ``checkpoint`` stage.
     """
-
-    #: True only on :class:`repro.api.comms.RawCommAdapter`: no stages,
-    #: every call a raw pass-through.
-    _raw = False
 
     def __init__(
         self,
@@ -117,7 +96,6 @@ class ProtocolPipeline:
         # The communicator's generator operations, bound once.
         self._comm_send = comm.co_send
         self._comm_recv_envelope = comm.co_recv_envelope
-        self._comm_sendrecv = comm.co_sendrecv
         self._comm_yield_point = comm.co_yield_point
         #: This rank's mailbox control queue; bound by the checkpoint
         #: stage (the only consumer), empty forever without one.
@@ -132,11 +110,9 @@ class ProtocolPipeline:
         self._replay_done_sent = False
         self.suppress: dict[int, set[int]] = {}
         self.requests = RequestTable()
-        self.mpi_log = MpiStateLog()
-        self.handles = HandleRegistry()
-        #: Creation-replay cursor (see _creation_replay); None == disabled
-        #: (fresh start or precompiled resume), set to 0 by restore_from.
-        self._creation_cursor: Optional[int] = None
+        #: Persistent MPI objects (Section 5.2) behind pseudo-handles.
+        self.objects = PersistentObjects(comm)
+        self._raw_comm = self.objects.raw_comm
         #: Per-communicator collective call sequence (world = WORLD_HANDLE).
         self.coll_seqs: dict[int, int] = {WORLD_HANDLE: 0}
         self.stats = LayerStats()
@@ -144,24 +120,21 @@ class ProtocolPipeline:
         self.initiator = None
         #: Hook invoked right after a local checkpoint is written (tests).
         self.on_checkpoint: Optional[Callable[[CheckpointData], None]] = None
-        #: Raw-handle table (pass-through mode).
-        self._handles: dict[int, RawHandle] = {}
-        self._next_handle_id = 0
 
         # -- stages ------------------------------------------------------ #
+        cfg = self.config
+        self.pb = PiggybackStage(cfg)
+        self.clf = ClassifierStage(cfg)
+        self.msg_log = MessageLogStage(cfg)
+        self.res_log = ResultLogStage(cfg)
+        self.rep = ReplayStage(cfg)
+        self.stages: tuple[ProtocolStage, ...] = (
+            self.pb, self.clf, self.msg_log, self.res_log, self.rep,
+        )
         self.ckpt: Optional[CheckpointStage] = None
-        self.stages: tuple[ProtocolStage, ...] = ()
-        if not self._raw:
-            cfg = self.config
-            self.pb = PiggybackStage(cfg)
-            self.clf = ClassifierStage(cfg)
-            self.msg_log = MessageLogStage(cfg)
-            self.res_log = ResultLogStage(cfg)
-            self.rep = ReplayStage(cfg)
-            self.stages = (self.pb, self.clf, self.msg_log, self.res_log, self.rep)
-            if storage is not None:
-                self.ckpt = CheckpointStage(cfg)
-                self.stages += (self.ckpt,)
+        if storage is not None:
+            self.ckpt = CheckpointStage(cfg)
+            self.stages += (self.ckpt,)
         #: ``stats.stage_calls``, bound once: a dispatch counts itself
         #: with one item increment after the stage returns.
         self._calls = self.stats.stage_calls = {s.name: 0 for s in self.stages}
@@ -204,32 +177,6 @@ class ProtocolPipeline:
         yield from self.ckpt.co_progress()
         self._calls["checkpoint"] += 1
 
-    def _co_finalize_log(self):
-        if self.ckpt is not None:
-            yield from self.ckpt.co_finalize_log()
-
-    def _co_received_all_check(self):
-        if self.ckpt is not None:
-            yield from self.ckpt.co_received_all_check()
-
-    # ------------------------------------------------------------------ #
-    # Raw-mode helpers (no stages — the V0 pass-through).
-    # ------------------------------------------------------------------ #
-
-    def _new_handle(self, kind: str, live: Any) -> RawHandle:
-        handle = RawHandle(kind, self._next_handle_id, live)
-        self._next_handle_id += 1
-        self._handles[handle.handle_id] = handle
-        return handle
-
-    def _resolve(self, handle: Any) -> Comm:
-        if handle is None:
-            return self.comm
-        live = getattr(handle, "_live", None)
-        if not isinstance(live, Comm):
-            raise ProtocolError(f"not a communicator handle: {handle!r}")
-        return live
-
     # ------------------------------------------------------------------ #
     # Send path.
     # ------------------------------------------------------------------ #
@@ -265,9 +212,6 @@ class ProtocolPipeline:
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         """Application blocking send with piggybacked protocol data."""
-        if self._raw:
-            self.stats.sends += 1
-            return (yield from self._comm_send(payload, dest, tag))
         if not self._idle():
             yield from self._co_progress()
         wire = self._stamp(dest)
@@ -275,15 +219,11 @@ class ProtocolPipeline:
             yield from self._comm_send(payload, dest, tag, wire)
 
     def co_isend(self, payload: Any, dest: int, tag: int = 0):
-        """Nonblocking send; returns a pseudo-request (Section 5.2), or a
-        raw request in pass-through mode.
+        """Nonblocking send; returns a pseudo-request (Section 5.2).
 
         The underlying isend never suspends (eager sends); the scheduling
         points here are the progress drain only.
         """
-        if self._raw:
-            self.stats.sends += 1
-            return self.comm.isend(payload, dest, tag)
         if not self._idle():
             yield from self._co_progress()
         wire = self._stamp(dest)
@@ -298,10 +238,6 @@ class ProtocolPipeline:
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Application blocking receive."""
-        if self._raw:
-            self.stats.receives += 1
-            env = yield from self._comm_recv_envelope(source, tag)
-            return env.payload
         if not self._idle():
             yield from self._co_progress()
         self.stats.receives += 1
@@ -311,13 +247,10 @@ class ProtocolPipeline:
         return (yield from self._co_classify_and_deliver(env))
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive pseudo-request (a raw request in pass-through
-        mode).
+        """Nonblocking receive pseudo-request.
 
         Posting the receive never suspends; only the progress drain does.
         """
-        if self._raw:
-            return self.comm.irecv(source, tag)
         if not self._idle():
             yield from self._co_progress()
         req = self.requests.new("irecv", source=source, tag=tag)
@@ -331,12 +264,6 @@ class ProtocolPipeline:
 
     def co_wait(self, req: Any):
         """Complete a pseudo-request (the MPI_Wait analogue)."""
-        if self._raw:
-            # A raw receive counts when its completion is first seen, here
-            # or in co_test (send requests are complete at creation).
-            if not req.completed:
-                self.stats.receives += 1
-            return (yield from req.co_wait())
         if not self._idle():
             yield from self._co_progress()
         if req.consumed:
@@ -372,19 +299,16 @@ class ProtocolPipeline:
 
     def co_test(self, req: Any):
         """Nonblocking completion check for a pseudo-request."""
-        if self._raw:
-            if not req.completed and req.test():
-                self.stats.receives += 1
-            return req.completed
         if not self._idle():
             yield from self._co_progress()
-        if req.kind == "isend":
-            return True
-        if req.has_payload:
+        if req.kind == "isend" or req.has_payload:
             return True
         if req._live is None:
-            # Replay-resolved requests are only completed by wait().
-            return self.replay is not None and not self.replay.matches.exhausted
+            if self.replay is not None and not self.replay.matches.exhausted:
+                return True  # co_wait serves it from the match log
+            # Restored or replay-posted, and replay serves no more
+            # receives: post the live receive (co_wait receives live too).
+            req._live = self.comm.irecv(req.source, req.tag)
         return req._live.test()
 
     def co_sendrecv(
@@ -396,14 +320,6 @@ class ProtocolPipeline:
         recv_tag: int | None = None,
     ):
         """Combined exchange built from the pipeline's own send + recv."""
-        if self._raw:
-            self.stats.sends += 1
-            self.stats.receives += 1
-            return (
-                yield from self._comm_sendrecv(
-                    payload, dest, recv_source, send_tag, recv_tag
-                )
-            )
         if recv_tag is None:
             recv_tag = send_tag
         yield from self.co_send(payload, dest, send_tag)
@@ -444,8 +360,6 @@ class ProtocolPipeline:
         recorded result is returned instead of re-computing, so the replayed
         execution is identical to the one peers' checkpoints observed.
         """
-        if self._raw:
-            return compute()
         if not self._idle():
             yield from self._co_progress()
         if self.replay is not None and not self.replay.nondet.exhausted:
@@ -468,25 +382,17 @@ class ProtocolPipeline:
         base = LAYER_COLL_BASE - (seq * 2 + phase) * coll_impl._TAG_STRIDE
         return _LayerCollEndpoint(raw, base)
 
-    def _raw_comm(self, handle_id: int) -> Comm:
-        if handle_id == WORLD_HANDLE:
-            return self.comm
-        handle = self.handles.by_id.get(handle_id)
-        if handle is None or handle._live is None:
-            raise ProtocolError(f"unknown or unbound communicator handle {handle_id}")
-        return handle._live
-
     def _advance_coll_seq(self, handle_id: int) -> None:
         self.coll_seqs[handle_id] = self.coll_seqs.get(handle_id, 0) + 1
 
-    def _co_collective(
+    def _co_coll(
         self,
         kind: str,
         comm: Optional[PseudoHandle],
-        args: tuple,
+        *args: Any,
         loggable: bool = True,
     ):
-        """Shared machinery for every staged collective call.
+        """Shared machinery for every collective call.
 
         Runs ``coll_impl.co_<kind>(endpoint, *args)`` over the pipeline's
         own tag space.  ``loggable=False`` marks barrier: never
@@ -519,58 +425,20 @@ class ProtocolPipeline:
         result = yield from getattr(coll_impl, "co_" + kind)(data_ep, *args)
         self._advance_coll_seq(handle_id)
         if self.state.am_logging and loggable:
-            my_epoch = self.state.epoch
+            my_epoch, me = self.state.epoch, ctl_ep.coll_rank
             ended = any(
                 epoch == my_epoch and not logging
                 for i, (epoch, logging) in enumerate(peer_info)
-                if i != self._group_rank(handle_id)
+                if i != me
             )
             if ended:
                 # A same-epoch participant has stopped logging: logging has
                 # globally terminated; do not record the result.
-                yield from self._co_finalize_log()
+                yield from self.ckpt.co_finalize_log()
             else:
                 self.res_log.record_collective(kind, result)
                 self._calls["result-log"] += 1
         return result
-
-    def _group_rank(self, handle_id: int) -> int:
-        return self._raw_comm(handle_id).rank
-
-    def _co_coll(self, kind: str, comm: Any, *args: Any):
-        """One data collective: the communicator's own ``co_<kind>`` in
-        pass-through mode, the staged algorithm under :meth:`_co_collective`
-        otherwise."""
-        if self._raw:
-            self.stats.collectives += 1
-            return (yield from getattr(self._resolve(comm), "co_" + kind)(*args))
-        return (yield from self._co_collective(kind, comm, args))
-
-    # The eight data collectives; each hands back ``_co_coll``'s generator.
-
-    def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
-        return self._co_coll("bcast", comm, obj, root)
-
-    def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
-        return self._co_coll("reduce", comm, obj, op, root)
-
-    def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
-        return self._co_coll("allreduce", comm, obj, op)
-
-    def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
-        return self._co_coll("gather", comm, obj, root)
-
-    def co_allgather(self, obj: Any, comm: Any = None):
-        return self._co_coll("allgather", comm, obj)
-
-    def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
-        return self._co_coll("scatter", comm, objs, root)
-
-    def co_alltoall(self, objs: list[Any], comm: Any = None):
-        return self._co_coll("alltoall", comm, objs)
-
-    def co_scan(self, obj: Any, op: Op, comm: Any = None):
-        return self._co_coll("scan", comm, obj, op)
 
     def co_barrier(self, comm: Any = None):
         """MPI_Barrier with the paper's epoch-alignment rule (Section 4.5).
@@ -580,8 +448,6 @@ class ProtocolPipeline:
         in the same epoch.  If not, processes that have not yet taken their
         local checkpoints do so."
         """
-        if self._raw:
-            return (yield from self._co_coll("barrier", comm))
         if not self._idle():
             yield from self._co_progress()
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
@@ -603,7 +469,7 @@ class ProtocolPipeline:
             yield from self.ckpt.co_take_local_checkpoint()
             self._calls["checkpoint"] += 1
         self._advance_coll_seq(handle_id)
-        yield from self._co_collective("barrier", comm, (), loggable=False)
+        yield from self._co_coll("barrier", comm, loggable=False)
 
     # ------------------------------------------------------------------ #
     # potentialCheckpoint (Figure 4).
@@ -625,177 +491,47 @@ class ProtocolPipeline:
 
     def request_checkpoint_now(self) -> None:
         """Ask the initiator to start a wave at its next poll (tests/API)."""
-        if self.ckpt is None:
+        if self.initiator is None:
             raise ProtocolError(
                 "request_checkpoint_now needs a checkpoint stage (initiator-only)"
             )
-        self.ckpt.request_checkpoint_now()
+        self.initiator.force_initiate = True
 
     # ------------------------------------------------------------------ #
-    # MPI library persistent-object virtualisation (Section 5.2).
+    # Persistent MPI objects (Section 5.2): delegations to ``objects``.
     # ------------------------------------------------------------------ #
 
-    def _creation_replay(self, fn: str) -> tuple[bool, Optional[PseudoHandle]]:
-        """Swallow a re-executed persistent-object creation after restore.
-
-        Applications that restart *from the top* (the manual-state path)
-        re-execute their pre-checkpoint ``comm_dup``/``comm_split``/... calls.
-        Those objects already exist — recreated by the call-record replay at
-        restore — so while the creation cursor has records left, a creation
-        call returns the restored handle instead of making a new one.  The
-        precompiled path resumes past these calls and disables the cursor.
-        """
-        if (
-            self._creation_cursor is None
-            or self._creation_cursor >= len(self.mpi_log.records)
-        ):
-            return False, None
-        record = self.mpi_log.records[self._creation_cursor]
-        if record.fn != fn:
-            raise RecoveryError(
-                f"rank {self.rank}: re-executed creation {fn!r} but the "
-                f"restored call record says {record.fn!r}"
-            )
-        self._creation_cursor += 1
-        if record.handle_id >= 0:
-            return True, self.handles.by_id[record.handle_id]
-        return True, None
-
-    def skip_creation_replay(self) -> None:
-        """Disable creation-cursor matching (precompiled-application path)."""
-        self._creation_cursor = None
+    def _new_comm(self, handle: Optional[PseudoHandle]) -> Optional[PseudoHandle]:
+        """A communicator handle starts its collective sequence at 0 (a
+        restored one keeps its checkpointed sequence)."""
+        if handle is not None:
+            self.coll_seqs.setdefault(handle.handle_id, 0)
+        return handle
 
     def comm_dup(self, parent: Any = None) -> Any:
-        """Duplicate a communicator behind a (pseudo or raw) handle."""
-        if self._raw:
-            return self._new_handle("comm", self._resolve(parent).dup())
-        replayed, handle = self._creation_replay("comm_dup")
-        if replayed:
-            return handle
-        parent_id = parent.handle_id if parent is not None else WORLD_HANDLE
-        handle = self.mpi_log.new_handle("comm")
-        handle._live = self._raw_comm(parent_id).dup()
-        self.mpi_log.record("comm_dup", (parent_id,), handle)
-        self.handles.add(handle)
-        self.coll_seqs[handle.handle_id] = 0
-        return handle
+        """Duplicate a communicator behind a pseudo-handle."""
+        return self._new_comm(self.objects.comm_dup(parent))
 
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
-        """Split a communicator behind a (pseudo or raw) handle (collective)."""
-        if self._raw:
-            child = yield from self._resolve(parent).co_split(color, key)
-            if child is None:
-                return None
-            return self._new_handle("comm", child)
-        if self._creation_cursor is not None and self._creation_cursor < len(self.mpi_log.records):
-            record = self.mpi_log.records[self._creation_cursor]
-            fn = "comm_split" if record.fn == "comm_split" else "comm_split_undefined"
-            replayed, handle = self._creation_replay(fn)
-            if replayed:
-                return handle
-        parent_id = parent.handle_id if parent is not None else WORLD_HANDLE
-        raw_child = yield from self._raw_comm(parent_id).co_split(color, key)
-        if raw_child is None:
-            # Participation is still recorded: the split must be re-executed
-            # collectively on restore even by ranks that got no child.
-            self.mpi_log.record("comm_split_undefined", (parent_id, key))
-            return None
-        handle = self.mpi_log.new_handle("comm")
-        handle._live = raw_child
-        self.mpi_log.record("comm_split", (parent_id, color, key), handle)
-        self.handles.add(handle)
-        self.coll_seqs[handle.handle_id] = 0
-        return handle
+        """Split a communicator behind a pseudo-handle (collective)."""
+        return self._new_comm((yield from self.objects.co_comm_split(color, key, parent)))
 
     def op_create(self, name: str, fn: Callable[[Any, Any], Any]) -> Any:
-        """Create a user-defined reduction op behind a (pseudo or raw) handle.
+        """Create a user-defined reduction op behind a pseudo-handle.
 
-        Outside pass-through mode ``fn`` must be stable under ``name``: the
-        call record replays ``Op.create(name, fn)`` by looking the op up
-        at restore, so the application must re-register the op before
-        restore (module import time is the natural place).
+        ``fn`` must be stable under ``name``: the call record replays
+        ``Op.create(name, fn)`` by looking the op up at restore, so the
+        application must re-register the op before restore (module import
+        time is the natural place).
         """
-        if self._raw:
-            return self._new_handle("op", Op.create(name, fn))
-        replayed, handle = self._creation_replay("op_create")
-        if replayed:
-            return handle
-        handle = self.mpi_log.new_handle("op")
-        handle._live = Op.create(name, fn)
-        self.mpi_log.record("op_create", (name,), handle)
-        self.handles.add(handle)
-        return handle
+        return self.objects.op_create(name, fn)
 
     def attach_buffer(self, nbytes: int) -> None:
         """Record a direct library state change (MPI_Attach_buffer analogue)."""
-        if self._raw:
-            return
-        replayed, _ = self._creation_replay("attach_buffer")
-        if replayed:
-            return
-        self.mpi_log.record("attach_buffer", (nbytes,))
+        self.objects.attach_buffer(nbytes)
 
-    def comm_rank(self, handle: Any = None) -> int:
-        if self._raw:
-            return self._resolve(handle).rank
-        return self._raw_comm(handle.handle_id if handle else WORLD_HANDLE).rank
-
-    def comm_size(self, handle: Any = None) -> int:
-        if self._raw:
-            return self._resolve(handle).size
-        return self._raw_comm(handle.handle_id if handle else WORLD_HANDLE).size
-
-    def _co_replay_executors(self) -> dict[str, Callable[..., Any]]:
-        """Generator-form executors for the recorded-call replay at restore.
-
-        ``comm_split`` is a collective over the parent communicator, so its
-        re-execution is a scheduling point; the other creations are local.
-        """
-
-        def comm_dup(parent_id: int):
-            return self._raw_comm(parent_id).dup()
-            yield  # pragma: no cover -- marks this function as a generator
-
-        def comm_split(parent_id: int, color: int, key: int | None):
-            return (yield from self._raw_comm(parent_id).co_split(color, key))
-
-        def comm_split_undefined(parent_id: int, key: int | None):
-            yield from self._raw_comm(parent_id).co_split(None, key)
-            return None
-
-        def op_create(name: str):
-            return Op.lookup(name)
-            yield  # pragma: no cover
-
-        def attach_buffer(nbytes: int):
-            return None
-            yield  # pragma: no cover
-
-        return {
-            "comm_dup": comm_dup,
-            "comm_split": comm_split,
-            "comm_split_undefined": comm_split_undefined,
-            "op_create": op_create,
-            "attach_buffer": attach_buffer,
-        }
-
-    def _co_mpi_replay(self):
-        """Re-execute every recorded persistent-object call in order (the
-        generator form of :meth:`MpiStateLog.replay`)."""
-        executors = self._co_replay_executors()
-        handles = self.handles.by_id
-        for rec in self.mpi_log.records:
-            fn = executors.get(rec.fn)
-            if fn is None:
-                raise RecoveryError(f"no executor for recorded MPI call {rec.fn!r}")
-            live = yield from fn(*rec.args)
-            if rec.handle_id >= 0:
-                handle = handles.get(rec.handle_id)
-                if handle is None:
-                    raise RecoveryError(
-                        f"recorded call {rec.fn!r} targets unknown handle {rec.handle_id}"
-                    )
-                handle._live = live
+    def _comm_of(self, handle: Optional[PseudoHandle]) -> Comm:
+        return self._raw_comm(handle.handle_id if handle else WORLD_HANDLE)
 
     # ------------------------------------------------------------------ #
     # Recovery (restart from a committed checkpoint).
@@ -823,12 +559,7 @@ class ProtocolPipeline:
             )
         self.state = data.protocol
         self.coll_seqs = data.coll_seqs
-        self.mpi_log = data.mpi_records or MpiStateLog()
-        self.handles.restore(data.handles)
-        yield from self._co_mpi_replay()
-        # Arm the creation cursor: a from-the-top restart will re-execute
-        # these recorded creations and must be handed the restored handles.
-        self._creation_cursor = 0
+        yield from self.objects.co_restore(data.mpi_records, data.handles)
         self.requests.restore(data.requests)
         logs.rewind()
         self.replay = logs

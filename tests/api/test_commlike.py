@@ -27,15 +27,32 @@ SUSPENDING = (
 
 #: Every method the protocol names (the paper's Figure-2 surface).
 COMMLIKE_METHODS = tuple("co_" + name for name in SUSPENDING) + (
-    "comm_dup", "op_create", "comm_rank", "comm_size",
+    "comm_dup", "op_create", "attach_buffer", "comm_rank", "comm_size",
 )
+
+
+def parameters(cls, name):
+    """``name``'s parameter list on ``cls``: names, kinds and defaults."""
+    signature = inspect.signature(inspect.getattr_static(cls, name))
+    return [(p.name, p.kind, p.default) for p in signature.parameters.values()]
 
 
 @pytest.mark.parametrize("impl", [RawCommAdapter, ProtocolPipeline])
 def test_class_declares_full_surface(impl):
+    """Both implementations declare every ``CommLike`` member with the
+    protocol's own parameter list, and ``CommLike`` declares nothing
+    more than the surface listed here."""
+    declared = {
+        name for name, member in vars(CommLike).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert declared == set(COMMLIKE_METHODS)
     for name in COMMLIKE_METHODS:
         member = inspect.getattr_static(impl, name)
         assert callable(member), f"{impl.__name__}.{name} is not callable"
+        assert parameters(impl, name) == parameters(CommLike, name), (
+            f"{impl.__name__}.{name} differs from CommLike.{name}"
+        )
 
 
 @pytest.mark.parametrize("impl", [RawCommAdapter, ProtocolPipeline, C3AppContext])

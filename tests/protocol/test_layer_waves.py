@@ -228,18 +228,24 @@ class TestVariantConfigs:
         assert storage.committed_epoch() is None
 
     def test_raw_adapter_mode(self):
-        """V0: the pipeline with no stages sends no piggyback word and keeps
-        no protocol state."""
+        """V0 is not a pipeline: it sends no piggyback word and builds no
+        protocol state, logs, request table or stages."""
 
         def main(ctx):
             layer = RawCommAdapter(ctx.comm)
             yield from layer.co_send("x", 1 - ctx.rank, tag=1)
             env = yield from ctx.comm.co_recv_envelope(source=1 - ctx.rank, tag=1)
-            return (env.payload, env.piggyback, layer.stages, layer.stats.stage_calls)
+            kept = [
+                name for name in ("state", "logs", "requests", "objects", "stages")
+                if hasattr(layer, name)
+            ]
+            return (env.payload, env.piggyback, kept, layer.stats.stage_calls,
+                    layer.stats.sends)
 
         result = run_simple(main, nprocs=2, seed=8)
         assert result.completed
-        assert result.results == [("x", None, (), {})] * 2
+        assert not issubclass(RawCommAdapter, ProtocolPipeline)
+        assert result.results == [("x", None, [], {}, 1)] * 2
 
     def test_pipeline_without_storage_has_no_checkpoint_stage(self):
         """V1: built without a storage, the pipeline runs the five protocol
@@ -263,16 +269,12 @@ class TestVariantConfigs:
         stages = ("piggyback", "classifier", "message-log", "result-log", "replay")
         assert result.results == [(stages, None, None, 0)] * 2
 
-    @pytest.mark.parametrize("storage", [None, "raw"])
-    def test_restore_needs_a_checkpoint_stage(self, storage):
-        """Neither V0 nor V1 can be restored: replay reports to an
-        initiator that only the checkpoint stage runs."""
+    def test_restore_needs_a_checkpoint_stage(self):
+        """V1 cannot be restored: replay reports to an initiator that only
+        the checkpoint stage runs.  (V0 has no restore at all.)"""
 
         def main(ctx):
-            if storage == "raw":
-                layer = RawCommAdapter(ctx.comm)
-            else:
-                layer = ProtocolPipeline(ctx.comm, C3Config())
+            layer = ProtocolPipeline(ctx.comm, C3Config())
             with pytest.raises(RecoveryError, match="without a checkpoint stage"):
                 yield from layer.co_restore_from(None, None)
             return True

@@ -5,10 +5,10 @@ import pickle
 import pytest
 
 from repro.errors import ProtocolError, RecoveryError
-from repro.protocol.mpi_state import CallRecord, HandleRegistry, MpiStateLog
+from repro.protocol.mpi_state import CallRecord, HandleRegistry, MpiStateLog, PersistentObjects
 from repro.protocol.pseudo_handles import PseudoHandle, PseudoRequest, RequestTable
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.simmpi import SUM, run_simple
+from repro.simmpi import SUM, coop, run_simple
 from repro.statesave import Storage
 
 
@@ -63,36 +63,40 @@ class TestRequestTable:
 
 class TestMpiStateLog:
     def test_record_and_replay_order(self):
-        log = MpiStateLog()
-        h1 = log.new_handle("comm")
-        log.record("comm_dup", (-1,), h1)
-        h2 = log.new_handle("op")
-        log.record("op_create", ("MYOP",), h2)
-        log.record("attach_buffer", (1024,))
+        """The generator replay re-creates every recorded object in record
+        order: a dup of a dup, and a split of that, need their parents
+        re-bound first."""
 
-        calls = []
-        executors = {
-            "comm_dup": lambda parent: calls.append(("dup", parent)) or f"live-dup",
-            "op_create": lambda name: calls.append(("op", name)) or f"live-op",
-            "attach_buffer": lambda n: calls.append(("buf", n)),
-        }
-        handles = {h.handle_id: h for h in (h1, h2)}
-        log.replay(executors, handles)
-        assert calls == [("dup", -1), ("op", "MYOP"), ("buf", 1024)]
-        assert h1._live == "live-dup"
-        assert h2._live == "live-op"
+        def main(ctx):
+            objs = PersistentObjects(ctx.comm)
+            dup = objs.comm_dup(None)
+            dup2 = objs.comm_dup(dup)
+            half = yield from objs.co_comm_split(ctx.rank % 2, None, dup2)
+            op = objs.op_create("replay-order-max", max)
+            objs.attach_buffer(1024)
+            image = pickle.loads(pickle.dumps((objs.log, objs.handles.snapshot())))
+            fresh = PersistentObjects(ctx.comm)
+            yield from fresh.co_restore(*image)
+            live = {i: h._live for i, h in fresh.handles.by_id.items()}
+            return (
+                [r.fn for r in fresh.log.records],
+                live[dup2.handle_id].size, live[half.handle_id].size,
+                live[op.handle_id] is op._live, fresh.cursor,
+            )
+
+        result = run_simple(main, nprocs=4, seed=3)
+        fns = ["comm_dup", "comm_dup", "comm_split", "op_create", "attach_buffer"]
+        assert result.results == [(fns, 4, 2, True, 0)] * 4
 
     def test_replay_unknown_fn_rejected(self):
-        log = MpiStateLog()
-        log.records.append(CallRecord(fn="mystery", args=()))
-        with pytest.raises(RecoveryError):
-            log.replay({}, {})
+        log = MpiStateLog([CallRecord(fn="mystery", args=())])
+        with pytest.raises(RecoveryError, match="no executor"):
+            coop.drive(PersistentObjects(None).co_restore(log, []))
 
     def test_replay_unknown_handle_rejected(self):
-        log = MpiStateLog()
-        log.records.append(CallRecord(fn="comm_dup", args=(-1,), handle_id=99))
-        with pytest.raises(RecoveryError):
-            log.replay({"comm_dup": lambda p: "x"}, {})
+        log = MpiStateLog([CallRecord(fn="attach_buffer", args=(1024,), handle_id=99)])
+        with pytest.raises(RecoveryError, match="unknown handle 99"):
+            coop.drive(PersistentObjects(None).co_restore(log, []))
 
     def test_log_picklable(self):
         log = MpiStateLog()
@@ -147,7 +151,7 @@ class TestLayerPersistentObjects:
             layer = make_pipeline(ctx.comm, C3Config(save_app_state=False), storage)
             layer.op_create("concat-strings", lambda a, b: a + b)
             layer.attach_buffer(4096)
-            return [r.fn for r in layer.mpi_log.records]
+            return [r.fn for r in layer.objects.log.records]
 
         result = run_simple(main, nprocs=2, seed=2)
         assert result.results[0] == ["op_create", "attach_buffer"]
@@ -173,3 +177,32 @@ class TestLayerPersistentObjects:
         out = run_with_recovery(app, cfg, failures=FailureSchedule.single(0.004, 1))
         assert out.results == gold.results
         assert out.attempts[1].started_from_epoch >= 1
+
+    def test_from_the_top_restart_must_recreate_the_same_objects(self):
+        """A manual-state app re-executes its creations after a restart; one
+        that creates a different object than the restored call record
+        names is refused."""
+        from repro.runtime import RunConfig, run_with_recovery
+        from repro.simmpi import FailureSchedule
+
+        def app(ctx):
+            if ctx.restored:
+                ctx.mpi.op_create("restart-mismatch-max", max)
+            else:
+                ctx.mpi.comm_dup()
+            state = ctx.checkpointable_state(lambda: {"i": 0})
+            while state["i"] < 100:
+                yield from ctx.mpi.co_allreduce(1, SUM)
+                state["i"] += 1
+                yield from ctx.co_potential_checkpoint()
+            return state["i"]
+
+        cfg = RunConfig(nprocs=3, seed=5, checkpoint_interval=0.002,
+                        detector_timeout=0.04)
+        assert run_with_recovery(app, cfg).results == [100] * 3
+        with pytest.raises(
+            RecoveryError,
+            match="re-executed creation 'op_create' but the restored call "
+                  "record says 'comm_dup'",
+        ):
+            run_with_recovery(app, cfg, failures=FailureSchedule.single(0.004, 1))

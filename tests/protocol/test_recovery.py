@@ -187,3 +187,59 @@ class TestVariantSemantics:
         out = run_with_recovery(app, cfg, failures=FailureSchedule.single(0.002, 1))
         assert out.results == gold.results
         assert out.attempts[1].started_from_epoch is None
+
+
+#: Polls a restarted ring iteration may spend in ``co_test`` before the app
+#: gives up; a live receive completes within a few dozen.  (Before the
+#: restart a survivor polls until the detector notices its dead peer.)
+MAX_POLLS = 1_000
+
+
+def polling_ring_app():
+    """A 2-rank ring that posts its receive before the iteration's
+    checkpoint location and then polls it with ``co_test``.  The pending
+    request is kept in the checkpointed state, so a restart resumes with a
+    request restored from the checkpoint (no live receive behind it)."""
+
+    def app(ctx):
+        state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0, "req": None})
+        nxt = (ctx.rank + 1) % ctx.size
+        prev = (ctx.rank - 1) % ctx.size
+        while state["i"] < 40:
+            if state["req"] is None:
+                state["req"] = yield from ctx.mpi.co_irecv(source=prev)
+                yield from ctx.co_potential_checkpoint()
+            yield from ctx.mpi.co_send(state["i"], nxt)
+            for _ in range(20):
+                ctx.compute(seconds=0.0002)
+                yield from ctx.co_yield_point()
+            n = 0
+            while not (yield from ctx.mpi.co_test(state["req"])):
+                n += 1
+                assert not ctx.restored or n < MAX_POLLS, (
+                    f"rank {ctx.rank}: co_test never completes after the restart"
+                )
+                yield from ctx.co_yield_point()
+            state["acc"] += yield from ctx.mpi.co_wait(state["req"])
+            state["req"] = None
+            state["i"] += 1
+        return state["acc"]
+
+    return app
+
+
+class TestPollingAfterRestore:
+    @pytest.mark.parametrize("kill_time", [0.04, 0.07, 0.10])
+    def test_co_test_completes_a_restored_receive(self, kill_time):
+        """``co_test`` on an irecv with no live request, once replay no
+        longer serves receives, posts the receive instead of answering
+        False forever."""
+        app = polling_ring_app()
+        cfg = RunConfig(nprocs=2, seed=1, checkpoint_interval=0.002,
+                        detector_timeout=0.01)
+        gold = run_with_recovery(app, RunConfig(nprocs=2, seed=1,
+                                                variant=Variant.PIGGYBACK))
+        assert gold.results == [780, 780]
+        out = run_with_recovery(app, cfg, failures=FailureSchedule.single(kill_time, 1))
+        assert len(out.attempts) == 2 and out.attempts[1].started_from_epoch
+        assert out.results == gold.results

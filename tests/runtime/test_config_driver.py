@@ -19,14 +19,16 @@ class TestVariantMapping:
     ], ids=["V0", "V1", "V2", "V3"])
     def test_variant_builds_its_pipeline(self, variant, layer, stages):
         """The variant alone picks the layer and its stages; the pipeline
-        sees the run's storage only under V2/V3, and app state only V3."""
+        sees the run's storage only under V2/V3, and app state only V3.
+        V0's raw adapter has neither stages nor a storage."""
 
         def app(ctx):
             mpi = ctx.mpi
             yield from mpi.co_barrier()
             ckpt = getattr(mpi, "ckpt", None)
             return (
-                type(mpi).__name__, len(mpi.stages), mpi.storage is not None,
+                type(mpi).__name__, len(getattr(mpi, "stages", ())),
+                getattr(mpi, "storage", None) is not None,
                 ckpt is not None and ckpt.config.save_app_state,
             )
 
