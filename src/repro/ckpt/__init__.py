@@ -11,7 +11,8 @@ lineage of the application-level checkpointing systems descended from C3
   (:mod:`repro.ckpt.codecs`);
 * **incremental snapshots** that content-address the pickled state, each
   large array buffer on its own chunk boundaries, so unchanged regions cost
-  zero bytes and are never copied or hashed (:mod:`repro.ckpt.delta`);
+  zero bytes and are never copied or hashed (:mod:`repro.ckpt.delta`); the
+  in-band pickle stream is deflated first, the buffers stay raw;
 * **crash-consistent two-phase commit**: chunks first, then one atomic
   checksummed manifest — a failure mid-write never destroys the last good
   generation (:mod:`repro.ckpt.store`, :mod:`repro.ckpt.manifest`);

@@ -9,7 +9,9 @@ live memory: a generation is an ordered list of **segments**, the in-band
 stream first, then each buffer.  Each segment is cut on its own fixed-size
 chunk boundaries into ``memoryview`` slices, each addressed by a digest of
 its decoded bytes (:func:`chunk_digest`); a chunk already in the backend
-writes nothing, and only a chunk that is actually new is ever stored.
+writes nothing, and only a chunk that is actually new is ever stored.  The
+store deflates the in-band stream before cutting it (pickle structure
+compresses well) and cuts the buffers raw (:mod:`repro.ckpt.store`).
 
 Per-segment boundaries are what make fixed-size chunking dedup.  Scientific
 state is dominated by in-place-mutated arrays of stable shape (the dense CG
@@ -87,5 +89,5 @@ class DeltaStats:
     chunks_written: int = 0
     chunks_reused: int = 0
     chunks_hashed: int = 0   # the rest inherited the previous generation's digest
-    bytes_logical: int = 0   # decoded payload size
+    bytes_logical: int = 0   # undeflated stream plus buffers: a flat pickle's size
     bytes_stored: int = 0    # encoded bytes that hit the backend

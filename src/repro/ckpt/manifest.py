@@ -132,4 +132,7 @@ class GenerationManifest:
 
     @property
     def logical_bytes(self) -> int:
+        """Bytes the chunks decode to: the in-band stream as stored (deflated)
+        plus the raw buffers.  :attr:`CheckpointStore.logical_bytes` counts
+        the stream undeflated instead."""
         return sum(ref.length for ref in self.chunks)

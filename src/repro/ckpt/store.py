@@ -11,9 +11,10 @@ A *stream* is one logical sequence of generations (``rank0/state``,
 ``rank3/log``); a *generation* is one immutable snapshot within it,
 indexed by epoch.  Saving a generation is a two-phase commit:
 
-1. every new chunk of every segment (the in-band pickle stream, then each
-   contiguous buffer of a filesystem block or more; :mod:`repro.ckpt.delta`)
-   is written atomically under its content address, invisible until referenced;
+1. every new chunk of every segment (the in-band pickle stream, deflated,
+   then each contiguous buffer of a filesystem block or more, raw;
+   :mod:`repro.ckpt.delta`) is written atomically under its content
+   address, invisible until referenced;
 2. the checksummed manifest is published with one atomic rename.
 
 Every write holds values, not schema: manifests are binary records and
@@ -33,18 +34,30 @@ with the one at the same position of the stream's previous generation and
 on equality inherits that digest: the compare copies the chunk once
 (``bytes(chunk)``) and memcmps it, about 11x cheaper than the digest
 (≈ 4.5 µs against ≈ 49 µs per 64 KiB chunk, x86 with SHA extensions), so
-unchanged state is copied but never hashed or stored.  Compression happens
-per chunk, after dedup, so the codec never disturbs content addressing.
+unchanged state is copied but never hashed or stored.
+
+The in-band stream is deflated (``zlib`` level :data:`STREAM_LEVEL`) before
+it is chunked: what it holds above the small arrays is pickle structure —
+class and module names, frame-local names, runs of near-identical log
+records — and deflate removes about a quarter of dense CG's stored bytes.
+Array buffers stay raw, so they keep compare-before-hash and dedup (deflate
+is deterministic, so an unchanged stream still dedupes too).  A chunk codec
+applies per chunk on top of that, after dedup, so it never disturbs content
+addressing.  ``logical_bytes`` counts the stream undeflated: what a flat
+pickle store would write.
 
 :meth:`load` is the one verified read: the manifest's frame CRC and
 checksum, then every chunk's presence, decoding, length and digest, each
-chunk hashed once.  Every way a generation can be bad raises a
+chunk hashed once, then the stream's inflate.  A stream that verifies but
+does not inflate (a store written before the stream was deflated) is one
+more bad generation.  Every way a generation can be bad raises a
 :class:`~repro.errors.StorageError`; anything else is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import pickle
+import zlib
 from dataclasses import replace
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -69,6 +82,10 @@ STAGE_MANIFEST = "manifest"
 
 ProgressHook = Callable[[str, int, int], None]
 
+#: Deflate level of every generation's in-band stream: level 6 saves about
+#: 1 % more bytes on dense CG for twice the CPU.
+STREAM_LEVEL = 1
+
 
 class CheckpointStore:
     """Generations of checkpoints over a pluggable backend."""
@@ -90,8 +107,8 @@ class CheckpointStore:
         self.chunk_size = chunk_size
         #: Cumulative encoded bytes that reached the backend.
         self.bytes_written = 0
-        #: Cumulative decoded payload bytes saved (what a flat pickle store
-        #: would have written); the benchmark's denominator.
+        #: Cumulative payload bytes saved, the stream undeflated (what a flat
+        #: pickle store would have written); the benchmark's denominator.
         self.logical_bytes = 0
         self.chunks_written = 0
         self.chunks_reused = 0
@@ -162,7 +179,8 @@ class CheckpointStore:
         otherwise-identical runs produce different backends, poisoning
         byte-level rerun determinism and content-addressed result caches.
         """
-        segments = capture_segments(obj)
+        stream_raw, *buffers = capture_segments(obj)
+        segments = [memoryview(zlib.compress(stream_raw, STREAM_LEVEL)), *buffers]
         # Overwrite awareness: a recovery attempt that re-takes an epoch's
         # checkpoint republishes (stream, generation).  Remember the old
         # manifest's chunks so those only it referenced can be reclaimed after
@@ -176,7 +194,7 @@ class CheckpointStore:
         if self.incremental and isinstance(self.codec, NullCodec) and stream in self._previous:
             previous = self._previous[stream].segments
         total = sum(-(-len(segment) // self.chunk_size) for segment in segments)
-        stats = DeltaStats(bytes_logical=sum(map(len, segments)))
+        stats = DeltaStats(bytes_logical=len(stream_raw) + sum(map(len, buffers)))
         saved: list[tuple[ChunkRef, ...]] = []
         # Each chunk is paired with the one at its position in the previous
         # generation's same-numbered segment, or None past either's end.
@@ -262,10 +280,17 @@ class CheckpointStore:
         (a :class:`StorageError` for any bad byte); each segment gets a
         buffer of its own, so restored arrays are writable."""
         manifest = self.read_manifest(stream, generation)
-        pickled, *buffers = (
+        deflated, *buffers = (
             bytearray().join(self._verified_chunks(manifest, refs))
             for refs in manifest.segments
         )
+        try:
+            pickled = zlib.decompress(deflated)
+        except zlib.error as exc:
+            raise StorageError(
+                f"in-band stream of {stream!r} generation {generation} "
+                f"failed to inflate: {exc}"
+            ) from exc
         return pickle.loads(pickled, buffers=buffers)
 
     def _verified_chunks(

@@ -20,7 +20,8 @@ on:
 
 All four are plain lists of write-once records (named tuples: no field names in
 the pickle) with cursor-based replay consumption, saved at ``finalizeLog`` time
-as records only: replay has not read them yet, which pickling asserts.
+as records only: replay has not read them yet, and pickling one that it
+has raises :class:`~repro.errors.RecoveryError` (under ``python -O`` too).
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class _CursorLog(Positional):
         self.cursor = 0
 
     def __reduce__(self):
-        assert self.cursor == 0, f"{type(self).__name__} saved mid-replay"
+        # The saved form is the records only: a cursor would be dropped.
+        if self.cursor:
+            raise RecoveryError(f"{type(self).__name__} saved mid-replay")
         return super().__reduce__()
 
     def append(self, record: Any) -> None:
@@ -118,7 +121,8 @@ class LateMessageLog(Positional):
         self._consumed: list[bool] = [False] * len(self.records)
 
     def __reduce__(self):
-        assert not any(self._consumed), "LateMessageLog saved mid-replay"
+        if any(self._consumed):
+            raise RecoveryError("LateMessageLog saved mid-replay")
         return super().__reduce__()
 
     def append(self, record: LateRecord) -> None:

@@ -183,9 +183,13 @@ class CheckpointStage(ProtocolStage):
             app_state=app_state,
             taken_at=core.comm.wtime(),
         )
-        manifest = core.storage.write_state(core.rank, state.epoch, data)
+        storage = core.storage
+        # The store's counter, not the manifest: its chunks hold the stream
+        # deflated, and logical bytes are what a flat pickle store writes.
+        logical = storage.logical_bytes
+        manifest = storage.write_state(core.rank, state.epoch, data)
         if manifest is not None:  # custom storages may return nothing
-            core.stats.ckpt_logical_bytes += manifest.logical_bytes
+            core.stats.ckpt_logical_bytes += storage.logical_bytes - logical
             core.stats.ckpt_stored_bytes += manifest.stored_bytes
             core.stats.ckpt_chunks_reused += manifest.reused_chunks
         core.stats.checkpoints_taken += 1

@@ -8,8 +8,11 @@ Layout inside the engine's backend (in-memory or a directory)::
     refs/COMMIT                              -- commit history (framed+CRC)
 
 Manifests are binary records (:mod:`repro.ckpt.manifest`); the state, log
-and commit objects pickle positionally, with no field names.  A store whose
-manifests are pickled (older code) fails to load: the run restarts afresh.
+and commit objects pickle positionally, with no field names, and each
+generation's in-band pickle stream is deflated while array buffers stay raw
+(:mod:`repro.ckpt.store`).  A store whose manifests are pickled, or whose
+streams are not deflated (older code), fails to load: the run restarts
+afresh.
 
 Commit discipline (paper Section 4.1, phase 4): the initiator writes the
 commit record only after every process has reported ``stoppedLogging`` — so
@@ -30,9 +33,10 @@ the read is the restore, a restart hashes each chunk once.
 Every generation write is the engine's two-phase commit (chunks, then one
 atomic checksummed manifest), so a crash mid-write — including the injected
 :class:`~repro.simmpi.failures.CheckpointCrash` scenario — never destroys
-the previous generation.  Incremental mode and per-chunk compression are
-selected per store; :meth:`Storage.from_config` reads them from the
-``ckpt_*`` fields of :class:`~repro.runtime.config.RunConfig`.
+the previous generation.  Incremental mode and per-chunk compression (on
+top of the deflated stream) are selected per store;
+:meth:`Storage.from_config` reads them from the ``ckpt_*`` fields of
+:class:`~repro.runtime.config.RunConfig`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """CheckpointStore engine: delta, compression, two-phase commit, GC."""
 
 import pickle
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from repro.ckpt import (
     MemoryBackend,
     RetentionPolicy,
 )
+from repro.ckpt import store as store_module
 from repro.ckpt.delta import SEGMENT_FLOOR, capture_segments, chunk_views
-from repro.ckpt.store import STAGE_MANIFEST
+from repro.ckpt.store import STAGE_MANIFEST, STREAM_LEVEL
 from repro.errors import ManifestCorruptError, ProcessKilled, StorageError
 from repro.simmpi.failures import FailureSchedule
 from repro.statesave.storage import Storage
@@ -86,7 +89,7 @@ class TestSaveLoad:
         store = make_store(chunk_size=chunk_size)
         manifest = store.save("s", 1, obj)
         in_band, out_of_band = manifest.segments
-        assert sum(ref.length for ref in in_band) == len(stream)
+        assert sum(ref.length for ref in in_band) == len(zlib.compress(stream, STREAM_LEVEL))
         assert sum(ref.length for ref in out_of_band) == SEGMENT_FLOOR
         assert len(out_of_band) == -(-SEGMENT_FLOOR // chunk_size)
         back = store.load("s", 1)
@@ -353,6 +356,85 @@ class TestCompression:
         # Each generation's manifest remembers its own codec.
         assert second.load("s", 1) == [1, 2, 3]
         assert second.load("s", 2) == [4, 5, 6]
+
+
+class TestStreamDeflate:
+    """The in-band stream is deflated before chunking; buffers stay raw."""
+
+    OBJ = {
+        "grid": np.arange(1024.0),  # 8 KB: out of band, raw
+        "records": [("allreduce", i % 3, float(i)) for i in range(200)],
+    }
+
+    def test_logical_bytes_count_the_stream_undeflated(self):
+        stream, *buffers = capture_segments(self.OBJ)
+        store = make_store()
+        manifest = store.save("s", 1, self.OBJ)
+        in_band, grid = manifest.segments
+        deflated = sum(ref.length for ref in in_band)
+        assert deflated == len(zlib.compress(stream, STREAM_LEVEL)) < len(stream) // 2
+        assert sum(ref.length for ref in grid) == self.OBJ["grid"].nbytes
+        assert store.logical_bytes == len(stream) + sum(map(len, buffers))
+        assert manifest.logical_bytes == deflated + self.OBJ["grid"].nbytes
+
+    def test_identical_objects_dedupe_across_streams_and_generations(self):
+        store = make_store()
+        first = store.save("a", 1, self.OBJ)
+        assert first.stored_bytes > 0
+        for stream, generation in (("b", 1), ("a", 2)):
+            written = store.chunks_written
+            again = store.save(stream, generation, self.OBJ)
+            assert again.stored_bytes == 0 and store.chunks_written == written
+            assert again.segments == first.segments
+            assert store.load(stream, generation)["records"] == self.OBJ["records"]
+
+    @staticmethod
+    def _run_dense_cg(storage):
+        """A 4-rank V3 dense CG that commits several waves."""
+        from repro.apps import dense_cg
+        from repro.runtime.config import RunConfig
+        from repro.runtime.driver import run_with_recovery
+
+        app = dense_cg.build(dense_cg.CGParams(n=48, iterations=60))
+        config = RunConfig(
+            nprocs=4, seed=7, checkpoint_interval=0.0025, detector_timeout=0.05
+        )
+        return run_with_recovery(app, config, storage=storage)
+
+    def test_layer_stats_count_the_stream_undeflated(self):
+        flat = []
+
+        class FlatSizes(Storage):
+            def write_state(self, rank, epoch, data):
+                flat.append(sum(map(len, capture_segments(data))))
+                return super().write_state(rank, epoch, data)
+
+        out = self._run_dense_cg(FlatSizes(None))
+        assert len(flat) >= 4
+        assert sum(s.ckpt_logical_bytes for s in out.layer_stats) == sum(flat)
+
+    @staticmethod
+    def _undeflated(monkeypatch):
+        """Save as a store written before the stream was deflated: segment 0
+        is the raw pickle, its chunks addressed and verified as usual."""
+        monkeypatch.setattr(
+            store_module, "zlib", types.SimpleNamespace(compress=lambda data, level: data)
+        )
+
+    def test_store_of_undeflated_streams_restarts_from_scratch(self, monkeypatch):
+        storage = Storage(None)
+        self._undeflated(monkeypatch)
+        old = self._run_dense_cg(storage)
+        monkeypatch.undo()
+        assert old.checkpoints_committed >= 1
+        epoch = storage.commit_history()[-1].epoch
+        with pytest.raises(StorageError, match="inflate"):
+            storage.read_state(0, epoch)  # digests verify; the inflate fails
+        assert storage.restore_line() is None
+        again = self._run_dense_cg(storage)
+        assert again.attempts[0].started_from_epoch is None
+        assert again.attempts[-1].completed
+        assert again.results == old.results
 
 
 class TestTwoPhaseCommit:

@@ -1,9 +1,15 @@
 """Checkpoint records pickle positionally: class plus values, no schema."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.errors import RecoveryError
 from repro.protocol.logs import (
     CollectiveRecord,
     CollectiveResultLog,
@@ -117,15 +123,38 @@ def test_cursor_log_saved_mid_replay_is_a_bug(log):
     record = log()
     record.append(1)
     record.next()
-    with pytest.raises(AssertionError, match="mid-replay"):
+    with pytest.raises(RecoveryError, match="mid-replay"):
         pickle.dumps(record)
+
+
+def test_log_saved_mid_replay_raises_under_optimize():
+    """The guard is not an ``assert``: ``python -O`` keeps it."""
+    script = (
+        "import pickle\n"
+        "from repro.errors import RecoveryError\n"
+        "from repro.protocol.logs import MatchLog\n"
+        "log = MatchLog()\n"
+        "log.append(1)\n"
+        "log.next()\n"
+        "try:\n"
+        "    pickle.dumps(log)\n"
+        "except RecoveryError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('a mid-replay MatchLog pickled')\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_late_log_saved_mid_replay_is_a_bug():
     late = LateMessageLog()
     late.append(LateRecord(0, 1, 2, None))
     late.take_by_id(0, 2)
-    with pytest.raises(AssertionError, match="mid-replay"):
+    with pytest.raises(RecoveryError, match="mid-replay"):
         pickle.dumps(late)
 
 
