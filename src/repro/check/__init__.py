@@ -46,16 +46,11 @@ Entry points (:mod:`repro.check.driver`): :func:`check_functions`,
 :func:`check_module`, :func:`check_path`, :func:`check_app`, and
 :func:`preflight` (what ``Session.run(check=...)`` and chaos campaigns
 call).  The ``repro-check`` console script / ``python -m repro.check``
-lints from the command line; ``--fix`` proposes (and ``--fix --write``
-applies) span-anchored rewrites for the mechanical findings — including
-the escape family, which rewrites into ``checkpointable_state(...)``
-registrations — and prunes suppressions the fixes made stale (see
-:mod:`repro.check.fixes`).  ``--format sarif`` emits SARIF 2.1.0
-(:mod:`repro.check.sarif`); ``--cache-dir`` enables the content-hash
-incremental cache (:mod:`repro.check.cache`).
+lints from the command line and renders results as text or versioned
+JSON (:mod:`repro.check.cli`).  Repairs are manual: every diagnostic
+carries a hint naming its fix.
 """
 
-from repro.check.cache import ANALYSIS_VERSION, CheckCache
 from repro.check.diagnostics import (
     CODES,
     SCHEMA,
@@ -73,45 +68,28 @@ from repro.check.driver import (
     check_module,
     check_path,
     check_source,
-    import_closure,
     preflight,
     run_unit_checks,
 )
-from repro.check.fixes import (
-    FixProposal,
-    apply_fixes,
-    propose_fixes,
-    prune_stale_suppressions,
-)
-from repro.check.sarif import render_sarif, sarif_payload
 from repro.check.suppress import Suppression, find_suppressions
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "CODES",
     "SCHEMA",
-    "CheckCache",
     "CheckResult",
     "CodeInfo",
     "Diagnostic",
-    "FixProposal",
     "Severity",
     "Span",
     "Suppression",
-    "apply_fixes",
     "check_app",
     "check_functions",
     "check_module",
     "check_path",
     "check_source",
     "find_suppressions",
-    "import_closure",
     "preflight",
-    "propose_fixes",
-    "prune_stale_suppressions",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_unit_checks",
-    "sarif_payload",
 ]

@@ -549,8 +549,8 @@ def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
     for name, tree in unit.functions.items():
         local = unit.locals_of(name) | set(unit.comm_names(name))
         # Calls inside the arguments of a comm-rooted ``ctx.nondet(...)``
-        # are the logged-replay idiom itself, not a finding (this is what
-        # ``--fix`` rewrites unfixable entropy into).
+        # are the logged-replay idiom itself, not a finding (the repair
+        # the RPR020 hint names).
         logged: set[int] = set()
         for node in ast.walk(tree):
             if (
@@ -599,8 +599,9 @@ def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
                     span=unit.span(name, node),
                     function=name,
                     hint=(
-                        "use the simulator's virtual time, or wrap in "
-                        "ctx.nondet(...) if the value affects control flow"
+                        "read the simulator's virtual time with ctx.now(), "
+                        "or wrap in ctx.nondet(...) if the value affects "
+                        "control flow"
                     ),
                 ))
     return out
@@ -609,6 +610,16 @@ def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
 # ---------------------------------------------------------------------- #
 # VDS-escape (RPR030, RPR031, RPR032)
 # ---------------------------------------------------------------------- #
+
+def _thread_or_register(registration: str) -> str:
+    """The escape repair: threading first, registration with its caveat
+    (the registry keeps one process-wide value, saved for every rank)."""
+    return (
+        "thread the object through parameters/locals; "
+        f"{registration} suits rank-uniform state only, as it keeps one "
+        "process-wide copy for all ranks"
+    )
+
 
 def _store_targets(node: ast.stmt) -> Iterator[ast.expr]:
     if isinstance(node, ast.Assign):
@@ -667,11 +678,8 @@ def vds_escape(unit: CheckedUnit) -> list[Diagnostic]:
                                 ),
                                 span=unit.span(name, target),
                                 function=name,
-                                hint=(
-                                    "thread the object through parameters/"
-                                    "locals, or register it with "
-                                    'checkpointable_state("'
-                                    f'{root}")'
+                                hint=_thread_or_register(
+                                    f'checkpointable_state("{root}")'
                                 ),
                             ))
             # RPR030 (calls): GLOBAL.append(x) and friends.
@@ -691,10 +699,8 @@ def vds_escape(unit: CheckedUnit) -> list[Diagnostic]:
                             ),
                             span=unit.span(name, node),
                             function=name,
-                            hint=(
-                                "mutations of non-local objects are not "
-                                "captured by checkpoints nor undone by "
-                                "recovery"
+                            hint=_thread_or_register(
+                                f'checkpointable_state("{root}")'
                             ),
                         ))
             # RPR032: a nested scope reading this function's locals keeps
@@ -814,9 +820,8 @@ def aliased_escape(unit: CheckedUnit) -> list[Diagnostic]:
             span=unit.span(m.function, m.node),
             function=m.function,
             hint=(
-                f"{m.local!r} points at module-level state; thread the "
-                "object through parameters/locals or register the global "
-                "with checkpointable_state(...)"
+                f"{m.local!r} points at module-level state; "
+                + _thread_or_register("checkpointable_state(...)")
             ),
         ))
     for e in facts.escaping_args():

@@ -10,50 +10,22 @@ loosens that), so the command slots straight into CI::
     repro-check --apps --format json
     repro-check dense_cg --fail-on warning
 
-``--fix`` proposes span-anchored rewrites for the mechanical findings
-(entropy → ``ctx.rng``/``ctx.nondet``, wall clocks → ``ctx.now()``,
-mutable defaults → ``None`` + rebuild guard) and prints them as unified
-diffs; ``--fix --write`` applies them in place, ``--fix --dry-run`` only
-reports the count (the CI gate asserts ``0 fix(es) proposed`` on clean
-examples)::
-
-    repro-check --fix examples/quickstart.py
-    repro-check --fix --write path/to/app.py
-    repro-check --fix --dry-run examples/*.py
-
-``--fix --write`` also re-lints the rewritten file and prunes any
-suppression comment the fixes made stale, so a repaired file never keeps
-an ``# repro: ignore[...]`` that silences nothing.
-
-``--format sarif`` emits SARIF 2.1.0 for code-scanning upload, and
-``--cache-dir DIR`` enables the incremental cache: path targets whose
-content (including their sibling import closure) is unchanged are served
-from the cache instead of re-analyzed::
-
-    repro-check --format sarif --apps > repro-check.sarif
-    repro-check --cache-dir .repro-check-cache examples/*.py
+``--format json`` emits the versioned ``repro.check/3`` payload: every
+result with its diagnostics and suppressed findings, plus the targets
+that failed to run.  There is no rewriter: each diagnostic's hint names
+the manual repair.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
-from repro.check.cache import METRICS, CheckCache
 from repro.check.diagnostics import SCHEMA, CheckResult
 from repro.check.driver import check_app, check_module, check_path
-from repro.check.fixes import (
-    apply_fixes,
-    propose_fixes,
-    prune_stale_suppressions,
-    render_diff,
-)
-from repro.check.sarif import render_sarif
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,18 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "incremental cache directory: unchanged path targets (by "
-            "content hash over the file and its sibling import closure) "
-            "reuse their cached result"
-        ),
     )
     parser.add_argument(
         "--fail-on",
@@ -101,61 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the diagnostic code registry and exit",
     )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="propose span-anchored rewrites for mechanical findings",
-    )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="with --fix: apply the proposed rewrites in place",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: report counts only, never print diffs or write",
-    )
     return parser
 
 
-def _check_target(
-    target: str, cache: Optional[CheckCache] = None
-) -> tuple[CheckResult, bool]:
-    """Check one target; returns ``(result, served_from_cache)``."""
+def _check_target(target: str) -> CheckResult:
     if os.path.exists(target):
-        if cache is not None:
-            key = CheckCache.key_for(target)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached, True
-            result = check_path(target)
-            cache.put(key, result)
-            return result, False
-        return check_path(target), False
+        return check_path(target)
     try:
-        return check_app(target), False
+        return check_app(target)
     except Exception:
-        return check_module(target), False
-
-
-def _target_path(target: str) -> Optional[str]:
-    """The on-disk source file behind a CLI target (for ``--fix``)."""
-    if os.path.exists(target):
-        return target
-    try:
-        from repro.api.registry import get_app
-
-        spec = get_app(target)
-        module = spec.module
-    except Exception:
-        module = target
-    try:
-        if isinstance(module, str):
-            module = importlib.import_module(module)
-        return getattr(module, "__file__", None)
-    except Exception:
-        return None
+        return check_module(target)
 
 
 def _fails(result: CheckResult, fail_on: str) -> bool:
@@ -190,63 +108,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not targets:
         parser.error("no targets (give paths/app names, or --apps)")
 
-    cache = CheckCache(opts.cache_dir) if opts.cache_dir else None
     results: list[CheckResult] = []
     broken: list[tuple[str, str]] = []
-    cache_hits = 0
-    analyzed = 0
     for target in targets:
-        started = time.perf_counter()
         try:
-            result, hit = _check_target(target, cache)
+            results.append(_check_target(target))
         except Exception as exc:  # unreadable/unimportable target
             broken.append((target, f"{type(exc).__name__}: {exc}"))
-            continue
-        finally:
-            METRICS.observe("check.seconds", time.perf_counter() - started)
-        results.append(result)
-        if hit:
-            cache_hits += 1
-        else:
-            analyzed += 1
 
-    fix_records: list[dict] = []
-    diffs: list[str] = []
-    pruned_suppressions = 0
-    if opts.fix:
-        for target in targets:
-            path = _target_path(target)
-            if path is None or not os.path.exists(path):
-                continue
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-            try:
-                proposals = propose_fixes(source, file=path)
-            except SyntaxError:
-                continue
-            if not proposals:
-                continue
-            fixed = apply_fixes(source, proposals)
-            # Fixes can strand suppression comments: re-lint the fixed
-            # text and drop anything that no longer silences a finding.
-            try:
-                fixed, pruned = prune_stale_suppressions(fixed, file=path)
-            except SyntaxError:
-                pruned = 0
-            pruned_suppressions += pruned
-            fix_records.extend(p.to_dict() for p in proposals)
-            diffs.append(render_diff(source, fixed, path))
-            if opts.write and not opts.dry_run:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(fixed)
-
-    status = 0
-    if opts.format == "sarif":
-        print(render_sarif(results))
-        for target, error in broken:
-            print(f"{target}: check failed to run: {error}",
-                  file=sys.stderr)
-    elif opts.format == "json":
+    if opts.format == "json":
         payload = {
             "schema": SCHEMA,
             "results": [r.to_dict() for r in results],
@@ -254,41 +124,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 {"target": t, "error": e} for t, e in broken
             ],
         }
-        if opts.fix:
-            payload["fixes"] = fix_records
         print(json.dumps(payload, indent=2))
     else:
         for result in results:
             print(result.render())
         for target, error in broken:
             print(f"{target}: check failed to run: {error}")
-        if opts.fix and not opts.dry_run:
-            for diff in diffs:
-                print(diff, end="" if diff.endswith("\n") else "\n")
+        if results:
+            errors = sum(len(r.errors) for r in results)
+            warnings = sum(len(r.warnings) for r in results)
+            advice = sum(len(r.advice) for r in results)
+            print(
+                f"checked {len(results)} target(s): {errors} error(s), "
+                f"{warnings} warning(s), {advice} advice"
+            )
     if broken:
-        status = 2
-    elif any(_fails(r, opts.fail_on) for r in results):
-        status = 1
-    if opts.format == "text" and results:
-        errors = sum(len(r.errors) for r in results)
-        warnings = sum(len(r.warnings) for r in results)
-        advice = sum(len(r.advice) for r in results)
-        summary = (
-            f"checked {len(results)} target(s): {errors} error(s), "
-            f"{warnings} warning(s), {advice} advice"
-        )
-        if opts.fix:
-            applied = " (applied)" if opts.write and not opts.dry_run else ""
-            summary += f"; {len(fix_records)} fix(es) proposed{applied}"
-            if pruned_suppressions:
-                summary += (
-                    f"; {pruned_suppressions} stale suppression(s) pruned"
-                )
-        print(summary)
-        if cache is not None:
-            print(f"cache: {cache_hits} hit(s), {analyzed} analyzed")
-    return status
-
+        return 2
+    return int(any(_fails(r, opts.fail_on) for r in results))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 
 #: Version tag for every machine-readable payload this package emits.
-#: ``repro.check/2`` added suppression records, fix proposals, and the
+#: ``repro.check/2`` added suppression records and the
 #: interprocedural/alias code families (RPR012/013/033/034/090);
 #: ``repro.check/3`` adds the path-sensitive divergence code (RPR014) and
 #: the cross-module family (RPR050/051).
@@ -61,16 +61,6 @@ class Span:
             col=getattr(node, "col_offset", 0) or 0,
             end_line=getattr(node, "end_lineno", None),
             end_col=getattr(node, "end_col_offset", None),
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return cls(
-            file=data.get("file", "<unknown>"),
-            line=data.get("line", 0),
-            col=data.get("col", 0),
-            end_line=data.get("end_line"),
-            end_col=data.get("end_col"),
         )
 
     def render(self) -> str:
@@ -195,16 +185,6 @@ class Diagnostic:
         out["analysis"] = self.analysis
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(
-            code=data["code"],
-            message=data.get("message", ""),
-            span=Span.from_dict(data.get("span", {})),
-            function=data.get("function", ""),
-            hint=data.get("hint", ""),
-        )
-
 
 def render_text(diagnostics: Iterable[Diagnostic]) -> str:
     """The CLI's text rendering: one (or two, with hint) lines per finding,
@@ -286,18 +266,3 @@ class CheckResult:
                 for d in sorted(self.suppressed, key=Diagnostic.sort_key)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        """Rehydrate a result from its :meth:`to_dict` payload (the
-        incremental cache stores results in exactly this shape)."""
-        return cls(
-            target=data.get("target", "<unknown>"),
-            diagnostics=tuple(
-                Diagnostic.from_dict(d) for d in data.get("diagnostics", ())
-            ),
-            functions=tuple(data.get("functions", ())),
-            suppressed=tuple(
-                Diagnostic.from_dict(d) for d in data.get("suppressed", ())
-            ),
-        )

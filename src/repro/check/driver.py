@@ -602,43 +602,6 @@ def slice_module(
     return out
 
 
-def import_closure(path: str) -> list[str]:
-    """The file plus every sibling file its top-level imports resolve to
-    (the slicer's one-level reach) — the incremental cache hashes exactly
-    this set, so editing a helper invalidates the apps importing it."""
-    out = [path]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-    except (OSError, SyntaxError):
-        return out
-    directory = _slice_directory(path)
-    if not directory:
-        return out
-    abs_path = os.path.abspath(path)
-    for node in tree.body:
-        candidates: list[Optional[str]] = []
-        if isinstance(node, ast.ImportFrom):
-            if node.module is not None:
-                candidates.append(_sibling_file(directory, node.module))
-            else:
-                candidates.extend(
-                    _sibling_file(directory, a.name) for a in node.names
-                )
-        elif isinstance(node, ast.Import):
-            candidates.extend(
-                _sibling_file(directory, a.name) for a in node.names
-            )
-        for cand in candidates:
-            if (
-                cand
-                and os.path.abspath(cand) != abs_path
-                and cand not in out
-            ):
-                out.append(cand)
-    return out
-
-
 def check_source(
     source: str, file: str = "<string>", target: Optional[str] = None
 ) -> CheckResult:

@@ -98,48 +98,3 @@ class SuppressionFilter:
                 if (s, code) not in self._used:
                     out.append((s, code))
         return out
-
-
-def prune_stale(
-    source: str, stale: Iterable[tuple[Suppression, str]]
-) -> tuple[str, int]:
-    """Drop stale codes from their suppression comments.
-
-    A comment whose codes all went stale is removed outright (with the
-    whitespace that separated it from the code); one with surviving codes
-    is rewritten to list only those.  Returns ``(new_source, pruned)``
-    where ``pruned`` counts the removed (suppression, code) pairs.
-    """
-    stale_by_loc: dict[tuple[int, int], set[str]] = {}
-    for s, code in stale:
-        stale_by_loc.setdefault((s.line, s.col), set()).add(code)
-    if not stale_by_loc:
-        return source, 0
-
-    pruned = 0
-    lines = source.splitlines(keepends=True)
-    for lineno, text in enumerate(lines, start=1):
-        edits: list[tuple[int, int, str]] = []
-        for match in SUPPRESS_RE.finditer(text):
-            drop = stale_by_loc.get((lineno, match.start()))
-            if not drop:
-                continue
-            codes = [
-                c.strip() for c in match.group(2).split(",") if c.strip()
-            ]
-            keep = [c for c in codes if c not in drop]
-            pruned += len(codes) - len(keep)
-            if keep:
-                new = f"# repro: {match.group(1)}[{','.join(keep)}]"
-                edits.append((match.start(), match.end(), new))
-            else:
-                start = match.start()
-                while start > 0 and text[start - 1] in " \t":
-                    start -= 1
-                edits.append((start, match.end(), ""))
-        for start, end, new in sorted(edits, reverse=True):
-            text = text[:start] + new + text[end:]
-        if edits and text.strip() == "":
-            text = ""  # the comment was the whole line: drop the line
-        lines[lineno - 1] = text
-    return "".join(lines), pruned

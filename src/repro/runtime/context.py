@@ -93,7 +93,7 @@ class C3AppContext:
 
     def now(self) -> float:
         """Virtual time, the replay-stable substitute for ``time.time()``
-        (what ``repro-check --fix`` rewrites wall-clock reads into)."""
+        (the repair ``repro-check``'s RPR021 hint names)."""
         return self.wtime()
 
     # ------------------------------------------------------------------ #

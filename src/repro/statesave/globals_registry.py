@@ -91,8 +91,8 @@ def checkpointable_state(
     :data:`DEFAULT_REGISTRY` (pass ``module=``/``registry=`` to override)
     and — equally important — is recognised *statically* by
     ``repro-check``: registered names are exempt from the RPR030/033/034
-    escape findings, and the ``--fix`` escape rewrites emit exactly this
-    form.
+    escape findings.  One process-wide value is snapshotted into every
+    rank's checkpoint, so register rank-uniform state only.
     """
     if module is None:
         frame = sys._getframe(1)

@@ -1,6 +1,6 @@
-"""Seeded violation the mechanical fixer rewrites: a mutable default
-argument becomes ``None`` plus an in-body rebuild guard (golden output in
-``fixtures/fixed/fix_defaults.py``)."""
+"""Seeded violation: a mutable default argument.  Its hint names the
+``None`` default plus in-body rebuild guard that
+``vds_none_default_clean.py`` shows verifying clean."""
 
 
 def accumulate(ctx, value, history=[]):  # CHECK: RPR031

@@ -1,8 +1,8 @@
-"""Seeded violations the mechanical fixer repairs with registrations:
-module-state escapes (direct store, aliased mutation, escaping argument)
-each resolve to a ``checkpointable_state("...")`` declaration next to the
-global.  ``tests/check/test_fixes.py`` applies ``--fix`` and compares
-against ``fixtures/fixed/fix_escape.py``."""
+"""Seeded violations: module-state escapes (direct store, aliased
+mutation, escaping argument).  Their hints lead with threading the value
+through parameters and locals; ``vds_registered_clean.py`` shows that
+``checkpointable_state("...")`` registration also verifies clean, though
+it keeps one process-wide copy for all ranks."""
 
 CACHE = {}
 HISTORY = []

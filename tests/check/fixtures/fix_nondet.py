@@ -1,6 +1,6 @@
-"""Seeded violations the mechanical fixer rewrites: entropy draws and
-wall-clock reads.  ``tests/check/test_fixes.py`` applies ``--fix`` to
-this file and compares against ``fixtures/fixed/fix_nondet.py``."""
+"""Seeded violations: entropy draws and wall-clock reads.  Their hints
+name the logged forms (``ctx.rng``, ``ctx.now()``, ``ctx.nondet``) that
+``nondet_logged_clean.py`` shows verifying clean."""
 
 import os
 import random

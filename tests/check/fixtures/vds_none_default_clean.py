@@ -1,9 +1,9 @@
-"""Seeded violation the mechanical fixer rewrites: a mutable default
-argument becomes ``None`` plus an in-body rebuild guard (golden output in
-``fixtures/fixed/fix_defaults.py``)."""
+"""Clean counterpart of ``fix_defaults.py``: a ``None`` default with an
+in-body rebuild guard gives every call a fresh object, so the checker
+must stay silent."""
 
 
-def accumulate(ctx, value, history=None):  # CHECK: RPR031
+def accumulate(ctx, value, history=None):
     """Collect values into a per-call history."""
     if history is None:
         history = []

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from repro.check import check_path, import_closure
+from repro.check import check_path
 
 HALO = '''
 TAG = 7
@@ -310,24 +310,3 @@ class TestPerModuleScoping:
                 return ctx.allreduce(got, op="sum")
         ''')
         assert codes(check_path(str(app))) == []
-
-
-class TestImportClosure:
-    def test_closure_lists_target_and_siblings(self, tmp_path):
-        write(tmp_path, "halo.py", HALO)
-        app = write(tmp_path, "app.py", APP)
-        members = import_closure(str(app))
-        assert members[0] == str(app)
-        assert str(tmp_path / "halo.py") in members
-
-    def test_non_sibling_imports_are_ignored(self, tmp_path):
-        app = write(tmp_path, "app.py", '''
-            import os
-            import textwrap
-
-
-            def main(ctx):
-                ctx.potential_checkpoint()
-                return ctx.allreduce(1.0, op="sum")
-        ''')
-        assert import_closure(str(app)) == [str(app)]

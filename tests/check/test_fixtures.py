@@ -72,3 +72,30 @@ def test_every_analysis_has_two_fixtures():
         assert len(fixtures) >= 2, (
             f"analysis {analysis!r} is seeded by only {fixtures}"
         )
+
+
+#: What each formerly auto-fixed code's hint must spell out: the manual
+#: repair, and for the escape family the caveat that a registered global
+#: keeps one process-wide copy for all ranks.
+REPAIR_HINTS = {
+    "RPR020": ("ctx.rng", "ctx.nondet(lambda: ...)"),
+    "RPR021": ("ctx.now()",),
+    "RPR030": ("thread the object through parameters/locals",
+               "one process-wide copy for all ranks"),
+    "RPR031": ("=None and create the object inside the body",),
+    "RPR033": ("thread the object through parameters/locals",
+               "one process-wide copy for all ranks"),
+    "RPR034": ("return the value instead",),
+}
+
+
+def test_repair_hints_name_the_manual_fix():
+    seen: set[str] = set()
+    for path in FIXTURES:
+        for diag in check_path(str(path)).diagnostics:
+            if diag.code not in REPAIR_HINTS:
+                continue
+            seen.add(diag.code)
+            for phrase in REPAIR_HINTS[diag.code]:
+                assert phrase in diag.hint, (path.name, diag.render())
+    assert seen == set(REPAIR_HINTS)

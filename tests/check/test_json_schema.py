@@ -1,5 +1,5 @@
 """The versioned JSON output contract: ``repro.check/3`` payloads carry
-suppression and fix records alongside the diagnostics."""
+suppression records alongside the diagnostics."""
 
 import json
 from pathlib import Path
@@ -54,16 +54,3 @@ class TestPayloadSchema:
         assert result["ok"] is True
         assert result["diagnostics"] == []
         assert [d["code"] for d in result["suppressed"]] == ["RPR020"]
-
-    def test_fix_records_appear_with_fix_flag(self, run_json):
-        payload = run_json(
-            [str(FIXTURES / "fix_nondet.py"), "--fix", "--dry-run"]
-        )
-        assert len(payload["fixes"]) == 5
-        record = payload["fixes"][0]
-        for key in ("code", "file", "line", "col", "title", "replacement"):
-            assert key in record
-
-    def test_no_fix_key_without_fix_flag(self, run_json):
-        payload = run_json([str(FIXTURES / "clean_app.py")])
-        assert "fixes" not in payload

@@ -121,7 +121,7 @@ class TestRuntimeRoundTrip:
 
 
 class TestCheckpointableState:
-    """The module-level declaration ``repro-check --fix`` emits."""
+    """The module-level declaration ``repro-check`` recognises."""
 
     def test_registers_in_the_calling_module(self):
         reg = GlobalsRegistry()
