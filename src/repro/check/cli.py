@@ -142,5 +142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     return int(any(_fails(r, opts.fail_on) for r in results))
 
+
 if __name__ == "__main__":
     sys.exit(main())

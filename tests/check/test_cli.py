@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.check.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,3 +75,22 @@ class TestFormats:
         out = capsys.readouterr().out
         assert "RPR001" in out and "RPR041" in out
         assert "supported-subset" in out and "checkpoint-placement" in out
+
+
+class TestRemovedOptions:
+    """The checker has no rewriter, SARIF exporter or result cache: their
+    options are unknown to the parser, which exits with status 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--fix"],
+        ["--write"],
+        ["--dry-run"],
+        ["--cache-dir", "cache"],
+        ["--format", "sarif"],
+    ], ids=lambda argv: argv[-1] if argv[0] == "--format" else argv[0])
+    def test_option_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([CLEAN, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
