@@ -11,9 +11,9 @@ time, so the run is long enough (150 iterations) for the first wave to
 commit before the kill at t = 3.0; a kill much later (t = 3.45) never
 fires.  The check exits 1 when the run did not complete, the kill forced
 no restart, nothing was committed, or the final attempt started from
-scratch.  The ok line names the epoch each attempt started from, the
-waves committed and the per-stage dispatch counts (exact simulated
-facts).
+scratch.  The ok line names the simulated time of each attempt, the
+messages delivered, the epoch each attempt started from, the waves
+committed and the per-stage dispatch counts (exact simulated facts).
 
 CLI::
 
@@ -53,12 +53,14 @@ def main() -> int:
     wall = time.perf_counter() - started
 
     started_from = [rec.started_from_epoch for rec in out.attempts]
+    attempt_vt = [round(rec.virtual_time, 4) for rec in out.attempts]
     stage_calls = {
         name: entry["calls"] for name, entry in sorted(out.stage_totals().items())
     }
     print(
         f"scale smoke: {RANKS} ranks, {wall:.2f}s wall, "
-        f"vt={out.total_virtual_time:.4f}, restarts={out.restarts}, "
+        f"vt={out.total_virtual_time:.4f} (per attempt {attempt_vt}), "
+        f"messages={out.network_messages}, restarts={out.restarts}, "
         f"started_from_epoch={started_from[-1]} (per attempt {started_from}), "
         f"checkpoints_committed={out.checkpoints_committed}, "
         f"stage_calls={stage_calls}"

@@ -16,7 +16,8 @@ Protocol phases (paper Section 4.1):
    initiator, which then commits the global checkpoint
 
 Recovery addition (a quiescence guard; Section 4.2's early-message
-suppression lists travel in one ``alltoall`` at restore, not as tokens):
+suppression lists travel in one Bruck ``alltoall`` at restore, ceil(log2(n))
+messages per rank, not as tokens):
 
 * :class:`ReplayDone` — a restarted process tells the initiator it has
   consumed its logs, so the initiator can safely start the next checkpoint

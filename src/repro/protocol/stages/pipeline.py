@@ -543,7 +543,8 @@ class ProtocolPipeline(SharedSurface):
         Must be run by *every* rank of the job at restart, before any
         application re-execution: it performs a collective suppression
         exchange (each receiver tells each sender which early-message IDs to
-        suppress) and arms the deterministic replay engine.
+        suppress; one Bruck alltoall, ceil(log2(n)) messages per rank) and
+        arms the deterministic replay engine.
 
         Consumes ``data`` and ``logs``: both are kept and mutated uncopied (the
         driver hands over what it just unpickled, a graph nobody else holds).

@@ -17,7 +17,7 @@ Algorithms (standard HPC implementations):
 * ``allgather``  — recursive doubling (butterfly) for powers of two, ring
                    otherwise.
 * ``scatter``    — linear from root.
-* ``alltoall``   — pairwise exchange.
+* ``alltoall``   — Bruck: ceil(log2(n)) rounds, n * ceil(log2(n)) messages.
 * ``barrier``    — dissemination barrier.
 * ``scan``       — linear prefix.
 
@@ -252,35 +252,29 @@ def co_scatter(ep, objs: list[Any] | None, root: int = 0):
 
 
 def co_alltoall(ep, objs: list[Any]):
-    """Pairwise-exchange all-to-all; ``objs[d]`` goes to rank ``d``."""
+    """Bruck all-to-all; ``objs[d]`` goes to rank ``d``.
+
+    ceil(log2(n)) rounds and n * ceil(log2(n)) messages for any n, where a
+    pairwise exchange takes n(n - 1).  Round k sends the slots with bit k set
+    to rank + 2^k, so each rank sends about ½ * n * ceil(log2(n)) blocks
+    instead of n - 1: cheaper for small blocks.  The only in-repo caller is
+    the restart's suppression exchange, whose blocks are short tuples of
+    message IDs.  A rank's own block is handed back, not copied.
+    """
     size, rank = ep.coll_size, ep.coll_rank
     base = ep.coll_next_tag_block()
     if len(objs) != size:
         raise SimMPIError(f"alltoall needs exactly {size} elements, got {len(objs)}")
-    result: list[Any] = [None] * size
-    result[rank] = objs[rank]
-    # Exchange with partner rank ^ step when size is a power of two;
-    # otherwise with (rank + step) % size / (rank - step) % size.
-    if size & (size - 1) == 0:
-        for step in range(1, size):
-            partner = rank ^ step
-            yield from ep.co_coll_send(
-                partner, objs[partner], _round_tag(base, step % _TAG_STRIDE)
-            )
-            result[partner] = yield from ep.co_coll_recv(
-                partner, _round_tag(base, step % _TAG_STRIDE)
-            )
-    else:
-        for step in range(1, size):
-            send_to = (rank + step) % size
-            recv_from = (rank - step) % size
-            yield from ep.co_coll_send(
-                send_to, objs[send_to], _round_tag(base, step % _TAG_STRIDE)
-            )
-            result[recv_from] = yield from ep.co_coll_recv(
-                recv_from, _round_tag(base, step % _TAG_STRIDE)
-            )
-    return result
+    # Slot i holds the block bound for rank + i; after the rounds, the one from rank - i.
+    slots = [*objs[rank:], *objs[:rank]]
+    for rnd in range((size - 1).bit_length()):
+        mask, tag = 1 << rnd, _round_tag(base, rnd)
+        moving = [i for i in range(mask, size) if i & mask]
+        yield from ep.co_coll_send((rank + mask) % size, [slots[i] for i in moving], tag)
+        incoming = yield from ep.co_coll_recv((rank - mask) % size, tag)
+        for i, block in zip(moving, incoming):
+            slots[i] = block
+    return [slots[(rank - src) % size] for src in range(size)]
 
 
 def co_barrier(ep):

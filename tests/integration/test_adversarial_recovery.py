@@ -196,7 +196,7 @@ class TestRestoreConsumesWhatItIsHanded:
         out = run_with_recovery(
             app, config,
             failures=FailureSchedule(
-                [KillEvent(0.008, 1), KillEvent(0.0003, 0, attempt=1)]
+                [KillEvent(0.008, 1), KillEvent(0.0002, 0, attempt=1)]
             ),
             storage=MarkingStorage.from_config(config), tracer=tracer,
         )

@@ -1,5 +1,7 @@
 """Collective algorithms: correctness across sizes, roots, and orderings."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,15 +104,35 @@ def test_scatter(n):
     assert run(main, n) == [i * i for i in range(n)]
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("ordering", ORDERINGS)
-def test_alltoall(n, ordering):
-    def main(ctx):
-        return (yield from ctx.comm.co_alltoall([ctx.rank * 100 + d for d in range(n)]))
+def _alltoall_block(payload, src, dst):
+    if payload == "int":
+        return src * 100 + dst
+    kind = (src + dst) % 3
+    return None if kind == 0 else (src, dst) if kind == 1 else np.full(3, src * 100.0 + dst)
 
-    results = run(main, n, ordering)
-    for rank, got in enumerate(results):
-        assert got == [s * 100 + rank for s in range(n)]
+
+@pytest.mark.parametrize("n", SIZES + [64])
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("payload", ["int", "mixed"])
+def test_alltoall(n, ordering, payload):
+    """Every block reaches its rank in ceil(log2(n)) rounds of one message
+    per rank, and a rank's own block is handed back, not copied."""
+    def main(ctx):
+        mine = [_alltoall_block(payload, ctx.rank, d) for d in range(n)]
+        return mine, (yield from ctx.comm.co_alltoall(mine))
+
+    result = run_simple(main, nprocs=n, seed=11, ordering=ordering)
+    assert result.completed
+    assert result.network.posted == n * math.ceil(math.log2(n))
+    for rank, (mine, got) in enumerate(result.results):
+        assert got[rank] is mine[rank]
+        assert len(got) == n
+        for src, block in enumerate(got):
+            expected = _alltoall_block(payload, src, rank)
+            if isinstance(expected, np.ndarray):
+                np.testing.assert_array_equal(block, expected)
+            else:
+                assert block == expected
 
 
 @pytest.mark.parametrize("n", SIZES)
