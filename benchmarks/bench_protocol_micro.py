@@ -387,11 +387,13 @@ def _co_guard_ring(ctx):
 
 
 #: Python calls per delivered message on the 16-rank ring, per variant.
-#: Measured 34.1 / 51.6 / 51.8 (Python 3.11).  V0 as a standalone adapter
-#: whose ``co_send`` hands back the communicator's generator took it from
-#: 35.4; V0's own pass-through arms in ``co_send`` / ``co_recv`` from 38.5
+#: Measured 34.1 / 47.4 / 47.5 (Python 3.11).  V1/V3 fell from 51.6 / 51.8
+#: when the pipeline ran the piggyback, classifier, message-log, result-log
+#: and replay rules itself instead of calling a stage object for each.  V0
+#: as a standalone adapter whose ``co_send`` hands back the communicator's
+#: generator took it from 35.4; V0's own pass-through arms in ``co_send`` / ``co_recv`` from 38.5
 #: before that; the build-every-message path made 53.3 / 68.7 / 68.9.
-_CALLS_PER_MESSAGE = {"UNMODIFIED": 36, "PIGGYBACK": 53, "FULL": 53}
+_CALLS_PER_MESSAGE = {"UNMODIFIED": 36, "PIGGYBACK": 49, "FULL": 49}
 
 
 @pytest.mark.parametrize("variant", sorted(_CALLS_PER_MESSAGE))

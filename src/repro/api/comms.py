@@ -20,7 +20,7 @@ surface down as a structural protocol so an application written against
 
 The V1–V3 implementation is the
 :class:`~repro.protocol.stages.pipeline.ProtocolPipeline`: its five
-protocol stages under V1, plus the checkpoint stage that a storage adds
+protocol concerns under V1, plus the checkpoint stage that a storage adds
 under V2/V3.  Both implementations inherit the eight data collectives
 and ``comm_rank``/``comm_size`` from
 :class:`~repro.protocol.stages.base.SharedSurface`.

@@ -42,13 +42,11 @@ from repro.protocol.stages import (
     C3Config,
     LayerStats,
     ProtocolPipeline,
-    ProtocolStage,
 )
 from repro.protocol.state import ProtocolState
 
 __all__ = [
     "ProtocolPipeline",
-    "ProtocolStage",
     "C3Config",
     "CollectiveRecord",
     "EpochLogs",

@@ -1,27 +1,16 @@
-"""Composable protocol stages (the decomposed C3 layer).
+"""The C3 protocol layer (the paper's Figure 4).
 
-See :mod:`repro.protocol.stages.base` for the stage interface and
-:mod:`repro.protocol.stages.pipeline` for the fixed stage sequence.
+See :mod:`repro.protocol.stages.base` for the six protocol concerns and
+:mod:`repro.protocol.stages.pipeline` for the pipeline that runs them.
 """
 
-from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage
+from repro.protocol.stages.base import C3Config, LayerStats
 from repro.protocol.stages.checkpoint import CheckpointStage
-from repro.protocol.stages.classifier import ClassifierStage
-from repro.protocol.stages.message_log import MessageLogStage
-from repro.protocol.stages.piggyback import PiggybackStage
 from repro.protocol.stages.pipeline import ProtocolPipeline
-from repro.protocol.stages.replay import ReplayStage
-from repro.protocol.stages.result_log import ResultLogStage
 
 __all__ = [
     "C3Config",
     "CheckpointStage",
-    "ClassifierStage",
     "LayerStats",
-    "MessageLogStage",
-    "PiggybackStage",
     "ProtocolPipeline",
-    "ProtocolStage",
-    "ReplayStage",
-    "ResultLogStage",
 ]

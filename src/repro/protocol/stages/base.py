@@ -1,11 +1,12 @@
-"""Protocol-stage interface and configuration.
+"""Protocol-layer configuration, counters and the shared ``CommLike`` surface.
 
-The C3 layer (paper Figure 4) is composed of single-responsibility
-*stages* threaded together by a :class:`~repro.protocol.stages.pipeline.
-ProtocolPipeline`.  Each stage owns one protocol concern:
+The C3 layer (paper Figure 4) is one
+:class:`~repro.protocol.stages.pipeline.ProtocolPipeline` per process.
+It runs six protocol concerns, and counts each pass through one under
+the concern's name in :attr:`LayerStats.stage_calls`:
 
 =============  =====================================================
-Stage name     Concern
+Concern        What it does
 =============  =====================================================
 piggyback      attach/strip the ``(color, amLogging, messageID)``
                word on every application message (Section 4.2)
@@ -20,20 +21,19 @@ checkpoint     control plane, initiator, ``potentialCheckpoint``,
                epoch transitions, ``mySendCount``/``receivedAll?``
 =============  =====================================================
 
-Stages share the pipeline as a blackboard: protocol variables
-(:class:`~repro.protocol.state.ProtocolState`), logs, handle tables and
-stats live on the pipeline core; stages carry behaviour.  The pipeline
-always builds the first five and adds ``checkpoint`` exactly when it is
-handed a storage.  V0 builds no pipeline at all (``RawCommAdapter``).
+The first five are pipeline code over the pipeline's own state (protocol
+variables, logs, handle tables, stats).  ``checkpoint`` is the optional
+part and the one object: the pipeline builds a
+:class:`~repro.protocol.stages.checkpoint.CheckpointStage` exactly when it
+is handed a storage (V2/V3).  V0 builds no pipeline (``RawCommAdapter``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocol.stages.pipeline import ProtocolPipeline
     from repro.simmpi.op import Op
 
 #: The rank whose checkpoint stage runs the wave initiator (Section 4.1).
@@ -85,31 +85,11 @@ class LayerStats:
     ckpt_logical_bytes: int = 0
     ckpt_stored_bytes: int = 0
     ckpt_chunks_reused: int = 0
-    #: Per-stage observability: dispatches into each pipeline stage (keys
-    #: are stage names; populated only for the stages present in this
-    #: rank's pipeline).
+    #: Per-concern observability: passes through each of the pipeline's
+    #: protocol concerns, keyed by concern name (the five protocol
+    #: concerns always, ``checkpoint`` only when the pipeline has a
+    #: checkpoint stage; empty for V0's raw adapter).
     stage_calls: dict[str, int] = field(default_factory=dict)
-
-
-class ProtocolStage:
-    """Base class for pipeline stages.
-
-    A stage is bound to exactly one pipeline via :meth:`bind` before any
-    traffic flows; the pipeline dispatches into each stage explicitly.
-    """
-
-    #: Stage name; also the key under which per-stage counters appear.
-    name: ClassVar[str] = "stage"
-
-    def __init__(self, config: C3Config) -> None:
-        self.config = config
-        self.core: "ProtocolPipeline" = None  # type: ignore[assignment]
-
-    def bind(self, core: "ProtocolPipeline") -> None:
-        self.core = core
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<{type(self).__name__} {self.name!r}>"
 
 
 class SharedSurface:

@@ -1,6 +1,9 @@
-"""Checkpoint-controller stage: control plane, initiator, epochs.
+"""The checkpoint stage: control plane, initiator, epochs.
 
-Owns everything that makes checkpoints happen (paper Section 4.1):
+The one protocol concern that is an object rather than pipeline code: the
+pipeline builds it when it is handed a storage (V2/V3) and counts its work
+under ``checkpoint``.  It owns everything that makes checkpoints happen
+(paper Section 4.1):
 
 * the out-of-band control plane on ``TAG_CONTROL``: the rank's mailbox
   control queue, drained by :meth:`co_progress` whenever an operation
@@ -15,29 +18,30 @@ Owns everything that makes checkpoints happen (paper Section 4.1):
 from __future__ import annotations
 
 import copy
+from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator
 from repro.protocol.logs import EpochLogs
-from repro.protocol.stages.base import INITIATOR_RANK, C3Config, ProtocolStage
+from repro.protocol.stages.base import INITIATOR_RANK
 from repro.simmpi.constants import TAG_CONTROL
 from repro.statesave.format import CheckpointData
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.protocol.stages.pipeline import ProtocolPipeline
 
-class CheckpointStage(ProtocolStage):
-    """Drive checkpoint waves and take local checkpoints."""
 
-    name = "checkpoint"
+class CheckpointStage:
+    """Drive checkpoint waves and take local checkpoints for one pipeline
+    (``core``), which builds it exactly when it is handed a storage."""
 
-    def __init__(self, config: C3Config) -> None:
-        super().__init__(config)
-        self.initiator: Initiator | None = None
-
-    def bind(self, core) -> None:
-        super().bind(core)
+    def __init__(self, core: ProtocolPipeline) -> None:
+        self.core = core
+        self.config = core.config
         self._mailbox = core.comm.proc.mailbox
         core._control = self._mailbox.control
+        self.initiator: Initiator | None = None
         if core.rank == INITIATOR_RANK:
             self.initiator = Initiator(
                 nprocs=core.nprocs,

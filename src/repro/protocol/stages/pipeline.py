@@ -1,28 +1,30 @@
-"""The protocol pipeline: a fixed stage sequence behind the ``CommLike`` surface.
+"""The protocol pipeline: the C3 layer behind the ``CommLike`` surface.
 
 :class:`ProtocolPipeline` is the per-process C3 protocol layer: it sits
 between the application and the (simulated) MPI library and intercepts
 every communication call (the paper's Figure 2).  It owns the shared
 protocol state (Figure 4's variables, the epoch logs, pseudo-handle
-tables, per-communicator collective sequence numbers) and threads every
-``CommLike`` call through the single-responsibility stages of this
-package.  It implements variants V1–V3 of Section 6.2:
+tables, per-communicator collective sequence numbers) and runs Figure 4's
+communicationEventHandler as six counted concerns (the table in
+:mod:`repro.protocol.stages.base`): five are pipeline code, and the
+sixth, ``checkpoint``, is the optional part and the one object
+(:class:`~repro.protocol.stages.checkpoint.CheckpointStage`).  It
+implements variants V1–V3 of Section 6.2:
 
-* built without a storage, the pipeline runs the full Figure-4 event
-  handler (``piggyback``/``classifier``/``message-log``/``result-log``/
-  ``replay``) but has no ``checkpoint`` stage, so no wave ever starts —
-  V1;
-* handed a storage, it adds the ``checkpoint`` stage — V2/V3.
+* built without a storage, the pipeline runs the five protocol concerns
+  but has no checkpoint stage, so no wave ever starts — V1;
+* handed a storage, it builds the checkpoint stage — V2/V3.
 
 V0, the unmodified program, is not a pipeline: it is
 :class:`repro.api.comms.RawCommAdapter`.  Persistent MPI objects (Section
 5.2) are :class:`repro.protocol.mpi_state.PersistentObjects`; the
 pipeline's constructors delegate to it.
 
-Every dispatch into a stage is counted into ``LayerStats.stage_calls``
-(exact, and pinned per run by the golden-facts suite).  Dispatch reads no
-host clock: a clock read costs more than most stages, and a timer around
-a stage that suspends would charge it with other ranks' slices.
+Every pass through a concern is counted into ``LayerStats.stage_calls``
+under the concern's name (exact, and pinned per run by the golden-facts
+suite).  Counting reads no host clock: a clock read costs more than most
+concerns, and a timer around one that suspends would charge it with other
+ranks' slices.
 Durations come from a profiler or from ``repro.trace`` events.
 
 One deliberate refinement over the paper's prose: the collective logging
@@ -37,21 +39,18 @@ exactly the paper's color-bit reasoning applied to collectives.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Optional
 
 from repro.errors import ProtocolError, RecoveryError
 from repro.protocol import control as ctl
-from repro.protocol.logs import EpochLogs
+from repro.protocol.classify import MessageClass, classify_by_color, classify_by_epoch
+from repro.protocol.logs import CollectiveRecord, EpochLogs, LateRecord, MatchRecord
 from repro.protocol.mpi_state import WORLD_HANDLE, PersistentObjects
-from repro.protocol.piggyback import get_codec
+from repro.protocol.piggyback import FullCodec, get_codec
 from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
-from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage, SharedSurface
+from repro.protocol.stages.base import INITIATOR_RANK, C3Config, LayerStats, SharedSurface
 from repro.protocol.stages.checkpoint import CheckpointStage
-from repro.protocol.stages.classifier import ClassifierStage
-from repro.protocol.stages.message_log import MessageLogStage
-from repro.protocol.stages.piggyback import PiggybackStage
-from repro.protocol.stages.replay import ReplayStage
-from repro.protocol.stages.result_log import ResultLogStage
 from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
 from repro.simmpi.comm import Comm
@@ -73,10 +72,10 @@ _SUPPRESSED = object()
 
 
 class ProtocolPipeline(SharedSurface):
-    """Per-process protocol engine: shared state + the fixed stage sequence.
+    """Per-process protocol engine: shared state and Figure 4's handler.
 
-    The five protocol stages are always present; ``storage`` (the checkpoint
-    stage is its only reader) adds the ``checkpoint`` stage.
+    The five protocol concerns are always present; ``storage`` (the
+    checkpoint stage is its only reader) adds the ``checkpoint`` stage.
     """
 
     def __init__(
@@ -116,33 +115,23 @@ class ProtocolPipeline(SharedSurface):
         #: Per-communicator collective call sequence (world = WORLD_HANDLE).
         self.coll_seqs: dict[int, int] = {WORLD_HANDLE: 0}
         self.stats = LayerStats()
-        #: Set by the checkpoint stage at bind time (initiator rank only).
+        #: Set by the checkpoint stage when it is built (initiator rank only).
         self.initiator = None
         #: Hook invoked right after a local checkpoint is written (tests).
         self.on_checkpoint: Optional[Callable[[CheckpointData], None]] = None
-
-        # -- stages ------------------------------------------------------ #
-        cfg = self.config
-        self.pb = PiggybackStage(cfg)
-        self.clf = ClassifierStage(cfg)
-        self.msg_log = MessageLogStage(cfg)
-        self.res_log = ResultLogStage(cfg)
-        self.rep = ReplayStage(cfg)
-        self.stages: tuple[ProtocolStage, ...] = (
-            self.pb, self.clf, self.msg_log, self.res_log, self.rep,
-        )
-        self.ckpt: Optional[CheckpointStage] = None
+        #: The codec is fixed for the pipeline's life, so the
+        #: classification rule is too.
+        self._by_epoch = isinstance(self.codec, FullCodec)
+        concerns = ("piggyback", "classifier", "message-log", "result-log", "replay")
         if storage is not None:
-            self.ckpt = CheckpointStage(cfg)
-            self.stages += (self.ckpt,)
-        #: ``stats.stage_calls``, bound once: a dispatch counts itself
-        #: with one item increment after the stage returns.
-        self._calls = self.stats.stage_calls = {s.name: 0 for s in self.stages}
-        for stage in self.stages:
-            stage.bind(self)
+            concerns += ("checkpoint",)
+        #: ``stats.stage_calls``, bound once: a concern counts itself with
+        #: one item increment after it returns.
+        self._calls = self.stats.stage_calls = dict.fromkeys(concerns, 0)
+        self.ckpt = CheckpointStage(self) if storage is not None else None
 
     # ------------------------------------------------------------------ #
-    # Control plane (shared by the checkpoint and replay stages).
+    # Control plane (shared by the checkpoint stage and replay).
     #
     # Every CommLike operation that can suspend exists once, as a ``co_*``
     # generator whose yields are its scheduling points; the calls that
@@ -188,9 +177,9 @@ class ProtocolPipeline(SharedSurface):
         self.stats.sends += 1
         message_id = self.state.note_send(dest)
         tr = self.tracer
-        # ``suppress`` is non-empty only after a restore armed the replay
-        # stage with the receivers' early IDs.
-        if self.suppress and self.rep.is_suppressed(dest, message_id):
+        # ``suppress`` is non-empty only after a restore armed replay with
+        # the receivers' early IDs.
+        if self.suppress and message_id in self.suppress.get(dest, ()):
             # Early-message resend suppression (Section 4.2 question 3):
             # the receiver's checkpoint already contains this message, so it
             # must not be re-posted; bookkeeping still advances so that
@@ -208,7 +197,7 @@ class ProtocolPipeline(SharedSurface):
                 dest=dest, mid=message_id, logging=self.state.am_logging,
             )
         self._calls["piggyback"] += 1
-        return self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
+        return self.codec.encode(self.state.epoch, self.state.am_logging, message_id)
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         """Application blocking send with piggybacked protocol data."""
@@ -242,7 +231,7 @@ class ProtocolPipeline(SharedSurface):
             yield from self._co_progress()
         self.stats.receives += 1
         if self.replay is not None and not self.replay.matches.exhausted:
-            return (yield from self._co_replay_recv())
+            return (yield from self._co_replay_recv(source, tag))
         env = yield from self._comm_recv_envelope(source, tag)
         return (yield from self._co_classify_and_deliver(env))
 
@@ -285,7 +274,7 @@ class ProtocolPipeline(SharedSurface):
             # (paper rule: match the late log, else re-post the receive).
             self.stats.receives += 1
             if self.replay is not None and not self.replay.matches.exhausted:
-                payload = yield from self._co_replay_recv()
+                payload = yield from self._co_replay_recv(req.source, req.tag)
             else:
                 env = yield from self._comm_recv_envelope(req.source, req.tag)
                 payload = yield from self._co_classify_and_deliver(env)
@@ -328,26 +317,145 @@ class ProtocolPipeline(SharedSurface):
     # ------------------------------------------------------------------ #
 
     def _co_classify_and_deliver(self, env):
-        """Figure 4's communicationEventHandler for one arrived message."""
-        info = self.pb.decode(env)
+        """Figure 4's communicationEventHandler for one arrived message:
+        strip the piggyback word, classify the message (Definition 1; with
+        the packed codec the color bit and the logging state decide), apply
+        its class's action and, while logging, append a match record so
+        replay can reproduce the exact receive-completion order."""
+        state = self.state
+        info = self.codec.decode(env.piggyback, state.epoch)
         self._calls["piggyback"] += 1
-        mclass = self.clf.classify(info)
+        if self._by_epoch:
+            mclass = classify_by_epoch(info.epoch, state.epoch)
+        else:
+            mclass = classify_by_color(info.epoch & 1, state.epoch, state.am_logging)
         self._calls["classifier"] += 1
+        src = env.source
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                "proto", "classify", rank=self.rank, epoch=self.state.epoch,
-                source=env.source, cls=mclass.name.lower(), mid=info.message_id,
+                "proto", "classify", rank=self.rank, epoch=state.epoch,
+                source=src, cls=mclass.name.lower(), mid=info.message_id,
             )
-        yield from self.msg_log.co_on_message(env, info, mclass)
+        if mclass is MessageClass.EARLY:
+            # Record the ID so a checkpoint can suppress the sender's
+            # re-execution resend (Section 4.2 question 3).
+            if state.am_logging:
+                raise ProtocolError(
+                    f"rank {self.rank}: early message from {src} while logging"
+                )
+            state.early_ids.setdefault(src, []).append(info.message_id)
+            self.stats.early_recorded += 1
+            if tr is not None:
+                tr.emit(
+                    "proto", "early_record", rank=self.rank, epoch=state.epoch,
+                    source=src, mid=info.message_id,
+                )
+        elif mclass is MessageClass.INTRA_EPOCH:
+            if state.am_logging and not info.am_logging:
+                # Phase 4 condition (ii): a message from a process that has
+                # stopped logging means every process has checkpointed
+                # (logging implies a checkpoint stage).
+                yield from self.ckpt.co_finalize_log()
+            state.current_receive_count[src] = (
+                state.current_receive_count.get(src, 0) + 1
+            )
+        else:  # LATE
+            if not state.am_logging:
+                raise ProtocolError(
+                    f"rank {self.rank}: late message from {src} after logging ended"
+                )
+            # Log the payload: the sender will never resend it.  The copy
+            # protects the log from later mutation by the application.
+            self.logs.late.append(
+                LateRecord(
+                    source=src, tag=env.tag, message_id=info.message_id,
+                    payload=copy.deepcopy(env.payload),
+                )
+            )
+            self.stats.late_logged += 1
+            if tr is not None:
+                tr.emit(
+                    "proto", "late_log", rank=self.rank, epoch=state.epoch,
+                    source=src, mid=info.message_id,
+                )
+            state.previous_receive_count[src] = (
+                state.previous_receive_count.get(src, 0) + 1
+            )
+        if state.am_logging:
+            self.logs.matches.append(
+                MatchRecord(
+                    source=src, tag=env.tag, message_id=info.message_id,
+                    was_late=mclass is MessageClass.LATE,
+                )
+            )
+        if mclass is MessageClass.LATE:
+            yield from self.ckpt.co_received_all_check()
         self._calls["message-log"] += 1
         return env.payload
 
-    def _co_replay_recv(self):
-        """Serve one receive deterministically from the match log."""
-        payload = yield from self.rep.co_serve_recv()
+    def _co_replay_recv(self, source: int, tag: int):
+        """Serve one receive deterministically from the match log: a late
+        message from the late log, an intra-epoch one awaited by its exact
+        messageID (the re-executing sender re-posts it).  A non-wildcard
+        ``source``/``tag`` that differs from the record is a divergence."""
+        replay = self.replay
+        rec: MatchRecord = replay.matches.next()
+        if (source != ANY_SOURCE and source != rec.source) or (
+            tag != ANY_TAG and tag != rec.tag
+        ):
+            raise RecoveryError(
+                f"rank {self.rank}: replay diverged: receive for ({source}, {tag}), "
+                f"match log holds ({rec.source}, {rec.tag})"
+            )
+        self.stats.replayed_matches += 1
+        if rec.was_late:
+            late = replay.late.take_by_id(rec.source, rec.message_id)
+            if late is None:
+                raise RecoveryError(
+                    f"rank {self.rank}: match log names late message "
+                    f"({rec.source}, {rec.message_id}) absent from late log"
+                )
+            self.stats.replayed_late += 1
+            payload = late.payload
+        else:
+            wanted_id = rec.message_id
+            decode = self.codec.decode
+
+            def _matches(env) -> bool:
+                if env.piggyback is None:
+                    return False
+                return decode(env.piggyback, self.state.epoch).message_id == wanted_id
+
+            env = yield from self._comm_recv_envelope(rec.source, rec.tag, _matches)
+            counts = self.state.current_receive_count
+            counts[rec.source] = counts.get(rec.source, 0) + 1
+            payload = env.payload
+        yield from self._co_maybe_end_replay()
         self._calls["replay"] += 1
         return payload
+
+    def _co_maybe_end_replay(self):
+        """Once every log of the replayed window is exhausted, leave replay
+        and report ``ReplayDone`` so the initiator may start the next wave."""
+        if self.replay is None or self._replay_done_sent:
+            return
+        if self.replay.all_exhausted():
+            self._replay_done_sent = True
+            self.replay = None
+            stats = self.stats
+            tr = self.tracer
+            if tr is not None:
+                tr.emit(
+                    "proto", "replay_end", rank=self.rank, epoch=self.state.epoch,
+                    replayed_matches=stats.replayed_matches,
+                    replayed_nondet=stats.replayed_nondet,
+                    replayed_collectives=stats.replayed_collectives,
+                )
+            yield from self._co_send_control(
+                ctl.ReplayDone(epoch=self.state.epoch, sender=self.rank),
+                INITIATOR_RANK,
+            )
 
     # ------------------------------------------------------------------ #
     # Non-determinism (Section 3.2 / Figure 4 phase 2).
@@ -363,12 +471,16 @@ class ProtocolPipeline(SharedSurface):
         if not self._idle():
             yield from self._co_progress()
         if self.replay is not None and not self.replay.nondet.exhausted:
-            value = yield from self.rep.co_serve_nondet()
+            value = self.replay.nondet.next()
+            self.stats.replayed_nondet += 1
+            yield from self._co_maybe_end_replay()
             self._calls["replay"] += 1
             return value
         value = compute()
         if self.state.am_logging:
-            self.res_log.record_nondet(value)
+            # Logged values are deep copies: the application may mutate its own.
+            self.logs.nondet.append(copy.deepcopy(value))
+            self.stats.nondet_logged += 1
             self._calls["result-log"] += 1
         return value
 
@@ -409,11 +521,16 @@ class ProtocolPipeline(SharedSurface):
             and self.replay is not None
             and not self.replay.collectives.exhausted
         ):
-            result = self.rep.serve_collective(kind)
+            rec: CollectiveRecord = self.replay.collectives.next()
+            if rec.kind != kind:
+                raise RecoveryError(
+                    f"rank {self.rank}: replaying {kind} but log has {rec.kind}"
+                )
+            self.stats.replayed_collectives += 1
             self._calls["replay"] += 1
             self._advance_coll_seq(handle_id)
-            yield from self.rep.co_maybe_end_replay()
-            return result
+            yield from self._co_maybe_end_replay()
+            return rec.result
         # Command exchange before the data call (paper: "each data
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
         # around the relevant control information").
@@ -436,7 +553,10 @@ class ProtocolPipeline(SharedSurface):
                 # globally terminated; do not record the result.
                 yield from self.ckpt.co_finalize_log()
             else:
-                self.res_log.record_collective(kind, result)
+                self.logs.collectives.append(
+                    CollectiveRecord(kind=kind, result=copy.deepcopy(result))
+                )
+                self.stats.collective_results_logged += 1
                 self._calls["result-log"] += 1
         return result
 
@@ -583,16 +703,15 @@ class ProtocolPipeline(SharedSurface):
                 "proto", "restore", rank=self.rank, epoch=self.state.epoch,
                 late=len(logs.late), matches=len(logs.matches),
             )
-        yield from self.rep.co_maybe_end_replay()
+        yield from self._co_maybe_end_replay()
 
     def release(self) -> None:
-        """After its attempt, cut what points back at this layer (stage
-        cores, the initiator's callbacks, the app context's state provider)
-        so reference counting frees it and its storage; stats stay readable."""
-        for stage in self.stages:
-            stage.core = None
+        """After its attempt, cut what points back at this layer (the
+        checkpoint stage's back-pointer, the initiator's callbacks, the app
+        context's state provider) so reference counting frees it and its
+        storage; stats stay readable."""
         if self.ckpt is not None:
-            self.ckpt.initiator = None
+            self.ckpt.core = self.ckpt.initiator = None
         self.initiator = self.state_provider = None
 
 

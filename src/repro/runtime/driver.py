@@ -56,7 +56,7 @@ class AttemptRecord:
     kills: tuple[KillEvent, ...] = ()
     #: … and mid-checkpoint crashes realised by stable storage.
     checkpoint_crashes: tuple[CheckpointCrash, ...] = ()
-    #: Per-stage pipeline accounting for *this attempt only*, aggregated
+    #: Per-concern pipeline accounting for *this attempt only*, aggregated
     #: over ranks.  ``RunOutcome.stage_totals()`` sums these across
     #: attempts — each attempt builds fresh layers, so summing never
     #: double-counts.
@@ -102,12 +102,12 @@ class RunOutcome:
         return sum(rec.wall_seconds for rec in self.attempts)
 
     def stage_totals(self) -> dict[str, dict[str, int]]:
-        """Per-stage dispatch counts, aggregated over ranks *and attempts*.
+        """Per-concern pipeline counts, aggregated over ranks *and attempts*.
 
-        ``{stage_name: {"calls": int}}`` summed from each attempt's
+        ``{concern: {"calls": int}}`` summed from each attempt's
         :class:`AttemptRecord` (every attempt builds fresh layers, so the
-        sum never double-counts); empty for V0 (``RawCommAdapter`` has no
-        stages).  The counts are exact simulated facts; where the
+        sum never double-counts); empty for V0 (``RawCommAdapter`` counts
+        none).  The counts are exact simulated facts; where the
         host time goes is for a profiler or the trace spans to say.
         """
         totals: dict[str, dict[str, int]] = {}
@@ -184,7 +184,7 @@ def run_with_recovery(
 
 
 def _attempt_stage_calls(layers: list[Optional[CommLike]]) -> dict[str, int]:
-    """Aggregate one attempt's per-rank stage dispatch counts over ranks."""
+    """Aggregate one attempt's per-rank concern counts over ranks."""
     calls: dict[str, int] = {}
     for layer in layers:
         stats = getattr(layer, "stats", None)

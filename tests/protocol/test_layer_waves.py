@@ -260,7 +260,7 @@ class TestVariantConfigs:
                 yield from layer.co_recv(source=1 - ctx.rank, tag=1)
                 assert (yield from layer.co_potential_checkpoint()) is False
             return (
-                tuple(stage.name for stage in layer.stages),
+                tuple(layer.stats.stage_calls),
                 layer.ckpt, layer.initiator, layer.state.epoch,
             )
 

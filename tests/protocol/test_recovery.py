@@ -243,3 +243,57 @@ class TestPollingAfterRestore:
         out = run_with_recovery(app, cfg, failures=FailureSchedule.single(kill_time, 1))
         assert len(out.attempts) == 2 and out.attempts[1].started_from_epoch
         assert out.results == gold.results
+
+
+def two_tag_ring_app(swap_after_restore):
+    """A ring sending two tagged values per iteration; each is received by
+    its tag, so the answer does not depend on the order of the receives.
+    ``swap_after_restore`` makes a restored application receive tag 2
+    before tag 1: a re-execution that diverges from the logged one."""
+
+    def app(ctx):
+        state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0.0})
+        order = (2, 1) if swap_after_restore and ctx.restored else (1, 2)
+        right = (ctx.rank + 1) % ctx.size
+        left = (ctx.rank - 1) % ctx.size
+        while state["i"] < 150:
+            i = state["i"]
+            yield from ctx.mpi.co_send(float(i), right, tag=1)
+            yield from ctx.mpi.co_send(float(ctx.rank - i), right, tag=2)
+            got = {}
+            for tag in order:
+                got[tag] = yield from ctx.mpi.co_recv(source=left, tag=tag)
+            state["acc"] += 3.0 * got[1] - got[2]
+            state["i"] += 1
+            yield from ctx.co_potential_checkpoint()
+        return state["acc"]
+
+    return app
+
+
+def kill_mid_window():
+    """Kills rank 1 after epoch 4 commits; the restored windows hold
+    receives (a schedule is consumed by the run it is handed to)."""
+    return FailureSchedule.single(0.015, 1)
+
+
+class TestReplayDivergence:
+    def test_replay_serves_the_logged_receives(self):
+        """Restored mid-window: the restart serves receives from the match
+        log and still equals the failure-free run."""
+        cfg = RunConfig(**CFG)
+        gold = run_with_recovery(two_tag_ring_app(False), cfg)
+        out = run_with_recovery(two_tag_ring_app(False), cfg, failures=kill_mid_window())
+        assert out.attempts[1].started_from_epoch >= 1
+        assert sum(s.replayed_matches for s in out.layer_stats) > 0
+        assert out.results == gold.results
+
+    def test_receive_for_another_tag_is_a_typed_error(self):
+        """A replayed receive whose tag differs from the match record's
+        raises ``RecoveryError`` instead of handing back the payload of the
+        message the log names."""
+        from repro.errors import RecoveryError
+
+        cfg = RunConfig(**CFG)
+        with pytest.raises(RecoveryError, match="replay diverged"):
+            run_with_recovery(two_tag_ring_app(True), cfg, failures=kill_mid_window())

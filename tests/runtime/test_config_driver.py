@@ -27,7 +27,7 @@ class TestVariantMapping:
             yield from mpi.co_barrier()
             ckpt = getattr(mpi, "ckpt", None)
             return (
-                type(mpi).__name__, len(getattr(mpi, "stages", ())),
+                type(mpi).__name__, len(mpi.stats.stage_calls),
                 getattr(mpi, "storage", None) is not None,
                 ckpt is not None and ckpt.config.save_app_state,
             )

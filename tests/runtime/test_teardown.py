@@ -1,9 +1,10 @@
 """A finished run is freed by reference counting alone.
 
-Every rank points back at its simulator, every stage at its pipeline, the
-initiator at both; unless the run cuts those links when it ends, each
-``Session.run`` leaves its simulator, pipelines and store (and the arrays
-they hold) in reference cycles until the cyclic collector happens to run.
+Every rank points back at its simulator, the checkpoint stage at its
+pipeline, the initiator at both; unless the run cuts those links when it
+ends, each ``Session.run`` leaves its simulator, pipelines and store (and
+the arrays they hold) in reference cycles until the cyclic collector
+happens to run.
 """
 
 import gc
