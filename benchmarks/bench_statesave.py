@@ -335,32 +335,42 @@ def test_sub_chunk_constant_block_is_stored_once():
 def _bytes_per_local_checkpoint(variant: Variant) -> dict[str, float]:
     """``_run_paper_app``'s dense CG under ``variant``: stored bytes of the
     ``CheckpointData`` chunks, the ``EpochLogs`` chunks and the manifests,
-    averaged over its 40 local checkpoints."""
+    averaged over its 40 local checkpoints.  Each stream's deflate
+    dictionary reference, and each dictionary the first stream to name it,
+    counts in that stream's bucket."""
     storage = Storage(None)
     _run_paper_app("dense_cg", storage, variant=variant)
-    history = storage.store.history
+    store, history = storage.store, storage.store.history
+    written = {"state": 0, "log": 0, "manifests": 0}
+    for manifest in history:
+        written[manifest.stream.rpartition("/")[2]] += manifest.stored_bytes
+        written["manifests"] += len(manifest.to_bytes())
+    counted: set[str] = set()
+    for stream in sorted({manifest.stream for manifest in history}):
+        ref = store.backend.get(store._dictionary_ref_key(stream))
+        key = store._dictionary_key(ref.hex())
+        written[stream.rpartition("/")[2]] += len(ref) + (
+            0 if key in counted else store.backend.size(key)
+        )
+        counted.add(key)
     states = [m for m in history if m.stream.endswith("/state")]
-    logs = [m for m in history if m.stream.endswith("/log")]
-    assert len(states) == len(logs) == 40
-    written = {
-        "state": sum(m.stored_bytes for m in states),
-        "log": sum(m.stored_bytes for m in logs),
-        "manifests": sum(len(m.to_bytes()) for m in history),
-    }
+    assert len(states) == len(history) - len(states) == 40
     return {kind: total / len(states) for kind, total in written.items()}
 
 
 #: Bytes one V2 (protocol-only) local checkpoint of ``_run_paper_app``'s
-#: dense CG writes (measured: 162.9, 258.4 and 262.0).  Records are
+#: dense CG writes (measured: 56.8, 190.2 and 262.0).  Records are
 #: positional pickles, manifests fixed binary records and the in-band stream
-#: deflated; a schema creeping back into the bytes (field names, pickled
-#: manifests, hex digests) or a raw stream fails this.
-V2_CHECKPOINT_BYTES = {"state": 163, "log": 259, "manifests": 262}
+#: deflated against its stream's dictionary; a schema creeping back into the
+#: bytes (field names, pickled manifests, hex digests), a raw stream or a
+#: standalone deflate (162.9 and 258.4) fails this.
+V2_CHECKPOINT_BYTES = {"state": 57, "log": 191, "manifests": 262}
 
-#: The same for V3 (measured: 1301.4 and 258.4); the matrix block dedupes,
+#: The same for V3 (measured: 843.2 and 190.2); the matrix block dedupes,
 #: so this is the deflated stream of the solver's frames and vectors, and
-#: the same logs.  A raw stream (1541 and 301) fails it.
-V3_CHECKPOINT_BYTES = {"state": 1302, "log": 259}
+#: the same logs.  A raw stream (1541 and 301) or a standalone deflate
+#: (1301.4 and 258.4) fails it.
+V3_CHECKPOINT_BYTES = {"state": 844, "log": 191}
 
 
 def test_v2_checkpoint_stores_values_not_schema():

@@ -1,10 +1,12 @@
 """The tiered checkpoint storage engine.
 
-:class:`CheckpointStore` organises a backend's flat key space into three
+:class:`CheckpointStore` organises a backend's flat key space into four
 regions::
 
     objects/<codec>/<d0d1>/<digest>         -- content-addressed chunks
+    dicts/<d0d1>/<digest>                   -- stream dictionaries, deflated
     manifests/<stream>/gen<g>.mft           -- per-generation manifests
+    refs/<stream>/dict                      -- a stream's dictionary digest
     refs/<name>                             -- small named records (COMMIT)
 
 A *stream* is one logical sequence of generations (``rank0/state``,
@@ -14,7 +16,8 @@ indexed by epoch.  Saving a generation is a two-phase commit:
 1. every new chunk of every segment (the in-band pickle stream, deflated,
    then each contiguous buffer of a filesystem block or more, raw;
    :mod:`repro.ckpt.delta`) is written atomically under its content
-   address, invisible until referenced;
+   address, invisible until referenced; so is, on a stream's first save,
+   its dictionary and the reference naming it;
 2. the checksummed manifest is published with one atomic rename.
 
 Every write holds values, not schema: manifests are binary records and
@@ -37,20 +40,30 @@ on equality inherits that digest: the compare copies the chunk once
 unchanged state is copied but never hashed or stored.
 
 The in-band stream is deflated (``zlib`` level :data:`STREAM_LEVEL`) before
-it is chunked: what it holds above the small arrays is pickle structure —
-class and module names, frame-local names, runs of near-identical log
-records — and deflate removes about a quarter of dense CG's stored bytes.
-Array buffers stay raw, so they keep compare-before-hash and dedup (deflate
-is deterministic, so an unchanged stream still dedupes too).  A chunk codec
+it is chunked, against its stream's *dictionary* (zlib's preset dictionary,
+RFC 1950): the raw stream of the first generation saved on that stream.
+Each generation repeats most of it — class, module and frame-local names,
+dtype records, near-identical log records, nearly converged vectors — so
+dense CG stores about a quarter fewer bytes than deflating each stream
+alone.  A generation depends on the dictionary only, never on another
+generation, so retention may drop any of them.  The dictionary is stored
+deflated under its raw bytes' digest (streams whose first generations
+pickle alike share one) and counts in ``bytes_written``, not in any
+manifest's ``stored_bytes``; it lives outside ``objects/``, so GC and
+:meth:`sweep_orphans` keep it, and only :meth:`wipe` removes it.  Array
+buffers stay raw, so they keep compare-before-hash and dedup (deflate is
+deterministic, so an unchanged stream still dedupes too).  A chunk codec
 applies per chunk on top of that, after dedup, so it never disturbs content
 addressing.  ``logical_bytes`` counts the stream undeflated: what a flat
 pickle store would write.
 
 :meth:`load` is the one verified read: the manifest's frame CRC and
 checksum, then every chunk's presence, decoding, length and digest, each
-chunk hashed once, then the stream's inflate.  A stream that verifies but
-does not inflate (a store written before the stream was deflated) is one
-more bad generation.  Every way a generation can be bad raises a
+chunk hashed once, then the stream's dictionary (its reference, then its
+bytes, checked against the digest), then the stream's inflate against it.
+A stream with no dictionary or not deflated against one (a store written
+before streams had dictionaries) is one more bad generation.  Every way a
+generation can be bad raises a
 :class:`~repro.errors.StorageError`; anything else is a bug and propagates.
 """
 
@@ -126,6 +139,10 @@ class CheckpointStore:
         #: built or parsed; dropped wherever one is deleted or overwritten.
         self._refs: dict[tuple[str, int], frozenset[str]] = {}
         self._decoders: dict[str, ChunkCodec] = {self.codec.name: self.codec}
+        #: ``digest -> (stored bytes, dictionary)`` of each dictionary this
+        #: instance wrote or verified; a later read that fetches the same
+        #: bytes compares them instead of inflating and hashing them again.
+        self._dictionaries: dict[str, tuple[bytes, bytes]] = {}
         #: Optional :class:`repro.trace.TraceRecorder`; armed per run by the
         #: recovery driver (via the ``Storage`` facade).  Emission sites
         #: guard on this being None, so tracing off costs one attribute read.
@@ -149,6 +166,14 @@ class CheckpointStore:
     @staticmethod
     def _record_key(name: str) -> str:
         return f"refs/{name}"
+
+    @staticmethod
+    def _dictionary_key(digest: str) -> str:
+        return f"dicts/{digest[:2]}/{digest}"
+
+    @staticmethod
+    def _dictionary_ref_key(stream: str) -> str:
+        return f"refs/{stream}/dict"
 
     def _decoder(self, name: str) -> ChunkCodec:
         if name not in self._decoders:
@@ -180,7 +205,12 @@ class CheckpointStore:
         byte-level rerun determinism and content-addressed result caches.
         """
         stream_raw, *buffers = capture_segments(obj)
-        segments = [memoryview(zlib.compress(stream_raw, STREAM_LEVEL)), *buffers]
+        try:
+            zdict, fresh = self._read_dictionary(stream), False
+        except StorageError:  # none yet, or a bad one: the stream starts over
+            zdict, fresh = bytes(stream_raw), True
+        deflater = zlib.compressobj(STREAM_LEVEL, zdict=zdict)
+        segments = [memoryview(deflater.compress(stream_raw) + deflater.flush()), *buffers]
         # Overwrite awareness: a recovery attempt that re-takes an epoch's
         # checkpoint republishes (stream, generation).  Remember the old
         # manifest's chunks so those only it referenced can be reclaimed after
@@ -221,6 +251,20 @@ class CheckpointStore:
         ).sealed()
         if progress is not None:
             progress(STAGE_MANIFEST, 0, 1)
+        if fresh:
+            # Phase 1 still: the dictionary lands before the first manifest
+            # that needs it, and after every hook a crash can fire from.
+            digest = chunk_digest(zdict)
+            try:
+                self._dictionary(digest)  # another stream's, stored already
+            except StorageError:
+                packed = zlib.compress(zdict, STREAM_LEVEL)
+                self.backend.put(self._dictionary_key(digest), packed)
+                self.bytes_written += len(packed)
+                self._dictionaries[digest] = (packed, zdict)
+            ref = bytes.fromhex(digest)
+            self.backend.put(self._dictionary_ref_key(stream), ref)
+            self.bytes_written += len(ref)
         blob = manifest.to_bytes()
         self._refs.pop((stream, generation), None)  # re-indexed once published
         self.backend.put(self._manifest_key(stream, generation), blob)
@@ -284,14 +328,46 @@ class CheckpointStore:
             bytearray().join(self._verified_chunks(manifest, refs))
             for refs in manifest.segments
         )
+        inflater = zlib.decompressobj(zdict=self._read_dictionary(stream))
         try:
-            pickled = zlib.decompress(deflated)
+            # FDICT: a stream deflated without a dictionary would inflate anyway.
+            if len(deflated) < 2 or not deflated[1] & 0x20:
+                raise zlib.error("no preset dictionary")
+            pickled = inflater.decompress(deflated)
+            if not inflater.eof:
+                raise zlib.error("truncated stream")
         except zlib.error as exc:
             raise StorageError(
                 f"in-band stream of {stream!r} generation {generation} "
                 f"failed to inflate: {exc}"
             ) from exc
         return pickle.loads(pickled, buffers=buffers)
+
+    def _read_dictionary(self, stream: str) -> bytes:
+        """The dictionary ``stream``'s reference names; a :class:`StorageError`
+        when it is bad or the stream has none (a store written before
+        dictionaries)."""
+        ref = self.backend.get(self._dictionary_ref_key(stream))
+        if len(ref) != 20:
+            raise StorageError(f"dictionary reference of {stream!r} is {len(ref)} bytes")
+        return self._dictionary(ref.hex())
+
+    def _dictionary(self, digest: str) -> bytes:
+        """The dictionary stored under ``digest``, read from the backend every
+        time and verified like a chunk; only bytes this instance has not
+        written or verified before are inflated and hashed."""
+        packed = self.backend.get(self._dictionary_key(digest))
+        known = self._dictionaries.get(digest)
+        if known is not None and known[0] == packed:
+            return known[1]
+        try:
+            zdict = zlib.decompress(packed)
+        except zlib.error as exc:
+            raise StorageError(f"dictionary {digest[:12]} failed to inflate: {exc}") from exc
+        if chunk_digest(zdict) != digest:
+            raise StorageError(f"dictionary {digest[:12]} fails content verification")
+        self._dictionaries[digest] = (packed, zdict)
+        return zdict
 
     def _verified_chunks(
         self, manifest: GenerationManifest, refs: Iterable[ChunkRef]

@@ -3,16 +3,18 @@
 Layout inside the engine's backend (in-memory or a directory)::
 
     objects/<codec>/<d0d1>/<digest>          -- content-addressed chunks
+    dicts/<d0d1>/<digest>                    -- stream deflate dictionaries
     manifests/rank<r>/state/gen<e>.mft       -- CheckpointData generations
     manifests/rank<r>/log/gen<e>.mft         -- EpochLogs generations
+    refs/rank<r>/{state,log}/dict            -- each stream's dictionary digest
     refs/COMMIT                              -- commit history (framed+CRC)
 
 Manifests are binary records (:mod:`repro.ckpt.manifest`); the state, log
 and commit objects pickle positionally, with no field names, and each
-generation's in-band pickle stream is deflated while array buffers stay raw
-(:mod:`repro.ckpt.store`).  A store whose manifests are pickled, or whose
-streams are not deflated (older code), fails to load: the run restarts
-afresh.
+generation's in-band pickle stream is deflated against its stream's
+dictionary while array buffers stay raw (:mod:`repro.ckpt.store`).  A store
+whose manifests are pickled, or whose streams are not deflated against a
+dictionary (older code), fails to load: the run restarts afresh.
 
 Commit discipline (paper Section 4.1, phase 4): the initiator writes the
 commit record only after every process has reported ``stoppedLogging`` — so

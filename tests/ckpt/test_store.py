@@ -14,7 +14,7 @@ from repro.ckpt import (
     RetentionPolicy,
 )
 from repro.ckpt import store as store_module
-from repro.ckpt.delta import SEGMENT_FLOOR, capture_segments, chunk_views
+from repro.ckpt.delta import SEGMENT_FLOOR, capture_segments, chunk_digest, chunk_views
 from repro.ckpt.store import STAGE_MANIFEST, STREAM_LEVEL
 from repro.errors import ManifestCorruptError, ProcessKilled, StorageError
 from repro.simmpi.failures import FailureSchedule
@@ -24,6 +24,13 @@ from repro.statesave.storage import Storage
 def make_store(tmp_path=None, **kwargs):
     backend = MemoryBackend() if tmp_path is None else DirectoryBackend(str(tmp_path))
     return CheckpointStore(backend, **kwargs)
+
+
+def deflated(stream, zdict):
+    """``stream`` as the store deflates it against the dictionary ``zdict``
+    (for a stream's first generation, its own raw stream)."""
+    deflater = zlib.compressobj(STREAM_LEVEL, zdict=zdict)
+    return deflater.compress(stream) + deflater.flush()
 
 
 class TestSaveLoad:
@@ -89,7 +96,7 @@ class TestSaveLoad:
         store = make_store(chunk_size=chunk_size)
         manifest = store.save("s", 1, obj)
         in_band, out_of_band = manifest.segments
-        assert sum(ref.length for ref in in_band) == len(zlib.compress(stream, STREAM_LEVEL))
+        assert sum(ref.length for ref in in_band) == len(deflated(stream, stream))
         assert sum(ref.length for ref in out_of_band) == SEGMENT_FLOOR
         assert len(out_of_band) == -(-SEGMENT_FLOOR // chunk_size)
         back = store.load("s", 1)
@@ -371,11 +378,11 @@ class TestStreamDeflate:
         store = make_store()
         manifest = store.save("s", 1, self.OBJ)
         in_band, grid = manifest.segments
-        deflated = sum(ref.length for ref in in_band)
-        assert deflated == len(zlib.compress(stream, STREAM_LEVEL)) < len(stream) // 2
+        stored = sum(ref.length for ref in in_band)
+        assert stored == len(deflated(stream, stream)) < len(stream) // 2
         assert sum(ref.length for ref in grid) == self.OBJ["grid"].nbytes
         assert store.logical_bytes == len(stream) + sum(map(len, buffers))
-        assert manifest.logical_bytes == deflated + self.OBJ["grid"].nbytes
+        assert manifest.logical_bytes == stored + self.OBJ["grid"].nbytes
 
     def test_identical_objects_dedupe_across_streams_and_generations(self):
         store = make_store()
@@ -413,28 +420,212 @@ class TestStreamDeflate:
         assert len(flat) >= 4
         assert sum(s.ckpt_logical_bytes for s in out.layer_stats) == sum(flat)
 
-    @staticmethod
-    def _undeflated(monkeypatch):
-        """Save as a store written before the stream was deflated: segment 0
-        is the raw pickle, its chunks addressed and verified as usual."""
-        monkeypatch.setattr(
-            store_module, "zlib", types.SimpleNamespace(compress=lambda data, level: data)
-        )
+    #: How older code wrote segment 0, and whether it left dictionaries:
+    #: the raw pickle (before the stream was deflated) or a standalone
+    #: deflate with no dictionary (before streams had one), and that
+    #: standalone deflate beside a dictionary, which it does not use.
+    OLDER_STORES = {
+        "undeflated": (lambda level, zdict: types.SimpleNamespace(
+            compress=bytes, flush=bytes), True, "inflate"),
+        "no-dictionary": (lambda level, zdict: zlib.compressobj(level), False, "refs/"),
+        "dictionary-unused": (lambda level, zdict: zlib.compressobj(level), True, "inflate"),
+    }
 
-    def test_store_of_undeflated_streams_restarts_from_scratch(self, monkeypatch):
+    @pytest.mark.parametrize("older", list(OLDER_STORES))
+    def test_store_written_by_older_code_restarts_from_scratch(self, older, monkeypatch):
+        compressobj, keep_dictionaries, error = self.OLDER_STORES[older]
         storage = Storage(None)
-        self._undeflated(monkeypatch)
+        monkeypatch.setattr(
+            store_module, "zlib",
+            types.SimpleNamespace(compressobj=compressobj, compress=zlib.compress),
+        )
         old = self._run_dense_cg(storage)
         monkeypatch.undo()
+        if not keep_dictionaries:
+            for key in storage.store.backend.keys():
+                if key.startswith("dicts/") or key.endswith("/dict"):
+                    storage.store.backend.delete(key)
         assert old.checkpoints_committed >= 1
         epoch = storage.commit_history()[-1].epoch
-        with pytest.raises(StorageError, match="inflate"):
-            storage.read_state(0, epoch)  # digests verify; the inflate fails
+        with pytest.raises(StorageError, match=error):
+            storage.read_state(0, epoch)  # every chunk digest verifies
         assert storage.restore_line() is None
         again = self._run_dense_cg(storage)
         assert again.attempts[0].started_from_epoch is None
         assert again.attempts[-1].completed
         assert again.results == old.results
+
+
+def dictionary_keys(store, stream):
+    """``stream``'s dictionary reference key, then its dictionary's key."""
+    ref = store._dictionary_ref_key(stream)
+    return ref, store._dictionary_key(store.backend.get(ref).hex())
+
+
+def store_another_dictionary(backend, key):
+    """Store a different, well-formed dictionary: under ``key`` when that is
+    a dictionary's key, else under its own digest, with ``key`` naming it."""
+    other = b"some other stream's bytes"
+    digest = chunk_digest(other)
+    if key.startswith("dicts/"):
+        backend.put(key, zlib.compress(other))
+    else:
+        backend.put(CheckpointStore._dictionary_key(digest), zlib.compress(other))
+        backend.put(key, bytes.fromhex(digest))
+
+
+class TestStreamDictionary:
+    """Each stream deflates every generation against one dictionary, the raw
+    in-band stream of the first generation saved on it."""
+
+    @staticmethod
+    def state(step):
+        return {
+            "step": step,
+            "records": [("allreduce", i % 3, float(i)) for i in range(200 + step)],
+            "grid": np.arange(1024.0) + step,
+        }
+
+    def test_every_generation_deflates_against_the_first_ones_stream(self):
+        store = make_store()
+        first = bytes(capture_segments(self.state(1))[0])
+        for step in (1, 2, 3):
+            manifest = store.save("s", step, self.state(step))
+            stream = capture_segments(self.state(step))[0]
+            (in_band,) = manifest.segments[0]
+            assert in_band.length == len(deflated(stream, first))
+            assert store.load("s", step)["step"] == step
+        _ref, key = dictionary_keys(store, "s")
+        assert zlib.decompress(store.backend.get(key)) == first
+
+    def test_dictionary_counts_once_in_bytes_written_and_in_no_manifest(self):
+        store = make_store()
+        first = store.save("s", 1, self.state(1))
+        ref, key = dictionary_keys(store, "s")
+        dictionary = store.backend.size(ref) + store.backend.size(key)
+        assert store.bytes_written == first.stored_bytes + len(first.to_bytes()) + dictionary
+        written = store.bytes_written
+        second = store.save("s", 2, self.state(2))
+        assert store.bytes_written - written == second.stored_bytes + len(second.to_bytes())
+        assert dictionary_keys(store, "s") == (ref, key)
+
+    def test_streams_with_the_same_first_stream_share_one_dictionary(self):
+        store = make_store()
+        store.save("a", 1, self.state(1))
+        written = store.bytes_written
+        again = store.save("b", 1, self.state(1))
+        assert again.stored_bytes == 0
+        assert store.bytes_written - written == len(again.to_bytes()) + 20  # the reference
+        assert dictionary_keys(store, "a")[1] == dictionary_keys(store, "b")[1]
+        assert len(store.backend.keys("dicts/")) == 1
+
+    def test_newest_generation_loads_after_the_first_is_collected(self):
+        store = make_store(retention=RetentionPolicy(keep_last=1))
+        for step in range(1, 5):
+            store.save("s", step, self.state(step))
+        assert store.collect() == 3 and store.generations("s") == [4]
+        assert store.sweep_orphans() == 0
+        assert all(map(store.backend.exists, dictionary_keys(store, "s")))
+        for reader in (store, CheckpointStore(store.backend)):
+            back = reader.load("s", 4)
+            assert back["step"] == 4
+            assert np.array_equal(back["grid"], self.state(4)["grid"])
+
+    #: ``name -> (which key, damage)``: 0 is the stream's reference, 1 its
+    #: dictionary.
+    DAMAGE = {
+        "reference-deleted": (0, lambda backend, key: backend.delete(key)),
+        "reference-truncated": (0, lambda backend, key: backend.put(key, b"")),
+        "names-another-dictionary": (0, store_another_dictionary),
+        "deleted": (1, lambda backend, key: backend.delete(key)),
+        "bit-flipped": (1, lambda backend, key: backend.put(
+            key, backend.get(key)[:-1] + bytes([backend.get(key)[-1] ^ 1])
+        )),
+        "holds-another-dictionary": (1, store_another_dictionary),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    def test_damaged_dictionary_fails_every_generation_of_its_stream(self, damage):
+        store = make_store()
+        for step in (1, 2):
+            store.save("s", step, self.state(step))
+        store.save("t", 1, self.state(5))
+        which, harm = self.DAMAGE[damage]
+        harm(store.backend, dictionary_keys(store, "s")[which])
+        for reader in (store, CheckpointStore(store.backend)):
+            for generation in (1, 2):
+                with pytest.raises(StorageError):
+                    reader.load("s", generation)
+            assert reader.load("t", 1)["step"] == 5  # a dictionary of its own
+        # The next save deflates against a dictionary that verifies.
+        store.save("s", 3, self.state(3))
+        for reader in (store, CheckpointStore(store.backend)):
+            assert reader.load("s", 3)["step"] == 3
+
+    def test_restore_line_falls_back_past_a_missing_dictionary(self):
+        storage = Storage(None, keep_last=2)
+        first = TestStreamDeflate._run_dense_cg(storage)
+        epoch = storage.commit_history()[-1].epoch
+        assert storage.restore_line().epoch == epoch
+        storage.store.backend.delete(dictionary_keys(storage.store, "rank2/log")[1])
+        with pytest.raises(StorageError):
+            storage.read_log(2, epoch)
+        assert storage.restore_line() is None  # every retained epoch needs it
+        again = TestStreamDeflate._run_dense_cg(storage)
+        assert again.attempts[0].started_from_epoch is None
+        assert again.results == first.results
+        assert storage.restore_line().epoch == storage.commit_history()[-1].epoch
+
+    def test_second_store_on_the_same_directory_reuses_the_dictionary(self, tmp_path):
+        first = make_store(tmp_path)
+        for step in (1, 2):
+            first.save("s", step, self.state(step))
+        keys = dictionary_keys(first, "s")
+        second = make_store(tmp_path)
+        assert [second.load("s", generation)["step"] for generation in (1, 2)] == [1, 2]
+        again = second.save("s", 3, self.state(2))
+        assert again.stored_bytes == 0
+        assert again.segments == first.read_manifest("s", 2).segments
+        assert second.bytes_written == len(again.to_bytes())
+        assert dictionary_keys(second, "s") == keys
+        assert second.load("s", 3)["step"] == 2
+
+    @pytest.mark.parametrize("crash_at", [0, 1, 2, "manifest", "manifest-put"])
+    def test_crash_in_a_streams_first_save_leaves_every_generation_loadable(self, crash_at):
+        """Stream ``b``'s first save (its stream and two 8 KB arrays: three
+        chunks) dies before each chunk, at the manifest hook, or between
+        writing its dictionary and publishing its manifest."""
+
+        class FailingBackend(MemoryBackend):
+            armed = False
+
+            def put(self, key, data):
+                if self.armed and key.startswith("manifests/b/"):
+                    raise RuntimeError("crash")
+                super().put(key, data)
+
+        def hook(stage, index, total):
+            if crash_at == (stage if stage == STAGE_MANIFEST else index):
+                raise RuntimeError("crash")
+
+        backend = FailingBackend()
+        store = CheckpointStore(backend)
+        store.save("a", 1, self.state(1))
+        obj = {"x": np.arange(1024.0), "y": np.arange(1024.0) + 0.5, "step": 7}
+        backend.armed = crash_at == "manifest-put"
+        with pytest.raises(RuntimeError):
+            store.save("b", 1, obj, progress=hook)
+        backend.armed = False
+        assert store.generations("b") == []
+        assert backend.exists(store._dictionary_ref_key("b")) == (crash_at == "manifest-put")
+        assert store.load("a", 1)["step"] == 1
+        store.sweep_orphans()
+        store.save("b", 1, obj)
+        store.save("b", 2, {**obj, "step": 8})
+        assert store.sweep_orphans() == 0
+        for reader in (store, CheckpointStore(backend)):
+            assert reader.load("a", 1)["step"] == 1
+            assert [reader.load("b", generation)["step"] for generation in (1, 2)] == [7, 8]
 
 
 class TestTwoPhaseCommit:

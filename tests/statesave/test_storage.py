@@ -222,7 +222,8 @@ class TestCheckpointCrashInjection:
         from repro.errors import ProcessKilled
         from repro.simmpi.failures import FailureSchedule
 
-        storage = Storage(None, chunk_size=64)
+        # A first generation's stream deflates against itself to 15 bytes.
+        storage = Storage(None, chunk_size=4)
         storage.crash_plan = FailureSchedule.during_checkpoint(
             rank=0, epoch=1, after_chunks=2
         )
