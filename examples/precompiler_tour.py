@@ -80,8 +80,7 @@ def static_check_tour() -> None:
             # Only rank 0 runs this collective: textbook deadlock.
             total = ctx.mpi.allreduce(1.0, SUM)
         for i in range(n):
-            # Entropy outside the logged channel, and a communicating
-            # loop with no reachable checkpoint site.
+            # Entropy outside the logged channel.
             total += ctx.mpi.allreduce(random.random(), SUM)
         return total
 

@@ -357,7 +357,7 @@ def run_campaign(
     if preflight:
         from repro.check.driver import preflight as check_preflight
 
-        check_preflight(config.apps, level="error")
+        check_preflight(config.apps)
 
     def fan_out(fn, payloads):
         if farm is not None:

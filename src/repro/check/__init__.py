@@ -7,7 +7,12 @@ This package turns static verification into a first-class subsystem:
 structured :class:`Diagnostic` records with stable ``RPR0xx`` codes,
 ``file:line:col`` spans, severities and fix hints, produced by a battery
 of analyses over any program that enters the system (a registered app, a
-precompiler unit, a module, a file).
+precompiler unit, a module, a file).  The protocol recovers correctly
+only when every rank runs the same collectives, nondeterminism goes
+through the logs, and all state lives in the saved frames; each code
+from ``RPR010`` to ``RPR033`` guards one of those conditions, and
+``tests/check/test_witnesses.py`` shows the failure it predicts under a
+kill, then the hint's repair recovering the failure-free answer.
 
 Analyses (see :mod:`repro.check.analyses`):
 
@@ -27,20 +32,17 @@ Analyses (see :mod:`repro.check.analyses`):
   or received data directly);
 * **unlogged-nondeterminism** (``RPR020``/``RPR021``) — nondeterministic
   stdlib calls the protocol's result log cannot replay;
-* **VDS-escape** (``RPR030``–``RPR034``) — state that escapes the
-  checkpointed variable-descriptor set: module-global mutation, mutable
-  default arguments, closure captures, plus the alias-aware routes
-  (mutation through a local alias, locals parked in module state by a
-  callee);
-* **checkpoint-placement** (``RPR040``/``RPR041``) — communication loops
-  with no reachable ``potential_checkpoint`` (unbounded re-execution on
-  recovery);
-* **cross-module** (``RPR050``/``RPR051``) — sibling-module helper
-  references the driver's import-graph slicer could not join into the
-  unit (the resolvable ones *do* join: ``app.py`` + ``halo.py`` verifies
-  exactly like its single-file merge);
+* **VDS-escape** (``RPR030``, ``RPR031``, ``RPR033``) — state that
+  escapes the checkpointed variable-descriptor set: module-global
+  mutation, mutable default arguments, and mutation through a local
+  alias of module state;
 * **suppressions** (``RPR090``) — ``# repro: ignore[RPR0xx]`` comments
   that silence nothing.
+
+The import-graph slicer (:mod:`repro.check.driver`) joins helpers
+imported from sibling modules into the unit, so ``app.py`` +
+``halo.py`` verifies exactly like its single-file merge; a helper it
+cannot join stays an opaque call.
 
 Entry points (:mod:`repro.check.driver`): :func:`check_functions`,
 :func:`check_module`, :func:`check_path`, :func:`check_app`, and

@@ -1,4 +1,4 @@
-"""Alias-aware VDS-escape facts (the substrate behind RPR033/RPR034).
+"""Alias-aware VDS-escape facts (the substrate behind RPR033).
 
 The v1 escape analysis is name-rooted: it flags ``GLOBAL.append(x)`` but
 misses the same mutation smuggled through an alias (``g = GLOBAL;
@@ -11,15 +11,12 @@ module computes a small intra-unit points-to abstraction:
   container whose elements include aliases), or clean (fresh values,
   call results, comm-rooted managed state);
 
-* per-function **summaries** — ``returns_nonlocal`` (the function can
-  return an alias, so its call sites inherit the region) and
-  ``param_escapes`` (parameters the function stores into module state,
-  directly or through its own callees);
+* a per-function **summary**, ``returns_nonlocal`` (the function can
+  return an alias, so its call sites inherit the region);
 
 both computed to fixpoint over the unit.  :class:`AliasFacts` then
-enumerates the two defect shapes: a mutation whose receiver is a local
-*alias* of non-local state, and a call site handing a checkpointed local
-to a callee that parks it in module state.
+enumerates the defect: a mutation whose receiver is a local *alias* of
+non-local state.
 """
 
 from __future__ import annotations
@@ -45,19 +42,8 @@ class AliasMutation:
     via: str  # "store" or the mutator method name
 
 
-@dataclass(frozen=True)
-class EscapingArg:
-    """A call site passing a checkpointed local to an escaping parameter."""
-
-    function: str
-    callee: str
-    param: str
-    local: str
-    node: ast.Call
-
-
 class AliasFacts:
-    """Region classification + escape summaries over one checked unit."""
+    """Region classification + return summaries over one checked unit."""
 
     def __init__(
         self,
@@ -75,7 +61,6 @@ class AliasFacts:
         self.alias_locals: dict[str, set[str]] = {n: set() for n in functions}
         self.holds_locals: dict[str, set[str]] = {n: set() for n in functions}
         self.returns_nonlocal: dict[str, bool] = {n: False for n in functions}
-        self.param_escapes: dict[str, set[str]] = {n: set() for n in functions}
         self._run_fixpoint()
 
     # -- helpers -------------------------------------------------------- #
@@ -85,10 +70,6 @@ class AliasFacts:
 
     def _comm_names(self, fn_name: str) -> frozenset[str]:
         return self.analysis.infos[fn_name].comm_names
-
-    def _params_of(self, fn_name: str) -> list[str]:
-        args = self.functions[fn_name].args
-        return [a.arg for a in (list(args.posonlyargs) + list(args.args))]
 
     def _is_nonlocal_name(self, fn_name: str, name: str) -> bool:
         """A name whose binding lives outside the checkpointed frame set:
@@ -233,82 +214,6 @@ class AliasFacts:
                 changed = True
         return changed
 
-    def _names_in(self, expr: ast.expr) -> set[str]:
-        return {
-            n.id for n in ast.walk(expr)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-
-    def _escape_sink_root(self, fn_name: str, node: ast.expr) -> Optional[str]:
-        """The receiver root when storing through ``node`` parks values in
-        non-local state (a global, or a local alias of one)."""
-        root = attr_root(
-            node.value if isinstance(node, ast.Subscript) else node
-        )
-        if root is None:
-            return None
-        if self._is_nonlocal_name(fn_name, root):
-            return root
-        if root in self.alias_locals[fn_name]:
-            return root
-        return None
-
-    def _recompute_param_escapes(self) -> bool:
-        changed = False
-        for name, tree in self.functions.items():
-            params = set(self._params_of(name)) - set(self._comm_names(name))
-            escapes = self.param_escapes[name]
-
-            def mark(candidates: set[str]) -> None:
-                nonlocal changed
-                for p in candidates & params:
-                    if p not in escapes:
-                        escapes.add(p)
-                        changed = True
-
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, (ast.Attribute, ast.Subscript)) \
-                                and self._escape_sink_root(name, target):
-                            mark(self._names_in(node.value))
-                elif isinstance(node, ast.AugAssign):
-                    if isinstance(node.target,
-                                  (ast.Attribute, ast.Subscript)) \
-                            and self._escape_sink_root(name, node.target):
-                        mark(self._names_in(node.value))
-                elif isinstance(node, ast.Call):
-                    func = node.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr in self.mutator_names
-                        and self._escape_sink_root(name, func) is not None
-                    ):
-                        for arg in list(node.args) + [
-                            k.value for k in node.keywords
-                        ]:
-                            mark(self._names_in(arg))
-                    elif (
-                        isinstance(func, ast.Name)
-                        and func.id in self.functions
-                    ):
-                        callee_params = self._params_of(func.id)
-                        callee_escapes = self.param_escapes[func.id]
-                        for i, arg in enumerate(node.args):
-                            if (
-                                i < len(callee_params)
-                                and callee_params[i] in callee_escapes
-                                and isinstance(arg, ast.Name)
-                            ):
-                                mark({arg.id})
-                        for kw in node.keywords:
-                            if (
-                                kw.arg in callee_escapes
-                                and isinstance(kw.value, ast.Name)
-                            ):
-                                mark({kw.value.id})
-        return changed
-
     def _run_fixpoint(self) -> None:
         changed = True
         while changed:
@@ -317,8 +222,6 @@ class AliasFacts:
                 if self._intra_regions(name):
                     changed = True
             if self._recompute_returns():
-                changed = True
-            if self._recompute_param_escapes():
                 changed = True
 
     # -- defect enumeration --------------------------------------------- #
@@ -362,42 +265,4 @@ class AliasFacts:
                                 function=name, local=root,
                                 node=node, via=func.attr,
                             ))
-        return out
-
-    def escaping_args(self) -> list[EscapingArg]:
-        """Call sites passing a clean checkpointed local to a parameter the
-        callee stores into module state."""
-        out: list[EscapingArg] = []
-        for name, tree in self.functions.items():
-            locals_ = self._locals_of(name)
-            alias = self.alias_locals[name]
-            for node in ast.walk(tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in self.functions
-                ):
-                    continue
-                callee = node.func.id
-                callee_params = self._params_of(callee)
-                callee_escapes = self.param_escapes[callee]
-                pairs: list[tuple[str, ast.expr]] = []
-                for i, arg in enumerate(node.args):
-                    if i < len(callee_params):
-                        pairs.append((callee_params[i], arg))
-                for kw in node.keywords:
-                    if kw.arg:
-                        pairs.append((kw.arg, kw.value))
-                for param, arg in pairs:
-                    if (
-                        param in callee_escapes
-                        and isinstance(arg, ast.Name)
-                        and arg.id in locals_
-                        and arg.id not in alias
-                        and arg.id not in self._comm_names(name)
-                    ):
-                        out.append(EscapingArg(
-                            function=name, callee=callee, param=param,
-                            local=arg.id, node=node,
-                        ))
         return out

@@ -30,8 +30,6 @@ from repro.precompiler.analysis import (
     UnitAnalysis,
     Violation,
     attr_root,
-    is_checkpoint_site,
-    stmt_contains_checkpointable,
 )
 
 #: MPI collective operations (every process of the communicator must call
@@ -41,13 +39,11 @@ COLLECTIVE_NAMES = frozenset({
     "scatter", "alltoall", "scan", "barrier",
 })
 
-#: Point-to-point and completion calls; together with the collectives these
-#: are the unit's *communication* calls.
+#: Point-to-point and completion calls (the p2p census reads the sends
+#: and receives among them).
 P2P_NAMES = frozenset({
     "send", "isend", "recv", "irecv", "wait", "test", "sendrecv",
 })
-
-COMM_CALL_NAMES = COLLECTIVE_NAMES | P2P_NAMES
 
 #: Dotted-prefix table for nondeterministic stdlib/numpy entropy sources
 #: (``RPR020``).  A call matches when its dotted name equals an entry or
@@ -125,9 +121,6 @@ class CheckedUnit:
     file_constants: dict[str, dict[str, object]] = field(default_factory=dict)
     #: Per-file sets of globals registered via ``checkpointable_state``.
     registered_globals: dict[str, set[str]] = field(default_factory=dict)
-    #: Driver-produced cross-module diagnostics (RPR050/051) rendered by
-    #: the :func:`cross_module_imports` analysis.
-    import_diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def file_of(self, name: str) -> str:
         return self.files.get(name, "<unknown>")
@@ -184,16 +177,6 @@ class CheckedUnit:
             )
             self._collective_callers = self._transitive(seed)
         return self._collective_callers
-
-    @property
-    def comm_callers(self) -> set[str]:
-        """Functions that (transitively) communicate at all."""
-        if not hasattr(self, "_comm_callers"):
-            seed = self._direct(
-                lambda f, n: self._comm_call(f, n, COMM_CALL_NAMES)
-            )
-            self._comm_callers = self._transitive(seed)
-        return self._comm_callers
 
     # -- interprocedural substrates (built lazily, shared by analyses) ---- #
 
@@ -503,8 +486,10 @@ def collective_sequencing(unit: CheckedUnit) -> list[Diagnostic]:
                 "anywhere in the unit"
             )
             hint = (
-                "the destination rank blocks forever waiting to be "
-                "received from; add the peer recv or fix the tag"
+                "the send completes, but the destination never receives "
+                "it, so no later checkpoint wave commits and a failure "
+                "rolls back to the last wave before it; add the peer recv "
+                "or fix the tag"
             )
         else:
             message = (
@@ -599,16 +584,17 @@ def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
                     span=unit.span(name, node),
                     function=name,
                     hint=(
-                        "read the simulator's virtual time with ctx.now(), "
-                        "or wrap in ctx.nondet(...) if the value affects "
-                        "control flow"
+                        "wrap the read in ctx.nondet(lambda: ...) so replay "
+                        "serves the logged value; ctx.now() (virtual time) "
+                        "suits timing only, as a restarted rank reads "
+                        "another value"
                     ),
                 ))
     return out
 
 
 # ---------------------------------------------------------------------- #
-# VDS-escape (RPR030, RPR031, RPR032)
+# VDS-escape (RPR030, RPR031)
 # ---------------------------------------------------------------------- #
 
 def _thread_or_register(registration: str) -> str:
@@ -634,10 +620,10 @@ def vds_escape(unit: CheckedUnit) -> list[Diagnostic]:
     """State outside the checkpointed variable descriptor set.
 
     The VDS covers the unit functions' locals (captured frame-by-frame at a
-    checkpoint).  Mutating anything else — a module global, a shared
-    default-argument object, a closure cell — survives into the restarted
-    process *or* is silently reset by it, either way breaking the paper's
-    assumption that a checkpoint captures all application state.
+    checkpoint).  Mutating anything else — a module global or a shared
+    default-argument object — survives into the restarted process *or* is
+    silently reset by it, either way breaking the paper's assumption that
+    a checkpoint captures all application state.
     """
     out: list[Diagnostic] = []
     for name, tree in unit.functions.items():
@@ -703,27 +689,6 @@ def vds_escape(unit: CheckedUnit) -> list[Diagnostic]:
                                 f'checkpointable_state("{root}")'
                             ),
                         ))
-            # RPR032: a nested scope reading this function's locals keeps
-            # cell references the frame capture cannot see through.
-            if isinstance(node, (ast.FunctionDef, ast.Lambda)) \
-                    and node is not tree:
-                captured = sorted(_free_reads(node) & local)
-                if captured:
-                    kind = ("lambda" if isinstance(node, ast.Lambda)
-                            else f"def {node.name}")
-                    out.append(Diagnostic(
-                        code="RPR032",
-                        message=(
-                            f"{kind} captures checkpointed local(s) "
-                            f"{', '.join(captured)} by closure"
-                        ),
-                        span=unit.span(name, node),
-                        function=name,
-                        hint=(
-                            "pass the value as a default argument "
-                            "(lambda v=v: ...) so restore rebinds it"
-                        ),
-                    ))
     return out
 
 
@@ -752,62 +717,21 @@ def _mutable_default(unit: CheckedUnit, fn_name: str, arg: ast.arg,
     )
 
 
-def _free_reads(inner: ast.AST) -> set[str]:
-    """Names the nested scope reads but does not itself bind.
-
-    Only the *body* is scanned: default expressions evaluate in the
-    enclosing scope at definition time — ``lambda v, t=total: ...`` is the
-    capture-free idiom, not a capture.
-    """
-    bound: set[str] = set()
-    reads: set[str] = set()
-    body: list[ast.AST]
-    if isinstance(inner, (ast.FunctionDef, ast.Lambda)):
-        a = inner.args
-        for arg in (list(a.posonlyargs) + list(a.args) + list(a.kwonlyargs)):
-            bound.add(arg.arg)
-        if a.vararg:
-            bound.add(a.vararg.arg)
-        if a.kwarg:
-            bound.add(a.kwarg.arg)
-        body = [inner.body] if isinstance(inner, ast.Lambda) else list(inner.body)
-    else:
-        body = [inner]
-    for part in body:
-        for node in ast.walk(part):
-            if isinstance(node, ast.Name):
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    bound.add(node.id)
-                else:
-                    reads.add(node.id)
-            elif isinstance(node, ast.comprehension):
-                for t in ast.walk(node.target):
-                    if isinstance(t, ast.Name):
-                        bound.add(t.id)
-    return reads - bound
-
-
 # ---------------------------------------------------------------------- #
-# aliased VDS-escape (RPR033, RPR034)
+# aliased VDS-escape (RPR033)
 # ---------------------------------------------------------------------- #
 
 def aliased_escape(unit: CheckedUnit) -> list[Diagnostic]:
-    """Escape routes the name-rooted v1 analysis cannot see.
+    """The escape route the name-rooted analysis cannot see.
 
     ``RPR033``: a mutation whose receiver is a *local alias* of non-local
     state — the global was first bound to a local (directly, through a
     container element, or via a helper's return value) and then mutated
     through the local name.  The mutation reaches exactly the same
     uncheckpointed object ``RPR030`` guards against.
-
-    ``RPR034``: a checkpointed local handed to a unit callee that stores
-    its parameter into module state.  After recovery the module keeps a
-    stale reference to the pre-failure object while the restored frame
-    holds a fresh copy — the two silently diverge.
     """
-    facts = unit.aliasfacts
     out: list[Diagnostic] = []
-    for m in facts.alias_mutations():
+    for m in unit.aliasfacts.alias_mutations():
         what = (
             "store through" if m.via == "store" else f"{m.local}.{m.via}()"
         )
@@ -824,136 +748,6 @@ def aliased_escape(unit: CheckedUnit) -> list[Diagnostic]:
                 + _thread_or_register("checkpointable_state(...)")
             ),
         ))
-    for e in facts.escaping_args():
-        out.append(Diagnostic(
-            code="RPR034",
-            message=(
-                f"checkpointed local {e.local!r} escapes into module "
-                f"state via {e.callee}() parameter {e.param!r}"
-            ),
-            span=unit.span(e.function, e.node),
-            function=e.function,
-            hint=(
-                "after recovery the module would keep a stale reference "
-                "while the restored frame holds a new copy; return the "
-                "value instead of parking it in module state"
-            ),
-        ))
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# cross-module (RPR050, RPR051)
-# ---------------------------------------------------------------------- #
-
-def cross_module_imports(unit: CheckedUnit) -> list[Diagnostic]:
-    """Render the driver's import-graph slicing findings.
-
-    The slicer (``repro.check.driver``) resolves ``from sibling import
-    helper`` / ``import sibling as H`` against files next to the checked
-    module and joins the resolved helpers into the unit.  What it could
-    *not* resolve surfaces here: ``RPR050`` for a missing/aliased/
-    colliding helper (the call is then analysed as an opaque library call,
-    losing its collective/taint/escape summary) and ``RPR051`` for star
-    imports (which hide which helpers exist at all).
-    """
-    return list(unit.import_diagnostics)
-
-
-# ---------------------------------------------------------------------- #
-# checkpoint-placement (RPR040, RPR041)
-# ---------------------------------------------------------------------- #
-
-def checkpoint_placement(unit: CheckedUnit) -> list[Diagnostic]:
-    """Recovery-cost advice: work that can never checkpoint re-executes in
-    full after every failure.
-
-    ``RPR040``: a loop that communicates but contains no checkpoint site
-    and no call into the checkpoint-reaching set — its whole execution is
-    one recovery interval.  Only the outermost such loop is reported.
-    ``RPR041``: the unit has *no* checkpoint site anywhere, yet a function
-    communicates — the program runs under the protocol but can never save
-    progress at all.
-    """
-    out: list[Diagnostic] = []
-    reaching = unit.analysis.reaching
-    unit_has_site = any(
-        info.has_checkpoint_site for info in unit.analysis.infos.values()
-    )
-
-    def communicates(node: ast.AST, fn_name: str) -> bool:
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in COMM_CALL_NAMES
-                and attr_root(func) in unit.comm_names(fn_name)
-            ):
-                return True
-            if isinstance(func, ast.Name) and func.id in unit.comm_callers:
-                return True
-        return False
-
-    def visit(stmts: list[ast.stmt], fn_name: str) -> None:
-        comm_names = unit.comm_names(fn_name)
-        for s in stmts:
-            if isinstance(s, (ast.For, ast.While)):
-                if communicates(s, fn_name) and not \
-                        stmt_contains_checkpointable(s, reaching, comm_names):
-                    out.append(Diagnostic(
-                        code="RPR040",
-                        message=(
-                            "loop communicates but contains no reachable "
-                            "potential_checkpoint; a failure re-executes "
-                            "the entire loop"
-                        ),
-                        span=unit.span(fn_name, s),
-                        function=fn_name,
-                        hint=(
-                            "call ctx.potential_checkpoint() once per "
-                            "iteration (the protocol makes it cheap when "
-                            "declined)"
-                        ),
-                    ))
-                    continue  # outermost report is enough
-                visit(s.body, fn_name)
-                visit(s.orelse, fn_name)
-            elif isinstance(s, ast.If):
-                visit(s.body, fn_name)
-                visit(s.orelse, fn_name)
-            elif isinstance(s, ast.Try):
-                visit(s.body, fn_name)
-                for h in s.handlers:
-                    visit(h.body, fn_name)
-                visit(s.orelse, fn_name)
-                visit(s.finalbody, fn_name)
-            elif isinstance(s, ast.With):
-                visit(s.body, fn_name)
-
-    for name, tree in unit.functions.items():
-        visit(tree.body, name)
-        if not unit_has_site and communicates(tree, name):
-            direct = any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr in COMM_CALL_NAMES
-                and attr_root(n.func) in unit.comm_names(name)
-                for n in ast.walk(tree)
-            )
-            if direct:
-                out.append(Diagnostic(
-                    code="RPR041",
-                    message=(
-                        f"{name!r} communicates but the unit has no "
-                        "checkpoint site at all; no progress survives a "
-                        "failure"
-                    ),
-                    span=unit.span(name, tree),
-                    function=name,
-                    hint="insert ctx.potential_checkpoint() in the main loop",
-                ))
     return out
 
 
@@ -965,6 +759,4 @@ ANALYSES: tuple[Callable[[CheckedUnit], list[Diagnostic]], ...] = (
     unlogged_nondeterminism,
     vds_escape,
     aliased_escape,
-    cross_module_imports,
-    checkpoint_placement,
 )

@@ -5,8 +5,8 @@ the precompiler's :class:`~repro.precompiler.analysis.UnitAnalysis`:
 
 * **collective summaries** — each function's collective-call sequence as a
   summary regular expression (see :mod:`repro.check.cfg`), plus
-  :meth:`resolved` / :meth:`resolve_block` which substitute callee
-  summaries across call boundaries (recursion resolves to ``?``);
+  :meth:`resolve_block`, which substitutes callee summaries across call
+  boundaries (recursion resolves to ``?``);
 
 * **rank-divergence taint** — a flow-insensitive, interprocedural
   fixpoint over "may this value differ across ranks?".  Seeds are
@@ -132,20 +132,8 @@ class UnitCallGraph:
             )
             for name, tree in functions.items()
         }
-        self._resolved_cache: dict[str, Summary] = {}
 
     # -- summaries ----------------------------------------------------- #
-
-    def resolved(self, name: str) -> Summary:
-        """The function's summary with every unit call substituted."""
-        if name not in self._resolved_cache:
-            self._resolved_cache[name] = resolve(
-                self.summaries[name], self.summaries
-            )
-        return self._resolved_cache[name]
-
-    def resolve_summary(self, summary: Summary) -> Summary:
-        return resolve(summary, self.summaries)
 
     def resolve_block(self, fn_name: str, stmts: list[ast.stmt]) -> Summary:
         """Resolved collective summary of a statement list in ``fn_name``."""

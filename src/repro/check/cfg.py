@@ -1,30 +1,21 @@
-"""Per-function control-flow graphs and collective-sequence summaries.
+"""Collective-sequence summaries of unit functions.
 
-Two layers live here:
-
-* :func:`build_cfg` — an explicit basic-block CFG for one unit function
-  (statement-grained blocks, edges labelled ``seq``/``then``/``else``/
-  ``loop``/``back``/``exit``).  The subset the precompiler accepts is
-  fully structured (no ``try`` on reaching paths, no exceptions), so the
-  graph is reducible by construction; the sequencing analyses use it to
-  enumerate loops with their guard expressions and reachable bodies.
-
-* the **summary language** — each function's collective-call behaviour is
-  summarised as a small regular expression over the collective alphabet:
-  :class:`Tok` (a direct ``ctx.<collective>()``), :class:`CallRef` (a call
-  into another unit function, resolved later against that function's
-  summary), :class:`Seq`, :class:`Alt` (branch merge), :class:`Star`
-  (loop merge) and :data:`UNKNOWN` (recursion cutoff).  Summaries are
-  joined at branch/loop merge points exactly where the CFG merges edges,
-  and :func:`resolve` substitutes callee summaries across call boundaries
-  — the interprocedural half of the paper's "same sequence of
-  collectives on every process" obligation.
+Each function's collective-call behaviour is summarised as a small
+regular expression over the collective alphabet: :class:`Tok` (a direct
+``ctx.<collective>()``), :class:`CallRef` (a call into another unit
+function, resolved later against that function's summary), :class:`Seq`,
+:class:`Alt` (branch merge), :class:`Star` (loop merge), :class:`Cond`
+(a branch on a rank-uniform predicate) and :data:`UNKNOWN` (recursion
+cutoff).  :func:`block_summary` builds it by walking the statement AST,
+joining at branches and loops, and :func:`resolve` substitutes callee
+summaries across call boundaries — the interprocedural half of the
+paper's "same sequence of collectives on every process" obligation.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 #: Path-sensitivity hook: maps a branch predicate expression to a canonical
@@ -237,26 +228,6 @@ def collectives_in(s: Summary) -> tuple[str, ...]:
     return tuple(out)
 
 
-def unresolved_calls(s: Summary) -> tuple[str, ...]:
-    out: list[str] = []
-
-    def walk(node: Summary) -> None:
-        if isinstance(node, CallRef) and node.callee not in out:
-            out.append(node.callee)
-        elif isinstance(node, (Seq, Alt)):
-            parts = node.parts if isinstance(node, Seq) else node.options
-            for part in parts:
-                walk(part)
-        elif isinstance(node, Star):
-            walk(node.inner)
-        elif isinstance(node, Cond):
-            walk(node.then)
-            walk(node.orelse)
-
-    walk(s)
-    return tuple(out)
-
-
 def has_unknown(s: Summary) -> bool:
     if s is UNKNOWN:
         return True
@@ -302,160 +273,6 @@ def resolve(
             resolve(s.orelse, env, _stack),
         ))
     return s
-
-
-# --------------------------------------------------------------------- #
-# Basic-block CFG.
-# --------------------------------------------------------------------- #
-
-@dataclass
-class BasicBlock:
-    """A run of statements with single-entry control flow."""
-
-    index: int
-    label: str = ""
-    statements: list[ast.stmt] = field(default_factory=list)
-    #: Outgoing edges as ``(kind, block_index)``; kinds are ``seq``,
-    #: ``then``/``else`` (branch), ``loop`` (enter body), ``back`` (loop
-    #: backedge), ``exit`` (return/break/continue escaping the region).
-    edges: list[tuple[str, int]] = field(default_factory=list)
-
-    def lines(self) -> tuple[int, ...]:
-        return tuple(
-            getattr(s, "lineno", 0) for s in self.statements
-        )
-
-
-@dataclass
-class FunctionCFG:
-    """The CFG of one function: blocks, entry, single synthetic exit."""
-
-    name: str
-    blocks: list[BasicBlock]
-    entry: int
-    exit: int
-
-    def block(self, index: int) -> BasicBlock:
-        return self.blocks[index]
-
-    def successors(self, index: int) -> list[int]:
-        return [dst for _, dst in self.blocks[index].edges]
-
-    def edge_kinds(self, src: int, dst: int) -> list[str]:
-        return [k for k, d in self.blocks[src].edges if d == dst]
-
-    def reachable(self) -> set[int]:
-        seen: set[int] = set()
-        work = [self.entry]
-        while work:
-            cur = work.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            work.extend(self.successors(cur))
-        return seen
-
-
-class _CFGBuilder:
-    def __init__(self, name: str) -> None:
-        self.cfg = FunctionCFG(name=name, blocks=[], entry=0, exit=-1)
-
-    def new_block(self, label: str = "") -> BasicBlock:
-        block = BasicBlock(index=len(self.cfg.blocks), label=label)
-        self.cfg.blocks.append(block)
-        return block
-
-    def edge(self, src: BasicBlock, kind: str, dst: BasicBlock) -> None:
-        src.edges.append((kind, dst.index))
-
-    def build(self, tree: ast.FunctionDef) -> FunctionCFG:
-        entry = self.new_block("entry")
-        self.cfg.entry = entry.index
-        exit_block = self.new_block("exit")
-        self.cfg.exit = exit_block.index
-        end = self._emit(tree.body, entry, exit_block, None, None)
-        if end is not None:
-            self.edge(end, "seq", exit_block)
-        return self.cfg
-
-    def _emit(
-        self,
-        stmts: list[ast.stmt],
-        current: BasicBlock,
-        fn_exit: BasicBlock,
-        loop_break: Optional[BasicBlock],
-        loop_continue: Optional[BasicBlock],
-    ) -> Optional[BasicBlock]:
-        """Emit statements into ``current``; return the open fall-through
-        block, or None when every path left the region."""
-        for stmt in stmts:
-            if current is None:
-                return None
-            if isinstance(stmt, ast.If):
-                current.statements.append(stmt)
-                then_block = self.new_block("then")
-                else_block = self.new_block("else")
-                join = self.new_block("join")
-                self.edge(current, "then", then_block)
-                self.edge(current, "else", else_block)
-                for arm, block in ((stmt.body, then_block),
-                                   (stmt.orelse, else_block)):
-                    end = self._emit(
-                        arm, block, fn_exit, loop_break, loop_continue
-                    )
-                    if end is not None:
-                        self.edge(end, "seq", join)
-                current = join
-            elif isinstance(stmt, (ast.For, ast.While)):
-                head = self.new_block("loop-head")
-                head.statements.append(stmt)
-                body = self.new_block("loop-body")
-                after = self.new_block("loop-exit")
-                if current is not None:
-                    self.edge(current, "seq", head)
-                self.edge(head, "loop", body)
-                self.edge(head, "else", after)
-                end = self._emit(stmt.body, body, fn_exit, after, head)
-                if end is not None:
-                    self.edge(end, "back", head)
-                if stmt.orelse:
-                    # the else-arm runs on normal loop exit; model it on
-                    # the head→after edge by chaining through a block.
-                    else_block = self.new_block("loop-else")
-                    head.edges = [
-                        (k, d) if not (k == "else" and d == after.index)
-                        else (k, else_block.index)
-                        for k, d in head.edges
-                    ]
-                    end = self._emit(
-                        stmt.orelse, else_block, fn_exit,
-                        loop_break, loop_continue,
-                    )
-                    if end is not None:
-                        self.edge(end, "seq", after)
-                current = after
-            elif isinstance(stmt, ast.Return):
-                current.statements.append(stmt)
-                self.edge(current, "exit", fn_exit)
-                current = None
-            elif isinstance(stmt, ast.Break):
-                current.statements.append(stmt)
-                if loop_break is not None:
-                    self.edge(current, "exit", loop_break)
-                current = None
-            elif isinstance(stmt, ast.Continue):
-                current.statements.append(stmt)
-                if loop_continue is not None:
-                    self.edge(current, "back", loop_continue)
-                current = None
-            else:
-                current.statements.append(stmt)
-        return current
-
-
-def build_cfg(tree: ast.FunctionDef) -> FunctionCFG:
-    """Build the basic-block CFG of one function."""
-    return _CFGBuilder(tree.name).build(tree)
 
 
 # --------------------------------------------------------------------- #

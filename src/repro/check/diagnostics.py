@@ -16,9 +16,9 @@ from typing import Iterable, Optional
 
 #: Version tag for every machine-readable payload this package emits.
 #: ``repro.check/2`` added suppression records and the
-#: interprocedural/alias code families (RPR012/013/033/034/090);
-#: ``repro.check/3`` adds the path-sensitive divergence code (RPR014) and
-#: the cross-module family (RPR050/051).
+#: interprocedural/alias code families (RPR012/013/033/090);
+#: ``repro.check/3`` adds the path-sensitive divergence code (RPR014).
+#: Retiring a code keeps the tag: payloads only lose that code.
 SCHEMA = "repro.check/3"
 
 
@@ -27,17 +27,15 @@ class Severity(enum.Enum):
 
     ``ERROR`` findings describe programs the protocol cannot recover
     correctly (or the precompiler cannot transform); ``WARNING`` findings
-    are probable-but-not-certain hazards; ``ADVICE`` findings are
-    recovery-cost observations.
+    are probable-but-not-certain hazards.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    ADVICE = "advice"
 
     @property
     def rank(self) -> int:
-        return {"error": 0, "warning": 1, "advice": 2}[self.value]
+        return {"error": 0, "warning": 1}[self.value]
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,11 @@ def _codes(entries: Iterable[CodeInfo]) -> dict[str, CodeInfo]:
 
 #: The stable code registry.  ``RPR00x`` = supported subset, ``RPR01x`` =
 #: collective matching, ``RPR02x`` = unlogged nondeterminism, ``RPR03x`` =
-#: VDS escape, ``RPR04x`` = checkpoint placement.
+#: VDS escape, ``RPR090`` = suppressions.  Every code from RPR010 to
+#: RPR033 has a runtime witness (``tests/check/test_witnesses.py``).
+#: Retired, never to be reused: RPR032 (closure capture), RPR034 (escape
+#: through a callee), RPR040/041 (checkpoint placement advice) and
+#: RPR050/051 (cross-module helpers the slicer cannot join).
 CODES: dict[str, CodeInfo] = _codes([
     CodeInfo("RPR001", Severity.ERROR, "supported-subset",
              "checkpointable call inside try"),
@@ -124,20 +126,8 @@ CODES: dict[str, CodeInfo] = _codes([
              "module-global state mutation"),
     CodeInfo("RPR031", Severity.ERROR, "vds-escape",
              "mutable default argument"),
-    CodeInfo("RPR032", Severity.WARNING, "vds-escape",
-             "closure captures checkpointed locals"),
     CodeInfo("RPR033", Severity.ERROR, "vds-escape",
              "aliased mutation of non-local state"),
-    CodeInfo("RPR034", Severity.WARNING, "vds-escape",
-             "checkpointed value escapes through a callee"),
-    CodeInfo("RPR040", Severity.ADVICE, "checkpoint-placement",
-             "communication loop without reachable checkpoint"),
-    CodeInfo("RPR041", Severity.ADVICE, "checkpoint-placement",
-             "communicating function in unit with no checkpoint site"),
-    CodeInfo("RPR050", Severity.WARNING, "cross-module",
-             "unresolvable cross-module helper"),
-    CodeInfo("RPR051", Severity.WARNING, "cross-module",
-             "star import hides cross-module helpers"),
     CodeInfo("RPR090", Severity.WARNING, "suppressions",
              "unused suppression"),
 ])
@@ -226,12 +216,8 @@ class CheckResult:
         return self._by_severity(Severity.WARNING)
 
     @property
-    def advice(self) -> tuple[Diagnostic, ...]:
-        return self._by_severity(Severity.ADVICE)
-
-    @property
     def ok(self) -> bool:
-        """No error-severity findings (warnings/advice do not fail a check)."""
+        """No error-severity findings (warnings do not fail a check)."""
         return not self.errors
 
     def render(self) -> str:
@@ -243,10 +229,7 @@ class CheckResult:
                 f"{self.target}: ok "
                 f"({len(self.functions)} function(s) checked{note})"
             )
-        counts = (
-            f"{len(self.errors)} error(s), {len(self.warnings)} warning(s), "
-            f"{len(self.advice)} advice"
-        )
+        counts = f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         if self.suppressed:
             counts += f", {len(self.suppressed)} suppressed"
         return f"{self.target}: {counts}\n{render_text(self.diagnostics)}"

@@ -19,8 +19,9 @@ v3 adds the **import-graph slicer**: when the checked file imports from a
 ``app.py`` + ``halo.py`` project layout), the imported helpers — and
 their transitive in-module callees — join the unit with their own
 source/suppression/constant scoping, so a multi-file app verifies exactly
-like its single-file merge.  What the slicer cannot resolve surfaces as
-the ``RPR05x`` family instead of silently dropping out of the analysis.
+like its single-file merge.  A helper the slicer cannot join (renamed on
+import, colliding with a local def, missing, star-imported, or in a
+sibling that fails to parse) stays an opaque library call.
 
 :func:`preflight` is the embedded entry point ``Session.run(check=...)``
 and chaos campaigns use: check a batch of app names and raise
@@ -55,7 +56,6 @@ def run_unit_checks(
     target: str,
     extra_violations: Iterable[Violation] = (),
     sources: Optional[dict[str, str]] = None,
-    extra_diagnostics: Iterable[Diagnostic] = (),
     extra_constants: Optional[dict[str, dict[str, object]]] = None,
 ) -> CheckResult:
     """Run the whole battery over already-parsed function ASTs.
@@ -67,8 +67,7 @@ def run_unit_checks(
     path → full module source text — it feeds module-constant resolution
     (p2p tag names), ``checkpointable_state`` registration scanning, and
     ``# repro: ignore[...]`` suppressions; when not given, the driver
-    reads the files from disk.  ``extra_diagnostics`` carries the
-    slicer's RPR050/051 findings; ``extra_constants`` maps file →
+    reads the files from disk.  ``extra_constants`` maps file →
     constants imported *into* that file from elsewhere (``from halo
     import TAG_UP``), layered over the file's own constants.
     """
@@ -96,7 +95,6 @@ def run_unit_checks(
         constants=constants,
         file_constants=file_constants,
         registered_globals=registered,
-        import_diagnostics=list(extra_diagnostics),
     )
     diagnostics: list[Diagnostic] = []
     for run in ANALYSES:
@@ -149,10 +147,6 @@ def _tree_constants(tree: ast.Module) -> dict[str, object]:
         ):
             out[node.targets[0].id] = node.value.value
     return out
-
-
-def _module_constants(source: str) -> dict[str, object]:
-    return _tree_constants(_parse_module(source))
 
 
 def _apply_suppressions(
@@ -296,17 +290,6 @@ def _select_names(space: dict[str, ast.FunctionDef]) -> list[str]:
     return sorted(selected)
 
 
-def _select_unit(module_tree: ast.Module) -> dict[str, ast.FunctionDef]:
-    """The checked unit of a module: ctx-parameter functions plus their
-    transitive plain-name callees among the top-level functions."""
-    top: dict[str, ast.FunctionDef] = {
-        n.name: n
-        for n in module_tree.body
-        if isinstance(n, ast.FunctionDef)
-    }
-    return {name: top[name] for name in _select_names(top)}
-
-
 # --------------------------------------------------------------------- #
 # import-graph slicer (cross-module units)
 # --------------------------------------------------------------------- #
@@ -315,14 +298,13 @@ def _select_unit(module_tree: ast.Module) -> dict[str, ast.FunctionDef]:
 class UnitSlice:
     """What the slicer hands :func:`run_unit_checks`: the selected unit
     (possibly spanning several files), per-function origin files, the
-    sources of every contributing file, constants imported into the
-    target's namespace, and the RPR050/051 findings."""
+    sources of every contributing file, and constants imported into the
+    target's namespace."""
 
     functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
     files: dict[str, str] = field(default_factory=dict)
     sources: dict[str, str] = field(default_factory=dict)
     imported_constants: dict[str, object] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 def _sibling_file(directory: str, module: Optional[str]) -> Optional[str]:
@@ -348,42 +330,6 @@ def _slice_directory(file: str) -> str:
     return directory if directory and os.path.isdir(directory) else ""
 
 
-def _top_level_names(tree: ast.Module) -> set[str]:
-    """Every name a module binds at top level (defs, classes, assigns,
-    imports) — used to distinguish "imported something that is not a
-    function" (fine) from "imported something that does not exist"."""
-    out: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            out.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name):
-                        out.add(sub.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if alias.name != "*":
-                    out.add(alias.asname or alias.name.split(".")[0])
-    return out
-
-
-def _xdiag(code: str, node: ast.AST, file: str, message: str, hint: str,
-           function: str = "<module>") -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        message=message,
-        span=Span.of(node, file),
-        function=function,
-        hint=hint,
-    )
-
-
 def slice_module(
     module_tree: ast.Module, file: str, source: str
 ) -> UnitSlice:
@@ -396,35 +342,25 @@ def slice_module(
     the interprocedural analyses see one call graph.  Joined helpers pull
     their own in-module plain-name callees transitively.  Non-sibling
     imports (stdlib, installed packages) are out of scope and stay opaque
-    library calls, exactly as before.  Unresolvable sibling references
-    (missing names, aliased helper imports, name collisions, star
-    imports) surface as RPR050/051.
+    library calls, as do the sibling references the slicer cannot join:
+    missing names, helpers renamed on import or colliding with a local
+    def, star imports, and siblings that fail to parse.
     """
     top: dict[str, ast.FunctionDef] = {
         n.name: n for n in module_tree.body
         if isinstance(n, ast.FunctionDef)
     }
     out = UnitSlice(sources={file: source})
-    diags = out.diagnostics
     directory = _slice_directory(file)
     abs_file = os.path.abspath(file) if directory else file
-
-    #: Names called by plain name anywhere in the target's functions —
-    #: unresolvable imports only warn when something actually calls them.
-    called: set[str] = set()
-    for tree in top.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
 
     combined: dict[str, ast.FunctionDef] = dict(top)
     origin: dict[str, str] = {name: file for name in top}
 
     # path -> (tree, defs, source) for parsed siblings; None on failure.
     cache: dict[str, Optional[tuple]] = {}
-    parse_warned: set[str] = set()
 
-    def load(path: str, node: ast.AST) -> Optional[tuple]:
+    def load(path: str) -> Optional[tuple]:
         if path not in cache:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
@@ -438,15 +374,6 @@ def slice_module(
                     if isinstance(n, ast.FunctionDef)
                 }
                 cache[path] = (sib_tree, sib_defs, sib_source)
-        if cache[path] is None and path not in parse_warned:
-            parse_warned.add(path)
-            diags.append(_xdiag(
-                "RPR050", node, file,
-                f"sibling module {os.path.basename(path)!r} failed to "
-                "load; its helpers stay opaque to the unit",
-                "fix the sibling module so its helpers can join the "
-                "checked unit",
-            ))
         return cache[path]
 
     def join(name: str, path: str) -> None:
@@ -485,59 +412,20 @@ def slice_module(
                 path = _sibling_file(directory, node.module)
                 if path is None or os.path.abspath(path) == abs_file:
                     continue
-                loaded = load(path, node)
+                loaded = load(path)
                 if loaded is None:
                     continue
-                sib_tree, sib_defs, sib_source = loaded
+                sib_tree, sib_defs, _ = loaded
                 sib_consts = _tree_constants(sib_tree)
-                sib_names = _top_level_names(sib_tree)
                 for alias in node.names:
-                    if alias.name == "*":
-                        diags.append(_xdiag(
-                            "RPR051", node, file,
-                            f"'from {node.module} import *' hides which "
-                            "sibling helpers the unit uses; they stay "
-                            "opaque to the analyses",
-                            "import the helpers you call by name so they "
-                            "join the checked unit",
-                        ))
-                        continue
                     bound = alias.asname or alias.name
                     if alias.name in sib_defs:
-                        if alias.asname and alias.asname != alias.name:
-                            if bound in called:
-                                diags.append(_xdiag(
-                                    "RPR050", alias, file,
-                                    f"helper {alias.name!r} imported as "
-                                    f"{alias.asname!r} cannot join the "
-                                    "unit; its calls stay opaque",
-                                    "import the helper under its own name "
-                                    "so the slicer can join it",
-                                ))
-                        elif bound in top:
-                            if bound in called:
-                                diags.append(_xdiag(
-                                    "RPR050", alias, file,
-                                    f"imported helper {alias.name!r} "
-                                    "collides with a local definition of "
-                                    "the same name; calls bind "
-                                    "ambiguously",
-                                    "rename the local function or drop "
-                                    "the import",
-                                ))
-                        else:
+                        # A renamed or locally shadowed helper stays opaque.
+                        if bound == alias.name and bound not in top:
                             join(alias.name, path)
                     elif alias.name in sib_consts:
                         out.imported_constants[bound] = \
                             sib_consts[alias.name]
-                    elif alias.name not in sib_names and bound in called:
-                        diags.append(_xdiag(
-                            "RPR050", alias, file,
-                            f"sibling module {node.module!r} defines no "
-                            f"{alias.name!r}; the call stays opaque",
-                            "define the helper in the sibling module or "
-                            "fix the import",
-                        ))
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     path = _sibling_file(directory, alias.name)
@@ -550,7 +438,7 @@ def slice_module(
 
     # ``H.helper(...)`` call sites against module aliases: join the helper
     # and rewrite the call to a plain name so the call graph sees it.
-    for fname, ftree in top.items():
+    for ftree in top.values():
         for node in ast.walk(ftree):
             if not isinstance(node, ast.Call):
                 continue
@@ -562,35 +450,18 @@ def slice_module(
             ):
                 continue
             path = module_aliases[func.value.id]
-            loaded = load(path, node)
+            loaded = load(path)
             if loaded is None:
                 continue
-            sib_tree, sib_defs, sib_source = loaded
-            if func.attr in sib_defs:
-                if func.attr in combined and origin.get(func.attr) != path:
-                    diags.append(_xdiag(
-                        "RPR050", node, file,
-                        f"cannot join {func.value.id}.{func.attr}(): the "
-                        f"unit already defines {func.attr!r}; the call "
-                        "stays opaque",
-                        "rename one of the functions so the helper can "
-                        "join the unit",
-                        function=fname,
-                    ))
-                else:
-                    join(func.attr, path)
-                    node.func = ast.copy_location(
-                        ast.Name(id=func.attr, ctx=ast.Load()), func
-                    )
-            elif func.attr not in _top_level_names(sib_tree):
-                diags.append(_xdiag(
-                    "RPR050", node, file,
-                    f"sibling module bound to {func.value.id!r} defines "
-                    f"no {func.attr!r}; the call stays opaque",
-                    "define the helper in the sibling module or fix the "
-                    "call",
-                    function=fname,
-                ))
+            sib_defs = loaded[1]
+            # A helper whose name the unit already binds stays opaque.
+            if func.attr in sib_defs and (
+                func.attr not in combined or origin.get(func.attr) == path
+            ):
+                join(func.attr, path)
+                node.func = ast.copy_location(
+                    ast.Name(id=func.attr, ctx=ast.Load()), func
+                )
 
     selected = _select_names(combined)
     out.functions = {name: combined[name] for name in selected}
@@ -617,7 +488,6 @@ def check_source(
         sliced.files,
         target or file,
         sources=sliced.sources,
-        extra_diagnostics=sliced.diagnostics,
         extra_constants=extra_constants,
     )
 
@@ -657,22 +527,16 @@ def check_app(name: str) -> CheckResult:
 # embedded entry point
 # --------------------------------------------------------------------- #
 
-def preflight(
-    apps: Iterable[str],
-    level: str = "error",
-) -> list[CheckResult]:
+def preflight(apps: Iterable[str]) -> list[CheckResult]:
     """Check a batch of registered apps before running them.
 
-    ``level="error"`` raises :class:`CheckError` when any app has
-    error-severity findings; ``level="warn"`` never raises (callers print
-    the results).  Returns every result either way (on raise, they ride on
-    the exception's ``results`` attribute).
+    Raises :class:`CheckError` when any app has error-severity findings,
+    with every result on the exception's ``results`` attribute; returns
+    the results otherwise.
     """
-    if level not in ("warn", "error"):
-        raise ValueError(f"preflight level must be 'warn' or 'error', got {level!r}")
     results = [check_app(name) for name in dict.fromkeys(apps)]
     failing = [r for r in results if not r.ok]
-    if failing and level == "error":
+    if failing:
         bad = ", ".join(r.target for r in failing)
         body = "\n".join(
             render_text(r.errors) for r in failing

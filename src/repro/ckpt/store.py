@@ -86,7 +86,7 @@ from repro.ckpt.delta import (
 )
 from repro.ckpt.manifest import ChunkRef, GenerationManifest
 from repro.ckpt.retention import RetentionPolicy
-from repro.errors import StorageError
+from repro.errors import CheckpointError, StorageError
 from repro.util.serialization import dumps_framed, loads_framed
 
 #: Progress stages reported to a save hook (fault injection, tests).
@@ -203,8 +203,19 @@ class CheckpointStore:
         wall-clock timestamps baked into persisted bytes would make two
         otherwise-identical runs produce different backends, poisoning
         byte-level rerun determinism and content-addressed result caches.
+
+        State that pickle cannot serialise (a lambda, a generator, a lock)
+        raises :class:`~repro.errors.CheckpointError` naming the stream.
         """
-        stream_raw, *buffers = capture_segments(obj)
+        try:
+            stream_raw, *buffers = capture_segments(obj)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            # Not a StorageError: restore_line reads those as a damaged
+            # store, but this state can never be saved at all.
+            raise CheckpointError(
+                f"cannot checkpoint stream {stream!r}: its state does not "
+                f"pickle ({type(exc).__name__}: {exc})"
+            ) from exc
         try:
             zdict, fresh = self._read_dictionary(stream), False
         except StorageError:  # none yet, or a bad one: the stream starts over

@@ -92,8 +92,10 @@ class C3AppContext:
         return self._rank_ctx.wtime()
 
     def now(self) -> float:
-        """Virtual time, the replay-stable substitute for ``time.time()``
-        (the repair ``repro-check``'s RPR021 hint names)."""
+        """Virtual time, for timing.  It is not replayed: a restarted rank
+        reads another value, so a clock value that reaches a message or
+        the result goes through ``ctx.nondet`` (``repro-check``'s RPR021
+        hint)."""
         return self.wtime()
 
     # ------------------------------------------------------------------ #

@@ -90,7 +90,7 @@ def checkpointable_state(
     The declaration registers ``<calling module>.CACHE`` with the
     :data:`DEFAULT_REGISTRY` (pass ``module=``/``registry=`` to override)
     and — equally important — is recognised *statically* by
-    ``repro-check``: registered names are exempt from the RPR030/033/034
+    ``repro-check``: registered names are exempt from the RPR030/033
     escape findings.  One process-wide value is snapshotted into every
     rank's checkpoint, so register rank-uniform state only.
     """

@@ -1,6 +1,6 @@
-"""Seeded violations: a checkpointed local smuggled into module state by
-a helper.  The store inside the helper is the classic RPR030; the call
-site handing the local over is the new interprocedural RPR034."""
+"""Seeded violation: a checkpointed local smuggled into module state by
+a helper.  The store inside the helper is the classic RPR030, which
+covers the call site handing the local over as well."""
 
 CACHE = {}
 
@@ -12,5 +12,5 @@ def remember(ctx, key, value):
 def main(ctx):
     ctx.potential_checkpoint()
     field = [float(ctx.rank)] * 8
-    remember(ctx, ctx.rank, field)  # CHECK: RPR034
+    remember(ctx, ctx.rank, field)
     return ctx.allreduce(field[0], op="sum")

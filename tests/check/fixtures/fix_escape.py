@@ -1,5 +1,5 @@
 """Seeded violations: module-state escapes (direct store, aliased
-mutation, escaping argument).  Their hints lead with threading the value
+mutation, a helper's store of its argument).  Their hints lead with threading the value
 through parameters and locals; ``vds_registered_clean.py`` shows that
 ``checkpointable_state("...")`` registration also verifies clean, though
 it keeps one process-wide copy for all ranks."""
@@ -20,5 +20,5 @@ def main(ctx):
     CACHE["x"] = x  # CHECK: RPR030
     log = HISTORY
     log.append(x)  # CHECK: RPR033
-    record(ctx, x)  # CHECK: RPR034
+    record(ctx, x)
     return x

@@ -1,4 +1,4 @@
-"""Seeded violations: mutable default argument and closure capture."""
+"""Seeded violation: mutable default argument."""
 
 
 def helper(ctx, xs=[]):  # CHECK: RPR031
@@ -9,5 +9,5 @@ def helper(ctx, xs=[]):  # CHECK: RPR031
 def main(ctx):
     total = 0.0
     ctx.potential_checkpoint()
-    scale = lambda v: v * total  # CHECK: RPR032
+    scale = lambda v: v * total
     return scale(1.0), helper(ctx)

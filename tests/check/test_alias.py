@@ -1,6 +1,5 @@
 """Alias-aware VDS-escape analysis: mutations through aliases of
-non-local state (RPR033) and checkpointed locals smuggled into module
-state through helper parameters (RPR034)."""
+non-local state (RPR033)."""
 
 import textwrap
 
@@ -106,55 +105,3 @@ class TestAliasMutation:
         )
         assert codes(result) == []
 
-
-class TestEscapingArgs:
-    def test_local_stored_into_global_by_callee(self):
-        result = check(
-            """
-            CACHE = {}
-
-            def remember(ctx, value):
-                CACHE["last"] = value
-
-            def main(ctx):
-                ctx.potential_checkpoint()
-                field = [float(ctx.rank)]
-                remember(ctx, field)
-                return ctx.allreduce(field[0], op="sum")
-            """
-        )
-        assert "RPR034" in codes(result)
-
-    def test_escape_is_transitive_through_helpers(self):
-        result = check(
-            """
-            CACHE = {}
-
-            def stash(ctx, value):
-                CACHE["last"] = value
-
-            def relay(ctx, value):
-                stash(ctx, value)
-
-            def main(ctx):
-                ctx.potential_checkpoint()
-                field = [float(ctx.rank)]
-                relay(ctx, field)
-                return ctx.allreduce(field[0], op="sum")
-            """
-        )
-        assert "RPR034" in codes(result)
-
-    def test_value_only_callee_is_clean(self):
-        result = check(
-            """
-            def norm(ctx, values):
-                return ctx.allreduce(sum(values), op="sum")
-
-            def main(ctx):
-                ctx.potential_checkpoint()
-                field = [float(ctx.rank)]
-                return norm(ctx, field)
-            """
-        )
-        assert codes(result) == []

@@ -226,49 +226,3 @@ class TestVdsEscape:
         )
         assert codes(result) == []
 
-
-class TestCheckpointPlacement:
-    def test_outermost_loop_reported_once(self):
-        result = check(
-            """
-            def main(ctx):
-                ctx.potential_checkpoint()
-                for i in range(4):
-                    for j in range(4):
-                        ctx.send(j, dest=0)
-                return 0
-            """
-        )
-        # One RPR040 for the outermost loop; the receive-less send is the
-        # census's one RPR013 (reported once per tag, not per loop level).
-        assert codes(result) == ["RPR013", "RPR040"]
-
-    def test_checkpoint_via_unit_call_satisfies_loop(self):
-        result = check(
-            """
-            def step(ctx, i):
-                ctx.potential_checkpoint()
-                return ctx.allreduce(i, op="sum")
-
-            def main(ctx):
-                total = 0
-                for i in range(4):
-                    total = step(ctx, i)
-                return total
-            """
-        )
-        assert codes(result) == []
-
-    def test_barrier_counts_as_checkpoint_site(self):
-        # Paper Section 4.5: a barrier is a potential-checkpoint location,
-        # so no RPR040 here; the unanswered send still earns its RPR013.
-        result = check(
-            """
-            def main(ctx):
-                for i in range(4):
-                    ctx.send(i, dest=0)
-                    ctx.barrier()
-                return 0
-            """
-        )
-        assert codes(result) == ["RPR013"]

@@ -1,4 +1,4 @@
-"""The summary regular language and the per-function CFG."""
+"""The collective-sequence summary language."""
 
 import ast
 import textwrap
@@ -10,14 +10,12 @@ from repro.check.cfg import (
     Seq,
     Star,
     Tok,
-    build_cfg,
     collectives_in,
     equivalent,
     function_summary,
     has_unknown,
     normalize,
     resolve,
-    unresolved_calls,
 )
 
 COLLECTIVES = frozenset({"allreduce", "barrier", "bcast", "reduce"})
@@ -67,10 +65,6 @@ class TestResolve:
 
     def test_external_calls_contribute_nothing(self):
         assert resolve(CallRef("print"), {}) is EPS
-
-    def test_unresolved_calls_enumerates(self):
-        s = Seq((CallRef("a"), Alt((CallRef("b"), Tok("barrier")))))
-        assert unresolved_calls(s) == ("a", "b")
 
 
 class TestFunctionSummary:
@@ -142,56 +136,3 @@ class TestFunctionSummary:
         )
         assert collectives_in(s) == ("barrier", "reduce")
 
-
-class TestBuildCFG:
-    def test_if_produces_branch_edges(self):
-        cfg = build_cfg(fn(
-            """
-            def main(ctx):
-                if ctx.rank == 0:
-                    x = 1
-                else:
-                    x = 2
-                return x
-            """
-        ))
-        kinds = {k for b in cfg.blocks for k, _ in b.edges}
-        assert {"then", "else", "seq", "exit"} <= kinds
-
-    def test_loop_has_backedge(self):
-        cfg = build_cfg(fn(
-            """
-            def main(ctx):
-                for i in range(4):
-                    ctx.compute(1.0)
-                return 0
-            """
-        ))
-        kinds = {k for b in cfg.blocks for k, _ in b.edges}
-        assert "back" in kinds and "loop" in kinds
-
-    def test_all_blocks_reach_from_entry(self):
-        cfg = build_cfg(fn(
-            """
-            def main(ctx):
-                x = 0
-                while x < 3:
-                    x += 1
-                    if x == 2:
-                        break
-                return x
-            """
-        ))
-        reachable = cfg.reachable()
-        assert cfg.exit in reachable
-
-    def test_return_edges_to_exit(self):
-        cfg = build_cfg(fn(
-            """
-            def main(ctx):
-                return 1
-            """
-        ))
-        assert any(
-            ("exit", cfg.exit) in b.edges for b in cfg.blocks
-        )

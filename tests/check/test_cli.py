@@ -10,7 +10,6 @@ from repro.check.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 CLEAN = str(FIXTURES / "clean_app.py")
 BROKEN = str(FIXTURES / "vds_globals.py")
-ADVICE_ONLY = str(FIXTURES / "placement_loops.py")
 
 
 class TestExitCodes:
@@ -24,10 +23,6 @@ class TestExitCodes:
         assert main([BROKEN]) == 1
         out = capsys.readouterr().out
         assert "RPR030" in out
-
-    def test_advice_does_not_fail(self, capsys):
-        assert main([ADVICE_ONLY]) == 0
-        assert "RPR040" in capsys.readouterr().out
 
     def test_fail_on_never(self, capsys):
         assert main([BROKEN, "--fail-on", "never"]) == 0
@@ -73,8 +68,8 @@ class TestFormats:
     def test_list_codes(self, capsys):
         assert main(["--list-codes"]) == 0
         out = capsys.readouterr().out
-        assert "RPR001" in out and "RPR041" in out
-        assert "supported-subset" in out and "checkpoint-placement" in out
+        assert "RPR001" in out and "RPR090" in out
+        assert "supported-subset" in out and "suppressions" in out
 
 
 class TestRemovedOptions:

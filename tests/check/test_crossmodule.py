@@ -1,7 +1,8 @@
 """The v3 import-graph slicer: sibling helpers join the checked unit with
 per-module constant/suppression scoping, a two-module app verifies
-exactly like its single-file merge, and unresolvable references surface
-as the RPR05x family instead of silently dropping out."""
+exactly like its single-file merge, and a helper the slicer cannot join
+stays an opaque call.  ``halo.exchange`` draws entropy, so a joined
+helper shows as RPR020 and an opaque one checks clean."""
 
 import textwrap
 
@@ -126,7 +127,7 @@ class TestModuleAliasCalls:
         assert "exchange" in result.functions
         assert codes(result) == ["RPR020"]
 
-    def test_missing_attribute_on_module_alias_warns(self, tmp_path):
+    def test_missing_attribute_on_module_alias_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", HALO)
         app = write(tmp_path, "app.py", '''
             import halo
@@ -138,13 +139,21 @@ class TestModuleAliasCalls:
                 return ctx.allreduce(acc, op="sum")
         ''')
         result = check_path(str(app))
-        assert codes(result) == ["RPR050"]
+        assert result.functions == ("main",)
+        assert codes(result) == []
+
+
+def opaque(result) -> bool:
+    """Halo's ``exchange`` did not join: no RPR020 from its draw."""
+    return codes(result) == [] and result.functions in (
+        ("main",), ("exchange", "main"),
+    )
 
 
 class TestUnresolvable:
-    def test_missing_name_fires_only_when_called(self, tmp_path):
+    def test_missing_name_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", HALO)
-        called = write(tmp_path, "a.py", '''
+        app = write(tmp_path, "app.py", '''
             from halo import ghost
 
 
@@ -152,18 +161,11 @@ class TestUnresolvable:
                 ctx.potential_checkpoint()
                 return ctx.allreduce(ghost(1.0), op="sum")
         ''')
-        uncalled = write(tmp_path, "b.py", '''
-            from halo import ghost
+        result = check_path(str(app))
+        assert result.functions == ("main",)
+        assert codes(result) == []
 
-
-            def main(ctx):
-                ctx.potential_checkpoint()
-                return ctx.allreduce(1.0, op="sum")
-        ''')
-        assert codes(check_path(str(called))) == ["RPR050"]
-        assert codes(check_path(str(uncalled))) == []
-
-    def test_aliased_helper_import_warns(self, tmp_path):
+    def test_aliased_helper_import_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", HALO)
         app = write(tmp_path, "app.py", '''
             from halo import exchange as xchg
@@ -173,9 +175,9 @@ class TestUnresolvable:
                 ctx.potential_checkpoint()
                 return ctx.allreduce(xchg(ctx, 1.0), op="sum")
         ''')
-        assert codes(check_path(str(app))) == ["RPR050"]
+        assert opaque(check_path(str(app)))
 
-    def test_star_import_warns(self, tmp_path):
+    def test_star_import_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", HALO)
         app = write(tmp_path, "app.py", '''
             from halo import *
@@ -185,9 +187,9 @@ class TestUnresolvable:
                 ctx.potential_checkpoint()
                 return ctx.allreduce(exchange(ctx, 1.0), op="sum")
         ''')
-        assert codes(check_path(str(app))) == ["RPR051"]
+        assert opaque(check_path(str(app)))
 
-    def test_local_collision_warns(self, tmp_path):
+    def test_local_collision_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", HALO)
         app = write(tmp_path, "app.py", '''
             from halo import exchange
@@ -201,9 +203,9 @@ class TestUnresolvable:
                 ctx.potential_checkpoint()
                 return ctx.allreduce(exchange(ctx, 1.0), op="sum")
         ''')
-        assert "RPR050" in codes(check_path(str(app)))
+        assert opaque(check_path(str(app)))
 
-    def test_broken_sibling_warns_once(self, tmp_path):
+    def test_broken_sibling_stays_opaque(self, tmp_path):
         write(tmp_path, "halo.py", "def exchange(ctx, v:\n    pass\n")
         app = write(tmp_path, "app.py", '''
             from halo import exchange
@@ -213,8 +215,7 @@ class TestUnresolvable:
                 ctx.potential_checkpoint()
                 return ctx.allreduce(exchange(ctx, 1.0), op="sum")
         ''')
-        result = check_path(str(app))
-        assert codes(result) == ["RPR050"]
+        assert opaque(check_path(str(app)))
 
     def test_non_function_imports_stay_silent(self, tmp_path):
         write(tmp_path, "halo.py", HALO)

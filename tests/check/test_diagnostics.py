@@ -31,10 +31,10 @@ class TestRegistry:
         assert CODES["RPR010"].analysis == "collective-matching"
         assert CODES["RPR020"].analysis == "unlogged-nondeterminism"
         assert CODES["RPR030"].analysis == "vds-escape"
-        assert CODES["RPR040"].analysis == "checkpoint-placement"
+        assert CODES["RPR090"].analysis == "suppressions"
 
     def test_severity_ranks_order(self):
-        assert Severity.ERROR.rank < Severity.WARNING.rank < Severity.ADVICE.rank
+        assert Severity.ERROR.rank < Severity.WARNING.rank
 
     def test_unregistered_code_rejected(self):
         with pytest.raises(ValueError, match="unregistered"):
@@ -63,12 +63,12 @@ class TestDiagnostic:
 
     def test_sorting_is_by_location_then_severity(self):
         late = Diagnostic(code="RPR001", message="a", span=Span("f", 9, 0))
-        early_advice = Diagnostic(code="RPR040", message="b", span=Span("f", 2, 0))
+        early_warning = Diagnostic(code="RPR011", message="b", span=Span("f", 2, 0))
         early_error = Diagnostic(code="RPR010", message="c", span=Span("f", 2, 0))
         ordered = sorted(
-            [late, early_advice, early_error], key=Diagnostic.sort_key
+            [late, early_warning, early_error], key=Diagnostic.sort_key
         )
-        assert ordered == [early_error, early_advice, late]
+        assert ordered == [early_error, early_warning, late]
 
     def test_to_dict_roundtrips_through_json(self):
         d = Diagnostic(code="RPR011", message="m", span=Span("f", 1, 0))
@@ -91,19 +91,17 @@ class TestCheckResult:
 
     def test_ok_means_no_errors(self):
         assert self._mk().ok
-        assert self._mk("RPR040").ok
         assert self._mk("RPR011").ok
         assert not self._mk("RPR020").ok
 
     def test_buckets_by_severity(self):
-        r = self._mk("RPR020", "RPR011", "RPR040", "RPR001")
+        r = self._mk("RPR020", "RPR011", "RPR001")
         assert {d.code for d in r.errors} == {"RPR020", "RPR001"}
         assert {d.code for d in r.warnings} == {"RPR011"}
-        assert {d.code for d in r.advice} == {"RPR040"}
 
     def test_render_counts(self):
         text = self._mk("RPR020", "RPR011").render()
-        assert "1 error(s), 1 warning(s), 0 advice" in text
+        assert "1 error(s), 1 warning(s)" in text
         assert render_text(self._mk("RPR020").diagnostics) in text
 
     def test_clean_render_mentions_functions_checked(self):

@@ -85,7 +85,6 @@ REPAIR_HINTS = {
     "RPR031": ("=None and create the object inside the body",),
     "RPR033": ("thread the object through parameters/locals",
                "one process-wide copy for all ranks"),
-    "RPR034": ("return the value instead",),
 }
 
 

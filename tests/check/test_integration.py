@@ -210,19 +210,15 @@ def broken_app(tmp_path, monkeypatch):
 
 class TestPreflight:
     def test_clean_apps_return_results(self):
-        results = preflight(["dense_cg", "laplace"], level="error")
+        results = preflight(["dense_cg", "laplace"])
         assert [r.target for r in results] == ["app:dense_cg", "app:laplace"]
         assert all(r.ok for r in results)
 
     def test_broken_app_raises_with_diagnostics(self, broken_app):
         with pytest.raises(CheckError) as info:
-            preflight([broken_app], level="error")
+            preflight([broken_app])
         codes = {d.code for d in info.value.diagnostics}
         assert "RPR030" in codes
-
-    def test_warn_level_never_raises(self, broken_app):
-        results = preflight([broken_app], level="warn")
-        assert len(results) == 1 and not results[0].ok
 
     def test_campaign_preflights_its_app_matrix(self, broken_app):
         config = CampaignConfig(count=1, apps=(broken_app,))

@@ -334,30 +334,6 @@ REPAIRS = [
          log.append(x)
          return x
      """),
-    ("rpr034-return-instead", ["RPR030", "RPR034"],
-     """
-     RESULTS = {"last": None}
-
-     def record(ctx, value):
-         RESULTS["last"] = value
-         return value
-
-     def main(ctx):
-         ctx.potential_checkpoint()
-         x = ctx.allreduce(1.0, op="sum")
-         record(ctx, x)
-         return x
-     """,
-     """
-     def record(ctx, value):
-         return value
-
-     def main(ctx):
-         ctx.potential_checkpoint()
-         x = ctx.allreduce(1.0, op="sum")
-         last = record(ctx, x)
-         return x, last
-     """),
 ]
 
 

@@ -1,6 +1,7 @@
 """CheckpointStore engine: delta, compression, two-phase commit, GC."""
 
 import pickle
+import threading
 import types
 import zlib
 
@@ -16,8 +17,14 @@ from repro.ckpt import (
 from repro.ckpt import store as store_module
 from repro.ckpt.delta import SEGMENT_FLOOR, capture_segments, chunk_digest, chunk_views
 from repro.ckpt.store import STAGE_MANIFEST, STREAM_LEVEL
-from repro.errors import ManifestCorruptError, ProcessKilled, StorageError
+from repro.errors import (
+    CheckpointError,
+    ManifestCorruptError,
+    ProcessKilled,
+    StorageError,
+)
 from repro.simmpi.failures import FailureSchedule
+from repro.simmpi.op import SUM
 from repro.statesave.storage import Storage
 
 
@@ -974,3 +981,40 @@ class TestAccounting:
         assert moved.chunks == manifest.chunks
         with pytest.raises(ManifestCorruptError):
             moved.verify()
+
+
+def _lambda_held_across_checkpoint(ctx):
+    scale = lambda v: 2.0 * v  # noqa: E731 - the unpicklable local
+    total = 0.0
+    for _ in range(3):
+        ctx.potential_checkpoint()
+        total = scale(total) + ctx.mpi.allreduce(1.0, SUM)
+    return total
+
+
+class TestUnpicklableState:
+    """State pickle cannot serialise is a ``CheckpointError`` naming the
+    stream, not the pickler's bare exception.  It is not a
+    ``StorageError``: ``restore_line`` treats those as a damaged store."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: (lambda v: v),  # pickle raises AttributeError
+        lambda: (x for x in ()),  # TypeError
+        lambda: types.SimpleNamespace(lock=threading.Lock()),  # TypeError
+    ], ids=["local-lambda", "generator", "lock"])
+    def test_save_names_the_stream(self, make):
+        store = make_store()
+        with pytest.raises(CheckpointError, match="rank2/state") as info:
+            store.save("rank2/state", 1, {"value": make()})
+        assert not isinstance(info.value, StorageError)
+        assert store.generations("rank2/state") == []
+
+    def test_precompiled_run_fails_with_a_typed_error(self):
+        from repro import RunConfig, Session
+        from repro.precompiler import PrecompiledApp, Precompiler
+
+        unit = Precompiler([_lambda_held_across_checkpoint]).compile()
+        app = PrecompiledApp(unit, entry="_lambda_held_across_checkpoint")
+        config = RunConfig(nprocs=2, checkpoint_interval=1e-6)
+        with pytest.raises(CheckpointError, match=r"rank\d/state"):
+            Session().run(app, config)
