@@ -3,9 +3,9 @@
 Every subsystem raises exceptions derived from :class:`ReproError` so callers
 can catch library failures without masking programming errors.  The stopping
 fault model of the paper is represented by :class:`ProcessKilled`, which is
-raised *inside* a simulated rank when fault injection stops it, and by
-:class:`FailureDetected`, which surfaces at the simulator level when the
-failure detector notices a dead peer.
+raised *inside* a simulated rank when fault injection stops it.  Detection
+is not an exception: the simulator ends the attempt and reports the dead
+ranks in its result, which the recovery driver turns into a restart.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ class ProcessKilled(SimMPIError):
     def __init__(self, rank: int, at_time: float) -> None:
         super().__init__(f"rank {rank} killed at t={at_time:.6f}")
         self.rank = rank
-        self.at_time = at_time
-
-
-class FailureDetected(SimMPIError):
-    """The distributed failure detector reported one or more dead ranks."""
-
-    def __init__(self, dead_ranks: tuple[int, ...], at_time: float) -> None:
-        ranks = ",".join(map(str, dead_ranks))
-        super().__init__(f"failure of rank(s) {ranks} detected at t={at_time:.6f}")
-        self.dead_ranks = tuple(dead_ranks)
         self.at_time = at_time
 
 

@@ -133,7 +133,7 @@ MPI_SUSPENDING = frozenset(
     {
         "send", "recv", "sendrecv", "isend", "irecv", "wait", "test",
         "bcast", "reduce", "allreduce", "gather", "allgather", "scatter",
-        "alltoall", "scan", "barrier", "probe",
+        "alltoall", "scan", "barrier",
         "potential_checkpoint", "nondet", "comm_split",
     }
 )

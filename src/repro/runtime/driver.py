@@ -10,7 +10,7 @@ restarted from there."  :func:`run_with_recovery` realises it:
    its share of it (suppression exchange + deterministic replay arming)
    before re-entering the application.
 2. If the attempt completes, collect results.
-3. If the failure detector fires, the whole attempt is torn down (all ranks
+3. If a death is detected, the whole attempt is torn down (all ranks
    rolled back) and a new attempt starts from the last *committed*
    checkpoint.  A failure before the first commit restarts from scratch.
 

@@ -3,8 +3,8 @@
 This package stands in for the paper's cluster + vendor MPI: it provides
 ranks as generators deterministically interleaved on one thread (each
 ``yield`` is a scheduling point), an MPI-style communicator API, a reliable
-but reorderable network, stopping-fault injection, and heartbeat failure
-detection.
+but reorderable network, and stopping-fault injection with detection one
+timeout after each death.
 
 Quick use::
 
@@ -23,7 +23,6 @@ Quick use::
 from repro.simmpi.clock import CostModel, VirtualClock
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
-from repro.simmpi.failure_detector import HeartbeatFailureDetector
 from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
 from repro.simmpi.group import Group
 from repro.simmpi.message import Envelope
@@ -52,7 +51,6 @@ __all__ = [
     "Envelope",
     "FailureSchedule",
     "Group",
-    "HeartbeatFailureDetector",
     "KillEvent",
     "Op",
     "RankContext",

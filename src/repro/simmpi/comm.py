@@ -212,16 +212,6 @@ class Comm:
         self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
         return (yield from self.co_recv(recv_source, recv_tag))
 
-    def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking probe: wait until a matching message is queued."""
-        while True:
-            env = self.proc.mailbox.probe(self._world(source), tag, self.context)
-            if env is not None:
-                return Status(
-                    source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
-                )
-            yield from self._scheduler.co_yield_point(self.proc)
-
     def isend(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
         self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)

@@ -31,9 +31,6 @@ TAG_COLLECTIVE_BASE: int = -1000
 #: Tag carrying C3 protocol control messages.
 TAG_CONTROL: int = -2
 
-#: Tag carrying failure-detector heartbeats (when heartbeats are enabled).
-TAG_HEARTBEAT: int = -3
-
 
 def collective_tag(sequence: int) -> int:
     """Reserved tag for the ``sequence``-th collective on a communicator."""

@@ -2,9 +2,8 @@
 
 The paper's fault model (Section 1.1): a faulty process hangs and stops
 responding — it neither sends nor receives.  Injection is expressed as a
-schedule of ``(virtual_time, rank)`` kill events, or as derived schedules
-(kill a random rank at a random time in a window, kill during checkpointing,
-etc.) built from a seeded RNG so adversarial tests are reproducible.
+schedule of ``(virtual_time, rank)`` kill events and of crashes inside a
+rank's checkpoint write.
 
 Multi-failure semantics across recovery attempts
 ------------------------------------------------
@@ -16,7 +15,7 @@ than one event:
 
 * **Time-indexed kills** (:class:`KillEvent`) are measured on the attempt's
   own virtual clock, which restarts at 0 every attempt.  An event that was
-  *not* reached in attempt *n* (because the failure detector ended the
+  *not* reached in attempt *n* (because a detected death ended the
   attempt first) stays armed and will fire in a later attempt once that
   attempt's clock reaches it — this is how a single schedule expresses a
   cascade of failures across restarts.
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.errors import ConfigError
-from repro.util.rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -153,19 +151,6 @@ class FailureSchedule:
             ),
         )
 
-    @classmethod
-    def random_single(
-        cls, master_seed: int, nprocs: int, window: tuple[float, float]
-    ) -> "FailureSchedule":
-        """One kill of a uniformly random rank at a uniform time in ``window``."""
-        lo, hi = window
-        if hi <= lo:
-            raise ConfigError(f"empty failure window {window}")
-        rng = RngStream(master_seed, "failure-injection")
-        time = lo + rng.random() * (hi - lo)
-        rank = rng.integers(nprocs)
-        return cls((KillEvent(time, rank),))
-
     # ------------------------------------------------------------------ #
     # Attempt gating.
     # ------------------------------------------------------------------ #
@@ -181,10 +166,6 @@ class FailureSchedule:
         if index < 0:
             raise ConfigError(f"attempt index must be >= 0, got {index}")
         self._attempt = index
-
-    @property
-    def current_attempt(self) -> int:
-        return self._attempt
 
     def _eligible(self, event: KillEvent) -> bool:
         return event.attempt is None or event.attempt == self._attempt
@@ -260,18 +241,6 @@ class FailureSchedule:
         self._checkpoint_crashes = list(self._pristine_crashes)
         self._fired_crashes.clear()
         self._attempt = 0
-
-    def shifted(self, dt: float) -> "FailureSchedule":
-        """A pristine copy with every kill time shifted by ``dt`` (clamped
-        at 0).  Checkpoint crashes are epoch-indexed, not time-indexed, so
-        they carry over unchanged."""
-        return FailureSchedule(
-            (
-                KillEvent(max(0.0, e.time + dt), e.rank, e.attempt)
-                for e in self._events
-            ),
-            checkpoint_crashes=self._pristine_crashes,
-        )
 
     def __len__(self) -> int:
         return len(self._events)

@@ -59,8 +59,6 @@ class Proc:
         self.error: Optional[BaseException] = None
         #: Number of scheduling slices this rank has received.
         self.slices = 0
-        #: Wall-clock seconds this rank spent running (real work measurement).
-        self.wall_seconds = 0.0
 
     @property
     def state(self) -> ProcState:

@@ -30,7 +30,6 @@ which it never runs again.
 
 from __future__ import annotations
 
-import time as _time
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
@@ -61,10 +60,6 @@ class Scheduler:
         #: The simulation clock, cached: ``grant`` charges it every slice.
         self._clock = getattr(sim, "clock", None)
         self.rng = RngStream(seed, "scheduler")
-        #: Per-rank wall accounting is opt-in (``SimConfig.wall_accounting``):
-        #: two ``perf_counter`` reads per slice are pure overhead on the hot
-        #: path and the numbers never enter deterministic outputs.
-        self._wall_accounting = bool(getattr(sim, "wall_accounting", False))
         self._rr_cursor = 0
         #: Total scheduling slices granted (observability).
         self.total_slices = 0
@@ -146,26 +141,14 @@ class Scheduler:
         # already recorded the state).  The current-proc registry is
         # written directly (two writes per slice on the hottest path in
         # the simulator).
-        task = proc.task
         registry = coop._here
-        if not self._wall_accounting:
-            registry.proc = proc
-            try:
-                task.send(None)
-            except StopIteration:
-                pass
-            finally:
-                registry.proc = None
-            return
-        t0 = _time.perf_counter()
         registry.proc = proc
         try:
-            task.send(None)
+            proc.task.send(None)
         except StopIteration:
             pass
         finally:
             registry.proc = None
-        proc.wall_seconds += _time.perf_counter() - t0
 
     def pick_rank(self, ranks: list[int]) -> int:
         """Policy choice over an ascending list of runnable ranks.

@@ -4,8 +4,8 @@
 a generator on one thread, interleaves the ranks deterministically through
 the :class:`Scheduler` (each ``yield`` is a scheduling point), moves
 messages through the :class:`Network`, injects stopping faults from a
-:class:`FailureSchedule`, and watches for them with a heartbeat
-:class:`HeartbeatFailureDetector`.
+:class:`FailureSchedule`, and detects each death exactly
+``SimConfig.detector_timeout`` after it happens.
 
 A run ends in one of three ways:
 
@@ -29,7 +29,6 @@ from types import GeneratorType
 from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
 from repro.simmpi.clock import CostModel, VirtualClock
 from repro.simmpi.comm import Comm
-from repro.simmpi.failure_detector import HeartbeatFailureDetector
 from repro.simmpi.failures import FailureSchedule
 from repro.simmpi.group import Group
 from repro.simmpi.network import Network, NetworkStats
@@ -58,10 +57,6 @@ class SimConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     #: Hard cap on scheduling slices — catches livelocks in protocol code.
     max_slices: int = 20_000_000
-    #: Opt-in per-rank wall-clock accounting (``SimResult.per_rank_wall``).
-    #: Off by default: it costs two ``perf_counter`` reads per scheduling
-    #: slice and never feeds deterministic outputs.
-    wall_accounting: bool = False
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -81,7 +76,6 @@ class SimResult:
     results: list[Any]
     virtual_time: float
     wall_seconds: float
-    per_rank_wall: list[float]
     network: NetworkStats
     total_slices: int
 
@@ -146,8 +140,8 @@ class Simulator:
         #: Optional :class:`repro.trace.TraceRecorder`.  Bound to this
         #: attempt's clock here so every layer that can see the simulator
         #: (scheduler, pipeline via ``comm.sim``) emits at current virtual
-        #: time; network/detector get direct references because they never
-        #: hold a sim back-pointer.
+        #: time; the network gets a direct reference because it never holds
+        #: a sim back-pointer.
         self.tracer = tracer
         if tracer is not None:
             tracer.bind_clock(self.clock)
@@ -160,14 +154,7 @@ class Simulator:
             ordering=config.ordering,
         )
         self.network.tracer = tracer
-        #: Read by the scheduler at construction.
-        self.wall_accounting = config.wall_accounting
         self.scheduler = Scheduler(self, config.seed, config.sched_policy)
-        self.detector = HeartbeatFailureDetector(
-            config.nprocs, timeout=config.detector_timeout,
-            heartbeat_interval=config.detector_timeout / 2,
-        )
-        self.detector.tracer = tracer
         self.failures = failures or FailureSchedule.none()
         self._context_factory = context_factory or RankContext
         if callable(main):
@@ -182,6 +169,9 @@ class Simulator:
         #: ``Proc.state`` setter so the scheduler loop never rescans procs.
         self._runnable_ranks: list[int] = []
         self.procs = [Proc(self, r, mains[r]) for r in range(config.nprocs)]
+        #: Virtual time of every death, recorded once: a scheduled kill when
+        #: it is requested, any other death (a checkpoint crash) when its
+        #: slice ends.  A rank is suspected ``detector_timeout`` later.
         self._death_time: dict[int, float] = {}
         self._contexts: dict[Any, int] = {}
         self._next_context = 1
@@ -238,16 +228,6 @@ class Simulator:
             proc = self.procs[event.rank]
             if proc.finished:
                 continue
-            if event.rank not in self._death_time and not self.detector.is_suspected(
-                event.rank
-            ):
-                # The victim heartbeated right up to its death.  Credit it
-                # now, *before* freezing its liveness: after a long
-                # advance_to jump its last refresh can be arbitrarily stale,
-                # and measuring silence from there would fire the detector
-                # the instant the kill lands (latency 0) instead of exactly
-                # one timeout after the death.
-                self.detector.heard_from(event.rank, self.clock.now)
             self._death_time.setdefault(event.rank, self.clock.now)
             tr = self.tracer
             if tr is not None:
@@ -269,52 +249,33 @@ class Simulator:
             if state is ProcState.BLOCKED:
                 wake(proc)
 
-    def _detector_due(self) -> bool:
-        """Can this step's detector tick possibly produce a suspicion?
+    def _suspect_due(self) -> Optional[float]:
+        """Suspect every rank whose death is one timeout old.
 
-        Live ranks are refreshed to ``now`` before every tick, so the only
-        ranks a tick can newly suspect are registered deaths whose frozen
-        silence has reached the timeout.  Checking just those (usually zero
-        or one) keeps the per-step detector work O(#deaths) instead of
-        O(nprocs) — the difference between O(steps) and O(steps * nprocs)
-        total, which dominated large-rank-count runs.  The decisive step
-        still runs the full refresh+tick pair, so suspicion times, event
-        fields, and trace output are bit-identical to the always-tick
-        regime.
+        Returns the detection time, or None while no deadline has passed.
+        The test is ``now - death >= timeout``, not ``now >= death +
+        timeout``: the two round differently, and the first is the rule
+        every pinned run was recorded under.  Suspects are reported in
+        rank order; ``last_heard`` is the death time.
         """
-        if not self._death_time:
-            return False
         now = self.clock.now
-        detector = self.detector
-        timeout = detector.timeout
-        for rank in self._death_time:
-            if not detector.is_suspected(rank) and (
-                now - detector.last_heard(rank) >= timeout
-            ):
-                return True
-        return False
+        timeout = self.config.detector_timeout
+        due = sorted(r for r, t in self._death_time.items() if now - t >= timeout)
+        if not due:
+            return None
+        tr = self.tracer
+        if tr is not None:
+            for rank in due:
+                tr.emit(
+                    "detect", "suspect", t=now,
+                    rank=rank, last_heard=self._death_time[rank],
+                )
+        return now
 
-    def _refresh_liveness(self) -> None:
-        for proc in self.procs:
-            if proc.state is ProcState.DONE or proc.state is ProcState.ERRORED:
-                self.detector.mark_completed(proc.rank)
-            elif proc.state is not ProcState.DEAD:
-                # A rank with a kill pending is already dead for detection
-                # purposes (its death_time is recorded); refreshing it here
-                # would push last_heard past death_time and stall the
-                # detector-fire time jump.
-                if proc.rank in self._death_time:
-                    continue
-                if not self.detector.is_suspected(proc.rank):
-                    self.detector.heard_from(proc.rank, self.clock.now)
-
-    def _next_detector_fire(self) -> Optional[float]:
-        times = [
-            self._death_time[r] + self.detector.timeout
-            for r in self._death_time
-            if not self.detector.is_suspected(r)
-        ]
-        return min(times) if times else None
+    def _next_suspicion(self) -> Optional[float]:
+        if not self._death_time:
+            return None
+        return min(self._death_time.values()) + self.config.detector_timeout
 
     def _teardown(self) -> None:
         """Kill every remaining rank and let each unwind."""
@@ -377,11 +338,9 @@ class Simulator:
                 next_kill = self.failures.next_time()
             if net_heap and net_heap[0][0] <= clock._now:
                 self._deliver_due_messages()
-            if death_time and self._detector_due():
-                self._refresh_liveness()
-                suspicions = self.detector.tick(clock.now)
-                if suspicions:
-                    detected_at = suspicions[0].time
+            if death_time:
+                detected_at = self._suspect_due()
+                if detected_at is not None:
                     break
 
             if runnable_ranks:
@@ -405,17 +364,16 @@ class Simulator:
                 continue
 
             if all(p.finished for p in self.procs):
-                if any(p.state is ProcState.DEAD for p in self.procs):
-                    # Everybody else finished before the detector fired;
-                    # jump time forward so the fault is still reported.
-                    # The 1e-12 floor matches the event-jump branch below:
-                    # with last_heard == death_time, float rounding can put
-                    # (death + timeout) - death just under timeout, and a
-                    # bare jump to the fire time would then spin forever.
-                    fire = self._next_detector_fire()
-                    if fire is not None:
-                        self.clock.advance_to(max(fire, self.clock.now + 1e-12))
-                        continue
+                if death_time:
+                    # Everybody else finished before the deadline; jump
+                    # time forward so the fault is still reported.  The
+                    # 1e-12 floor matches the event-jump branch below:
+                    # float rounding can put (death + timeout) - death just
+                    # under timeout, and a bare jump to the deadline would
+                    # then spin forever.
+                    fire = self._next_suspicion()
+                    self.clock.advance_to(max(fire, self.clock.now + 1e-12))
+                    continue
                 break
 
             # Nobody runnable: advance virtual time to the next event.
@@ -424,7 +382,7 @@ class Simulator:
                 for t in (
                     self.network.next_delivery_time(),
                     next_kill,
-                    self._next_detector_fire(),
+                    self._next_suspicion(),
                 )
                 if t is not None
             ]
@@ -451,7 +409,6 @@ class Simulator:
             results=[p.result for p in self.procs],
             virtual_time=self.clock.now,
             wall_seconds=wall,
-            per_rank_wall=[p.wall_seconds for p in self.procs],
             network=self.network.stats,
             total_slices=self.scheduler.total_slices,
         )

@@ -20,7 +20,7 @@ CATEGORIES = (
     "sched",     # scheduler grants / blocks / wakes / kill requests
     "net",       # network deliveries and dead-rank drops
     "fail",      # injected kills (failure schedule firing)
-    "detect",    # heartbeat detector suspicions
+    "detect",    # suspicions, one detector timeout after each death
     "proto",     # protocol pipeline: classify / log / replay / piggyback
     "ckpt",      # checkpoint protocol phases (local ckpt, log finalize, ...)
     "store",     # checkpoint store two-phase commit / retention GC

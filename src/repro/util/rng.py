@@ -15,7 +15,8 @@ Streams
     ``Network.post``'s delivery jitter, one exponential per message.
     **Block-read.**
 ``failure-injection``
-    ``FailureSchedule.random``: a handful of draws before a run.  Scalar.
+    The seeded fuzz in ``tests/integration/test_adversarial_recovery.py``:
+    one kill time and rank drawn before a run.  Scalar.
 ``app-rank-N``
     ``ctx.rng``, the application's own randomness.  Scalar, and it has to
     be: every checkpoint pickles it, so its state must be exactly "the

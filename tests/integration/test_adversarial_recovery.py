@@ -18,6 +18,7 @@ from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave import Storage
 from repro.trace import TraceRecorder
+from repro.util.rng import RngStream
 
 
 def mixed_traffic_app(n_iters=160):
@@ -154,9 +155,11 @@ class TestSeededFuzz:
         base["ordering"] = "random"
         cfg = RunConfig(**base)
         gold = run_with_recovery(mixed_traffic_app(80), cfg)
-        sched = FailureSchedule.random_single(
-            master_seed, 4, (0.001, max(0.002, gold.attempts[0].virtual_time * 0.9))
-        )
+        # One kill of a seeded random rank at a seeded time in the window.
+        lo, hi = 0.001, max(0.002, gold.attempts[0].virtual_time * 0.9)
+        rng = RngStream(master_seed, "failure-injection")
+        time = lo + rng.random() * (hi - lo)
+        sched = FailureSchedule([KillEvent(time, rng.integers(4))])
         out = run_with_recovery(mixed_traffic_app(80), cfg, failures=sched)
         assert out.results == gold.results
 

@@ -1,27 +1,57 @@
-"""Detector-edge behaviour: exact detection latency and liveness refresh.
+"""Detector-edge behaviour: every death is suspected one timeout later.
 
-These pin the two subtle rules the simulator's event loop relies on:
+The simulator records each death once — a scheduled kill when it is
+requested, a checkpoint crash when its slice ends — and suspects the rank
+at the first loop step where ``now - death >= detector_timeout``.  These
+pin the rule from the outside, through results and ``detect/suspect``
+trace events:
 
 * when every surviving rank is blocked, the clock *jumps* straight to
   ``death_time + timeout`` and the suspicion fires at exactly that time —
   detection latency is ``timeout``, not "timeout plus however long the
   loop happened to take";
-* ``_refresh_liveness`` never refreshes a rank with a pending kill (its
-  death time is already recorded); refreshing it would push ``last_heard``
-  past ``death_time`` and stall the detector-fire time jump.
+* a checkpoint crash waits the same one timeout as a kill;
+* a rank with a pending kill is dead from the request on, not from the
+  slice where it unwinds;
+* the earliest deadline ends the attempt, ties are suspected in rank
+  order, and a rank that completed is never suspected.
 """
 
 import pytest
 
-from repro.simmpi.failures import FailureSchedule, KillEvent
-from repro.simmpi.process import ProcState
+from repro.api.registry import get_app
+from repro.apps.laplace import LaplaceParams
+from repro.errors import ConfigError
+from repro.runtime import RunConfig, Variant, run_with_recovery
+from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
 from repro.simmpi.simulator import SimConfig, Simulator
+from repro.trace import TraceRecorder
 
 
 def _deaf_pair(ctx):
     """Both ranks block on a receive that is never posted."""
     peer = 1 - ctx.rank
     return (yield from ctx.comm.co_recv(source=peer, tag=99))
+
+
+def _deaf_ring(ctx):
+    """Every rank blocks on a receive from its right neighbour."""
+    return (yield from ctx.comm.co_recv(source=(ctx.rank + 1) % ctx.size, tag=99))
+
+
+def _run_traced(main, nprocs, timeout, failures, **config):
+    tracer = TraceRecorder(capacity=None)
+    sim = Simulator(
+        SimConfig(nprocs=nprocs, seed=3, detector_timeout=timeout, **config),
+        main,
+        failures=failures,
+        tracer=tracer,
+    )
+    return sim.run(), tracer.events
+
+
+def _suspects(events):
+    return [e for e in events if (e.category, e.name) == ("detect", "suspect")]
 
 
 class TestExactDetectionLatency:
@@ -36,12 +66,9 @@ class TestExactDetectionLatency:
     def test_latency_is_exactly_timeout_under_time_jumps(self, kill_time, timeout):
         """With all survivors blocked, time advances only by event jumps, so
         the suspicion must land at exactly ``death + timeout``."""
-        sim = Simulator(
-            SimConfig(nprocs=2, seed=3, detector_timeout=timeout),
-            _deaf_pair,
-            failures=FailureSchedule.single(kill_time, rank=1),
+        result, events = _run_traced(
+            _deaf_pair, 2, timeout, FailureSchedule.single(kill_time, rank=1)
         )
-        result = sim.run()
         assert result.failed
         assert result.dead_ranks == (1,)
         # The kill lands via an exact advance_to jump (everyone is blocked),
@@ -49,58 +76,144 @@ class TestExactDetectionLatency:
         # exactly one timeout later — up to the event loop's 1e-12 tie-break
         # nudge when float subtraction rounds (now - death) below timeout.
         assert result.detected_at == pytest.approx(kill_time + timeout, abs=1e-9)
-        assert sim.detector.detection_latency(1, kill_time) == pytest.approx(
-            timeout, abs=1e-9
-        )
+        [suspect] = _suspects(events)
+        assert suspect.rank == 1
+        assert suspect.t == result.detected_at
+        assert suspect.payload["last_heard"] == kill_time
         # Never early: a suspicion before death + timeout is a detector bug.
         assert result.detected_at >= kill_time + timeout - 1e-12
 
+    def test_nonpositive_timeout_rejected(self):
+        with pytest.raises(ConfigError):
+            SimConfig(nprocs=2, detector_timeout=0.0)
 
-class TestRefreshLivenessWithPendingKill:
-    def test_pending_kill_rank_is_never_refreshed(self):
-        sim = Simulator(SimConfig(nprocs=3, seed=0), lambda ctx: None)
-        for proc in sim.procs:
-            proc.state = ProcState.RUNNABLE
-        # Rank 1 has a kill pending: its death time is recorded but the
-        # rank has not yet unwound to DEAD.
-        sim._death_time[1] = 0.005
-        sim.clock.advance_to(0.02)
-        before = sim.detector._last_heard[1]
-        sim._refresh_liveness()
-        # Pinned: the doomed rank's liveness is frozen at its last genuine
-        # activity, while healthy ranks are refreshed to "now".
-        assert sim.detector._last_heard[1] == before
-        assert sim.detector._last_heard[0] == 0.02
-        assert sim.detector._last_heard[2] == 0.02
 
-    def test_detector_fire_time_not_stalled_by_refresh(self):
-        """With the doomed rank frozen, the next-fire estimate stays at
-        ``death + timeout`` no matter how often liveness is refreshed."""
-        timeout = 0.25
-        sim = Simulator(
-            SimConfig(nprocs=2, seed=0, detector_timeout=timeout),
-            lambda ctx: None,
+class TestCheckpointCrashLatency:
+    """A rank that dies inside its checkpoint write is suspected one timeout
+    after the slice it died in, exactly like a scheduled kill."""
+
+    @pytest.mark.parametrize("timeout", [0.0005, 0.001, 0.002])
+    def test_crash_is_suspected_one_timeout_after_death(self, monkeypatch, timeout):
+        deaths = []
+        handle_new_death = Simulator._handle_new_death
+
+        def record_death(sim, proc):
+            deaths.append((proc.rank, sim.clock.now))
+            handle_new_death(sim, proc)
+
+        monkeypatch.setattr(Simulator, "_handle_new_death", record_death)
+        tracer = TraceRecorder(capacity=None)
+        out = run_with_recovery(
+            get_app("laplace").build(LaplaceParams(n=16, iterations=60)),
+            RunConfig(
+                nprocs=4, seed=17, variant=Variant.FULL,
+                checkpoint_interval=0.001, detector_timeout=timeout,
+            ),
+            failures=FailureSchedule(
+                [],
+                checkpoint_crashes=[CheckpointCrash(rank=1, epoch=3, after_chunks=0)],
+            ),
+            tracer=tracer,
         )
-        for proc in sim.procs:
-            proc.state = ProcState.RUNNABLE
-        sim._death_time[1] = 0.01
-        for t in (0.02, 0.05, 0.2):
-            sim.clock.advance_to(t)
-            sim._refresh_liveness()
-            assert sim._next_detector_fire() == 0.01 + timeout
-        # Once the detector actually suspects the rank, the jump target
-        # disappears (nothing left to wait for).
-        sim.clock.advance_to(0.01 + timeout)
-        assert sim.detector.tick(sim.clock.now)
-        assert sim._next_detector_fire() is None
+        assert out.completed and out.restarts == 1
+        assert out.attempts[0].dead_ranks == (1,)
+        [(rank, death)] = deaths
+        assert rank == 1
+        [suspect] = _suspects(tracer.events)
+        assert suspect.rank == 1 and suspect.attempt == 0
+        assert suspect.payload["last_heard"] == death
+        assert suspect.t - death == pytest.approx(timeout, abs=1e-9)
+
+
+def _busy(ctx):
+    for _ in range(4000):
+        yield from ctx.co_yield_point()
+    return ctx.rank
+
+
+class TestPendingKill:
+    def test_pending_kill_is_dead_from_the_request(self, monkeypatch):
+        """The victim unwinds in a later slice than the kill request; its
+        deadline still runs from the request."""
+        unwound = []
+        handle_new_death = Simulator._handle_new_death
+
+        def record_death(sim, proc):
+            unwound.append(sim.clock.now)
+            handle_new_death(sim, proc)
+
+        monkeypatch.setattr(Simulator, "_handle_new_death", record_death)
+        timeout = 0.0003
+        result, events = _run_traced(
+            _busy, 2, timeout, FailureSchedule.single(0.0005, rank=1),
+            sched_policy="round_robin",
+        )
+        assert result.failed and result.dead_ranks == (1,)
+        [kill] = [e for e in events if (e.category, e.name) == ("fail", "kill")]
+        [suspect] = _suspects(events)
+        requested = kill.t
+        assert unwound[0] > requested
+        assert suspect.payload["last_heard"] == requested
+        # The survivor keeps the clock moving one step per slice, so the
+        # suspicion lands on the first step at or past the deadline.
+        step = SimConfig(nprocs=1).cost_model.step
+        assert requested + timeout - 1e-12 <= suspect.t < requested + timeout + step
+
+
+class TestSeveralDeaths:
+    def test_earlier_deadline_wins(self):
+        result, events = _run_traced(
+            _deaf_ring, 3, 0.05,
+            FailureSchedule([KillEvent(0.01, 2), KillEvent(0.02, 0)]),
+        )
+        assert result.failed
+        assert result.dead_ranks == (0, 2)
+        assert result.detected_at == pytest.approx(0.06, abs=1e-9)
+        assert [e.rank for e in _suspects(events)] == [2]
+
+    def test_simultaneous_deadlines_suspect_in_rank_order(self):
+        result, events = _run_traced(
+            _deaf_ring, 3, 0.05,
+            FailureSchedule([KillEvent(0.01, 2), KillEvent(0.01, 0)]),
+        )
+        assert result.dead_ranks == (0, 2)
+        suspects = _suspects(events)
+        assert [e.rank for e in suspects] == [0, 2]
+        assert {e.t for e in suspects} == {result.detected_at}
+        assert result.detected_at == pytest.approx(0.06, abs=1e-9)
+
+    def test_a_second_kill_does_not_move_the_death(self):
+        """A death is recorded once: killing the same rank again later
+        leaves its deadline where the first kill put it."""
+        result, events = _run_traced(
+            _deaf_ring, 3, 0.05,
+            FailureSchedule([KillEvent(0.01, 1), KillEvent(0.03, 1)]),
+        )
+        assert result.dead_ranks == (1,)
+        assert result.detected_at == pytest.approx(0.06, abs=1e-9)
+        assert _suspects(events)[0].payload["last_heard"] == 0.01
+
+
+class TestCompletedRank:
+    def test_completed_rank_is_never_suspected(self):
+        """Rank 1 returns at once; its later kill is ignored, and rank 0
+        runs well past the would-be deadline without a suspicion."""
+        mains = [_busy, lambda ctx: ctx.rank]
+        result, events = _run_traced(
+            mains, 2, 0.0002, FailureSchedule.single(0.0001, rank=1)
+        )
+        assert result.completed and not result.failed
+        assert result.dead_ranks == ()
+        assert result.virtual_time > 0.0001 + 0.0002
+        assert _suspects(events) == []
 
 
 class TestAllRanksDeadTermination:
     """Regression: when every rank dies before detection, the time jump to
-    the detector fire must carry the 1e-12 tie-break.  With ``last_heard ==
-    death_time``, float rounding can put ``(death + timeout) - death`` just
-    below ``timeout`` (2.03 - 2.0 < 0.03 in IEEE doubles), and a bare jump
-    to the fire time then spins the event loop forever."""
+    the detector fire must carry the 1e-12 tie-break.  Float rounding can
+    put ``(death + timeout) - death`` just below ``timeout`` (2.03 - 2.0 <
+    0.03 in IEEE doubles), and a bare jump to the fire time then spins the
+    event loop forever."""
 
     def test_whole_world_killed_still_detects(self):
         sim = Simulator(

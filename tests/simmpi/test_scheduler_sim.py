@@ -107,7 +107,6 @@ class TestStatsAndResults:
         result = run_simple(chatty, nprocs=3, seed=0)
         assert result.wall_seconds > 0
         assert result.virtual_time > 0
-        assert len(result.per_rank_wall) == 3
 
     def test_network_stats_balance(self):
         result = run_simple(chatty, nprocs=4, seed=0)
