@@ -13,8 +13,11 @@ trace events:
 * a checkpoint crash waits the same one timeout as a kill;
 * a rank with a pending kill is dead from the request on, not from the
   slice where it unwinds;
-* the earliest deadline ends the attempt, ties are suspected in rank
-  order, and a rank that completed is never suspected.
+* the earliest deadline ends the attempt, whichever kind of death set
+  it; ties are suspected in rank order, and a rank that completed, or a
+  run with no death, is never suspected;
+* a kill pinned to a recovery attempt is suspected one timeout into that
+  attempt, on the attempt's own clock.
 """
 
 import pytest
@@ -23,6 +26,7 @@ from repro.api.registry import get_app
 from repro.apps.laplace import LaplaceParams
 from repro.errors import ConfigError
 from repro.runtime import RunConfig, Variant, run_with_recovery
+from repro.simmpi import SUM
 from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
 from repro.simmpi.simulator import SimConfig, Simulator
 from repro.trace import TraceRecorder
@@ -37,6 +41,12 @@ def _deaf_pair(ctx):
 def _deaf_ring(ctx):
     """Every rank blocks on a receive from its right neighbour."""
     return (yield from ctx.comm.co_recv(source=(ctx.rank + 1) % ctx.size, tag=99))
+
+
+def _allreduce_loop(ctx):
+    for _ in range(500):
+        yield from ctx.comm.co_allreduce(1, SUM)
+    return "done"
 
 
 def _run_traced(main, nprocs, timeout, failures, **config):
@@ -88,38 +98,52 @@ class TestExactDetectionLatency:
             SimConfig(nprocs=2, detector_timeout=0.0)
 
 
+def _record_deaths(monkeypatch):
+    """Collect ``(rank, time)`` for every death the simulator handles."""
+    deaths = []
+    handle_new_death = Simulator._handle_new_death
+
+    def record_death(sim, proc):
+        deaths.append((proc.rank, sim.clock.now))
+        handle_new_death(sim, proc)
+
+    monkeypatch.setattr(Simulator, "_handle_new_death", record_death)
+    return deaths
+
+
+def _laplace_with_recovery(failures, timeout):
+    tracer = TraceRecorder(capacity=None)
+    out = run_with_recovery(
+        get_app("laplace").build(LaplaceParams(n=16, iterations=60)),
+        RunConfig(
+            nprocs=4, seed=17, variant=Variant.FULL,
+            checkpoint_interval=0.001, detector_timeout=timeout,
+        ),
+        failures=failures,
+        tracer=tracer,
+    )
+    return out, tracer.events
+
+
 class TestCheckpointCrashLatency:
     """A rank that dies inside its checkpoint write is suspected one timeout
     after the slice it died in, exactly like a scheduled kill."""
 
     @pytest.mark.parametrize("timeout", [0.0005, 0.001, 0.002])
     def test_crash_is_suspected_one_timeout_after_death(self, monkeypatch, timeout):
-        deaths = []
-        handle_new_death = Simulator._handle_new_death
-
-        def record_death(sim, proc):
-            deaths.append((proc.rank, sim.clock.now))
-            handle_new_death(sim, proc)
-
-        monkeypatch.setattr(Simulator, "_handle_new_death", record_death)
-        tracer = TraceRecorder(capacity=None)
-        out = run_with_recovery(
-            get_app("laplace").build(LaplaceParams(n=16, iterations=60)),
-            RunConfig(
-                nprocs=4, seed=17, variant=Variant.FULL,
-                checkpoint_interval=0.001, detector_timeout=timeout,
-            ),
-            failures=FailureSchedule(
+        deaths = _record_deaths(monkeypatch)
+        out, events = _laplace_with_recovery(
+            FailureSchedule(
                 [],
                 checkpoint_crashes=[CheckpointCrash(rank=1, epoch=3, after_chunks=0)],
             ),
-            tracer=tracer,
+            timeout,
         )
         assert out.completed and out.restarts == 1
         assert out.attempts[0].dead_ranks == (1,)
         [(rank, death)] = deaths
         assert rank == 1
-        [suspect] = _suspects(tracer.events)
+        [suspect] = _suspects(events)
         assert suspect.rank == 1 and suspect.attempt == 0
         assert suspect.payload["last_heard"] == death
         assert suspect.t - death == pytest.approx(timeout, abs=1e-9)
@@ -192,6 +216,99 @@ class TestSeveralDeaths:
         assert result.dead_ranks == (1,)
         assert result.detected_at == pytest.approx(0.06, abs=1e-9)
         assert _suspects(events)[0].payload["last_heard"] == 0.01
+
+
+class TestMixedDeaths:
+    def test_crash_deadline_beats_a_later_kill(self, monkeypatch):
+        """A checkpoint crash and a kill share one deadline table: the
+        crash dies first, so it alone is suspected, one timeout after its
+        death, although the kill landed inside that timeout."""
+        deaths = _record_deaths(monkeypatch)
+        timeout = 0.002
+        out, events = _laplace_with_recovery(
+            FailureSchedule(
+                [KillEvent(0.005, 2)],
+                checkpoint_crashes=[CheckpointCrash(rank=1, epoch=3, after_chunks=0)],
+            ),
+            timeout,
+        )
+        assert out.completed and out.restarts == 1
+        assert out.attempts[0].dead_ranks == (1, 2)
+        crash_death = dict(deaths)[1]
+        [kill] = [e for e in events if (e.category, e.name) == ("fail", "kill")]
+        assert kill.rank == 2 and crash_death < kill.t < crash_death + timeout
+        [suspect] = _suspects(events)
+        assert suspect.rank == 1
+        assert suspect.payload["last_heard"] == crash_death
+        assert suspect.t - crash_death == pytest.approx(timeout, abs=1e-9)
+
+
+class TestRecoveryAttempt:
+    def test_pinned_kill_is_suspected_one_timeout_into_its_attempt(self):
+        """Attempt 1 runs on a fresh clock: its pinned kill's deadline is
+        measured from that clock, not carried over from attempt 0."""
+        timeout = 0.0005
+        out, events = _laplace_with_recovery(
+            FailureSchedule([KillEvent(0.002, 0), KillEvent(0.001, 2, attempt=1)]),
+            timeout,
+        )
+        assert out.completed and out.restarts == 2
+        assert [a.dead_ranks for a in out.attempts] == [(0,), (2,), ()]
+        kills = [e for e in events if (e.category, e.name) == ("fail", "kill")]
+        suspects = _suspects(events)
+        assert [(e.rank, e.attempt) for e in kills] == [(0, 0), (2, 1)]
+        assert [(e.rank, e.attempt) for e in suspects] == [(0, 0), (2, 1)]
+        offsets = [0.0, out.attempts[0].virtual_time]
+        for kill, suspect, offset in zip(kills, suspects, offsets):
+            # Trace times are global; last_heard is on the attempt's clock.
+            assert suspect.payload["last_heard"] + offset == pytest.approx(
+                kill.t, abs=1e-12
+            )
+            assert suspect.t - kill.t == pytest.approx(timeout, abs=1e-9)
+        assert suspects[1].payload["last_heard"] < 0.002
+
+
+class TestSurvivors:
+    def test_only_the_dead_rank_is_suspected(self):
+        """The survivors block in the next allreduce and stay unsuspected;
+        the failed run tears them down without a result."""
+        result, events = _run_traced(
+            _allreduce_loop, 4, 0.02, FailureSchedule.single(0.001, rank=3)
+        )
+        assert result.failed and result.dead_ranks == (3,)
+        [suspect] = _suspects(events)
+        assert suspect.rank == 3
+        assert suspect.t == result.detected_at
+        assert result.results == [None] * 4
+
+    def test_survivors_that_finish_first_still_see_the_death(self):
+        """Rank 0 returns at once and rank 1 is killed later, so nobody is
+        left to move the clock: the run jumps to the deadline and still
+        reports the death."""
+        mains = [lambda ctx: ctx.rank, _busy]
+        timeout = 0.0002
+        result, events = _run_traced(
+            mains, 2, timeout, FailureSchedule.single(0.0001, rank=1)
+        )
+        assert result.failed and not result.completed
+        assert result.dead_ranks == (1,)
+        assert result.results[0] == 0
+        [kill] = [e for e in events if (e.category, e.name) == ("fail", "kill")]
+        [suspect] = _suspects(events)
+        assert suspect.rank == 1 and suspect.payload["last_heard"] == kill.t
+        assert result.detected_at == pytest.approx(kill.t + timeout, abs=1e-9)
+        assert result.detected_at >= kill.t + timeout - 1e-12
+
+
+class TestNoDeath:
+    def test_failure_free_run_is_never_suspected(self):
+        """A timeout far shorter than the run suspects nobody when nobody
+        dies."""
+        result, events = _run_traced(_allreduce_loop, 4, 1e-6, FailureSchedule.none())
+        assert result.completed and not result.failed
+        assert result.detected_at is None and result.dead_ranks == ()
+        assert result.virtual_time > 1e-6
+        assert _suspects(events) == []
 
 
 class TestCompletedRank:
