@@ -10,8 +10,8 @@ the full ring append).
 
 The ``test_guard_*`` functions at the end are timing-free: they count
 the host work the per-operation path must *not* do (pickling to size a
-repeated control message, building a receive descriptor or a progress
-generator for an idle poll, entering numpy for one random draw) or
+control message, building a receive descriptor or a progress generator
+for an idle poll, entering numpy for one random draw) or
 bound it (Python calls per simulated message) and run as plain
 assertions in CI.
 """
@@ -221,18 +221,18 @@ def test_rank_scaling(benchmark, workload, nprocs):
 # Timing-free guards on the per-operation host path.
 #
 # A 16-rank laplace V2 run (waves, no application state; round-robin and
-# zero jitter like the benchmark's 64-rank workload) with counting shims
-# on the seams an idle or repeated operation must not reach.
+# zero jitter like the benchmark's 64-rank workload; V3 where named) with
+# counting shims on the seams an idle or repeated operation must not reach.
 # --------------------------------------------------------------------- #
 
 
-def _guard_run(checkpoint_interval):
+def _guard_run(checkpoint_interval, variant="NO_APP_STATE"):
     from repro.api.registry import get_app
     from repro.apps.laplace import LaplaceParams
     from repro.runtime import RunConfig, Variant, run_with_recovery
 
     config = RunConfig(
-        nprocs=16, seed=3, variant=Variant.NO_APP_STATE,
+        nprocs=16, seed=3, variant=Variant.coerce(variant),
         checkpoint_interval=checkpoint_interval,
         sched_policy="round_robin", jitter=0.0,
     )
@@ -247,34 +247,39 @@ def _total(out, counter):
     return sum(getattr(stats, counter) for stats in out.layer_stats)
 
 
-def test_guard_control_messages_are_sized_once_per_value(monkeypatch):
-    """``sizeof`` pickles at most once per *distinct* control message."""
+def test_guard_control_traffic_is_sized_without_pickling(monkeypatch):
+    """A V3 run with waves sizes every control message as one fixed-width
+    int word (``HEADER_BYTES + 8`` on the wire) and calls ``pickle.dumps``
+    zero times to do it: laplace's payloads are arrays, so ``sizeof``
+    pickles nothing in the whole run."""
     import pickle
     from types import SimpleNamespace
 
-    from repro.protocol.control import ControlMessage
-    from repro.simmpi import datatypes, message
+    from repro.simmpi import datatypes
+    from repro.simmpi.constants import TAG_CONTROL
+    from repro.simmpi.network import Network
 
     dumps_calls = []
     shim = SimpleNamespace(
         HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
         dumps=lambda obj, **kw: dumps_calls.append(obj) or pickle.dumps(obj, **kw),
     )
-    sized = []
+    control_bytes = []
+    real_post = Network.post
 
-    def recording_sizeof(payload):
-        if isinstance(payload, ControlMessage):
-            sized.append(payload)
-        return datatypes.sizeof(payload)
+    def recording_post(self, env, now):
+        if env.tag == TAG_CONTROL:
+            control_bytes.append(env.nbytes)
+        return real_post(self, env, now)
 
     monkeypatch.setattr(datatypes, "pickle", shim)
-    monkeypatch.setattr(datatypes, "_PICKLED_SIZE", {})
-    monkeypatch.setattr(message, "sizeof", recording_sizeof)
-    out = _guard_run(0.002)
+    monkeypatch.setattr(Network, "post", recording_post)
+    out = _guard_run(0.002, "FULL")
     assert out.checkpoints_committed >= 2
-    # (a token still in flight when the last rank returns is sized, not handled)
-    assert len(sized) >= _total(out, "control_messages") > 16 * 15
-    assert 0 < len(dumps_calls) <= len(set(sized)) < len(sized)
+    # (a token still in flight when the last rank returns is posted, not handled)
+    assert len(control_bytes) >= _total(out, "control_messages") > 16 * 15
+    assert set(control_bytes) == {datatypes.HEADER_BYTES + 8}
+    assert dumps_calls == []
 
 
 def test_guard_receive_descriptors_only_for_app_receives(monkeypatch):
@@ -344,37 +349,6 @@ def test_guard_stage_dispatch_reads_no_host_clock(monkeypatch):
     assert out.checkpoints_committed >= 2
     assert sum(entry["calls"] for entry in out.stage_totals().values()) > 10_000
     assert 0 < len(reads) <= 8 * len(out.attempts)
-
-
-def test_guard_one_send_count_token_per_distinct_count(monkeypatch):
-    """A local checkpoint builds one ``MySendCount`` per distinct count:
-    at most 1 (the zero every silent peer is told) + the peers it sent to."""
-    from repro.protocol.control import MySendCount
-    from repro.protocol.state import ProtocolState
-
-    bounds: dict[int, list[int]] = {}  # rank -> allowed tokens, per checkpoint
-    built: dict[int, list[int]] = {}  # rank -> tokens built, per checkpoint
-    real_transition = ProtocolState.epoch_transition
-    real_init = MySendCount.__init__
-
-    def transition(self):
-        send_counts = real_transition(self)
-        bounds.setdefault(self.rank, []).append(1 + len(send_counts))
-        built.setdefault(self.rank, []).append(0)
-        return send_counts
-
-    def counting_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        built[self.sender][-1] += 1
-
-    monkeypatch.setattr(ProtocolState, "epoch_transition", transition)
-    monkeypatch.setattr(MySendCount, "__init__", counting_init)
-    out = _guard_run(0.002)
-    assert out.checkpoints_committed >= 2 and len(built) == 16
-    for rank, counts in built.items():
-        assert all(0 < n <= bound for n, bound in zip(counts, bounds[rank])), rank
-    # laplace's 1-D stencil: a rank sends to at most two of its 15 peers
-    assert max(max(b) for b in bounds.values()) <= 3
 
 
 def _co_guard_ring(ctx):

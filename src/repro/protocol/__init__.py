@@ -12,14 +12,6 @@ from repro.protocol.classify import (
     classify_by_color,
     classify_by_epoch,
 )
-from repro.protocol.control import (
-    MySendCount,
-    PleaseCheckpoint,
-    ReadyToStopLogging,
-    ReplayDone,
-    StopLogging,
-    StoppedLogging,
-)
 from repro.protocol.initiator import Initiator, WavePhase
 from repro.protocol.logs import (
     CollectiveRecord,
@@ -58,19 +50,13 @@ __all__ = [
     "MatchLog",
     "MatchRecord",
     "MessageClass",
-    "MySendCount",
     "NondetLog",
     "PackedCodec",
     "PiggybackInfo",
-    "PleaseCheckpoint",
     "ProtocolState",
     "PseudoHandle",
     "PseudoRequest",
-    "ReadyToStopLogging",
-    "ReplayDone",
     "RequestTable",
-    "StopLogging",
-    "StoppedLogging",
     "WavePhase",
     "classify_by_color",
     "classify_by_epoch",

@@ -16,7 +16,7 @@ Two safety rules:
 * at most one wave in flight (the paper's standing assumption that a global
   checkpoint completes before the next begins);
 * after a restart, no wave may begin until every rank has reported
-  ``ReplayDone`` — a checkpoint taken mid-replay would have to carry
+  ``replayDone`` — a checkpoint taken mid-replay would have to carry
   partially consumed logs, a complication the paper does not require.
 """
 
@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.protocol.control import PleaseCheckpoint, StopLogging
+from repro.protocol import control as ctl
 
 
 class WavePhase(enum.Enum):
@@ -57,13 +57,13 @@ class Initiator:
         self,
         nprocs: int,
         interval: Optional[float],
-        co_send_control: Callable[[object, int], Any],
+        co_send_control: Callable[[int, int], Any],
         commit: Callable[[int, float], None],
         now: Callable[[], float],
     ) -> None:
         self.nprocs = nprocs
         self.interval = interval
-        #: Generator function sending one control message (the pipeline's
+        #: Generator function sending one control word (the pipeline's
         #: ``_co_send_control``): each send is a resumable scheduling point.
         self._co_send_control = co_send_control
         self._commit = commit
@@ -82,7 +82,7 @@ class Initiator:
     # ------------------------------------------------------------------ #
 
     def begin_recovery(self, ranks: set[int]) -> None:
-        """Block wave initiation until these ranks report ReplayDone."""
+        """Block wave initiation until these ranks report replayDone."""
         self.awaiting_replay = set(ranks)
         self.phase = WavePhase.IDLE
         self.ready.clear()
@@ -118,7 +118,7 @@ class Initiator:
         self.ready.clear()
         self.stopped.clear()
         self._current = WaveStats(epoch=self.target_epoch, initiated_at=self._now())
-        msg = PleaseCheckpoint(epoch=self.target_epoch)
+        msg = ctl.pack_control(ctl.PLEASE_CHECKPOINT, self.target_epoch)
         for rank in range(self.nprocs):
             yield from self._co_send_control(msg, rank)
 
@@ -131,7 +131,7 @@ class Initiator:
             self._current.ready_times[rank] = self._now()
         if self.phase is WavePhase.COLLECTING_READY and len(self.ready) == self.nprocs:
             self.phase = WavePhase.COLLECTING_STOPPED
-            msg = StopLogging(epoch=self.target_epoch)
+            msg = ctl.pack_control(ctl.STOP_LOGGING, self.target_epoch)
             for r in range(self.nprocs):
                 yield from self._co_send_control(msg, r)
             self._check_commit()

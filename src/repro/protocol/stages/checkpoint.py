@@ -69,40 +69,43 @@ class CheckpointStage:
         if self.initiator is not None:
             yield from self.initiator.co_poll(core.state.epoch)
 
-    def co_handle_control(self, msg: ctl.ControlMessage, source: int):
+    def co_handle_control(self, word: int, source: int):
+        """Handle one control word (:mod:`repro.protocol.control`) sent by
+        rank ``source``."""
         core = self.core
         state = core.state
-        if isinstance(msg, ctl.PleaseCheckpoint):
-            if state.epoch < msg.epoch and state.requested_target < msg.epoch:
+        kind, epoch, count = ctl.unpack_control(word)
+        if kind == ctl.PLEASE_CHECKPOINT:
+            if state.epoch < epoch and state.requested_target < epoch:
                 state.checkpoint_requested = True
-                state.requested_target = msg.epoch
+                state.requested_target = epoch
                 tr = core.tracer
                 if tr is not None:
                     tr.emit(
-                        "ckpt", "wave_request", rank=core.rank, epoch=msg.epoch,
+                        "ckpt", "wave_request", rank=core.rank, epoch=epoch,
                     )
-        elif isinstance(msg, ctl.MySendCount):
-            if msg.epoch not in (state.epoch, state.epoch + 1):
+        elif kind == ctl.MY_SEND_COUNT:
+            if epoch not in (state.epoch, state.epoch + 1):
                 raise ProtocolError(
-                    f"rank {core.rank}: mySendCount for epoch {msg.epoch} "
+                    f"rank {core.rank}: mySendCount for epoch {epoch} "
                     f"while in epoch {state.epoch}"
                 )
-            state.total_sent[msg.sender] = msg.count
+            state.total_sent[source] = count
             if state.am_logging:
                 yield from self.co_received_all_check()
-        elif isinstance(msg, ctl.ReadyToStopLogging):
+        elif kind == ctl.READY_TO_STOP_LOGGING:
             self._require_initiator("readyToStopLogging")
-            yield from self.initiator.co_on_ready(msg.sender, msg.epoch)
-        elif isinstance(msg, ctl.StopLogging):
+            yield from self.initiator.co_on_ready(source, epoch)
+        elif kind == ctl.STOP_LOGGING:
             yield from self.co_finalize_log()
-        elif isinstance(msg, ctl.StoppedLogging):
+        elif kind == ctl.STOPPED_LOGGING:
             self._require_initiator("stoppedLogging")
-            self.initiator.on_stopped(msg.sender, msg.epoch)
-        elif isinstance(msg, ctl.ReplayDone):
+            self.initiator.on_stopped(source, epoch)
+        elif kind == ctl.REPLAY_DONE:
             self._require_initiator("replayDone")
-            self.initiator.on_replay_done(msg.sender)
+            self.initiator.on_replay_done(source)
         else:
-            raise ProtocolError(f"unknown control message {msg!r}")
+            raise ProtocolError(f"unknown control kind {kind} in word {word:#x}")
 
     def _require_initiator(self, what: str) -> None:
         if self.initiator is None:
@@ -121,7 +124,7 @@ class CheckpointStage:
             state.ready_sent = True
             state.reset_total_sent()
             yield from core._co_send_control(
-                ctl.ReadyToStopLogging(epoch=state.epoch, sender=core.rank),
+                ctl.pack_control(ctl.READY_TO_STOP_LOGGING, state.epoch),
                 INITIATOR_RANK,
             )
 
@@ -139,7 +142,7 @@ class CheckpointStage:
             )
         core.storage.write_log(core.rank, core.state.epoch, core.logs)
         yield from core._co_send_control(
-            ctl.StoppedLogging(epoch=core.state.epoch, sender=core.rank),
+            ctl.pack_control(ctl.STOPPED_LOGGING, core.state.epoch),
             INITIATOR_RANK,
         )
 
@@ -198,19 +201,12 @@ class CheckpointStage:
             core.stats.ckpt_chunks_reused += manifest.reused_chunks
         core.stats.checkpoints_taken += 1
         # receivedAll? waits for every peer's count: one absent from the
-        # sparse ``send_counts`` was sent nothing and is told 0.  Tokens
-        # are frozen values, so peers told the same count share one; none
-        # of the peers is this rank, so each goes straight to the wire.
-        tokens: dict[int, ctl.MySendCount] = {}
+        # sparse ``send_counts`` was sent nothing and is told 0.  None of
+        # the peers is this rank, so each word goes straight to the wire.
         send = core._comm_send
         for q in state.peers():
-            count = send_counts.get(q, 0)
-            token = tokens.get(count)
-            if token is None:
-                token = tokens[count] = ctl.MySendCount(
-                    epoch=state.epoch, sender=core.rank, count=count
-                )
-            yield from send(token, q, TAG_CONTROL)
+            word = ctl.pack_control(ctl.MY_SEND_COUNT, state.epoch, send_counts.get(q, 0))
+            yield from send(word, q, TAG_CONTROL)
         state.am_logging = True
         core.logs = EpochLogs(epoch=state.epoch)
         if core.on_checkpoint is not None:

@@ -28,8 +28,9 @@ ranks' slices.
 Durations come from a profiler or from ``repro.trace`` events.
 
 One deliberate refinement over the paper's prose: the collective logging
-rule exchanges ``(epoch, amLogging)`` rather than ``amLogging`` alone.  A
-bare conjunction cannot distinguish Figure 5's call A (a participant that
+rule exchanges ``(epoch, amLogging)``, packed into one ``int`` as
+``epoch << 1 | amLogging``, rather than ``amLogging`` alone.  A bare
+conjunction cannot distinguish Figure 5's call A (a participant that
 has *not yet checkpointed* — result must be logged) from call B (a
 participant that *finished* logging — logging must stop).  Classifying each
 participant's contribution with the same late/intra/early rule as
@@ -139,14 +140,14 @@ class ProtocolPipeline(SharedSurface):
     # plain methods.
     # ------------------------------------------------------------------ #
 
-    def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
-        """Send one control message; only the checkpoint stage, its
+    def _co_send_control(self, word: int, dest: int):
+        """Send one control word; only the checkpoint stage, its
         initiator and a replay armed by :meth:`co_restore_from` (which
         needs the checkpoint stage) send any."""
         if dest == self.rank:
-            yield from self.ckpt.co_handle_control(msg, self.rank)
+            yield from self.ckpt.co_handle_control(word, self.rank)
         else:
-            yield from self._comm_send(msg, dest, TAG_CONTROL)
+            yield from self._comm_send(word, dest, TAG_CONTROL)
 
     def _idle(self) -> bool:
         """The idle rule, tested before an operation builds the progress
@@ -437,7 +438,7 @@ class ProtocolPipeline(SharedSurface):
 
     def _co_maybe_end_replay(self):
         """Once every log of the replayed window is exhausted, leave replay
-        and report ``ReplayDone`` so the initiator may start the next wave."""
+        and report ``replayDone`` so the initiator may start the next wave."""
         if self.replay is None or self._replay_done_sent:
             return
         if self.replay.all_exhausted():
@@ -453,8 +454,7 @@ class ProtocolPipeline(SharedSurface):
                     replayed_collectives=stats.replayed_collectives,
                 )
             yield from self._co_send_control(
-                ctl.ReplayDone(epoch=self.state.epoch, sender=self.rank),
-                INITIATOR_RANK,
+                ctl.pack_control(ctl.REPLAY_DONE, self.state.epoch), INITIATOR_RANK
             )
 
     # ------------------------------------------------------------------ #
@@ -497,30 +497,21 @@ class ProtocolPipeline(SharedSurface):
     def _advance_coll_seq(self, handle_id: int) -> None:
         self.coll_seqs[handle_id] = self.coll_seqs.get(handle_id, 0) + 1
 
-    def _co_coll(
-        self,
-        kind: str,
-        comm: Optional[PseudoHandle],
-        *args: Any,
-        loggable: bool = True,
-    ):
-        """Shared machinery for every collective call.
+    def _command_word(self) -> int:
+        """This rank's entry in a command exchange: ``epoch << 1 | amLogging``."""
+        return self.state.epoch << 1 | self.state.am_logging
+
+    def _co_coll(self, kind: str, comm: Optional[PseudoHandle], *args: Any):
+        """Shared machinery for every collective call but barrier.
 
         Runs ``coll_impl.co_<kind>(endpoint, *args)`` over the pipeline's
-        own tag space.  ``loggable=False`` marks barrier: never
-        served from the result log (all participants re-execute it after
-        restart — guaranteed by the epoch-alignment rule) and never
-        recorded.
+        own tag space, or serves the result from the replay log.
         """
         if not self._idle():
             yield from self._co_progress()
         self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
-        if (
-            loggable
-            and self.replay is not None
-            and not self.replay.collectives.exhausted
-        ):
+        if self.replay is not None and not self.replay.collectives.exhausted:
             rec: CollectiveRecord = self.replay.collectives.next()
             if rec.kind != kind:
                 raise RecoveryError(
@@ -535,17 +526,15 @@ class ProtocolPipeline(SharedSurface):
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
         # around the relevant control information").
         ctl_ep = self._coll_endpoint(handle_id, 0)
-        peer_info = yield from coll_impl.co_allgather(
-            ctl_ep, (self.state.epoch, self.state.am_logging)
-        )
+        peer_info = yield from coll_impl.co_allgather(ctl_ep, self._command_word())
         data_ep = self._coll_endpoint(handle_id, 1)
         result = yield from getattr(coll_impl, "co_" + kind)(data_ep, *args)
         self._advance_coll_seq(handle_id)
-        if self.state.am_logging and loggable:
+        if self.state.am_logging:
             my_epoch, me = self.state.epoch, ctl_ep.coll_rank
             ended = any(
-                epoch == my_epoch and not logging
-                for i, (epoch, logging) in enumerate(peer_info)
+                word >> 1 == my_epoch and not word & 1
+                for i, word in enumerate(peer_info)
                 if i != me
             )
             if ended:
@@ -566,18 +555,23 @@ class ProtocolPipeline(SharedSurface):
         "All processes involved in the barrier execute an all-to-all
         communication just before the barrier to determine if they are all
         in the same epoch.  If not, processes that have not yet taken their
-        local checkpoints do so."
+        local checkpoints do so."  That exchange carries the command word,
+        so it is the barrier's one control exchange.  A barrier is neither
+        served from the result log nor recorded: every participant
+        re-executes it after a restart (the alignment rule guarantees it).
         """
         if not self._idle():
             yield from self._co_progress()
+        self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
         # A re-executed barrier during replay re-runs the exchange so tags
         # stay aligned, but alignment already held in the original execution.
-        ctl_ep = self._coll_endpoint(handle_id, 0)
-        epochs = yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
+        words = yield from coll_impl.co_allgather(
+            self._coll_endpoint(handle_id, 0), self._command_word()
+        )
         if (
             self.replay is None
-            and self.state.epoch < max(epochs)
+            and self.state.epoch < max(words) >> 1
             and self.ckpt is not None
         ):
             # The forced local checkpoint happens BEFORE this barrier's
@@ -588,8 +582,8 @@ class ProtocolPipeline(SharedSurface):
             # perform again.
             yield from self.ckpt.co_take_local_checkpoint()
             self._calls["checkpoint"] += 1
+        yield from coll_impl.co_barrier(self._coll_endpoint(handle_id, 1))
         self._advance_coll_seq(handle_id)
-        yield from self._co_coll("barrier", comm, loggable=False)
 
     # ------------------------------------------------------------------ #
     # potentialCheckpoint (Figure 4).

@@ -9,9 +9,10 @@ reserved for the library itself:
   operations (each collective call instance gets a distinct tag derived from
   a per-communicator collective sequence number, so concurrent collectives on
   different communicators cannot interfere).
-* ``TAG_CONTROL`` — C3 protocol control messages (pleaseCheckpoint,
-  mySendCount, readyToStopLogging, stopLogging, stoppedLogging, recovery
-  handshakes).  Control messages bypass piggybacking.
+* ``TAG_CONTROL`` — C3 protocol control words (pleaseCheckpoint,
+  mySendCount, readyToStopLogging, stopLogging, stoppedLogging, replayDone),
+  each one packed ``int`` (``repro.protocol.control``).  Control messages
+  bypass piggybacking.
 """
 
 from __future__ import annotations

@@ -24,18 +24,9 @@ PIGGYBACK_PACKED_BYTES = 4
 PIGGYBACK_FULL_BYTES = 12
 
 
-#: Exact-type widths: the scalars that dominate payloads cost one probe.
+#: Exact-type widths: the scalars that dominate payloads (protocol control
+#: words among them) cost one probe.
 _FIXED_WIDTH = {int: 8, float: 8, bool: 1, complex: 16, type(None): 0}
-
-#: Pickle lengths of payloads whose class sets ``sizeof_by_value`` — a
-#: promise that instances are frozen, hashable, and that equal values
-#: pickle to equal lengths (a wave's O(nprocs^2) control messages).
-_PICKLED_SIZE: dict[object, int] = {}
-_PICKLED_SIZE_LIMIT = 4096
-
-#: The exact classes seen with ``sizeof_by_value`` set: :func:`sizeof`
-#: probes ``_PICKLED_SIZE`` for these before any ``isinstance`` test.
-_BY_VALUE_KINDS: set[type] = set()
 
 
 def sizeof(payload: object) -> int:
@@ -46,10 +37,9 @@ def sizeof(payload: object) -> int:
     elements plus a small per-element overhead; everything else falls
     back to the pickle length (an upper bound on a reasonable encoding).
 
-    Exact builtin types are dispatched here, and so is a by-value payload
-    whose length is already cached; what that cannot answer (bytes, str,
-    numpy scalars, subclasses, arbitrary objects, a first sighting) takes
-    :func:`_sizeof_general`'s ``isinstance`` ladder.
+    Exact builtin types are dispatched here; the rest (bytes, str, numpy
+    scalars, subclasses, arbitrary objects) takes :func:`_sizeof_general`'s
+    ``isinstance`` ladder.
     """
     kind = type(payload)
     width = _FIXED_WIDTH.get(kind)
@@ -61,10 +51,6 @@ def sizeof(payload: object) -> int:
         return _sizeof_items(payload)
     if kind is dict:
         return _sizeof_mapping(payload)
-    if kind in _BY_VALUE_KINDS:
-        size = _PICKLED_SIZE.get(payload)
-        if size is not None:
-            return size
     return _sizeof_general(payload)
 
 
@@ -109,17 +95,6 @@ def _sizeof_general(payload: object) -> int:
         return _sizeof_items(payload)
     if isinstance(payload, dict):
         return _sizeof_mapping(payload)
-    kind = type(payload)
-    if not getattr(kind, "sizeof_by_value", False):
-        return _pickled_size(payload)
-    _BY_VALUE_KINDS.add(kind)
-    if len(_PICKLED_SIZE) >= _PICKLED_SIZE_LIMIT:
-        _PICKLED_SIZE.clear()
-    size = _PICKLED_SIZE[payload] = _pickled_size(payload)
-    return size
-
-
-def _pickled_size(payload: object) -> int:
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:

@@ -1,4 +1,9 @@
-"""32-bit piggyback word packing (paper Section 4.2, final optimisation).
+"""Word packing of the protocol's per-message integers.
+
+Two layouts live here: the 32-bit piggyback word every application message
+carries, and the control word every protocol token travels as.
+
+**Piggyback word** (paper Section 4.2, final optimisation).
 
 The paper observes that because at most one global checkpoint is in progress
 at any time, process epochs differ by at most one, so a single *color* bit
@@ -14,11 +19,22 @@ payload fits in one 32-bit integer:
 message ID beyond 30 bits raises :class:`~repro.errors.PiggybackError` — the
 paper notes a single process is unlikely to send more than a billion
 messages between checkpoints, but we fail loudly rather than wrap.
+
+**Control word** (Section 4.1's tokens).  A token is its kind, the full
+epoch it belongs to (not the colour: token epochs are compared exactly)
+and, for ``mySendCount``, a count; the sender is the envelope's source.
+One non-negative 63-bit integer, so it sizes as one 8-byte word:
+
+    bits 62..31 : count (0 for every kind but mySendCount)
+    bits 30..3  : epoch
+    bits 2..0   : kind
+
+A field outside its width raises :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
 
-from repro.errors import PiggybackError
+from repro.errors import PiggybackError, ProtocolError
 
 #: Largest encodable per-epoch message ID (30 bits).
 MAX_MESSAGE_ID: int = (1 << 30) - 1
@@ -61,3 +77,40 @@ def unpack_piggyback(word: int) -> tuple[int, bool, int]:
     color = 1 if word & _COLOR_BIT else 0
     am_logging = bool(word & _LOGGING_BIT)
     return color, am_logging, word & _ID_MASK
+
+
+#: Control-word field widths: kind, epoch, count (3 + 28 + 32 = 63 bits).
+CONTROL_KIND_BITS = 3
+CONTROL_EPOCH_BITS = 28
+MAX_CONTROL_EPOCH: int = (1 << CONTROL_EPOCH_BITS) - 1
+MAX_CONTROL_COUNT: int = (1 << 32) - 1
+
+_KIND_MASK = (1 << CONTROL_KIND_BITS) - 1
+_COUNT_SHIFT = CONTROL_KIND_BITS + CONTROL_EPOCH_BITS
+_MAX_CONTROL_WORD = (1 << 63) - 1
+
+
+def pack_control(kind: int, epoch: int, count: int = 0) -> int:
+    """Pack one control token ``(kind, epoch, count)`` into a 63-bit word."""
+    if not 0 <= kind <= _KIND_MASK:
+        raise ProtocolError(f"control kind {kind!r} outside [0, {_KIND_MASK}]")
+    if not 0 <= epoch <= MAX_CONTROL_EPOCH:
+        raise ProtocolError(
+            f"control epoch {epoch!r} outside [0, {MAX_CONTROL_EPOCH}]"
+        )
+    if not 0 <= count <= MAX_CONTROL_COUNT:
+        raise ProtocolError(
+            f"control count {count!r} outside [0, {MAX_CONTROL_COUNT}]"
+        )
+    return count << _COUNT_SHIFT | epoch << CONTROL_KIND_BITS | kind
+
+
+def unpack_control(word: int) -> tuple[int, int, int]:
+    """Inverse of :func:`pack_control`; returns ``(kind, epoch, count)``."""
+    if type(word) is not int or not 0 <= word <= _MAX_CONTROL_WORD:
+        raise ProtocolError(f"control word {word!r} is not a 63-bit value")
+    return (
+        word & _KIND_MASK,
+        word >> CONTROL_KIND_BITS & MAX_CONTROL_EPOCH,
+        word >> _COUNT_SHIFT,
+    )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocol.control import PleaseCheckpoint, StopLogging
+from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator, WavePhase
 from repro.simmpi import coop
 
@@ -46,9 +46,10 @@ class TestWaveLifecycle:
         h.initiate(current_epoch=0)
         assert h.initiator.phase is WavePhase.COLLECTING_READY
         assert h.initiator.target_epoch == 1
-        please = [m for m, _ in h.sent if isinstance(m, PleaseCheckpoint)]
-        assert len(please) == 4
-        assert all(m.epoch == 1 for m in please)
+        assert h.sent == [
+            (ctl.pack_control(ctl.PLEASE_CHECKPOINT, 1), rank) for rank in range(4)
+        ]
+        assert ctl.unpack_control(h.sent[0][0]) == (ctl.PLEASE_CHECKPOINT, 1, 0)
 
     def test_all_ready_triggers_stop_logging(self):
         h = Harness()
@@ -56,8 +57,9 @@ class TestWaveLifecycle:
         h.sent.clear()
         for rank in range(4):
             h.on_ready(rank, epoch=1)
-        stops = [m for m, _ in h.sent if isinstance(m, StopLogging)]
-        assert len(stops) == 4
+        assert h.sent == [
+            (ctl.pack_control(ctl.STOP_LOGGING, 1), rank) for rank in range(4)
+        ]
         assert h.initiator.phase is WavePhase.COLLECTING_STOPPED
 
     def test_partial_ready_does_not_stop(self):

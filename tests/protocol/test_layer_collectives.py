@@ -1,8 +1,14 @@
 """Protocol-layer collectives: result logging, conjunction, barrier alignment
 (paper Section 4.5 / Figure 5)."""
 
+import pickle
+
+import pytest
+
 from repro.protocol import C3Config, ProtocolPipeline
-from repro.simmpi import SUM, run_simple
+from repro.protocol.mpi_state import WORLD_HANDLE
+from repro.runtime import RunConfig, Variant, run_with_recovery
+from repro.simmpi import SUM, FailureSchedule, run_simple
 from repro.statesave import Storage
 
 
@@ -162,3 +168,79 @@ class TestBarrierAlignment:
         result = run_simple(main, nprocs=3, seed=6)
         assert result.completed
         assert all(r == (0, 0) for r in result.results)
+
+
+def _barriers(count):
+    def app(ctx):
+        for _ in range(count):
+            yield from ctx.mpi.co_barrier()
+        return ctx.rank
+
+    return app
+
+
+class TestBarrierExchange:
+    @pytest.mark.parametrize("variant", ["V1", "V2", "V3"])
+    def test_one_control_exchange_per_barrier(self, variant):
+        """At 4 ranks a V1+ barrier is its alignment allgather, which
+        carries the command word (recursive doubling: 2 rounds x 4 ranks)
+        and the dissemination barrier (2 rounds x 4 ranks): 16 messages,
+        twice the raw barrier's 8, with no second command exchange."""
+        counts = {}
+        for label in ("V0", variant):
+            cfg = RunConfig(nprocs=4, seed=1, variant=Variant.coerce(label),
+                            checkpoint_interval=None)
+            for n in (0, 10):
+                out = run_with_recovery(_barriers(n), cfg)
+                assert out.results == [0, 1, 2, 3]
+                counts[label, n] = out.network_messages
+        assert counts["V0", 10] - counts["V0", 0] == 10 * 8
+        assert counts[variant, 10] - counts[variant, 0] == 10 * 16
+
+    def test_barrier_counts_as_one_collective(self):
+        def main(ctx):
+            layer = ProtocolPipeline(ctx.comm, C3Config(checkpoint_interval=None))
+            for _ in range(3):
+                yield from layer.co_barrier()
+            return layer.stats.collectives, layer.coll_seqs[WORLD_HANDLE]
+
+        result = run_simple(main, nprocs=4, seed=2)
+        assert result.completed and result.results == [(3, 3)] * 4
+
+
+def _barrier_loop(n_iters=60):
+    """A barrier at the top of every iteration (a potential checkpoint
+    location); odd ranks never call potential_checkpoint, so each wave
+    checkpoints them inside a barrier, by the alignment rule alone."""
+
+    def app(ctx):
+        state = ctx.checkpointable_state(lambda: {"i": 0, "acc": 0.0})
+        right, left = (ctx.rank + 1) % ctx.size, (ctx.rank - 1) % ctx.size
+        while state["i"] < n_iters:
+            yield from ctx.mpi.co_barrier()
+            yield from ctx.mpi.co_send(state["acc"] / 3.0 + ctx.rank, right, tag=1)
+            x = yield from ctx.mpi.co_recv(source=left, tag=1)
+            state["acc"] = state["acc"] * 0.7 + x
+            state["i"] += 1
+            if ctx.rank % 2 == 0:
+                yield from ctx.co_potential_checkpoint()
+        return state["acc"]
+
+    return app
+
+
+class TestBarrierRecovery:
+    def test_kill_after_a_wave_in_a_barrier_loop_recovers_bitwise(self):
+        cfg = RunConfig(nprocs=4, seed=11, variant=Variant.FULL,
+                        checkpoint_interval=0.0015, detector_timeout=0.03)
+        gold = run_with_recovery(_barrier_loop(), cfg)
+        assert gold.completed and gold.checkpoints_committed >= 2
+        # the odd ranks' checkpoints are all forced inside a barrier
+        assert [s.checkpoints_taken >= 2 for s in gold.layer_stats] == [True] * 4
+        kill_at = gold.attempts[0].virtual_time * 0.6
+        out = run_with_recovery(
+            _barrier_loop(), cfg, failures=FailureSchedule.single(time=kill_at, rank=1)
+        )
+        assert out.restarts == 1
+        assert out.attempts[1].started_from_epoch >= 1
+        assert pickle.dumps(out.results) == pickle.dumps(gold.results)

@@ -106,36 +106,37 @@ class TestPerStageObservability:
                         checkpoint_interval=interval, detector_timeout=0.04)
         return run_with_recovery(app, cfg)
 
-    def test_peers_told_the_same_count_share_one_token(self, monkeypatch):
+    def test_each_peer_is_told_its_count_in_one_word(self, monkeypatch):
         """On a ring each rank sends to one of its five peers: a local
-        checkpoint builds at most two ``MySendCount`` tokens (that peer's
-        count and the 0 the other four are told) and still sends five."""
-        from repro.protocol.control import MySendCount
+        checkpoint sends five ``mySendCount`` words, each one 8-byte int
+        naming the new epoch, and only the right-hand neighbour's count is
+        nonzero.  The sender is the envelope's source, not a field."""
+        from repro.protocol import control as ctl
+        from repro.simmpi.constants import TAG_CONTROL
+        from repro.simmpi.datatypes import HEADER_BYTES
         from repro.simmpi.network import Network
 
-        built, posted = [], []
-        real_init = MySendCount.__init__
+        posted = []
         real_post = Network.post
 
-        def counting_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            built.append(self)
-
-        def counting_post(self, env, now):
-            if isinstance(env.payload, MySendCount):
-                posted.append((env.dest, env.payload))
+        def recording_post(self, env, now):
+            if env.tag == TAG_CONTROL:
+                kind, epoch, count = ctl.unpack_control(env.payload)
+                if kind == ctl.MY_SEND_COUNT:
+                    posted.append((env.source, env.dest, epoch, count, env.nbytes))
             return real_post(self, env, now)
 
-        monkeypatch.setattr(MySendCount, "__init__", counting_init)
-        monkeypatch.setattr(Network, "post", counting_post)
+        monkeypatch.setattr(Network, "post", recording_post)
         out = self._run(nprocs=6, iterations=80, interval=0.0005)
         checkpoints = sum(stats.checkpoints_taken for stats in out.layer_stats)
         assert out.restarts == 0 and checkpoints >= 6
-        assert len(set(built)) == len(built) <= 2 * checkpoints
         assert len(posted) == 5 * checkpoints
-        for dest, token in posted:
+        for source, dest, epoch, count, nbytes in posted:
+            assert nbytes == HEADER_BYTES + 8
+            assert 1 <= epoch <= out.checkpoints_committed + 1
             # the ring's one nonzero count goes to the right-hand neighbour
-            assert (token.count > 0) <= (dest == (token.sender + 1) % 6)
+            assert (count > 0) <= (dest == (source + 1) % 6)
+        assert any(count > 0 for *_, count, _ in posted)
 
     def test_stage_counters_populated(self):
         out = self._run()

@@ -153,47 +153,43 @@ class TestSizeof:
         for payload, expected in cases:
             assert sizeof(payload) == expected, repr(payload)
 
-    def test_value_sized_classes_pickle_once_per_value(self, monkeypatch):
-        import pickle
-
-        from repro.protocol.control import MySendCount as Token
+    def test_control_words_size_as_one_fixed_width_int(self, monkeypatch):
+        """Every protocol control word, at any epoch and count its layout
+        holds, is an exact ``int``: 8 bytes from the fixed-width table,
+        never the ``isinstance`` ladder."""
+        from repro.protocol import control as ctl
         from repro.simmpi import datatypes
-
-        assert Token.sizeof_by_value
-        monkeypatch.setattr(datatypes, "_PICKLED_SIZE", {})
-        expected = len(pickle.dumps(Token(3, 1, 0), protocol=pickle.HIGHEST_PROTOCOL))
-        assert sizeof(Token(3, 1, 0)) == sizeof(Token(3, 1, 0)) == expected
-        assert list(datatypes._PICKLED_SIZE) == [Token(3, 1, 0)]
-        monkeypatch.setattr(datatypes, "_PICKLED_SIZE_LIMIT", 1)
-        assert sizeof(Token(4, 1, 0)) == expected  # the memo is bounded: it restarts
-        assert list(datatypes._PICKLED_SIZE) == [Token(4, 1, 0)]
-
-    def test_cached_value_size_is_answered_before_the_isinstance_ladder(
-        self, monkeypatch
-    ):
-        from dataclasses import dataclass
-
-        from repro.protocol.control import MySendCount, StoppedLogging
-        from repro.simmpi import datatypes
-
-        @dataclass(frozen=True)
-        class Plain:  # frozen and hashable, but no sizeof_by_value promise
-            epoch: int
-
-        monkeypatch.setattr(datatypes, "_PICKLED_SIZE", {})
-        first = {t: sizeof(t) for t in (MySendCount(2, 1, 0), StoppedLogging(2, 1))}
-        for token, size in first.items():
-            assert size == len(pickle.dumps(token, protocol=pickle.HIGHEST_PROTOCOL))
+        from repro.util.intpack import MAX_CONTROL_COUNT, MAX_CONTROL_EPOCH
 
         def ladder(payload):
             raise AssertionError(f"{payload!r} took the isinstance ladder")
 
         monkeypatch.setattr(datatypes, "_sizeof_general", ladder)
-        # Equal values of the same exact class hit the cache; an equal-field
-        # token of another class does not alias a cached one.
-        assert sizeof(MySendCount(2, 1, 0)) == first[MySendCount(2, 1, 0)]
-        assert sizeof(StoppedLogging(2, 1)) == first[StoppedLogging(2, 1)]
-        with pytest.raises(AssertionError, match="ladder"):
-            sizeof(MySendCount(2, 1, 5))  # a new value is sized once, by pickle
-        with pytest.raises(AssertionError, match="ladder"):
-            sizeof(Plain(2))
+        kinds = (
+            ctl.PLEASE_CHECKPOINT, ctl.MY_SEND_COUNT, ctl.READY_TO_STOP_LOGGING,
+            ctl.STOP_LOGGING, ctl.STOPPED_LOGGING, ctl.REPLAY_DONE,
+        )
+        for kind in kinds:
+            for epoch, count in ((0, 0), (1, 3), (MAX_CONTROL_EPOCH, MAX_CONTROL_COUNT)):
+                word = ctl.pack_control(kind, epoch, count)
+                assert type(word) is int and sizeof(word) == 8, (kind, epoch, count)
+
+    def test_only_objects_outside_the_ladder_are_pickled(self, monkeypatch):
+        """Builtin, numpy and container payloads are sized without pickling;
+        an arbitrary object is pickled on every sizing (nothing is cached)."""
+        from types import SimpleNamespace
+
+        from repro.simmpi import datatypes
+
+        dumps = []
+        monkeypatch.setattr(datatypes, "pickle", SimpleNamespace(
+            HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            dumps=lambda obj, **kw: dumps.append(obj) or pickle.dumps(obj, **kw),
+        ))
+        for payload in (7, True, None, 2.5, b"ab", "x", np.zeros(3), np.int32(1),
+                        (1, 2), [3, (4, 5)], {0: 1.5}):
+            sizeof(payload)
+        assert dumps == []
+        thing = range(4)
+        assert sizeof(thing) == sizeof(thing) > 0
+        assert dumps == [thing, thing]

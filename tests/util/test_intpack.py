@@ -1,11 +1,20 @@
-"""Unit and property tests for the 32-bit piggyback word packing."""
+"""Unit and property tests for the piggyback and control word packing."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import PiggybackError
-from repro.util.intpack import MAX_MESSAGE_ID, pack_piggyback, unpack_piggyback
+from repro.errors import PiggybackError, ProtocolError
+from repro.protocol import control as ctl
+from repro.util.intpack import (
+    MAX_CONTROL_COUNT,
+    MAX_CONTROL_EPOCH,
+    MAX_MESSAGE_ID,
+    pack_control,
+    pack_piggyback,
+    unpack_control,
+    unpack_piggyback,
+)
 
 
 class TestPackUnpack:
@@ -65,3 +74,67 @@ def test_injective(a, b):
     wa = pack_piggyback(*a)
     wb = pack_piggyback(*b)
     assert (wa == wb) == (a == b)
+
+
+#: Every control kind the protocol sends.
+CONTROL_KINDS = (
+    ctl.PLEASE_CHECKPOINT, ctl.MY_SEND_COUNT, ctl.READY_TO_STOP_LOGGING,
+    ctl.STOP_LOGGING, ctl.STOPPED_LOGGING, ctl.REPLAY_DONE,
+)
+
+
+class TestControlWord:
+    @pytest.mark.parametrize("kind", CONTROL_KINDS)
+    @pytest.mark.parametrize("epoch, count", [
+        (0, 0), (1, 0), (1, 1), (7, 3), (2**20, 2**31),
+        (MAX_CONTROL_EPOCH, 0), (0, MAX_CONTROL_COUNT),
+        (MAX_CONTROL_EPOCH, MAX_CONTROL_COUNT),
+    ])
+    def test_roundtrip_every_kind(self, kind, epoch, count):
+        word = pack_control(kind, epoch, count)
+        assert type(word) is int and 0 <= word < 1 << 63
+        assert unpack_control(word) == (kind, epoch, count)
+
+    def test_layout(self):
+        assert pack_control(0, 0) == 0
+        assert pack_control(5, 0) == 5
+        assert pack_control(0, 1) == 1 << 3
+        assert pack_control(0, 0, 1) == 1 << 31
+        assert pack_control(7, MAX_CONTROL_EPOCH, MAX_CONTROL_COUNT) == (1 << 63) - 1
+
+    def test_count_defaults_to_zero(self):
+        assert unpack_control(pack_control(3, 9)) == (3, 9, 0)
+
+    @pytest.mark.parametrize("kind, epoch, count", [
+        (-1, 0, 0), (8, 0, 0),
+        (0, -1, 0), (0, MAX_CONTROL_EPOCH + 1, 0),
+        (1, 0, -1), (1, 0, MAX_CONTROL_COUNT + 1),
+    ])
+    def test_out_of_range_field_rejected(self, kind, epoch, count):
+        with pytest.raises(ProtocolError, match="outside"):
+            pack_control(kind, epoch, count)
+
+    @pytest.mark.parametrize("word", [-1, 1 << 63, 2.0, True, None, "8", (0, 1)])
+    def test_unpack_rejects_what_no_pack_returns(self, word):
+        with pytest.raises(ProtocolError, match="not a 63-bit value"):
+            unpack_control(word)
+
+
+@given(
+    kind=st.sampled_from(CONTROL_KINDS),
+    epoch=st.integers(0, MAX_CONTROL_EPOCH),
+    count=st.integers(0, MAX_CONTROL_COUNT),
+)
+def test_control_roundtrip(kind, epoch, count):
+    assert unpack_control(pack_control(kind, epoch, count)) == (kind, epoch, count)
+
+
+@given(
+    a=st.tuples(st.integers(0, 7), st.integers(0, MAX_CONTROL_EPOCH),
+                st.integers(0, MAX_CONTROL_COUNT)),
+    b=st.tuples(st.integers(0, 7), st.integers(0, MAX_CONTROL_EPOCH),
+                st.integers(0, MAX_CONTROL_COUNT)),
+)
+def test_control_injective(a, b):
+    """Distinct tokens encode to distinct words."""
+    assert (pack_control(*a) == pack_control(*b)) == (a == b)
