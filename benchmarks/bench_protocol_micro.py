@@ -247,23 +247,32 @@ def _total(out, counter):
     return sum(getattr(stats, counter) for stats in out.layer_stats)
 
 
-def test_guard_control_traffic_is_sized_without_pickling(monkeypatch):
-    """A V3 run with waves sizes every control message as one fixed-width
-    int word (``HEADER_BYTES + 8`` on the wire) and calls ``pickle.dumps``
-    zero times to do it: laplace's payloads are arrays, so ``sizeof``
-    pickles nothing in the whole run."""
+def _count_pickle_dumps(monkeypatch):
+    """Record every ``pickle.dumps`` call ``sizeof`` makes; returns the list."""
     import pickle
     from types import SimpleNamespace
 
     from repro.simmpi import datatypes
-    from repro.simmpi.constants import TAG_CONTROL
-    from repro.simmpi.network import Network
 
     dumps_calls = []
     shim = SimpleNamespace(
         HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
         dumps=lambda obj, **kw: dumps_calls.append(obj) or pickle.dumps(obj, **kw),
     )
+    monkeypatch.setattr(datatypes, "pickle", shim)
+    return dumps_calls
+
+
+def test_guard_control_traffic_is_sized_without_pickling(monkeypatch):
+    """A V3 run with waves sizes every control message as one fixed-width
+    int word (``HEADER_BYTES + 8`` on the wire) and calls ``pickle.dumps``
+    zero times to do it: laplace's payloads are arrays, so ``sizeof``
+    pickles nothing in the whole run."""
+    from repro.simmpi import datatypes
+    from repro.simmpi.constants import TAG_CONTROL
+    from repro.simmpi.network import Network
+
+    dumps_calls = _count_pickle_dumps(monkeypatch)
     control_bytes = []
     real_post = Network.post
 
@@ -272,13 +281,56 @@ def test_guard_control_traffic_is_sized_without_pickling(monkeypatch):
             control_bytes.append(env.nbytes)
         return real_post(self, env, now)
 
-    monkeypatch.setattr(datatypes, "pickle", shim)
     monkeypatch.setattr(Network, "post", recording_post)
     out = _guard_run(0.002, "FULL")
     assert out.checkpoints_committed >= 2
     # (a token still in flight when the last rank returns is posted, not handled)
     assert len(control_bytes) >= _total(out, "control_messages") > 16 * 15
     assert set(control_bytes) == {datatypes.HEADER_BYTES + 8}
+    assert dumps_calls == []
+
+
+#: Words per command-exchange round: recursive doubling at 4 ranks, Bruck at 5.
+_COMMAND_ROUND_WORDS = {4: (1, 2), 5: (1, 2, 1)}
+
+
+@pytest.mark.parametrize("nprocs", sorted(_COMMAND_ROUND_WORDS))
+def test_guard_command_exchange_is_packed_words(monkeypatch, nprocs):
+    """A V1 dense CG ships every round of every command exchange as one
+    block of k 32-bit words, ``HEADER_BYTES + 4k`` on the wire, in
+    ceil(log2(n)) rounds, and calls ``pickle.dumps`` zero times to size
+    any message of the run."""
+    from repro.api.registry import get_app
+    from repro.apps.dense_cg import CGParams
+    from repro.protocol.stages.pipeline import LAYER_COLL_BASE
+    from repro.runtime import RunConfig, Variant, run_with_recovery
+    from repro.simmpi import datatypes
+    from repro.simmpi.collectives_impl import _TAG_STRIDE
+    from repro.simmpi.network import Network
+
+    dumps_calls = _count_pickle_dumps(monkeypatch)
+    command_bytes = {}
+    real_post = Network.post
+
+    def recording_post(self, env, now):
+        # Layer collective tags: base - (2 * seq + phase) * stride - round;
+        # phase 0 is the command exchange.
+        offset = LAYER_COLL_BASE - env.tag
+        if offset >= 0 and offset // _TAG_STRIDE % 2 == 0:
+            command_bytes.setdefault(offset % _TAG_STRIDE, []).append(env.nbytes)
+        return real_post(self, env, now)
+
+    monkeypatch.setattr(Network, "post", recording_post)
+    out = run_with_recovery(
+        get_app("dense_cg").build(CGParams(n=40, iterations=10)),
+        RunConfig(nprocs=nprocs, seed=3, variant=Variant.PIGGYBACK),
+    )
+    assert out.completed
+    words = _COMMAND_ROUND_WORDS[nprocs]
+    assert sorted(command_bytes) == list(range(len(words)))
+    for rnd, k in enumerate(words):
+        assert set(command_bytes[rnd]) == {datatypes.HEADER_BYTES + 4 * k}
+        assert len(command_bytes[rnd]) == _total(out, "collectives") > 0
     assert dumps_calls == []
 
 

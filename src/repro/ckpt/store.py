@@ -287,9 +287,7 @@ class CheckpointStore:
         self.generations_saved += 1
         self.history.append(manifest)
         self._previous[stream] = manifest
-        # Only chunks a rewrite actually replaced are candidates: none in the
-        # common recovery case (same state re-taken, chunks dedupe).
-        self._reclaim(replaced - self._chunk_keys(stream, generation, manifest))
+        self._reclaim_replaced(replaced - self._chunk_keys(stream, generation, manifest))
         tr = self.tracer
         if tr is not None:
             # The manifest publish is the atomic point of two-phase commit;
@@ -517,6 +515,13 @@ class CheckpointStore:
         if tr is not None and swept:
             tr.emit("store", "sweep_orphans", swept=swept)
         return swept
+
+    def _reclaim_replaced(self, stale: frozenset[str]) -> None:
+        """Reclaim the chunks a rewritten generation's old manifest alone
+        referenced.  Only chunks a rewrite actually replaced are candidates:
+        none in the common recovery case (same state re-taken, chunks
+        dedupe)."""
+        self._reclaim(stale)
 
     def _reclaim(self, candidates: set[str] | frozenset[str]) -> None:
         """Delete those of ``candidates`` no published manifest references."""

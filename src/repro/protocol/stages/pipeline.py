@@ -498,7 +498,8 @@ class ProtocolPipeline(SharedSurface):
         self.coll_seqs[handle_id] = self.coll_seqs.get(handle_id, 0) + 1
 
     def _command_word(self) -> int:
-        """This rank's entry in a command exchange: ``epoch << 1 | amLogging``."""
+        """This rank's entry in a command exchange: ``epoch << 1 | amLogging``,
+        one 32-bit word (an epoch past 2**31 - 1 raises ``ProtocolError``)."""
         return self.state.epoch << 1 | self.state.am_logging
 
     def _co_coll(self, kind: str, comm: Optional[PseudoHandle], *args: Any):
@@ -524,9 +525,11 @@ class ProtocolPipeline(SharedSurface):
             return rec.result
         # Command exchange before the data call (paper: "each data
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
-        # around the relevant control information").
+        # around the relevant control information"): one 32-bit command
+        # word per rank, each round's block shipped as packed bytes, 4 B a
+        # word, in the data allgather's rounds.
         ctl_ep = self._coll_endpoint(handle_id, 0)
-        peer_info = yield from coll_impl.co_allgather(ctl_ep, self._command_word())
+        peer_info = yield from coll_impl.co_allgather_words(ctl_ep, self._command_word())
         data_ep = self._coll_endpoint(handle_id, 1)
         result = yield from getattr(coll_impl, "co_" + kind)(data_ep, *args)
         self._advance_coll_seq(handle_id)
@@ -566,7 +569,7 @@ class ProtocolPipeline(SharedSurface):
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
         # A re-executed barrier during replay re-runs the exchange so tags
         # stay aligned, but alignment already held in the original execution.
-        words = yield from coll_impl.co_allgather(
+        words = yield from coll_impl.co_allgather_words(
             self._coll_endpoint(handle_id, 0), self._command_word()
         )
         if (

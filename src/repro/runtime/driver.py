@@ -141,6 +141,9 @@ def run_with_recovery(
     attempt/overhead accounting.  Raises :class:`RecoveryError` when
     ``config.max_restarts`` is exceeded.
 
+    ``failures`` is copied, not consumed: each attempt's record lists the
+    kills and crashes that fired, and the same schedule can be run again.
+
     ``tracer`` arms the :mod:`repro.trace` event bus for this run even when
     the config does not; passing a recorder you own means its events
     survive a raising run (the chaos flight recorder relies on this).
@@ -150,7 +153,7 @@ def run_with_recovery(
     storage = storage if storage is not None else Storage.from_config(config)
     if tracer is None and config.trace:
         tracer = TraceRecorder(capacity=config.trace_buffer)
-    failures = failures if failures is not None else FailureSchedule.none()
+    failures = failures.copy() if failures is not None else FailureSchedule.none()
     # Mid-checkpoint crashes fire inside the storage write path, not at a
     # scheduling point; the store realises them (torn generation +
     # ProcessKilled) when the doomed rank writes the doomed epoch.  Always
@@ -195,6 +198,19 @@ def _attempt_stage_calls(layers: list[Optional[CommLike]]) -> dict[str, int]:
     return calls
 
 
+def _can_restore(config: RunConfig, c3cfg: C3Config) -> bool:
+    """Whether a restart resumes from the committed epoch.
+
+    A variant that omits application state from its checkpoints (V2,
+    "Checkpointing, No Application State") cannot *resume* from one: the
+    protocol window would be mid-run while the application restarts from
+    its entry point, desynchronising replay (log-kind mismatches, served
+    stale early messages, deadlocks).  Such runs measure checkpointing
+    overhead; their only sound recovery is re-execution from scratch.
+    """
+    return config.checkpointing_active and c3cfg.save_app_state
+
+
 def _recovery_loop(
     entry: Callable[[C3AppContext], Any],
     config: RunConfig,
@@ -210,13 +226,7 @@ def _recovery_loop(
         checkpoint_interval=config.checkpoint_interval,
         save_app_state=variant is Variant.FULL,
     )
-    # A variant that omits application state from its checkpoints (V2,
-    # "Checkpointing, No Application State") cannot *resume* from one: the
-    # protocol window would be mid-run while the application restarts from
-    # its entry point, desynchronising replay (log-kind mismatches, served
-    # stale early messages, deadlocks).  Such runs measure checkpointing
-    # overhead; their only sound recovery is re-execution from scratch.
-    can_restore = config.checkpointing_active and c3cfg.save_app_state
+    can_restore = _can_restore(config, c3cfg)
     # V2/V3 hand the pipeline the storage, which adds the checkpoint stage
     # (its only reader); V1 is the same pipeline built without one.
     ckpt_storage = storage if variant.checkpoints else None

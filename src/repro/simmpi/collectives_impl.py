@@ -14,8 +14,11 @@ Algorithms (standard HPC implementations):
                    pre/post phases for non-power-of-two sizes.  The paper's
                    dense CG uses exactly a butterfly allreduce/allgather.
 * ``gather``     — linear to root.
-* ``allgather``  — recursive doubling (butterfly) for powers of two, ring
-                   otherwise.
+* ``allgather``  — recursive doubling (butterfly) for powers of two, Bruck
+                   otherwise: ceil(log2(n)) rounds, n * ceil(log2(n))
+                   messages at every n.  ``allgather_words`` runs the
+                   same rounds over packed 32-bit words (the protocol's
+                   command exchange).
 * ``scatter``    — linear from root.
 * ``alltoall``   — Bruck: ceil(log2(n)) rounds, n * ceil(log2(n)) messages.
 * ``barrier``    — dissemination barrier.
@@ -32,10 +35,12 @@ are ``yield from`` calls on the endpoint's ``co_coll_send``/``co_coll_recv``
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Protocol
 
 from repro.errors import SimMPIError
 from repro.simmpi.op import Op, reduce_sequence
+from repro.util.intpack import WORD_BYTES, pack_words, unpack_words
 
 #: Rounds per collective instance reserved in the tag space.
 _TAG_STRIDE = 64
@@ -191,48 +196,91 @@ def co_gather(ep, obj: Any, root: int = 0):
     return None
 
 
+@functools.lru_cache(maxsize=4096)
+def _allgather_schedule(size: int, rank: int):
+    """Allgather rounds at ``size`` as ``rank`` runs them.
+
+    Returns ``(rotation, rounds)``.  Slot ``p`` of the rank's buffer holds
+    rank ``(p + rotation) % size``'s contribution; each round is ``(dst,
+    src, send, recv)``: send slots ``send`` to ``dst``, then receive slots
+    ``recv`` from ``src`` (``range`` objects).  ceil(log2(size)) rounds of
+    one message per rank at every size:
+
+    * a power of two — recursive doubling (butterfly), rotation 0: round k
+      swaps the aligned 2^k-block holding ``rank`` with its partner's,
+      ``rank ^ 2^k``;
+    * any other size — Bruck, rotation ``rank`` (slot 0 is the rank's
+      own): round k sends the first min(2^k, size - 2^k) slots to
+      ``rank - 2^k`` and receives as many from ``rank + 2^k`` into slots
+      2^k onwards.
+    """
+    rounds = []
+    mask = 1
+    if size & (size - 1) == 0:
+        while mask < size:
+            partner = rank ^ mask
+            mine, theirs = rank & -mask, partner & -mask
+            rounds.append(
+                (partner, partner, range(mine, mine + mask), range(theirs, theirs + mask))
+            )
+            mask <<= 1
+        return 0, tuple(rounds)
+    while mask < size:
+        count = min(mask, size - mask)
+        rounds.append(
+            ((rank - mask) % size, (rank + mask) % size, range(count), range(mask, mask + count))
+        )
+        mask <<= 1
+    return rank, tuple(rounds)
+
+
 def co_allgather(ep, obj: Any):
     """Allgather; returns the list of all contributions on every rank.
 
-    Uses recursive doubling (butterfly) when the size is a power of two —
-    matching the paper's description of the CG code — and a ring otherwise.
+    Recursive doubling (butterfly) when the size is a power of two —
+    matching the paper's description of the CG code — and Bruck otherwise
+    (:func:`_allgather_schedule`).  Each round's block travels as a dict
+    from contributing rank to object.
     """
     size, rank = ep.coll_size, ep.coll_rank
     base = ep.coll_next_tag_block()
     result: list[Any] = [None] * size
     result[rank] = obj
-    if size == 1:
-        return result
-    if size & (size - 1) == 0:
-        mask = 1
-        rnd = 0
-        while mask < size:
-            partner = rank ^ mask
-            # Send the block of entries I currently own.
-            block_start = (rank // mask) * mask
-            chunk = {
-                i: result[i]
-                for i in range(block_start, block_start + mask)
-            }
-            yield from ep.co_coll_send(partner, chunk, _round_tag(base, rnd))
-            incoming = yield from ep.co_coll_recv(partner, _round_tag(base, rnd))
-            for i, v in incoming.items():
-                result[i] = v
-            mask <<= 1
-            rnd += 1
-        return result
-    # Ring algorithm for irregular sizes.
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    send_idx = rank
-    for rnd in range(size - 1):
-        yield from ep.co_coll_send(
-            right, (send_idx, result[send_idx]), _round_tag(base, rnd)
-        )
-        idx, val = yield from ep.co_coll_recv(left, _round_tag(base, rnd))
-        result[idx] = val
-        send_idx = idx
+    rotation, rounds = _allgather_schedule(size, rank)
+    for rnd, (dst, src, send, _) in enumerate(rounds):
+        owners = [(i + rotation) % size for i in send] if rotation else send
+        yield from ep.co_coll_send(dst, {i: result[i] for i in owners}, _round_tag(base, rnd))
+        incoming = yield from ep.co_coll_recv(src, _round_tag(base, rnd))
+        for i, v in incoming.items():
+            result[i] = v
     return result
+
+
+def co_allgather_words(ep, word: int):
+    """Allgather of one 32-bit word per rank, in :func:`co_allgather`'s rounds.
+
+    The paper's command MPI_Allgather: each round's block of words travels
+    as one ``bytes`` of little-endian uint32s
+    (:func:`repro.util.intpack.pack_words`), 4 B a word.  Returns the words
+    in rank order; a word outside 32 bits raises ``ProtocolError``.
+    """
+    size, rank = ep.coll_size, ep.coll_rank
+    base = ep.coll_next_tag_block()
+    rotation, rounds = _allgather_schedule(size, rank)
+    # The words held so far, a run of slots from ``first``; every round
+    # sends a prefix of it and receives the run just before or after it.
+    held = pack_words((word,))
+    first = (rank - rotation) % size
+    for rnd, (dst, src, send, recv) in enumerate(rounds):
+        tag = _round_tag(base, rnd)
+        yield from ep.co_coll_send(dst, held[:len(send) * WORD_BYTES], tag)
+        incoming = yield from ep.co_coll_recv(src, tag)
+        if recv.start < first:
+            held, first = incoming + held, recv.start
+        else:
+            held += incoming
+    words = unpack_words(held)
+    return [*words[size - rotation:], *words[:size - rotation]]
 
 
 def co_scatter(ep, objs: list[Any] | None, root: int = 0):

@@ -28,10 +28,9 @@ than one event:
   ``(rank, epoch)`` checkpoint write happens, in whichever attempt that
   occurs.
 
-:meth:`FailureSchedule.reset` rewinds *everything* — consumed kills,
-attempt gating and fired checkpoint crashes — so a fresh simulator run
-replays the schedule from scratch (rerun-determinism harnesses rely on
-this).
+The recovery driver runs on :meth:`FailureSchedule.copy`, never on the
+caller's schedule: the same schedule passed to two runs fires the same
+faults in both (rerun-determinism harnesses rely on this).
 """
 
 from __future__ import annotations
@@ -116,14 +115,9 @@ class FailureSchedule:
         self._events: tuple[KillEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.time, e.rank))
         )
-        self._pristine_crashes: tuple[CheckpointCrash, ...] = tuple(
-            checkpoint_crashes
-        )
         self._consumed: list[KillEvent] = []
         self._pending: list[KillEvent] = list(self._events)
-        self._checkpoint_crashes: list[CheckpointCrash] = list(
-            self._pristine_crashes
-        )
+        self._checkpoint_crashes: list[CheckpointCrash] = list(checkpoint_crashes)
         self._fired_crashes: list[CheckpointCrash] = []
         self._attempt = 0
 
@@ -229,18 +223,10 @@ class FailureSchedule:
     # Whole-schedule operations.
     # ------------------------------------------------------------------ #
 
-    def reset(self) -> None:
-        """Rewind the schedule (a fresh simulator run replays it).
-
-        Restores consumed kill events, the attempt cursor *and* fired
-        checkpoint crashes — the schedule becomes indistinguishable from a
-        newly constructed one.
-        """
-        self._pending = list(self._events)
-        self._consumed.clear()
-        self._checkpoint_crashes = list(self._pristine_crashes)
-        self._fired_crashes.clear()
-        self._attempt = 0
+    def copy(self) -> "FailureSchedule":
+        """A new schedule of this one's unconsumed kills and crashes, on
+        attempt 0: a run consumes the copy and leaves this one as it was."""
+        return FailureSchedule(self._pending, self._checkpoint_crashes)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -248,4 +234,4 @@ class FailureSchedule:
     def __bool__(self) -> bool:
         """Truthiness covers *both* event families — a schedule holding only
         mid-checkpoint crashes must not read as empty."""
-        return bool(self._events or self._pristine_crashes)
+        return bool(self._events or self._checkpoint_crashes or self._fired_crashes)

@@ -1,7 +1,8 @@
 """Word packing of the protocol's per-message integers.
 
-Two layouts live here: the 32-bit piggyback word every application message
-carries, and the control word every protocol token travels as.
+Three layouts live here: the 32-bit piggyback word every application
+message carries, the control word every protocol token travels as, and
+the block of 32-bit command words one round of a command exchange moves.
 
 **Piggyback word** (paper Section 4.2, final optimisation).
 
@@ -30,9 +31,18 @@ One non-negative 63-bit integer, so it sizes as one 8-byte word:
     bits 2..0   : kind
 
 A field outside its width raises :class:`~repro.errors.ProtocolError`.
+
+**Word block** (Section 4.5's command exchange).  Each rank's entry is one
+32-bit word, and a round ships the words it forwards as one ``bytes`` of
+little-endian uint32s, 4 B per word, the way an MPI_Allgather of
+``MPI_UINT32_T`` would.  A ``bytes`` block is sized by its length; one int
+holding several words would not be (``sizeof`` prices every int at 8 B).
+A word outside ``[0, 2**32)`` raises :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.errors import PiggybackError, ProtocolError
 
@@ -114,3 +124,25 @@ def unpack_control(word: int) -> tuple[int, int, int]:
         word >> CONTROL_KIND_BITS & MAX_CONTROL_EPOCH,
         word >> _COUNT_SHIFT,
     )
+
+
+#: Bytes per word of a packed word block.
+WORD_BYTES = 4
+
+
+def pack_words(words) -> bytes:
+    """Pack 32-bit unsigned ``words`` into one little-endian block."""
+    try:
+        return struct.pack(f"<{len(words)}I", *words)
+    except struct.error:
+        bad = next(
+            (w for w in words if not (isinstance(w, int) and 0 <= w < 1 << 32)), words
+        )
+        raise ProtocolError(f"word {bad!r} does not fit in 32 bits") from None
+
+
+def unpack_words(block: bytes) -> tuple[int, ...]:
+    """Inverse of :func:`pack_words`."""
+    if len(block) % WORD_BYTES:
+        raise ProtocolError(f"word block of {len(block)} B is not whole 32-bit words")
+    return struct.unpack(f"<{len(block) // WORD_BYTES}I", block)

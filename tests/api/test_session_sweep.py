@@ -8,9 +8,11 @@ import repro
 from repro import RunConfig, Session, Variant
 from repro.api.registry import AppSpec, get_app, list_apps
 from repro.api.session import ALL_VARIANTS, default_storage_factory
+from repro.apps.laplace import LaplaceParams
+from repro.chaos.invariants import RunFingerprint
 from repro.errors import ConfigError
 from repro.runtime.driver import run_variant_suite
-from repro.simmpi import SUM, FailureSchedule
+from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave.storage import Storage
 
 CFG = dict(nprocs=3, seed=4, checkpoint_interval=0.002, detector_timeout=0.04)
@@ -105,6 +107,27 @@ class TestSessionRun:
         )
         assert len(out.attempts) == 2
         assert out.results == gold.results
+
+
+    def test_one_schedule_fires_in_every_run_it_is_given(self):
+        """Regression: a run consumed the caller's schedule, so the second
+        run of the same schedule, and a sweep built from it, ran
+        failure-free."""
+        session = Session()
+        cfg = RunConfig(nprocs=4, seed=17, variant=Variant.FULL)
+        params = LaplaceParams(n=64, iterations=120)
+        sched = FailureSchedule.single(0.008, 1)
+        first = session.run("laplace", cfg, params=params, failures=sched)
+        second = session.run("laplace", cfg, params=params, failures=sched)
+        assert first.restarts == second.restarts == 1
+        assert RunFingerprint.of(first) == RunFingerprint.of(second)
+        assert sched.remaining() == [KillEvent(0.008, 1)]
+        assert sched.consumed_events() == ()
+        swept = session.sweep(
+            "laplace", cfg, variants=(Variant.FULL,), params=(params,),
+            failures=sched, parallel=False,
+        )
+        assert RunFingerprint.of(swept.rows[0].outcome) == RunFingerprint.of(first)
 
 
 class TestSweep:

@@ -30,11 +30,13 @@ import textwrap
 
 import pytest
 
-from repro import RunConfig, Session
+from repro import RunConfig
 from repro.check import CODES, check_path
 from repro.errors import DeadlockError
 from repro.precompiler import PrecompiledApp, Precompiler
+from repro.runtime import run_with_recovery
 from repro.simmpi import FailureSchedule
+from repro.trace import TraceRecorder
 
 KILL_AT = 0.004
 #: A stall shows once the repaired program has committed a later wave.
@@ -62,16 +64,16 @@ def _fresh_module(path):
     return module
 
 
-def run(path, failures=None):
+def run(path, failures=None, tracer=None):
     """Precompile the checked unit of ``path`` from a fresh module and run
-    it under V3."""
+    it under V3 (``tracer`` records its events, even if the run raises)."""
     module = _fresh_module(path)
     functions = [getattr(module, name) for name in check_path(str(path)).functions]
     app = PrecompiledApp(Precompiler(functions).compile(), entry="main")
     host_random = random.getstate()
     random.seed(2026)
     try:
-        return Session().run(app, CONFIG, failures=failures)
+        return run_with_recovery(app, CONFIG, failures=failures, tracer=tracer)
     finally:
         random.setstate(host_random)
 
@@ -102,10 +104,10 @@ def show_failure(failure, program, repaired):
         assert restart_epoch(run(program, late)) == 1
         assert restart_epoch(run(repaired, kill(STALL_KILL_AT))) > 1
     else:
-        failures = kill()
+        recorder = TraceRecorder(capacity=None)
         with pytest.raises(failure):
-            run(program, failures)
-        assert len(failures.consumed_events()) == 1
+            run(program, kill(), recorder)
+        assert [ev.name for ev in recorder if ev.category == "fail"] == ["kill"]
 
 
 # --------------------------------------------------------------------- #

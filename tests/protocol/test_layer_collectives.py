@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.errors import ProtocolError
 from repro.protocol import C3Config, ProtocolPipeline
 from repro.protocol.mpi_state import WORLD_HANDLE
 from repro.runtime import RunConfig, Variant, run_with_recovery
@@ -196,6 +197,20 @@ class TestBarrierExchange:
                 counts[label, n] = out.network_messages
         assert counts["V0", 10] - counts["V0", 0] == 10 * 8
         assert counts[variant, 10] - counts[variant, 0] == 10 * 16
+
+    @pytest.mark.parametrize("call", ["allreduce", "barrier"])
+    def test_epoch_past_the_command_word_raises(self, call):
+        """The command word is ``epoch << 1 | amLogging`` in 32 bits."""
+        def main(ctx):
+            layer = ProtocolPipeline(ctx.comm, C3Config(checkpoint_interval=None))
+            layer.state.epoch = 1 << 31
+            if call == "barrier":
+                yield from layer.co_barrier()
+            else:
+                yield from layer.co_allreduce(1, SUM)
+
+        with pytest.raises(ProtocolError, match="does not fit in 32 bits"):
+            run_simple(main, nprocs=2, seed=0)
 
     def test_barrier_counts_as_one_collective(self):
         def main(ctx):

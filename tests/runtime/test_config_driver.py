@@ -6,7 +6,7 @@ from repro import Session
 from repro.errors import ConfigError
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.runtime.driver import run_variant_suite
-from repro.simmpi import SUM, FailureSchedule
+from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave import Storage
 
 
@@ -97,11 +97,13 @@ class TestDriver:
         assert out.restarts == 1
 
     def test_failure_schedule_not_replayed_across_attempts(self):
-        """A consumed kill event must not re-fire on the restarted attempt."""
+        """A consumed kill event must not re-fire on the restarted attempt;
+        the run consumes its own copy of the schedule, not the caller's."""
         sched = FailureSchedule.single(0.004, 2)
         out = run_with_recovery(counting_app(), RunConfig(**self.CFG), failures=sched)
         assert len(out.attempts) == 2
-        assert sched.next_time() is None
+        assert [a.kills for a in out.attempts] == [(KillEvent(0.004, 2),), ()]
+        assert sched.next_time() == 0.004
 
     def test_layer_stats_from_final_attempt(self):
         out = run_with_recovery(counting_app(), RunConfig(**self.CFG))

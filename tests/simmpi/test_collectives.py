@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import ProtocolError
 from repro.simmpi import MAX, MIN, SUM, run_simple
+from repro.simmpi import collectives_impl as coll_impl
+from repro.simmpi.datatypes import HEADER_BYTES
+from repro.simmpi.network import Network
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 16]
 ORDERINGS = ["fifo", "per_tag_fifo", "random"]
@@ -93,6 +97,76 @@ def test_allgather(n, ordering):
 
     expected = [chr(ord("a") + i) for i in range(n)]
     assert run(main, n, ordering) == [expected] * n
+
+
+def _mixed_block(rank):
+    kind = rank % 3
+    return None if kind == 0 else (rank, "x" * rank) if kind == 1 else np.full(2, rank * 1.5)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_allgather_at_other_sizes_is_bruck(n, ordering):
+    """Off powers of two the allgather is Bruck's: the same list, in
+    ceil(log2(n)) rounds of one message per rank (a ring took n - 1)."""
+    def main(ctx):
+        return (yield from ctx.comm.co_allgather(_mixed_block(ctx.rank)))
+
+    result = run_simple(main, nprocs=n, seed=11, ordering=ordering)
+    assert result.completed
+    assert result.network.posted == n * math.ceil(math.log2(n)) <= n * (n - 1)
+    for got in result.results:
+        assert len(got) == n
+        for rank, block in enumerate(got):
+            np.testing.assert_equal(block, _mixed_block(rank))
+
+
+def _words_exchange(ctx):
+    """The command exchange's words (``epoch << 1 | amLogging``-shaped),
+    both ways."""
+    word = (ctx.rank * 7919) << 1 | ctx.rank & 1
+    words = yield from coll_impl.co_allgather_words(ctx.comm, word)
+    return words, (yield from ctx.comm.co_allgather(word))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_allgather_words_matches_allgather(n, ordering):
+    expected = [(r * 7919) << 1 | r & 1 for r in range(n)]
+    assert run(_words_exchange, n, ordering) == [(expected, expected)] * n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_allgather_words_ships_4_bytes_a_word(n, monkeypatch):
+    """n * ceil(log2(n)) messages (the ring's n(n - 1) is 20 at n = 5 and 30
+    at n = 6), each a block of k words of HEADER_BYTES + 4k bytes."""
+    posted = []
+    real_post = Network.post
+
+    def recording_post(self, env, now):
+        posted.append(env)
+        return real_post(self, env, now)
+
+    monkeypatch.setattr(Network, "post", recording_post)
+
+    def main(ctx):
+        return (yield from coll_impl.co_allgather_words(ctx.comm, ctx.rank))
+
+    assert run(main, n) == [list(range(n))] * n
+    assert len(posted) == n * math.ceil(math.log2(n))
+    for env in posted:
+        assert type(env.payload) is bytes
+        assert env.nbytes == HEADER_BYTES + len(env.payload)
+        assert len(env.payload) % 4 == 0 and 4 <= len(env.payload) <= 4 * (n // 2)
+
+
+@pytest.mark.parametrize("word", [-1, 1 << 32, 1.0])
+def test_allgather_words_rejects_a_word_past_32_bits(word):
+    def main(ctx):
+        yield from coll_impl.co_allgather_words(ctx.comm, word)
+
+    with pytest.raises(ProtocolError, match="does not fit in 32 bits"):
+        run_simple(main, nprocs=2, seed=0)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -29,32 +29,36 @@ class TestFailureSchedule:
         assert len(sched.due(0.2)) == 1
         assert sched.due(0.3) == []
 
-    def test_reset(self):
-        sched = FailureSchedule([KillEvent(0.1, 0)])
-        sched.due(1.0)
-        sched.reset()
-        assert sched.next_time() == 0.1
+    def test_copy_holds_the_unconsumed_events(self):
+        sched = FailureSchedule([KillEvent(0.1, 0), KillEvent(0.5, 1)])
+        sched.due(0.2)
+        copy = sched.copy()
+        assert copy.remaining() == [KillEvent(0.5, 1)]
+        assert copy.consumed_events() == ()
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigError):
             KillEvent(-1.0, 0)
 
-    def test_reset_replays_consumed_checkpoint_crashes(self):
-        """Regression: reset() promised a full rewind but only moved the
-        kill cursor — a consumed crash was gone for good."""
+    def test_consuming_a_copy_leaves_the_original_as_it_was(self):
+        """A copy restarts on attempt 0 with its own kills and crashes."""
         sched = FailureSchedule(
             [KillEvent(0.1, 0), KillEvent(0.2, 1, attempt=0)],
             checkpoint_crashes=[CheckpointCrash(rank=1, epoch=2)],
         )
-        assert sched.take_checkpoint_crash(1, 2) is not None
-        assert sched.take_checkpoint_crash(1, 2) is None  # fires once
-        sched.due(1.0)
         sched.begin_attempt(3)
-        sched.reset()
-        assert sched.next_time() == 0.1
-        # Back on attempt 0: the event pinned to it is eligible again.
-        assert [e.rank for e in sched.due(1.0)] == [0, 1]
+        copy = sched.copy()
+        assert [e.rank for e in copy.due(1.0)] == [0, 1]
+        assert copy.take_checkpoint_crash(1, 2) is not None
+        assert copy.take_checkpoint_crash(1, 2) is None  # fires once
+        assert sched.remaining() == [KillEvent(0.1, 0), KillEvent(0.2, 1, attempt=0)]
+        assert sched.remaining_checkpoint_crashes() == (CheckpointCrash(rank=1, epoch=2),)
+        assert sched.consumed_events() == () and sched.fired_checkpoint_crashes() == ()
+
+    def test_a_fired_crash_still_counts_as_a_fault(self):
+        sched = FailureSchedule.during_checkpoint(rank=1, epoch=2)
         assert sched.take_checkpoint_crash(1, 2) is not None
+        assert sched and not sched.copy()
 
     def test_attempt_pinned_events_gated(self):
         sched = FailureSchedule(

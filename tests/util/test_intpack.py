@@ -12,8 +12,10 @@ from repro.util.intpack import (
     MAX_MESSAGE_ID,
     pack_control,
     pack_piggyback,
+    pack_words,
     unpack_control,
     unpack_piggyback,
+    unpack_words,
 )
 
 
@@ -138,3 +140,25 @@ def test_control_roundtrip(kind, epoch, count):
 def test_control_injective(a, b):
     """Distinct tokens encode to distinct words."""
     assert (pack_control(*a) == pack_control(*b)) == (a == b)
+
+
+class TestWordBlock:
+    def test_layout_is_little_endian_uint32(self):
+        assert pack_words((1, 0xFFFFFFFF)) == b"\x01\x00\x00\x00\xff\xff\xff\xff"
+        assert pack_words(()) == b""
+
+    @pytest.mark.parametrize("word", [-1, 1 << 32, 0.5, "1"])
+    def test_word_outside_32_bits_rejected(self, word):
+        with pytest.raises(ProtocolError, match=f"word {word!r} does not fit"):
+            pack_words((7, word))
+
+    def test_partial_word_rejected(self):
+        with pytest.raises(ProtocolError, match="not whole 32-bit words"):
+            unpack_words(b"\x00" * 6)
+
+
+@given(st.lists(st.integers(0, (1 << 32) - 1), max_size=64))
+def test_words_roundtrip(words):
+    block = pack_words(words)
+    assert len(block) == 4 * len(words)
+    assert unpack_words(block) == tuple(words)
