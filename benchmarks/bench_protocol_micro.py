@@ -334,6 +334,53 @@ def test_guard_command_exchange_is_packed_words(monkeypatch, nprocs):
     assert dumps_calls == []
 
 
+@pytest.mark.parametrize("nprocs", sorted(_COMMAND_ROUND_WORDS))
+def test_guard_data_allgather_is_positional(monkeypatch, nprocs):
+    """A V0 dense CG ships every data-allgather block as the list of the k
+    row blocks it forwards, ``HEADER_BYTES + 8 + 4k + k * nbytes`` on the
+    wire, in the command exchange's rounds: no dict, so no rank key, in
+    any collective message."""
+    from repro.api.registry import get_app
+    from repro.apps.dense_cg import CGParams
+    from repro.runtime import RunConfig, Variant, run_with_recovery
+    from repro.simmpi import datatypes
+    from repro.simmpi.collectives_impl import _TAG_STRIDE
+    from repro.simmpi.constants import TAG_COLLECTIVE_BASE
+    from repro.simmpi.network import Network
+
+    blocks, dicts = {}, []
+    real_post = Network.post
+
+    def recording_post(self, env, now):
+        # Collective tags: base - seq * stride - round.  The run's other
+        # collective is an allreduce of floats.
+        offset = TAG_COLLECTIVE_BASE - env.tag
+        if offset >= 0 and type(env.payload) is not float:
+            blocks.setdefault(offset % _TAG_STRIDE, []).append(env)
+        if type(env.payload) is dict:
+            dicts.append(env)
+        return real_post(self, env, now)
+
+    monkeypatch.setattr(Network, "post", recording_post)
+    n = 40
+    out = run_with_recovery(
+        get_app("dense_cg").build(CGParams(n=n, iterations=10)),
+        RunConfig(nprocs=nprocs, seed=3, variant=Variant.UNMODIFIED),
+    )
+    assert out.completed
+    assert dicts == []
+    row_bytes = n // nprocs * 8
+    per_round = _COMMAND_ROUND_WORDS[nprocs]  # the same schedule
+    assert sorted(blocks) == list(range(len(per_round)))
+    calls = len(blocks[0]) // nprocs
+    for rnd, k in enumerate(per_round):
+        assert len(blocks[rnd]) == calls * nprocs > 0
+        for env in blocks[rnd]:
+            assert type(env.payload) is list and len(env.payload) == k
+            assert {v.nbytes for v in env.payload} == {row_bytes}
+            assert env.nbytes == datatypes.HEADER_BYTES + 8 + 4 * k + k * row_bytes
+
+
 def test_guard_receive_descriptors_only_for_app_receives(monkeypatch):
     """Draining control traffic and polling build no ``RecvDescriptor``."""
     from repro.simmpi.mailbox import RecvDescriptor

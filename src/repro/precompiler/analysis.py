@@ -199,11 +199,6 @@ def module_registered_globals(tree: ast.Module) -> set[str]:
     return out
 
 
-def called_unit_functions(node: ast.AST, unit_names: set[str]) -> set[str]:
-    """Names of unit functions invoked by plain name anywhere under node."""
-    return set(unit_call_sites(node, unit_names))
-
-
 def unit_call_sites(
     node: ast.AST, unit_names: set[str]
 ) -> dict[str, list[ast.Call]]:

@@ -108,12 +108,12 @@ class CollectiveResultLog(_CursorLog):
 
 
 class LateMessageLog(Positional):
-    """Late messages, consumable by (source, tag) or by exact message id.
+    """Late messages, consumed by exact message id.
 
     Unlike the cursor logs, late messages are consumed *by match*: during
-    replay a receive descriptor pulls the specific logged message the match
-    log names, and free-running receives after the replay window pull the
-    oldest record matching ``(source, tag)``.
+    replay a receive pulls the specific logged message the match log names.
+    A late message is only ever logged while logging, so every one has a
+    match record, and replay consumes them all.
     """
 
     def __init__(self, records: Optional[list[LateRecord]] = None) -> None:
@@ -145,19 +145,6 @@ class LateMessageLog(Positional):
             if not self._consumed[i] and rec.source == source and rec.message_id == message_id:
                 self._consumed[i] = True
                 return rec
-        return None
-
-    def take_matching(self, source: int, tag: int, any_source: int, any_tag: int) -> LateRecord | None:
-        """Consume the oldest unconsumed record matching a receive descriptor."""
-        for i, rec in enumerate(self.records):
-            if self._consumed[i]:
-                continue
-            if source != any_source and rec.source != source:
-                continue
-            if tag != any_tag and rec.tag != tag:
-                continue
-            self._consumed[i] = True
-            return rec
         return None
 
     def rewind(self) -> None:

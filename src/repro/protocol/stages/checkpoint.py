@@ -195,10 +195,9 @@ class CheckpointStage:
         # deflated, and logical bytes are what a flat pickle store writes.
         logical = storage.logical_bytes
         manifest = storage.write_state(core.rank, state.epoch, data)
-        if manifest is not None:  # custom storages may return nothing
-            core.stats.ckpt_logical_bytes += storage.logical_bytes - logical
-            core.stats.ckpt_stored_bytes += manifest.stored_bytes
-            core.stats.ckpt_chunks_reused += manifest.reused_chunks
+        core.stats.ckpt_logical_bytes += storage.logical_bytes - logical
+        core.stats.ckpt_stored_bytes += manifest.stored_bytes
+        core.stats.ckpt_chunks_reused += manifest.reused_chunks
         core.stats.checkpoints_taken += 1
         # receivedAll? waits for every peer's count: one absent from the
         # sparse ``send_counts`` was sent nothing and is told 0.  None of

@@ -526,8 +526,8 @@ class ProtocolPipeline(SharedSurface):
         # Command exchange before the data call (paper: "each data
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
         # around the relevant control information"): one 32-bit command
-        # word per rank, each round's block shipped as packed bytes, 4 B a
-        # word, in the data allgather's rounds.
+        # word per rank, in the data allgather's round loop, each block
+        # packed bytes (4 B a word) where a data block is a list of values.
         ctl_ep = self._coll_endpoint(handle_id, 0)
         peer_info = yield from coll_impl.co_allgather_words(ctl_ep, self._command_word())
         data_ep = self._coll_endpoint(handle_id, 1)

@@ -95,13 +95,10 @@ class RunConfig:
     ckpt_codec: str = "none"
     #: … incremental snapshots (dedupe chunks against prior generations), …
     ckpt_incremental: bool = True
-    #: … retention (keep the newest K generations, plus every Nth epoch —
-    #: keep_last >= 2 enables fallback to generation N-1 when the newest
-    #: committed generation is torn or corrupt), …
+    #: … and retention (keep the newest K generations — keep_last >= 2
+    #: enables fallback to generation N-1 when the newest committed
+    #: generation is torn or corrupt).
     ckpt_keep_last: int = 1
-    ckpt_keep_every: Optional[int] = None
-    #: … and the content-addressing granularity: how a segment is cut, only.
-    ckpt_chunk_size: int = 65536
     max_restarts: int = 16
     sched_policy: str = "random"
     ordering: str = "per_tag_fifo"
@@ -135,10 +132,6 @@ class RunConfig:
             raise ConfigError("checkpoint_interval must be positive or None")
         if self.ckpt_keep_last < 1:
             raise ConfigError("ckpt_keep_last must be >= 1")
-        if self.ckpt_keep_every is not None and self.ckpt_keep_every < 1:
-            raise ConfigError("ckpt_keep_every must be >= 1 or None")
-        if self.ckpt_chunk_size < 1:
-            raise ConfigError("ckpt_chunk_size must be positive")
         if self.trace_buffer is not None and self.trace_buffer < 1:
             raise ConfigError("trace_buffer must be >= 1 or None")
 

@@ -9,16 +9,19 @@ collective here is written against a minimal :class:`P2PEndpoint` interface.
 Algorithms (standard HPC implementations):
 
 * ``bcast``      — binomial tree.
-* ``reduce``     — binomial tree (rank order preserved for determinism).
+* ``reduce``     — ``gather`` plus a fold at root, in rank order (so
+                   floating-point results are deterministic).
 * ``allreduce``  — recursive doubling (butterfly), with the usual fold/expand
                    pre/post phases for non-power-of-two sizes.  The paper's
                    dense CG uses exactly a butterfly allreduce/allgather.
 * ``gather``     — linear to root.
 * ``allgather``  — recursive doubling (butterfly) for powers of two, Bruck
                    otherwise: ceil(log2(n)) rounds, n * ceil(log2(n))
-                   messages at every n.  ``allgather_words`` runs the
-                   same rounds over packed 32-bit words (the protocol's
-                   command exchange).
+                   messages at every n.  One round loop serves two block
+                   forms: a block is the run of slots a rank forwards,
+                   positional and with no rank keys — a ``list`` of
+                   values for ``allgather``, packed 32-bit words for
+                   ``allgather_words`` (the protocol's command exchange).
 * ``scatter``    — linear from root.
 * ``alltoall``   — Bruck: ceil(log2(n)) rounds, n * ceil(log2(n)) messages.
 * ``barrier``    — dissemination barrier.
@@ -108,28 +111,6 @@ def co_bcast(ep, obj: Any, root: int = 0):
     return received
 
 
-def co_reduce(ep, obj: Any, op: Op, root: int = 0):
-    """Gather-then-fold reduce preserving rank order; result only at root.
-
-    A linear gather keeps the fold order identical to rank order, which makes
-    floating-point reductions bit-deterministic across runs — essential for
-    the recover-equals-failure-free integration tests.
-    """
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
-    if size == 1:
-        return obj
-    if rank == root:
-        parts: list[Any] = [None] * size
-        parts[root] = obj
-        for src in range(size):
-            if src != root:
-                parts[src] = yield from ep.co_coll_recv(src, _round_tag(base, 0))
-        return reduce_sequence(op, parts)
-    yield from ep.co_coll_send(root, obj, _round_tag(base, 0))
-    return None
-
-
 def co_allreduce(ep, obj: Any, op: Op):
     """Recursive-doubling allreduce (butterfly) with non-power-of-two fold."""
     size, rank = ep.coll_size, ep.coll_rank
@@ -196,6 +177,17 @@ def co_gather(ep, obj: Any, root: int = 0):
     return None
 
 
+def co_reduce(ep, obj: Any, op: Op, root: int = 0):
+    """:func:`co_gather`, then a fold at root in rank order; result only at root.
+
+    A linear gather keeps the fold order identical to rank order, which makes
+    floating-point reductions bit-deterministic across runs — essential for
+    the recover-equals-failure-free integration tests.
+    """
+    parts = yield from co_gather(ep, obj, root)
+    return None if parts is None else reduce_sequence(op, parts)
+
+
 @functools.lru_cache(maxsize=4096)
 def _allgather_schedule(size: int, rank: int):
     """Allgather rounds at ``size`` as ``rank`` runs them.
@@ -234,26 +226,41 @@ def _allgather_schedule(size: int, rank: int):
     return rank, tuple(rounds)
 
 
+def _co_allgather_run(ep, held, width: int):
+    """The allgather's rounds over one rank's contribution ``held``.
+
+    ``held`` is a run of slots, ``width`` items per slot: a one-item
+    ``list`` of a value (width 1) or one packed word (``WORD_BYTES``).  The
+    rank holds a contiguous run of slots from ``first``; each round of
+    :func:`_allgather_schedule` sends a prefix of it and adds the run
+    received to its front or back.  Returns every slot, in rank order, in
+    ``held``'s type.
+    """
+    size, rank = ep.coll_size, ep.coll_rank
+    base = ep.coll_next_tag_block()
+    rotation, rounds = _allgather_schedule(size, rank)
+    first = (rank - rotation) % size
+    for rnd, (dst, src, send, recv) in enumerate(rounds):
+        tag = _round_tag(base, rnd)
+        yield from ep.co_coll_send(dst, held[:len(send) * width], tag)
+        incoming = yield from ep.co_coll_recv(src, tag)
+        if recv.start < first:
+            held, first = incoming + held, recv.start
+        else:
+            held += incoming
+    cut = (size - rotation) * width
+    return held[cut:] + held[:cut]
+
+
 def co_allgather(ep, obj: Any):
     """Allgather; returns the list of all contributions on every rank.
 
     Recursive doubling (butterfly) when the size is a power of two —
     matching the paper's description of the CG code — and Bruck otherwise
-    (:func:`_allgather_schedule`).  Each round's block travels as a dict
-    from contributing rank to object.
+    (:func:`_allgather_schedule`).  Each round's block travels as the list
+    of the values it forwards, in slot order: no rank keys.
     """
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
-    result: list[Any] = [None] * size
-    result[rank] = obj
-    rotation, rounds = _allgather_schedule(size, rank)
-    for rnd, (dst, src, send, _) in enumerate(rounds):
-        owners = [(i + rotation) % size for i in send] if rotation else send
-        yield from ep.co_coll_send(dst, {i: result[i] for i in owners}, _round_tag(base, rnd))
-        incoming = yield from ep.co_coll_recv(src, _round_tag(base, rnd))
-        for i, v in incoming.items():
-            result[i] = v
-    return result
+    return (yield from _co_allgather_run(ep, [obj], 1))
 
 
 def co_allgather_words(ep, word: int):
@@ -264,23 +271,8 @@ def co_allgather_words(ep, word: int):
     (:func:`repro.util.intpack.pack_words`), 4 B a word.  Returns the words
     in rank order; a word outside 32 bits raises ``ProtocolError``.
     """
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
-    rotation, rounds = _allgather_schedule(size, rank)
-    # The words held so far, a run of slots from ``first``; every round
-    # sends a prefix of it and receives the run just before or after it.
-    held = pack_words((word,))
-    first = (rank - rotation) % size
-    for rnd, (dst, src, send, recv) in enumerate(rounds):
-        tag = _round_tag(base, rnd)
-        yield from ep.co_coll_send(dst, held[:len(send) * WORD_BYTES], tag)
-        incoming = yield from ep.co_coll_recv(src, tag)
-        if recv.start < first:
-            held, first = incoming + held, recv.start
-        else:
-            held += incoming
-    words = unpack_words(held)
-    return [*words[size - rotation:], *words[:size - rotation]]
+    held = yield from _co_allgather_run(ep, pack_words((word,)), WORD_BYTES)
+    return list(unpack_words(held))
 
 
 def co_scatter(ep, objs: list[Any] | None, root: int = 0):

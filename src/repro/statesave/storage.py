@@ -114,7 +114,6 @@ class Storage:
         codec: str = "none",
         incremental: bool = True,
         keep_last: int = 1,
-        keep_every: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         self.path = path
@@ -123,7 +122,7 @@ class Storage:
             backend,
             codec=codec,
             incremental=incremental,
-            retention=RetentionPolicy(keep_last=keep_last, keep_every=keep_every),
+            retention=RetentionPolicy(keep_last=keep_last),
             chunk_size=chunk_size,
         )
         #: Logical checkpoint-object writes (state/log/commit), not backend puts.
@@ -148,8 +147,6 @@ class Storage:
             codec=getattr(config, "ckpt_codec", "none"),
             incremental=getattr(config, "ckpt_incremental", True),
             keep_last=getattr(config, "ckpt_keep_last", 1),
-            keep_every=getattr(config, "ckpt_keep_every", None),
-            chunk_size=getattr(config, "ckpt_chunk_size", DEFAULT_CHUNK_SIZE),
         )
 
     # ------------------------------------------------------------------ #

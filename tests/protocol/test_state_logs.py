@@ -18,7 +18,6 @@ from repro.protocol.logs import (
     NondetLog,
 )
 from repro.protocol.state import ProtocolState
-from repro.simmpi.constants import ANY_SOURCE, ANY_TAG
 
 
 PER_PEER = (
@@ -363,16 +362,6 @@ class TestLateMessageLog:
         rec = log.take_by_id(1, 1)
         assert rec.payload == "c"
         assert log.take_by_id(1, 1) is None  # consumed
-
-    def test_take_matching_specific(self):
-        log = self.make_log()
-        rec = log.take_matching(1, 5, ANY_SOURCE, ANY_TAG)
-        assert rec.payload == "a"
-
-    def test_take_matching_wildcards(self):
-        log = self.make_log()
-        rec = log.take_matching(ANY_SOURCE, ANY_TAG, ANY_SOURCE, ANY_TAG)
-        assert rec.payload == "a"  # oldest first
 
     def test_remaining_and_exhausted(self):
         log = self.make_log()

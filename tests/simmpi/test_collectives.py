@@ -8,8 +8,9 @@ import pytest
 from repro.errors import ProtocolError
 from repro.simmpi import MAX, MIN, SUM, run_simple
 from repro.simmpi import collectives_impl as coll_impl
-from repro.simmpi.datatypes import HEADER_BYTES
+from repro.simmpi.datatypes import HEADER_BYTES, sizeof
 from repro.simmpi.network import Network
+from repro.simmpi.op import reduce_sequence
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 16]
 ORDERINGS = ["fifo", "per_tag_fifo", "random"]
@@ -100,15 +101,22 @@ def test_allgather(n, ordering):
 
 
 def _mixed_block(rank):
-    kind = rank % 3
-    return None if kind == 0 else (rank, "x" * rank) if kind == 1 else np.full(2, rank * 1.5)
+    kind = rank % 4
+    if kind == 0:
+        return None
+    if kind == 1:
+        return (rank, "x" * rank)
+    if kind == 2:
+        return np.full(2, rank * 1.5)
+    return {"rank": rank, "halo": np.arange(rank), "tag": (rank, None)}
 
 
-@pytest.mark.parametrize("n", [3, 5, 6, 7])
+@pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("ordering", ORDERINGS)
-def test_allgather_at_other_sizes_is_bruck(n, ordering):
-    """Off powers of two the allgather is Bruck's: the same list, in
-    ceil(log2(n)) rounds of one message per rank (a ring took n - 1)."""
+def test_allgather_mixed_payloads_in_log_rounds(n, ordering):
+    """None, tuples, arrays and dicts come back as one list in rank order,
+    in ceil(log2(n)) rounds of one message per rank: recursive doubling at
+    powers of two, Bruck's otherwise (a ring took n - 1)."""
     def main(ctx):
         return (yield from ctx.comm.co_allgather(_mixed_block(ctx.rank)))
 
@@ -116,9 +124,70 @@ def test_allgather_at_other_sizes_is_bruck(n, ordering):
     assert result.completed
     assert result.network.posted == n * math.ceil(math.log2(n)) <= n * (n - 1)
     for got in result.results:
-        assert len(got) == n
+        assert type(got) is list and len(got) == n
         for rank, block in enumerate(got):
             np.testing.assert_equal(block, _mixed_block(rank))
+
+
+def _record_posts(monkeypatch):
+    """Record every envelope the network is handed; returns the list."""
+    posted = []
+    real_post = Network.post
+
+    def recording_post(self, env, now):
+        posted.append(env)
+        return real_post(self, env, now)
+
+    monkeypatch.setattr(Network, "post", recording_post)
+    return posted
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+def test_allgather_block_is_a_list_of_its_values(n, monkeypatch):
+    """Each data-allgather message is the list of the k values it forwards,
+    ``HEADER_BYTES + sizeof(list)`` = ``HEADER_BYTES + 8 + 4k + the values``
+    on the wire: no rank keys travel."""
+    posted = _record_posts(monkeypatch)
+
+    def main(ctx):
+        return (yield from ctx.comm.co_allgather(_mixed_block(ctx.rank)))
+
+    run(main, n)
+    assert len(posted) == n * math.ceil(math.log2(n))
+    # Every rank receives the n - 1 values it lacks, each exactly once.
+    assert sum(len(env.payload) for env in posted) == n * (n - 1)
+    for env in posted:
+        values = env.payload
+        assert type(values) is list
+        assert env.nbytes == HEADER_BYTES + 8 + 4 * len(values) + sum(map(sizeof, values))
+        assert env.nbytes == HEADER_BYTES + sizeof(values)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("root", [0, "last"])
+def test_reduce_is_gather_plus_a_fold(n, root, monkeypatch):
+    """A reduce posts the gather's exact (source, dest, tag, bytes) sequence
+    and folds the gathered values at root in rank order."""
+    r = n - 1 if root == "last" else 0
+    posted = _record_posts(monkeypatch)
+
+    def value(rank):
+        return 0.1 * (rank + 1) + 1e-14 * rank
+
+    def reduce_main(ctx):
+        return (yield from ctx.comm.co_reduce(value(ctx.rank), SUM, root=r))
+
+    def gather_main(ctx):
+        return (yield from ctx.comm.co_gather(value(ctx.rank), root=r))
+
+    reduced = run(reduce_main, n)
+    reduce_wire = [(e.source, e.dest, e.tag, e.nbytes) for e in posted]
+    posted.clear()
+    run(gather_main, n)
+    gather_wire = [(e.source, e.dest, e.tag, e.nbytes) for e in posted]
+    assert reduce_wire == gather_wire and len(reduce_wire) == n - 1
+    assert reduced[r] == reduce_sequence(SUM, [value(i) for i in range(n)])
+    assert all(got is None for i, got in enumerate(reduced) if i != r)
 
 
 def _words_exchange(ctx):
@@ -140,14 +209,7 @@ def test_allgather_words_matches_allgather(n, ordering):
 def test_allgather_words_ships_4_bytes_a_word(n, monkeypatch):
     """n * ceil(log2(n)) messages (the ring's n(n - 1) is 20 at n = 5 and 30
     at n = 6), each a block of k words of HEADER_BYTES + 4k bytes."""
-    posted = []
-    real_post = Network.post
-
-    def recording_post(self, env, now):
-        posted.append(env)
-        return real_post(self, env, now)
-
-    monkeypatch.setattr(Network, "post", recording_post)
+    posted = _record_posts(monkeypatch)
 
     def main(ctx):
         return (yield from coll_impl.co_allgather_words(ctx.comm, ctx.rank))
