@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.apps.workloads import SCALED_CKPT_CODEC
+from repro.ckpt.backends import MemoryBackend
+from repro.ckpt.store import CheckpointStore
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import run_with_recovery
 from repro.statesave.format import CheckpointData
@@ -171,15 +173,22 @@ def test_unchanged_resave_copies_nothing():
 # Experiment B-CKPT: the tiered engine — full vs incremental vs compressed.
 # --------------------------------------------------------------------- #
 
-#: The three storage strategies under comparison, at the default chunk size.
-#: Every one deflates the in-band stream; "full-pickle" rewrites every chunk
-#: of every generation, and the flat store it once was is the store's
-#: ``logical_bytes``.
+#: The three storage strategies under comparison, as ``CheckpointStore``
+#: arguments at the default chunk size.  Every one deflates the in-band
+#: stream; "full-pickle" rewrites every chunk of every generation, and the
+#: flat store it once was is the store's ``logical_bytes``.
 ENGINE_CONFIGS = {
     "full-pickle": dict(incremental=False, codec="none"),
     "incremental": dict(incremental=True, codec="none"),
     "incremental+zlib": dict(incremental=True, codec=SCALED_CKPT_CODEC),
 }
+
+
+def engine_storage(strategy: str) -> Storage:
+    """In-memory stable storage over an engine built for ``strategy``."""
+    storage = Storage(None)
+    storage.store = CheckpointStore(MemoryBackend(), **ENGINE_CONFIGS[strategy])
+    return storage
 
 
 def evolving_state(step: int, n_const: int = 65_536, n_hot: int = 4_096):
@@ -197,7 +206,7 @@ def evolving_state(step: int, n_const: int = 65_536, n_hot: int = 4_096):
 def test_engine_write_cost(benchmark, strategy):
     """Wall cost of saving one more generation under each strategy."""
     benchmark.group = "ckpt-engine-write"
-    storage = Storage(None, **ENGINE_CONFIGS[strategy])
+    storage = engine_storage(strategy)
     step = 0
     storage.write_state(0, step, evolving_state(step))
 
@@ -216,8 +225,8 @@ def test_engine_bytes_full_vs_incremental_vs_compressed():
     """Ten generations of evolving state: the delta engine must beat the
     flat store, and compression must beat delta alone."""
     totals = {}
-    for strategy, knobs in ENGINE_CONFIGS.items():
-        storage = Storage(None, **knobs)
+    for strategy in ENGINE_CONFIGS:
+        storage = engine_storage(strategy)
         for step in range(1, 11):
             storage.write_state(0, step, evolving_state(step))
         totals[strategy] = storage.bytes_written
@@ -266,8 +275,8 @@ def test_paper_apps_incremental_compressed_beats_full(app_name):
     logical = {}
     per_generation = {}
     outcomes = {}
-    for strategy, knobs in ENGINE_CONFIGS.items():
-        storage = Storage(None, **knobs)
+    for strategy in ENGINE_CONFIGS:
+        storage = engine_storage(strategy)
         outcome = _run_paper_app(app_name, storage)
         assert outcome.checkpoints_committed >= 1
         bytes_written[strategy] = outcome.storage_bytes_written
@@ -297,7 +306,7 @@ def test_dense_cg_constant_matrix_dedupes():
     engine must reuse chunks across generations where the flat store
     rewrites the full state every wave.  At n=48 the block is 4.6 KB — a
     one-chunk segment under the default 64 KiB chunk."""
-    storage = Storage(None, incremental=True)
+    storage = Storage(None)  # incremental, like every run's store
     _run_paper_app("dense_cg", storage)
     assert storage.store.chunks_reused > 0
     per_gen = _per_generation_state_bytes(storage)

@@ -3,9 +3,10 @@
 
 Three demonstrations on the dense-CG benchmark application:
 
-1. **Bytes** — the same run under a full-snapshot store, an
-   incremental (content-addressed delta) store, and an incremental +
-   zlib-compressed store, all at the default 64 KiB chunk size, against
+1. **Bytes** — the same run, so the same save sequence, under three
+   engines built directly (`CheckpointStore`): full snapshots,
+   incremental (content-addressed delta), and incremental with each chunk
+   zlib-compressed, all at the default 64 KiB chunk size, against
    what a flat pickle store would write: every store deflates the pickle
    stream; the constant 4.6 KB matrix block is a segment of its own (any
    contiguous buffer of a filesystem block or more is), so it dedupes to
@@ -26,6 +27,7 @@ import tempfile
 
 from repro import RunConfig, Session
 from repro.apps.dense_cg import CGParams
+from repro.ckpt import CheckpointStore, MemoryBackend, RetentionPolicy
 from repro.simmpi import FailureSchedule
 from repro.statesave.storage import Storage
 
@@ -39,13 +41,16 @@ BASE = dict(
 def bytes_comparison(session: Session) -> None:
     print("1) full vs incremental vs compressed (same run, same checkpoints)")
     strategies = {
-        "full snapshots  ": dict(ckpt_incremental=False, ckpt_codec="none"),
-        "incremental     ": dict(ckpt_incremental=True, ckpt_codec="none"),
-        "incremental+zlib": dict(ckpt_incremental=True, ckpt_codec="zlib"),
+        "full snapshots  ": dict(incremental=False, codec="none"),
+        "incremental     ": dict(incremental=True, codec="none"),
+        "incremental+zlib": dict(incremental=True, codec="zlib"),
     }
+    config = RunConfig(**BASE)
     for label, knobs in strategies.items():
-        config = RunConfig(**BASE, **knobs)
         storage = Storage.from_config(config)
+        storage.store = CheckpointStore(
+            MemoryBackend(), retention=RetentionPolicy(config.ckpt_keep_last), **knobs
+        )
         out = session.run("dense_cg", config, params=PARAMS, storage=storage)
         flat = storage.logical_bytes  # the same for every store
         final = out.storage_bytes_written
@@ -59,7 +64,7 @@ def bytes_comparison(session: Session) -> None:
 
 def torn_write_recovery(session: Session) -> None:
     print("2) kill a rank mid-checkpoint-write; recover from generation N-1")
-    config = RunConfig(**BASE, ckpt_codec="zlib")
+    config = RunConfig(**BASE)
     gold = session.run("dense_cg", config, params=PARAMS)
     out = session.run(
         "dense_cg", config, params=PARAMS,
@@ -77,7 +82,7 @@ def torn_write_recovery(session: Session) -> None:
 def bit_rot_fallback(session: Session) -> None:
     print("3) corrupt the newest committed generation; checksum falls back")
     with tempfile.TemporaryDirectory() as root:
-        config = RunConfig(storage_path=root, ckpt_codec="zlib", **BASE)
+        config = RunConfig(storage_path=root, **BASE)
         storage = Storage.from_config(config)
         gold = session.run("dense_cg", config, params=PARAMS, storage=storage)
         newest = storage.commit_history()[-1].epoch

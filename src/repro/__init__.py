@@ -7,7 +7,8 @@ Public API (stable)
     Experiment facade: ``session.run(app, config)`` and
     ``session.sweep(app, config, variants=..., seeds=..., nprocs=...)``.
 ``repro.RunConfig`` / ``repro.Variant``
-    Run configuration and the four build variants of Section 6.2.
+    The whole configuration of one run (its checkpoint storage included)
+    and the four build variants of Section 6.2.
 ``repro.app`` / ``repro.AppSpec``
     Application registration (generator ``main(ctx)`` functions and
     precompiled units alike).
@@ -28,9 +29,9 @@ Subpackages
     Source-to-source transformation that makes Python functions save and
     restore their own stack state (the CCIFT precompiler analogue).
 ``repro.ckpt``
-    Tiered checkpoint storage engine: pluggable backends, compression
-    codecs, incremental (content-addressed) generations, retention
-    policies, crash-consistent two-phase commit.
+    Tiered checkpoint storage engine: in-memory and directory backends,
+    chunk compression codecs, incremental (content-addressed) generations,
+    keep-last retention, crash-consistent two-phase commit.
 ``repro.statesave``
     Managed heap, globals registry, checkpoint assembly, stable storage
     (a facade over ``repro.ckpt``).

@@ -3,8 +3,8 @@
 Applications are written against :class:`CommLike` (implemented by the C3
 protocol layer for variants V1–V3 and by :class:`RawCommAdapter` for V0),
 registered via :class:`AppSpec`/:func:`app`, and executed through a
-:class:`Session` — one object owning storage, cost models and sweep
-parallelism.  ``repro/__init__.py`` re-exports the stable names.
+:class:`Session`, which runs each application under its
+:class:`~repro.runtime.config.RunConfig` and fans sweeps out in parallel.  ``repro/__init__.py`` re-exports the stable names.
 """
 
 from repro.api.comms import CommLike, RawCommAdapter, RawHandle
@@ -15,7 +15,6 @@ from repro.api.session import (
     Session,
     SweepCell,
     SweepResult,
-    default_storage_factory,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "app",
-    "default_storage_factory",
     "get_app",
     "list_apps",
     "register",

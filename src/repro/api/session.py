@@ -1,9 +1,9 @@
-"""``Session``: one object that owns an experiment's resources.
+"""``Session``: runs and sweeps of applications, each under its ``RunConfig``.
 
 The free-function driver (:func:`repro.runtime.driver.run_with_recovery`)
-asks every caller to hand-wire storage, failure schedules and variant
-loops.  A :class:`Session` centralises those defaults and adds the sweep
-machinery the Figure-8 protocol implies:
+runs one application under one :class:`~repro.runtime.config.RunConfig`.
+A :class:`Session` resolves app names and adds the sweep machinery the
+Figure-8 protocol implies; the config alone configures each run:
 
 * ``session.run(app, config)`` — one application, one configuration;
   ``app`` may be a registered name, an :class:`~repro.api.registry.AppSpec`
@@ -44,7 +44,6 @@ from repro.api.registry import AppMain, AppSpec, _FunctionApp, get_app, rehydrat
 from repro.errors import ConfigError
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import RunOutcome, run_with_recovery
-from repro.simmpi.clock import CostModel
 from repro.simmpi.failures import FailureSchedule
 from repro.statesave.storage import Storage
 
@@ -68,11 +67,6 @@ _T = TypeVar("_T")
 
 #: Shared enum-or-string coercion (also used by ``repro.chaos`` scenarios).
 _coerce_variant = Variant.coerce
-
-
-def default_storage_factory() -> Storage:
-    """Fresh in-memory stable storage (one per run/sweep cell)."""
-    return Storage(None)
 
 
 # ===================================================================== #
@@ -195,7 +189,7 @@ class SweepResult:
         return rows[0].outcome
 
     def by_variant(self) -> dict[Variant, RunOutcome]:
-        """``{variant: outcome}`` — the ``run_variant_suite`` shape.
+        """``{variant: outcome}``, one entry per variant.
 
         Requires the variant axis to be the only one with multiple values.
         """
@@ -229,16 +223,15 @@ def _build_app(app_ref: tuple, params: Any) -> AppMain:
 def _cell_cacheable(payload: tuple) -> bool:
     """Farm-cache eligibility of one sweep cell.
 
-    Only cells with per-run in-memory storage (the ``("config", None)``
-    spec) are cached: cells persisting checkpoints to their own directory
-    — or building storage through a user factory — have side effects a
-    cache hit would silently skip."""
-    return payload[4][0] == "config"
+    Only cells with in-memory storage are cached: a cell persisting
+    checkpoints to its own directory has side effects a cache hit would
+    silently skip."""
+    return payload[2].storage_path is None
 
 
 def _execute_cell(payload: tuple) -> RunOutcome:
     """Run one sweep cell; works identically in-process and in a worker."""
-    app_ref, cell, config, failure_spec, storage_spec = payload
+    app_ref, cell, config, failure_spec = payload
     app_main = _build_app(app_ref, cell.params)
     kill_events, ckpt_crashes = failure_spec
     failures = (
@@ -246,21 +239,16 @@ def _execute_cell(payload: tuple) -> RunOutcome:
         if kill_events or ckpt_crashes
         else None
     )
-    kind, value = storage_spec
-    if kind == "path":
-        # The cell's own ckpt_* knobs apply at the per-cell directory.
-        storage = Storage.from_config(replace(config, storage_path=value))
-        # Every sweep cell starts from a fresh storage (the documented
-        # contract).  The per-cell slug normally guarantees an empty
-        # directory, but a retried cell — e.g. the serial fallback after a
-        # worker-pool failure part-way through — must not resume from its
-        # own first pass's checkpoints and skew the row's accounting.
-        if storage.commit_history() or storage.store.streams():
-            storage.wipe()
-    elif kind == "config":
-        storage = Storage.from_config(config)  # in-memory, knobs honoured
-    else:
-        storage = value()
+    storage = Storage.from_config(config)
+    # Every sweep cell starts from a fresh storage (the documented
+    # contract).  The per-cell slug normally guarantees an empty
+    # directory, but a retried cell — e.g. the serial fallback after a
+    # worker-pool failure part-way through — must not resume from its own
+    # first pass's checkpoints and skew the row's accounting.
+    if config.storage_path is not None and (
+        storage.commit_history() or storage.store.streams()
+    ):
+        storage.wipe()
     return run_with_recovery(app_main, config, failures=failures, storage=storage)
 
 
@@ -270,42 +258,17 @@ def _execute_cell(payload: tuple) -> RunOutcome:
 
 
 class Session:
-    """Owns storage, cost-model and parallelism defaults for experiments.
+    """Runs and sweeps applications; each run is configured by its
+    :class:`RunConfig` alone.
 
-    Parameters
-    ----------
-    storage_factory:
-        Zero-argument callable producing a fresh :class:`Storage` per run.
-        Defaults to in-memory storage.  For sweeps to run in parallel the
-        factory must be picklable (a module-level function).
-    cost_model:
-        When given, applied to every config that still carries the default
-        :class:`CostModel`.
-    max_workers:
-        Process-pool width for sweeps; defaults to ``os.cpu_count()``
-        capped by the number of cells.
+    ``max_workers`` is the process-pool width for sweeps; it defaults to
+    ``os.cpu_count()`` capped by the number of cells.
     """
 
-    def __init__(
-        self,
-        storage_factory: Optional[Callable[[], Storage]] = None,
-        cost_model: Optional[CostModel] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self.storage_factory = storage_factory or default_storage_factory
-        #: Whether the caller supplied a factory.  Without one, storages are
-        #: built from each config's ckpt_* knobs (Storage.from_config), so
-        #: codec/retention settings are honoured even in-memory.
-        self._explicit_factory = storage_factory is not None
-        self.cost_model = cost_model
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
 
     # ------------------------------------------------------------------ #
-
-    def _apply_defaults(self, config: RunConfig) -> RunConfig:
-        if self.cost_model is not None and config.cost_model == CostModel():
-            config = replace(config, cost_model=self.cost_model)
-        return config
 
     def _app_ref(self, app: AppLike) -> tuple:
         """Normalise an app argument to a portable reference tuple."""
@@ -330,7 +293,8 @@ class Session:
         return getattr(app, "__name__", type(app).__name__)
 
     def _run_check(self, app: AppLike, level: str) -> None:
-        """Static verification before a run (``check="warn"``/``"error"``).
+        """Static verification before a run (``RunConfig.check`` of
+        ``"warn"``/``"error"``).
 
         Registered apps are checked through their defining module; plain
         functions through their own source.  Callables whose source cannot
@@ -342,10 +306,6 @@ class Session:
 
         from repro.check.driver import check_app, check_functions
 
-        if level not in ("warn", "error"):
-            raise ConfigError(
-                f"check must be 'off', 'warn' or 'error', got {level!r}"
-            )
         spec = app if isinstance(app, AppSpec) else getattr(app, "__app_spec__", None)
         if isinstance(app, str):
             result = check_app(app)
@@ -376,27 +336,21 @@ class Session:
         params: Any = None,
         failures: Optional[FailureSchedule] = None,
         storage: Optional[Storage] = None,
-        check: Optional[str] = None,
     ) -> RunOutcome:
         """Execute one application under one configuration.
 
         ``params`` reaches the application as ``ctx.params`` (for a spec,
         ``None`` means the spec's default parameters; for a bare callable,
-        ``None`` leaves the callable untouched).  ``check`` overrides the
-        config's ``check`` level: ``"warn"`` prints static-verifier
-        findings before running, ``"error"`` refuses to run an app with
-        error findings (:class:`~repro.errors.CheckError`).
+        ``None`` leaves the callable untouched).  ``config.check`` of
+        ``"warn"`` prints static-verifier findings before running;
+        ``"error"`` refuses to run an app with error findings
+        (:class:`~repro.errors.CheckError`).  ``storage`` (for callers that
+        inspect the store afterwards) wins over the config's
+        ``storage_path``/``ckpt_keep_last``.
         """
-        config = self._apply_defaults(config)
-        level = check if check is not None else config.check
-        if level != "off":
-            self._run_check(app, level)
+        if config.check != "off":
+            self._run_check(app, config.check)
         app_main = _build_app(self._app_ref(app), params)
-        if storage is None:
-            if config.storage_path is not None or not self._explicit_factory:
-                storage = Storage.from_config(config)
-            else:
-                storage = self.storage_factory()
         return run_with_recovery(app_main, config, failures=failures, storage=storage)
 
     # ------------------------------------------------------------------ #
@@ -412,11 +366,9 @@ class Session:
         params: Optional[Iterable[Any]] = None,
         grid: Optional[Mapping[str, Sequence[Any]]] = None,
         failures: FailuresLike = None,
-        storage_factory: Optional[Callable[[], Storage]] = None,
         parallel: bool = True,
         max_workers: Optional[int] = None,
         farm: Optional["Farm"] = None,
-        check: Optional[str] = None,
     ) -> SweepResult:
         """Run the cross product of the requested axes.
 
@@ -424,23 +376,21 @@ class Session:
         ``variants × seeds × nprocs × params × grid``; results always come
         back in that order regardless of execution backend, and each cell
         gets a fresh storage so checkpoints cannot leak between cells.
-        When a cell's config names a ``storage_path`` (and no explicit
-        ``storage_factory`` overrides it), the cell persists to a unique
-        subdirectory of that path.
+        When a cell's config names a ``storage_path``, the cell persists to
+        a unique subdirectory of that path; otherwise it stores in memory.
+        ``base_config.check`` is applied once, up front.
 
         ``farm`` routes execution through a :class:`repro.farm.Farm`:
         cells whose fingerprint is already cached are returned without
         running a simulator (bit-identical outcomes), the rest execute
-        and are cached.  Cells that persist checkpoints externally
-        (``storage_path`` or a factory) run uncached.  The returned
-        :class:`SweepResult` carries ``farm_stats``.
+        and are cached.  Cells that persist checkpoints to a
+        ``storage_path`` run uncached.  The returned :class:`SweepResult`
+        carries ``farm_stats``.
         """
         base_config = base_config if base_config is not None else RunConfig(nprocs=4)
-        base_config = self._apply_defaults(base_config)
-        level = check if check is not None else base_config.check
-        if level != "off":
+        if base_config.check != "off":
             # Once up front — every cell runs the same application.
-            self._run_check(app, level)
+            self._run_check(app, base_config.check)
         app_ref = self._app_ref(app)
         app_name = self._app_name(app)
         variants = tuple(_coerce_variant(v) for v in variants)
@@ -476,22 +426,11 @@ class Session:
                 base_config, variant=variant, seed=seed, nprocs=np_,
                 **dict(overrides),
             )
-            # Precedence matches Session.run: a config naming a
-            # storage_path persists (only a sweep-argument factory
-            # overrides that); otherwise an explicit factory wins; the
-            # default is a fresh per-cell in-memory store built from the
-            # cell's ckpt_* knobs.
-            if storage_factory is None and cfg.storage_path is not None:
+            if cfg.storage_path is not None:
                 # Persist where the config asks to, but never share a
                 # directory between cells (one COMMIT record per store).
                 slug = f"cell{index:04d}-{variant.value}-seed{seed}-np{np_}"
-                storage_spec = ("path", os.path.join(cfg.storage_path, slug))
-            elif storage_factory is not None:
-                storage_spec = ("factory", storage_factory)
-            elif self._explicit_factory:
-                storage_spec = ("factory", self.storage_factory)
-            else:
-                storage_spec = ("config", None)
+                cfg = replace(cfg, storage_path=os.path.join(cfg.storage_path, slug))
             sched = failures(cell) if callable(failures) else failures
             if sched is not None:
                 failure_spec = (
@@ -500,7 +439,7 @@ class Session:
                 )
             else:
                 failure_spec = ((), ())
-            payloads.append((app_ref, cell, cfg, failure_spec, storage_spec))
+            payloads.append((app_ref, cell, cfg, failure_spec))
             cells.append(cell)
 
         if farm is not None:

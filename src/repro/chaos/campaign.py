@@ -276,7 +276,7 @@ def _scenario_job(payload: tuple) -> ScenarioVerdict:
     # Invariant 1: bit-identical to the failure-free baseline.
     violations.extend(equivalence_violations(probe.results, outcome))
     # Invariant 2: storage internally consistent after the run.
-    violations.extend(storage_violations(storage, cfg.nprocs))
+    violations.extend(storage_violations(storage))
     # Invariant 3: the same scenario replays to the same outcome.
     try:
         rerun, _ = _run_once(scenario, cfg, params, probe.horizon)

@@ -103,16 +103,15 @@ def equivalence_violations(
 # --------------------------------------------------------------------- #
 
 
-def storage_violations(storage: Storage, nprocs: int) -> list[str]:
+def storage_violations(storage: Storage) -> list[str]:
     out: list[str] = []
     history = storage.commit_history()
     # Newest first, each record loaded once: the first that loads is the
     # one Storage.restore_line would restore.
     chosen = None
     for record in reversed(history):
-        ranks = record.nprocs if record.nprocs is not None else nprocs
         try:
-            storage.read_line(record.epoch, ranks)
+            storage.read_line(record.epoch, record.nprocs)
         except StorageError as exc:
             out.append(f"committed epoch {record.epoch} no longer validates: {exc}")
         else:

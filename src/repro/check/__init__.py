@@ -46,9 +46,10 @@ cannot join stays an opaque call.
 
 Entry points (:mod:`repro.check.driver`): :func:`check_functions`,
 :func:`check_module`, :func:`check_path`, :func:`check_app`, and
-:func:`preflight` (what ``Session.run(check=...)`` and chaos campaigns
-call).  The ``repro-check`` console script / ``python -m repro.check``
-lints from the command line and renders results as text or versioned
+:func:`preflight` (what chaos campaigns call; a ``Session`` run with
+``RunConfig.check`` set calls :func:`check_app`/:func:`check_functions`).
+The ``repro-check`` console script / ``python -m repro.check`` lints from
+the command line and renders results as text or versioned
 JSON (:mod:`repro.check.cli`).  Repairs are manual: every diagnostic
 carries a hint naming its fix.
 """

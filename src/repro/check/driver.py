@@ -23,9 +23,10 @@ like its single-file merge.  A helper the slicer cannot join (renamed on
 import, colliding with a local def, missing, star-imported, or in a
 sibling that fails to parse) stays an opaque library call.
 
-:func:`preflight` is the embedded entry point ``Session.run(check=...)``
-and chaos campaigns use: check a batch of app names and raise
-:class:`~repro.errors.CheckError` on error findings.
+:func:`preflight` is the embedded entry point chaos campaigns use: check a
+batch of app names and raise :class:`~repro.errors.CheckError` on error
+findings.  A ``Session`` run with ``RunConfig.check`` set calls
+:func:`check_app` or :func:`check_functions`.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ state grows; this package makes storage a first-class subsystem in the
 lineage of the application-level checkpointing systems descended from C3
 (SCR, VeloC):
 
-* pluggable **backends** (in-memory, directory-on-disk) behind an atomic
+* **backends** (in-memory, directory-on-disk) behind an atomic
   keyed-blob protocol (:mod:`repro.ckpt.backends`);
-* a **codec registry** compressing chunks with zlib/lzma or nothing
+* **chunk codecs** compressing chunks with zlib/lzma or nothing
   (:mod:`repro.ckpt.codecs`);
 * **incremental snapshots** that content-address the pickled state, each
   large array buffer on its own chunk boundaries, so unchanged regions cost
@@ -16,21 +16,19 @@ lineage of the application-level checkpointing systems descended from C3
 * **crash-consistent two-phase commit**: chunks first, then one atomic
   checksummed manifest — a failure mid-write never destroys the last good
   generation (:mod:`repro.ckpt.store`, :mod:`repro.ckpt.manifest`);
-* **retention policies** (keep-last-K, keep-every-Nth) bounding disk use
-  (:mod:`repro.ckpt.retention`).
+* **keep-last retention** bounding disk use (:mod:`repro.ckpt.retention`).
 
 :class:`repro.statesave.storage.Storage` — what the protocol layer and
-recovery driver talk to — is implemented on this engine; the knobs are
-surfaced as the ``ckpt_*`` fields of :class:`repro.runtime.config.RunConfig`.
+recovery driver talk to — is implemented on this engine.  A run's store is
+incremental with no chunk codec; its directory and retention come from
+``RunConfig.storage_path`` and ``ckpt_keep_last``.  Full snapshots, a chunk
+codec and the chunk size are :class:`CheckpointStore` arguments.
 """
 
 from repro.ckpt.backends import (
     Backend,
     DirectoryBackend,
     MemoryBackend,
-    list_backends,
-    make_backend,
-    register_backend,
 )
 from repro.ckpt.codecs import (
     ChunkCodec,
@@ -38,8 +36,6 @@ from repro.ckpt.codecs import (
     NullCodec,
     ZlibCodec,
     get_chunk_codec,
-    list_chunk_codecs,
-    register_chunk_codec,
 )
 from repro.ckpt.delta import DEFAULT_CHUNK_SIZE, DeltaStats, chunk_digest
 from repro.ckpt.manifest import ChunkRef, GenerationManifest
@@ -62,9 +58,4 @@ __all__ = [
     "ZlibCodec",
     "chunk_digest",
     "get_chunk_codec",
-    "list_backends",
-    "list_chunk_codecs",
-    "make_backend",
-    "register_backend",
-    "register_chunk_codec",
 ]

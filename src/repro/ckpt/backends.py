@@ -8,17 +8,15 @@ is trivially atomic (single assignment under the GIL).
 
 Keys are ``/``-separated paths (``objects/ab/abcdef…``,
 ``manifests/rank0/state/gen00000003.mft``); the directory backend maps
-them directly onto the filesystem.  The registry is open so experiments
-can add tiers (e.g. a throttled "parallel filesystem" model for overhead
-studies) via :func:`register_backend`.
+them directly onto the filesystem.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Protocol
+from typing import Protocol
 
-from repro.errors import ConfigError, StorageError
+from repro.errors import StorageError
 from repro.util.serialization import atomic_write_bytes
 
 
@@ -128,27 +126,3 @@ class DirectoryBackend:
             for name in files:
                 os.unlink(os.path.join(dirpath, name))
 
-
-_REGISTRY: dict[str, Callable[..., Backend]] = {
-    "memory": lambda path=None: MemoryBackend(),
-    "directory": lambda path=None: DirectoryBackend(path),
-}
-
-
-def register_backend(name: str, factory: Callable[..., Backend]) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def make_backend(name: str, path: str | None = None) -> Backend:
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown checkpoint backend {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return factory(path=path)
-
-
-def list_backends() -> list[str]:
-    return sorted(_REGISTRY)

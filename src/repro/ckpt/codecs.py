@@ -1,13 +1,11 @@
 """Compression codecs for checkpoint chunks.
 
 A codec transforms one chunk's bytes on the way to the backend and back.
-The registry is open: experiments can plug in alternative compressors
-(e.g. a numpy-aware delta filter) with :func:`register_chunk_codec` without
-touching the store.  The stdlib provides two real compressors out of the
-box — ``zlib`` (fast, moderate ratio; the paper-era default for
-application-level checkpoint systems) and ``lzma`` (slow, strong ratio;
-for archival tiers) — plus the identity codec ``none`` for hot paths where
-serialisation dominates and compression would only add latency.
+A store names one of three: ``zlib`` (fast, moderate ratio; the
+paper-era default for application-level checkpoint systems), ``lzma``
+(slow, strong ratio; for archival tiers), or the identity codec ``none``
+for hot paths where serialisation dominates and compression would only
+add latency.
 
 Chunk digests are computed over the *decoded* bytes, but chunks are keyed
 per codec in the backend: a store re-opened with a different codec starts
@@ -76,27 +74,18 @@ class LzmaCodec:
         return lzma.decompress(data)
 
 
-_REGISTRY: dict[str, Callable[[], ChunkCodec]] = {
+_CODECS: dict[str, Callable[[], ChunkCodec]] = {
     "none": NullCodec,
     "zlib": ZlibCodec,
     "lzma": LzmaCodec,
 }
 
 
-def register_chunk_codec(name: str, factory: Callable[[], ChunkCodec]) -> None:
-    """Register (or replace) a codec under ``name``."""
-    _REGISTRY[name] = factory
-
-
 def get_chunk_codec(name: str) -> ChunkCodec:
     try:
-        factory = _REGISTRY[name]
+        factory = _CODECS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown checkpoint codec {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown checkpoint codec {name!r}; available: {sorted(_CODECS)}"
         ) from None
     return factory()
-
-
-def list_chunk_codecs() -> list[str]:
-    return sorted(_REGISTRY)

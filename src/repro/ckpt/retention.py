@@ -1,13 +1,10 @@
-"""Retention policies: which generations survive garbage collection.
+"""Retention policy: which generations survive garbage collection.
 
 The paper assumes only the latest committed global checkpoint is kept
 (``keep_last=1``, the default — matching the original flat store's GC).
-Production checkpoint systems keep more: a window of recent generations
-(so a corrupted newest generation still leaves a recovery point) and/or a
-sparse archival trail (every Nth epoch, for post-mortem debugging and
-restart-at-earlier-phase workflows).  Both knobs compose; the pinned
-generation — the one the commit record names — is always retained
-regardless of policy.
+A wider window (``keep_last=2``) leaves a recovery point when the newest
+generation is corrupt.  The pinned generation — the one the commit record
+names — is always retained regardless of policy.
 """
 
 from __future__ import annotations
@@ -20,16 +17,13 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class RetentionPolicy:
-    """``keep_last`` newest generations, plus every ``keep_every``-th epoch."""
+    """The ``keep_last`` newest generations."""
 
     keep_last: int = 1
-    keep_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.keep_last < 1:
             raise ConfigError(f"keep_last must be >= 1, got {self.keep_last}")
-        if self.keep_every is not None and self.keep_every < 1:
-            raise ConfigError(f"keep_every must be >= 1, got {self.keep_every}")
 
     def live(
         self, generations: Sequence[int], pinned: Optional[int] = None
@@ -37,8 +31,6 @@ class RetentionPolicy:
         """The subset of ``generations`` this policy retains."""
         ordered = sorted(set(generations))
         keep = set(ordered[-self.keep_last :]) if ordered else set()
-        if self.keep_every is not None:
-            keep.update(g for g in ordered if g % self.keep_every == 0)
         if pinned is not None:
             keep.add(pinned)
         return keep

@@ -127,7 +127,6 @@ class CheckpointStore:
         self.chunks_reused = 0
         #: Chunks whose digest was computed; the rest inherited an old one.
         self.chunks_hashed = 0
-        self.generations_saved = 0
         #: Every manifest this store instance has written, in save order —
         #: the bytes-per-generation record benchmarks report from.  (GC
         #: removes generations from the backend, not from this history.)
@@ -284,7 +283,6 @@ class CheckpointStore:
         self.chunks_written += stats.chunks_written
         self.chunks_reused += stats.chunks_reused
         self.chunks_hashed += stats.chunks_hashed
-        self.generations_saved += 1
         self.history.append(manifest)
         self._previous[stream] = manifest
         self._reclaim_replaced(replaced - self._chunk_keys(stream, generation, manifest))

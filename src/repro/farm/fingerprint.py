@@ -4,8 +4,8 @@ A farm cell is *content-addressed*: its cache key is a SHA-256 over
 
 * the job function's qualified name (``module:qualname``),
 * the canonical pickle of the job payload — for a sweep cell that is the
-  (RunConfig, app reference + params, failure schedule, seed, storage
-  spec) tuple; for a chaos cell the (scenario, config, params, baseline
+  (app reference, cell coordinates + params, RunConfig, failure schedule)
+  tuple; for a chaos cell the (scenario, config, params, baseline
   probe) tuple, and
 * a **code-version salt** — a digest over every ``*.py`` file of the
   :mod:`repro` package, so editing any simulator/protocol/storage code

@@ -57,7 +57,7 @@ class CheckpointStage:
     def _commit(self, epoch: int, now: float) -> None:
         core = self.core
         core.storage.commit(epoch, now, nprocs=core.nprocs)
-        core.storage.gc(core.nprocs, keep_epoch=epoch)
+        core.storage.gc(keep_epoch=epoch)
 
     def co_progress(self):
         """Drain and handle queued control messages; poll the initiator."""
@@ -208,6 +208,4 @@ class CheckpointStage:
             yield from send(word, q, TAG_CONTROL)
         state.am_logging = True
         core.logs = EpochLogs(epoch=state.epoch)
-        if core.on_checkpoint is not None:
-            core.on_checkpoint(data)
         yield from self.co_received_all_check()

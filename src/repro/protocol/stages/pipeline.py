@@ -118,8 +118,6 @@ class ProtocolPipeline(SharedSurface):
         self.stats = LayerStats()
         #: Set by the checkpoint stage when it is built (initiator rank only).
         self.initiator = None
-        #: Hook invoked right after a local checkpoint is written (tests).
-        self.on_checkpoint: Optional[Callable[[CheckpointData], None]] = None
         #: The codec is fixed for the pipeline's life, so the
         #: classification rule is too.
         self._by_epoch = isinstance(self.codec, FullCodec)

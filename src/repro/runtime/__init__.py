@@ -2,7 +2,7 @@
 
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.context import C3AppContext
-from repro.runtime.driver import AttemptRecord, RunOutcome, run_variant_suite, run_with_recovery
+from repro.runtime.driver import AttemptRecord, RunOutcome, run_with_recovery
 
 __all__ = [
     "AttemptRecord",
@@ -10,6 +10,5 @@ __all__ = [
     "RunConfig",
     "RunOutcome",
     "Variant",
-    "run_variant_suite",
     "run_with_recovery",
 ]

@@ -1,4 +1,10 @@
-"""Run-level configuration: variants, intervals, simulator knobs.
+"""Run-level configuration: variants, intervals, simulator and storage knobs.
+
+A :class:`RunConfig` is the whole configuration of one run: the session,
+the driver and a sweep read every setting from it, and the run's stable
+storage is :meth:`Storage.from_config(config)
+<repro.statesave.storage.Storage.from_config>` unless the caller hands
+one in.
 
 :class:`Variant` captures the four build configurations of the paper's
 evaluation (Section 6.2):
@@ -88,16 +94,11 @@ class RunConfig:
     #: Virtual-time distance between checkpoint waves (paper: 30 s).
     checkpoint_interval: Optional[float] = 0.030
     codec: str = "packed"
+    #: Directory of the run's checkpoint store; None stores in memory.
     storage_path: Optional[str] = None
-    #: Checkpoint-storage engine knobs (see :mod:`repro.ckpt`): chunk
-    #: compression codec ("none", "zlib", "lzma", or anything registered
-    #: with :func:`repro.ckpt.register_chunk_codec`), …
-    ckpt_codec: str = "none"
-    #: … incremental snapshots (dedupe chunks against prior generations), …
-    ckpt_incremental: bool = True
-    #: … and retention (keep the newest K generations — keep_last >= 2
-    #: enables fallback to generation N-1 when the newest committed
-    #: generation is torn or corrupt).
+    #: Retention: keep the newest K generations (keep_last >= 2 enables
+    #: fallback to generation N-1 when the newest committed generation is
+    #: torn or corrupt).
     ckpt_keep_last: int = 1
     max_restarts: int = 16
     sched_policy: str = "random"
@@ -109,8 +110,7 @@ class RunConfig:
     max_slices: int = 20_000_000
     #: Static verification (:mod:`repro.check`) before the run: ``"off"``
     #: (default), ``"warn"`` (report findings, run anyway) or ``"error"``
-    #: (refuse to run an app with error-severity findings).  The
-    #: ``check=`` argument of :meth:`repro.Session.run` overrides this.
+    #: (refuse to run an app with error-severity findings).
     check: str = "off"
     #: Arm the :mod:`repro.trace` event bus for this run.  When False
     #: (default) no recorder exists and every emission site is a single

@@ -21,7 +21,7 @@ attempt *n* does not fire again in attempt *n+1* (the faulty node has been
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.api.comms import CommLike, RawCommAdapter
@@ -237,7 +237,7 @@ def _recovery_loop(
         crashes_before = len(failures.fired_checkpoint_crashes())
         # One verified read picks the epoch *and* loads it: each rank body
         # takes its own (state, log) pair from the line.
-        line = storage.restore_line(config.nprocs) if can_restore else None
+        line = storage.restore_line() if can_restore else None
         committed = line.epoch if line is not None else None
         layers[:] = [None] * config.nprocs
         if tracer is not None:
@@ -348,34 +348,3 @@ def _recovery_loop(
 
     return outcome
 
-
-def run_variant_suite(
-    app_main: AppMain,
-    base_config: RunConfig,
-    variants: tuple[Variant, ...] = (
-        Variant.UNMODIFIED,
-        Variant.PIGGYBACK,
-        Variant.NO_APP_STATE,
-        Variant.FULL,
-    ),
-    storage_factory: Optional[Callable[[], Storage]] = None,
-) -> dict[Variant, RunOutcome]:
-    """Run the same application under each variant (the Figure-8 protocol).
-
-    Each variant gets a fresh storage from ``storage_factory`` (in-memory
-    by default) so checkpoints from one variant cannot leak into another.
-
-    Prefer :meth:`repro.Session.sweep`, which executes the same cells — in
-    parallel, with identical results.
-    """
-    outcomes: dict[Variant, RunOutcome] = {}
-    for variant in variants:
-        cfg = replace(base_config, variant=variant)
-        if storage_factory is not None:
-            storage = storage_factory()
-        else:
-            # In-memory per variant (never a shared directory), but with
-            # the config's ckpt_* knobs honoured.
-            storage = Storage.from_config(replace(cfg, storage_path=None))
-        outcomes[variant] = run_with_recovery(app_main, cfg, storage=storage)
-    return outcomes

@@ -35,10 +35,11 @@ the read is the restore, a restart hashes each chunk once.
 Every generation write is the engine's two-phase commit (chunks, then one
 atomic checksummed manifest), so a crash mid-write — including the injected
 :class:`~repro.simmpi.failures.CheckpointCrash` scenario — never destroys
-the previous generation.  Incremental mode and per-chunk compression (on
-top of the deflated stream) are selected per store;
-:meth:`Storage.from_config` reads them from the ``ckpt_*`` fields of
-:class:`~repro.runtime.config.RunConfig`.
+the previous generation.  A run's store is :meth:`Storage.from_config`:
+incremental, no per-chunk codec, in memory or under ``storage_path``,
+keeping ``ckpt_keep_last`` generations.  Full snapshots, a chunk codec
+and other chunk sizes are :class:`~repro.ckpt.store.CheckpointStore`
+arguments, for engine-level experiments.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.ckpt.backends import DirectoryBackend, MemoryBackend
-from repro.ckpt.delta import DEFAULT_CHUNK_SIZE
 from repro.ckpt.manifest import GenerationManifest
 from repro.ckpt.retention import RetentionPolicy
 from repro.ckpt.store import STAGE_MANIFEST, CheckpointStore
@@ -66,9 +66,7 @@ class CommitRecord(Positional):
     """Names one committed global checkpoint.
 
     ``nprocs`` lets :meth:`Storage.restore_line` load the epoch's
-    generations without outside help; ``None`` (a record written by code
-    that did not know the world size) takes the caller's world size, or —
-    without one — trusts the epoch while some generation of it survives.
+    generations without outside help.
 
     ``committed_at`` is *virtual* time.  Persisted bytes must never carry
     host wall-clock readings: they would make two identical runs write
@@ -81,14 +79,13 @@ class CommitRecord(Positional):
 
     epoch: int
     committed_at: float
-    nprocs: Optional[int] = None
+    nprocs: int
 
 
 @dataclass
 class RestoreLine:
     """A committed global checkpoint as loaded: rank ``r``'s
-    ``(CheckpointData, EpochLogs)`` pair is ``pairs[r]`` (empty when the
-    world size was unknown and nothing was loaded)."""
+    ``(CheckpointData, EpochLogs)`` pair is ``pairs[r]``."""
 
     epoch: int
     pairs: list[Optional[tuple[Any, Any]]]
@@ -102,31 +99,15 @@ class RestoreLine:
 class Storage:
     """Checkpoint store; filesystem-backed or in-memory.
 
-    The constructor keeps its historical shape — ``Storage()`` is an
-    in-memory store, ``Storage(path)`` persists under ``path`` — and the
-    keyword knobs select the engine's behaviour.
+    ``Storage()`` is an in-memory store, ``Storage(path)`` persists under
+    ``path``; either keeps the newest ``keep_last`` generations.  ``store``
+    is the engine underneath and may be replaced by one built directly.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        *,
-        codec: str = "none",
-        incremental: bool = True,
-        keep_last: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
+    def __init__(self, path: Optional[str] = None, *, keep_last: int = 1) -> None:
         self.path = path
         backend = MemoryBackend() if path is None else DirectoryBackend(path)
-        self.store = CheckpointStore(
-            backend,
-            codec=codec,
-            incremental=incremental,
-            retention=RetentionPolicy(keep_last=keep_last),
-            chunk_size=chunk_size,
-        )
-        #: Logical checkpoint-object writes (state/log/commit), not backend puts.
-        self.writes = 0
+        self.store = CheckpointStore(backend, retention=RetentionPolicy(keep_last=keep_last))
         #: Commit events observed on this store (one per checkpoint wave);
         #: the driver diffs it to count waves committed during a run.
         self.commits = 0
@@ -140,14 +121,10 @@ class Storage:
 
     @classmethod
     def from_config(cls, config: Any) -> "Storage":
-        """Build a store from a :class:`RunConfig`-shaped object's
-        ``storage_path`` and ``ckpt_*`` fields (absent fields default)."""
-        return cls(
-            getattr(config, "storage_path", None),
-            codec=getattr(config, "ckpt_codec", "none"),
-            incremental=getattr(config, "ckpt_incremental", True),
-            keep_last=getattr(config, "ckpt_keep_last", 1),
-        )
+        """The store a :class:`~repro.runtime.config.RunConfig` asks for:
+        under its ``storage_path`` (in memory when None), keeping
+        ``ckpt_keep_last`` generations."""
+        return cls(config.storage_path, keep_last=config.ckpt_keep_last)
 
     # ------------------------------------------------------------------ #
     # Engine observability.
@@ -183,7 +160,6 @@ class Storage:
         return f"rank{rank}/{kind}"
 
     def write_state(self, rank: int, epoch: int, data: Any) -> GenerationManifest:
-        self.writes += 1
         crash = (
             self.crash_plan.take_checkpoint_crash(rank, epoch)
             if self.crash_plan is not None
@@ -220,7 +196,6 @@ class Storage:
         return self.store.save(stream, epoch, data, progress=progress, created_at=at_time)
 
     def write_log(self, rank: int, epoch: int, logs: Any) -> GenerationManifest:
-        self.writes += 1
         return self.store.save(self._stream(rank, "log"), epoch, logs)
 
     # A missing generation is a missing manifest: load raises StorageError.
@@ -229,10 +204,6 @@ class Storage:
 
     def read_log(self, rank: int, epoch: int) -> Any:
         return self.store.load(self._stream(rank, "log"), epoch)
-
-    def state_manifest(self, rank: int, epoch: int) -> GenerationManifest:
-        """The recorded manifest of one rank's state generation."""
-        return self.store.read_manifest(self._stream(rank, "state"), epoch)
 
     def has_complete_epoch(self, nprocs: int, epoch: int) -> bool:
         """True if every rank's state *and* log for ``epoch`` is present."""
@@ -261,25 +232,16 @@ class Storage:
             return []
         return list(self.store.get_record(COMMIT_RECORD))
 
-    def commit(
-        self, epoch: int, virtual_time: float, nprocs: Optional[int] = None
-    ) -> None:
+    def commit(self, epoch: int, virtual_time: float, nprocs: int) -> None:
         history = self.commit_history()
-        history.append(
-            CommitRecord(
-                epoch=epoch,
-                committed_at=virtual_time,
-                nprocs=nprocs,
-            )
-        )
-        self.writes += 1
+        history.append(CommitRecord(epoch=epoch, committed_at=virtual_time, nprocs=nprocs))
         self.store.put_record(COMMIT_RECORD, history)
         self.commits += 1
         tr = self._tracer
         if tr is not None:
             tr.emit("store", "commit", t=virtual_time, epoch=epoch, nprocs=nprocs)
 
-    def restore_line(self, nprocs: Optional[int] = None) -> Optional[RestoreLine]:
+    def restore_line(self) -> Optional[RestoreLine]:
         """The newest committed global checkpoint that loads cleanly, loaded;
         None when there is none (recovery then starts from scratch).
 
@@ -287,19 +249,11 @@ class Storage:
         :class:`StorageError` on any rank — torn, bit-rotted, gc'd, or
         addressed by an older digest — skips to the next older retained
         commit, the generation-N → N-1 fallback.  Any other exception is a
-        bug and propagates.  A record written without ``nprocs`` is loaded
-        for ``nprocs`` ranks; with neither it is trusted, unloaded, as long
-        as *some* generation for its epoch still exists (so a gc'd epoch
-        falls through).
+        bug and propagates.
         """
         for record in reversed(self.commit_history()):
-            ranks = record.nprocs if record.nprocs is not None else nprocs
-            if ranks is None:
-                if self._epoch_present(record.epoch):
-                    return RestoreLine(record.epoch, [])
-                continue
             try:
-                return self.read_line(record.epoch, ranks)
+                return self.read_line(record.epoch, record.nprocs)
             except StorageError:
                 continue
         return None
@@ -309,17 +263,7 @@ class Storage:
         line = self.restore_line()
         return line.epoch if line is not None else None
 
-    def _epoch_present(self, epoch: int) -> bool:
-        """Loose retention check for records lacking ``nprocs``: the epoch
-        counts as present while some generation of it survives — or while
-        the store holds no generations at all (commit-record-only usage,
-        where there is nothing to cross-check)."""
-        streams = self.store.streams()
-        if not streams:
-            return True
-        return any(epoch in self.store.generations(stream) for stream in streams)
-
-    def gc(self, nprocs: int, keep_epoch: int) -> int:
+    def gc(self, keep_epoch: int) -> int:
         """Apply the retention policy with ``keep_epoch`` pinned.
 
         Returns the number of generation manifests removed.  Called after a
@@ -333,15 +277,7 @@ class Storage:
     def _prune_commit_history(self) -> None:
         """Drop commit records whose generations retention has deleted."""
         history = self.commit_history()
-        live = [
-            record
-            for record in history
-            if (
-                self.has_complete_epoch(record.nprocs, record.epoch)
-                if record.nprocs is not None
-                else self._epoch_present(record.epoch)
-            )
-        ]
+        live = [r for r in history if self.has_complete_epoch(r.nprocs, r.epoch)]
         if len(live) != len(history):
             self.store.put_record(COMMIT_RECORD, live)
 

@@ -1,17 +1,20 @@
 """Session facade and sweep semantics (identity with the serial path)."""
 
+import os
 import warnings
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro import RunConfig, Session, Variant
 from repro.api.registry import AppSpec, get_app, list_apps
-from repro.api.session import ALL_VARIANTS, default_storage_factory
+from repro.api.session import ALL_VARIANTS
 from repro.apps.laplace import LaplaceParams
 from repro.chaos.invariants import RunFingerprint
 from repro.errors import ConfigError
-from repro.runtime.driver import run_variant_suite
+from repro.farm import Farm
+from repro.runtime.driver import run_with_recovery
 from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave.storage import Storage
 
@@ -46,15 +49,6 @@ def param_driven_app(ctx):
     return state["acc"]
 
 
-def counting_storage_factory():
-    storage = Storage(None)
-    counting_storage_factory.created.append(storage)
-    return storage
-
-
-counting_storage_factory.created = []
-
-
 class TestRegistry:
     def test_decorator_registers(self):
         spec = get_app("ring-acc")
@@ -85,18 +79,6 @@ class TestSessionRun:
         by_fn = session.run(ring_app, cfg)  # decorated fn resolves to its spec
         assert by_name.results == by_fn.results
         assert by_name.checkpoints_committed >= 1
-
-    def test_session_storage_factory_used(self):
-        counting_storage_factory.created.clear()
-        session = Session(storage_factory=counting_storage_factory)
-        out = session.run("ring-acc", RunConfig(**CFG))
-        assert len(counting_storage_factory.created) == 1
-        assert counting_storage_factory.created[0].commits == out.checkpoints_committed
-
-    def test_explicit_storage_wins(self):
-        storage = Storage(None)
-        Session().run("ring-acc", RunConfig(**CFG), storage=storage)
-        assert storage.commits >= 1
 
     def test_failures_trigger_recovery(self):
         session = Session()
@@ -131,11 +113,14 @@ class TestSessionRun:
 
 
 class TestSweep:
-    def test_sweep_matches_serial_variant_suite(self):
+    def test_sweep_matches_serial_driver_runs(self):
         """The acceptance check: four Figure-8 variants through the parallel
-        sweep give per-rank results identical to run_variant_suite."""
+        sweep give per-rank results identical to the free-function driver
+        run once per variant."""
         cfg = RunConfig(**CFG)
-        serial = run_variant_suite(ring_app, cfg)
+        serial = {
+            v: run_with_recovery(ring_app, replace(cfg, variant=v)) for v in ALL_VARIANTS
+        }
         swept = Session().sweep("ring-acc", cfg, params=[20]).by_variant()
         assert set(swept) == set(serial)
         for variant, outcome in serial.items():
@@ -198,54 +183,6 @@ class TestSweep:
         with pytest.raises(ConfigError, match="dedicated axes"):
             Session().sweep("ring-acc", RunConfig(**CFG), grid={"seed": (1, 2)})
 
-    def test_sweep_honours_storage_path(self, tmp_path):
-        """A config that names a storage_path persists each cell to its own
-        subdirectory of it (Session.run and Session.sweep must agree that
-        storage_path means disk)."""
-        import os
-
-        cfg = RunConfig(storage_path=str(tmp_path / "ckpt"), **CFG)
-        result = Session().sweep(
-            "ring-acc", cfg, variants=(Variant.FULL, Variant.NO_APP_STATE)
-        )
-        assert all(r.outcome.checkpoints_committed >= 1 for r in result)
-        cell_dirs = sorted(os.listdir(tmp_path / "ckpt"))
-        assert len(cell_dirs) == 2
-        for d in cell_dirs:
-            assert os.path.exists(tmp_path / "ckpt" / d / "refs" / "COMMIT")
-
-    def test_ckpt_knobs_honoured_without_storage_path(self):
-        """ckpt_* knobs must reach the default in-memory storage too —
-        the compressed run writes different bytes, the results are identical.
-        Every store deflates the in-band stream, which is all of this small
-        state, so the chunk codec finds nothing left and only adds its own
-        framing: an honoured ``zlib`` knob shows as *more* bytes."""
-        flat = Session().run(
-            "ring-acc", RunConfig(ckpt_incremental=False, **CFG), params=60
-        )
-        packed = Session().run(
-            "ring-acc", RunConfig(ckpt_codec="zlib", **CFG), params=60
-        )
-        assert packed.results == flat.results
-        assert packed.checkpoints_committed == flat.checkpoints_committed >= 1
-        assert packed.storage_bytes_written > flat.storage_bytes_written
-
-    def test_explicit_factory_still_wins(self):
-        counting_storage_factory.created.clear()
-        session = Session(storage_factory=counting_storage_factory)
-        session.run("ring-acc", RunConfig(**CFG))
-        assert len(counting_storage_factory.created) == 1
-
-    def test_storage_path_beats_session_factory_in_sweep(self, tmp_path):
-        """run() and sweep() agree: a config naming a storage_path persists
-        even when the session carries a default factory."""
-        counting_storage_factory.created.clear()
-        session = Session(storage_factory=counting_storage_factory)
-        cfg = RunConfig(storage_path=str(tmp_path / "ckpt"), **CFG)
-        session.sweep("ring-acc", cfg, variants=(Variant.FULL,))
-        assert counting_storage_factory.created == []
-        assert (tmp_path / "ckpt").exists()
-
     def test_by_variant_requires_unique_variants(self):
         result = Session().sweep(
             "ring-acc", RunConfig(**CFG),
@@ -253,17 +190,6 @@ class TestSweep:
         )
         with pytest.raises(ConfigError, match="by_variant"):
             result.by_variant()
-
-    def test_sweep_storage_factory_injected(self):
-        counting_storage_factory.created.clear()
-        result = Session().sweep(
-            "ring-acc", RunConfig(**CFG),
-            variants=(Variant.FULL, Variant.NO_APP_STATE),
-            storage_factory=counting_storage_factory,
-            parallel=False,  # keep the counting factory in-process
-        )
-        assert len(counting_storage_factory.created) == 2
-        assert all(r.outcome.checkpoints_committed >= 1 for r in result)
 
     def test_failures_schedule_applied_per_cell(self):
         cfg = RunConfig(**CFG)
@@ -275,6 +201,89 @@ class TestSweep:
         assert all(len(r.outcome.attempts) == 2 for r in result)
         gold = Session().run("ring-acc", cfg)
         assert result.outcome(seed=4).results == gold.results
+
+
+class TestStorageRule:
+    """A run's storage has one rule: the ``storage=`` argument wins;
+    otherwise it is ``Storage.from_config(config)``.  A sweep cell
+    persists to its own slug directory exactly when ``storage_path`` is
+    set, and the farm caches it exactly when it is not."""
+
+    @staticmethod
+    def storage_argument_wins(tmp_path, built):
+        storage = Storage(None)
+        cfg = RunConfig(storage_path=str(tmp_path / "ckpt"), **CFG)
+        out = Session().run("ring-acc", cfg, storage=storage)
+        assert storage.commits == out.checkpoints_committed >= 1
+        assert built == [] and not (tmp_path / "ckpt").exists()
+
+    @staticmethod
+    def from_config_in_memory(tmp_path, built):
+        out = Session().run("ring-acc", RunConfig(ckpt_keep_last=2, **CFG), params=60)
+        (storage,) = built
+        assert storage.path is None and storage.store.retention.keep_last == 2
+        assert out.checkpoints_committed > 2
+        assert len(storage.commit_history()) == 2
+
+    @staticmethod
+    def from_config_on_disk(tmp_path, built):
+        root = str(tmp_path / "ckpt")
+        Session().run(
+            "ring-acc", RunConfig(storage_path=root, ckpt_keep_last=2, **CFG), params=60
+        )
+        (storage,) = built
+        assert storage.path == root
+        assert len(Storage(root).commit_history()) == 2
+
+    @staticmethod
+    def path_cells_persist_per_slug_uncached(tmp_path, built):
+        root = tmp_path / "ckpt"
+        cfg = RunConfig(storage_path=str(root), **CFG)
+        farm = Farm(None)
+        for _ in range(2):
+            result = Session().sweep(
+                "ring-acc", cfg, variants=(Variant.FULL, Variant.NO_APP_STATE),
+                parallel=False, farm=farm,
+            )
+            assert all(r.outcome.checkpoints_committed >= 1 for r in result)
+            assert (farm.last_stats.uncached, farm.last_stats.hits) == (2, 0)
+        slugs = sorted(os.listdir(root))
+        assert len(slugs) == 2
+        assert {s.path for s in built} == {str(root / slug) for slug in slugs}
+        for slug in slugs:
+            assert (root / slug / "refs" / "COMMIT").exists()
+
+    @staticmethod
+    def memory_cells_cached(tmp_path, built):
+        farm = Farm(None)
+        cfg = RunConfig(**CFG)
+        cold = Session().sweep("ring-acc", cfg, seeds=(1, 2), parallel=False, farm=farm)
+        assert (farm.last_stats.executed, farm.last_stats.uncached) == (len(cold), 0)
+        warm = Session().sweep("ring-acc", cfg, seeds=(1, 2), parallel=False, farm=farm)
+        assert (farm.last_stats.hits, farm.last_stats.executed) == (len(warm), 0)
+        assert len(built) == len(cold)  # a hit builds no storage
+        assert [r.outcome.results for r in warm] == [r.outcome.results for r in cold]
+
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            "storage_argument_wins",
+            "from_config_in_memory",
+            "from_config_on_disk",
+            "path_cells_persist_per_slug_uncached",
+            "memory_cells_cached",
+        ],
+    )
+    def test_one_storage_rule(self, branch, tmp_path, monkeypatch):
+        built = []
+        from_config = Storage.from_config.__func__
+
+        def recording(cls, config):
+            built.append(from_config(cls, config))
+            return built[-1]
+
+        monkeypatch.setattr(Storage, "from_config", classmethod(recording))
+        getattr(self, branch)(tmp_path, built)
 
 
 class TestSweepFallback:
@@ -373,35 +382,13 @@ class TestVariantStrings:
         ]
 
 
-class TestRunVariantSuiteSatellites:
-    def test_storage_factory_injected(self):
-        counting_storage_factory.created.clear()
-        run_variant_suite(
-            ring_app, RunConfig(**CFG),
-            variants=(Variant.FULL,),
-            storage_factory=counting_storage_factory,
-        )
-        assert len(counting_storage_factory.created) == 1
-        assert counting_storage_factory.created[0].commits >= 1
-
-    def test_replace_import_is_module_scope(self):
-        import inspect
-
-        from repro.runtime import driver
-
-        src = inspect.getsource(driver.run_variant_suite)
-        assert "from dataclasses import replace" not in src
-
-
 class TestTopLevelExports:
     def test_stable_reexports(self):
         assert repro.Session is Session
         assert repro.RunConfig is RunConfig
         assert repro.Variant is Variant
         assert callable(repro.app)
-        assert default_storage_factory().path is None
         assert not hasattr(repro, "run_with_recovery")
-        assert not hasattr(repro, "run_variant_suite")
 
     def test_session_run_is_warning_free(self):
         cfg = RunConfig(nprocs=2, checkpoint_interval=None)

@@ -51,26 +51,26 @@ class TestStorage:
     def test_clean_run_passes(self):
         outcome, storage = run_ring()
         assert outcome.checkpoints_committed >= 1
-        assert storage_violations(storage, CFG["nprocs"]) == []
+        assert storage_violations(storage) == []
 
     def test_corrupt_committed_manifest_reported(self):
         _, storage = run_ring()
         epoch = storage.committed_epoch()
         storage.store.corrupt_manifest("rank0/state", epoch)
-        violations = storage_violations(storage, CFG["nprocs"])
+        violations = storage_violations(storage)
         assert any("no longer validates" in v for v in violations)
 
     def test_orphan_chunk_reported(self):
         _, storage = run_ring()
         storage.store.backend.put("objects/none/ab/abcd", b"stranded")
-        violations = storage_violations(storage, CFG["nprocs"])
+        violations = storage_violations(storage)
         assert any("orphan chunk" in v for v in violations)
 
     def test_missing_generation_reported(self):
         _, storage = run_ring()
         epoch = storage.committed_epoch()
         storage.store.delete_generation("rank1/state", epoch)
-        violations = storage_violations(storage, CFG["nprocs"])
+        violations = storage_violations(storage)
         assert violations  # either validation or readability must trip
 
 

@@ -1,5 +1,5 @@
-"""The checker wired into its consumers: strict compiles, the Session
-``check=`` knob, and chaos-campaign preflight."""
+"""The checker wired into its consumers: strict compiles, the
+``RunConfig.check`` knob of Session runs, and chaos-campaign preflight."""
 
 import importlib
 import sys
@@ -83,7 +83,7 @@ class TestGeneratorMainsCheckedLikePlainOnes:
 
 
 # --------------------------------------------------------------------- #
-# Session.run / sweep check= knob
+# RunConfig.check under Session.run / sweep
 # --------------------------------------------------------------------- #
 
 def _clean_session_app(ctx):
@@ -116,38 +116,25 @@ class TestSessionCheckKnob:
 
     def test_error_level_refuses_broken_app(self):
         with pytest.raises(CheckError) as info:
-            Session().run(
-                _global_mutating_app, RunConfig(nprocs=2), check="error"
-            )
+            Session().run(_global_mutating_app, RunConfig(nprocs=2, check="error"))
         assert any(d.code == "RPR030" for d in info.value.diagnostics)
 
-    def test_config_level_is_the_default_knob(self):
-        with pytest.raises(CheckError):
-            Session().run(
-                _global_mutating_app, RunConfig(nprocs=2, check="error")
-            )
-
     def test_warn_level_prints_and_runs(self, capsys):
-        outcome = Session().run(
-            _global_mutating_app, RunConfig(nprocs=2), check="warn"
-        )
+        outcome = Session().run(_global_mutating_app, RunConfig(nprocs=2, check="warn"))
         assert outcome.results  # the run still happened
         assert "RPR030" in capsys.readouterr().err
         sys.modules.pop("check_probe", None)
 
     def test_clean_app_passes_error_level(self):
-        outcome = Session().run(
-            _clean_session_app, RunConfig(nprocs=2), check="error"
-        )
+        outcome = Session().run(_clean_session_app, RunConfig(nprocs=2, check="error"))
         assert outcome.results
 
     def test_sweep_checks_once_up_front(self):
         with pytest.raises(CheckError):
             Session().sweep(
                 _global_mutating_app,
-                RunConfig(nprocs=2),
+                RunConfig(nprocs=2, check="error"),
                 variants=("full",),
-                check="error",
             )
 
     def test_sourceless_function_is_skipped_not_crashed(self):
@@ -161,14 +148,12 @@ class TestSessionCheckKnob:
             "    return (yield from ctx.mpi.co_allreduce(1.0, SUM))\n",
             ns,
         )
-        outcome = Session().run(
-            ns["sourceless"], RunConfig(nprocs=2), check="error"
-        )
+        outcome = Session().run(ns["sourceless"], RunConfig(nprocs=2, check="error"))
         assert outcome.results
 
     def test_registered_apps_pass_error_level(self):
-        cfg = RunConfig(nprocs=2, checkpoint_interval=0.002)
-        outcome = Session().run("dense_cg", cfg, check="error")
+        cfg = RunConfig(nprocs=2, checkpoint_interval=0.002, check="error")
+        outcome = Session().run("dense_cg", cfg)
         assert outcome.results
 
 

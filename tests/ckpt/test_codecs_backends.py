@@ -1,4 +1,4 @@
-"""Codec registry and backend contracts."""
+"""Chunk codec and backend contracts."""
 
 import os
 
@@ -8,10 +8,6 @@ from repro.ckpt import (
     DirectoryBackend,
     MemoryBackend,
     get_chunk_codec,
-    list_backends,
-    list_chunk_codecs,
-    make_backend,
-    register_chunk_codec,
 )
 from repro.errors import ConfigError, StorageError
 
@@ -33,26 +29,6 @@ class TestCodecs:
     def test_unknown_codec_is_config_error(self):
         with pytest.raises(ConfigError, match="unknown checkpoint codec"):
             get_chunk_codec("snappy")
-
-    def test_registry_is_open(self):
-        class Reversing:
-            name = "reversing"
-
-            def encode(self, data):
-                return data[::-1]
-
-            def decode(self, data):
-                return data[::-1]
-
-        register_chunk_codec("reversing", Reversing)
-        try:
-            assert "reversing" in list_chunk_codecs()
-            codec = get_chunk_codec("reversing")
-            assert codec.decode(codec.encode(b"abc")) == b"abc"
-        finally:
-            from repro.ckpt import codecs
-
-            codecs._REGISTRY.pop("reversing", None)
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -109,12 +85,3 @@ class TestBackends:
             if ".tmp." in name
         ]
         assert leftovers == []
-
-    def test_registry(self, tmp_path):
-        assert set(list_backends()) >= {"memory", "directory"}
-        assert isinstance(make_backend("memory"), MemoryBackend)
-        assert isinstance(
-            make_backend("directory", str(tmp_path / "d")), DirectoryBackend
-        )
-        with pytest.raises(ConfigError, match="unknown checkpoint backend"):
-            make_backend("s3")

@@ -118,4 +118,4 @@ def test_store_of_pickled_manifests_restarts_from_scratch():
         key = store._manifest_key(stream, 1)
         manifest = GenerationManifest.from_bytes(store.backend.get(key))
         store.backend.put(key, pickled_form(manifest))
-    assert storage.restore_line(2) is None
+    assert storage.restore_line() is None

@@ -2,7 +2,7 @@
 
 import pickle
 
-from repro.api.session import Session, default_storage_factory
+from repro.api.session import Session
 from repro.chaos.campaign import CampaignConfig, run_campaign
 from repro.farm import Farm
 from repro.runtime.config import RunConfig
@@ -30,29 +30,6 @@ class TestSweepThroughFarm:
             assert pickle.dumps(a.outcome.results) == pickle.dumps(b.outcome.results)
             assert a.outcome.total_virtual_time == b.outcome.total_virtual_time
             assert a.outcome.storage_bytes_written == b.outcome.storage_bytes_written
-
-    def test_persistent_storage_cells_bypass_cache(self, tmp_path):
-        """Cells writing checkpoints to their own directory have side
-        effects a cache hit would skip — they must run uncached."""
-        session = Session()
-        cfg = RunConfig(nprocs=2, storage_path=str(tmp_path / "ckpts"))
-        farm = Farm(str(tmp_path / "farm"))
-        session.sweep("laplace", cfg, variants=["full"], parallel=False, farm=farm)
-        assert farm.last_stats.uncached == 1
-        session.sweep("laplace", cfg, variants=["full"], parallel=False, farm=farm)
-        assert farm.last_stats.uncached == 1
-        assert farm.last_stats.hits == 0
-
-    def test_factory_storage_cells_bypass_cache(self):
-        session = Session()
-        farm = Farm(None)
-        for _ in range(2):
-            session.sweep(
-                "laplace", RunConfig(nprocs=2), variants=["full"], parallel=False,
-                storage_factory=default_storage_factory, farm=farm,
-            )
-            assert farm.last_stats.uncached == 1
-            assert farm.last_stats.hits == 0
 
     def test_farm_outcomes_equal_direct_execution(self):
         session = Session()

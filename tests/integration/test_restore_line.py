@@ -14,8 +14,11 @@ import pytest
 
 import repro.ckpt.store as store_module
 from repro.apps import laplace
+from repro.ckpt.backends import MemoryBackend
 from repro.ckpt.delta import chunk_digest
 from repro.ckpt.manifest import GenerationManifest
+from repro.ckpt.retention import RetentionPolicy
+from repro.ckpt.store import CheckpointStore
 from repro.errors import StorageError
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import run_with_recovery
@@ -37,9 +40,13 @@ def gold():
 
 
 def completed_store(codec="none"):
-    """A store holding a finished run's committed epochs N-1 and N."""
-    storage = Storage(None, keep_last=2, codec=codec)
-    run_with_recovery(ring_app(), RunConfig(**BASE, ckpt_codec=codec), storage=storage)
+    """A store holding a finished run's committed epochs N-1 and N, its
+    chunks encoded by ``codec``."""
+    storage = Storage(None)
+    storage.store = CheckpointStore(
+        MemoryBackend(), codec=codec, retention=RetentionPolicy(keep_last=2)
+    )
+    run_with_recovery(ring_app(), CONFIG, storage=storage)
     newest = storage.commit_history()[-1].epoch
     assert storage.commit_history()[-2].epoch == newest - 1
     return storage, newest
@@ -108,12 +115,10 @@ class TestTypedFallback:
         corrupt(storage, mode, newest)
         with pytest.raises(StorageError):
             storage.read_state(1, newest)
-        line = storage.restore_line(CONFIG.nprocs)
+        line = storage.restore_line()
         assert line.epoch == newest - 1
         assert len(line.pairs) == CONFIG.nprocs
-        out = run_with_recovery(
-            ring_app(), RunConfig(**BASE, ckpt_codec=codec), storage=storage
-        )
+        out = run_with_recovery(ring_app(), CONFIG, storage=storage)
         assert out.attempts[0].started_from_epoch == newest - 1
         assert results_bytes(out) == results_bytes(gold)
 
@@ -125,7 +130,7 @@ class TestTypedFallback:
 
         monkeypatch.setattr(GenerationManifest, "verify", broken_verify)
         with pytest.raises(RuntimeError, match="bug inside load"):
-            storage.restore_line(CONFIG.nprocs)
+            storage.restore_line()
         with pytest.raises(RuntimeError, match="bug inside load"):
             run_with_recovery(ring_app(), CONFIG, storage=storage)
 
@@ -145,7 +150,7 @@ class TestStoreWrittenUnderTheFormerDigest:
         newest = storage.commit_history()[-1].epoch
         with pytest.raises(StorageError, match="content verification"):
             storage.read_state(0, newest)
-        assert storage.restore_line(CONFIG.nprocs) is None
+        assert storage.restore_line() is None
         out = run_with_recovery(ring_app(), CONFIG, storage=storage)
         assert out.attempts[0].started_from_epoch is None
         assert results_bytes(out) == results_bytes(gold)
@@ -168,9 +173,9 @@ class TestOneHashPerChunk:
         restores = []
         original = Storage.restore_line
 
-        def counted(self, nprocs=None):
+        def counted(self):
             digests.clear()
-            line = original(self, nprocs)
+            line = original(self)
             if line is not None:
                 refs = sum(
                     len(self.store.read_manifest(self._stream(rank, kind), line.epoch).chunks)

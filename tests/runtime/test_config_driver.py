@@ -5,7 +5,6 @@ import pytest
 from repro import Session
 from repro.errors import ConfigError
 from repro.runtime import RunConfig, Variant, run_with_recovery
-from repro.runtime.driver import run_variant_suite
 from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave import Storage
 
@@ -150,14 +149,6 @@ class TestDriver:
             first.storage_bytes_written + second.storage_bytes_written
             == storage.bytes_written
         )
-
-    def test_run_variant_suite(self):
-        outcomes = run_variant_suite(counting_app(30), RunConfig(**self.CFG))
-        results = {v: o.results for v, o in outcomes.items()}
-        # Every variant computes the same application answer.
-        assert len({tuple(r) for r in results.values()}) == 1
-        assert outcomes[Variant.FULL].checkpoints_committed >= 1
-        assert outcomes[Variant.PIGGYBACK].checkpoints_committed == 0
 
 
 class TestRankMainForms:

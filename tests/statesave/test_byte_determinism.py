@@ -72,7 +72,7 @@ class TestByteIdenticalRuns:
         epoch = storage.committed_epoch()
         assert epoch is not None
         for rank in range(CONFIG.nprocs):
-            manifest = storage.state_manifest(rank, epoch)
+            manifest = storage.store.read_manifest(f"rank{rank}/state", epoch)
             data = storage.read_state(rank, epoch)
             assert manifest.created_at == data.taken_at
         # Commit records carry virtual time only; the historical

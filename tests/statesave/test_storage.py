@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from repro.ckpt.backends import MemoryBackend
+from repro.ckpt.store import CheckpointStore
 from repro.errors import ManifestCorruptError, StorageError
 from repro.statesave.format import CheckpointData
 from repro.statesave.storage import Storage
@@ -12,6 +14,14 @@ from repro.util.serialization import FrameCorruptError
 
 def ckpt(rank=0, epoch=1):
     return CheckpointData(rank=rank, epoch=epoch, protocol={"epoch": epoch})
+
+
+def commit_epoch(storage, epoch, nprocs=1):
+    """Write every rank's state and log of ``epoch``, then commit it."""
+    for rank in range(nprocs):
+        storage.write_state(rank, epoch, ckpt(rank, epoch))
+        storage.write_log(rank, epoch, {"epoch": epoch})
+    storage.commit(epoch, float(epoch), nprocs=nprocs)
 
 
 @pytest.fixture(params=["memory", "disk"])
@@ -38,7 +48,6 @@ class TestBasicIO:
     def test_bytes_accounted(self, storage):
         storage.write_state(0, 1, ckpt())
         assert storage.bytes_written > 0
-        assert storage.writes == 1
 
 
 class TestCommit:
@@ -46,13 +55,17 @@ class TestCommit:
         assert storage.committed_epoch() is None
 
     def test_commit_roundtrip(self, storage):
-        storage.commit(4, 1.25)
+        commit_epoch(storage, 4)
         assert storage.committed_epoch() == 4
 
     def test_recommit_replaces(self, storage):
-        storage.commit(1, 0.0)
-        storage.commit(2, 1.0)
+        commit_epoch(storage, 1)
+        commit_epoch(storage, 2)
         assert storage.committed_epoch() == 2
+
+    def test_commit_of_missing_generations_is_not_restored(self, storage):
+        storage.commit(4, 1.25, nprocs=1)
+        assert storage.committed_epoch() is None
 
     def test_has_complete_epoch(self, storage):
         for rank in range(3):
@@ -69,16 +82,15 @@ class TestGC:
             for rank in range(2):
                 storage.write_state(rank, epoch, ckpt(rank, epoch))
                 storage.write_log(rank, epoch, {})
-        removed = storage.gc(2, keep_epoch=3)
+        removed = storage.gc(keep_epoch=3)
         assert removed == 8
         assert storage.has_complete_epoch(2, 3)
         with pytest.raises(StorageError):
             storage.read_state(0, 2)
 
     def test_gc_keeps_commit_record(self, storage):
-        storage.commit(3, 0.0)
-        storage.write_state(0, 3, ckpt(0, 3))
-        storage.gc(1, keep_epoch=3)
+        commit_epoch(storage, 3)
+        storage.gc(keep_epoch=3)
         assert storage.committed_epoch() == 3
 
 
@@ -148,10 +160,7 @@ class TestCommitFallback:
 
     def _two_committed_generations(self, storage, nprocs=2):
         for epoch in (1, 2):
-            for rank in range(nprocs):
-                storage.write_state(rank, epoch, ckpt(rank, epoch))
-                storage.write_log(rank, epoch, {"epoch": epoch})
-            storage.commit(epoch, float(epoch), nprocs=nprocs)
+            commit_epoch(storage, epoch, nprocs)
         return storage
 
     @pytest.fixture(params=["memory", "disk"])
@@ -180,26 +189,12 @@ class TestCommitFallback:
             deep_storage.store.corrupt_manifest("rank0/state", epoch)
         assert deep_storage.committed_epoch() is None
 
-    def test_unvalidatable_commit_record_skipped_once_gcd(self):
-        """A commit written without nprocs (external callers) cannot be
-        deep-validated; once gc has removed its generations it must fall
-        through instead of steering recovery into a missing object."""
-        storage = Storage(None)
-        storage.write_state(0, 1, ckpt(0, 1))
-        storage.write_log(0, 1, {})
-        storage.commit(1, 0.0)  # no nprocs
-        assert storage.committed_epoch() == 1
-        storage.write_state(0, 2, ckpt(0, 2))
-        storage.write_log(0, 2, {})
-        storage.gc(1, keep_epoch=2)  # epoch 1 generations deleted
-        assert storage.committed_epoch() is None
-
     def test_keep_last_one_cannot_fall_back(self):
         """The paper's keep-only-latest discipline has no N-1 to return to
         (documented behaviour, the reason ckpt_keep_last=2 exists)."""
         storage = Storage(None)  # keep_last=1
         self._two_committed_generations(storage)
-        storage.gc(2, keep_epoch=2)
+        storage.gc(keep_epoch=2)
         storage.store.corrupt_manifest("rank0/state", 2)
         assert storage.committed_epoch() is None
 
@@ -209,7 +204,8 @@ class TestCheckpointCrashInjection:
         from repro.errors import ProcessKilled
         from repro.simmpi.failures import FailureSchedule
 
-        storage = Storage(None, chunk_size=64)
+        storage = Storage(None)
+        storage.store = CheckpointStore(MemoryBackend(), chunk_size=64)
         storage.crash_plan = FailureSchedule.during_checkpoint(
             rank=0, epoch=1, after_chunks=0
         )
@@ -223,7 +219,8 @@ class TestCheckpointCrashInjection:
         from repro.simmpi.failures import FailureSchedule
 
         # A first generation's stream deflates against itself to 15 bytes.
-        storage = Storage(None, chunk_size=4)
+        storage = Storage(None)
+        storage.store = CheckpointStore(MemoryBackend(), chunk_size=4)
         storage.crash_plan = FailureSchedule.during_checkpoint(
             rank=0, epoch=1, after_chunks=2
         )
@@ -248,8 +245,7 @@ class TestCheckpointCrashInjection:
 
 class TestWipe:
     def test_wipe(self, storage):
-        storage.write_state(0, 1, ckpt())
-        storage.commit(1, 0.0)
+        commit_epoch(storage, 1)
         storage.wipe()
         assert storage.committed_epoch() is None
 
