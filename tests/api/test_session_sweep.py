@@ -12,6 +12,7 @@ from repro.api.registry import AppSpec, get_app, list_apps
 from repro.api.session import ALL_VARIANTS
 from repro.apps.laplace import LaplaceParams
 from repro.chaos.invariants import RunFingerprint
+from repro.ckpt import CheckpointStore, MemoryBackend, RetentionPolicy
 from repro.errors import ConfigError
 from repro.farm import Farm
 from repro.runtime.driver import run_with_recovery
@@ -79,6 +80,27 @@ class TestSessionRun:
         by_fn = session.run(ring_app, cfg)  # decorated fn resolves to its spec
         assert by_name.results == by_fn.results
         assert by_name.checkpoints_committed >= 1
+
+    def test_engine_store_assigned_to_storage_reaches_the_run(self):
+        """Engine options are set on a directly built CheckpointStore.  Every
+        store deflates the in-band stream, which is all of this small state,
+        so a zlib chunk codec finds nothing left and only adds its own
+        framing: an honoured codec shows as *more* bytes, same results."""
+        outcomes = {}
+        for name, engine in {
+            "full": CheckpointStore(MemoryBackend(), incremental=False),
+            "zlib": CheckpointStore(MemoryBackend(), codec="zlib"),
+        }.items():
+            storage = Storage(None)
+            storage.store = engine
+            outcomes[name] = Session().run(
+                "ring-acc", RunConfig(**CFG), params=60, storage=storage
+            )
+            assert engine.bytes_written == outcomes[name].storage_bytes_written > 0
+        flat, packed = outcomes["full"], outcomes["zlib"]
+        assert packed.results == flat.results
+        assert packed.checkpoints_committed == flat.checkpoints_committed >= 1
+        assert packed.storage_bytes_written > flat.storage_bytes_written
 
     def test_failures_trigger_recovery(self):
         session = Session()
@@ -284,6 +306,65 @@ class TestStorageRule:
 
         monkeypatch.setattr(Storage, "from_config", classmethod(recording))
         getattr(self, branch)(tmp_path, built)
+
+
+class TestOneWayToConfigure:
+    """Each second way to configure a run is gone: its keyword is refused
+    instead of silently accepted, and its entry point no longer exists."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: RunConfig(ckpt_codec="zlib"),
+            lambda: RunConfig(ckpt_incremental=False),
+            lambda: Session(storage_factory=Storage),
+            lambda: Session(cost_model=None),
+            lambda: Session().run("ring-acc", RunConfig(**CFG), check="error"),
+            lambda: Session().sweep("ring-acc", RunConfig(**CFG), storage_factory=Storage),
+            lambda: Session().sweep("ring-acc", RunConfig(**CFG), check="error"),
+            lambda: Storage(None, codec="zlib"),
+            lambda: Storage(None, incremental=False),
+            lambda: Storage(None, chunk_size=64),
+            lambda: RetentionPolicy(keep_every=2),
+        ],
+        ids=[
+            "RunConfig.ckpt_codec",
+            "RunConfig.ckpt_incremental",
+            "Session.storage_factory",
+            "Session.cost_model",
+            "Session.run.check",
+            "Session.sweep.storage_factory",
+            "Session.sweep.check",
+            "Storage.codec",
+            "Storage.incremental",
+            "Storage.chunk_size",
+            "RetentionPolicy.keep_every",
+        ],
+    )
+    def test_removed_knob_is_refused(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
+
+    def test_removed_entry_points_are_gone(self):
+        from repro import ckpt
+        from repro.api import session
+        from repro.ckpt import backends, codecs
+        from repro.runtime import driver
+
+        gone = [
+            (session, "default_storage_factory"),
+            (session.Session, "_apply_defaults"),
+            (driver, "run_variant_suite"),
+            (backends, "register_backend"),
+            (backends, "make_backend"),
+            (backends, "list_backends"),
+            (codecs, "register_chunk_codec"),
+            (codecs, "list_chunk_codecs"),
+            (Storage, "state_manifest"),
+            (Storage(None), "writes"),
+        ]
+        gone += [(ckpt, name) for _, name in gone[3:8]]
+        assert [(owner, name) for owner, name in gone if hasattr(owner, name)] == []
 
 
 class TestSweepFallback:

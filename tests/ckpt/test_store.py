@@ -927,6 +927,22 @@ class TestRetentionAndGC:
         assert scans == ["manifests/", "objects/"]
         assert store.generations("rank3/state") == [2]
 
+    @pytest.mark.parametrize(
+        "generations, keep_last, pinned, live",
+        [
+            ([], 1, None, set()),
+            ([1, 2, 3], 1, None, {3}),
+            ([3, 1, 2, 2], 2, None, {2, 3}),
+            ([1, 2], 5, None, {1, 2}),
+            ([1, 2, 3], 1, 1, {1, 3}),
+            ([1, 2, 3], 2, 3, {2, 3}),
+        ],
+        ids=["empty", "newest", "unordered", "short", "pinned_old", "pinned_in_window"],
+    )
+    def test_live_keeps_newest_window_and_pinned(self, generations, keep_last, pinned, live):
+        policy = RetentionPolicy(keep_last=keep_last)
+        assert policy.live(generations, pinned=pinned) == live
+
     def test_retention_policy_validation(self):
         from repro.errors import ConfigError
 

@@ -31,6 +31,18 @@ class TestSweepThroughFarm:
             assert a.outcome.total_virtual_time == b.outcome.total_virtual_time
             assert a.outcome.storage_bytes_written == b.outcome.storage_bytes_written
 
+    def test_persistent_storage_cells_bypass_cache(self, tmp_path):
+        """Cells writing checkpoints to their own directory have side
+        effects a cache hit would skip, so they run uncached even through
+        an on-disk farm that a second session reopens."""
+        session = Session()
+        cfg = RunConfig(nprocs=2, storage_path=str(tmp_path / "ckpts"))
+        for _ in range(2):
+            farm = Farm(str(tmp_path / "farm"))
+            session.sweep("laplace", cfg, variants=["full"], parallel=False, farm=farm)
+            assert (farm.last_stats.uncached, farm.last_stats.hits) == (1, 0)
+        assert len(list((tmp_path / "ckpts").iterdir())) == 1
+
     def test_farm_outcomes_equal_direct_execution(self):
         session = Session()
         cfg = RunConfig(nprocs=2)

@@ -155,6 +155,24 @@ class TestCorruption:
         assert storage.read_state(0, 1).epoch == 1
 
 
+class TestFromConfig:
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_store_follows_the_config(self, on_disk, tmp_path):
+        from repro.runtime.config import RunConfig
+
+        path = str(tmp_path / "ckpt") if on_disk else None
+        storage = Storage.from_config(RunConfig(nprocs=1, storage_path=path, ckpt_keep_last=2))
+        assert storage.path == path
+        assert storage.store.retention.keep_last == 2
+        assert storage.store.incremental and storage.store.codec.name == "none"
+        for epoch in (1, 2, 3):
+            commit_epoch(storage, epoch)
+            storage.gc(keep_epoch=epoch)
+        assert [r.epoch for r in storage.commit_history()] == [2, 3]
+        if on_disk:
+            assert Storage(path).committed_epoch() == 3
+
+
 class TestCommitFallback:
     """Generation N torn or corrupt => recovery restarts from N-1."""
 
