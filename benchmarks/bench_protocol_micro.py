@@ -558,9 +558,12 @@ def test_guard_random_draws_come_in_blocks(monkeypatch):
     for reader in ("next_below", "next_exponential"):
         monkeypatch.setattr(rng.RngStream, reader, counting(getattr(rng.RngStream, reader)))
 
-    # The default configuration: sched_policy="random", jitter=20e-6.
+    # The default configuration: sched_policy="random", jitter=20e-6.  The
+    # run is long enough for the scheduler to draw more than one block:
+    # only a collective's receive that must wait suspends a rank, so a CG
+    # iteration takes few scheduler draws.
     out = run_with_recovery(
-        get_app("dense_cg").build(CGParams(n=48, iterations=30)),
+        get_app("dense_cg").build(CGParams(n=48, iterations=100)),
         RunConfig(nprocs=4, seed=3, variant=Variant.PIGGYBACK),
     )
     assert out.completed and out.restarts == 0

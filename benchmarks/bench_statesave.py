@@ -368,14 +368,21 @@ def _bytes_per_local_checkpoint(variant: Variant) -> dict[str, float]:
 
 
 #: Bytes one V2 (protocol-only) local checkpoint of ``_run_paper_app``'s
-#: dense CG writes (measured: 56.8, 190.2 and 262.0).  Records are
+#: dense CG writes (measured: 56.9, 189.7 and 262.0).  Records are
 #: positional pickles, manifests fixed binary records and the in-band stream
 #: deflated against its stream's dictionary; a schema creeping back into the
 #: bytes (field names, pickled manifests, hex digests), a raw stream or a
 #: standalone deflate (162.9 and 258.4) fails this.
+#:
+#: The log bucket is mostly the collective results the interleaving makes
+#: a rank log: 46 allgathered vectors (28.8 kB raw over the run) and 44
+#: allreduce scalars.  Which iterations' vectors land in which epoch's log,
+#: and so how well they deflate against the log stream's dictionary, moves
+#: with the schedule at an unchanged encoding: the same run read 217.9 B
+#: while a collective's send was a scheduling point, and 189.7 B after.
 V2_CHECKPOINT_BYTES = {"state": 57, "log": 191, "manifests": 262}
 
-#: The same for V3 (measured: 843.2 and 190.2); the matrix block dedupes,
+#: The same for V3 (measured: 842.9 and 189.7); the matrix block dedupes,
 #: so this is the deflated stream of the solver's frames and vectors, and
 #: the same logs.  A raw stream (1541 and 301) or a standalone deflate
 #: (1301.4 and 258.4) fails it.

@@ -17,7 +17,6 @@ under ``checkpoint``.  It owns everything that makes checkpoints happen
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
@@ -178,13 +177,15 @@ class CheckpointStage:
         app_state = None
         if self.config.save_app_state and core.state_provider is not None:
             app_state = core.state_provider()
+        # No copies: ``write_state`` pickles ``data`` before it returns and
+        # keeps no reference to it, so the pickle is the copy.
         data = CheckpointData(
             rank=core.rank,
             epoch=state.epoch,
             protocol=snapshot,
             early_ids=saved_early,
-            requests=copy.deepcopy(core.requests.snapshot()),
-            mpi_records=copy.deepcopy(core.objects.log),
+            requests=core.requests.snapshot(),
+            mpi_records=core.objects.log,
             handles=core.objects.handles.snapshot(),
             coll_seqs=dict(core.coll_seqs),
             app_state=app_state,

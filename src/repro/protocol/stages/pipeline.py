@@ -718,15 +718,16 @@ class _LayerCollEndpoint:
     counters would drift apart between ranks.  The pipeline derives tags
     from its own checkpointed per-communicator sequence numbers instead.
 
-    Sends and receives *are* the raw communicator's generator forms.
+    Sends and receives *are* the raw communicator's: the plain
+    ``coll_send`` and the generator ``co_coll_recv``.
     """
 
-    __slots__ = ("coll_rank", "coll_size", "co_coll_send", "co_coll_recv", "_base", "_used")
+    __slots__ = ("coll_rank", "coll_size", "coll_send", "co_coll_recv", "_base", "_used")
 
     def __init__(self, raw: Comm, base: int) -> None:
         self.coll_rank = raw.rank
         self.coll_size = raw.size
-        self.co_coll_send = raw.co_coll_send
+        self.coll_send = raw.coll_send
         self.co_coll_recv = raw.co_coll_recv
         self._base = base
         self._used = False

@@ -31,9 +31,10 @@ Every collective call instance draws a fresh tag block from the endpoint so
 that rounds of different collectives can never be confused even under the
 network's ``random`` ordering mode.
 
-Each algorithm exists once, as a ``co_*`` generator whose sends/receives
-are ``yield from`` calls on the endpoint's ``co_coll_send``/``co_coll_recv``
-— the simulator suspends the whole rank there.
+Each algorithm exists once, as a ``co_*`` generator.  Its sends are plain
+calls to the endpoint's ``coll_send``, which only posts the message; its
+receives are ``yield from`` calls on ``co_coll_recv``, and the simulator
+suspends the whole rank only where a receive's message has not arrived yet.
 """
 
 from __future__ import annotations
@@ -66,12 +67,20 @@ class P2PEndpoint(Protocol):
         """Reserve and return the base tag for one collective instance."""
         ...
 
-    def co_coll_send(self, dest: int, payload: Any, tag: int):
-        """Group-local-rank addressed send (a generator)."""
+    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
+        """Group-local-rank addressed send.
+
+        Posts the message and returns: a collective's send is not a
+        scheduling point, so a round's send never ends the rank's slice.
+        """
         ...
 
     def co_coll_recv(self, source: int, tag: int):
-        """Group-local-rank addressed blocking receive (a generator)."""
+        """Group-local-rank addressed blocking receive (a generator).
+
+        Suspends only while the message has not arrived; a receive that
+        matches a queued message returns without yielding.
+        """
         ...
 
 
@@ -106,7 +115,7 @@ def co_bcast(ep, obj: Any, root: int = 0):
     while mask > 0:
         if vrank + mask < size:
             dst = (vrank + mask + root) % size
-            yield from ep.co_coll_send(dst, received, tag)
+            ep.coll_send(dst, received, tag)
         mask >>= 1
     return received
 
@@ -127,7 +136,7 @@ def co_allreduce(ep, obj: Any, op: Op):
     # Fold phase: ranks [0, 2*rem) pair up so that odd ones drop out.
     if rank < 2 * rem:
         if rank % 2 == 0:
-            yield from ep.co_coll_send(rank + 1, value, _round_tag(base, rnd))
+            ep.coll_send(rank + 1, value, _round_tag(base, rnd))
             newrank = -1
         else:
             other = yield from ep.co_coll_recv(rank - 1, _round_tag(base, rnd))
@@ -143,7 +152,7 @@ def co_allreduce(ep, obj: Any, op: Op):
         while mask < pof2:
             partner_new = newrank ^ mask
             partner = partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            yield from ep.co_coll_send(partner, value, _round_tag(base, rnd))
+            ep.coll_send(partner, value, _round_tag(base, rnd))
             other = yield from ep.co_coll_recv(partner, _round_tag(base, rnd))
             if partner_new < newrank:
                 value = reduce_sequence(op, [other, value])
@@ -156,7 +165,7 @@ def co_allreduce(ep, obj: Any, op: Op):
     # Expand phase: survivors hand the result back to folded-out ranks.
     if rank < 2 * rem:
         if rank % 2 == 1:
-            yield from ep.co_coll_send(rank - 1, value, _round_tag(base, rnd))
+            ep.coll_send(rank - 1, value, _round_tag(base, rnd))
         else:
             value = yield from ep.co_coll_recv(rank + 1, _round_tag(base, rnd))
     return value
@@ -173,7 +182,7 @@ def co_gather(ep, obj: Any, root: int = 0):
             if src != root:
                 out[src] = yield from ep.co_coll_recv(src, _round_tag(base, 0))
         return out
-    yield from ep.co_coll_send(root, obj, _round_tag(base, 0))
+    ep.coll_send(root, obj, _round_tag(base, 0))
     return None
 
 
@@ -242,7 +251,7 @@ def _co_allgather_run(ep, held, width: int):
     first = (rank - rotation) % size
     for rnd, (dst, src, send, recv) in enumerate(rounds):
         tag = _round_tag(base, rnd)
-        yield from ep.co_coll_send(dst, held[:len(send) * width], tag)
+        ep.coll_send(dst, held[:len(send) * width], tag)
         incoming = yield from ep.co_coll_recv(src, tag)
         if recv.start < first:
             held, first = incoming + held, recv.start
@@ -286,7 +295,7 @@ def co_scatter(ep, objs: list[Any] | None, root: int = 0):
             )
         for dst in range(size):
             if dst != root:
-                yield from ep.co_coll_send(dst, objs[dst], _round_tag(base, 0))
+                ep.coll_send(dst, objs[dst], _round_tag(base, 0))
         return objs[root]
     return (yield from ep.co_coll_recv(root, _round_tag(base, 0)))
 
@@ -310,7 +319,7 @@ def co_alltoall(ep, objs: list[Any]):
     for rnd in range((size - 1).bit_length()):
         mask, tag = 1 << rnd, _round_tag(base, rnd)
         moving = [i for i in range(mask, size) if i & mask]
-        yield from ep.co_coll_send((rank + mask) % size, [slots[i] for i in moving], tag)
+        ep.coll_send((rank + mask) % size, [slots[i] for i in moving], tag)
         incoming = yield from ep.co_coll_recv((rank - mask) % size, tag)
         for i, block in zip(moving, incoming):
             slots[i] = block
@@ -328,7 +337,7 @@ def co_barrier(ep):
     while mask < size:
         dst = (rank + mask) % size
         src = (rank - mask) % size
-        yield from ep.co_coll_send(dst, None, _round_tag(base, rnd))
+        ep.coll_send(dst, None, _round_tag(base, rnd))
         yield from ep.co_coll_recv(src, _round_tag(base, rnd))
         mask <<= 1
         rnd += 1
@@ -343,5 +352,5 @@ def co_scan(ep, obj: Any, op: Op):
         prefix = yield from ep.co_coll_recv(rank - 1, _round_tag(base, 0))
         value = reduce_sequence(op, [prefix, value])
     if rank + 1 < size:
-        yield from ep.co_coll_send(rank + 1, value, _round_tag(base, 0))
+        ep.coll_send(rank + 1, value, _round_tag(base, 0))
     return value

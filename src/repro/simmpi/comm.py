@@ -247,19 +247,17 @@ class Comm:
         self._coll_seq += 1
         return base
 
-    def co_coll_send(self, dest: int, payload: Any, tag: int):
+    # A collective suspends only where it waits: ``coll_send`` posts like
+    # ``isend``, and ``co_coll_recv`` yields only while its message has not
+    # arrived.  Point-to-point sends and receives stay scheduling points.
+
+    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
         self._post_envelope(self._world(dest), payload, tag)
-        scheduler, proc = self._scheduler, self.proc
-        scheduler.before_yield(proc)
-        yield
-        scheduler.after_yield(proc)
 
     def co_coll_recv(self, source: int, tag: int):
         desc = RecvDescriptor(self._world(source), tag, self.context)
         self.proc.mailbox.post(desc)
         if desc.matched is None:
-            # Note the asymmetry with co_recv_envelope: an already-matched
-            # collective receive is not a scheduling point.
             yield from self._scheduler.co_block_on_recv(self.proc, desc)
         clock = self._clock
         clock._now += clock.cost.step

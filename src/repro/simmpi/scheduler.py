@@ -9,10 +9,14 @@ next ``yield``.  Control transfers are explicit, so the interleaving of
 ranks is fully determined by the scheduler's policy and seed — a
 requirement for reproducing protocol bugs found by randomised testing.
 
-Scheduling points occur at every simulated MPI call (and anywhere the
-application calls ``co_yield_point`` explicitly).  Between scheduling points a
-rank runs uninterrupted, which models the paper's single-threaded C/MPI
-processes faithfully.
+Scheduling points occur at every blocking point-to-point call
+(``co_send``, ``co_recv`` and their kin, matched or not), at a collective's
+receive whose message has not arrived yet, and anywhere the application
+calls ``co_yield_point`` explicitly.  A collective's sends and its receives
+of already-queued messages are not scheduling points: a collective
+suspends only where it waits.  Between scheduling points a rank runs
+uninterrupted, which models the paper's single-threaded C/MPI processes
+faithfully.
 
 Policies
 --------
@@ -85,8 +89,8 @@ class Scheduler:
             self._raise_kill(proc)
 
     def co_yield_point(self, proc: Proc):
-        # The per-message ``Comm`` twins (``co_send``, ``co_recv_envelope``,
-        # ``co_coll_send``) bracket a bare ``yield`` with the same pair
+        # The per-message point-to-point calls (``Comm.co_send``,
+        # ``co_recv_envelope``) bracket a bare ``yield`` with the same pair
         # instead of allocating this generator for every message.
         self.before_yield(proc)
         yield

@@ -1,5 +1,6 @@
 """Collective algorithms: correctness across sizes, roots, and orderings."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.simmpi import MAX, MIN, SUM, run_simple
 from repro.simmpi import collectives_impl as coll_impl
+from repro.simmpi.comm import Comm
 from repro.simmpi.datatypes import HEADER_BYTES, sizeof
 from repro.simmpi.network import Network
 from repro.simmpi.op import reduce_sequence
@@ -238,6 +240,27 @@ def test_scatter(n):
         return (yield from ctx.comm.co_scatter(objs, root=0))
 
     assert run(main, n) == [i * i for i in range(n)]
+
+
+@pytest.mark.parametrize("collective", ["bcast", "scatter"])
+def test_a_rooted_collective_finishes_at_its_root_in_one_slice(collective):
+    """A collective suspends only where it waits: the root of an 8-rank
+    broadcast or scatter receives nothing, so its sends end no slice."""
+    def main(ctx):
+        first = ctx.proc.slices
+        if collective == "bcast":
+            yield from ctx.comm.co_bcast(ctx.rank, root=0)
+        else:
+            yield from ctx.comm.co_scatter(list(range(8)) if ctx.rank == 0 else None, root=0)
+        return ctx.proc.slices - first
+
+    result = run_simple(main, nprocs=8, seed=11)
+    assert result.completed and result.network.posted == 7
+    assert result.results[0] == 0
+
+
+def test_a_collective_send_is_not_a_scheduling_point():
+    assert not inspect.isgeneratorfunction(Comm.coll_send)
 
 
 def _alltoall_block(payload, src, dst):

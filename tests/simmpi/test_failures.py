@@ -95,8 +95,11 @@ class TestFailureSchedule:
 
 
 def busy_worker(ctx):
+    # A collective suspends only where it waits, so each iteration also
+    # gives way once, as a rank between compute phases would.
     for _ in range(500):
         yield from ctx.comm.co_allreduce(1, SUM)
+        yield from ctx.co_yield_point()
     return "done"
 
 
