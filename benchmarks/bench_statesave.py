@@ -3,7 +3,7 @@
 The paper's dense-CG observation — checkpoint cost is dominated by the
 application-state volume — reduced to its mechanism: serialise/deserialise
 cost and stored bytes as functions of payload size, for the framed-pickle
-checkpoint format and the managed heap.
+checkpoint format.
 
 The second half measures the tiered storage engine (:mod:`repro.ckpt`):
 full pickle snapshots versus incremental (content-addressed delta) versus
@@ -21,7 +21,6 @@ from repro.ckpt.store import CheckpointStore
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import run_with_recovery
 from repro.statesave.format import CheckpointData
-from repro.statesave.heap import ManagedHeap
 from repro.statesave.storage import Storage
 from repro.util.serialization import dumps_framed, loads_framed
 
@@ -66,19 +65,6 @@ def test_storage_write_cost(benchmark, backend, tmp_path):
 
     benchmark(run)
     assert storage.bytes_written > 0
-
-
-def test_heap_snapshot_cost(benchmark):
-    benchmark.group = "ckpt-heap"
-    heap = ManagedHeap()
-    for i in range(64):
-        heap.alloc_array(f"block{i}", (4096,))
-
-    def run():
-        return dumps_framed(heap.snapshot())
-
-    blob = benchmark(run)
-    assert len(blob) > 64 * 4096 * 8
 
 
 def test_cost_scales_linearly():

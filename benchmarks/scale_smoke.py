@@ -13,7 +13,8 @@ fires.  The check exits 1 when the run did not complete, the kill forced
 no restart, nothing was committed, or the final attempt started from
 scratch.  The ok line names the simulated time of each attempt, the
 messages delivered, the epoch each attempt started from, the waves
-committed and the per-stage dispatch counts (exact simulated facts).
+committed and the per-stage dispatch counts, all read from
+``RunOutcome.facts()`` (the run's exact simulated facts).
 
 CLI::
 
@@ -52,27 +53,30 @@ def main() -> int:
     )
     wall = time.perf_counter() - started
 
-    started_from = [rec.started_from_epoch for rec in out.attempts]
-    attempt_vt = [round(rec.virtual_time, 4) for rec in out.attempts]
+    facts = out.facts()
+    attempts = range(facts["restarts"] + 1)
+    attempt_vt = [round(facts[f"attempt{i}_virtual_s"], 4) for i in attempts]
+    started_from = [facts[f"attempt{i}_from_epoch"] for i in attempts]
     stage_calls = {
-        name: entry["calls"] for name, entry in sorted(out.stage_totals().items())
+        key[len("stage_calls."):]: calls
+        for key, calls in sorted(facts.items()) if key.startswith("stage_calls.")
     }
     print(
         f"scale smoke: {RANKS} ranks, {wall:.2f}s wall, "
-        f"vt={out.total_virtual_time:.4f} (per attempt {attempt_vt}), "
-        f"messages={out.network_messages}, restarts={out.restarts}, "
-        f"started_from_epoch={started_from[-1]} (per attempt {started_from}), "
-        f"checkpoints_committed={out.checkpoints_committed}, "
+        f"vt={facts['virtual_s']:.4f} (per attempt {attempt_vt}), "
+        f"messages={facts['messages']}, restarts={facts['restarts']}, "
+        f"started_from_epoch={facts['restored_epoch']} (per attempt {started_from}), "
+        f"checkpoints_committed={facts['waves']}, "
         f"stage_calls={stage_calls}"
     )
     problems = []
     if not out.completed:
         problems.append("run did not complete")
-    if out.restarts < 1:
+    if facts["restarts"] < 1:
         problems.append("kill forced no restart")
-    if out.checkpoints_committed < 1:
+    if facts["waves"] < 1:
         problems.append("no checkpoint wave was committed")
-    if started_from[-1] is None:
+    if facts["restored_epoch"] is None:
         problems.append("final attempt restarted from scratch")
     for problem in problems:
         print(f"scale smoke FAILED: {problem}", file=sys.stderr)

@@ -69,10 +69,9 @@ def main() -> None:
             print(f"    t={ev['t']:.6f} {ev['cat']}.{ev['name']}")
     print()
 
-    snap = outcome.metrics_snapshot()
     print(f"run: {len(outcome.attempts)} attempts, "
           f"{outcome.checkpoints_committed} checkpoints committed, "
-          f"{int(snap['gauges']['trace.events'])} events recorded, "
+          f"{len(outcome.trace)} events recorded, "
           f"virtual time {outcome.total_virtual_time:.6f}s")
     assert outcome.completed and outcome.restarts == 1
 

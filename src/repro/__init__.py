@@ -9,6 +9,10 @@ Public API (stable)
 ``repro.RunConfig`` / ``repro.Variant``
     The whole configuration of one run (its checkpoint storage included)
     and the four build variants of Section 6.2.
+``repro.RunOutcome``
+    What a run returns; ``outcome.facts()`` is the one definition of its
+    exact simulated facts (virtual time, messages, bytes, waves, stored
+    bytes, results hash, protocol counters, per-attempt accounting).
 ``repro.app`` / ``repro.AppSpec``
     Application registration (generator ``main(ctx)`` functions and
     precompiled units alike).
@@ -33,8 +37,8 @@ Subpackages
     chunk compression codecs, incremental (content-addressed) generations,
     keep-last retention, crash-consistent two-phase commit.
 ``repro.statesave``
-    Managed heap, globals registry, checkpoint assembly, stable storage
-    (a facade over ``repro.ckpt``).
+    Globals registry, checkpoint assembly, stable storage (a facade over
+    ``repro.ckpt``).
 ``repro.runtime``
     The run -> fail -> restart orchestration driver and application context.
 ``repro.apps``

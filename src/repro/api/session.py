@@ -95,16 +95,9 @@ class RunRow:
     outcome: RunOutcome
 
     def as_dict(self) -> dict[str, Any]:
-        """One flat table row, derived from the unified metrics snapshot.
-
-        Column names and types are stable (they predate the registry);
-        only the source changed — every numeric column now reads from
-        ``outcome.metrics_snapshot()`` so tables and chaos reports cannot
-        drift apart.  ``wall_seconds`` is read directly:
-        the snapshot deliberately excludes run-level wall clock.
-        """
-        from repro.trace.metrics import snapshot_get
-
+        """One flat table row: the cell's coordinates, then the outcome's
+        results and counters (``wall_seconds`` is the one host-time column)."""
+        out = self.outcome
         row: dict[str, Any] = {
             "app": self.cell.app,
             "variant": self.cell.variant.value,
@@ -113,26 +106,19 @@ class RunRow:
             "params": self.cell.params,
         }
         row.update(self.cell.overrides)
-        snap = self.outcome.metrics_snapshot()
-
-        def counter(name: str) -> float:
-            return snapshot_get(snap, "counters", name, 0.0)
-
-        stage_calls: dict[str, int] = {}
-        for name, value in snap["counters"].items():
-            if name.startswith("proto.stage_calls."):
-                stage_calls[name[len("proto.stage_calls."):]] = int(value)
         row.update(
-            results=self.outcome.results,
-            attempts=int(snapshot_get(snap, "gauges", "run.attempts", 0.0)),
-            restarts=int(snapshot_get(snap, "gauges", "run.restarts", 0.0)),
-            virtual_time=snapshot_get(snap, "gauges", "run.virtual_time", 0.0),
-            wall_seconds=self.outcome.total_wall_seconds,
-            checkpoints_committed=int(counter("ckpt.commits")),
-            storage_bytes=int(counter("store.bytes_written")),
-            network_messages=int(counter("net.messages")),
-            network_bytes=int(counter("net.bytes")),
-            stage_calls=stage_calls,
+            results=out.results,
+            attempts=len(out.attempts),
+            restarts=out.restarts,
+            virtual_time=out.total_virtual_time,
+            wall_seconds=out.total_wall_seconds,
+            checkpoints_committed=out.checkpoints_committed,
+            storage_bytes=out.storage_bytes_written,
+            network_messages=out.network_messages,
+            network_bytes=out.network_bytes,
+            stage_calls={
+                name: entry["calls"] for name, entry in sorted(out.stage_totals().items())
+            },
         )
         return row
 

@@ -31,7 +31,6 @@ from repro.chaos.campaign import (
 )
 from repro.chaos.generator import KIND_WEIGHTS, generate_campaign, generate_scenario
 from repro.chaos.invariants import (
-    RunFingerprint,
     determinism_violations,
     equivalence_violations,
     storage_violations,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_VARIANTS",
     "KIND_WEIGHTS",
     "KillSpec",
-    "RunFingerprint",
     "ScenarioVerdict",
     "check_scenario",
     "determinism_violations",

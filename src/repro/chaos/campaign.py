@@ -26,7 +26,6 @@ from repro.apps.dense_cg import CGParams
 from repro.apps.laplace import LaplaceParams
 from repro.chaos.generator import generate_campaign
 from repro.chaos.invariants import (
-    RunFingerprint,
     determinism_violations,
     equivalence_violations,
     results_blob,
@@ -146,8 +145,6 @@ class CampaignReport:
         return sum(1 for v in self.verdicts if v.ok)
 
     def to_dict(self) -> dict[str, Any]:
-        from repro.trace.metrics import campaign_metrics
-
         by_kind: dict[str, int] = {}
         for v in self.verdicts:
             by_kind[v.scenario.kind] = by_kind.get(v.scenario.kind, 0) + 1
@@ -158,9 +155,6 @@ class CampaignReport:
             "failed": len(self.failures),
             "scenarios_by_kind": dict(sorted(by_kind.items())),
             "wall_seconds": self.wall_seconds,
-            # Unified-registry rollup (virtual-time accounting only, so it
-            # stays inside the deterministic fingerprint slice).
-            "metrics": campaign_metrics(self.verdicts).snapshot(),
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
 
@@ -247,8 +241,6 @@ def _baseline_job(payload: tuple) -> BaselineProbe:
 
 
 def _scenario_job(payload: tuple) -> ScenarioVerdict:
-    from repro.trace.metrics import snapshot_get
-
     scenario, cfg, params, probe = payload
     violations: list[str] = []
     verdict = ScenarioVerdict(scenario=scenario, ok=False)
@@ -259,20 +251,13 @@ def _scenario_job(payload: tuple) -> ScenarioVerdict:
         verdict.violations = tuple(violations)
         verdict.flight = _capture_flight(scenario, cfg, params, probe.horizon)
         return verdict
-    # Verdict accounting reads the unified metrics snapshot — the same
-    # numbers sweep tables and bench records see.  Only deterministic
-    # members (counters/gauges on the virtual clock) are consulted.
-    snap = outcome.metrics_snapshot()
-    verdict.attempts = int(snapshot_get(snap, "gauges", "run.attempts", 0.0))
-    verdict.restarts = int(snapshot_get(snap, "gauges", "run.restarts", 0.0))
-    verdict.kills_fired = int(snapshot_get(snap, "counters", "run.kills", 0.0))
-    verdict.crashes_fired = int(
-        snapshot_get(snap, "counters", "run.checkpoint_crashes", 0.0)
-    )
-    verdict.checkpoints_committed = int(
-        snapshot_get(snap, "counters", "ckpt.commits", 0.0)
-    )
-    verdict.virtual_time = snapshot_get(snap, "gauges", "run.virtual_time", 0.0)
+    # Verdict accounting: exact counts on the virtual clock only.
+    verdict.attempts = len(outcome.attempts)
+    verdict.restarts = outcome.restarts
+    verdict.kills_fired = sum(len(rec.kills) for rec in outcome.attempts)
+    verdict.crashes_fired = sum(len(rec.checkpoint_crashes) for rec in outcome.attempts)
+    verdict.checkpoints_committed = outcome.checkpoints_committed
+    verdict.virtual_time = outcome.total_virtual_time
     # Invariant 1: bit-identical to the failure-free baseline.
     violations.extend(equivalence_violations(probe.results, outcome))
     # Invariant 2: storage internally consistent after the run.
@@ -283,11 +268,7 @@ def _scenario_job(payload: tuple) -> ScenarioVerdict:
     except Exception as exc:
         violations.append(f"rerun raised {type(exc).__name__}: {exc}")
     else:
-        violations.extend(
-            determinism_violations(
-                RunFingerprint.of(outcome), RunFingerprint.of(rerun)
-            )
-        )
+        violations.extend(determinism_violations(outcome, rerun))
     verdict.violations = tuple(violations)
     verdict.ok = not violations
     if violations:

@@ -9,8 +9,9 @@
    checksum + chunk digests, one verified read each), so the newest one
    is what recovery would restore, and no orphan chunks are left at rest.
 3. **Rerun determinism** — replaying the same scenario (same seeds, fresh
-   storage, pristine schedule) reproduces the same outcome: results,
-   attempt-by-attempt failure accounting, commit and byte counters.
+   storage, pristine schedule) reproduces the same outcome: the pickled
+   results and every exact fact of :meth:`RunOutcome.facts` (virtual time,
+   traffic, commits, stored bytes, attempt-by-attempt failure accounting).
 
 Each check returns a list of violation strings (empty = invariant holds),
 so a campaign report can show *what* broke, not just that something did.
@@ -19,7 +20,6 @@ so a campaign report can show *what* broke, not just that something did.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import StorageError
@@ -30,48 +30,6 @@ from repro.statesave.storage import Storage
 def results_blob(outcome: RunOutcome) -> bytes:
     """Canonical bytes of the per-rank results (bit-identity oracle)."""
     return pickle.dumps(outcome.results, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-@dataclass(frozen=True)
-class RunFingerprint:
-    """Everything invariant 3 compares between a run and its rerun.
-
-    Deliberately excludes wall-clock fields; everything else — results,
-    per-attempt failure accounting, virtual time, storage and network
-    counters — must reproduce exactly.
-    """
-
-    results: bytes
-    attempts: tuple[tuple, ...]
-    total_virtual_time: float
-    checkpoints_committed: int
-    storage_bytes_written: int
-    network_messages: int
-    network_bytes: int
-
-    @classmethod
-    def of(cls, outcome: RunOutcome) -> "RunFingerprint":
-        return cls(
-            results=results_blob(outcome),
-            attempts=tuple(
-                (
-                    a.index,
-                    a.completed,
-                    a.failed,
-                    a.dead_ranks,
-                    a.started_from_epoch,
-                    a.virtual_time,
-                    a.kills,
-                    a.checkpoint_crashes,
-                )
-                for a in outcome.attempts
-            ),
-            total_virtual_time=outcome.total_virtual_time,
-            checkpoints_committed=outcome.checkpoints_committed,
-            storage_bytes_written=outcome.storage_bytes_written,
-            network_messages=outcome.network_messages,
-            network_bytes=outcome.network_bytes,
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -133,30 +91,17 @@ def storage_violations(storage: Storage) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
-def determinism_violations(
-    first: RunFingerprint, second: RunFingerprint
-) -> list[str]:
+def determinism_violations(first: RunOutcome, second: RunOutcome) -> list[str]:
+    """Every way ``second`` (the rerun) differs from ``first``: the pickled
+    results, then each key of :meth:`RunOutcome.facts` it changed."""
     out: list[str] = []
-    if first == second:
-        return out
-    if first.results != second.results:
+    if results_blob(first) != results_blob(second):
         out.append("rerun produced different per-rank results")
-    if first.attempts != second.attempts:
-        out.append(
-            "rerun produced a different attempt history "
-            f"({len(first.attempts)} vs {len(second.attempts)} attempts, "
-            "or differing per-attempt records)"
-        )
-    for field_name in (
-        "total_virtual_time",
-        "checkpoints_committed",
-        "storage_bytes_written",
-        "network_messages",
-        "network_bytes",
-    ):
-        a, b = getattr(first, field_name), getattr(second, field_name)
-        if a != b:
-            out.append(f"rerun changed {field_name}: {a!r} vs {b!r}")
-    if not out:  # pragma: no cover - the fields above are exhaustive
-        out.append("rerun fingerprint differs")
+    a, b = first.facts(), second.facts()
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b or a[key] != b[key]:
+            out.append(
+                f"rerun changed {key}: {a.get(key, 'absent')!r} vs "
+                f"{b.get(key, 'absent')!r}"
+            )
     return out

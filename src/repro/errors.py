@@ -128,10 +128,6 @@ class CheckError(ReproError):
         self.diagnostics = tuple(diagnostics)
 
 
-class HeapError(ReproError):
-    """Managed heap misuse (double free, foreign pointer...)."""
-
-
 class FarmError(ReproError):
     """Campaign-execution failure (result cache or cell)."""
 

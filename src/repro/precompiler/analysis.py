@@ -345,10 +345,6 @@ class UnitAnalysis:
                 collect=collect, suspending=suspending,
             )
 
-    def checkpointable_callees(self, name: str) -> set[str]:
-        """Unit functions whose call sites in ``name`` need labels."""
-        return {c for c in self.infos[name].callees if self.infos[c].reaches}
-
 
 def stmt_contains_checkpointable(
     stmt: ast.stmt,

@@ -74,15 +74,6 @@ class Variant(enum.Enum):
         """Whether the variant runs the checkpoint stage (V2 and V3)."""
         return self in (Variant.NO_APP_STATE, Variant.FULL)
 
-    @property
-    def paper_name(self) -> str:
-        return {
-            Variant.UNMODIFIED: "Unmodified Program",
-            Variant.PIGGYBACK: "Using Protocol Layer, No Checkpoints",
-            Variant.NO_APP_STATE: "Checkpointing, No Application State",
-            Variant.FULL: "Full Checkpoints",
-        }[self]
-
 
 @dataclass
 class RunConfig:

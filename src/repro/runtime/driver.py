@@ -21,13 +21,14 @@ attempt *n* does not fire again in attempt *n+1* (the faulty node has been
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from repro.api.comms import CommLike, RawCommAdapter
 from repro.api.registry import app_entry
 from repro.errors import RecoveryError
-from repro.protocol.stages.base import C3Config
+from repro.protocol.stages.base import C3Config, LayerStats
 from repro.protocol.stages.pipeline import ProtocolPipeline
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.context import C3AppContext
@@ -117,12 +118,42 @@ class RunOutcome:
                 entry["calls"] += calls
         return totals
 
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """This outcome rendered under the unified ``repro.metrics/1``
-        schema (see :mod:`repro.trace.metrics`)."""
-        from repro.trace.metrics import outcome_metrics
+    def facts(self) -> dict[str, Any]:
+        """Every exact simulated fact of this run, as one flat JSON-safe dict.
 
-        return outcome_metrics(self).snapshot()
+        Two runs of one configuration and seed give equal dicts: host wall
+        time and the trace recorder's counts are left out.  ``LayerStats``
+        counters are summed over the final attempt's ranks, ``stage_calls.*``
+        over ranks and attempts (:meth:`stage_totals`).  Each attempt adds
+        ``attempt<i>_*`` keys; its failure events are kept as their reprs.
+        """
+        facts: dict[str, Any] = {
+            "virtual_s": self.total_virtual_time,
+            "messages": self.network_messages,
+            "bytes": self.network_bytes,
+            "waves": self.checkpoints_committed,
+            "stored_bytes": self.storage_bytes_written,
+            "restarts": self.restarts,
+            "restored_epoch": self.attempts[-1].started_from_epoch,
+            "results_sha256": hashlib.sha256(repr(self.results).encode()).hexdigest(),
+        }
+        for counter in fields(LayerStats):
+            if counter.name != "stage_calls":
+                facts[counter.name] = sum(getattr(s, counter.name) for s in self.layer_stats)
+        for name, entry in self.stage_totals().items():
+            facts[f"stage_calls.{name}"] = entry["calls"]
+        for rec in self.attempts:
+            prefix = f"attempt{rec.index}_"
+            facts[prefix + "virtual_s"] = rec.virtual_time
+            facts[prefix + "completed"] = rec.completed
+            facts[prefix + "failed"] = rec.failed
+            facts[prefix + "dead_ranks"] = list(rec.dead_ranks)
+            facts[prefix + "from_epoch"] = rec.started_from_epoch
+            facts[prefix + "kills"] = repr(rec.kills)
+            facts[prefix + "checkpoint_crashes"] = repr(rec.checkpoint_crashes)
+            for name, calls in sorted(rec.stage_calls.items()):
+                facts[f"{prefix}stage_calls.{name}"] = calls
+        return facts
 
 
 def run_with_recovery(
@@ -189,11 +220,8 @@ def run_with_recovery(
 def _attempt_stage_calls(layers: list[Optional[CommLike]]) -> dict[str, int]:
     """Aggregate one attempt's per-rank concern counts over ranks."""
     calls: dict[str, int] = {}
-    for layer in layers:
-        stats = getattr(layer, "stats", None)
-        if stats is None:
-            continue
-        for name, n in getattr(stats, "stage_calls", {}).items():
+    for layer in filter(None, layers):
+        for name, n in layer.stats.stage_calls.items():
             calls[name] = calls.get(name, 0) + n
     return calls
 
@@ -329,9 +357,8 @@ def _recovery_loop(
 
         if result.completed:
             outcome.results = result.results
-            outcome.layer_stats = [
-                layer.stats if layer is not None else None for layer in layers
-            ]
+            # Every rank built its layer: a completed attempt ran each body.
+            outcome.layer_stats = [layer.stats for layer in layers]
             break
         if not result.failed:
             raise RecoveryError("attempt neither completed nor failed — simulator bug")
@@ -342,9 +369,7 @@ def _recovery_loop(
             )
         # A failure may have torn a checkpoint write mid-flight, leaving
         # chunks with no manifest; reclaim them here, off the hot path.
-        sweep = getattr(storage, "sweep_orphans", None)
-        if sweep is not None:
-            sweep()
+        storage.sweep_orphans()
 
     return outcome
 

@@ -51,8 +51,3 @@ class Group:
     def subset(self, group_ranks: list[int]) -> "Group":
         """New group from a list of *group-local* ranks."""
         return Group(tuple(self.world_rank(r) for r in group_ranks))
-
-    def translate(self, other: "Group", group_rank: int) -> int | None:
-        """Translate a rank in this group to its rank in ``other`` (or None)."""
-        world = self.world_rank(group_rank)
-        return other.members.index(world) if world in other.members else None

@@ -114,20 +114,6 @@ class Network:
         """Record a stopping fault: drop traffic to/from ``rank`` from now on."""
         self._dead.add(rank)
 
-    def revive_all(self) -> None:
-        """Reset the network for reuse across simulated job attempts.
-
-        Clears death records *and* per-key delivery floors: a restarted
-        attempt replays traffic from scratch, and inheriting the previous
-        attempt's FIFO floors would push its first messages artificially
-        far into the future (and skew timing determinism against a fresh
-        network).  Note the recovery driver builds a fresh ``Simulator``
-        — and hence a fresh ``Network`` — per attempt, so this guards the
-        standalone reuse API, not the driver's restart path.
-        """
-        self._dead.clear()
-        self._last_delivery.clear()
-
     # ------------------------------------------------------------------ #
 
     def next_delivery_time(self) -> float | None:

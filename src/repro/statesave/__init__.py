@@ -11,7 +11,6 @@ from repro.statesave.globals_registry import (
     GlobalsRegistry,
     checkpointable_state,
 )
-from repro.statesave.heap import ManagedHeap
 from repro.statesave.storage import CommitRecord, Storage
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "CommitRecord",
     "DEFAULT_REGISTRY",
     "GlobalsRegistry",
-    "ManagedHeap",
     "Storage",
     "checkpointable_state",
 ]

@@ -1,4 +1,4 @@
-"""repro.trace — virtual-time event tracing and the unified metrics registry.
+"""repro.trace — virtual-time event tracing.
 
 The paper's whole evaluation is an observability exercise: per-phase
 protocol overheads and recovery timelines measured against a baseline.
@@ -14,9 +14,6 @@ our reproduction:
 * :mod:`repro.trace.export` — JSONL and Chrome trace-event JSON
   (Perfetto-loadable, one track per rank on the virtual clock), a text
   timeline and per-category summaries.
-* :mod:`repro.trace.metrics` — counters/gauges/histograms behind one
-  snapshot schema that ``RunOutcome``, sweep tables and chaos reports
-  all read from.
 * the flight recorder — ``repro.chaos`` embeds each failing cell's
   per-rank event tails into its report, turning "invariant violated"
   into a readable story.
@@ -38,24 +35,14 @@ from repro.trace.export import (
     write_chrome,
     write_jsonl,
 )
-from repro.trace.metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    campaign_metrics,
-    outcome_metrics,
-)
 from repro.trace.recorder import DEFAULT_RING_CAPACITY, TraceRecorder, flight_dump
 
 __all__ = [
     "CATEGORIES",
     "DEFAULT_RING_CAPACITY",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
     "TraceEvent",
     "TraceRecorder",
-    "campaign_metrics",
     "flight_dump",
-    "outcome_metrics",
     "read_jsonl",
     "render_timeline",
     "summarize",

@@ -21,7 +21,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.trace.events import TraceEvent
 
@@ -202,7 +202,3 @@ def flight_dump(
     if recorder is None or len(recorder) == 0:
         return None
     return recorder.flight_dump(per_rank)
-
-
-def events_from_dicts(dicts: Iterable[Dict[str, Any]]) -> List[TraceEvent]:
-    return [TraceEvent.from_dict(d) for d in dicts]

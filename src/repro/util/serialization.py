@@ -100,16 +100,6 @@ def read_frame(fh: BinaryIO) -> Any:
     return pickle.loads(_read_payload(fh))
 
 
-def read_all_frames(fh: BinaryIO) -> list[Any]:
-    """Read every frame in ``fh`` until EOF."""
-    out: list[Any] = []
-    while True:
-        try:
-            out.append(read_frame(fh))
-        except EOFError:
-            return out
-
-
 def _read_payload(fh: BinaryIO) -> bytes:
     header = fh.read(_HEADER.size)
     if not header:

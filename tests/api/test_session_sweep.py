@@ -11,7 +11,6 @@ from repro import RunConfig, Session, Variant
 from repro.api.registry import AppSpec, get_app, list_apps
 from repro.api.session import ALL_VARIANTS
 from repro.apps.laplace import LaplaceParams
-from repro.chaos.invariants import RunFingerprint
 from repro.ckpt import CheckpointStore, MemoryBackend, RetentionPolicy
 from repro.errors import ConfigError
 from repro.farm import Farm
@@ -124,14 +123,14 @@ class TestSessionRun:
         first = session.run("laplace", cfg, params=params, failures=sched)
         second = session.run("laplace", cfg, params=params, failures=sched)
         assert first.restarts == second.restarts == 1
-        assert RunFingerprint.of(first) == RunFingerprint.of(second)
+        assert first.facts() == second.facts()
         assert sched.remaining() == [KillEvent(0.008, 1)]
         assert sched.consumed_events() == ()
         swept = session.sweep(
             "laplace", cfg, variants=(Variant.FULL,), params=(params,),
             failures=sched, parallel=False,
         )
-        assert RunFingerprint.of(swept.rows[0].outcome) == RunFingerprint.of(first)
+        assert swept.rows[0].outcome.facts() == first.facts()
 
 
 class TestSweep:

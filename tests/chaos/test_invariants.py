@@ -4,7 +4,6 @@ import dataclasses
 import pickle
 
 from repro.chaos.invariants import (
-    RunFingerprint,
     determinism_violations,
     equivalence_violations,
     results_blob,
@@ -75,26 +74,38 @@ class TestStorage:
 
 
 class TestDeterminism:
-    def test_identical_runs_fingerprint_equal(self):
+    def test_identical_runs_have_equal_facts(self):
         a, _ = run_ring()
         b, _ = run_ring()
-        fa, fb = RunFingerprint.of(a), RunFingerprint.of(b)
-        assert fa == fb
-        assert determinism_violations(fa, fb) == []
+        assert a.facts() == b.facts()
+        assert determinism_violations(a, b) == []
 
     def test_perturbed_counter_named(self):
         outcome, _ = run_ring()
-        fa = RunFingerprint.of(outcome)
-        fb = dataclasses.replace(fa, network_messages=fa.network_messages + 1)
-        violations = determinism_violations(fa, fb)
-        assert violations == [
-            f"rerun changed network_messages: {fa.network_messages!r} vs "
-            f"{fa.network_messages + 1!r}"
+        n = outcome.network_messages
+        rerun = dataclasses.replace(outcome, network_messages=n + 1)
+        assert determinism_violations(outcome, rerun) == [
+            f"rerun changed messages: {n!r} vs {n + 1!r}"
         ]
 
-    def test_fingerprint_carries_attempt_accounting(self):
+    def test_different_results_reported_from_the_pickled_bytes(self):
         outcome, _ = run_ring()
-        fp = RunFingerprint.of(outcome)
-        assert len(fp.attempts) == len(outcome.attempts)
-        # index, completed, failed, dead_ranks, epoch, vt, kills, crashes
-        assert all(len(row) == 8 for row in fp.attempts)
+        rerun = dataclasses.replace(outcome, results=[*outcome.results[:-1], None])
+        violations = determinism_violations(outcome, rerun)
+        assert [v.split(":")[0] for v in violations] == [
+            "rerun produced different per-rank results",
+            "rerun changed results_sha256",
+        ]
+
+    def test_facts_carry_attempt_accounting(self):
+        outcome, _ = run_ring()
+        facts = outcome.facts()
+        for rec in outcome.attempts:
+            prefix = f"attempt{rec.index}_"
+            assert facts[prefix + "completed"] == rec.completed
+            assert facts[prefix + "failed"] == rec.failed
+            assert facts[prefix + "dead_ranks"] == list(rec.dead_ranks)
+            assert facts[prefix + "from_epoch"] == rec.started_from_epoch
+            assert facts[prefix + "virtual_s"] == rec.virtual_time
+            assert facts[prefix + "kills"] == repr(rec.kills)
+            assert facts[prefix + "checkpoint_crashes"] == repr(rec.checkpoint_crashes)

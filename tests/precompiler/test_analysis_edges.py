@@ -121,8 +121,6 @@ class TestReachingFixpoint:
             """
         ))
         assert analysis.reaching == {"even", "odd"}
-        assert analysis.checkpointable_callees("odd") == {"even"}
-        assert analysis.checkpointable_callees("even") == {"odd"}
 
     def test_cycle_with_no_site_never_reaches(self):
         analysis = UnitAnalysis(_trees(

@@ -57,10 +57,6 @@ class TestVariantMapping:
             nprocs=2, variant=Variant.FULL, checkpoint_interval=None
         ).checkpointing_active
 
-    def test_paper_names(self):
-        assert Variant.UNMODIFIED.paper_name == "Unmodified Program"
-        assert Variant.FULL.paper_name == "Full Checkpoints"
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(nprocs=2, max_restarts=-1)

@@ -4,11 +4,12 @@ Host-time work (dispatch, sizing, matching) may be restructured freely
 as long as no *simulated* fact moves.  This suite pins those facts for
 the four gallery apps under V0-V3, one mid-run-kill recovery each, and a
 16-rank no-RNG laplace (the shape of the benchmark's ``laplace_scale64``
-workload): results, virtual time, message/byte counts, committed waves,
-stored bytes, per-attempt records with stage call counts, the number of
-scheduling slices, and the SHA-256 of the full ``repro.trace`` JSONL
-export (which orders every grant, block, wake, delivery, protocol and
-store event on the virtual clock).
+workload): every key of ``RunOutcome.facts()`` (a hash of the results,
+virtual time, message/byte counts, committed waves, stored bytes,
+protocol counters, per-attempt records with stage call counts), the
+number of scheduling slices, and the SHA-256 of the full ``repro.trace``
+JSONL export (which orders every grant, block, wake, delivery, protocol
+and store event on the virtual clock).
 
 The goldens in ``golden_facts.json`` are regenerated only on purpose,
 when a change is *meant* to move a simulated fact::
@@ -67,42 +68,9 @@ def _cases():
 CASES = _cases()
 
 
-#: What each entry of ``_fingerprint``'s list is, in order.
-FINGERPRINT_LABELS = (
-    "results", "virtual time", "network bytes", "messages", "waves",
-    "stored bytes", "attempts",
-)
-
-
-def _fingerprint(out):
-    """Every deterministic observable of a run (wall clock excluded), in
-    ``FINGERPRINT_LABELS`` order."""
-    attempts = [
-        (
-            a.index,
-            a.completed,
-            a.failed,
-            a.dead_ranks,
-            a.started_from_epoch,
-            repr(a.virtual_time),
-            repr(a.kills),
-            repr(a.checkpoint_crashes),
-            repr(sorted(a.stage_calls.items())),
-        )
-        for a in out.attempts
-    ]
-    return [
-        repr(out.results),
-        repr(out.total_virtual_time),
-        out.network_bytes,
-        out.network_messages,
-        out.checkpoints_committed,
-        out.storage_bytes_written,
-        repr(attempts),
-    ]
-
-
-def observe(case_id):
+def run_case(case_id, tracer=None):
+    """One run of ``case_id``; a kill must force a restart from a committed
+    epoch."""
     app, params, nprocs, variant, kill, extra = CASES[case_id]
     config = RunConfig(
         nprocs=nprocs, seed=3, variant=variant,
@@ -111,7 +79,6 @@ def observe(case_id):
     failures = None
     if kill is not None:
         failures = FailureSchedule.single(time=kill[0], rank=kill[1])
-    tracer = TraceRecorder(capacity=None)
     out = run_with_recovery(
         get_app(app).build(params), config, failures=failures, tracer=tracer
     )
@@ -121,9 +88,15 @@ def observe(case_id):
         assert out.attempts[1].started_from_epoch is not None, (
             "recovery must start from a committed epoch"
         )
+    return out
+
+
+def observe(case_id):
+    tracer = TraceRecorder(capacity=None)
+    out = run_case(case_id, tracer)
     events = tracer.events
     return {
-        "fingerprint": _fingerprint(out),
+        "facts": out.facts(),
         "total_slices": sum(
             1 for e in events if e.category == "sched" and e.name == "grant"
         ),
@@ -132,27 +105,17 @@ def observe(case_id):
 
 
 def moved_facts(observed, expected):
-    """One line per fact that differs: the fingerprint entry's label (or the
-    key) with the golden and the observed value.  A fingerprint whose length
-    differs from the golden's or from ``FINGERPRINT_LABELS`` is a move too."""
-    old_fp, new_fp = expected["fingerprint"], observed["fingerprint"]
-    if len(old_fp) == len(new_fp) == len(FINGERPRINT_LABELS):
-        lines = [
-            f"{label} moved: golden {old!r}, observed {new!r}"
-            for label, old, new in zip(FINGERPRINT_LABELS, old_fp, new_fp)
-            if old != new
-        ]
-    else:
-        lines = [
-            f"fingerprint length moved: golden {len(old_fp)}, observed "
-            f"{len(new_fp)}, labels {len(FINGERPRINT_LABELS)}"
-        ]
-    lines += [
-        f"{key} moved: golden {expected[key]!r}, observed {observed[key]!r}"
-        for key in ("total_slices", "trace_sha256")
-        if observed[key] != expected[key]
+    """One line per fact that differs, named by its key, with the golden and
+    the observed value; a key only one side has reads ``absent`` on the
+    other."""
+    old, new = ({**row["facts"], "total_slices": row["total_slices"],
+                 "trace_sha256": row["trace_sha256"]} for row in (expected, observed))
+    return [
+        f"{key} moved: golden {old.get(key, 'absent')!r}, "
+        f"observed {new.get(key, 'absent')!r}"
+        for key in sorted(old.keys() | new.keys())
+        if key not in old or key not in new or old[key] != new[key]
     ]
-    return lines
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
@@ -164,20 +127,18 @@ def test_exact_facts_match_golden(case_id):
 
 def test_a_moved_fact_is_named_with_both_values():
     expected = {
-        "fingerprint": ["[1]", "0.5", 10, 2, 1, 300, "[]"],
+        "facts": {"virtual_s": 0.5, "stored_bytes": 300},
         "total_slices": 7,
         "trace_sha256": "a",
     }
-    observed = {**expected, "fingerprint": ["[1]", "0.5", 10, 2, 1, 200, "[]"]}
+    observed = {**expected, "facts": {"virtual_s": 0.5, "stored_bytes": 200}}
     assert moved_facts(observed, expected) == [
-        "stored bytes moved: golden 300, observed 200"
+        "stored_bytes moved: golden 300, observed 200"
     ]
-    longer = {**expected, "fingerprint": expected["fingerprint"] + [0]}
+    longer = {**expected, "facts": {**expected["facts"], "waves": 1}, "total_slices": 8}
     assert moved_facts(longer, expected) == [
-        "fingerprint length moved: golden 7, observed 8, labels 7"
-    ]
-    assert moved_facts(expected, longer) == [
-        "fingerprint length moved: golden 8, observed 7, labels 7"
+        "total_slices moved: golden 7, observed 8",
+        "waves moved: golden 'absent', observed 1",
     ]
 
 

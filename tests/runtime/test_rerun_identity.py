@@ -5,9 +5,9 @@ function of its config, failure schedule and seed.  This suite pins that
 three ways, each by running the same thing twice and comparing:
 
 1. the full V0-V3 x {laplace, dense_cg} sweep, failure-free and with a
-   mid-run kill forcing detector + recovery, fingerprinted down to
-   virtual time, network byte counters, storage accounting, and
-   per-attempt records;
+   mid-run kill forcing detector + recovery, compared by
+   ``RunOutcome.facts()`` (virtual time, network and storage counters,
+   protocol counters, per-attempt records, a hash of the results);
 2. the six pinned ``repro.chaos.regressions`` schedules, the nastiest
    interleavings this project has found, with verdicts compared
    field-for-field;
@@ -59,45 +59,18 @@ def _run(app, variant, kill, tracer=None):
     )
 
 
-def _fingerprint(out):
-    """Every deterministic observable of a run (wall clock excluded)."""
-    attempts = [
-        (
-            a.index,
-            a.completed,
-            a.failed,
-            a.dead_ranks,
-            a.started_from_epoch,
-            repr(a.virtual_time),
-            repr(a.kills),
-            repr(a.checkpoint_crashes),
-            repr(sorted(a.stage_calls.items())),
-        )
-        for a in out.attempts
-    ]
-    return (
-        repr(out.results),
-        repr(out.total_virtual_time),
-        out.network_bytes,
-        out.network_messages,
-        out.checkpoints_committed,
-        out.storage_bytes_written,
-        repr(attempts),
-    )
-
-
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 @pytest.mark.parametrize("app", sorted(APP_BUILDS))
 @pytest.mark.parametrize("kill", [None, KILL_AT], ids=["clean", "killed"])
 def test_rerun_is_bit_identical(app, variant, kill):
-    fps = []
+    facts = []
     for _ in range(2):
         out = _run(app, variant, kill)
         assert out.completed
         if kill is not None:
             assert out.restarts >= 1, "kill must force at least one restart"
-        fps.append(_fingerprint(out))
-    assert fps[0] == fps[1]
+        facts.append(out.facts())
+    assert facts[0] == facts[1]
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)

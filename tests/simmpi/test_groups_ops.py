@@ -28,12 +28,6 @@ class TestGroup:
         g = Group((5, 2, 7)).subset([0, 2])
         assert g.members == (5, 7)
 
-    def test_translate_between_groups(self):
-        a = Group((0, 1, 2, 3))
-        b = Group((2, 3))
-        assert a.translate(b, 2) == 0
-        assert a.translate(b, 0) is None
-
     def test_duplicates_rejected(self):
         with pytest.raises(SimMPIError):
             Group((1, 1))

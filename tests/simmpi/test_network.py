@@ -138,34 +138,3 @@ class TestStats:
         net.post(env(), now=0.0)
         net.drain()
         assert net.in_flight() == 0
-
-
-class TestReviveAll:
-    """A reused (revived) network must not inherit the previous attempt's
-    state.  The recovery driver builds a fresh Network per attempt, so
-    this pins the standalone ``revive_all`` reuse API, not the driver."""
-
-    def test_revive_clears_death_records(self):
-        net = make_net()
-        net.mark_dead(1)
-        net.mark_dead(2)
-        net.revive_all()
-        net.post(env(source=1, dest=2), now=0.0)
-        assert net.pop_due(1.0)  # traffic flows again
-
-    def test_revive_clears_delivery_floors(self):
-        """A revived network must not push fresh messages past FIFO floors
-        accumulated by the previous (failed) attempt."""
-        net = make_net(jitter=0.0)
-        # Build a large delivery floor for the (0, 1, tag, ctx) key: posts
-        # to a dead destination still advance _last_delivery.
-        net.mark_dead(1)
-        for _ in range(5):
-            net.post(env(source=0, dest=1), now=100.0)
-        net.revive_all()
-        assert net._last_delivery == {}
-        # The restarted attempt's clock begins again near zero; its first
-        # message must be due at now + base delay, not after the stale floor.
-        net.post(env(source=0, dest=1), now=0.0)
-        assert net.next_delivery_time() == pytest.approx(5e-6)
-        assert len(net.pop_due(1e-3)) == 1

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.trace import DEFAULT_RING_CAPACITY, TraceEvent, TraceRecorder
-from repro.trace.recorder import events_from_dicts, flight_dump
+from repro.trace.recorder import flight_dump
 
 
 class FakeClock:
@@ -116,7 +116,7 @@ def test_event_category_validated():
 def test_event_dict_roundtrip_and_short():
     ev = TraceEvent(t=1.25, category="proto", name="send", rank=3, epoch=2,
                     attempt=1, payload={"dest": 0, "mid": 7})
-    clone = events_from_dicts([ev.to_dict()])[0]
+    clone = TraceEvent.from_dict(ev.to_dict())
     assert clone == ev
     text = ev.short()
     assert "proto.send" in text and "dest=0" in text

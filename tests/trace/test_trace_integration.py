@@ -117,12 +117,6 @@ def test_recovery_event_ordering(outcome):
     assert begins[1].t >= begins[0].t
 
 
-def test_trace_gauges_in_snapshot(outcome):
-    snap = outcome.metrics_snapshot()
-    assert snap["gauges"]["trace.events"] == float(len(outcome.trace))
-    assert snap["gauges"]["trace.dropped"] == 0.0
-
-
 # --------------------------------------------------------------------- #
 # Deadlock diagnostics embed each blocked proc's recent events.
 # --------------------------------------------------------------------- #

@@ -13,7 +13,6 @@ from repro.util.serialization import (
     atomic_write_bytes,
     dumps_framed,
     loads_framed,
-    read_all_frames,
     read_frame,
     write_frame,
 )
@@ -44,7 +43,10 @@ class TestRoundtrip:
         write_frame(buf, "one")
         write_frame(buf, {"two": 2})
         buf.seek(0)
-        assert read_all_frames(buf) == ["one", {"two": 2}]
+        assert read_frame(buf) == "one"
+        assert read_frame(buf) == {"two": 2}
+        with pytest.raises(EOFError):
+            read_frame(buf)
 
     def test_read_frame_eof(self):
         with pytest.raises(EOFError):
