@@ -134,7 +134,9 @@ class RunOutcome:
             "waves": self.checkpoints_committed,
             "stored_bytes": self.storage_bytes_written,
             "restarts": self.restarts,
-            "restored_epoch": self.attempts[-1].started_from_epoch,
+            "restored_epoch": (
+                self.attempts[-1].started_from_epoch if self.attempts else None
+            ),
             "results_sha256": hashlib.sha256(repr(self.results).encode()).hexdigest(),
         }
         for counter in fields(LayerStats):

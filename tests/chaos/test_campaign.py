@@ -42,6 +42,13 @@ class TestSmallCampaign:
     def test_summary_mentions_seed(self, small_report):
         assert "seed=13" in small_report.summary()
 
+    def test_report_counts_are_sums_of_its_verdicts(self, small_report):
+        data = small_report.to_dict()
+        assert data["passed"] + data["failed"] == data["count"] == len(data["verdicts"])
+        assert data["passed"] == sum(v["ok"] for v in data["verdicts"])
+        assert sum(data["scenarios_by_kind"].values()) == data["count"]
+        assert set(data["scenarios_by_kind"]) <= {kind for kind, _ in KIND_WEIGHTS}
+
 
 class TestFailureReporting:
     def test_impossible_baseline_yields_violation_and_shrunk_schedule(self):
@@ -72,6 +79,26 @@ class TestFailureReporting:
         )
         # Both kills are irrelevant to the forced divergence: all dropped.
         assert shrunk.kills == ()
+
+    def test_verdict_reads_its_run_outcome(self):
+        from repro.chaos.campaign import _baseline_job, _run_once, check_scenario
+
+        scenario = ChaosScenario(
+            name="one-kill", kind="multi_kill", app="laplace", variant="full",
+            seed=3, nprocs=2, kills=(KillSpec(frac=0.3, rank=0),),
+            overrides=(("checkpoint_interval", 0.0015),),
+        )
+        config = CampaignConfig()
+        cfg = scenario.config(config.resolved_base())
+        params = config.resolved_params(scenario.app)
+        probe = _baseline_job((scenario.app, cfg, params))
+        verdict = check_scenario(scenario, config, probe)
+        assert verdict.ok, verdict.violations
+        outcome, _ = _run_once(scenario, cfg, params, probe.horizon)
+        assert verdict.attempts == len(outcome.attempts) == verdict.restarts + 1 == 2
+        assert verdict.kills_fired == 1 and verdict.crashes_fired == 0
+        assert verdict.checkpoints_committed == outcome.checkpoints_committed
+        assert verdict.virtual_time == outcome.total_virtual_time
 
     def test_verdict_dict_carries_shrunk(self):
         scenario = ChaosScenario(

@@ -11,7 +11,7 @@ from repro.chaos.invariants import (
 )
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import run_with_recovery
-from repro.simmpi import SUM
+from repro.simmpi import SUM, FailureSchedule
 from repro.statesave.storage import Storage
 
 CFG = dict(nprocs=3, seed=4, checkpoint_interval=0.002, detector_timeout=0.04)
@@ -29,9 +29,10 @@ def ring_app(ctx):
     return state["acc"]
 
 
-def run_ring(storage=None):
+def run_ring(storage=None, failures=None, **overrides):
     storage = storage if storage is not None else Storage(None)
-    return run_with_recovery(ring_app, RunConfig(**CFG), storage=storage), storage
+    config = RunConfig(**CFG, **overrides)
+    return run_with_recovery(ring_app, config, failures=failures, storage=storage), storage
 
 
 class TestEquivalence:
@@ -109,3 +110,20 @@ class TestDeterminism:
             assert facts[prefix + "virtual_s"] == rec.virtual_time
             assert facts[prefix + "kills"] == repr(rec.kills)
             assert facts[prefix + "checkpoint_crashes"] == repr(rec.checkpoint_crashes)
+
+    def test_recovered_runs_rerun_with_equal_facts(self):
+        kill = FailureSchedule.single(0.004, 1)
+        a, _ = run_ring(failures=kill)
+        b, _ = run_ring(failures=kill)
+        assert a.restarts == 1
+        assert a.facts()["restored_epoch"] is not None
+        assert determinism_violations(a, b) == []
+
+    def test_checkpoint_crash_is_a_fact_that_reruns_equal(self):
+        crash = FailureSchedule.during_checkpoint(rank=2, epoch=2)
+        a, _ = run_ring(failures=crash, ckpt_keep_last=2)
+        facts = a.facts()
+        assert "CheckpointCrash" in facts["attempt0_checkpoint_crashes"]
+        assert facts["attempt1_checkpoint_crashes"] == "()"
+        b, _ = run_ring(failures=crash, ckpt_keep_last=2)
+        assert determinism_violations(a, b) == []

@@ -24,14 +24,14 @@ from repro.trace import TraceRecorder, to_chrome, to_jsonl
 PARAMS = LaplaceParams(n=16, iterations=60)
 
 
-def traced_killed_run(seed=0):
+def traced_killed_run(seed=0, trace=True):
     cfg = RunConfig(
         nprocs=4,
         variant=Variant.FULL,
         seed=seed,
         checkpoint_interval=0.0015,
         detector_timeout=0.02,
-        trace=True,
+        trace=trace,
         trace_buffer=None,  # unbounded: full export, nothing dropped
     )
     return run_with_recovery(
@@ -115,6 +115,14 @@ def test_recovery_event_ordering(outcome):
     begins = [ev for ev in events if ev.name == "attempt_begin"]
     assert len(begins) == 2
     assert begins[1].t >= begins[0].t
+
+
+def test_trace_counts_stay_out_of_facts(outcome):
+    assert len(outcome.trace) == len(outcome.trace.events) > 0
+    assert outcome.trace.dropped == 0
+    untraced = traced_killed_run(trace=False)
+    assert untraced.trace is None
+    assert untraced.facts() == outcome.facts()
 
 
 # --------------------------------------------------------------------- #
