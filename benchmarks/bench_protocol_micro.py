@@ -460,7 +460,9 @@ def _co_guard_ring(ctx):
 
 
 #: Python calls per delivered message on the 16-rank ring, per variant.
-#: Measured 34.1 / 47.4 / 47.5 (Python 3.11).  V1/V3 fell from 51.6 / 51.8
+#: Measured 33.9 / 47.2 / 47.3 (Python 3.11); 34.1 / 47.3 / 47.5 before
+#: ``Mailbox.deliver`` matched without a call per descriptor and the
+#: simulator woke a rank without a call.  V1/V3 fell from 51.6 / 51.8
 #: when the pipeline ran the piggyback, classifier, message-log, result-log
 #: and replay rules itself instead of calling a stage object for each.  V0
 #: as a standalone adapter whose ``co_send`` hands back the communicator's
@@ -469,24 +471,16 @@ def _co_guard_ring(ctx):
 _CALLS_PER_MESSAGE = {"UNMODIFIED": 36, "PIGGYBACK": 49, "FULL": 49}
 
 
-@pytest.mark.parametrize("variant", sorted(_CALLS_PER_MESSAGE))
-def test_guard_python_calls_per_message(variant):
-    """One simulated message costs a bounded number of Python calls: the
-    envelope is built once, model costs are added unchecked, status and
-    block diagnostics are described only on demand.  Counts
-    ``sys.setprofile`` ``"call"`` events (a generator resume counts as one)
-    during ``Session.run``."""
+def _calls_per_message(main, config, messages: int) -> float:
+    """``sys.setprofile`` ``"call"`` events (a generator resume counts as
+    one) during a second ``Session.run`` of ``main``, per simulated
+    message; the first run pays the imports."""
     import sys
 
     from repro import Session
-    from repro.runtime import RunConfig, Variant
 
-    config = RunConfig(
-        nprocs=16, seed=3, variant=Variant[variant], checkpoint_interval=None,
-        sched_policy="round_robin", jitter=0.0,
-    )
     session = Session()
-    session.run(_co_guard_ring, config)  # first-run imports are not the path
+    session.run(main, config)
     calls = 0
 
     def profile(frame, event, arg):
@@ -496,12 +490,62 @@ def test_guard_python_calls_per_message(variant):
 
     sys.setprofile(profile)
     try:
-        out = session.run(_co_guard_ring, config)
+        out = session.run(main, config)
     finally:
         sys.setprofile(None)
-    assert out.completed and out.network_messages == 16 * 50
-    per_message = calls / out.network_messages
+    assert out.completed and out.network_messages == messages
+    return calls / out.network_messages
+
+
+@pytest.mark.parametrize("variant", sorted(_CALLS_PER_MESSAGE))
+def test_guard_python_calls_per_message(variant):
+    """One simulated message costs a bounded number of Python calls: the
+    envelope is built once, model costs are added unchecked, status and
+    block diagnostics are described only on demand."""
+    from repro.runtime import RunConfig, Variant
+
+    config = RunConfig(
+        nprocs=16, seed=3, variant=Variant[variant], checkpoint_interval=None,
+        sched_policy="round_robin", jitter=0.0,
+    )
+    per_message = _calls_per_message(_co_guard_ring, config, 16 * 50)
     assert per_message <= _CALLS_PER_MESSAGE[variant], (
+        f"{variant}: {per_message:.1f} Python calls per message"
+    )
+
+
+def _co_guard_allreduce(ctx):
+    acc = ctx.rank
+    for _ in range(50):
+        acc = yield from ctx.mpi.co_allreduce(acc, SUM)
+    return acc
+
+
+#: Python calls per delivered message of a 4-rank ``co_allreduce`` loop
+#: under the default random schedule, per variant: the collective path
+#: (``coll_send``, ``co_coll_recv``, the wake), which the point-to-point
+#: ring above barely touches.  V1 adds one command exchange (8 more
+#: messages) per call.  Measured 36.4 / 35.1 (Python 3.11) once a blocked rank
+#: resumed only when its receive completed, a queued collective message
+#: was taken without a receive descriptor and ``Mailbox.deliver`` matched
+#: without a call per descriptor; 40.8 / 39.7 before, when every delivery
+#: woke its rank for a slice that re-blocked.
+_COLL_CALLS_PER_MESSAGE = {"UNMODIFIED": 37, "PIGGYBACK": 36}
+
+
+@pytest.mark.parametrize("variant", sorted(_COLL_CALLS_PER_MESSAGE))
+def test_guard_python_calls_per_collective_message(variant):
+    """A collective's message costs a bounded number of Python calls: a
+    blocked rank gets no slice for a delivery that does not complete its
+    receive."""
+    from repro.runtime import RunConfig, Variant
+
+    config = RunConfig(
+        nprocs=4, seed=3, variant=Variant[variant], checkpoint_interval=None,
+    )
+    per_call = 4 * 2 * (2 if variant == "PIGGYBACK" else 1)
+    per_message = _calls_per_message(_co_guard_allreduce, config, 50 * per_call)
+    assert per_message <= _COLL_CALLS_PER_MESSAGE[variant], (
         f"{variant}: {per_message:.1f} Python calls per message"
     )
 

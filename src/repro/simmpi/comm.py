@@ -255,13 +255,19 @@ class Comm:
         self._post_envelope(self._world(dest), payload, tag)
 
     def co_coll_recv(self, source: int, tag: int):
-        desc = RecvDescriptor(self._world(source), tag, self.context)
-        self.proc.mailbox.post(desc)
-        if desc.matched is None:
+        world = self._world(source)
+        mailbox = self.proc.mailbox
+        env = mailbox.take(world, tag, self.context)
+        if env is None:
+            # Nothing queued matches (``take`` just looked), so the
+            # descriptor skips ``Mailbox.post``'s scan.
+            desc = RecvDescriptor(world, tag, self.context)
+            mailbox.posted.append(desc)
             yield from self._scheduler.co_block_on_recv(self.proc, desc)
+            env = desc.matched
         clock = self._clock
         clock._now += clock.cost.step
-        return desc.matched.payload
+        return env.payload
 
     # ------------------------------------------------------------------ #
     # Collectives.

@@ -38,7 +38,7 @@ class RecvDescriptor:
     call, never for an equal-looking one.
     """
 
-    __slots__ = ("source", "tag", "context", "predicate", "matched", "cancelled", "order")
+    __slots__ = ("source", "tag", "context", "predicate", "matched", "cancelled")
 
     def __init__(
         self,
@@ -53,8 +53,6 @@ class RecvDescriptor:
         self.predicate = predicate
         self.matched: Optional[Envelope] = None
         self.cancelled = False
-        #: Post-order sequence assigned by the mailbox.
-        self.order = -1
 
     def accepts(self, env: Envelope) -> bool:
         """True if this descriptor matches ``env``."""
@@ -81,7 +79,6 @@ class Mailbox:
         self.posted: list[RecvDescriptor] = []
         #: Delivered ``TAG_CONTROL`` messages, in delivery order.
         self.control: deque[Envelope] = deque()
-        self._post_counter = 0
         #: Counters for observability and tests.
         self.delivered_count = 0
         self.matched_count = 0
@@ -94,16 +91,35 @@ class Mailbox:
         """Hand an arriving message to this rank.
 
         Returns the receive descriptor it completed, or ``None`` if the
-        message was queued (as unexpected, or on the control queue).
+        message was queued (as unexpected, or on the control queue).  The
+        posted queue holds no matched or cancelled descriptor, so the
+        match is :meth:`RecvDescriptor.accepts` without those two checks,
+        written out over the queue in one pass; only a descriptor that has
+        a predicate makes a call.
         """
         self.delivered_count += 1
-        if env.tag == TAG_CONTROL:
+        tag = env.tag
+        if tag == TAG_CONTROL:
             self.control.append(env)
             return None
-        for desc in self.posted:
-            if desc.accepts(env):
+        posted = self.posted
+        if posted:
+            source = env.source
+            context = env.context
+            for i, desc in enumerate(posted):
+                if desc.context != context:
+                    continue
+                want = desc.source
+                if want != source and want != ANY_SOURCE:
+                    continue
+                want = desc.tag
+                if want != tag and (want != ANY_TAG or tag < 0):
+                    continue
+                predicate = desc.predicate
+                if predicate is not None and not predicate(env):
+                    continue
                 desc.matched = env
-                self.posted.remove(desc)
+                del posted[i]
                 self.matched_count += 1
                 return desc
         self.unexpected.append(env)
@@ -115,8 +131,6 @@ class Mailbox:
 
     def post(self, desc: RecvDescriptor) -> RecvDescriptor:
         """Post a receive; matches immediately against unexpected messages."""
-        desc.order = self._post_counter
-        self._post_counter += 1
         for i, env in enumerate(self.unexpected):
             if desc.accepts(env):
                 desc.matched = env
@@ -125,6 +139,24 @@ class Mailbox:
                 return desc
         self.posted.append(desc)
         return desc
+
+    def take(self, source: int, tag: int, context: int) -> Optional[Envelope]:
+        """Remove and return the oldest unexpected message from ``source``
+        with exactly ``tag`` on ``context``, or ``None``.
+
+        A collective round's receive: it names its source and its reserved
+        tag and has no predicate, so a queued message is found without a
+        descriptor.  Only when this finds nothing does the round build one,
+        and it appends it to :attr:`posted` directly: :meth:`post`'s scan
+        of the unexpected queue would find nothing either.
+        """
+        unexpected = self.unexpected
+        for i, env in enumerate(unexpected):
+            if env.tag == tag and env.source == source and env.context == context:
+                del unexpected[i]
+                self.matched_count += 1
+                return env
+        return None
 
     def cancel(self, desc: RecvDescriptor) -> bool:
         """Cancel a posted, unmatched receive.  Returns True if removed."""

@@ -84,7 +84,7 @@ class RecvRequest(Request):
 
     def co_wait(self):
         self._harvest()
-        while not self._done:
+        if not self._done:
             yield from self._comm._co_block_on_recv(self._desc)
             self._harvest()
         return self._payload

@@ -14,9 +14,13 @@ Scheduling points occur at every blocking point-to-point call
 receive whose message has not arrived yet, and anywhere the application
 calls ``co_yield_point`` explicitly.  A collective's sends and its receives
 of already-queued messages are not scheduling points: a collective
-suspends only where it waits.  Between scheduling points a rank runs
-uninterrupted, which models the paper's single-threaded C/MPI processes
-faithfully.
+suspends only where it waits.  A rank blocked on a receive resumes only
+when that receive completes or the rank is killed: a delivery that
+matches another receive, queues as unexpected or is a ``TAG_CONTROL``
+word leaves it blocked, as a C/MPI process blocked in ``MPI_Recv`` does
+not run until its receive completes.  Between scheduling points a rank
+runs uninterrupted, which models the paper's single-threaded C/MPI
+processes faithfully.
 
 Policies
 --------
@@ -28,8 +32,8 @@ Policies
 
 Stopping faults are realised here: a due kill sets the victim's ``kill_flag``
 and the victim raises :class:`~repro.errors.ProcessKilled` at its next
-scheduling point (or immediately when woken from a blocked state), after
-which it never runs again.
+scheduling point (a blocked victim is made runnable for it), after which
+it never runs again.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, DeadlockError, ProcessKilled
+from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
 from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.process import Proc, ProcState
@@ -97,20 +101,32 @@ class Scheduler:
         self.after_yield(proc)
 
     def co_block_on_recv(self, proc: Proc, desc: RecvDescriptor):
+        """Block ``proc`` until ``desc`` is matched; suspends exactly once.
+
+        The simulator makes a blocked rank RUNNABLE only when a delivery
+        completes the descriptor it is blocked on (``proc.block_info``) or
+        when the rank is killed, so the one resume finds the rank either
+        killed or matched.  Callers block only on an unmatched descriptor.
+        """
+        if proc.kill_flag:
+            self._raise_kill(proc)
+        proc.state = ProcState.BLOCKED
+        # The descriptor itself is the diagnostic: ``Proc.describe``
+        # renders it only if a deadlock report asks.
+        proc.block_info = desc
         tr = self.tracer
-        while desc.matched is None:
-            if proc.kill_flag:
-                self._raise_kill(proc)
-            proc.state = ProcState.BLOCKED
-            # The descriptor itself is the diagnostic: ``Proc.describe``
-            # renders it only if a deadlock report asks.
-            proc.block_info = desc
-            if tr is not None:
-                tr.emit("sched", "block", rank=proc.rank, why="recv")
-            yield
-            if proc.kill_flag:
-                self._raise_kill(proc)
-            proc.block_info = None
+        if tr is not None:
+            tr.emit("sched", "block", rank=proc.rank, why="recv")
+        yield
+        proc.block_info = None
+        if proc.kill_flag:
+            self._raise_kill(proc)
+        if desc.matched is None:
+            raise SimMPIError(
+                f"rank {proc.rank} resumed while its receive "
+                f"(source={desc.source}, tag={desc.tag}, ctx={desc.context}) "
+                "is unmatched and it was not killed"
+            )
 
     def _check_kill(self, proc: Proc) -> None:
         if proc.kill_flag:
@@ -184,14 +200,6 @@ class Scheduler:
             self._rr_cursor = chosen + 1
             return chosen
         return ranks[self.rng.next_below(len(ranks))]
-
-    def wake(self, proc: Proc) -> None:
-        """Make a blocked rank runnable (a message arrived, or teardown)."""
-        if proc.state is ProcState.BLOCKED:
-            proc.state = ProcState.RUNNABLE
-            tr = self.tracer
-            if tr is not None:
-                tr.emit("sched", "wake", rank=proc.rank)
 
     def request_kill(self, proc: Proc) -> None:
         """Arrange for ``proc`` to die at its next scheduling opportunity."""

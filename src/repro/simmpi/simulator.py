@@ -237,17 +237,27 @@ class Simulator:
     def _deliver_due_messages(self) -> None:
         # Two phases, as the trace records them: ``pop_due`` emits every
         # due ``net/deliver`` event first, then the mailboxes take the
-        # messages and any ``sched/wake`` events follow.
+        # messages and any ``sched/wake`` events follow.  A delivery wakes
+        # its rank only when it completes the receive the rank is blocked
+        # on (``block_info``); every other delivery (another tag, a posted
+        # ``irecv``, a control word) just queues.  Kills wake a blocked
+        # rank through ``Scheduler.request_kill``.
         procs = self.procs
-        wake = self.scheduler.wake
+        tr = self.tracer
         for env in self.network.pop_due(self.clock._now):
             proc = procs[env.dest]
             state = proc._state
             if state in _FINISHED_STATES:
                 continue
-            proc.mailbox.deliver(env)
-            if state is ProcState.BLOCKED:
-                wake(proc)
+            desc = proc.mailbox.deliver(env)
+            if (
+                desc is not None
+                and desc is proc.block_info
+                and state is ProcState.BLOCKED
+            ):
+                proc.state = ProcState.RUNNABLE
+                if tr is not None:
+                    tr.emit("sched", "wake", rank=proc.rank)
 
     def _suspect_due(self) -> Optional[float]:
         """Suspect every rank whose death is one timeout old.

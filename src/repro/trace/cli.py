@@ -34,7 +34,6 @@ from repro.trace.export import (
     read_jsonl,
     render_timeline,
     summarize,
-    to_chrome,
     validate_chrome,
     write_chrome,
     write_jsonl,

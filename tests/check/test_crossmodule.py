@@ -6,8 +6,6 @@ helper shows as RPR020 and an opaque one checks clean."""
 
 import textwrap
 
-import pytest
-
 from repro.check import check_path
 
 HALO = '''

@@ -3,8 +3,9 @@ that a recovered run shows.
 
 Each row of :data:`WITNESSES` is (code, program, expected failure,
 repaired program).  The program fires exactly its code.  Run under V3 on
-3 ranks (seed 4) with rank 1 killed at 4 ms, after a checkpoint wave has
-committed, it fails the way the code predicts:
+3 ranks (seed 4) with rank 1 killed at 4 ms (:data:`KILL_AT_OF` names the
+exceptions), after a checkpoint wave has committed, it fails the way the
+code predicts:
 
 * :data:`DIFFERS` — failure-free runs agree with each other, but the
   killed run, restarted from a committed epoch, returns something else;
@@ -41,6 +42,14 @@ from repro.trace import TraceRecorder
 KILL_AT = 0.004
 #: A stall shows once the repaired program has committed a later wave.
 STALL_KILL_AT = 0.008
+#: Codes whose witness needs its own kill time.  RPR021's stamps differ
+#: only when a message sent after the restored line was received before
+#: it (the re-sent stamp is new, the counted one old), and at seed 4 the
+#: epoch-2 line has no such message: kills at 3.0-4.3 ms, which restore
+#: epoch 2, recover the failure-free result.  Kills at 1.5-2.9 ms restore
+#: epoch 1 and differ (as do 4.5-5.0 ms, epoch 3, close to the run's
+#: end), so the pin sits mid-window at 2.2 ms.
+KILL_AT_OF = {"RPR021": 0.0022}
 KILL_RANK = 1
 CONFIG = RunConfig(
     nprocs=3, seed=4, checkpoint_interval=0.001, detector_timeout=0.05
@@ -90,11 +99,11 @@ def restart_epoch(outcome):
     return epoch
 
 
-def show_failure(failure, program, repaired):
+def show_failure(failure, program, repaired, at=KILL_AT):
     if failure is DIFFERS:
         gold = run(program)
         assert run(program).results == gold.results
-        killed = run(program, kill())
+        killed = run(program, kill(at))
         restart_epoch(killed)
         assert killed.results != gold.results
     elif failure is STALLS:
@@ -106,7 +115,7 @@ def show_failure(failure, program, repaired):
     else:
         recorder = TraceRecorder(capacity=None)
         with pytest.raises(failure):
-            run(program, kill(), recorder)
+            run(program, kill(at), recorder)
         assert [ev.name for ev in recorder if ev.category == "fail"] == ["kill"]
 
 
@@ -348,7 +357,7 @@ def test_program_fires_its_code_and_fails_under_a_kill(
 ):
     program, repaired = write("program", program), write("repaired", repaired)
     assert {d.code for d in check_path(str(program)).diagnostics} == {code}
-    show_failure(failure, program, repaired)
+    show_failure(failure, program, repaired, KILL_AT_OF.get(code, KILL_AT))
 
 
 @pytest.mark.parametrize("code, program, failure, repaired", WITNESSES)
@@ -360,7 +369,7 @@ def test_repair_checks_clean_and_recovers(
     assert [d.render() for d in result.diagnostics] == []
     assert result.suppressed == ()
     gold = run(repaired)
-    killed = run(repaired, kill())
+    killed = run(repaired, kill(KILL_AT_OF.get(code, KILL_AT)))
     restart_epoch(killed)
     assert killed.results == gold.results
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, MatchError
+from repro.errors import DeadlockError, MatchError, SimMPIError
 from repro.simmpi import ANY_SOURCE, ANY_TAG, co_waitall, co_waitany, run_simple
 
 
@@ -81,6 +81,25 @@ class TestBlocking:
                 yield from ctx.comm.co_send("x", dest=99)
 
         with pytest.raises(MatchError):
+            run(main)
+
+    @pytest.mark.parametrize("source", [2, 99, -2])
+    @pytest.mark.parametrize("receive", ["co_recv", "irecv", "co_coll_recv"])
+    def test_bad_source_raises_typed(self, receive, source):
+        """A source outside the group (or a negative one that is not
+        ``ANY_SOURCE``) is a ``SimMPIError``, never an ``IndexError`` or a
+        negative index that wraps to a member."""
+        def main(ctx):
+            if ctx.rank == 0:
+                if receive == "irecv":
+                    ctx.comm.irecv(source=source)
+                elif receive == "co_coll_recv":
+                    yield from ctx.comm.co_coll_recv(source, -1000)
+                else:
+                    yield from ctx.comm.co_recv(source=source)
+            yield from ctx.co_yield_point()
+
+        with pytest.raises(SimMPIError, match=f"group rank {source} out of range"):
             run(main)
 
 
