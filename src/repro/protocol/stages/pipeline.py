@@ -54,6 +54,7 @@ from repro.protocol.stages.base import INITIATOR_RANK, C3Config, LayerStats, Sha
 from repro.protocol.stages.checkpoint import CheckpointStage
 from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
+from repro.simmpi.collectives_impl import _TAG_STRIDE
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.statesave.format import CheckpointData
@@ -486,11 +487,16 @@ class ProtocolPipeline(SharedSurface):
     # Collectives (Section 4.5).
     # ------------------------------------------------------------------ #
 
-    def _coll_endpoint(self, handle_id: int, phase: int) -> "_LayerCollEndpoint":
+    def _coll_base(self, handle_id: int) -> int:
+        """The tag base of this call's command exchange (phase 0); its data
+        collective or barrier (phase 1) runs one block below.
+
+        Not the raw communicator's own counter: replay-served collectives
+        perform no raw communication, so raw counters would drift apart
+        between ranks.  The checkpointed per-communicator sequence does not.
+        """
         seq = self.coll_seqs.get(handle_id, 0)
-        raw = self._raw_comm(handle_id)
-        base = LAYER_COLL_BASE - (seq * 2 + phase) * coll_impl._TAG_STRIDE
-        return _LayerCollEndpoint(raw, base)
+        return LAYER_COLL_BASE - 2 * seq * _TAG_STRIDE
 
     def _advance_coll_seq(self, handle_id: int) -> None:
         self.coll_seqs[handle_id] = self.coll_seqs.get(handle_id, 0) + 1
@@ -503,8 +509,8 @@ class ProtocolPipeline(SharedSurface):
     def _co_coll(self, kind: str, comm: Optional[PseudoHandle], *args: Any):
         """Shared machinery for every collective call but barrier.
 
-        Runs ``coll_impl.co_<kind>(endpoint, *args)`` over the pipeline's
-        own tag space, or serves the result from the replay log.
+        Runs ``coll_impl.co_<kind>(raw comm, base, *args)`` in the
+        pipeline's own tag region, or serves the result from the replay log.
         """
         if not self._idle():
             yield from self._co_progress()
@@ -526,13 +532,12 @@ class ProtocolPipeline(SharedSurface):
         # around the relevant control information"): one 32-bit command
         # word per rank, in the data allgather's round loop, each block
         # packed bytes (4 B a word) where a data block is a list of values.
-        ctl_ep = self._coll_endpoint(handle_id, 0)
-        peer_info = yield from coll_impl.co_allgather_words(ctl_ep, self._command_word())
-        data_ep = self._coll_endpoint(handle_id, 1)
-        result = yield from getattr(coll_impl, "co_" + kind)(data_ep, *args)
+        raw, base = self._raw_comm(handle_id), self._coll_base(handle_id)
+        peer_info = yield from coll_impl.co_allgather_words(raw, base, self._command_word())
+        result = yield from getattr(coll_impl, "co_" + kind)(raw, base - _TAG_STRIDE, *args)
         self._advance_coll_seq(handle_id)
         if self.state.am_logging:
-            my_epoch, me = self.state.epoch, ctl_ep.coll_rank
+            my_epoch, me = self.state.epoch, raw.rank
             ended = any(
                 word >> 1 == my_epoch and not word & 1
                 for i, word in enumerate(peer_info)
@@ -567,9 +572,8 @@ class ProtocolPipeline(SharedSurface):
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
         # A re-executed barrier during replay re-runs the exchange so tags
         # stay aligned, but alignment already held in the original execution.
-        words = yield from coll_impl.co_allgather_words(
-            self._coll_endpoint(handle_id, 0), self._command_word()
-        )
+        raw, base = self._raw_comm(handle_id), self._coll_base(handle_id)
+        words = yield from coll_impl.co_allgather_words(raw, base, self._command_word())
         if (
             self.replay is None
             and self.state.epoch < max(words) >> 1
@@ -583,7 +587,7 @@ class ProtocolPipeline(SharedSurface):
             # perform again.
             yield from self.ckpt.co_take_local_checkpoint()
             self._calls["checkpoint"] += 1
-        yield from coll_impl.co_barrier(self._coll_endpoint(handle_id, 1))
+        yield from coll_impl.co_barrier(raw, base - _TAG_STRIDE)
         self._advance_coll_seq(handle_id)
 
     # ------------------------------------------------------------------ #
@@ -684,8 +688,7 @@ class ProtocolPipeline(SharedSurface):
         outgoing = [
             tuple(data.early_ids.get(sender, ())) for sender in range(self.nprocs)
         ]
-        ep = _LayerCollEndpoint(self.comm, RESTORE_BASE)
-        incoming = yield from coll_impl.co_alltoall(ep, outgoing)
+        incoming = yield from coll_impl.co_alltoall(self.comm, RESTORE_BASE, outgoing)
         self.suppress = {
             dest: set(ids) for dest, ids in enumerate(incoming) if ids
         }
@@ -708,32 +711,3 @@ class ProtocolPipeline(SharedSurface):
         if self.ckpt is not None:
             self.ckpt.core = self.ckpt.initiator = None
         self.initiator = self.state_provider = None
-
-
-class _LayerCollEndpoint:
-    """Collective endpoint over a raw communicator with an explicit tag base.
-
-    The pipeline cannot use the raw communicator's own collective tag
-    counter: replay-served collectives perform no raw communication, so raw
-    counters would drift apart between ranks.  The pipeline derives tags
-    from its own checkpointed per-communicator sequence numbers instead.
-
-    Sends and receives *are* the raw communicator's: the plain
-    ``coll_send`` and the generator ``co_coll_recv``.
-    """
-
-    __slots__ = ("coll_rank", "coll_size", "coll_send", "co_coll_recv", "_base", "_used")
-
-    def __init__(self, raw: Comm, base: int) -> None:
-        self.coll_rank = raw.rank
-        self.coll_size = raw.size
-        self.coll_send = raw.coll_send
-        self.co_coll_recv = raw.co_coll_recv
-        self._base = base
-        self._used = False
-
-    def coll_next_tag_block(self) -> int:
-        if self._used:
-            raise ProtocolError("layer collective endpoint reused")
-        self._used = True
-        return self._base

@@ -1,10 +1,12 @@
-"""Collective algorithms over abstract point-to-point endpoints.
+"""Collective algorithms over a communicator's point-to-point messages.
 
 The paper's protocol layer sits *between* the application and MPI and
 implements its collective handling above point-to-point messages (Section
 4.5 notes the elegance of this placement).  To let both the raw simulator
 communicator and the C3 protocol layer share one set of algorithms, every
-collective here is written against a minimal :class:`P2PEndpoint` interface.
+collective here is a function ``co_<kind>(comm, base, *args)`` of the
+:class:`~repro.simmpi.comm.Comm` that carries its messages and the tag
+base its caller reserved for this one call.
 
 Algorithms (standard HPC implementations):
 
@@ -27,79 +29,46 @@ Algorithms (standard HPC implementations):
 * ``barrier``    — dissemination barrier.
 * ``scan``       — linear prefix.
 
-Every collective call instance draws a fresh tag block from the endpoint so
-that rounds of different collectives can never be confused even under the
-network's ``random`` ordering mode.
+The caller hands every call instance its own tag block, ``(base -
+_TAG_STRIDE, base]``, and round ``r`` sends on tag ``base - r``, so rounds
+of different collectives can never be confused even under the network's
+``random`` ordering mode.  No algorithm runs more than ceil(log2(n)) + 2
+rounds, far inside the block.  The communicator draws its bases from its
+own collective counter; the protocol pipeline derives them from its
+checkpointed per-communicator sequence (``repro.simmpi.constants`` lists
+the regions).
 
 Each algorithm exists once, as a ``co_*`` generator.  Its sends are plain
-calls to the endpoint's ``coll_send``, which only posts the message; its
-receives are ``yield from`` calls on ``co_coll_recv``, and the simulator
+calls to ``Comm.coll_send``, which only posts the message; its receives
+are ``yield from`` calls on ``Comm.co_coll_recv``, and the simulator
 suspends the whole rank only where a receive's message has not arrived yet.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimMPIError
 from repro.simmpi.op import Op, reduce_sequence
 from repro.util.intpack import WORD_BYTES, pack_words, unpack_words
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simmpi.comm import Comm
+
 #: Rounds per collective instance reserved in the tag space.
 _TAG_STRIDE = 64
 
 
-class P2PEndpoint(Protocol):
-    """What a collective algorithm needs from its transport."""
-
-    @property
-    def coll_rank(self) -> int:
-        """This process's rank within the collective's group."""
-        ...
-
-    @property
-    def coll_size(self) -> int:
-        """Number of participants."""
-        ...
-
-    def coll_next_tag_block(self) -> int:
-        """Reserve and return the base tag for one collective instance."""
-        ...
-
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        """Group-local-rank addressed send.
-
-        Posts the message and returns: a collective's send is not a
-        scheduling point, so a round's send never ends the rank's slice.
-        """
-        ...
-
-    def co_coll_recv(self, source: int, tag: int):
-        """Group-local-rank addressed blocking receive (a generator).
-
-        Suspends only while the message has not arrived; a receive that
-        matches a queued message returns without yielding.
-        """
-        ...
-
-
-def _round_tag(base: int, rnd: int) -> int:
-    if rnd >= _TAG_STRIDE:
-        raise SimMPIError(f"collective exceeded {_TAG_STRIDE} rounds")
-    return base - rnd
-
-
-def co_bcast(ep, obj: Any, root: int = 0):
+def co_bcast(comm: Comm, base: int, obj: Any, root: int = 0):
     """Binomial-tree broadcast; returns the broadcast object on every rank."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     if size == 1:
         return obj
     # Work in a rotated rank space where root is 0.  Each rank receives at
     # most one message and every (parent, child) pair is unique, so a single
     # tag disambiguates; matching is by source.
-    tag = _round_tag(base, 0)
+    tag = base
     vrank = (rank - root) % size
     mask = 1
     received = obj if vrank == 0 else None
@@ -107,7 +76,7 @@ def co_bcast(ep, obj: Any, root: int = 0):
     while mask < size:
         if vrank & mask:
             src = (vrank - mask + root) % size
-            received = yield from ep.co_coll_recv(src, tag)
+            received = yield from comm.co_coll_recv(src, tag)
             break
         mask <<= 1
     # Send phase: forward to children in decreasing-mask order.
@@ -115,15 +84,14 @@ def co_bcast(ep, obj: Any, root: int = 0):
     while mask > 0:
         if vrank + mask < size:
             dst = (vrank + mask + root) % size
-            ep.coll_send(dst, received, tag)
+            comm.coll_send(dst, received, tag)
         mask >>= 1
     return received
 
 
-def co_allreduce(ep, obj: Any, op: Op):
+def co_allreduce(comm: Comm, base: int, obj: Any, op: Op):
     """Recursive-doubling allreduce (butterfly) with non-power-of-two fold."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     if size == 1:
         return obj
     # Largest power of two <= size.
@@ -136,10 +104,10 @@ def co_allreduce(ep, obj: Any, op: Op):
     # Fold phase: ranks [0, 2*rem) pair up so that odd ones drop out.
     if rank < 2 * rem:
         if rank % 2 == 0:
-            ep.coll_send(rank + 1, value, _round_tag(base, rnd))
+            comm.coll_send(rank + 1, value, base - rnd)
             newrank = -1
         else:
-            other = yield from ep.co_coll_recv(rank - 1, _round_tag(base, rnd))
+            other = yield from comm.co_coll_recv(rank - 1, base - rnd)
             # Fold in rank order: lower rank's value on the left.
             value = reduce_sequence(op, [other, value])
             newrank = rank // 2
@@ -152,8 +120,8 @@ def co_allreduce(ep, obj: Any, op: Op):
         while mask < pof2:
             partner_new = newrank ^ mask
             partner = partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-            ep.coll_send(partner, value, _round_tag(base, rnd))
-            other = yield from ep.co_coll_recv(partner, _round_tag(base, rnd))
+            comm.coll_send(partner, value, base - rnd)
+            other = yield from comm.co_coll_recv(partner, base - rnd)
             if partner_new < newrank:
                 value = reduce_sequence(op, [other, value])
             else:
@@ -165,35 +133,34 @@ def co_allreduce(ep, obj: Any, op: Op):
     # Expand phase: survivors hand the result back to folded-out ranks.
     if rank < 2 * rem:
         if rank % 2 == 1:
-            ep.coll_send(rank - 1, value, _round_tag(base, rnd))
+            comm.coll_send(rank - 1, value, base - rnd)
         else:
-            value = yield from ep.co_coll_recv(rank + 1, _round_tag(base, rnd))
+            value = yield from comm.co_coll_recv(rank + 1, base - rnd)
     return value
 
 
-def co_gather(ep, obj: Any, root: int = 0):
+def co_gather(comm: Comm, base: int, obj: Any, root: int = 0):
     """Linear gather; returns the list of contributions at root, else None."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     if rank == root:
         out: list[Any] = [None] * size
         out[root] = obj
         for src in range(size):
             if src != root:
-                out[src] = yield from ep.co_coll_recv(src, _round_tag(base, 0))
+                out[src] = yield from comm.co_coll_recv(src, base)
         return out
-    ep.coll_send(root, obj, _round_tag(base, 0))
+    comm.coll_send(root, obj, base)
     return None
 
 
-def co_reduce(ep, obj: Any, op: Op, root: int = 0):
+def co_reduce(comm: Comm, base: int, obj: Any, op: Op, root: int = 0):
     """:func:`co_gather`, then a fold at root in rank order; result only at root.
 
     A linear gather keeps the fold order identical to rank order, which makes
     floating-point reductions bit-deterministic across runs — essential for
     the recover-equals-failure-free integration tests.
     """
-    parts = yield from co_gather(ep, obj, root)
+    parts = yield from co_gather(comm, base, obj, root)
     return None if parts is None else reduce_sequence(op, parts)
 
 
@@ -235,7 +202,7 @@ def _allgather_schedule(size: int, rank: int):
     return rank, tuple(rounds)
 
 
-def _co_allgather_run(ep, held, width: int):
+def _co_allgather_run(comm: Comm, base: int, held, width: int):
     """The allgather's rounds over one rank's contribution ``held``.
 
     ``held`` is a run of slots, ``width`` items per slot: a one-item
@@ -245,14 +212,13 @@ def _co_allgather_run(ep, held, width: int):
     received to its front or back.  Returns every slot, in rank order, in
     ``held``'s type.
     """
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     rotation, rounds = _allgather_schedule(size, rank)
     first = (rank - rotation) % size
     for rnd, (dst, src, send, recv) in enumerate(rounds):
-        tag = _round_tag(base, rnd)
-        ep.coll_send(dst, held[:len(send) * width], tag)
-        incoming = yield from ep.co_coll_recv(src, tag)
+        tag = base - rnd
+        comm.coll_send(dst, held[:len(send) * width], tag)
+        incoming = yield from comm.co_coll_recv(src, tag)
         if recv.start < first:
             held, first = incoming + held, recv.start
         else:
@@ -261,7 +227,7 @@ def _co_allgather_run(ep, held, width: int):
     return held[cut:] + held[:cut]
 
 
-def co_allgather(ep, obj: Any):
+def co_allgather(comm: Comm, base: int, obj: Any):
     """Allgather; returns the list of all contributions on every rank.
 
     Recursive doubling (butterfly) when the size is a power of two —
@@ -269,10 +235,10 @@ def co_allgather(ep, obj: Any):
     (:func:`_allgather_schedule`).  Each round's block travels as the list
     of the values it forwards, in slot order: no rank keys.
     """
-    return (yield from _co_allgather_run(ep, [obj], 1))
+    return (yield from _co_allgather_run(comm, base, [obj], 1))
 
 
-def co_allgather_words(ep, word: int):
+def co_allgather_words(comm: Comm, base: int, word: int):
     """Allgather of one 32-bit word per rank, in :func:`co_allgather`'s rounds.
 
     The paper's command MPI_Allgather: each round's block of words travels
@@ -280,14 +246,13 @@ def co_allgather_words(ep, word: int):
     (:func:`repro.util.intpack.pack_words`), 4 B a word.  Returns the words
     in rank order; a word outside 32 bits raises ``ProtocolError``.
     """
-    held = yield from _co_allgather_run(ep, pack_words((word,)), WORD_BYTES)
+    held = yield from _co_allgather_run(comm, base, pack_words((word,)), WORD_BYTES)
     return list(unpack_words(held))
 
 
-def co_scatter(ep, objs: list[Any] | None, root: int = 0):
+def co_scatter(comm: Comm, base: int, objs: list[Any] | None, root: int = 0):
     """Linear scatter from root; returns this rank's element."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     if rank == root:
         if objs is None or len(objs) != size:
             raise SimMPIError(
@@ -295,12 +260,12 @@ def co_scatter(ep, objs: list[Any] | None, root: int = 0):
             )
         for dst in range(size):
             if dst != root:
-                ep.coll_send(dst, objs[dst], _round_tag(base, 0))
+                comm.coll_send(dst, objs[dst], base)
         return objs[root]
-    return (yield from ep.co_coll_recv(root, _round_tag(base, 0)))
+    return (yield from comm.co_coll_recv(root, base))
 
 
-def co_alltoall(ep, objs: list[Any]):
+def co_alltoall(comm: Comm, base: int, objs: list[Any]):
     """Bruck all-to-all; ``objs[d]`` goes to rank ``d``.
 
     ceil(log2(n)) rounds and n * ceil(log2(n)) messages for any n, where a
@@ -310,47 +275,37 @@ def co_alltoall(ep, objs: list[Any]):
     the restart's suppression exchange, whose blocks are short tuples of
     message IDs.  A rank's own block is handed back, not copied.
     """
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     if len(objs) != size:
         raise SimMPIError(f"alltoall needs exactly {size} elements, got {len(objs)}")
     # Slot i holds the block bound for rank + i; after the rounds, the one from rank - i.
     slots = [*objs[rank:], *objs[:rank]]
     for rnd in range((size - 1).bit_length()):
-        mask, tag = 1 << rnd, _round_tag(base, rnd)
+        mask, tag = 1 << rnd, base - rnd
         moving = [i for i in range(mask, size) if i & mask]
-        ep.coll_send((rank + mask) % size, [slots[i] for i in moving], tag)
-        incoming = yield from ep.co_coll_recv((rank - mask) % size, tag)
+        comm.coll_send((rank + mask) % size, [slots[i] for i in moving], tag)
+        incoming = yield from comm.co_coll_recv((rank - mask) % size, tag)
         for i, block in zip(moving, incoming):
             slots[i] = block
     return [slots[(rank - src) % size] for src in range(size)]
 
 
-def co_barrier(ep):
+def co_barrier(comm: Comm, base: int):
     """Dissemination barrier: ceil(log2(size)) rounds of token exchange."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
-    if size == 1:
-        return
-    mask = 1
-    rnd = 0
-    while mask < size:
-        dst = (rank + mask) % size
-        src = (rank - mask) % size
-        ep.coll_send(dst, None, _round_tag(base, rnd))
-        yield from ep.co_coll_recv(src, _round_tag(base, rnd))
-        mask <<= 1
-        rnd += 1
+    size, rank = comm.size, comm.rank
+    for rnd in range((size - 1).bit_length()):
+        mask, tag = 1 << rnd, base - rnd
+        comm.coll_send((rank + mask) % size, None, tag)
+        yield from comm.co_coll_recv((rank - mask) % size, tag)
 
 
-def co_scan(ep, obj: Any, op: Op):
+def co_scan(comm: Comm, base: int, obj: Any, op: Op):
     """Inclusive prefix scan (linear chain)."""
-    size, rank = ep.coll_size, ep.coll_rank
-    base = ep.coll_next_tag_block()
+    size, rank = comm.size, comm.rank
     value = obj
     if rank > 0:
-        prefix = yield from ep.co_coll_recv(rank - 1, _round_tag(base, 0))
+        prefix = yield from comm.co_coll_recv(rank - 1, base)
         value = reduce_sequence(op, [prefix, value])
     if rank + 1 < size:
-        ep.coll_send(rank + 1, value, _round_tag(base, 0))
+        comm.coll_send(rank + 1, value, base)
     return value

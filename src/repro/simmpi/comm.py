@@ -18,6 +18,7 @@ same order, which keeps the per-parent sequence numbers aligned).
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError, SimMPIError
@@ -47,28 +48,22 @@ class Comm:
         self._clock = sim.clock
         self._network = sim.network
         self._scheduler = sim.scheduler
-        self._coll_seq = 0
+        #: Tag base of each collective call on this communicator, in call
+        #: order: one block of ``_TAG_STRIDE`` tags per call.
+        self._coll_bases = itertools.count(TAG_COLLECTIVE_BASE, -coll._TAG_STRIDE)
         self._child_seq = 0
         #: The envelope the latest ``co_recv_envelope`` matched; read by
         #: ``last_status`` only when someone asks.
         self._last_env: Optional[Envelope] = None
         self._members = group.members
-        #: Group-local rank (fixed; the lookup scans the member tuple).
-        self._rank = group.rank_of(proc.rank)
+        #: This process's rank within the communicator, and the number of
+        #: processes in it: both fixed for the communicator's life.
+        self.rank = group.rank_of(proc.rank)
+        self.size = len(group.members)
 
     # ------------------------------------------------------------------ #
     # Identity.
     # ------------------------------------------------------------------ #
-
-    @property
-    def rank(self) -> int:
-        """This process's rank within the communicator."""
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        """Number of processes in the communicator."""
-        return len(self._members)
 
     def wtime(self) -> float:
         """Current virtual time (the MPI_Wtime analogue)."""
@@ -231,21 +226,8 @@ class Comm:
         return Status(source=self._local(env.source), tag=env.tag, nbytes=env.nbytes)
 
     # ------------------------------------------------------------------ #
-    # Collective endpoint interface (see collectives_impl).
+    # Collectives (the algorithms are collectives_impl's).
     # ------------------------------------------------------------------ #
-
-    @property
-    def coll_rank(self) -> int:
-        return self.rank
-
-    @property
-    def coll_size(self) -> int:
-        return self.size
-
-    def coll_next_tag_block(self) -> int:
-        base = TAG_COLLECTIVE_BASE - self._coll_seq * coll._TAG_STRIDE
-        self._coll_seq += 1
-        return base
 
     # A collective suspends only where it waits: ``coll_send`` posts like
     # ``isend``, and ``co_coll_recv`` yields only while its message has not
@@ -269,36 +251,35 @@ class Comm:
         clock._now += clock.cost.step
         return env.payload
 
-    # ------------------------------------------------------------------ #
-    # Collectives.
-    # ------------------------------------------------------------------ #
+    # Each collective draws its call's tag block from ``_coll_bases`` and
+    # hands back the algorithm's generator itself.
 
     def co_bcast(self, obj: Any, root: int = 0):
-        return (yield from coll.co_bcast(self, obj, root))
+        return coll.co_bcast(self, next(self._coll_bases), obj, root)
 
     def co_reduce(self, obj: Any, op: Op, root: int = 0):
-        return (yield from coll.co_reduce(self, obj, op, root))
+        return coll.co_reduce(self, next(self._coll_bases), obj, op, root)
 
     def co_allreduce(self, obj: Any, op: Op):
-        return (yield from coll.co_allreduce(self, obj, op))
+        return coll.co_allreduce(self, next(self._coll_bases), obj, op)
 
     def co_gather(self, obj: Any, root: int = 0):
-        return (yield from coll.co_gather(self, obj, root))
+        return coll.co_gather(self, next(self._coll_bases), obj, root)
 
     def co_allgather(self, obj: Any):
-        return (yield from coll.co_allgather(self, obj))
+        return coll.co_allgather(self, next(self._coll_bases), obj)
 
     def co_scatter(self, objs: list[Any] | None, root: int = 0):
-        return (yield from coll.co_scatter(self, objs, root))
+        return coll.co_scatter(self, next(self._coll_bases), objs, root)
 
     def co_alltoall(self, objs: list[Any]):
-        return (yield from coll.co_alltoall(self, objs))
+        return coll.co_alltoall(self, next(self._coll_bases), objs)
 
     def co_barrier(self):
-        yield from coll.co_barrier(self)
+        return coll.co_barrier(self, next(self._coll_bases))
 
     def co_scan(self, obj: Any, op: Op):
-        return (yield from coll.co_scan(self, obj, op))
+        return coll.co_scan(self, next(self._coll_bases), obj, op)
 
     # ------------------------------------------------------------------ #
     # Communicator construction.

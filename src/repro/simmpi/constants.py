@@ -5,10 +5,21 @@ Tag space layout
 Application code may use any tag in ``[0, MAX_USER_TAG]``.  Negative tags are
 reserved for the library itself:
 
-* ``TAG_COLLECTIVE_BASE`` — point-to-point messages that implement collective
-  operations (each collective call instance gets a distinct tag derived from
-  a per-communicator collective sequence number, so concurrent collectives on
-  different communicators cannot interfere).
+* Collective rounds.  Every collective call instance owns a block of
+  ``STRIDE`` = ``collectives_impl._TAG_STRIDE`` (64) tags, ``(base -
+  STRIDE, base]``, and sends its round ``r`` on ``base - r``.  There are
+  three regions of blocks:
+
+  - raw communicator collectives, from the communicator's own call
+    sequence ``seq``: ``TAG_COLLECTIVE_BASE - seq·STRIDE - r``;
+  - protocol-layer collectives, from the pipeline's checkpointed
+    per-communicator sequence, phase 0 the command exchange and phase 1
+    the data collective or barrier: ``LAYER_COLL_BASE - (2·seq +
+    phase)·STRIDE - r`` (``repro.protocol.stages.pipeline``);
+  - the restart's suppression exchange: ``RESTORE_BASE - r`` (same
+    module).
+
+  Context ids already keep different communicators apart.
 * ``TAG_CONTROL`` — C3 protocol control words (pleaseCheckpoint,
   mySendCount, readyToStopLogging, stopLogging, stoppedLogging, replayDone),
   each one packed ``int`` (``repro.protocol.control``).  Control messages
@@ -32,7 +43,3 @@ TAG_COLLECTIVE_BASE: int = -1000
 #: Tag carrying C3 protocol control messages.
 TAG_CONTROL: int = -2
 
-
-def collective_tag(sequence: int) -> int:
-    """Reserved tag for the ``sequence``-th collective on a communicator."""
-    return TAG_COLLECTIVE_BASE - sequence

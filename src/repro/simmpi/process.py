@@ -32,7 +32,7 @@ class ProcState(enum.Enum):
 
 # Tuple, not frozenset: ``in`` over a 3-tuple of enum members is identity
 # comparisons in C, while a set probe routes through Enum.__hash__ (a
-# Python-level call) — and ``alive`` runs once per scheduling step.
+# Python-level call) — and delivery tests it once per message.
 _FINISHED_STATES = (ProcState.DONE, ProcState.DEAD, ProcState.ERRORED)
 
 
@@ -83,10 +83,6 @@ class Proc:
         elif old is ProcState.RUNNABLE:
             ranks = self.sim._runnable_ranks
             ranks.pop(bisect_left(ranks, self.rank))
-
-    @property
-    def alive(self) -> bool:
-        return self._state not in _FINISHED_STATES
 
     @property
     def finished(self) -> bool:

@@ -169,6 +169,9 @@ class Simulator:
         #: ``Proc.state`` setter so the scheduler loop never rescans procs.
         self._runnable_ranks: list[int] = []
         self.procs = [Proc(self, r, mains[r]) for r in range(config.nprocs)]
+        #: Ranks whose main has not ended; ``_rank_body`` counts each one
+        #: down as it sets the rank's finished state.
+        self._unfinished = config.nprocs
         #: Virtual time of every death, recorded once: a scheduled kill when
         #: it is requested, any other death (a checkpoint crash) when its
         #: slice ends.  A rank is suspected ``detector_timeout`` later.
@@ -217,6 +220,7 @@ class Simulator:
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             proc.error = exc
             proc.state = ProcState.ERRORED
+        self._unfinished -= 1
 
     def _start_ranks(self) -> None:
         for proc in self.procs:
@@ -373,7 +377,7 @@ class Simulator:
                     self._handle_new_death(proc)
                 continue
 
-            if all(p.finished for p in self.procs):
+            if not self._unfinished:
                 if death_time:
                     # Everybody else finished before the deadline; jump
                     # time forward so the fault is still reported.  The

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
+from repro.protocol.stages.pipeline import LAYER_COLL_BASE
 from repro.simmpi import MAX, MIN, SUM, run_simple
 from repro.simmpi import collectives_impl as coll_impl
 from repro.simmpi.comm import Comm
@@ -192,11 +193,17 @@ def test_reduce_is_gather_plus_a_fold(n, root, monkeypatch):
     assert all(got is None for i, got in enumerate(reduced) if i != r)
 
 
+#: The tag base of these runs' direct ``co_allgather_words`` calls: the
+#: protocol layer's region, which a raw communicator's collectives never
+#: reach.
+WORDS_BASE = LAYER_COLL_BASE
+
+
 def _words_exchange(ctx):
     """The command exchange's words (``epoch << 1 | amLogging``-shaped),
     both ways."""
     word = (ctx.rank * 7919) << 1 | ctx.rank & 1
-    words = yield from coll_impl.co_allgather_words(ctx.comm, word)
+    words = yield from coll_impl.co_allgather_words(ctx.comm, WORDS_BASE, word)
     return words, (yield from ctx.comm.co_allgather(word))
 
 
@@ -214,7 +221,7 @@ def test_allgather_words_ships_4_bytes_a_word(n, monkeypatch):
     posted = _record_posts(monkeypatch)
 
     def main(ctx):
-        return (yield from coll_impl.co_allgather_words(ctx.comm, ctx.rank))
+        return (yield from coll_impl.co_allgather_words(ctx.comm, WORDS_BASE, ctx.rank))
 
     assert run(main, n) == [list(range(n))] * n
     assert len(posted) == n * math.ceil(math.log2(n))
@@ -227,7 +234,7 @@ def test_allgather_words_ships_4_bytes_a_word(n, monkeypatch):
 @pytest.mark.parametrize("word", [-1, 1 << 32, 1.0])
 def test_allgather_words_rejects_a_word_past_32_bits(word):
     def main(ctx):
-        yield from coll_impl.co_allgather_words(ctx.comm, word)
+        yield from coll_impl.co_allgather_words(ctx.comm, WORDS_BASE, word)
 
     with pytest.raises(ProtocolError, match="does not fit in 32 bits"):
         run_simple(main, nprocs=2, seed=0)

@@ -6,8 +6,8 @@ import pytest
 from repro.simmpi.constants import (
     ANY_SOURCE,
     ANY_TAG,
+    TAG_COLLECTIVE_BASE,
     TAG_CONTROL,
-    collective_tag,
 )
 from repro.simmpi.mailbox import Mailbox, RecvDescriptor
 from repro.simmpi.message import Envelope
@@ -80,7 +80,7 @@ class TestReservedTags:
     """``ANY_TAG`` is any *user* tag: library traffic on the reserved
     negative tags is invisible to application wildcards."""
 
-    RESERVED = [TAG_CONTROL, -3, collective_tag(0), -10_000_000]
+    RESERVED = [TAG_CONTROL, -3, TAG_COLLECTIVE_BASE, -10_000_000]
 
     @pytest.mark.parametrize("tag", RESERVED)
     def test_wildcard_post_skips_reserved_tag(self, tag):
@@ -106,7 +106,7 @@ class TestReservedTags:
 
     def test_exact_reserved_tag_still_matches(self):
         mb = Mailbox(0)
-        tag = collective_tag(2)
+        tag = TAG_COLLECTIVE_BASE - 2  # round 2 of a communicator's first collective
         mb.deliver(env(dest=0, tag=tag, payload="round"))
         assert mb.post(RecvDescriptor(0, tag, 0)).matched.payload == "round"
 
