@@ -460,8 +460,15 @@ def _co_guard_ring(ctx):
 
 
 #: Python calls per delivered message on the 16-rank ring, per variant.
-#: Measured 33.85 / 47.07 / 47.22 (Python 3.11) once the simulator kept a
-#: count of unfinished ranks instead of scanning them on every idle step;
+#: Measured 26.65 / 37.87 / 38.02 (Python 3.11) once a message took no
+#: helper call or generator it did not need: the peer mapped and the
+#: payload sized inline, a scheduling point a bare ``yield`` between kill
+#: checks, the pipeline's send handing back ``Comm.co_send``'s generator,
+#: its receive running ``Comm.recv_begin`` / ``recv_end`` around its own
+#: ``yield`` and classifying with a plain call, ``ctx.rank`` / ``ctx.size``
+#: plain attributes, one delivery loop over the network heap.  33.85 /
+#: 47.07 / 47.22 before that, once the simulator kept a count of
+#: unfinished ranks instead of scanning them on every idle step;
 #: 33.9 / 47.2 / 47.3 before that, and 34.1 / 47.3 / 47.5 before
 #: ``Mailbox.deliver`` matched without a call per descriptor and the
 #: simulator woke a rank without a call.  V1/V3 fell from 51.6 / 51.8
@@ -470,7 +477,7 @@ def _co_guard_ring(ctx):
 #: as a standalone adapter whose ``co_send`` hands back the communicator's
 #: generator took it from 35.4; V0's own pass-through arms in ``co_send`` / ``co_recv`` from 38.5
 #: before that; the build-every-message path made 53.3 / 68.7 / 68.9.
-_CALLS_PER_MESSAGE = {"UNMODIFIED": 34, "PIGGYBACK": 48, "FULL": 48}
+_CALLS_PER_MESSAGE = {"UNMODIFIED": 27, "PIGGYBACK": 38, "FULL": 39}
 
 
 def _calls_per_message(main, config, messages: int) -> float:
@@ -527,8 +534,13 @@ def _co_guard_allreduce(ctx):
 #: under the default random schedule, per variant: the collective path
 #: (``coll_send``, ``co_coll_recv``, the wake), which the point-to-point
 #: ring above barely touches.  V1 adds one command exchange (8 more
-#: messages) per call.  Measured 30.46 / 30.47 (Python 3.11) once each
-#: algorithm ran on the communicator with the tag base its caller drew
+#: messages) per call.  Measured 20.50 / 20.98 (Python 3.11) once a
+#: waiting receive blocked with one plain call instead of a generator, the
+#: blocked rank's state and the runnable index were flipped directly, one
+#: delivery loop popped the network heap, the idle step found the next
+#: event without a call, the peer was mapped and the payload sized inline
+#: and a pairwise fold called the op's function; 30.46 / 30.47 before
+#: that, once each algorithm ran on the communicator with the tag base its caller drew
 #: (no endpoint object, no per-round tag check, no forwarding frame) and
 #: the simulator counted unfinished ranks instead of scanning them; 36.4 /
 #: 35.1 before that, once a blocked rank resumed only when its receive
@@ -536,7 +548,7 @@ def _co_guard_allreduce(ctx):
 #: descriptor and ``Mailbox.deliver`` matched without a call per
 #: descriptor; 40.8 / 39.7 before, when every delivery woke its rank for
 #: a slice that re-blocked.
-_COLL_CALLS_PER_MESSAGE = {"UNMODIFIED": 31, "PIGGYBACK": 31}
+_COLL_CALLS_PER_MESSAGE = {"UNMODIFIED": 21, "PIGGYBACK": 21}
 
 
 @pytest.mark.parametrize("variant", sorted(_COLL_CALLS_PER_MESSAGE))

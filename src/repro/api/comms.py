@@ -141,7 +141,7 @@ class RawCommAdapter(SharedSurface):
         #: nothing calls it.
         self.state_provider: Optional[Callable[[], Any]] = None
         self._comm_send = comm.co_send
-        self._comm_recv_envelope = comm.co_recv_envelope
+        self._comm_recv = comm.co_recv
         self._next_handle_id = 0
 
     def _comm_of(self, handle: Any) -> Comm:
@@ -170,8 +170,7 @@ class RawCommAdapter(SharedSurface):
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         self.stats.receives += 1
-        env = yield from self._comm_recv_envelope(source, tag)
-        return env.payload
+        return self._comm_recv(source, tag)
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         return self.comm.irecv(source, tag)

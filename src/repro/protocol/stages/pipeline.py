@@ -69,8 +69,9 @@ LAYER_COLL_BASE = -10_000_000
 RESTORE_BASE = -1_000_000_000
 
 #: ``_stamp``'s answer for a send that replay suppresses (any wire word,
-#: ``None`` included, means "post it").
+#: ``None`` included, means "post it"); ``co_send``'s for one not stamped yet.
 _SUPPRESSED = object()
+_UNSTAMPED = object()
 
 
 class ProtocolPipeline(SharedSurface):
@@ -94,9 +95,11 @@ class ProtocolPipeline(SharedSurface):
         self.codec = get_codec(self.config.codec)
         self.rank = comm.rank
         self.nprocs = comm.size
-        # The communicator's generator operations, bound once.
+        # The communicator's operations, bound once.
         self._comm_send = comm.co_send
         self._comm_recv_envelope = comm.co_recv_envelope
+        self._recv_begin = comm.recv_begin
+        self._recv_end = comm.recv_end
         self._comm_yield_point = comm.co_yield_point
         #: This rank's mailbox control queue; bound by the checkpoint
         #: stage (the only consumer), empty forever without one.
@@ -200,10 +203,21 @@ class ProtocolPipeline(SharedSurface):
         return self.codec.encode(self.state.epoch, self.state.am_logging, message_id)
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
-        """Application blocking send with piggybacked protocol data."""
-        if not self._idle():
+        """Application blocking send with piggybacked protocol data.
+
+        Idle, it stamps the send and hands back ``Comm.co_send``'s
+        generator itself (one generator per send, as the collectives do).
+        """
+        wire = self._stamp(dest) if self._idle() else _UNSTAMPED
+        if wire is _UNSTAMPED or wire is _SUPPRESSED:
+            return self._co_send_rest(payload, dest, tag, wire)
+        return self._comm_send(payload, dest, tag, wire)
+
+    def _co_send_rest(self, payload: Any, dest: int, tag: int, wire: Any):
+        """A send that found work to drain first, or that replay suppresses."""
+        if wire is _UNSTAMPED:
             yield from self._co_progress()
-        wire = self._stamp(dest)
+            wire = self._stamp(dest)
         if wire is not _SUPPRESSED:
             yield from self._comm_send(payload, dest, tag, wire)
 
@@ -232,8 +246,15 @@ class ProtocolPipeline(SharedSurface):
         self.stats.receives += 1
         if self.replay is not None and not self.replay.matches.exhausted:
             return (yield from self._co_replay_recv(source, tag))
-        env = yield from self._comm_recv_envelope(source, tag)
-        return (yield from self._co_classify_and_deliver(env))
+        # ``Comm.co_recv_envelope``'s two halves around its scheduling
+        # point, run in this generator.
+        desc = self._recv_begin(source, tag)
+        yield
+        env = self._recv_end(desc)
+        rest = self._classify_and_deliver(env)
+        if rest is not None:
+            yield from rest
+        return env.payload
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Nonblocking receive pseudo-request.
@@ -269,22 +290,23 @@ class ProtocolPipeline(SharedSurface):
             payload = req.payload
             self.requests.retire(req)
             return payload
-        if req._live is None:
+        self.stats.receives += 1
+        if req._live is not None:
+            yield from req._live.co_wait()
+            env = req._live._desc.matched
+        elif self.replay is not None and not self.replay.matches.exhausted:
             # Restored-unmatched or replay-posted: resolve like a fresh recv
             # (paper rule: match the late log, else re-post the receive).
-            self.stats.receives += 1
-            if self.replay is not None and not self.replay.matches.exhausted:
-                payload = yield from self._co_replay_recv(req.source, req.tag)
-            else:
-                env = yield from self._comm_recv_envelope(req.source, req.tag)
-                payload = yield from self._co_classify_and_deliver(env)
+            payload = yield from self._co_replay_recv(req.source, req.tag)
             self.requests.retire(req)
             return payload
-        self.stats.receives += 1
-        yield from req._live.co_wait()
-        env = req._live._desc.matched
+        else:
+            env = yield from self._comm_recv_envelope(req.source, req.tag)
         self.requests.retire(req)
-        return (yield from self._co_classify_and_deliver(env))
+        rest = self._classify_and_deliver(env)
+        if rest is not None:
+            yield from rest
+        return env.payload
 
     def co_test(self, req: Any):
         """Nonblocking completion check for a pseudo-request."""
@@ -316,12 +338,17 @@ class ProtocolPipeline(SharedSurface):
 
     # ------------------------------------------------------------------ #
 
-    def _co_classify_and_deliver(self, env):
+    def _classify_and_deliver(self, env):
         """Figure 4's communicationEventHandler for one arrived message:
         strip the piggyback word, classify the message (Definition 1; with
         the packed codec the color bit and the logging state decide), apply
         its class's action and, while logging, append a match record so
-        replay can reproduce the exact receive-completion order."""
+        replay can reproduce the exact receive-completion order.
+
+        A plain call: a message whose handling must suspend (an
+        intra-epoch one that ends logging, a late one) returns the
+        generator that finishes it, for the caller to run; any other
+        returns None."""
         state = self.state
         info = self.codec.decode(env.piggyback, state.epoch)
         self._calls["piggyback"] += 1
@@ -352,14 +379,15 @@ class ProtocolPipeline(SharedSurface):
                     source=src, mid=info.message_id,
                 )
         elif mclass is MessageClass.INTRA_EPOCH:
-            if state.am_logging and not info.am_logging:
-                # Phase 4 condition (ii): a message from a process that has
-                # stopped logging means every process has checkpointed
-                # (logging implies a checkpoint stage).
-                yield from self.ckpt.co_finalize_log()
             state.current_receive_count[src] = (
                 state.current_receive_count.get(src, 0) + 1
             )
+            if state.am_logging and not info.am_logging:
+                # Phase 4 condition (ii): a message from a process that has
+                # stopped logging means every process has checkpointed
+                # (logging implies a checkpoint stage).  Finalizing ends
+                # logging, so no match record follows.
+                return self._co_then_count(self.ckpt.co_finalize_log())
         else:  # LATE
             if not state.am_logging:
                 raise ProtocolError(
@@ -390,9 +418,15 @@ class ProtocolPipeline(SharedSurface):
                 )
             )
         if mclass is MessageClass.LATE:
-            yield from self.ckpt.co_received_all_check()
+            return self._co_then_count(self.ckpt.co_received_all_check())
         self._calls["message-log"] += 1
-        return env.payload
+        return None
+
+    def _co_then_count(self, step):
+        """The end of a message's handling that suspends: ``step``, then the
+        message-log count."""
+        yield from step
+        self._calls["message-log"] += 1
 
     def _co_replay_recv(self, source: int, tag: int):
         """Serve one receive deterministically from the match log: a late

@@ -42,6 +42,10 @@ class C3AppContext:
         restored: bool = False,
     ) -> None:
         self._rank_ctx = rank_ctx
+        #: This rank and the number of ranks, copied once: application
+        #: code reads them around every message.
+        self.rank = rank_ctx.rank
+        self.size = rank_ctx.size
         #: The messaging surface — any CommLike implementation (the C3
         #: protocol layer for V1–V3, the raw adapter for V0).
         self.mpi: "CommLike" = layer
@@ -70,14 +74,6 @@ class C3AppContext:
             DEFAULT_REGISTRY.restore(restored_app_state["globals"])
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def rank(self) -> int:
-        return self._rank_ctx.rank
-
-    @property
-    def size(self) -> int:
-        return self._rank_ctx.size
 
     @property
     def rng(self):

@@ -101,6 +101,8 @@ def co_allreduce(comm: Comm, base: int, obj: Any, op: Op):
     rem = size - pof2
     rnd = 0
     value = obj
+    # Pairs fold with the op's function itself (``reduce_sequence`` of two).
+    fold = op.fn
     # Fold phase: ranks [0, 2*rem) pair up so that odd ones drop out.
     if rank < 2 * rem:
         if rank % 2 == 0:
@@ -109,7 +111,7 @@ def co_allreduce(comm: Comm, base: int, obj: Any, op: Op):
         else:
             other = yield from comm.co_coll_recv(rank - 1, base - rnd)
             # Fold in rank order: lower rank's value on the left.
-            value = reduce_sequence(op, [other, value])
+            value = fold(other, value)
             newrank = rank // 2
     else:
         newrank = rank - rem
@@ -123,9 +125,9 @@ def co_allreduce(comm: Comm, base: int, obj: Any, op: Op):
             comm.coll_send(partner, value, base - rnd)
             other = yield from comm.co_coll_recv(partner, base - rnd)
             if partner_new < newrank:
-                value = reduce_sequence(op, [other, value])
+                value = fold(other, value)
             else:
-                value = reduce_sequence(op, [value, other])
+                value = fold(value, other)
             mask <<= 1
             rnd += 1
     else:
@@ -305,7 +307,7 @@ def co_scan(comm: Comm, base: int, obj: Any, op: Op):
     value = obj
     if rank > 0:
         prefix = yield from comm.co_coll_recv(rank - 1, base)
-        value = reduce_sequence(op, [prefix, value])
+        value = op.fn(prefix, value)
     if rank + 1 < size:
         comm.coll_send(rank + 1, value, base)
     return value

@@ -88,6 +88,7 @@ class Comm:
     # ------------------------------------------------------------------ #
 
     def _world(self, local_rank: int) -> int:
+        # The receives map an in-range rank inline and call this otherwise.
         if local_rank == ANY_SOURCE:
             return ANY_SOURCE
         members = self._members
@@ -101,34 +102,25 @@ class Comm:
     def co_yield_point(self):
         yield from self._scheduler.co_yield_point(self.proc)
 
-    def _co_block_on_recv(self, desc: RecvDescriptor):
-        yield from self._scheduler.co_block_on_recv(self.proc, desc)
-
     def _cancel_recv(self, desc: RecvDescriptor) -> bool:
         return self.proc.mailbox.cancel(desc)
 
-    def _send_target(self, dest: int, tag: int) -> int:
-        """Validate a send's arguments; returns ``dest``'s world rank."""
+    def _post(self, dest: int, payload: Any, tag: int, piggyback: Any = None) -> None:
+        """Post one message to group rank ``dest``: map and check the
+        target, build the envelope (it sizes the payload), charge the
+        clock and hand it to the network.  Every send is this one call."""
         members = self._members
         if not 0 <= dest < len(members):
             raise MatchError(f"send dest {dest} out of range for size {len(members)}")
         if tag > MAX_USER_TAG:
             raise MatchError(f"tag {tag} exceeds MAX_USER_TAG")
-        return members[dest]
-
-    def _post_envelope(
-        self, dest_world: int, payload: Any, tag: int, piggyback: Any = None
-    ) -> Envelope:
-        env = Envelope(
-            self.proc.rank, dest_world, tag, self.context, payload, piggyback
-        )
+        env = Envelope(self.proc.rank, members[dest], tag, self.context, payload, piggyback)
         # ``CostModel.message_cost``, added directly: the model's fields
         # were checked when it was built.
         clock = self._clock
         cost = clock.cost
         clock._now += cost.alpha + cost.beta * env.nbytes
         self._network.post(env, clock._now)
-        return env
 
     # ------------------------------------------------------------------ #
     # Point-to-point.
@@ -138,10 +130,10 @@ class Comm:
     # are its scheduling points; the suspension-free calls (``isend``,
     # ``irecv``, ``iprobe``, ``dup``) have no generator form.  To run one
     # outside a rank, ``coop.drive`` completes it where it cannot suspend.
-    # The per-message calls bracket a bare ``yield`` with
-    # ``Scheduler.before_yield`` / ``after_yield`` (the body of
-    # ``co_yield_point``) instead of allocating that generator for every
-    # message.
+    # A scheduling point is a bare ``yield`` between two kill checks, and
+    # a receive that waits calls ``Scheduler.block`` before it and
+    # ``Scheduler.fail_resume`` after it only when the rank comes back
+    # killed or unmatched: no generator beyond the operation's own.
 
     def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
         """Eager-buffered blocking send (returns once the message is posted).
@@ -149,19 +141,22 @@ class Comm:
         ``piggyback`` is reserved for the C3 protocol layer; application code
         should never pass it.
         """
-        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
-        scheduler, proc = self._scheduler, self.proc
-        scheduler.before_yield(proc)
+        self._post(dest, payload, tag, piggyback)
+        proc = self.proc
+        if proc.kill_flag:
+            self._scheduler._raise_kill(proc)
         yield
-        scheduler.after_yield(proc)
+        if proc.kill_flag:
+            self._scheduler._raise_kill(proc)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload.
 
         The matched message's metadata is available as ``last_status``.
         """
-        env = yield from self.co_recv_envelope(source, tag)
-        return env.payload
+        desc = self.recv_begin(source, tag)
+        yield
+        return self.recv_end(desc).payload
 
     def co_recv_envelope(
         self,
@@ -175,19 +170,37 @@ class Comm:
         recovery replay, to wait for the message with a specific
         ``messageID`` via ``predicate``.
         """
-        desc = RecvDescriptor(self._world(source), tag, self.context, predicate)
+        desc = self.recv_begin(source, tag, predicate)
+        yield
+        return self.recv_end(desc)
+
+    def recv_begin(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, predicate: Optional[Callable] = None
+    ) -> RecvDescriptor:
+        """A blocking receive up to its scheduling point, a bare ``yield``
+        the caller makes next (so a layer above runs the receive in its own
+        generator): post it, and block the rank unless a queued message
+        matched it.  A matched receive still yields, or tight recv loops
+        would starve other ranks.  :meth:`recv_end` completes it."""
+        members = self._members
+        world = members[source] if 0 <= source < len(members) else self._world(source)
+        desc = RecvDescriptor(world, tag, self.context, predicate)
         proc = self.proc
         proc.mailbox.post(desc)
         if desc.matched is None:
-            yield from self._scheduler.co_block_on_recv(proc, desc)
-        else:
-            # Matching an already-queued message is still a scheduling point;
-            # without it, tight recv loops would starve other ranks.
-            self._scheduler.before_yield(proc)
-            yield
-            self._scheduler.after_yield(proc)
+            self._scheduler.block(proc, desc)
+        elif proc.kill_flag:
+            self._scheduler._raise_kill(proc)
+        return desc
+
+    def recv_end(self, desc: RecvDescriptor) -> Envelope:
+        """Complete a receive :meth:`recv_begin` started, once its rank is
+        resumed; returns the matched envelope."""
+        proc = self.proc
+        proc.block_info = None
         env = desc.matched
-        assert env is not None
+        if env is None or proc.kill_flag:
+            self._scheduler.fail_resume(proc, desc)
         clock = self._clock
         clock._now += clock.cost.step
         self._last_env = env
@@ -204,12 +217,12 @@ class Comm:
         """Combined send+receive (deadlock-free under eager sends)."""
         if recv_tag is None:
             recv_tag = send_tag
-        self._post_envelope(self._send_target(dest, send_tag), payload, send_tag)
+        self._post(dest, payload, send_tag)
         return (yield from self.co_recv(recv_source, recv_tag))
 
     def isend(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
-        self._post_envelope(self._send_target(dest, tag), payload, tag, piggyback)
+        self._post(dest, payload, tag, piggyback)
         return SendRequest(self)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
@@ -229,24 +242,31 @@ class Comm:
     # Collectives (the algorithms are collectives_impl's).
     # ------------------------------------------------------------------ #
 
-    # A collective suspends only where it waits: ``coll_send`` posts like
-    # ``isend``, and ``co_coll_recv`` yields only while its message has not
-    # arrived.  Point-to-point sends and receives stay scheduling points.
+    # A collective suspends only where it waits: ``coll_send`` is ``_post``,
+    # and ``co_coll_recv`` takes a queued message without a descriptor and
+    # blocks only while its message has not arrived.  Point-to-point sends
+    # and receives stay scheduling points.
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._post_envelope(self._world(dest), payload, tag)
+    coll_send = _post
 
     def co_coll_recv(self, source: int, tag: int):
-        world = self._world(source)
-        mailbox = self.proc.mailbox
+        members = self._members
+        world = members[source] if 0 <= source < len(members) else self._world(source)
+        proc = self.proc
+        mailbox = proc.mailbox
         env = mailbox.take(world, tag, self.context)
         if env is None:
             # Nothing queued matches (``take`` just looked), so the
             # descriptor skips ``Mailbox.post``'s scan.
             desc = RecvDescriptor(world, tag, self.context)
             mailbox.posted.append(desc)
-            yield from self._scheduler.co_block_on_recv(self.proc, desc)
+            scheduler = self._scheduler
+            scheduler.block(proc, desc)
+            yield
+            proc.block_info = None
             env = desc.matched
+            if env is None or proc.kill_flag:
+                scheduler.fail_resume(proc, desc)
         clock = self._clock
         clock._now += clock.cost.step
         return env.payload

@@ -54,21 +54,6 @@ class RecvDescriptor:
         self.matched: Optional[Envelope] = None
         self.cancelled = False
 
-    def accepts(self, env: Envelope) -> bool:
-        """True if this descriptor matches ``env``."""
-        if self.cancelled or self.matched is not None:
-            return False
-        if self.context != env.context:
-            return False
-        if self.source != ANY_SOURCE and self.source != env.source:
-            return False
-        tag = env.tag
-        if self.tag != tag and (self.tag != ANY_TAG or tag < 0):
-            return False
-        if self.predicate is not None and not self.predicate(env):
-            return False
-        return True
-
 
 class Mailbox:
     """Matching queues for one rank."""
@@ -93,9 +78,8 @@ class Mailbox:
         Returns the receive descriptor it completed, or ``None`` if the
         message was queued (as unexpected, or on the control queue).  The
         posted queue holds no matched or cancelled descriptor, so the
-        match is :meth:`RecvDescriptor.accepts` without those two checks,
-        written out over the queue in one pass; only a descriptor that has
-        a predicate makes a call.
+        match is the module's rule, written out over the queue in one
+        pass; only a descriptor that has a predicate makes a call.
         """
         self.delivered_count += 1
         tag = env.tag
@@ -129,15 +113,33 @@ class Mailbox:
     # Receive side (called by the rank itself).
     # ------------------------------------------------------------------ #
 
-    def post(self, desc: RecvDescriptor) -> RecvDescriptor:
-        """Post a receive; matches immediately against unexpected messages."""
+    def _find_unexpected(
+        self, source: int, tag: int, context: int, predicate: Optional[Callable]
+    ) -> int:
+        """Index of the oldest unexpected message a receive for these
+        arguments matches (:meth:`deliver`'s rule, over the other queue),
+        or -1."""
         for i, env in enumerate(self.unexpected):
-            if desc.accepts(env):
-                desc.matched = env
-                del self.unexpected[i]
-                self.matched_count += 1
-                return desc
-        self.posted.append(desc)
+            if env.context != context:
+                continue
+            if source != env.source and source != ANY_SOURCE:
+                continue
+            have = env.tag
+            if have != tag and (tag != ANY_TAG or have < 0):
+                continue
+            if predicate is None or predicate(env):
+                return i
+        return -1
+
+    def post(self, desc: RecvDescriptor) -> RecvDescriptor:
+        """Post a fresh receive; matches immediately against unexpected
+        messages."""
+        i = self._find_unexpected(desc.source, desc.tag, desc.context, desc.predicate)
+        if i < 0:
+            self.posted.append(desc)
+        else:
+            desc.matched = self.unexpected.pop(i)
+            self.matched_count += 1
         return desc
 
     def take(self, source: int, tag: int, context: int) -> Optional[Envelope]:
@@ -174,11 +176,8 @@ class Mailbox:
         predicate: Optional[Callable[[Envelope], bool]] = None,
     ) -> Optional[Envelope]:
         """Peek at the first unexpected message matching the arguments."""
-        probe_desc = RecvDescriptor(source, tag, context, predicate)
-        for env in self.unexpected:
-            if probe_desc.accepts(env):
-                return env
-        return None
+        i = self._find_unexpected(source, tag, context, predicate)
+        return None if i < 0 else self.unexpected[i]
 
     def pop_control(self) -> Optional[Envelope]:
         """Pop the oldest queued control message (None when idle)."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.simmpi.datatypes import HEADER_BYTES, sizeof
+import numpy as np
+
+from repro.simmpi.datatypes import _FIXED_WIDTH, HEADER_BYTES, sizeof
 
 
 class Envelope:
@@ -70,7 +72,17 @@ class Envelope:
         self.deliver_time = deliver_time
         self.seq = seq
         if nbytes < 0:
-            nbytes = sizeof(payload) + HEADER_BYTES
+            # ``sizeof``, with arrays, bytes and fixed-width scalars inline.
+            kind = type(payload)
+            if kind is np.ndarray:
+                size = payload.nbytes
+            elif kind is bytes:
+                size = len(payload)
+            else:
+                size = _FIXED_WIDTH.get(kind)
+                if size is None:
+                    size = sizeof(payload)
+            nbytes = size + HEADER_BYTES
             if piggyback is not None:
                 # Packed codec: one 32-bit word; full codec: ~12 bytes
                 # (paper Section 4.2's two designs).

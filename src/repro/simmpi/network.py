@@ -12,22 +12,27 @@ model does vary — under seed control — is **delivery timing and order**:
 * ordering mode ``"fifo"`` forces per-(source, dest) FIFO delivery,
   ``"per_tag_fifo"`` forces FIFO only among messages with equal
   ``(source, dest, tag, context)`` (MPI's non-overtaking guarantee), and
-  ``"random"`` allows arbitrary reordering.
+  ``"random"`` allows arbitrary reordering.  A floor per key (its latest
+  delivery time) enforces FIFO.  A collective round's key (tag ``<=
+  TAG_COLLECTIVE_BASE``) is posted once per attempt, as each call owns a
+  tag block, so under ``"per_tag_fifo"`` it has no floor to keep.
 
 The C3 protocol makes **no FIFO assumption at the application level**
 (Section 3.3), so it must pass all tests under ``"random"`` as well.
 
-Stopping faults: once a rank is marked dead, in-flight messages addressed to
-it are silently dropped at delivery time, and nothing further is accepted
-from it.
+Stopping faults: once a rank is marked dead, nothing further is accepted
+from it, and in-flight messages to or from it are dropped when they come
+due.  Delivery is the simulator's one loop over the heap
+(``Simulator._deliver_due_messages``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappush
 
 from repro.errors import SimMPIError
+from repro.simmpi.constants import TAG_COLLECTIVE_BASE
 from repro.simmpi.message import Envelope
 from repro.util.rng import RngStream
 
@@ -74,7 +79,7 @@ class Network:
         self._seq = 0
         self._heap: list[tuple[float, int, Envelope]] = []
         # Latest scheduled delivery time per ordering key, used to enforce
-        # the chosen non-overtaking discipline.
+        # the chosen non-overtaking discipline (no collective round's key).
         self._last_delivery: dict[tuple, float] = {}
         self._dead: set[int] = set()
         #: Optional repro.trace recorder (armed by the simulator).
@@ -95,7 +100,8 @@ class Network:
             delay += self.rng.next_exponential(self.jitter)
         deliver = now + delay
         if self._order_per_tag:
-            key = (env.source, env.dest, env.tag, env.context)
+            tag = env.tag
+            key = (env.source, env.dest, tag, env.context) if tag > TAG_COLLECTIVE_BASE else None
         elif self._order_fifo:
             key = (env.source, env.dest)
         else:
@@ -106,9 +112,10 @@ class Network:
                 deliver = floor + 1e-12
             self._last_delivery[key] = deliver
         env.deliver_time = deliver
-        heapq.heappush(self._heap, (deliver, env.seq, env))
-        self.stats.posted += 1
-        self.stats.bytes_posted += env.nbytes
+        heappush(self._heap, (deliver, seq, env))
+        stats = self.stats
+        stats.posted += 1
+        stats.bytes_posted += env.nbytes
 
     def mark_dead(self, rank: int) -> None:
         """Record a stopping fault: drop traffic to/from ``rank`` from now on."""
@@ -119,37 +126,6 @@ class Network:
     def next_delivery_time(self) -> float | None:
         """Virtual time of the earliest in-flight message, or None if idle."""
         return self._heap[0][0] if self._heap else None
-
-    def pop_due(self, now: float) -> list[Envelope]:
-        """Remove and return all messages whose delivery time has arrived.
-
-        Dead-destination messages are dropped here (the stopping model: a
-        dead process neither sends nor receives).
-        """
-        due: list[Envelope] = []
-        tr = self.tracer
-        while self._heap and self._heap[0][0] <= now:
-            _, _, env = heapq.heappop(self._heap)
-            if env.dest in self._dead or env.source in self._dead:
-                if env.dest in self._dead:
-                    self.stats.dropped_dead_dest += 1
-                else:
-                    self.stats.dropped_dead_source += 1
-                if tr is not None:
-                    tr.emit(
-                        "net", "drop", t=env.deliver_time, rank=env.dest,
-                        source=env.source, tag=env.tag,
-                    )
-                continue
-            if tr is not None:
-                tr.emit(
-                    "net", "deliver", t=env.deliver_time, rank=env.dest,
-                    source=env.source, tag=env.tag, nbytes=env.nbytes,
-                )
-            self.stats.delivered += 1
-            self.stats.bytes_delivered += env.nbytes
-            due.append(env)
-        return due
 
     def in_flight(self) -> int:
         return len(self._heap)

@@ -92,7 +92,8 @@ def reduce_sequence(op: Op, values: list) -> Any:
     for deterministic reductions)."""
     if not values:
         raise SimMPIError("cannot reduce an empty sequence")
+    fn = op.fn
     acc = values[0]
     for v in values[1:]:
-        acc = op(acc, v)
+        acc = fn(acc, v)
     return acc

@@ -52,7 +52,7 @@ class Proc:
         self.c3_runtime: Any = None
         self.kill_flag = False
         #: The receive this rank is blocked on, while it is blocked (set by
-        #: ``Scheduler.co_block_on_recv``; ``None`` once it resumes).  Kept
+        #: ``Scheduler.block``; ``None`` once it resumes).  Kept
         #: as the posted descriptor and rendered only by :meth:`describe`.
         self.block_info: Optional[RecvDescriptor] = None
         self.result: Any = None
@@ -68,11 +68,11 @@ class Proc:
     def state(self, value: ProcState) -> None:
         """State transition; keeps the simulator's runnable index current.
 
-        Every transition site in the codebase assigns ``proc.state``, so
-        routing the runnable-set bookkeeping through this setter lets the
-        scheduler loop read a maintained rank-ordered list instead of
-        rescanning all procs each step — the scan was O(nprocs) per
-        scheduling point and dominated large-rank-count runs.
+        The scheduler loop reads a maintained rank-ordered list instead of
+        rescanning all procs each step (O(nprocs) per scheduling point).
+        Every transition assigns ``proc.state`` but the two per-message
+        flips, blocking on a receive (``Scheduler.block``) and its wake
+        (the simulator's delivery loop), which edit both directly.
         """
         old = self._state
         if value is old:

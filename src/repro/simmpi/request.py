@@ -85,7 +85,12 @@ class RecvRequest(Request):
     def co_wait(self):
         self._harvest()
         if not self._done:
-            yield from self._comm._co_block_on_recv(self._desc)
+            desc, proc, scheduler = self._desc, self._comm.proc, self._comm._scheduler
+            scheduler.block(proc, desc)
+            yield
+            proc.block_info = None
+            if desc.matched is None or proc.kill_flag:
+                scheduler.fail_resume(proc, desc)
             self._harvest()
         return self._payload
 

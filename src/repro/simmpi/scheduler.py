@@ -14,8 +14,11 @@ Scheduling points occur at every blocking point-to-point call
 receive whose message has not arrived yet, and anywhere the application
 calls ``co_yield_point`` explicitly.  A collective's sends and its receives
 of already-queued messages are not scheduling points: a collective
-suspends only where it waits.  A rank blocked on a receive resumes only
-when that receive completes or the rank is killed: a delivery that
+suspends only where it waits.  Each is a bare ``yield`` in the code that
+reaches it, between kill checks; a receive that must wait first calls
+:meth:`Scheduler.block`, which flips the rank to BLOCKED (out of the
+runnable index, directly) on ``proc.block_info``.  A blocked rank resumes
+only when that receive completes or the rank is killed: a delivery that
 matches another receive, queues as unexpected or is a ``TAG_CONTROL``
 word leaves it blocked, as a C/MPI process blocked in ``MPI_Recv`` does
 not run until its receive completes.  Between scheduling points a rank
@@ -67,70 +70,55 @@ class Scheduler:
         self.tracer = getattr(sim, "tracer", None)
         #: The simulation clock, cached: ``grant`` charges it every slice.
         self._clock = getattr(sim, "clock", None)
+        #: The simulator's runnable index, cached: ``block`` edits it.
+        self._runnable = getattr(sim, "_runnable_ranks", None)
         self.rng = RngStream(seed, "scheduler")
         self._rr_cursor = 0
         #: Total scheduling slices granted (observability).
         self.total_slices = 0
 
     # ------------------------------------------------------------------ #
-    # Rank side: scheduling points, written as generators.  A ``yield`` is
-    # where the rank hands control back to :meth:`grant`.
+    # Rank side: what a scheduling point calls around its ``yield``, where
+    # the rank hands control back to :meth:`grant`.
     # ------------------------------------------------------------------ #
 
-    def before_yield(self, proc: Proc) -> None:
-        """What a voluntary scheduling point does before it suspends."""
-        if proc.kill_flag:
-            self._raise_kill(proc)
-        # A rank that reaches a voluntary point was granted from the
-        # runnable index, so this is almost never a transition; the setter
-        # (which maintains that index) runs only when it is one.
-        if proc._state is not ProcState.RUNNABLE:
-            proc.state = ProcState.RUNNABLE
-
-    def after_yield(self, proc: Proc) -> None:
-        """What a voluntary scheduling point does once it is resumed."""
-        if proc.kill_flag:
-            self._raise_kill(proc)
-
     def co_yield_point(self, proc: Proc):
-        # The per-message point-to-point calls (``Comm.co_send``,
-        # ``co_recv_envelope``) bracket a bare ``yield`` with the same pair
-        # instead of allocating this generator for every message.
-        self.before_yield(proc)
-        yield
-        self.after_yield(proc)
-
-    def co_block_on_recv(self, proc: Proc, desc: RecvDescriptor):
-        """Block ``proc`` until ``desc`` is matched; suspends exactly once.
-
-        The simulator makes a blocked rank RUNNABLE only when a delivery
-        completes the descriptor it is blocked on (``proc.block_info``) or
-        when the rank is killed, so the one resume finds the rank either
-        killed or matched.  Callers block only on an unmatched descriptor.
-        """
+        """A voluntary scheduling point.  A rank reaches one only inside a
+        slice, which :meth:`grant` gives only to a RUNNABLE rank."""
         if proc.kill_flag:
             self._raise_kill(proc)
-        proc.state = ProcState.BLOCKED
+        yield
+        if proc.kill_flag:
+            self._raise_kill(proc)
+
+    def block(self, proc: Proc, desc: RecvDescriptor) -> None:
+        """Block the running ``proc`` on the unmatched receive ``desc``;
+        the caller's next ``yield`` suspends it until the simulator makes
+        it RUNNABLE again (its receive completed, or it was killed)."""
+        if proc.kill_flag:
+            self._raise_kill(proc)
+        # The rank is running, so RUNNABLE and in the index: the flip is
+        # written directly instead of through the ``Proc.state`` setter.
+        proc._state = ProcState.BLOCKED
+        ranks = self._runnable
+        ranks.pop(bisect_left(ranks, proc.rank))
         # The descriptor itself is the diagnostic: ``Proc.describe``
         # renders it only if a deadlock report asks.
         proc.block_info = desc
         tr = self.tracer
         if tr is not None:
             tr.emit("sched", "block", rank=proc.rank, why="recv")
-        yield
-        proc.block_info = None
-        if proc.kill_flag:
-            self._raise_kill(proc)
-        if desc.matched is None:
-            raise SimMPIError(
-                f"rank {proc.rank} resumed while its receive "
-                f"(source={desc.source}, tag={desc.tag}, ctx={desc.context}) "
-                "is unmatched and it was not killed"
-            )
 
-    def _check_kill(self, proc: Proc) -> None:
+    def fail_resume(self, proc: Proc, desc: RecvDescriptor) -> None:
+        """Raise for a receive resumed killed (``ProcessKilled``) or, with no
+        kill, still unmatched (``SimMPIError``)."""
         if proc.kill_flag:
             self._raise_kill(proc)
+        raise SimMPIError(
+            f"rank {proc.rank} resumed while its receive "
+            f"(source={desc.source}, tag={desc.tag}, ctx={desc.context}) "
+            "is unmatched and it was not killed"
+        )
 
     def _raise_kill(self, proc: Proc) -> None:
         proc.kill_flag = False

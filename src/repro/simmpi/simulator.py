@@ -21,10 +21,11 @@ A run ends in one of three ways:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
-
+from heapq import heappop
 from types import GeneratorType
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
 from repro.simmpi.clock import CostModel, VirtualClock
@@ -87,6 +88,9 @@ class RankContext:
         self.sim = sim
         self.proc = proc
         self.comm = Comm(sim, proc, sim.world_group, context=0)
+        #: This rank, and the number of ranks: fixed for the attempt.
+        self.rank = proc.rank
+        self.size = sim.config.nprocs
         #: A per-rank deterministic RNG stream for application use.  Its
         #: state is ordinary application memory: the C3 context checkpoints
         #: and restores it, so post-restart draws resume mid-stream.
@@ -97,18 +101,10 @@ class RankContext:
         #: True when this attempt is restarting from a checkpoint.
         self.restoring: bool = False
 
-    @property
-    def rank(self) -> int:
-        return self.proc.rank
-
-    @property
-    def size(self) -> int:
-        return self.sim.config.nprocs
-
     def compute(self, flops: float = 0.0, seconds: float = 0.0) -> None:
         """Charge virtual time for a computation phase."""
-        cost = self.sim.clock.cost.compute_cost(flops) + seconds
-        self.sim.clock.charge(cost)
+        clock = self.sim.clock
+        clock.charge(clock.cost.flop * flops + seconds)
 
     def wtime(self) -> float:
         return self.sim.clock.now
@@ -154,6 +150,10 @@ class Simulator:
             ordering=config.ordering,
         )
         self.network.tracer = tracer
+        #: Ranks currently RUNNABLE, ascending, so the scheduler loop never
+        #: rescans procs: maintained by the ``Proc.state`` setter, and by
+        #: ``Scheduler.block`` and the delivery loop's wake directly.
+        self._runnable_ranks: list[int] = []
         self.scheduler = Scheduler(self, config.seed, config.sched_policy)
         self.failures = failures or FailureSchedule.none()
         self._context_factory = context_factory or RankContext
@@ -165,9 +165,6 @@ class Simulator:
                 raise ConfigError(
                     f"need {config.nprocs} main functions, got {len(mains)}"
                 )
-        #: Ranks currently RUNNABLE, ascending; maintained by the
-        #: ``Proc.state`` setter so the scheduler loop never rescans procs.
-        self._runnable_ranks: list[int] = []
         self.procs = [Proc(self, r, mains[r]) for r in range(config.nprocs)]
         #: Ranks whose main has not ended; ``_rank_body`` counts each one
         #: down as it sets the rank's finished state.
@@ -207,7 +204,8 @@ class Simulator:
         in its first slice.
         """
         try:
-            self.scheduler._check_kill(proc)  # first-grant kill window
+            if proc.kill_flag:  # first-grant kill window
+                self.scheduler._raise_kill(proc)
             ctx = self._context_factory(self, proc)
             out = proc.main(ctx)
             if isinstance(out, GeneratorType):
@@ -239,16 +237,44 @@ class Simulator:
             self.scheduler.request_kill(proc)
 
     def _deliver_due_messages(self) -> None:
-        # Two phases, as the trace records them: ``pop_due`` emits every
-        # due ``net/deliver`` event first, then the mailboxes take the
-        # messages and any ``sched/wake`` events follow.  A delivery wakes
-        # its rank only when it completes the receive the rank is blocked
-        # on (``block_info``); every other delivery (another tag, a posted
-        # ``irecv``, a control word) just queues.  Kills wake a blocked
-        # rank through ``Scheduler.request_kill``.
+        # One pass over the network heap: a due message to or from a dead
+        # rank is dropped, any other is delivered to its mailbox.  It wakes
+        # its rank (state and runnable index set directly) only when it
+        # completes the receive the rank is blocked on (``block_info``);
+        # another tag, a posted ``irecv`` or a control word just queues.
+        # Kills wake through ``Scheduler.request_kill``.  The ``sched/wake``
+        # events wait for the end of the pass: a trace lists every ``net``
+        # event of a pass before its wakes (the golden traces pin it).
+        network = self.network
+        heap = network._heap
+        dead = network._dead
+        stats = network.stats
         procs = self.procs
+        now = self.clock._now
+        runnable = self._runnable_ranks
         tr = self.tracer
-        for env in self.network.pop_due(self.clock._now):
+        woken = []
+        while heap and heap[0][0] <= now:
+            env = heappop(heap)[2]
+            if dead and (env.dest in dead or env.source in dead):
+                # The stopping model: a dead process neither sends nor receives.
+                if env.dest in dead:
+                    stats.dropped_dead_dest += 1
+                else:
+                    stats.dropped_dead_source += 1
+                if tr is not None:
+                    tr.emit(
+                        "net", "drop", t=env.deliver_time, rank=env.dest,
+                        source=env.source, tag=env.tag,
+                    )
+                continue
+            if tr is not None:
+                tr.emit(
+                    "net", "deliver", t=env.deliver_time, rank=env.dest,
+                    source=env.source, tag=env.tag, nbytes=env.nbytes,
+                )
+            stats.delivered += 1
+            stats.bytes_delivered += env.nbytes
             proc = procs[env.dest]
             state = proc._state
             if state in _FINISHED_STATES:
@@ -259,9 +285,12 @@ class Simulator:
                 and desc is proc.block_info
                 and state is ProcState.BLOCKED
             ):
-                proc.state = ProcState.RUNNABLE
+                proc._state = ProcState.RUNNABLE
+                insort(runnable, proc.rank)
                 if tr is not None:
-                    tr.emit("sched", "wake", rank=proc.rank)
+                    woken.append(proc.rank)
+        for rank in woken:
+            tr.emit("sched", "wake", rank=rank)
 
     def _suspect_due(self) -> Optional[float]:
         """Suspect every rank whose death is one timeout old.
@@ -390,21 +419,20 @@ class Simulator:
                     continue
                 break
 
-            # Nobody runnable: advance virtual time to the next event.
-            candidates = [
-                t
-                for t in (
-                    self.network.next_delivery_time(),
-                    next_kill,
-                    self._next_suspicion(),
-                )
-                if t is not None
-            ]
-            if not candidates:
+            # Nobody runnable: advance virtual time to the next event (the
+            # earliest delivery, kill or suspicion; read without a call).
+            wake = net_heap[0][0] if net_heap else None
+            if next_kill is not None and (wake is None or next_kill < wake):
+                wake = next_kill
+            if death_time:
+                fire = self._next_suspicion()
+                if wake is None or fire < wake:
+                    wake = fire
+            if wake is None:
                 blocked = self.scheduler.describe_blocked(self.procs)
                 self._teardown()
                 raise DeadlockError(f"no runnable ranks and no pending events: {blocked}")
-            self.clock.advance_to(max(min(candidates), self.clock.now + 1e-12))
+            clock.advance_to(max(wake, clock._now + 1e-12))
 
         # Either clean completion or detected failure.
         failed = detected_at is not None

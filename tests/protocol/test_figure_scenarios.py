@@ -34,8 +34,17 @@ def craft(layer, source, epoch, am_logging, message_id, tag=1, payload="x"):
     )
 
 
+def deliver(layer, env):
+    """Run the layer's handler on ``env`` as its receives do: the plain
+    call, then the generator it hands back for a class that suspends."""
+    rest = layer._classify_and_deliver(env)
+    if rest is not None:
+        yield from rest
+    return env.payload
+
+
 class TestFigure4Handler:
-    """Unit-feeds to _co_classify_and_deliver inside a one-rank simulation
+    """Unit-feeds to _classify_and_deliver inside a one-rank simulation
     (the layer needs a live comm for its control sends)."""
 
     def _with_layer(self, body, nprocs=2, codec="packed"):
@@ -54,7 +63,7 @@ class TestFigure4Handler:
     def test_intra_epoch_message_counted(self):
         def body(layer, storage):
             env = craft(layer, source=1, epoch=0, am_logging=False, message_id=0)
-            yield from layer._co_classify_and_deliver(env)
+            yield from deliver(layer, env)
             return layer.state.current_receive_count[1]
 
         assert self._with_layer(body) == 1
@@ -63,7 +72,7 @@ class TestFigure4Handler:
         def body(layer, storage):
             # Sender already in epoch 1, this rank still in epoch 0.
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=7)
-            yield from layer._co_classify_and_deliver(env)
+            yield from deliver(layer, env)
             return list(layer.state.early_ids[1])
 
         assert self._with_layer(body) == [7]
@@ -77,7 +86,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=0)
             with pytest.raises(ProtocolError, match="early"):
-                yield from layer._co_classify_and_deliver(env)
+                yield from deliver(layer, env)
             return True
 
         assert self._with_layer(body, codec="full")
@@ -88,7 +97,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=0, am_logging=True,
                         message_id=3, payload=[1, 2])
-            yield from layer._co_classify_and_deliver(env)
+            yield from deliver(layer, env)
             rec = layer.logs.late.records[0]
             return (rec.source, rec.message_id, rec.payload,
                     layer.state.previous_receive_count[1])
@@ -100,7 +109,7 @@ class TestFigure4Handler:
             layer.state.epoch = 1  # not logging
             env = craft(layer, source=1, epoch=0, am_logging=True, message_id=0)
             with pytest.raises(ProtocolError, match="late"):
-                yield from layer._co_classify_and_deliver(env)
+                yield from deliver(layer, env)
             return True
 
         assert self._with_layer(body, codec="full")
@@ -113,7 +122,7 @@ class TestFigure4Handler:
             layer.state.am_logging = True
             layer.logs.epoch = 1
             env = craft(layer, source=1, epoch=1, am_logging=False, message_id=0)
-            yield from layer._co_classify_and_deliver(env)
+            yield from deliver(layer, env)
             return (layer.state.am_logging, layer.stats.log_finalizations)
 
         # Logging terminated exactly once, by the message.
@@ -128,7 +137,7 @@ class TestFigure4Handler:
             payload = [1, 2]
             env = craft(layer, source=1, epoch=0, am_logging=True,
                         message_id=0, payload=payload)
-            out = yield from layer._co_classify_and_deliver(env)
+            out = yield from deliver(layer, env)
             out.append(999)  # app mutates its copy
             return layer.logs.late.records[0].payload
 
@@ -139,7 +148,7 @@ class TestFigure4Handler:
             layer.state.epoch = 1
             layer.state.am_logging = True
             env = craft(layer, source=1, epoch=1, am_logging=True, message_id=5)
-            yield from layer._co_classify_and_deliver(env)
+            yield from deliver(layer, env)
             rec = layer.logs.matches.records[0]
             return (rec.source, rec.message_id, rec.was_late)
 

@@ -125,6 +125,16 @@ def test_exact_facts_match_golden(case_id):
     assert not moved, f"{case_id}: " + "; ".join(moved)
 
 
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_untraced_run_matches_golden_facts(case_id):
+    """The goldens are recorded traced; a run without a recorder (the
+    benchmark's and every user's) reaches the same facts."""
+    golden = json.loads(GOLDEN_PATH.read_text())[case_id]
+    observed = {**golden, "facts": run_case(case_id).facts()}
+    moved = moved_facts(observed, golden)
+    assert not moved, f"{case_id} untraced: " + "; ".join(moved)
+
+
 def test_a_moved_fact_is_named_with_both_values():
     expected = {
         "facts": {"virtual_s": 0.5, "stored_bytes": 300},

@@ -102,6 +102,18 @@ class TestBlocking:
         with pytest.raises(SimMPIError, match=f"group rank {source} out of range"):
             run(main)
 
+    @pytest.mark.parametrize("dest", [2, 99, -1])
+    def test_bad_collective_peer_raises_typed(self, dest):
+        """A collective round's send maps and checks its peer too: out of
+        range is a ``SimMPIError`` (a ``MatchError``), not a post."""
+        def main(ctx):
+            if ctx.rank == 0:
+                ctx.comm.coll_send(dest, "x", -1000)
+            yield from ctx.co_yield_point()
+
+        with pytest.raises(SimMPIError, match=f"send dest {dest} out of range"):
+            run(main)
+
 
 class TestNonblocking:
     def test_isend_irecv_wait(self):

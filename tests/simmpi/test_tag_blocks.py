@@ -5,8 +5,10 @@ base]``, for each collective call and the algorithm sends round ``r`` on
 ``base - r``.  These runs post every message of all nine collectives, on a
 raw communicator and through the protocol pipeline (whose calls are a
 command exchange and a data collective, one block each), and check that
-each message's tag lies in the block of the call that posted it and that
-no two call instances of a run share a tag.
+each message's tag lies in the block of the call that posted it, that no
+two call instances of a run share a tag, and that no ``(source, dest, tag,
+context)`` key repeats within a run: the network keeps no FIFO floor for
+a collective round's key on that ground.
 """
 
 from collections import defaultdict
@@ -41,12 +43,17 @@ def _calls(rank, size):
 
 def _posts_by_call(monkeypatch, n, through_pipeline):
     """Run the nine collectives on ``n`` ranks; returns, per call index,
-    the ``(payload, tag)`` of every message any rank posted during it."""
+    the ``(payload, tag)`` of every message any rank posted during it.
+
+    Every message of the run is in a collective region, and no ordering
+    key of one repeats."""
     posts = defaultdict(list)
+    keys = []
     real_post = Network.post
 
     def recording_post(self, env, now):
         posts[env.source].append((env.payload, env.tag))
+        keys.append((env.source, env.dest, env.tag, env.context))
         return real_post(self, env, now)
 
     monkeypatch.setattr(Network, "post", recording_post)
@@ -67,6 +74,8 @@ def _posts_by_call(monkeypatch, n, through_pipeline):
         for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             by_call[k] += posts[rank][lo:hi]
     assert sum(map(len, by_call.values())) == sum(map(len, posts.values()))
+    assert all(tag <= TAG_COLLECTIVE_BASE for _, _, tag, _ in keys)
+    assert len(set(keys)) == len(keys), "an ordering key repeats"
     return by_call
 
 

@@ -11,11 +11,18 @@ import pytest
 
 from repro.errors import ProcessKilled, SimMPIError
 from repro.simmpi import FailureSchedule, SimConfig, Simulator
-from repro.simmpi.constants import TAG_CONTROL
+from repro.simmpi.constants import TAG_COLLECTIVE_BASE, TAG_CONTROL
 from repro.simmpi.process import ProcState
 from repro.trace import TraceRecorder
 
 NO_RNG = {"sched_policy": "round_robin", "jitter": 0.0}
+#: The three ways a rank waits on an unmatched receive, each on tag 1 (or
+#: a collective round's tag) from rank 0.
+RECEIVES = {
+    "co_recv": lambda comm: comm.co_recv(source=0, tag=1),
+    "co_coll_recv": lambda comm: comm.co_coll_recv(0, TAG_COLLECTIVE_BASE),
+    "irecv_wait": lambda comm: comm.irecv(source=0, tag=1).co_wait(),
+}
 #: Virtual seconds rank 0 computes before its last send, so every earlier
 #: message is delivered while rank 1 is blocked.
 GAP = 0.01
@@ -112,6 +119,40 @@ def test_a_forced_resume_of_an_unmatched_receive_raises():
 
     def receiver(ctx):
         yield from ctx.comm.co_recv(source=0, tag=1)
+
+    with pytest.raises(SimMPIError, match="rank 1 resumed while its receive"):
+        _run([meddler, receiver])
+
+
+@pytest.mark.parametrize("receive", sorted(RECEIVES))
+def test_a_kill_ends_a_blocked_receive_at_its_one_resume(receive):
+    """Whatever the receive, a kill makes its blocked rank runnable once,
+    and that resume unwinds it DEAD: one slice to block, one to die."""
+    def sender(ctx):
+        ctx.comm.isend("other", dest=1, tag=2)
+        yield from ctx.co_yield_point()
+
+    def receiver(ctx):
+        yield from RECEIVES[receive](ctx.comm)
+
+    sim, result, tracer = _run([sender, receiver], FailureSchedule.single(time=GAP, rank=1))
+    assert result.failed and result.dead_ranks == (1,)
+    assert sim.procs[1].state is ProcState.DEAD
+    assert sim.procs[1].slices == 2
+    assert _count(tracer, "block", 1) == 1
+
+
+@pytest.mark.parametrize("receive", sorted(RECEIVES))
+def test_any_blocked_receive_resumed_unmatched_raises(receive):
+    def meddler(ctx):
+        yield from ctx.co_yield_point()
+        victim = ctx.sim.procs[1]
+        assert victim.state is ProcState.BLOCKED
+        victim.state = ProcState.RUNNABLE
+        yield from ctx.co_yield_point()
+
+    def receiver(ctx):
+        yield from RECEIVES[receive](ctx.comm)
 
     with pytest.raises(SimMPIError, match="rank 1 resumed while its receive"):
         _run([meddler, receiver])
