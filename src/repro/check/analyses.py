@@ -1,15 +1,15 @@
-"""The analysis battery behind ``repro-check``.
+"""The code battery behind ``repro-check``.
 
-Each analysis is a function ``(unit: CheckedUnit) -> list[Diagnostic]``;
-:data:`ANALYSES` is the battery the driver runs.  All of them operate on
-the same substrate as the precompiler — :class:`UnitAnalysis` over the
-unit's function ASTs, with method calls anchored at each function's
-communication root (its ``ctx``/``comm`` parameter) — so what the checker
-flags is exactly what the transformation and the protocol will see.
+Each analysis is a function ``(unit: UnitAnalysis) -> list[Diagnostic]``
+over the program analysis the precompiler computes
+(:class:`~repro.precompiler.analysis.UnitAnalysis`: call graph, comm
+roots, locals, collective summaries, rank-divergence taint), so what the
+checker flags is exactly what the transformation and the protocol will
+see.  :data:`ANALYSES` is the battery the driver runs.
 
 The analyses are deliberately conservative in the direction of the
 protocol's correctness argument: collective matching compares the
-*syntactic* collective sequence of branch arms (the paper's requirement is
+resolved collective summaries of branch arms (the paper's requirement is
 that all processes execute the same sequence of collectives); VDS escape
 flags state the checkpointed variable-descriptor set cannot contain; and
 nondeterminism flags calls whose results the message/result log will not
@@ -19,52 +19,27 @@ replay.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.check.alias import AliasFacts
-from repro.check.callgraph import DIVERGENT, UNIFORM, UnitCallGraph
-from repro.check.cfg import collectives_in, equivalent, has_unknown
+from repro.check.alias import alias_locals
 from repro.check.diagnostics import Diagnostic, Span
 from repro.precompiler.analysis import (
+    CLOCK_NAMES,
+    DIVERGENT,
+    UNIFORM,
+    FunctionInfo,
+    Summary,
     UnitAnalysis,
-    Violation,
     attr_root,
+    collectives_in,
+    dotted,
+    leaves,
+    matches_nondet,
+    store_root,
 )
 
-#: MPI collective operations (every process of the communicator must call
-#: them in the same order — paper Section 4.5 handles their log/replay).
-COLLECTIVE_NAMES = frozenset({
-    "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "barrier",
-})
-
-#: Point-to-point and completion calls (the p2p census reads the sends
-#: and receives among them).
-P2P_NAMES = frozenset({
-    "send", "isend", "recv", "irecv", "wait", "test", "sendrecv",
-})
-
-#: Dotted-prefix table for nondeterministic stdlib/numpy entropy sources
-#: (``RPR020``).  A call matches when its dotted name equals an entry or
-#: extends one past a dot.
-NONDET_PREFIXES = (
-    "random",
-    "np.random",
-    "numpy.random",
-    "os.urandom",
-    "uuid",
-    "secrets",
-)
-
-#: Host wall-clock reads (``RPR021``): replay produces a different value.
-CLOCK_NAMES = frozenset({
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.clock_gettime",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
+#: Point-to-point calls the p2p census reads.
+P2P_NAMES = frozenset({"send", "isend", "recv", "irecv", "sendrecv"})
 
 #: Method names that mutate their receiver in place (``RPR030`` when the
 #: receiver is not a local).
@@ -101,141 +76,18 @@ _SUBSET_HINTS = {
 }
 
 
-@dataclass
-class CheckedUnit:
-    """What the driver hands each analysis: the unit's ASTs (line numbers
-    already absolute), one source file per function, the precompiler-grade
-    :class:`UnitAnalysis`, and every subset violation collected on the way.
-    """
-
-    functions: dict[str, ast.FunctionDef]
-    files: dict[str, str]
-    analysis: UnitAnalysis
-    violations: list[Violation] = field(default_factory=list)
-    #: Module-level integer/string constants visible to the unit (tag
-    #: names like ``TAG_UP = 12``), resolved by the driver from source.
-    constants: dict[str, object] = field(default_factory=dict)
-    #: Per-file constant tables for cross-module units: each function's
-    #: names resolve against its *own* module's constants.  Empty when the
-    #: unit is single-module (the flat ``constants`` table then applies).
-    file_constants: dict[str, dict[str, object]] = field(default_factory=dict)
-    #: Per-file sets of globals registered via ``checkpointable_state``.
-    registered_globals: dict[str, set[str]] = field(default_factory=dict)
-
-    def file_of(self, name: str) -> str:
-        return self.files.get(name, "<unknown>")
-
-    def registered_of(self, name: str) -> set[str]:
-        """Globals registered as managed state in ``name``'s module."""
-        return self.registered_globals.get(self.file_of(name), set())
-
-    def span(self, name: str, node: ast.AST) -> Span:
-        return Span.of(node, self.file_of(name))
-
-    def comm_names(self, name: str):
-        return self.analysis.infos[name].comm_names
-
-    def locals_of(self, name: str) -> set[str]:
-        return set(self.analysis.infos[name].local_names)
-
-    # -- communication fixpoints ------------------------------------------ #
-
-    def _direct(self, predicate: Callable[[str, ast.AST], bool]) -> set[str]:
-        return {
-            name
-            for name, tree in self.functions.items()
-            if any(predicate(name, n) for n in ast.walk(tree))
-        }
-
-    def _transitive(self, seed: set[str]) -> set[str]:
-        out = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for name, info in self.analysis.infos.items():
-                if name not in out and info.callees & out:
-                    out.add(name)
-                    changed = True
-        return out
-
-    def _comm_call(self, fn_name: str, node: ast.AST, names) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        return (
-            isinstance(func, ast.Attribute)
-            and func.attr in names
-            and attr_root(func) in self.comm_names(fn_name)
-        )
-
-    @property
-    def collective_callers(self) -> set[str]:
-        """Functions that (transitively) execute a collective."""
-        if not hasattr(self, "_collective_callers"):
-            seed = self._direct(
-                lambda f, n: self._comm_call(f, n, COLLECTIVE_NAMES)
-            )
-            self._collective_callers = self._transitive(seed)
-        return self._collective_callers
-
-    # -- interprocedural substrates (built lazily, shared by analyses) ---- #
-
-    @property
-    def callgraph(self) -> UnitCallGraph:
-        """Summaries + rank-divergence taint + p2p census for the unit."""
-        if not hasattr(self, "_callgraph"):
-            by_function: Optional[dict[str, dict[str, object]]] = None
-            if self.file_constants:
-                by_function = {
-                    name: self.file_constants.get(
-                        self.file_of(name), self.constants
-                    )
-                    for name in self.functions
-                }
-            self._callgraph = UnitCallGraph(
-                self.functions,
-                self.analysis,
-                self.constants,
-                COLLECTIVE_NAMES,
-                P2P_NAMES,
-                NONDET_PREFIXES,
-                constants_by_function=by_function,
-            )
-        return self._callgraph
-
-    @property
-    def aliasfacts(self) -> AliasFacts:
-        """Points-to regions and escape summaries for the unit."""
-        if not hasattr(self, "_aliasfacts"):
-            registered = {
-                name: self.registered_of(name) for name in self.functions
-            }
-            self._aliasfacts = AliasFacts(
-                self.functions, self.analysis, MUTATOR_NAMES,
-                registered=registered,
-            )
-        return self._aliasfacts
-
-
-def _dotted(func: ast.expr) -> Optional[str]:
-    """``np.random.seed`` for an attribute-chain callee, ``foo`` for a
-    plain name; None for computed callees (``xs[0]()``)."""
-    parts: list[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+def _diag(unit: UnitAnalysis, code: str, fn: str, node: ast.AST,
+          message: str, hint: str) -> Diagnostic:
+    return Diagnostic(code=code, message=message,
+                      span=Span.of(node, unit.infos[fn].file),
+                      function=fn, hint=hint)
 
 
 # ---------------------------------------------------------------------- #
 # supported-subset (RPR001..RPR008)
 # ---------------------------------------------------------------------- #
 
-def supported_subset(unit: CheckedUnit) -> list[Diagnostic]:
+def supported_subset(unit: UnitAnalysis) -> list[Diagnostic]:
     """Render the precompiler's collected subset violations as diagnostics."""
     out: list[Diagnostic] = []
     for v in unit.violations:
@@ -244,15 +96,11 @@ def supported_subset(unit: CheckedUnit) -> list[Diagnostic]:
              if v.construct.startswith(prefix)),
             "RPR003",  # unknown construct kinds are still subset errors
         )
-        span = Span(
-            file=unit.file_of(v.function),
-            line=v.lineno or 0,
-            col=v.col_offset or 0,
-        )
         out.append(Diagnostic(
             code=code,
             message=f"unsupported construct: {v.construct}",
-            span=span,
+            span=Span(file=unit.infos[v.function].file,
+                      line=v.lineno or 0, col=v.col_offset or 0),
             function=v.function,
             hint=v.hint or _SUBSET_HINTS.get(code, ""),
         ))
@@ -263,156 +111,77 @@ def supported_subset(unit: CheckedUnit) -> list[Diagnostic]:
 # collective-matching (RPR010, RPR011)
 # ---------------------------------------------------------------------- #
 
-def collective_matching(unit: CheckedUnit) -> list[Diagnostic]:
+def _branches(
+    stmts: list[ast.stmt],
+) -> Iterator[tuple[ast.If, list[ast.stmt]]]:
+    """Every ``if`` of a body (nested scopes excluded), with the
+    statements that follow it in its own statement list."""
+    for i, s in enumerate(stmts):
+        if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(s, ast.If):
+            yield s, stmts[i + 1:]
+        blocks = [getattr(s, f, []) for f in ("body", "orelse", "finalbody")]
+        for block in blocks + [h.body for h in getattr(s, "handlers", [])]:
+            yield from _branches(block)
+
+
+def _tokens(s: Summary) -> list[str]:
+    return [str(t) for t in leaves(s)] or ["<none>"]
+
+
+def collective_matching(unit: UnitAnalysis) -> list[Diagnostic]:
     """All processes must execute the same sequence of collectives.
 
-    Per function, the analysis extracts the *collective sequence* of every
-    straight-line region (direct ``ctx.<collective>()`` calls plus calls to
-    unit functions that transitively perform collectives) and requires the
-    two arms of every ``if`` to produce equal sequences.  Path-sensitive
-    refinement (v3) consults the branch predicate's rank-divergence
-    verdict first: a *uniform* predicate means every rank takes the same
-    arm, so differing arms are fine; a *divergent* predicate (``ctx.rank``
-    or received data syntactically in the test) upgrades the mismatch to
-    ``RPR014`` (the divergence is provable); anything in between stays
-    ``RPR010``.  A conditional ``return``/``break`` under a non-uniform
-    predicate with collectives still ahead in the enclosing region earns a
-    ``RPR011`` warning: the exiting process would skip them while its
-    peers block.
+    The two arms of every ``if`` must have equal *resolved* collective
+    summaries (direct ``ctx.<collective>()`` calls, with unit calls
+    replaced by their callees' summaries) — unless the predicate is
+    rank-uniform: then every rank takes the same arm.  A mismatch under a
+    *divergent* predicate (``ctx.rank``, received data, a draw or a clock
+    read syntactically in the test) is provable and reads ``RPR014``;
+    under a merely tainted one, ``RPR010``.  A conditional
+    ``return``/``break`` under a non-uniform predicate with collectives
+    still ahead in the enclosing statement list earns a ``RPR011``
+    warning: the exiting process would skip them while its peers block.
     """
     out: list[Diagnostic] = []
-
-    def tokens_of(node: ast.AST, fn_name: str) -> list[str]:
-        """Collective tokens in an expression/atomic statement (canonical
-        walk order — both arms of a branch are canonicalised identically)."""
-        toks = []
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in COLLECTIVE_NAMES
-                and attr_root(func) in unit.comm_names(fn_name)
-            ):
-                toks.append(func.attr)
-            elif (
-                isinstance(func, ast.Name)
-                and func.id in unit.collective_callers
-            ):
-                toks.append(f"call:{func.id}")
-        return toks
-
-    def has_exit(stmts: list[ast.stmt]) -> bool:
-        for s in stmts:
-            for sub in ast.walk(s):
-                if isinstance(sub, (ast.Return, ast.Break)):
-                    return True
-        return False
-
-    def seq_of(stmts: list[ast.stmt], fn_name: str) -> list[str]:
-        toks: list[str] = []
-        exits: list[tuple[ast.stmt, int]] = []  # (conditional exit, pos)
-        for s in stmts:
-            if isinstance(s, ast.If):
-                toks += tokens_of(s.test, fn_name)
-                then_seq = seq_of(s.body, fn_name)
-                else_seq = seq_of(s.orelse, fn_name)
-                verdict = unit.callgraph.predicate_verdict(fn_name, s.test)
-                mismatch = then_seq != else_seq
-                if mismatch and verdict == UNIFORM:
-                    # Every rank evaluates the same predicate value, so
-                    # all of them take the same arm: asymmetric arms are
-                    # not a protocol divergence (the v2 RPR010
-                    # false-positive family).
-                    mismatch = False
-                if mismatch:
-                    # The token view differs, but resolving unit calls to
-                    # their own collective summaries may prove both arms
-                    # execute the same protocol (e.g. each arm calls a
-                    # different helper wrapping the same allreduce, or
-                    # correlated uniform sub-branches merge per path).
-                    then_res = unit.callgraph.resolve_block(fn_name, s.body)
-                    else_res = unit.callgraph.resolve_block(fn_name, s.orelse)
-                    if equivalent(then_res, else_res) \
-                            and not has_unknown(then_res):
-                        mismatch = False
-                if mismatch:
-                    divergent = verdict == DIVERGENT
-                    out.append(Diagnostic(
-                        code="RPR014" if divergent else "RPR010",
-                        message=(
-                            (
-                                "branch predicate is provably rank-"
-                                "divergent and the arms execute different "
-                                if divergent else
-                                "branch arms execute different "
-                            )
-                            + "collective sequences: "
-                            f"{then_seq or ['<none>']} vs "
-                            f"{else_seq or ['<none>']}"
-                        ),
-                        span=unit.span(fn_name, s),
-                        function=fn_name,
-                        hint=(
-                            (
-                                "the predicate reads ctx.rank/received "
-                                "data, so ranks take different arms; "
-                                "broadcast the decision or hoist the "
-                                "collective out of the branch"
-                            ) if divergent else (
-                                "all ranks must execute the same "
-                                "collectives; hoist the collective out of "
-                                "the branch"
-                            )
-                        ),
-                    ))
-                elif (
-                    verdict != UNIFORM
-                    and (has_exit(s.body) or has_exit(s.orelse))
-                ):
-                    # A uniform predicate exits on every rank together —
-                    # only rank-divergent exits can strand peers.
-                    exits.append((s, len(toks)))
-                toks += then_seq
-            elif isinstance(s, (ast.For, ast.While)):
-                if isinstance(s, ast.While):
-                    toks += tokens_of(s.test, fn_name)
-                else:
-                    toks += tokens_of(s.iter, fn_name)
-                toks += seq_of(s.body, fn_name)
-                toks += seq_of(s.orelse, fn_name)
-            elif isinstance(s, ast.Try):
-                toks += seq_of(s.body, fn_name)
-                for handler in s.handlers:
-                    seq_of(handler.body, fn_name)
-                toks += seq_of(s.orelse, fn_name)
-                toks += seq_of(s.finalbody, fn_name)
-            elif isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-                continue  # separate scope/unit
-            else:
-                toks += tokens_of(s, fn_name)
-        for stmt, pos in exits:
-            if len(toks) > pos:  # collectives still ahead of the exit
-                out.append(Diagnostic(
-                    code="RPR011",
-                    message=(
-                        "conditional early exit may skip "
-                        f"{len(toks) - pos} later collective call(s)"
-                    ),
-                    span=unit.span(fn_name, stmt),
-                    function=fn_name,
-                    hint=(
-                        "a rank leaving early deadlocks peers blocked in "
-                        "the collective; make the exit collective too "
-                        "(e.g. allreduce the stop flag)"
+    for fn, info in unit.infos.items():
+        for s, rest in _branches(info.tree.body):
+            verdict = unit.predicate_verdict(fn, s.test)
+            if verdict == UNIFORM:
+                continue  # every rank takes the same arm, and exits together
+            then = unit.block_summary(fn, s.body)
+            orelse = unit.block_summary(fn, s.orelse)
+            if unit.resolve(then) != unit.resolve(orelse):
+                divergent = verdict == DIVERGENT
+                out.append(_diag(
+                    unit, "RPR014" if divergent else "RPR010", fn, s,
+                    (
+                        "branch predicate is provably rank-divergent and "
+                        "the arms execute different "
+                        if divergent else "branch arms execute different "
+                    ) + "collective sequences: "
+                    f"{_tokens(then)} vs {_tokens(orelse)}",
+                    (
+                        "the predicate reads ctx.rank/received data, so "
+                        "ranks take different arms; broadcast the decision "
+                        "or hoist the collective out of the branch"
+                    ) if divergent else (
+                        "all ranks must execute the same collectives; "
+                        "hoist the collective out of the branch"
                     ),
                 ))
-        return toks
-
-    for name, tree in unit.functions.items():
-        seq_of(tree.body, name)
+            elif any(isinstance(n, (ast.Return, ast.Break)) for n in ast.walk(s)):
+                later = list(leaves(unit.block_summary(fn, rest)))
+                if later:
+                    out.append(_diag(
+                        unit, "RPR011", fn, s,
+                        "conditional early exit may skip "
+                        f"{len(later)} later collective call(s)",
+                        "a rank leaving early deadlocks peers blocked in "
+                        "the collective; make the exit collective too "
+                        "(e.g. allreduce the stop flag)",
+                    ))
     return out
 
 
@@ -420,71 +189,102 @@ def collective_matching(unit: CheckedUnit) -> list[Diagnostic]:
 # collective-sequencing (RPR012, RPR013)
 # ---------------------------------------------------------------------- #
 
-def collective_sequencing(unit: CheckedUnit) -> list[Diagnostic]:
-    """Interprocedural sequencing hazards the syntactic matcher misses.
+#: Tag sentinels: a dynamically computed tag, and an absent recv tag
+#: (which matches any send).
+DYNAMIC = "<dynamic>"
+WILDCARD = "<any>"
+
+
+def _tag(info: FunctionInfo, expr: Optional[ast.expr], default: object) -> object:
+    if expr is None:
+        return default
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, (int, str)):
+        return expr.value
+    if isinstance(expr, ast.Name) \
+            and isinstance(info.constants.get(expr.id), (int, str)):
+        return info.constants[expr.id]
+    return DYNAMIC
+
+
+def _p2p_sites(unit: UnitAnalysis) -> Iterator[tuple[str, object, str, ast.Call]]:
+    """``(kind, tag, function, call)`` of every send and receive in the
+    unit, module-level tag constants resolved."""
+    for fn, info in unit.infos.items():
+        for node in ast.walk(info.tree):
+            if not unit.comm_call(fn, node, P2P_NAMES):
+                continue
+            call: ast.Call = node  # type: ignore[assignment]
+            kws = {k.arg: k.value for k in call.keywords if k.arg}
+
+            def arg(i: int, key: str) -> Optional[ast.expr]:
+                return kws.get(key) or (call.args[i] if len(call.args) > i else None)
+
+            # send(payload, dest, tag=0); recv(source=ANY_SOURCE, tag=ANY_TAG);
+            # sendrecv(payload, dest, recv_source, send_tag=0, recv_tag=None)
+            op = call.func.attr  # type: ignore[attr-defined]
+            if op in ("send", "isend", "sendrecv"):
+                tag = arg(3, "send_tag") if op == "sendrecv" else arg(2, "tag")
+                yield "send", _tag(info, tag, 0), fn, call
+            if op in ("recv", "irecv", "sendrecv"):
+                tag = arg(4, "recv_tag") if op == "sendrecv" else arg(1, "tag")
+                yield "recv", _tag(info, tag, WILDCARD), fn, call
+
+
+def collective_sequencing(unit: UnitAnalysis) -> list[Diagnostic]:
+    """Interprocedural sequencing hazards the branch matcher misses.
 
     ``RPR012``: a loop whose guard (``while`` test / ``for`` iterable) may
-    differ across ranks — it depends on ``ctx.rank``, a received message,
-    or an unlogged draw, tracked through assignments *and* unit-function
-    calls — while the loop body (interprocedurally resolved) executes
-    collectives.  Ranks iterate different counts, so some rank eventually
-    blocks in a collective its peers never enter: the classic
-    ``while local_err > tol: allreduce(...)`` convergence deadlock.
-    When the divergence source appears *syntactically in the guard itself*
-    (``while ctx.recv(...)``, ``for i in range(ctx.rank)``), divergence is
-    provable rather than merely possible and the finding upgrades to
-    ``RPR014``.
+    differ across ranks while the loop body (interprocedurally resolved)
+    executes collectives.  Ranks iterate different counts, so some rank
+    eventually blocks in a collective its peers never enter: the classic
+    ``while local_err > tol: allreduce(...)`` convergence deadlock.  When
+    a divergence source appears *syntactically in the guard itself*
+    (``while ctx.recv(...)``, ``for i in range(ctx.rank)``,
+    ``while ctx.now() < t``), divergence is provable and the finding
+    upgrades to ``RPR014``.
 
     ``RPR013``: a point-to-point tag with traffic in only one direction
     anywhere in the unit (sends nobody receives, or receives nobody
-    sends), with module-level tag constants resolved.  This replaces the
-    v1 carve-out that ignored p2p calls entirely.
+    sends).  A ``recv`` with no tag (or a dynamic tag) matches every send,
+    and a dynamic send tag every recv: both degrade to "no report".
     """
-    cg = unit.callgraph
     out: list[Diagnostic] = []
-    for name, tree in unit.functions.items():
-        for node in ast.walk(tree):
+    for fn, info in unit.infos.items():
+        for node in ast.walk(info.tree):
             if isinstance(node, ast.While):
-                guard: ast.expr = node.test
-                kind = "while condition"
+                guard, kind = node.test, "while condition"
             elif isinstance(node, ast.For):
-                guard = node.iter
-                kind = "for iterable"
+                guard, kind = node.iter, "for iterable"
             else:
                 continue
-            verdict = cg.predicate_verdict(name, guard)
+            verdict = unit.predicate_verdict(fn, guard)
             if verdict == UNIFORM:
                 continue
-            body = cg.resolve_block(name, node.body)
-            colls = collectives_in(body)
-            if colls:
-                divergent = verdict == DIVERGENT
-                out.append(Diagnostic(
-                    code="RPR014" if divergent else "RPR012",
-                    message=(
-                        (
-                            f"loop {kind} is provably rank-divergent "
-                            if divergent else
-                            f"loop {kind} may differ across ranks "
-                        )
-                        + "but the body executes collective(s) "
-                        f"{', '.join(colls)}; ranks iterate different "
-                        "counts and deadlock"
-                    ),
-                    span=unit.span(name, node),
-                    function=name,
-                    hint=(
-                        "make the guard rank-uniform first, e.g. "
-                        "allreduce the continue/error value every "
-                        "iteration so all ranks decide together"
-                    ),
-                ))
-    for um in cg.unmatched_p2p():
-        if um.kind == "send":
-            message = (
-                f"send with tag {um.tag!r} has no matching recv "
-                "anywhere in the unit"
-            )
+            colls = collectives_in(unit.resolve(unit.block_summary(fn, node.body)))
+            if not colls:
+                continue
+            divergent = verdict == DIVERGENT
+            out.append(_diag(
+                unit, "RPR014" if divergent else "RPR012", fn, node,
+                (
+                    f"loop {kind} is provably rank-divergent "
+                    if divergent else f"loop {kind} may differ across ranks "
+                ) + "but the body executes collective(s) "
+                f"{', '.join(colls)}; ranks iterate different counts and "
+                "deadlock",
+                "make the guard rank-uniform first, e.g. allreduce the "
+                "continue/error value every iteration so all ranks decide "
+                "together",
+            ))
+    sites = list(_p2p_sites(unit))
+    tags = {kind: {t for k, t, *_ in sites if k == kind} for kind in ("send", "recv")}
+    recv_matches_all = bool(tags["recv"] & {WILDCARD, DYNAMIC})
+    send_matches_all = DYNAMIC in tags["send"]
+    reported: set[tuple[str, object]] = set()
+    for kind, tag, fn, node in sites:
+        if kind == "send":
+            matched = tag == DYNAMIC or recv_matches_all or tag in tags["recv"]
+            message = f"send with tag {tag!r} has no matching recv"
             hint = (
                 "the send completes, but the destination never receives "
                 "it, so no later checkpoint wave commits and a failure "
@@ -492,21 +292,17 @@ def collective_sequencing(unit: CheckedUnit) -> list[Diagnostic]:
                 "or fix the tag"
             )
         else:
-            message = (
-                f"recv with tag {um.tag!r} has no matching send "
-                "anywhere in the unit"
-            )
+            matched = tag in (DYNAMIC, WILDCARD) or send_matches_all \
+                or tag in tags["send"]
+            message = f"recv with tag {tag!r} has no matching send"
             hint = (
                 "this rank blocks forever waiting for a message nobody "
                 "sends; add the peer send or fix the tag"
             )
-        out.append(Diagnostic(
-            code="RPR013",
-            message=message,
-            span=unit.span(um.site.function, um.site.node),
-            function=um.site.function,
-            hint=hint,
-        ))
+        if not matched and (kind, tag) not in reported:
+            reported.add((kind, tag))
+            out.append(_diag(unit, "RPR013", fn, node,
+                             message + " anywhere in the unit", hint))
     return out
 
 
@@ -514,13 +310,7 @@ def collective_sequencing(unit: CheckedUnit) -> list[Diagnostic]:
 # unlogged-nondeterminism (RPR020, RPR021)
 # ---------------------------------------------------------------------- #
 
-def _matches_nondet(dotted: str) -> bool:
-    return any(
-        dotted == p or dotted.startswith(p + ".") for p in NONDET_PREFIXES
-    )
-
-
-def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
+def unlogged_nondeterminism(unit: UnitAnalysis) -> list[Diagnostic]:
     """Entropy and wall-clock reads the result log cannot replay.
 
     The protocol replays received messages and ``ctx.nondet(...)`` results
@@ -531,70 +321,47 @@ def unlogged_nondeterminism(unit: CheckedUnit) -> list[Diagnostic]:
     (``ctx.rng.random()``) are exempt — those are managed state.
     """
     out: list[Diagnostic] = []
-    for name, tree in unit.functions.items():
-        local = unit.locals_of(name) | set(unit.comm_names(name))
+    for fn, info in unit.infos.items():
+        exempt = set(info.local_names) | info.comm_names
         # Calls inside the arguments of a comm-rooted ``ctx.nondet(...)``
         # are the logged-replay idiom itself, not a finding (the repair
         # the RPR020 hint names).
-        logged: set[int] = set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "nondet"
-                and attr_root(node.func) in unit.comm_names(name)
-            ):
-                for arg in list(node.args) + [
-                    k.value for k in node.keywords
-                ]:
-                    for sub in ast.walk(arg):
-                        logged.add(id(sub))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+        logged = {
+            id(sub)
+            for node in ast.walk(info.tree)
+            if unit.comm_call(fn, node, frozenset({"nondet"}))
+            for arg in [*node.args, *(k.value for k in node.keywords)]  # type: ignore[attr-defined]
+            for sub in ast.walk(arg)
+        }
+        for node in ast.walk(info.tree):
+            if not isinstance(node, ast.Call) or id(node) in logged:
                 continue
-            if id(node) in logged:
+            name = dotted(node.func)
+            if name is None or "." not in name or name.split(".", 1)[0] in exempt:
                 continue
-            dotted = _dotted(node.func)
-            if dotted is None or "." not in dotted:
-                continue
-            root = dotted.split(".", 1)[0]
-            if root in local:
-                continue
-            if _matches_nondet(dotted):
-                out.append(Diagnostic(
-                    code="RPR020",
-                    message=(
-                        f"call to {dotted}() is nondeterministic and not "
-                        "logged; replay after recovery diverges"
-                    ),
-                    span=unit.span(name, node),
-                    function=name,
-                    hint=(
-                        "draw from ctx.rng (checkpointed per rank) or wrap "
-                        "the call in ctx.nondet(lambda: ...)"
-                    ),
+            if matches_nondet(name):
+                out.append(_diag(
+                    unit, "RPR020", fn, node,
+                    f"call to {name}() is nondeterministic and not logged; "
+                    "replay after recovery diverges",
+                    "draw from ctx.rng (checkpointed per rank) or wrap the "
+                    "call in ctx.nondet(lambda: ...)",
                 ))
-            elif dotted in CLOCK_NAMES:
-                out.append(Diagnostic(
-                    code="RPR021",
-                    message=(
-                        f"call to {dotted}() reads the host wall clock, "
-                        "which differs across recovery replays"
-                    ),
-                    span=unit.span(name, node),
-                    function=name,
-                    hint=(
-                        "wrap the read in ctx.nondet(lambda: ...) so replay "
-                        "serves the logged value; ctx.now() (virtual time) "
-                        "suits timing only, as a restarted rank reads "
-                        "another value"
-                    ),
+            elif name in CLOCK_NAMES:
+                out.append(_diag(
+                    unit, "RPR021", fn, node,
+                    f"call to {name}() reads the host wall clock, which "
+                    "differs across recovery replays",
+                    "wrap the read in ctx.nondet(lambda: ...) so replay "
+                    "serves the logged value; ctx.now() (virtual time) "
+                    "suits timing only, as a restarted rank reads another "
+                    "value",
                 ))
     return out
 
 
 # ---------------------------------------------------------------------- #
-# VDS-escape (RPR030, RPR031)
+# VDS-escape (RPR030, RPR031, RPR033)
 # ---------------------------------------------------------------------- #
 
 def _thread_or_register(registration: str) -> str:
@@ -607,89 +374,25 @@ def _thread_or_register(registration: str) -> str:
     )
 
 
-def _store_targets(node: ast.stmt) -> Iterator[ast.expr]:
-    if isinstance(node, ast.Assign):
-        yield from node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        yield node.target
-    elif isinstance(node, ast.Delete):
-        yield from node.targets
-
-
-def vds_escape(unit: CheckedUnit) -> list[Diagnostic]:
-    """State outside the checkpointed variable descriptor set.
-
-    The VDS covers the unit functions' locals (captured frame-by-frame at a
-    checkpoint).  Mutating anything else — a module global or a shared
-    default-argument object — survives into the restarted process *or* is
-    silently reset by it, either way breaking the paper's assumption that
-    a checkpoint captures all application state.
-    """
-    out: list[Diagnostic] = []
-    for name, tree in unit.functions.items():
-        local = unit.locals_of(name)
-        # Globals registered via checkpointable_state(...) are managed by
-        # the globals registry (snapshotted/restored with every
-        # checkpoint), so mutating them is not an escape.
-        exempt = local | set(unit.comm_names(name)) | unit.registered_of(name)
-
-        # RPR031: mutable default arguments (shared across calls; their
-        # mutation is invisible to frame capture).
-        args = tree.args
-        pos = list(args.posonlyargs) + list(args.args)
-        for arg, default in zip(pos[len(pos) - len(args.defaults):],
-                                args.defaults):
-            if _is_mutable_literal(default):
-                out.append(_mutable_default(unit, name, arg, default))
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None and _is_mutable_literal(default):
-                out.append(_mutable_default(unit, name, arg, default))
-
-        for node in ast.walk(tree):
-            # RPR030 (stores): x.attr = ... / x[i] = ... where x is not a
-            # local — the object lives outside every frame in the VDS.
-            if isinstance(node, ast.stmt):
-                for target in _store_targets(node):
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root = attr_root(
-                            target.value if isinstance(target, ast.Subscript)
-                            else target
-                        )
-                        if root is not None and root not in exempt:
-                            out.append(Diagnostic(
-                                code="RPR030",
-                                message=(
-                                    f"store to {root}.{{...}} mutates state "
-                                    "outside the checkpointed VDS"
-                                ),
-                                span=unit.span(name, target),
-                                function=name,
-                                hint=_thread_or_register(
-                                    f'checkpointable_state("{root}")'
-                                ),
-                            ))
-            # RPR030 (calls): GLOBAL.append(x) and friends.
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in MUTATOR_NAMES
-                ):
-                    root = attr_root(func)
-                    if root is not None and root not in exempt:
-                        out.append(Diagnostic(
-                            code="RPR030",
-                            message=(
-                                f"{root}.{func.attr}() mutates state "
-                                "outside the checkpointed VDS"
-                            ),
-                            span=unit.span(name, node),
-                            function=name,
-                            hint=_thread_or_register(
-                                f'checkpointable_state("{root}")'
-                            ),
-                        ))
-    return out
+def _mutations(tree: ast.FunctionDef) -> Iterator[tuple[str, ast.AST, str]]:
+    """``(root, node, how)`` for every store through an attribute or
+    subscript (``how`` = ``"store"``) and every mutator-method call."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            root = store_root(target)
+            if root is not None and isinstance(target, (ast.Attribute, ast.Subscript)):
+                yield root, target, "store"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATOR_NAMES:
+            root = attr_root(node.func)
+            if root is not None:
+                yield root, node, node.func.attr
 
 
 def _is_mutable_literal(node: ast.expr) -> bool:
@@ -703,60 +406,60 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     )
 
 
-def _mutable_default(unit: CheckedUnit, fn_name: str, arg: ast.arg,
-                     default: ast.expr) -> Diagnostic:
-    return Diagnostic(
-        code="RPR031",
-        message=(
-            f"parameter {arg.arg!r} has a mutable default, shared across "
-            "calls and invisible to frame capture"
-        ),
-        span=unit.span(fn_name, default),
-        function=fn_name,
-        hint=f"use {arg.arg}=None and create the object inside the body",
-    )
+def vds_escape(unit: UnitAnalysis) -> list[Diagnostic]:
+    """State outside the checkpointed variable descriptor set.
 
-
-# ---------------------------------------------------------------------- #
-# aliased VDS-escape (RPR033)
-# ---------------------------------------------------------------------- #
-
-def aliased_escape(unit: CheckedUnit) -> list[Diagnostic]:
-    """The escape route the name-rooted analysis cannot see.
-
-    ``RPR033``: a mutation whose receiver is a *local alias* of non-local
-    state — the global was first bound to a local (directly, through a
-    container element, or via a helper's return value) and then mutated
-    through the local name.  The mutation reaches exactly the same
-    uncheckpointed object ``RPR030`` guards against.
+    The VDS covers the unit functions' locals (captured frame-by-frame at a
+    checkpoint).  Mutating anything else — a module global (``RPR030``), a
+    shared default-argument object (``RPR031``), or module state reached
+    through a local alias of it (``RPR033``, see :mod:`repro.check.alias`)
+    — survives into the restarted process *or* is silently reset by it,
+    either way breaking the paper's assumption that a checkpoint captures
+    all application state.  Globals registered via
+    ``checkpointable_state(...)`` are managed state, not escapes.
     """
     out: list[Diagnostic] = []
-    for m in unit.aliasfacts.alias_mutations():
-        what = (
-            "store through" if m.via == "store" else f"{m.local}.{m.via}()"
-        )
-        out.append(Diagnostic(
-            code="RPR033",
-            message=(
-                f"{what} alias {m.local!r} mutates state outside the "
-                "checkpointed VDS"
-            ),
-            span=unit.span(m.function, m.node),
-            function=m.function,
-            hint=(
-                f"{m.local!r} points at module-level state; "
-                + _thread_or_register("checkpointable_state(...)")
-            ),
-        ))
+    alias = alias_locals(unit)
+    for fn, info in unit.infos.items():
+        exempt = set(info.local_names) | info.comm_names | info.registered
+        args = info.tree.args
+        pos = args.posonlyargs + args.args
+        defaults = [*zip(pos[len(pos) - len(args.defaults):], args.defaults),
+                    *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in defaults:
+            if default is not None and _is_mutable_literal(default):
+                out.append(_diag(
+                    unit, "RPR031", fn, default,
+                    f"parameter {arg.arg!r} has a mutable default, shared "
+                    "across calls and invisible to frame capture",
+                    f"use {arg.arg}=None and create the object inside the body",
+                ))
+        for root, node, how in _mutations(info.tree):
+            if root in alias[fn]:
+                what = "store through" if how == "store" else f"{root}.{how}()"
+                out.append(_diag(
+                    unit, "RPR033", fn, node,
+                    f"{what} alias {root!r} mutates state outside the "
+                    "checkpointed VDS",
+                    f"{root!r} points at module-level state; "
+                    + _thread_or_register("checkpointable_state(...)"),
+                ))
+            elif root not in exempt:
+                what = f"store to {root}.{{...}}" if how == "store" \
+                    else f"{root}.{how}()"
+                out.append(_diag(
+                    unit, "RPR030", fn, node,
+                    f"{what} mutates state outside the checkpointed VDS",
+                    _thread_or_register(f'checkpointable_state("{root}")'),
+                ))
     return out
 
 
 #: The battery the driver runs, in rendering order.
-ANALYSES: tuple[Callable[[CheckedUnit], list[Diagnostic]], ...] = (
+ANALYSES: tuple[Callable[[UnitAnalysis], list[Diagnostic]], ...] = (
     supported_subset,
     collective_matching,
     collective_sequencing,
     unlogged_nondeterminism,
     vds_escape,
-    aliased_escape,
 )

@@ -2,8 +2,9 @@
 
 Four front doors, all funnelling into :func:`run_unit_checks`:
 
-* :func:`check_functions` — live callables (what ``Precompiler.compile``
-  uses);
+* :func:`check_functions` — live callables (a ``Session`` run's rank
+  mains; ``Precompiler.compile`` hands its own unit analysis to
+  :func:`run_unit_checks`);
 * :func:`check_module` — an imported module or dotted module name;
 * :func:`check_path` — a source file on disk (no import executed);
 * :func:`check_app` — a registered app name (checks its defining module).
@@ -33,50 +34,44 @@ from __future__ import annotations
 
 import ast
 import importlib
-import inspect
 import os
-import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from repro.check.analyses import ANALYSES, CheckedUnit
+from repro.check.analyses import ANALYSES
 from repro.check.diagnostics import CheckResult, Diagnostic, Span, render_text
 from repro.check.suppress import SuppressionFilter, find_suppressions
 from repro.errors import CheckError, PrecompilerError
 from repro.precompiler.analysis import (
     COMM_PARAM_NAMES,
+    FunctionInfo,
     UnitAnalysis,
-    Violation,
     module_registered_globals,
+    unit_call_sites,
 )
+from repro.precompiler.api import parse_function
 
 
 def run_unit_checks(
-    functions: dict[str, ast.FunctionDef],
-    files: dict[str, str],
+    analysis: UnitAnalysis,
     target: str,
-    extra_violations: Iterable[Violation] = (),
     sources: Optional[dict[str, str]] = None,
     extra_constants: Optional[dict[str, dict[str, object]]] = None,
 ) -> CheckResult:
-    """Run the whole battery over already-parsed function ASTs.
+    """Run the whole battery over a unit analysis.
 
-    ``files`` maps function name → source path; line numbers in the trees
-    must already be absolute file coordinates.  ``extra_violations`` lets
-    the precompiler feed violations it found itself (so strict compiles
-    and the CLI render identical diagnostics).  ``sources`` maps file
-    path → full module source text — it feeds module-constant resolution
-    (p2p tag names), ``checkpointable_state`` registration scanning, and
-    ``# repro: ignore[...]`` suppressions; when not given, the driver
-    reads the files from disk.  ``extra_constants`` maps file →
-    constants imported *into* that file from elsewhere (``from halo
-    import TAG_UP``), layered over the file's own constants.
+    The analysed trees' line numbers must already be absolute coordinates
+    of their functions' files.  ``sources`` maps file path → full module
+    source text — it feeds module-constant resolution (p2p tag names),
+    ``checkpointable_state`` registration scanning, and ``# repro:
+    ignore[...]`` suppressions; when not given, the driver reads the files
+    from disk.  ``extra_constants`` maps file → constants imported *into*
+    that file from elsewhere (``from halo import TAG_UP``), layered over
+    the file's own constants.
     """
+    infos = analysis.infos
     if sources is None:
-        sources = _read_sources(files.values())
-    violations: list[Violation] = list(extra_violations)
-    analysis = UnitAnalysis(functions, collect=violations)
-    analysis.validate(violations)
+        sources = _read_sources(info.file for info in infos.values())
     constants: dict[str, object] = {}
     file_constants: dict[str, dict[str, object]] = {}
     registered: dict[str, set[str]] = {}
@@ -88,18 +83,10 @@ def run_unit_checks(
     for path, extra in (extra_constants or {}).items():
         file_constants.setdefault(path, {}).update(extra)
         constants.update(extra)
-    unit = CheckedUnit(
-        functions=functions,
-        files=files,
-        analysis=analysis,
-        violations=violations,
-        constants=constants,
-        file_constants=file_constants,
-        registered_globals=registered,
-    )
-    diagnostics: list[Diagnostic] = []
-    for run in ANALYSES:
-        diagnostics.extend(run(unit))
+    for info in infos.values():
+        info.constants = file_constants.get(info.file, constants)
+        info.registered = registered.get(info.file, set())
+    diagnostics = [d for run in ANALYSES for d in run(analysis)]
     # One finding per (code, place): analyses overlap at the edges.
     seen: set[tuple] = set()
     unique: list[Diagnostic] = []
@@ -108,11 +95,11 @@ def run_unit_checks(
         if key not in seen:
             seen.add(key)
             unique.append(d)
-    kept, suppressed = _apply_suppressions(unique, sources, functions, files)
+    kept, suppressed = _apply_suppressions(unique, sources, infos)
     return CheckResult(
         target=target,
         diagnostics=tuple(sorted(kept, key=Diagnostic.sort_key)),
-        functions=tuple(sorted(functions)),
+        functions=tuple(sorted(infos)),
         suppressed=tuple(suppressed),
     )
 
@@ -153,8 +140,7 @@ def _tree_constants(tree: ast.Module) -> dict[str, object]:
 def _apply_suppressions(
     diagnostics: list[Diagnostic],
     sources: dict[str, str],
-    functions: dict[str, ast.FunctionDef],
-    files: dict[str, str],
+    infos: dict[str, FunctionInfo],
 ) -> tuple[list[Diagnostic], list[Diagnostic]]:
     """Honour ``# repro: ignore[...]`` comments; lint stale ones (RPR090)."""
     suppressions = []
@@ -172,7 +158,7 @@ def _apply_suppressions(
                 f"({s.describe()})"
             ),
             span=Span(file=s.file, line=s.line, col=s.col),
-            function=_enclosing_function(functions, files, s.file, s.line),
+            function=_enclosing_function(infos, s.file, s.line),
             hint=(
                 "remove the stale suppression so future regressions "
                 "are not silently waved through"
@@ -182,17 +168,13 @@ def _apply_suppressions(
 
 
 def _enclosing_function(
-    functions: dict[str, ast.FunctionDef],
-    files: dict[str, str],
-    file: str,
-    line: int,
+    infos: dict[str, FunctionInfo], file: str, line: int
 ) -> str:
-    for name, tree in functions.items():
-        if files.get(name) != file:
-            continue
-        if tree.lineno <= line <= (tree.end_lineno or tree.lineno):
-            return name
-    return "<module>"
+    return next(
+        (name for name, info in infos.items() if info.file == file
+         and info.tree.lineno <= line <= (info.tree.end_lineno or line)),
+        "<module>",
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -218,35 +200,6 @@ class _PlainCalls(ast.NodeTransformer):
         return node
 
 
-def _parse_callable(fn: Callable) -> tuple[ast.FunctionDef, str]:
-    # ``inspect.getsource`` follows ``__wrapped__`` to the original def,
-    # but ``co_firstlineno`` on the wrapper belongs to the *wrapper's*
-    # source — mixing them drifts every span.  Unwrap first so source and
-    # line numbers describe the same function.
-    fn = inspect.unwrap(fn)
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        file = inspect.getsourcefile(fn) or "<unknown>"
-        first_line = fn.__code__.co_firstlineno
-    except (OSError, TypeError) as exc:
-        raise PrecompilerError(f"cannot read source of {fn!r}: {exc}") from exc
-    module = _PlainCalls().visit(ast.parse(source))
-    defs = [n for n in module.body if isinstance(n, ast.FunctionDef)]
-    if len(defs) != 1:
-        raise PrecompilerError(
-            f"expected exactly one function def in source of {fn!r}"
-        )
-    tree = defs[0]
-    # Shift spans from source-snippet to absolute file coordinates so
-    # diagnostics point into the real file.  ``co_firstlineno`` anchors at
-    # the first decorator when the function has any.
-    anchor = (
-        tree.decorator_list[0].lineno if tree.decorator_list else tree.lineno
-    )
-    ast.increment_lineno(tree, first_line - anchor)
-    return tree, file
-
-
 def check_functions(
     functions: Iterable[Callable],
     target: str = "unit",
@@ -255,39 +208,29 @@ def check_functions(
     trees: dict[str, ast.FunctionDef] = {}
     files: dict[str, str] = {}
     for fn in functions:
-        tree, file = _parse_callable(fn)
-        trees[tree.name] = tree
+        tree, file = parse_function(fn)
+        trees[tree.name] = _PlainCalls().visit(tree)
         files[tree.name] = file
     if not trees:
         raise PrecompilerError("empty compilation unit")
-    return run_unit_checks(trees, files, target)
-
-
-def _has_comm_param(tree: ast.FunctionDef) -> bool:
-    params = [
-        a.arg
-        for a in (list(tree.args.posonlyargs) + list(tree.args.args))
-    ]
-    return any(p in COMM_PARAM_NAMES for p in params)
+    return run_unit_checks(UnitAnalysis(trees, files), target)
 
 
 def _select_names(space: dict[str, ast.FunctionDef]) -> list[str]:
-    """Unit selection over a function space: ctx-parameter functions seed
-    the unit, plus their transitive plain-name callees."""
-    selected = {name for name, tree in space.items() if _has_comm_param(tree)}
-    changed = True
-    while changed:
-        changed = False
-        for name in list(selected):
-            for node in ast.walk(space[name]):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in space
-                    and node.func.id not in selected
-                ):
-                    selected.add(node.func.id)
-                    changed = True
+    """Unit selection over a function space: functions with a
+    ``ctx``/``comm``/``mpi`` parameter seed the unit, plus their transitive
+    plain-name callees."""
+    selected = {
+        name for name, tree in space.items()
+        if any(a.arg in COMM_PARAM_NAMES
+               for a in tree.args.posonlyargs + tree.args.args)
+    }
+    queue = list(selected)
+    while queue:
+        for callee in unit_call_sites(space[queue.pop()], space):
+            if callee not in selected:
+                selected.add(callee)
+                queue.append(callee)
     return sorted(selected)
 
 
@@ -390,14 +333,7 @@ def slice_module(
             combined[n] = sib_defs[n]
             origin[n] = path
             out.sources.setdefault(path, sib_source)
-            for sub in ast.walk(sib_defs[n]):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Name)
-                    and sub.func.id in sib_defs
-                    and sub.func.id not in combined
-                ):
-                    queue.append(sub.func.id)
+            queue += unit_call_sites(sib_defs[n], sib_defs)
 
     module_aliases: dict[str, str] = {}
     if directory:
@@ -480,16 +416,11 @@ def check_source(
     """Check source text (module coordinates are already absolute)."""
     module_tree = _PlainCalls().visit(ast.parse(source, filename=file))
     sliced = slice_module(module_tree, file, source)
-    extra_constants = (
-        {file: sliced.imported_constants}
-        if sliced.imported_constants else None
-    )
     return run_unit_checks(
-        sliced.functions,
-        sliced.files,
+        UnitAnalysis(sliced.functions, sliced.files),
         target or file,
         sources=sliced.sources,
-        extra_constants=extra_constants,
+        extra_constants={file: sliced.imported_constants},
     )
 
 

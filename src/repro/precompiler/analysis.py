@@ -1,48 +1,46 @@
-"""Static analysis for the precompiler (paper Section 5.1.1).
+"""The program analysis the precompiler and the checker share (paper
+Section 5.1.1).
 
 "The precompiler only needs to insert labels at function calls that can
-eventually lead to a potentialCheckpoint location."  This module computes
-that *checkpoint-reaching* set over a compilation unit:
+eventually lead to a potentialCheckpoint location."  :class:`UnitAnalysis`
+analyses a compilation unit (a set of function ASTs) once, and both the
+precompiler and every :mod:`repro.check` code read it:
 
-* a call site is a **checkpoint site** if it invokes a callable named
-  ``potential_checkpoint`` (plain or as a method, e.g.
-  ``ctx.potential_checkpoint()``);
-* a call site is a **checkpointable call** if it invokes, by plain name,
-  another function of the unit that reaches a checkpoint;
-* a function *reaches* if it contains a checkpoint site or a checkpointable
-  call (computed to fixpoint over the unit's call graph, which handles
-  mutual recursion).
+* **communication roots** — the ``ctx``/``comm`` parameter that carries
+  the protocol layer (:func:`comm_roots`).  Method calls count only when
+  rooted there, so a user's ``lock.barrier()`` is an ordinary call;
+* **call graph** — each function's plain-name calls into the unit, and
+  one closure over it (:meth:`UnitAnalysis.callers_of`) that gives the
+  *reaching* set (functions that contain a checkpoint site or call one
+  that reaches: they get restart labels), the *suspending* set (reaching,
+  or making a call that can suspend the rank: they become generators) and
+  the *collective callers*;
+* **locals** — every name a function can bind (the VDS membership), and
+  the supported-subset violations found on the way (:class:`Violation`,
+  with the offending node's span);
+* **collective summaries** — each statement list's collective calls as a
+  small regular expression (:data:`Summary`: :class:`Tok`,
+  :class:`CallRef`, :class:`Seq`, :class:`Alt`, :class:`Star`,
+  :class:`Cond`), and :meth:`UnitAnalysis.resolve`, which substitutes
+  callee summaries across calls (a recursive call stays a
+  :class:`CallRef`);
+* **rank-divergence taint** — a flow-insensitive, interprocedural fixpoint
+  over "may this value differ across ranks?", seeded by the sources in
+  one table: ``ctx.rank``, receive results, per-rank draws and entropy
+  draws.  Collective results are uniform by the protocol's own
+  guarantee.  :meth:`UnitAnalysis.predicate_verdict` grades a predicate
+  :data:`UNIFORM`, :data:`TAINTED` or :data:`DIVERGENT`.
 
-A wider fixpoint gives the *suspending* set: functions that reach, make a
-call that can suspend the rank (``ctx.mpi.recv(...)``, see
-:func:`is_suspending_call`), or call a suspending unit function.  The
-precompiler turns every suspending function into a generator; only the
-reaching ones get restart labels.
-
-Method-call matches are anchored to the function's *communication root* —
-the ``ctx``/``comm`` parameter that carries the protocol layer — so a
-user's ``lock.barrier()`` is an ordinary call, not a checkpoint site (see
-:func:`comm_roots`).
-
-The analysis also enumerates every local name a function can bind (the VDS
-membership) and validates the supported subset, rejecting checkpointable
-calls in positions the transformation cannot relabel (inside ``try``/
-``with``/boolean short-circuits) and suspending calls inside nested
-functions/lambdas/comprehensions, which a ``yield from`` cannot reach.
-
-Two reporting modes exist for subset validation: the historical *raise*
-mode (first violation aborts with :class:`UnsupportedConstructError`) and
-*collect* mode, where every violation in the unit is appended to a caller
-list as a :class:`Violation` carrying the offending node's full span —
-this is what :mod:`repro.check` renders as ``RPR00x`` diagnostics and what
-lets the precompiler report all violations at once.
+Summaries and taint are computed on the checker's first query; the
+precompiler never asks for them.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.errors import UnsupportedConstructError
 
@@ -57,64 +55,9 @@ CHECKPOINT_NAME = "potential_checkpoint"
 CHECKPOINT_SITE_NAMES = frozenset({CHECKPOINT_NAME, "barrier"})
 
 #: Parameter names conventionally carrying the protocol layer.  A method
-#: call only counts as a checkpoint site (or, in :mod:`repro.check`, a
-#: communication call) when its receiver chain is rooted at one of these.
+#: call only counts as a checkpoint site (or a communication call) when its
+#: receiver chain is rooted at one of these.
 COMM_PARAM_NAMES = ("ctx", "comm", "mpi")
-
-
-def comm_roots(tree: ast.FunctionDef) -> frozenset[str]:
-    """The function's communication-root parameter names.
-
-    Parameters named ``ctx``/``comm``/``mpi`` qualify; when none is, the
-    first positional parameter is assumed to be the context (the unit
-    convention throughout this codebase), so units that spell the context
-    differently still analyse correctly.  A function with no parameters
-    has no comm roots — none of its method calls can be checkpoint sites.
-    """
-    args = tree.args
-    params = [
-        a.arg
-        for a in (list(args.posonlyargs) + list(args.args))
-    ]
-    named = frozenset(p for p in params if p in COMM_PARAM_NAMES)
-    if named:
-        return named
-    if params:
-        return frozenset({params[0]})
-    return frozenset()
-
-
-def attr_root(node: ast.expr) -> Optional[str]:
-    """The base ``Name`` of an attribute chain (``ctx.mpi.barrier`` → ``ctx``),
-    or None when the chain is rooted in a call/subscript/constant."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def is_checkpoint_site(
-    node: ast.AST, comm_names: Optional[frozenset[str]] = None
-) -> bool:
-    """True if ``node`` is a call that can take a local checkpoint.
-
-    With ``comm_names`` given, attribute calls only match when rooted at
-    one of those names (``ctx.barrier()`` yes, ``lock.barrier()`` no).
-    Without it, any receiver matches — the historical permissive mode kept
-    for callers that have no per-function context.
-    """
-    if not isinstance(node, ast.Call):
-        return False
-    fn = node.func
-    if isinstance(fn, ast.Name) and fn.id in CHECKPOINT_SITE_NAMES:
-        return True
-    if isinstance(fn, ast.Attribute) and fn.attr in CHECKPOINT_SITE_NAMES:
-        if comm_names is None:
-            return True
-        return attr_root(fn) in comm_names
-    return False
-
 
 #: Context-surface methods that can suspend, called on the comm root
 #: itself (``ctx.potential_checkpoint()``, ``ctx.yield_point()``).  Roots
@@ -140,6 +83,147 @@ MPI_SUSPENDING = frozenset(
 
 _DIRECT_SUSPENDING = CTX_SUSPENDING | MPI_SUSPENDING
 
+#: MPI collective operations (every process of the communicator must call
+#: them in the same order — paper Section 4.5 handles their log/replay).
+COLLECTIVE_NAMES = frozenset({
+    "bcast", "reduce", "allreduce", "gather", "allgather",
+    "scatter", "alltoall", "scan", "barrier",
+})
+
+# -- the rank-divergence sources ------------------------------------------ #
+
+#: Dotted-prefix table of nondeterministic stdlib/numpy entropy sources.  A
+#: call matches when its dotted name equals an entry or extends one past a
+#: dot.
+NONDET_PREFIXES = (
+    "random",
+    "np.random",
+    "numpy.random",
+    "os.urandom",
+    "uuid",
+    "secrets",
+)
+
+#: Host wall-clock reads: each rank, and each replay, reads another value.
+CLOCK_NAMES = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.clock_gettime",
+    "datetime.now", "datetime.utcnow", "datetime.today",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+#: Comm-rooted calls whose *results* may differ across ranks: receives and
+#: the logged draws.
+DIVERGENT_COMM_RESULTS = frozenset({
+    "recv", "irecv", "sendrecv", "wait", "test", "nondet", "random",
+})
+
+#: Comm-rooted attribute reads that differ across ranks (``ctx.rank``).
+DIVERGENT_COMM_ATTRS = frozenset({"rank"})
+
+#: Predicate verdicts, ordered by how much is known about the predicate's
+#: cross-rank behaviour.  ``UNIFORM`` — every rank computes the same value
+#: (collective results, parameters, loop indices); ``TAINTED`` — the value
+#: *may* differ across ranks (flows from a divergence source); ``DIVERGENT``
+#: — a divergence source appears syntactically in the predicate itself, so
+#: divergence is provable along a feasible path.  DIVERGENT implies TAINTED.
+UNIFORM = "uniform"
+TAINTED = "tainted"
+DIVERGENT = "divergent"
+
+#: Call names that declare module globals as managed checkpointable state
+#: (see :func:`repro.statesave.checkpointable_state`).
+REGISTRATION_NAMES = frozenset({"checkpointable_state"})
+
+
+# --------------------------------------------------------------------- #
+# Names and call shapes.
+# --------------------------------------------------------------------- #
+
+def _params(tree: ast.FunctionDef) -> list[str]:
+    return [a.arg for a in tree.args.posonlyargs + tree.args.args]
+
+
+def comm_roots(tree: ast.FunctionDef) -> frozenset[str]:
+    """The function's communication-root parameter names.
+
+    Parameters named ``ctx``/``comm``/``mpi`` qualify; when none is, the
+    first positional parameter is assumed to be the context (the unit
+    convention throughout this codebase), so units that spell the context
+    differently still analyse correctly.  A function with no parameters
+    has no comm roots — none of its method calls can be checkpoint sites.
+    """
+    params = _params(tree)
+    named = frozenset(p for p in params if p in COMM_PARAM_NAMES)
+    return named or frozenset(params[:1])
+
+
+def attr_root(node: ast.expr) -> Optional[str]:
+    """The base ``Name`` of an attribute chain (``ctx.mpi.barrier`` → ``ctx``),
+    or None when the chain is rooted in a call/subscript/constant."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def store_root(target: ast.expr) -> Optional[str]:
+    """The name a store to ``target`` binds or mutates: ``x`` for ``x``,
+    ``x.a`` and ``x[i]``."""
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return attr_root(target)
+
+
+def dotted(func: ast.expr) -> Optional[str]:
+    """``np.random.seed`` for an attribute-chain callee, ``foo`` for a
+    plain name; None for computed callees (``xs[0]()``)."""
+    parts: list[str] = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    return ".".join([func.id, *reversed(parts)])
+
+
+def matches_nondet(name: Optional[str]) -> bool:
+    """Is the dotted callee an entropy source of :data:`NONDET_PREFIXES`?"""
+    return name is not None and any(
+        name == p or name.startswith(p + ".") for p in NONDET_PREFIXES
+    )
+
+
+def divergent_call(func: ast.expr, comm_names: frozenset[str]) -> bool:
+    """Does calling ``func`` return a value that may differ across ranks: a
+    comm-rooted receive or draw (:data:`DIVERGENT_COMM_RESULTS`,
+    ``ctx.rng.*``), or an entropy source?"""
+    name = dotted(func)
+    if name is None:
+        return False
+    root, *rest = name.split(".")
+    if root in comm_names and rest:
+        return rest[-1] in DIVERGENT_COMM_RESULTS or "rng" in rest[:-1]
+    return matches_nondet(name)
+
+
+def is_checkpoint_site(
+    node: ast.AST, comm_names: Optional[frozenset[str]] = None
+) -> bool:
+    """True if ``node`` is a call that can take a local checkpoint.
+
+    With ``comm_names`` given, attribute calls only match when rooted at
+    one of those names (``ctx.barrier()`` yes, ``lock.barrier()`` no).
+    Without it, any receiver matches.
+    """
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    if isinstance(fn, ast.Name):
+        return fn.id in CHECKPOINT_SITE_NAMES
+    return isinstance(fn, ast.Attribute) and fn.attr in CHECKPOINT_SITE_NAMES \
+        and (comm_names is None or attr_root(fn) in comm_names)
+
 
 def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
     """Is ``node`` a call to a suspending method of the comm surface?
@@ -164,9 +248,44 @@ def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
     return False
 
 
-#: Call names that declare module globals as managed checkpointable state
-#: (see :func:`repro.statesave.checkpointable_state`).
-REGISTRATION_NAMES = frozenset({"checkpointable_state"})
+def _unit_call(node: ast.AST, names: Iterable[str]) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in names
+    )
+
+
+def is_labelled_call(
+    node: ast.AST,
+    reaching: Iterable[str],
+    comm_names: Optional[frozenset[str]] = None,
+) -> bool:
+    """A call that gets its own restart label: a checkpoint site, or a
+    plain-name call to a reaching unit function."""
+    return is_checkpoint_site(node, comm_names) or _unit_call(node, reaching)
+
+
+def contains_checkpointable(
+    node: ast.AST,
+    reaching: Iterable[str],
+    comm_names: Optional[frozenset[str]] = None,
+) -> bool:
+    """Does this statement or expression (recursively) contain a labelled
+    call?"""
+    return any(is_labelled_call(n, reaching, comm_names) for n in ast.walk(node))
+
+
+def unit_call_sites(
+    node: ast.AST, unit_names: Iterable[str]
+) -> dict[str, list[ast.Call]]:
+    """Every plain-name call into the unit, callee → call nodes (document
+    order)."""
+    out: dict[str, list[ast.Call]] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and _unit_call(sub, unit_names):
+            out.setdefault(sub.func.id, []).append(sub)  # type: ignore[attr-defined]
+    return out
 
 
 def module_registered_globals(tree: ast.Module) -> set[str]:
@@ -174,52 +293,37 @@ def module_registered_globals(tree: ast.Module) -> set[str]:
 
     Scans top-level expression statements for calls whose callee is named
     ``checkpointable_state`` (bare or at the end of an attribute chain)
-    and collects their string-constant arguments.  The static checker
-    treats registered names as managed state: mutating them is no longer a
-    virtual-data-segment escape (RPR030/033/034), because the globals
-    registry snapshots and restores them with every checkpoint.
+    and collects their string-constant arguments.  The checker treats
+    registered names as managed state: mutating them is no virtual-data-
+    segment escape, because the globals registry snapshots and restores
+    them with every checkpoint.
     """
     out: set[str] = set()
     for node in tree.body:
-        if not (isinstance(node, ast.Expr) and isinstance(node.value,
-                                                          ast.Call)):
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
             continue
         func = node.value.func
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        else:
-            continue
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
         if name not in REGISTRATION_NAMES:
             continue
-        for arg in node.value.args:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                out.add(arg.value)
+        out.update(
+            arg.value for arg in node.value.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        )
     return out
 
 
-def unit_call_sites(
-    node: ast.AST, unit_names: set[str]
-) -> dict[str, list[ast.Call]]:
-    """Every plain-name call into the unit, callee → call nodes (document
-    order).  The interprocedural checks in :mod:`repro.check` walk these
-    edges instead of re-discovering them."""
-    out: dict[str, list[ast.Call]] = {}
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
-            if sub.func.id in unit_names:
-                out.setdefault(sub.func.id, []).append(sub)
-    return out
-
+# --------------------------------------------------------------------- #
+# Supported-subset violations and locals.
+# --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
 class Violation:
     """One supported-subset violation, with its full source span.
 
-    ``construct`` keeps the historical human-readable keyword (``"try
-    containing checkpointable call"`` …) that exception messages and the
-    ``RPR00x`` code mapping key off.
+    ``construct`` keeps the human-readable keyword (``"try containing
+    checkpointable call"`` …) that exception messages and the ``RPR00x``
+    code mapping key off.
     """
 
     construct: str
@@ -227,6 +331,12 @@ class Violation:
     lineno: Optional[int] = None
     col_offset: Optional[int] = None
     hint: str = ""
+
+    @classmethod
+    def at(cls, construct: str, node: ast.AST, function: str,
+           hint: str = "") -> "Violation":
+        return cls(construct, function, getattr(node, "lineno", None),
+                   getattr(node, "col_offset", None), hint)
 
     def describe(self) -> str:
         where = ""
@@ -238,204 +348,52 @@ class Violation:
         extra = f" ({self.hint})" if self.hint else ""
         return f"{self.construct!r}{fn}{where}{extra}"
 
-
-def _violation(
-    construct: str, node: ast.AST, function: str, hint: str = ""
-) -> Violation:
-    return Violation(
-        construct=construct,
-        function=function,
-        lineno=getattr(node, "lineno", None),
-        col_offset=getattr(node, "col_offset", None),
-        hint=hint,
-    )
-
-
-@dataclass
-class FunctionInfo:
-    """Analysis results for one unit function."""
-
-    name: str
-    tree: ast.FunctionDef
-    has_checkpoint_site: bool = False
-    callees: set[str] = field(default_factory=set)
-    reaches: bool = False
-    #: Reaches, or can suspend the rank: transformed into a generator.
-    suspends: bool = False
-    local_names: list[str] = field(default_factory=list)
-    #: Names the function's checkpoint sites / comm calls must be rooted at.
-    comm_names: frozenset[str] = frozenset()
-    #: Plain-name calls into other unit functions, callee → call nodes.
-    call_sites: dict[str, list[ast.Call]] = field(default_factory=dict)
-
-
-class UnitAnalysis:
-    """Whole-unit analysis over a set of function ASTs.
-
-    ``collect`` switches subset violations found during local-name
-    discovery (``global``/``nonlocal``) from raising to appending — the
-    all-violations reporting path.
-    """
-
-    def __init__(
-        self,
-        functions: dict[str, ast.FunctionDef],
-        collect: Optional[list[Violation]] = None,
-    ) -> None:
-        self.infos: dict[str, FunctionInfo] = {}
-        unit_names = set(functions)
-        for name, tree in functions.items():
-            info = FunctionInfo(name=name, tree=tree)
-            info.comm_names = comm_roots(tree)
-            info.has_checkpoint_site = any(
-                is_checkpoint_site(n, info.comm_names) for n in ast.walk(tree)
-            )
-            info.suspends = any(
-                is_suspending_call(n, info.comm_names) for n in ast.walk(tree)
-            )
-            info.call_sites = unit_call_sites(tree, unit_names)
-            info.callees = set(info.call_sites)
-            info.local_names = discover_locals(
-                tree,
-                on_violation=(
-                    None if collect is None
-                    else lambda c, n, h, _fn=name: collect.append(
-                        _violation(c, n, _fn, h)
-                    )
-                ),
-            )
-            self.infos[name] = info
-        for info in self.infos.values():
-            info.reaches = info.has_checkpoint_site
-        self._close("reaches")
-        for info in self.infos.values():
-            info.suspends |= info.reaches
-        self._close("suspends")
-
-    def _close(self, flag: str) -> None:
-        """Fixpoint: ``flag`` holds for every caller of a function it holds
-        for (mutual recursion included)."""
-        changed = True
-        while changed:
-            changed = False
-            for info in self.infos.values():
-                if getattr(info, flag):
-                    continue
-                if any(getattr(self.infos[c], flag) for c in info.callees):
-                    setattr(info, flag, True)
-                    changed = True
-
-    @property
-    def reaching(self) -> set[str]:
-        return {n for n, i in self.infos.items() if i.reaches}
-
-    @property
-    def suspending(self) -> set[str]:
-        """Every function the precompiler transforms (a superset of
-        :attr:`reaching`)."""
-        return {n for n, i in self.infos.items() if i.suspends}
-
-    def validate(self, collect: list[Violation]) -> None:
-        """Subset-validate every function the transform rewrites."""
-        reaching, suspending = self.reaching, self.suspending
-        for name in sorted(suspending):
-            info = self.infos[name]
-            validate_supported(
-                info.tree, reaching, info.comm_names,
-                collect=collect, suspending=suspending,
-            )
-
-
-def stmt_contains_checkpointable(
-    stmt: ast.stmt,
-    reaching: set[str],
-    comm_names: Optional[frozenset[str]] = None,
-) -> bool:
-    """Does this statement (recursively) contain a labelled call?"""
-    for node in ast.walk(stmt):
-        if is_checkpoint_site(node, comm_names):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in reaching
-        ):
-            return True
-    return False
-
-
-def expr_contains_checkpointable(
-    expr: ast.expr,
-    reaching: set[str],
-    comm_names: Optional[frozenset[str]] = None,
-) -> bool:
-    for node in ast.walk(expr):
-        if is_checkpoint_site(node, comm_names):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in reaching
-        ):
-            return True
-    return False
+    def error(self) -> UnsupportedConstructError:
+        return UnsupportedConstructError(
+            self.construct, self.lineno, self.hint,
+            col_offset=self.col_offset, function=self.function,
+        )
 
 
 def discover_locals(
-    tree: ast.FunctionDef,
-    on_violation: Optional[Callable[[str, ast.AST, str], None]] = None,
+    tree: ast.FunctionDef, violations: Optional[list[Violation]] = None
 ) -> list[str]:
     """Every name the function can bind: args, assignment targets, for
     targets, withitems, walrus targets.  Nested function scopes excluded.
 
-    ``global``/``nonlocal`` are outside the supported subset: the default
-    raises :class:`UnsupportedConstructError` on the first one;
-    ``on_violation(construct, node, hint)`` collects them instead.
+    ``global``/``nonlocal`` are outside the supported subset: they are
+    appended to ``violations`` (raised when it is None).
     """
     names: list[str] = []
-    seen: set[str] = set()
 
     def add(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
+        if name not in names:
             names.append(name)
 
     def reject(construct: str, node: ast.AST, hint: str = "") -> None:
-        if on_violation is not None:
-            on_violation(construct, node, hint)
-            return
-        raise UnsupportedConstructError(
-            construct,
-            getattr(node, "lineno", None),
-            hint,
-            col_offset=getattr(node, "col_offset", None),
-            function=tree.name,
-        )
+        found = Violation.at(construct, node, tree.name, hint)
+        if violations is None:
+            raise found.error()
+        violations.append(found)
 
     args = tree.args
-    for a in (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    ):
+    for a in args.posonlyargs + args.args + args.kwonlyargs:
         add(a.arg)
-    if args.vararg:
-        add(args.vararg.arg)
-    if args.kwarg:
-        add(args.kwarg.arg)
+    for a in (args.vararg, args.kwarg):
+        if a is not None:
+            add(a.arg)
 
     class Collector(ast.NodeVisitor):
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        def visit_FunctionDef(self, node) -> None:
             add(node.name)  # the def binds its name; don't descend
 
-        def visit_AsyncFunctionDef(self, node) -> None:
-            add(node.name)
+        visit_AsyncFunctionDef = visit_FunctionDef
 
-        def visit_Lambda(self, node: ast.Lambda) -> None:
-            pass  # separate scope
+        def visit_Lambda(self, node) -> None:
+            pass  # separate scope (comprehension scopes too, in py3)
 
-        def visit_ListComp(self, node) -> None:
-            pass  # comprehension scopes are separate in py3
-
-        visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_ListComp
+        visit_ListComp = visit_SetComp = visit_DictComp = visit_Lambda
+        visit_GeneratorExp = visit_Lambda
 
         def visit_Name(self, node: ast.Name) -> None:
             if isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -460,80 +418,471 @@ def discover_locals(
     return names
 
 
+_NESTED_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                  ast.GeneratorExp)
+
+
 def validate_supported(
     tree: ast.FunctionDef,
-    reaching: set[str],
-    comm_names: Optional[frozenset[str]] = None,
-    collect: Optional[list[Violation]] = None,
-    suspending: frozenset[str] | set[str] = frozenset(),
-) -> None:
-    """Reject checkpointable calls in untransformable positions, and
-    suspending calls (``suspending`` names the unit's suspending
-    functions) inside nested scopes.
-
-    Raise mode (``collect=None``) aborts on the first violation, as the
-    precompiler historically did; collect mode appends every violation in
-    the function so callers can report them all at once.
-    """
+    reaching: Iterable[str],
+    comm_names: frozenset[str] = frozenset(),
+    suspending: Iterable[str] = (),
+) -> list[Violation]:
+    """Every checkpointable call in an untransformable position, and every
+    suspending call (``suspending`` names the unit's suspending functions)
+    inside a nested scope."""
     found: list[Violation] = []
 
-    def reject(construct: str, node: ast.AST, hint: str = "") -> None:
-        found.append(_violation(construct, node, tree.name, hint))
-        if collect is None:
-            raise UnsupportedConstructError(
-                construct,
-                getattr(node, "lineno", None),
-                hint,
-                col_offset=getattr(node, "col_offset", None),
-                function=tree.name,
-            )
-
-    def unit_call(sub: ast.AST, names) -> bool:
-        return (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id in names
-        )
-
     def labelled(sub: ast.AST) -> bool:
-        return is_checkpoint_site(sub, comm_names) or unit_call(sub, reaching)
+        return is_labelled_call(sub, reaching, comm_names)
 
     def suspends(sub: ast.AST) -> bool:
-        return (
-            labelled(sub)
-            or unit_call(sub, suspending)
-            or is_suspending_call(sub, comm_names or frozenset())
-        )
+        return labelled(sub) or _unit_call(sub, suspending) \
+            or is_suspending_call(sub, comm_names)
 
-    def check_no_reach(node: ast.AST, construct: str) -> None:
-        if any(labelled(sub) for sub in ast.walk(node)):
-            reject(construct, node, "checkpointable calls cannot be labelled here")
+    def check(node: ast.AST, construct: str, test, hint: str) -> None:
+        if any(test(sub) for sub in ast.walk(node)):
+            found.append(Violation.at(construct, node, tree.name, hint))
 
-    def check_no_suspend(node: ast.AST, construct: str) -> None:
-        if any(suspends(sub) for sub in ast.walk(node)):
-            reject(construct, node, "a yield from cannot suspend through a nested scope")
-
+    no_label = "checkpointable calls cannot be labelled here"
+    no_suspend = "a yield from cannot suspend through a nested scope"
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Try,)):
-            check_no_reach(node, "try containing checkpointable call")
+        if isinstance(node, ast.Try):
+            check(node, "try containing checkpointable call", labelled, no_label)
         elif isinstance(node, ast.With):
-            check_no_reach(node, "with containing checkpointable call")
-        elif isinstance(node, (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            check_no_suspend(node, "nested scope containing suspending call")
+            check(node, "with containing checkpointable call", labelled, no_label)
+        elif isinstance(node, _NESTED_SCOPES):
+            check(node, "nested scope containing suspending call", suspends,
+                  no_suspend)
         elif isinstance(node, ast.FunctionDef) and node is not tree:
-            check_no_suspend(node, "nested def containing suspending call")
+            check(node, "nested def containing suspending call", suspends,
+                  no_suspend)
         elif isinstance(node, (ast.BoolOp, ast.IfExp)):
-            check_no_reach(node, "short-circuit expression containing checkpointable call")
+            check(node, "short-circuit expression containing checkpointable "
+                  "call", labelled, no_label)
         elif isinstance(node, (ast.For, ast.While)) and node.orelse:
             # The desugarer cannot rewrite a loop that needs restartable
             # iteration but carries an else arm; catch it here so the
             # violation has a span instead of failing mid-transform.
             kind = "while" if isinstance(node, ast.While) else "for"
-            if stmt_contains_checkpointable(node, reaching, comm_names):
-                reject(f"{kind}-else containing checkpointable call", node)
-        elif isinstance(node, (ast.AsyncFunctionDef, ast.AsyncFor, ast.AsyncWith, ast.Await)):
-            reject("async construct", node)
+            check(node, f"{kind}-else containing checkpointable call",
+                  labelled, "")
+        elif isinstance(node, (ast.AsyncFunctionDef, ast.AsyncFor,
+                               ast.AsyncWith, ast.Await)):
+            found.append(Violation.at("async construct", node, tree.name))
         elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-            reject("generator function", node)
-    if collect is not None:
-        collect.extend(found)
+            found.append(Violation.at("generator function", node, tree.name))
+    return found
+
+
+# --------------------------------------------------------------------- #
+# The collective-summary language.
+# --------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class Tok:
+    """One direct collective call (``barrier``, ``allreduce``, …)."""
+
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclass(frozen=True)
+class CallRef:
+    """A call into a unit function that executes collectives; resolved
+    against that function's summary, or left standing on recursion."""
+
+    callee: str
+
+    def __str__(self) -> str:
+        return f"call:{self.callee}"
+
+
+@dataclass(frozen=True)
+class Seq:
+    """Concatenation; ``Seq(())`` is the empty sequence :data:`EPS`."""
+
+    parts: tuple["Summary", ...]
+
+
+@dataclass(frozen=True)
+class Alt:
+    """Branch merge: one of the options executes, maybe another per rank."""
+
+    options: tuple["Summary", ...]
+
+
+@dataclass(frozen=True)
+class Star:
+    """Loop merge: the body executes zero or more times."""
+
+    inner: "Summary"
+
+
+@dataclass(frozen=True)
+class Cond:
+    """Branch on a *rank-uniform* predicate, keyed by its canonical text.
+
+    Unlike :class:`Alt`, every rank takes the same arm — so two adjacent
+    ``Cond`` nodes with the same key are correlated and merge *per path*::
+
+        [k ? A : B] · [k ? C : D]  ≡  [k ? A·C : B·D]
+
+    which proves ``if k: a(); if k: b()`` equivalent to ``if k: a(); b()``.
+    """
+
+    key: str
+    then: "Summary"
+    orelse: "Summary"
+
+
+Summary = Union[Tok, CallRef, Seq, Alt, Star, Cond]
+EPS = Seq(())
+
+# The constructors below keep every summary in normal form (flat
+# sequences without ε, deduplicated alternatives, no trivial stars or
+# conditions), so two summaries are equivalent exactly when they are
+# equal — a sound, conservative check that never equates different
+# languages.
+
+
+def seq(parts: Iterable[Summary]) -> Summary:
+    out: list[Summary] = []
+
+    def push(part: Summary) -> None:
+        if isinstance(part, Seq):
+            for p in part.parts:
+                push(p)
+        elif (isinstance(part, Cond) and out and isinstance(out[-1], Cond)
+              and out[-1].key == part.key):
+            prev = out.pop()
+            push(cond(part.key, seq((prev.then, part.then)),
+                      seq((prev.orelse, part.orelse))))
+        else:
+            out.append(part)
+
+    for part in parts:
+        push(part)
+    return out[0] if len(out) == 1 else Seq(tuple(out))
+
+
+def alt(*options: Summary) -> Summary:
+    out: list[Summary] = []
+    for option in options:
+        for o in option.options if isinstance(option, Alt) else (option,):
+            if o not in out:
+                out.append(o)
+    return out[0] if len(out) == 1 else Alt(tuple(out))
+
+
+def star(inner: Summary) -> Summary:
+    return inner if inner == EPS or isinstance(inner, Star) else Star(inner)
+
+
+def cond(key: str, then: Summary, orelse: Summary) -> Summary:
+    return then if then == orelse else Cond(key, then, orelse)
+
+
+def leaves(s: Summary) -> Iterator[Union[Tok, CallRef]]:
+    """Every :class:`Tok` and :class:`CallRef` of the summary, in order."""
+    if isinstance(s, (Tok, CallRef)):
+        yield s
+    elif isinstance(s, Star):
+        yield from leaves(s.inner)
+    else:
+        children = (s.parts if isinstance(s, Seq) else s.options
+                    if isinstance(s, Alt) else (s.then, s.orelse))
+        for child in children:
+            yield from leaves(child)
+
+
+def collectives_in(s: Summary) -> tuple[str, ...]:
+    """Every collective that can occur in the summary's language (document
+    order, deduplicated)."""
+    return tuple(dict.fromkeys(t.name for t in leaves(s) if isinstance(t, Tok)))
+
+
+#: AST node types a predicate may consist of and still key a :class:`Cond`
+#: (side-effect free, value determined by the names it reads).  Calls and
+#: subscripts are excluded: a call may return another value when repeated.
+_STABLE_PREDICATE_NODES = (
+    ast.BoolOp, ast.UnaryOp, ast.BinOp, ast.Compare, ast.Name,
+    ast.Attribute, ast.Constant, ast.Tuple,
+    ast.expr_context, ast.operator, ast.boolop, ast.cmpop, ast.unaryop,
+)
+
+
+# --------------------------------------------------------------------- #
+# The unit analysis.
+# --------------------------------------------------------------------- #
+
+@dataclass
+class FunctionInfo:
+    """What the analysis knows about one unit function."""
+
+    name: str
+    tree: ast.FunctionDef
+    #: Source file the tree's (absolute) line numbers point into.
+    file: str = "<unknown>"
+    #: Names the function's checkpoint sites / comm calls must be rooted at.
+    comm_names: frozenset[str] = frozenset()
+    has_checkpoint_site: bool = False
+    #: Plain-name calls into other unit functions, callee → call nodes.
+    call_sites: dict[str, list[ast.Call]] = field(default_factory=dict)
+    local_names: list[str] = field(default_factory=list)
+    #: The checker's module facts: the constants the function's names
+    #: resolve against (p2p tags) and the globals its module registers as
+    #: checkpointable state.
+    constants: dict[str, object] = field(default_factory=dict)
+    registered: set[str] = field(default_factory=set)
+
+
+class UnitAnalysis:
+    """The whole-unit analysis over a set of function ASTs.
+
+    ``violations`` holds every supported-subset violation of the unit: in
+    locals discovery (``global``/``nonlocal``) and in each function the
+    transform rewrites.
+    """
+
+    def __init__(
+        self,
+        functions: dict[str, ast.FunctionDef],
+        files: Optional[dict[str, str]] = None,
+    ) -> None:
+        self.infos: dict[str, FunctionInfo] = {}
+        self.violations: list[Violation] = []
+        for name, tree in functions.items():
+            comm = comm_roots(tree)
+            self.infos[name] = FunctionInfo(
+                name=name,
+                tree=tree,
+                file=(files or {}).get(name, "<unknown>"),
+                comm_names=comm,
+                has_checkpoint_site=any(
+                    is_checkpoint_site(n, comm) for n in ast.walk(tree)
+                ),
+                call_sites=unit_call_sites(tree, functions),
+                local_names=discover_locals(tree, self.violations),
+            )
+        self.reaching = self.callers_of(
+            n for n, i in self.infos.items() if i.has_checkpoint_site
+        )
+        self.suspending = self.callers_of(self.reaching | {
+            n for n, i in self.infos.items()
+            if any(is_suspending_call(s, i.comm_names) for s in ast.walk(i.tree))
+        })
+        for name in sorted(self.suspending):
+            info = self.infos[name]
+            self.violations += validate_supported(
+                info.tree, self.reaching, info.comm_names, self.suspending
+            )
+        #: Rank-divergence taint, filled by the first query: per function,
+        #: the names whose value may differ across ranks, and the functions
+        #: whose return value may.
+        self.tainted: dict[str, set[str]] = {}
+        self.returns_tainted: set[str] = set()
+
+    def callers_of(self, seed: Iterable[str]) -> set[str]:
+        """``seed`` and every function that (transitively) calls into it —
+        the one fixpoint over the call graph (mutual recursion included)."""
+        out = set(seed)
+        grown = True
+        while grown:
+            new = {n for n, i in self.infos.items()
+                   if n not in out and not out.isdisjoint(i.call_sites)}
+            out |= new
+            grown = bool(new)
+        return out
+
+    def comm_call(self, name: str, node: ast.AST, names: frozenset[str]) -> bool:
+        """Is ``node`` a call of ``names`` rooted at ``name``'s comm root?"""
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and attr_root(node.func) in self.infos[name].comm_names
+        )
+
+    # -- collective summaries --------------------------------------------- #
+
+    @cached_property
+    def collective_callers(self) -> set[str]:
+        """Functions that (transitively) execute a collective."""
+        return self.callers_of(
+            n for n, i in self.infos.items()
+            if any(self.comm_call(n, s, COLLECTIVE_NAMES)
+                   for s in ast.walk(i.tree))
+        )
+
+    @cached_property
+    def summaries(self) -> dict[str, Summary]:
+        """Each function's raw (unresolved) collective summary."""
+        return {n: self.block_summary(n, i.tree.body)
+                for n, i in self.infos.items()}
+
+    def _calls(self, name: str, node: ast.AST) -> list[Summary]:
+        """Collective tokens and collective-caller refs inside one
+        expression or atomic statement, in :func:`ast.walk` order."""
+        out: list[Summary] = []
+        for sub in ast.walk(node):
+            if self.comm_call(name, sub, COLLECTIVE_NAMES):
+                out.append(Tok(sub.func.attr))  # type: ignore[attr-defined]
+            elif _unit_call(sub, self.collective_callers):
+                out.append(CallRef(sub.func.id))  # type: ignore[attr-defined]
+        return out
+
+    def block_summary(self, name: str, stmts: list[ast.stmt]) -> Summary:
+        """The raw collective summary of a statement list of ``name``,
+        joined at branches (:class:`Alt`, or :class:`Cond` on a stable
+        rank-uniform predicate) and loops (:class:`Star`)."""
+        parts: list[Summary] = []
+        for s in stmts:
+            if isinstance(s, ast.If):
+                parts += self._calls(name, s.test)
+                then = self.block_summary(name, s.body)
+                orelse = self.block_summary(name, s.orelse)
+                key = self._predicate_key(name, s.test)
+                parts.append(alt(then, orelse) if key is None
+                             else cond(key, then, orelse))
+            elif isinstance(s, ast.While):
+                test = self._calls(name, s.test)
+                parts += test
+                parts.append(star(seq([self.block_summary(name, s.body), *test])))
+                parts.append(self.block_summary(name, s.orelse))
+            elif isinstance(s, ast.For):
+                parts += self._calls(name, s.iter)
+                parts.append(star(self.block_summary(name, s.body)))
+                parts.append(self.block_summary(name, s.orelse))
+            elif isinstance(s, ast.Try):
+                parts += [self.block_summary(name, b)
+                          for b in (s.body, s.orelse, s.finalbody)]
+            elif not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):  # nested scopes: skip
+                parts += self._calls(name, s)
+        return seq(parts)
+
+    def resolve(self, s: Summary, stack: frozenset[str] = frozenset()) -> Summary:
+        """Substitute callee summaries across call boundaries; a recursive
+        call stays a :class:`CallRef`, equal only to itself."""
+        if isinstance(s, CallRef):
+            if s.callee in stack:
+                return s
+            return self.resolve(self.summaries[s.callee], stack | {s.callee})
+        if isinstance(s, Seq):
+            return seq(self.resolve(p, stack) for p in s.parts)
+        if isinstance(s, Alt):
+            return alt(*(self.resolve(o, stack) for o in s.options))
+        if isinstance(s, Star):
+            return star(self.resolve(s.inner, stack))
+        if isinstance(s, Cond):
+            return cond(s.key, self.resolve(s.then, stack),
+                        self.resolve(s.orelse, stack))
+        return s
+
+    def _predicate_key(self, name: str, test: ast.expr) -> Optional[str]:
+        """Canonical key for a stable, rank-uniform predicate (None when
+        the branch must stay an :class:`Alt`)."""
+        if all(isinstance(n, _STABLE_PREDICATE_NODES) for n in ast.walk(test)) \
+                and not self.expr_tainted(name, test):
+            return ast.dump(test, annotate_fields=False)
+        return None
+
+    # -- rank-divergence taint -------------------------------------------- #
+
+    def predicate_verdict(self, name: str, expr: ast.expr) -> str:
+        """:data:`DIVERGENT` when a divergence source appears syntactically
+        in the predicate, :data:`TAINTED` when divergence merely may flow
+        into it, :data:`UNIFORM` otherwise."""
+        comm = self.infos[name].comm_names
+        for sub in ast.walk(expr):
+            if (isinstance(sub, ast.Attribute) and sub.attr in DIVERGENT_COMM_ATTRS
+                    and attr_root(sub) in comm) or \
+                    (isinstance(sub, ast.Call) and divergent_call(sub.func, comm)):
+                return DIVERGENT
+        return TAINTED if self.expr_tainted(name, expr) else UNIFORM
+
+    def expr_tainted(self, name: str, node: ast.expr) -> bool:
+        """May this expression's value differ across ranks?"""
+        if not self.tainted:
+            self.tainted = {n: set() for n in self.infos}
+            while self._taint_step():
+                pass
+        return self._tainted(name, node)
+
+    def _tainted(self, name: str, node: ast.AST) -> bool:
+        tainted = self.tainted[name]
+        comm = self.infos[name].comm_names
+
+        def visit(expr: ast.AST) -> bool:
+            if isinstance(expr, ast.Name):
+                return expr.id in tainted
+            if isinstance(expr, ast.Attribute):
+                root = attr_root(expr)
+                if root in comm:
+                    # ctx.rank differs per rank; ctx.size / ctx.params /
+                    # ctx.rng-the-object are rank-uniform handles.
+                    return expr.attr in DIVERGENT_COMM_ATTRS
+                return root in tainted if root is not None else visit(expr.value)
+            if isinstance(expr, ast.Call):
+                func = expr.func
+                args = [*expr.args, *(k.value for k in expr.keywords)]
+                if isinstance(func, ast.Attribute) and attr_root(func) in comm:
+                    if func.attr in COLLECTIVE_NAMES:
+                        return False  # collective results are uniform
+                    return divergent_call(func, comm) or any(map(visit, args))
+                if isinstance(func, ast.Name) and func.id in self.infos:
+                    return func.id in self.returns_tainted
+                if divergent_call(func, comm):
+                    return True
+                # Unknown call: a deterministic function of its inputs.
+                return any(map(visit, args)) or (
+                    not isinstance(func, ast.Name) and visit(func)
+                )
+            if isinstance(expr, ast.Subscript):
+                return visit(expr.value) or visit(expr.slice)
+            if isinstance(expr, (ast.Lambda, ast.FunctionDef)):
+                return False  # separate scope
+            return any(map(visit, ast.iter_child_nodes(expr)))
+
+        return visit(node)
+
+    def _taint_step(self) -> bool:
+        """One propagation round over the unit; True when taint grew.
+
+        Tainted values taint their assignment targets (flow-insensitive),
+        tainted arguments the callee's parameters (context-insensitive),
+        and a tainted return value every call of the function."""
+        size = sum(map(len, self.tainted.values())) + len(self.returns_tainted)
+        for name, info in self.infos.items():
+            tainted = self.tainted[name]
+            for node in ast.walk(info.tree):
+                value = getattr(node, "value", None)
+                if isinstance(node, ast.Assign) and self._tainted(name, value):
+                    for t in node.targets:
+                        elts = t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
+                        tainted.update(filter(None, map(store_root, elts)))
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) \
+                        and value is not None and self._tainted(name, value):
+                    tainted.update(filter(None, [store_root(node.target)]))
+                elif isinstance(node, ast.For) and self._tainted(name, node.iter):
+                    tainted.update(n.id for n in ast.walk(node.target)
+                                   if isinstance(n, ast.Name))
+                elif isinstance(node, ast.NamedExpr) and self._tainted(name, value):
+                    tainted.add(node.target.id)
+                elif isinstance(node, ast.Return) and value is not None \
+                        and self._tainted(name, value):
+                    self.returns_tainted.add(name)
+            for callee, calls in info.call_sites.items():
+                params = _params(self.infos[callee].tree)
+                for call in calls:
+                    bound = [*zip(params, call.args),
+                             *((k.arg, k.value) for k in call.keywords
+                               if k.arg in params)]
+                    self.tainted[callee].update(
+                        p for p, arg in bound if self._tainted(name, arg)
+                    )
+        return size != sum(map(len, self.tainted.values())) \
+            + len(self.returns_tainted)

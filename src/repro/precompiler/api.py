@@ -45,7 +45,7 @@ import textwrap
 from typing import Any, Callable, Optional
 
 from repro.errors import CheckError, PrecompilerError, UnsupportedConstructError
-from repro.precompiler.analysis import UnitAnalysis, Violation
+from repro.precompiler.analysis import UnitAnalysis
 from repro.precompiler.codegen import build_function, compile_module
 from repro.precompiler.desugar import Desugarer
 from repro.precompiler.flatten import Block, Flattener
@@ -126,7 +126,7 @@ class Precompiler:
         files: dict[str, str] = {}
         globals_ns: dict[str, Any] = {}
         for fn in self.functions:
-            tree, src_file = _parse_function(fn)
+            tree, src_file = parse_function(fn)
             if tree.name in trees:
                 raise PrecompilerError(f"duplicate function name {tree.name!r}")
             trees[tree.name] = tree
@@ -135,27 +135,23 @@ class Precompiler:
             # share one namespace anyway.
             globals_ns.update(fn.__globals__)
 
-        violations: list[Violation] = []
-        analysis = UnitAnalysis(trees, collect=violations)
-        analysis.validate(violations)
-        if violations:
-            first = violations[0]
+        analysis = UnitAnalysis(trees, files)
+        if analysis.violations:
+            first = analysis.violations[0]
             raise UnsupportedConstructError(
                 first.construct,
                 first.lineno,
                 first.hint,
                 col_offset=first.col_offset,
                 function=first.function,
-                violations=tuple(violations),
+                violations=tuple(analysis.violations),
             )
 
-        # Static verification over the validated unit.  Imported lazily:
+        # Static verification over the same analysis.  Imported lazily:
         # repro.check sits above the precompiler in the layering.
         from repro.check.driver import run_unit_checks
 
-        check_result = run_unit_checks(
-            dict(trees), dict(files), target=self.unit_name
-        )
+        check_result = run_unit_checks(analysis, target=self.unit_name)
         if strict and not check_result.ok:
             raise CheckError(
                 check_result.render(), diagnostics=check_result.errors
@@ -261,7 +257,7 @@ def _annotate_saved(source: str, saved: dict[int, frozenset[str]]) -> str:
     return _DISPATCH_ARM.sub(note, source)
 
 
-def _parse_function(fn: Callable) -> tuple[ast.FunctionDef, str]:
+def parse_function(fn: Callable) -> tuple[ast.FunctionDef, str]:
     """Parse ``fn``'s source; returns the tree (line numbers shifted to
     absolute file coordinates, so diagnostics and violation spans point
     into the real file) and the source path."""

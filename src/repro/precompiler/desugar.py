@@ -36,22 +36,9 @@ import itertools
 
 from repro.errors import UnsupportedConstructError
 from repro.precompiler.analysis import (
-    expr_contains_checkpointable,
-    is_checkpoint_site,
-    stmt_contains_checkpointable,
+    contains_checkpointable,
+    is_labelled_call,
 )
-
-
-def _is_checkpointable_call(
-    node: ast.AST, reaching: set[str], comm_names=None
-) -> bool:
-    if is_checkpoint_site(node, comm_names):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in reaching
-    )
 
 
 class Desugarer:
@@ -88,7 +75,7 @@ class Desugarer:
         return out
 
     def desugar_stmt(self, stmt: ast.stmt) -> list[ast.stmt]:
-        if not stmt_contains_checkpointable(stmt, self.reaching, self.comm_names):
+        if not contains_checkpointable(stmt, self.reaching, self.comm_names):
             return [stmt]
 
         if isinstance(stmt, ast.For):
@@ -116,7 +103,7 @@ class Desugarer:
             )
         pre: list[ast.stmt] = []
         iterable = stmt.iter
-        if expr_contains_checkpointable(iterable, self.reaching, self.comm_names):
+        if contains_checkpointable(iterable, self.reaching, self.comm_names):
             iterable, lifted = self._lift_expr(iterable)
             pre.extend(lifted)
         it_name = self._fresh_iter()
@@ -138,7 +125,7 @@ class Desugarer:
                 "while-else containing checkpointable call", stmt.lineno
             )
         body = self.desugar_body(stmt.body)
-        if expr_contains_checkpointable(stmt.test, self.reaching, self.comm_names):
+        if contains_checkpointable(stmt.test, self.reaching, self.comm_names):
             test_expr, lifted = self._lift_expr(stmt.test)
             guard = ast.If(
                 test=ast.UnaryOp(op=ast.Not(), operand=test_expr),
@@ -157,7 +144,7 @@ class Desugarer:
     def _desugar_if(self, stmt: ast.If) -> list[ast.stmt]:
         pre: list[ast.stmt] = []
         test = stmt.test
-        if expr_contains_checkpointable(test, self.reaching, self.comm_names):
+        if contains_checkpointable(test, self.reaching, self.comm_names):
             test, pre = self._lift_expr(test)
         return [
             *pre,
@@ -177,7 +164,7 @@ class Desugarer:
         (``x = f(...)`` / ``f(...)``) or contains only lifted temps.
         """
         # Standalone forms need no lifting.
-        if isinstance(stmt, ast.Expr) and _is_checkpointable_call(
+        if isinstance(stmt, ast.Expr) and is_labelled_call(
             stmt.value, self.reaching, self.comm_names
         ):
             return [stmt]
@@ -185,9 +172,9 @@ class Desugarer:
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)
-            and _is_checkpointable_call(stmt.value, self.reaching, self.comm_names)
+            and is_labelled_call(stmt.value, self.reaching, self.comm_names)
             and not any(
-                _is_checkpointable_call(n, self.reaching, self.comm_names)
+                is_labelled_call(n, self.reaching, self.comm_names)
                 for n in ast.walk(stmt.value)
                 if n is not stmt.value
             )
@@ -240,7 +227,7 @@ class Desugarer:
                         for k in node.keywords
                     ],
                 )
-                if _is_checkpointable_call(node, desugarer.reaching, desugarer.comm_names):
+                if is_labelled_call(node, desugarer.reaching, desugarer.comm_names):
                     tmp = desugarer._fresh_tmp()
                     lifted.append(_assign(tmp, node))
                     return _name(tmp)

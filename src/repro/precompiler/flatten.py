@@ -33,7 +33,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.errors import PrecompilerError, UnsupportedConstructError
-from repro.precompiler.analysis import stmt_contains_checkpointable
+from repro.precompiler.analysis import contains_checkpointable
 from repro.precompiler.desugar import _const
 
 
@@ -133,7 +133,7 @@ class Flattener:
                 # Unreachable trailing code (after return/break): drop it,
                 # matching CPython's own dead-code tolerance.
                 break
-            if not stmt_contains_checkpointable(stmt, self.reaching, self.comm_names):
+            if not contains_checkpointable(stmt, self.reaching, self.comm_names):
                 cur = self._emit_atomic(stmt, cur)
                 continue
             if isinstance(stmt, (ast.Assign, ast.Expr)):

@@ -17,7 +17,6 @@ from repro.precompiler.analysis import (
     UnitAnalysis,
     comm_roots,
     is_checkpoint_site,
-    validate_supported,
 )
 from repro.precompiler.api import Precompiler
 
@@ -136,47 +135,40 @@ class TestReachingFixpoint:
 
 
 class TestUnsupportedPositions:
-    def _validate(self, source: str):
-        trees = _trees(source)
-        analysis = UnitAnalysis(trees)
-        for name in analysis.reaching:
-            validate_supported(
-                trees[name],
-                analysis.reaching,
-                analysis.infos[name].comm_names,
-            )
+    def _violations(self, source: str):
+        return UnitAnalysis(_trees(source)).violations
 
     def test_comprehension_rejected_with_span(self):
-        with pytest.raises(UnsupportedConstructError, match="nested scope") as info:
-            self._validate(
-                """
-                def main(ctx):
-                    return [step(ctx, i) for i in range(3)]
+        (found,) = self._violations(
+            """
+            def main(ctx):
+                return [step(ctx, i) for i in range(3)]
 
-                def step(ctx, i):
-                    ctx.potential_checkpoint()
-                    return i
-                """
-            )
-        assert info.value.function == "main"
-        assert info.value.lineno == 3
-        assert info.value.col_offset is not None
+            def step(ctx, i):
+                ctx.potential_checkpoint()
+                return i
+            """
+        )
+        assert "nested scope" in found.construct
+        assert found.function == "main"
+        assert found.lineno == 3
+        assert found.col_offset is not None
 
     def test_boolean_short_circuit_rejected(self):
-        with pytest.raises(UnsupportedConstructError, match="short-circuit"):
-            self._validate(
-                """
-                def main(ctx, ok):
-                    return ok and step(ctx)
+        (found,) = self._violations(
+            """
+            def main(ctx, ok):
+                return ok and step(ctx)
 
-                def step(ctx):
-                    ctx.potential_checkpoint()
-                    return True
-                """
-            )
+            def step(ctx):
+                ctx.potential_checkpoint()
+                return True
+            """
+        )
+        assert "short-circuit" in found.construct
 
     def test_collect_mode_gathers_every_violation(self):
-        trees = _trees(
+        violations = self._violations(
             """
             def main(ctx):
                 try:
@@ -192,14 +184,6 @@ class TestUnsupportedPositions:
                 ctx.potential_checkpoint()
                 return 1
             """
-        )
-        violations = []
-        analysis = UnitAnalysis(trees, collect=violations)
-        validate_supported(
-            trees["main"],
-            analysis.reaching,
-            analysis.infos["main"].comm_names,
-            collect=violations,
         )
         constructs = sorted(v.construct.split()[0] for v in violations)
         assert constructs == ["nested", "try", "with"]
