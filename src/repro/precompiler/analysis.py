@@ -26,8 +26,8 @@ precompiler and every :mod:`repro.check` code read it:
   :class:`CallRef`);
 * **rank-divergence taint** — a flow-insensitive, interprocedural fixpoint
   over "may this value differ across ranks?", seeded by the sources in
-  one table: ``ctx.rank``, receive results, per-rank draws and entropy
-  draws.  Collective results are uniform by the protocol's own
+  one table: ``ctx.rank``, receive results, per-rank draws, entropy and
+  clock reads.  Collective results are uniform by the protocol's own
   guarantee.  :meth:`UnitAnalysis.predicate_verdict` grades a predicate
   :data:`UNIFORM`, :data:`TAINTED` or :data:`DIVERGENT`.
 
@@ -113,10 +113,11 @@ CLOCK_NAMES = frozenset({
     "datetime.datetime.today", "datetime.date.today",
 })
 
-#: Comm-rooted calls whose *results* may differ across ranks: receives and
-#: the logged draws.
+#: Comm-rooted calls whose *results* may differ across ranks: receives, the
+#: logged draws, and the rank's virtual clock.
 DIVERGENT_COMM_RESULTS = frozenset({
     "recv", "irecv", "sendrecv", "wait", "test", "nondet", "random",
+    "now", "wtime",
 })
 
 #: Comm-rooted attribute reads that differ across ranks (``ctx.rank``).
@@ -196,15 +197,15 @@ def matches_nondet(name: Optional[str]) -> bool:
 
 def divergent_call(func: ast.expr, comm_names: frozenset[str]) -> bool:
     """Does calling ``func`` return a value that may differ across ranks: a
-    comm-rooted receive or draw (:data:`DIVERGENT_COMM_RESULTS`,
-    ``ctx.rng.*``), or an entropy source?"""
+    comm-rooted receive, draw or clock read (:data:`DIVERGENT_COMM_RESULTS`,
+    ``ctx.rng.*``), an entropy source, or a host clock?"""
     name = dotted(func)
     if name is None:
         return False
     root, *rest = name.split(".")
     if root in comm_names and rest:
         return rest[-1] in DIVERGENT_COMM_RESULTS or "rng" in rest[:-1]
-    return matches_nondet(name)
+    return matches_nondet(name) or name in CLOCK_NAMES
 
 
 def is_checkpoint_site(

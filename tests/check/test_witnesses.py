@@ -28,6 +28,7 @@ import itertools
 import random
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -73,7 +74,7 @@ def _fresh_module(path):
     return module
 
 
-def run(path, failures=None, tracer=None):
+def run(path, failures=None, tracer=None, config=CONFIG):
     """Precompile the checked unit of ``path`` from a fresh module and run
     it under V3 (``tracer`` records its events, even if the run raises)."""
     module = _fresh_module(path)
@@ -82,7 +83,7 @@ def run(path, failures=None, tracer=None):
     host_random = random.getstate()
     random.seed(2026)
     try:
-        return run_with_recovery(app, CONFIG, failures=failures, tracer=tracer)
+        return run_with_recovery(app, config, failures=failures, tracer=tracer)
     finally:
         random.setstate(host_random)
 
@@ -377,3 +378,48 @@ def test_repair_checks_clean_and_recovers(
 def test_every_surviving_code_has_a_witness():
     witnessed = {param.values[0] for param in WITNESSES}
     assert witnessed == {c for c in CODES if "RPR010" <= c <= "RPR033"}
+
+
+#: A loop guarded by the rank's own virtual clock: each rank leaves it
+#: after its own count of allreduces.  The repair allreduces the stop
+#: decision, so every rank leaves after the same step.
+CLOCK_GUARD = """
+from repro.simmpi import SUM
+
+
+def main(ctx):
+    n = 0.0
+    while ctx.now() < 0.001:
+        n += ctx.mpi.allreduce(1.0, SUM)
+        ctx.potential_checkpoint()
+    return n
+"""
+CLOCK_GUARD_REPAIRED = """
+from repro.simmpi import MAX, SUM
+
+
+def main(ctx):
+    n = 0.0
+    stop = ctx.mpi.allreduce(float(ctx.now() >= 0.001), MAX)
+    while stop == 0.0:
+        n += ctx.mpi.allreduce(1.0, SUM)
+        ctx.potential_checkpoint()
+        stop = ctx.mpi.allreduce(float(ctx.now() >= 0.001), MAX)
+    return n
+"""
+
+
+def test_clock_guarded_collective_loop_deadlocks_without_a_kill(write):
+    """RPR014 on a clock guard: at 4 ranks and seed 17 the program
+    deadlocks with no failure injected; with the stop decision allreduced
+    it completes, every rank with the same count."""
+    program = write("program", CLOCK_GUARD)
+    repaired = write("repaired", CLOCK_GUARD_REPAIRED)
+    assert {d.code for d in check_path(str(program)).diagnostics} == {"RPR014"}
+    assert check_path(str(repaired)).diagnostics == ()
+    config = replace(CONFIG, nprocs=4, seed=17)
+    with pytest.raises(DeadlockError):
+        run(program, config=config)
+    outcome = run(repaired, config=config)
+    assert outcome.completed and outcome.restarts == 0
+    assert len(set(outcome.results)) == 1
