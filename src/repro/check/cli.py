@@ -1,8 +1,8 @@
 """``repro-check`` — the static verifier's command line.
 
 Targets are resolved in order: an existing path is checked as a source
-file; a registered app name as an app; anything else as an importable
-module.  ``--apps`` adds every registered application.  Exit status is 1
+file (a missing one ending in ``.py`` fails as ``no such file``); a
+registered app name as an app; anything else as an importable module.  ``--apps`` adds every registered application.  Exit status is 1
 when any error-severity finding survives (``--fail-on`` tightens or
 loosens that), so the command slots straight into CI::
 
@@ -71,6 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_target(target: str) -> CheckResult:
     if os.path.exists(target):
         return check_path(target)
+    if target.endswith(".py"):
+        raise FileNotFoundError("no such file")
     try:
         return check_app(target)
     except Exception:

@@ -38,6 +38,13 @@ class TestExitCodes:
         assert main(["no/such/file_or_module.py"]) == 2
         assert "failed to run" in capsys.readouterr().out
 
+    def test_missing_source_file_is_no_such_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.py")
+        assert main([missing]) == 2
+        out = capsys.readouterr().out
+        assert f"{missing}: check failed to run: FileNotFoundError: no such file" in out
+        assert "ModuleNotFoundError" not in out
+
 
 class TestTargets:
     def test_registered_app_by_name(self, capsys):
