@@ -553,12 +553,13 @@ def seq(parts: Iterable[Summary]) -> Summary:
     out: list[Summary] = []
 
     def push(part: Summary) -> None:
+        prev = out[-1] if out else None
         if isinstance(part, Seq):
             for p in part.parts:
                 push(p)
-        elif (isinstance(part, Cond) and out and isinstance(out[-1], Cond)
-              and out[-1].key == part.key):
-            prev = out.pop()
+        elif isinstance(part, Cond) and isinstance(prev, Cond) \
+                and prev.key == part.key:
+            out.pop()
             push(cond(part.key, seq((prev.then, part.then)),
                       seq((prev.orelse, part.orelse))))
         else:
@@ -880,10 +881,10 @@ class UnitAnalysis:
                 params = _params(self.infos[callee].tree)
                 for call in calls:
                     bound = [*zip(params, call.args),
-                             *((k.arg, k.value) for k in call.keywords
-                               if k.arg in params)]
+                             *((k.arg or "", k.value) for k in call.keywords)]
                     self.tainted[callee].update(
-                        p for p, arg in bound if self._tainted(name, arg)
+                        p for p, arg in bound
+                        if p in params and self._tainted(name, arg)
                     )
         return size != sum(map(len, self.tainted.values())) \
             + len(self.returns_tainted)
