@@ -76,14 +76,17 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
             for el in target.elts:
                 bind(fn, el, CLEAN if r is CLEAN else ALIAS)
 
-    def step() -> bool:
-        size = sum(map(len, alias.values())) + sum(map(len, holds.values())) \
+    def size() -> int:
+        return sum(map(len, (*alias.values(), *holds.values()))) \
             + len(returns_nonlocal)
+
+    def step() -> bool:
+        before = size()
         for fn, info in unit.infos.items():
             for node in ast.walk(info.tree):
                 if isinstance(node, ast.Assign):
+                    value = node.value
                     for target in node.targets:
-                        value = node.value
                         if isinstance(target, (ast.Tuple, ast.List)) \
                                 and isinstance(value, (ast.Tuple, ast.List)) \
                                 and len(target.elts) == len(value.elts):
@@ -101,8 +104,7 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
                 elif isinstance(node, ast.Return) and node.value is not None:
                     if region(fn, node.value) is not CLEAN:
                         returns_nonlocal.add(fn)
-        return size != sum(map(len, alias.values())) \
-            + sum(map(len, holds.values())) + len(returns_nonlocal)
+        return size() != before
 
     while step():
         pass

@@ -210,10 +210,10 @@ def _p2p_sites(unit: UnitAnalysis) -> Iterator[tuple[str, object, str, ast.Call]
     """``(kind, tag, function, call)`` of every send and receive in the
     unit, module-level tag constants resolved."""
     for fn, info in unit.infos.items():
-        for node in ast.walk(info.tree):
-            if not unit.comm_call(fn, node, P2P_NAMES):
+        for call in ast.walk(info.tree):
+            op = unit.comm_op(fn, call)
+            if op not in P2P_NAMES or not isinstance(call, ast.Call):
                 continue
-            call: ast.Call = node  # type: ignore[assignment]
             kws = {k.arg: k.value for k in call.keywords if k.arg}
 
             def arg(i: int, key: str) -> Optional[ast.expr]:
@@ -221,7 +221,6 @@ def _p2p_sites(unit: UnitAnalysis) -> Iterator[tuple[str, object, str, ast.Call]
 
             # send(payload, dest, tag=0); recv(source=ANY_SOURCE, tag=ANY_TAG);
             # sendrecv(payload, dest, recv_source, send_tag=0, recv_tag=None)
-            op = call.func.attr  # type: ignore[attr-defined]
             if op in ("send", "isend", "sendrecv"):
                 tag = arg(3, "send_tag") if op == "sendrecv" else arg(2, "tag")
                 yield "send", _tag(info, tag, 0), fn, call
@@ -329,8 +328,8 @@ def unlogged_nondeterminism(unit: UnitAnalysis) -> list[Diagnostic]:
         logged = {
             id(sub)
             for node in ast.walk(info.tree)
-            if unit.comm_call(fn, node, frozenset({"nondet"}))
-            for arg in [*node.args, *(k.value for k in node.keywords)]  # type: ignore[attr-defined]
+            if isinstance(node, ast.Call) and unit.comm_op(fn, node) == "nondet"
+            for arg in [*node.args, *(k.value for k in node.keywords)]
             for sub in ast.walk(arg)
         }
         for node in ast.walk(info.tree):

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.errors import UnsupportedConstructError
-
 CHECKPOINT_NAME = "potential_checkpoint"
 
 #: Call names that may take a local checkpoint inside the callee.  Barriers
@@ -249,12 +247,11 @@ def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
     return False
 
 
-def _unit_call(node: ast.AST, names: Iterable[str]) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in names
-    )
+def callee(node: ast.AST) -> str:
+    """The callee of a plain-name call (``f`` for ``f(x)``), else ``""``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
+    return ""
 
 
 def is_labelled_call(
@@ -264,7 +261,7 @@ def is_labelled_call(
 ) -> bool:
     """A call that gets its own restart label: a checkpoint site, or a
     plain-name call to a reaching unit function."""
-    return is_checkpoint_site(node, comm_names) or _unit_call(node, reaching)
+    return is_checkpoint_site(node, comm_names) or callee(node) in reaching
 
 
 def contains_checkpointable(
@@ -284,8 +281,9 @@ def unit_call_sites(
     order)."""
     out: dict[str, list[ast.Call]] = {}
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _unit_call(sub, unit_names):
-            out.setdefault(sub.func.id, []).append(sub)  # type: ignore[attr-defined]
+        name = callee(sub)
+        if isinstance(sub, ast.Call) and name in unit_names:
+            out.setdefault(name, []).append(sub)
     return out
 
 
@@ -349,21 +347,15 @@ class Violation:
         extra = f" ({self.hint})" if self.hint else ""
         return f"{self.construct!r}{fn}{where}{extra}"
 
-    def error(self) -> UnsupportedConstructError:
-        return UnsupportedConstructError(
-            self.construct, self.lineno, self.hint,
-            col_offset=self.col_offset, function=self.function,
-        )
-
 
 def discover_locals(
-    tree: ast.FunctionDef, violations: Optional[list[Violation]] = None
+    tree: ast.FunctionDef, violations: list[Violation]
 ) -> list[str]:
     """Every name the function can bind: args, assignment targets, for
     targets, withitems, walrus targets.  Nested function scopes excluded.
 
     ``global``/``nonlocal`` are outside the supported subset: they are
-    appended to ``violations`` (raised when it is None).
+    appended to ``violations``.
     """
     names: list[str] = []
 
@@ -372,10 +364,7 @@ def discover_locals(
             names.append(name)
 
     def reject(construct: str, node: ast.AST, hint: str = "") -> None:
-        found = Violation.at(construct, node, tree.name, hint)
-        if violations is None:
-            raise found.error()
-        violations.append(found)
+        violations.append(Violation.at(construct, node, tree.name, hint))
 
     args = tree.args
     for a in args.posonlyargs + args.args + args.kwonlyargs:
@@ -438,7 +427,7 @@ def validate_supported(
         return is_labelled_call(sub, reaching, comm_names)
 
     def suspends(sub: ast.AST) -> bool:
-        return labelled(sub) or _unit_call(sub, suspending) \
+        return labelled(sub) or callee(sub) in suspending \
             or is_suspending_call(sub, comm_names)
 
     def check(node: ast.AST, construct: str, test, hint: str) -> None:
@@ -699,14 +688,13 @@ class UnitAnalysis:
             grown = bool(new)
         return out
 
-    def comm_call(self, name: str, node: ast.AST, names: frozenset[str]) -> bool:
-        """Is ``node`` a call of ``names`` rooted at ``name``'s comm root?"""
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in names
-            and attr_root(node.func) in self.infos[name].comm_names
-        )
+    def comm_op(self, name: str, node: ast.AST) -> str:
+        """The method of a call rooted at ``name``'s comm root
+        (``allreduce`` for ``ctx.mpi.allreduce(...)``), else ``""``."""
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and attr_root(node.func) in self.infos[name].comm_names:
+            return node.func.attr
+        return ""
 
     # -- collective summaries --------------------------------------------- #
 
@@ -715,8 +703,7 @@ class UnitAnalysis:
         """Functions that (transitively) execute a collective."""
         return self.callers_of(
             n for n, i in self.infos.items()
-            if any(self.comm_call(n, s, COLLECTIVE_NAMES)
-                   for s in ast.walk(i.tree))
+            if any(self.comm_op(n, s) in COLLECTIVE_NAMES for s in ast.walk(i.tree))
         )
 
     @cached_property
@@ -730,10 +717,11 @@ class UnitAnalysis:
         expression or atomic statement, in :func:`ast.walk` order."""
         out: list[Summary] = []
         for sub in ast.walk(node):
-            if self.comm_call(name, sub, COLLECTIVE_NAMES):
-                out.append(Tok(sub.func.attr))  # type: ignore[attr-defined]
-            elif _unit_call(sub, self.collective_callers):
-                out.append(CallRef(sub.func.id))  # type: ignore[attr-defined]
+            op = self.comm_op(name, sub)
+            if op in COLLECTIVE_NAMES:
+                out.append(Tok(op))
+            elif callee(sub) in self.collective_callers:
+                out.append(CallRef(callee(sub)))
         return out
 
     def block_summary(self, name: str, stmts: list[ast.stmt]) -> Summary:
@@ -857,7 +845,7 @@ class UnitAnalysis:
         Tainted values taint their assignment targets (flow-insensitive),
         tainted arguments the callee's parameters (context-insensitive),
         and a tainted return value every call of the function."""
-        size = sum(map(len, self.tainted.values())) + len(self.returns_tainted)
+        before = self._taint_size()
         for name, info in self.infos.items():
             tainted = self.tainted[name]
             for node in ast.walk(info.tree):
@@ -886,5 +874,7 @@ class UnitAnalysis:
                         p for p, arg in bound
                         if p in params and self._tainted(name, arg)
                     )
-        return size != sum(map(len, self.tainted.values())) \
-            + len(self.returns_tainted)
+        return self._taint_size() != before
+
+    def _taint_size(self) -> int:
+        return sum(map(len, self.tainted.values())) + len(self.returns_tainted)
