@@ -206,14 +206,11 @@ def divergent_call(func: ast.expr, comm_names: frozenset[str]) -> bool:
     return matches_nondet(name) or name in CLOCK_NAMES
 
 
-def is_checkpoint_site(
-    node: ast.AST, comm_names: Optional[frozenset[str]] = None
-) -> bool:
+def is_checkpoint_site(node: ast.AST, comm_names: frozenset[str]) -> bool:
     """True if ``node`` is a call that can take a local checkpoint.
 
-    With ``comm_names`` given, attribute calls only match when rooted at
-    one of those names (``ctx.barrier()`` yes, ``lock.barrier()`` no).
-    Without it, any receiver matches.
+    Attribute calls only match when rooted at one of ``comm_names``
+    (``ctx.barrier()`` yes, ``lock.barrier()`` no).
     """
     if not isinstance(node, ast.Call):
         return False
@@ -221,7 +218,7 @@ def is_checkpoint_site(
     if isinstance(fn, ast.Name):
         return fn.id in CHECKPOINT_SITE_NAMES
     return isinstance(fn, ast.Attribute) and fn.attr in CHECKPOINT_SITE_NAMES \
-        and (comm_names is None or attr_root(fn) in comm_names)
+        and attr_root(fn) in comm_names
 
 
 def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
@@ -255,9 +252,7 @@ def callee(node: ast.AST) -> str:
 
 
 def is_labelled_call(
-    node: ast.AST,
-    reaching: Iterable[str],
-    comm_names: Optional[frozenset[str]] = None,
+    node: ast.AST, reaching: Iterable[str], comm_names: frozenset[str]
 ) -> bool:
     """A call that gets its own restart label: a checkpoint site, or a
     plain-name call to a reaching unit function."""
@@ -265,9 +260,7 @@ def is_labelled_call(
 
 
 def contains_checkpointable(
-    node: ast.AST,
-    reaching: Iterable[str],
-    comm_names: Optional[frozenset[str]] = None,
+    node: ast.AST, reaching: Iterable[str], comm_names: frozenset[str]
 ) -> bool:
     """Does this statement or expression (recursively) contain a labelled
     call?"""
@@ -415,8 +408,8 @@ _NESTED_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
 def validate_supported(
     tree: ast.FunctionDef,
     reaching: Iterable[str],
-    comm_names: frozenset[str] = frozenset(),
-    suspending: Iterable[str] = (),
+    comm_names: frozenset[str],
+    suspending: Iterable[str],
 ) -> list[Violation]:
     """Every checkpointable call in an untransformable position, and every
     suspending call (``suspending`` names the unit's suspending functions)

@@ -44,10 +44,10 @@ from repro.precompiler.analysis import (
 class Desugarer:
     """Per-function desugaring pass."""
 
-    def __init__(self, reaching: set[str], comm_names=None) -> None:
+    def __init__(self, reaching: set[str], comm_names: frozenset[str]) -> None:
         self.reaching = reaching
         #: Attribute-call checkpoint sites must be rooted at one of these
-        #: names (the unit function's ctx/comm parameter); None = permissive.
+        #: names (the unit function's ctx/comm parameter).
         self.comm_names = comm_names
         self._tmp_counter = itertools.count()
         self._iter_counter = itertools.count()

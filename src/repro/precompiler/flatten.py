@@ -100,10 +100,10 @@ class _LoopCtx:
 class Flattener:
     """Flatten one desugared function body into blocks."""
 
-    def __init__(self, reaching: set[str], comm_names=None) -> None:
+    def __init__(self, reaching: set[str], comm_names: frozenset[str]) -> None:
         self.reaching = reaching
         #: Checkpoint-site attribute calls must be rooted at these names
-        #: (the function's ctx/comm parameter); None = permissive.
+        #: (the function's ctx/comm parameter).
         self.comm_names = comm_names
         self.blocks: list[Block] = []
         self._loop_stack: list[_LoopCtx] = []

@@ -67,11 +67,8 @@ class TestBarrierOverMatchRegression:
         assert analysis.infos["uses_ctx"].has_checkpoint_site
         assert analysis.reaching == {"uses_ctx"}
 
-    def test_legacy_permissive_mode_still_matches(self):
-        # Callers with no per-function context keep the historical
-        # behaviour by passing comm_names=None.
+    def test_site_is_anchored_at_the_given_roots(self):
         call = ast.parse("lock.barrier()").body[0].value
-        assert is_checkpoint_site(call)  # permissive
         assert not is_checkpoint_site(call, frozenset({"ctx"}))
         assert is_checkpoint_site(call, frozenset({"lock"}))
 
