@@ -14,44 +14,39 @@ from ``RPR010`` to ``RPR033`` guards one of those conditions, and
 ``tests/check/test_witnesses.py`` shows the failure it predicts under a
 kill, then the hint's repair recovering the failure-free answer.
 
-Analyses (see :mod:`repro.check.analyses`):
+Module map.  The checker computes no program facts of its own: it reads
+the one unit analysis the precompiler runs,
+:class:`repro.precompiler.analysis.UnitAnalysis` (call graph, comm
+roots, reaching and suspending sets, locals and subset violations,
+collective summaries, rank-divergence taint), so what it flags is what
+the transformation and the protocol will see.
 
-* **supported-subset** (``RPR001``–``RPR008``) — the precompiler's
-  transformable-subset rules, reported exhaustively with spans;
-* **collective-matching** (``RPR010``/``RPR011``) — per-function
-  collective-call-sequence check (the paper requires all processes to
-  execute the same sequence of collectives), refined interprocedurally
-  and *path-sensitively*: branch arms whose resolved summaries match do
-  not fire, rank-uniform predicates are exempt, and repeated branches on
-  the same uniform predicate correlate (their summaries merge per path);
-* **collective-sequencing** (``RPR012``–``RPR014``) — interprocedural
-  sequencing hazards: rank-divergent loops executing collectives, and
-  point-to-point tags with traffic in only one direction (this replaced
-  the v1 p2p carve-out); ``RPR014`` upgrades the finding when the
-  guarding predicate is *provably* rank-divergent (it reads ``ctx.rank``
-  or received data directly);
-* **unlogged-nondeterminism** (``RPR020``/``RPR021``) — nondeterministic
-  stdlib calls the protocol's result log cannot replay;
-* **VDS-escape** (``RPR030``, ``RPR031``, ``RPR033``) — state that
-  escapes the checkpointed variable-descriptor set: module-global
-  mutation, mutable default arguments, and mutation through a local
-  alias of module state;
-* **suppressions** (``RPR090``) — ``# repro: ignore[RPR0xx]`` comments
-  that silence nothing.
-
-The import-graph slicer (:mod:`repro.check.driver`) joins helpers
-imported from sibling modules into the unit, so ``app.py`` +
-``halo.py`` verifies exactly like its single-file merge; a helper it
-cannot join stays an opaque call.
-
-Entry points (:mod:`repro.check.driver`): :func:`check_functions`,
-:func:`check_module`, :func:`check_path`, :func:`check_app`, and
-:func:`preflight` (what chaos campaigns call; a ``Session`` run with
-``RunConfig.check`` set calls :func:`check_app`/:func:`check_functions`).
-The ``repro-check`` console script / ``python -m repro.check`` lints from
-the command line and renders results as text or versioned
-JSON (:mod:`repro.check.cli`).  Repairs are manual: every diagnostic
-carries a hint naming its fix.
+* :mod:`repro.check.analyses` — the code battery over that analysis:
+  supported subset (``RPR001``–``RPR008``, the analysis's violations with
+  spans); collective matching (``RPR010``/``RPR011``: branch arms whose
+  resolved collective summaries differ under a predicate that is not
+  rank-uniform, and early exits with collectives still ahead); collective
+  sequencing (``RPR012``/``RPR013``: rank-divergent loops over
+  collectives, one-sided point-to-point tags); ``RPR014`` where the
+  predicate is *provably* divergent (it reads ``ctx.rank``, received
+  data, a draw or a clock); unlogged nondeterminism
+  (``RPR020``/``RPR021``); VDS escape (``RPR030``/``RPR031``/``RPR033``);
+* :mod:`repro.check.alias` — the alias regions behind ``RPR033``;
+* :mod:`repro.check.suppress` — ``# repro: ignore[RPR0xx]`` comments, and
+  ``RPR090`` for those that silence nothing;
+* :mod:`repro.check.driver` — the entry points :func:`check_functions`,
+  :func:`check_module`, :func:`check_path`, :func:`check_app`,
+  :func:`preflight` (what chaos campaigns call; a ``Session`` run with
+  ``RunConfig.check`` set calls :func:`check_app`/:func:`check_functions`)
+  and :func:`run_unit_checks`, which ``Precompiler.compile`` calls with
+  its own analysis.  Its import-graph slicer joins helpers imported from
+  sibling modules into the unit, so ``app.py`` + ``halo.py`` verifies
+  exactly like its single-file merge; a helper it cannot join stays an
+  opaque call;
+* :mod:`repro.check.diagnostics` — the code registry, spans, renderers;
+* :mod:`repro.check.cli` — the ``repro-check`` console script /
+  ``python -m repro.check``, text or versioned JSON.  Repairs are manual:
+  every diagnostic carries a hint naming its fix.
 """
 
 from repro.check.diagnostics import (

@@ -2,9 +2,10 @@
 
 Targets are resolved in order: an existing path is checked as a source
 file (a missing one ending in ``.py`` fails as ``no such file``); a
-registered app name as an app; anything else as an importable module.  ``--apps`` adds every registered application.  Exit status is 1
-when any error-severity finding survives (``--fail-on`` tightens or
-loosens that), so the command slots straight into CI::
+registered app name as an app; anything else as an importable module.
+``--apps`` adds every registered application.  Exit status is 1 when any
+error-severity finding survives (``--fail-on`` tightens or loosens that),
+so the command slots straight into CI::
 
     repro-check src/repro/apps/dense_cg.py examples/quickstart.py
     repro-check --apps --format json
