@@ -46,6 +46,7 @@ from repro.precompiler.analysis import (
     COMM_PARAM_NAMES,
     FunctionInfo,
     UnitAnalysis,
+    comm_roots,
     module_registered_globals,
     unit_call_sites,
 )
@@ -172,7 +173,7 @@ def _enclosing_function(
 ) -> str:
     return next(
         (name for name, info in infos.items() if info.file == file
-         and info.tree.lineno <= line <= (info.tree.end_lineno or line)),
+         and info.tree.lineno <= line <= (info.tree.end_lineno or info.tree.lineno)),
         "<module>",
     )
 
@@ -222,8 +223,7 @@ def _select_names(space: dict[str, ast.FunctionDef]) -> list[str]:
     plain-name callees."""
     selected = {
         name for name, tree in space.items()
-        if any(a.arg in COMM_PARAM_NAMES
-               for a in tree.args.posonlyargs + tree.args.args)
+        if not comm_roots(tree).isdisjoint(COMM_PARAM_NAMES)
     }
     queue = list(selected)
     while queue:
@@ -333,7 +333,7 @@ def slice_module(
             combined[n] = sib_defs[n]
             origin[n] = path
             out.sources.setdefault(path, sib_source)
-            queue += unit_call_sites(sib_defs[n], sib_defs)
+            queue.extend(unit_call_sites(sib_defs[n], sib_defs))
 
     module_aliases: dict[str, str] = {}
     if directory:
