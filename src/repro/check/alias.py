@@ -33,8 +33,12 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
         """A name bound outside the checkpointed frame set: not a local,
         the comm root, a unit function, or a registered global."""
         info = unit.infos[fn]
-        return name not in info.local_names and name not in info.comm_names \
-            and name not in unit.infos and name not in info.registered
+        return (
+            name not in info.local_names
+            and name not in info.comm_names
+            and name not in unit.infos
+            and name not in info.registered
+        )
 
     def region(fn: str, node: ast.expr) -> str:
         if isinstance(node, ast.Name):
@@ -45,19 +49,22 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
             root = attr_root(node)
             if root is None or root in unit.infos[fn].comm_names:
                 return CLEAN  # a fresh object, or managed state (ctx.rng)
-            return ALIAS if nonlocal_name(fn, root) or root in alias[fn] \
-                or root in holds[fn] else CLEAN
+            if nonlocal_name(fn, root) or root in alias[fn] or root in holds[fn]:
+                return ALIAS
+            return CLEAN
         if isinstance(node, ast.Subscript):
             # An element pulled out of an alias or an alias container.
             return CLEAN if region(fn, node.value) is CLEAN else ALIAS
         if isinstance(node, ast.Call):
             func = node.func
-            return ALIAS if isinstance(func, ast.Name) \
-                and func.id in returns_nonlocal else CLEAN
+            if isinstance(func, ast.Name) and func.id in returns_nonlocal:
+                return ALIAS
+            return CLEAN  # other call results are fresh objects
         if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
             elts = node.values if isinstance(node, ast.Dict) else node.elts
-            return HOLDS if any(region(fn, e) is not CLEAN for e in elts) \
-                else CLEAN
+            if any(region(fn, e) is not CLEAN for e in elts):
+                return HOLDS
+            return CLEAN
         if isinstance(node, ast.IfExp):
             found = {region(fn, node.body), region(fn, node.orelse)}
             return next((r for r in (ALIAS, HOLDS) if r in found), CLEAN)
@@ -77,8 +84,8 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
                 bind(fn, el, CLEAN if r is CLEAN else ALIAS)
 
     def size() -> int:
-        return sum(map(len, (*alias.values(), *holds.values()))) \
-            + len(returns_nonlocal)
+        regions = (*alias.values(), *holds.values())
+        return sum(map(len, regions)) + len(returns_nonlocal)
 
     def step() -> bool:
         before = size()
@@ -87,9 +94,11 @@ def alias_locals(unit: UnitAnalysis) -> dict[str, set[str]]:
                 if isinstance(node, ast.Assign):
                     value = node.value
                     for target in node.targets:
-                        if isinstance(target, (ast.Tuple, ast.List)) \
-                                and isinstance(value, (ast.Tuple, ast.List)) \
-                                and len(target.elts) == len(value.elts):
+                        if (
+                            isinstance(target, (ast.Tuple, ast.List))
+                            and isinstance(value, (ast.Tuple, ast.List))
+                            and len(target.elts) == len(value.elts)
+                        ):
                             for t, v in zip(target.elts, value.elts):
                                 bind(fn, t, region(fn, v))
                         else:

@@ -200,9 +200,9 @@ def _tag(info: FunctionInfo, expr: Optional[ast.expr], default: object) -> objec
         return default
     if isinstance(expr, ast.Constant) and isinstance(expr.value, (int, str)):
         return expr.value
-    if isinstance(expr, ast.Name) \
-            and isinstance(info.constants.get(expr.id), (int, str)):
-        return info.constants[expr.id]
+    value = info.constants.get(expr.id) if isinstance(expr, ast.Name) else None
+    if isinstance(value, (int, str)):
+        return value
     return DYNAMIC
 
 
@@ -291,8 +291,8 @@ def collective_sequencing(unit: UnitAnalysis) -> list[Diagnostic]:
                 "or fix the tag"
             )
         else:
-            matched = tag in (DYNAMIC, WILDCARD) or send_matches_all \
-                or tag in tags["send"]
+            matched = (tag in (DYNAMIC, WILDCARD) or send_matches_all
+                       or tag in tags["send"])
             message = f"recv with tag {tag!r} has no matching send"
             hint = (
                 "this rank blocks forever waiting for a message nobody "
@@ -387,8 +387,11 @@ def _mutations(tree: ast.FunctionDef) -> Iterator[tuple[str, ast.AST, str]]:
             root = store_root(target)
             if root is not None and isinstance(target, (ast.Attribute, ast.Subscript)):
                 yield root, target, "store"
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in MUTATOR_NAMES:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_NAMES
+        ):
             root = attr_root(node.func)
             if root is not None:
                 yield root, node, node.func.attr
@@ -444,8 +447,8 @@ def vds_escape(unit: UnitAnalysis) -> list[Diagnostic]:
                     + _thread_or_register("checkpointable_state(...)"),
                 ))
             elif root not in exempt:
-                what = f"store to {root}.{{...}}" if how == "store" \
-                    else f"{root}.{how}()"
+                what = (f"store to {root}.{{...}}" if how == "store"
+                        else f"{root}.{how}()")
                 out.append(_diag(
                     unit, "RPR030", fn, node,
                     f"{what} mutates state outside the checkpointed VDS",

@@ -217,8 +217,11 @@ def is_checkpoint_site(node: ast.AST, comm_names: frozenset[str]) -> bool:
     fn = node.func
     if isinstance(fn, ast.Name):
         return fn.id in CHECKPOINT_SITE_NAMES
-    return isinstance(fn, ast.Attribute) and fn.attr in CHECKPOINT_SITE_NAMES \
+    return (
+        isinstance(fn, ast.Attribute)
+        and fn.attr in CHECKPOINT_SITE_NAMES
         and attr_root(fn) in comm_names
+    )
 
 
 def is_suspending_call(node: ast.AST, comm_names: frozenset[str]) -> bool:
@@ -420,8 +423,11 @@ def validate_supported(
         return is_labelled_call(sub, reaching, comm_names)
 
     def suspends(sub: ast.AST) -> bool:
-        return labelled(sub) or callee(sub) in suspending \
+        return (
+            labelled(sub)
+            or callee(sub) in suspending
             or is_suspending_call(sub, comm_names)
+        )
 
     def check(node: ast.AST, construct: str, test, hint: str) -> None:
         if any(test(sub) for sub in ast.walk(node)):
@@ -539,8 +545,8 @@ def seq(parts: Iterable[Summary]) -> Summary:
         if isinstance(part, Seq):
             for p in part.parts:
                 push(p)
-        elif isinstance(part, Cond) and isinstance(prev, Cond) \
-                and prev.key == part.key:
+        elif (isinstance(part, Cond) and isinstance(prev, Cond)
+              and prev.key == part.key):
             out.pop()
             push(cond(part.key, seq((prev.then, part.then)),
                       seq((prev.orelse, part.orelse))))
@@ -684,8 +690,11 @@ class UnitAnalysis:
     def comm_op(self, name: str, node: ast.AST) -> str:
         """The method of a call rooted at ``name``'s comm root
         (``allreduce`` for ``ctx.mpi.allreduce(...)``), else ``""``."""
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and attr_root(node.func) in self.infos[name].comm_names:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and attr_root(node.func) in self.infos[name].comm_names
+        ):
             return node.func.attr
         return ""
 
@@ -768,8 +777,10 @@ class UnitAnalysis:
     def _predicate_key(self, name: str, test: ast.expr) -> Optional[str]:
         """Canonical key for a stable, rank-uniform predicate (None when
         the branch must stay an :class:`Alt`)."""
-        if all(isinstance(n, _STABLE_PREDICATE_NODES) for n in ast.walk(test)) \
-                and not self.expr_tainted(name, test):
+        if (
+            all(isinstance(n, _STABLE_PREDICATE_NODES) for n in ast.walk(test))
+            and not self.expr_tainted(name, test)
+        ):
             return ast.dump(test, annotate_fields=False)
         return None
 
@@ -781,9 +792,10 @@ class UnitAnalysis:
         into it, :data:`UNIFORM` otherwise."""
         comm = self.infos[name].comm_names
         for sub in ast.walk(expr):
-            if (isinstance(sub, ast.Attribute) and sub.attr in DIVERGENT_COMM_ATTRS
-                    and attr_root(sub) in comm) or \
-                    (isinstance(sub, ast.Call) and divergent_call(sub.func, comm)):
+            if isinstance(sub, ast.Attribute):
+                if sub.attr in DIVERGENT_COMM_ATTRS and attr_root(sub) in comm:
+                    return DIVERGENT
+            elif isinstance(sub, ast.Call) and divergent_call(sub.func, comm):
                 return DIVERGENT
         return TAINTED if self.expr_tainted(name, expr) else UNIFORM
 
@@ -847,16 +859,16 @@ class UnitAnalysis:
                     for t in node.targets:
                         elts = t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t]
                         tainted.update(filter(None, map(store_root, elts)))
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) \
-                        and value is not None and self._tainted(name, value):
+                elif (isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                      and value is not None and self._tainted(name, value)):
                     tainted.update(filter(None, [store_root(node.target)]))
                 elif isinstance(node, ast.For) and self._tainted(name, node.iter):
                     tainted.update(n.id for n in ast.walk(node.target)
                                    if isinstance(n, ast.Name))
                 elif isinstance(node, ast.NamedExpr) and self._tainted(name, value):
                     tainted.add(node.target.id)
-                elif isinstance(node, ast.Return) and value is not None \
-                        and self._tainted(name, value):
+                elif (isinstance(node, ast.Return) and value is not None
+                      and self._tainted(name, value)):
                     self.returns_tainted.add(name)
             for callee, calls in info.call_sites.items():
                 params = _params(self.infos[callee].tree)
