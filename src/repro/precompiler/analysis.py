@@ -870,12 +870,12 @@ class UnitAnalysis:
                 elif (isinstance(node, ast.Return) and value is not None
                       and self._tainted(name, value)):
                     self.returns_tainted.add(name)
-            for callee, calls in info.call_sites.items():
-                params = _params(self.infos[callee].tree)
+            for called, calls in info.call_sites.items():
+                params = _params(self.infos[called].tree)
                 for call in calls:
                     bound = [*zip(params, call.args),
                              *((k.arg or "", k.value) for k in call.keywords)]
-                    self.tainted[callee].update(
+                    self.tainted[called].update(
                         p for p, arg in bound
                         if p in params and self._tainted(name, arg)
                     )
