@@ -1,107 +1,135 @@
-"""Piggyback codecs: round-trips and full-vs-packed equivalence."""
+"""The piggyback word through the receive handler, and its 30-bit ID bound.
+
+A message carries one 32-bit word (color, amLogging, messageID; the
+layout in :mod:`repro.util.intpack`).  The receiver classifies it by the
+paper's color rule (Section 4.2).  Here crafted words are fed to
+``ProtocolPipeline._classify_and_deliver`` and its effect is compared with
+a reference rule on absolute epochs (Definition 1): the two agree
+whenever the protocol's invariant |sender_epoch - receiver_epoch| <= 1
+holds and the receiver logs exactly when the protocol allows.
+"""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PiggybackError
-from repro.protocol.classify import (
-    MessageClass,
-    classify_by_color,
-    classify_by_epoch,
-)
-from repro.protocol.piggyback import FullCodec, PackedCodec, get_codec
+from repro.protocol import C3Config, ProtocolPipeline
+from repro.simmpi import run_simple
+from repro.simmpi.message import Envelope
+from repro.statesave import Storage
+COLOR_BIT, LOGGING_BIT, MAX_MESSAGE_ID = 1 << 31, 1 << 30, (1 << 30) - 1
+
+SRC = 1
 
 
-class TestFullCodec:
-    def test_roundtrip(self):
-        codec = FullCodec()
-        wire = codec.encode(5, True, 123)
-        info = codec.decode(wire, receiver_epoch=5)
-        assert (info.epoch, info.am_logging, info.message_id) == (5, True, 123)
-
-    def test_negative_rejected(self):
-        with pytest.raises(PiggybackError):
-            FullCodec().encode(-1, False, 0)
-
-    def test_overhead_constant(self):
-        assert FullCodec().overhead_bytes == 12
+def word(epoch, am_logging, message_id):
+    """A sender's piggyback word, built from the layout's constants."""
+    out = message_id
+    if epoch & 1:
+        out |= COLOR_BIT
+    if am_logging:
+        out |= LOGGING_BIT
+    return out
 
 
-class TestPackedCodec:
-    def test_single_int_wire(self):
-        codec = PackedCodec()
-        wire = codec.encode(4, False, 77)
-        assert isinstance(wire, int)
-        assert 0 <= wire < (1 << 32)
+def on_rank0(body):
+    """Run ``body(layer)`` on rank 0 of a two-rank world, with a V2
+    pipeline (the handler's late and finalize paths need its checkpoint
+    stage), and return its result."""
+    storage = Storage()
 
-    def test_overhead_constant(self):
-        assert PackedCodec().overhead_bytes == 4
+    def main(ctx):
+        if ctx.rank == 0:
+            layer = ProtocolPipeline(ctx.comm, C3Config(save_app_state=False), storage)
+            return (yield from body(layer))
+        return None
 
-    def test_same_epoch_decodes_exactly(self):
-        codec = PackedCodec()
-        info = codec.decode(codec.encode(6, True, 9), receiver_epoch=6)
-        assert info.epoch == 6
-        assert info.am_logging is True
-        assert info.message_id == 9
-
-    def test_adjacent_epoch_color(self):
-        codec = PackedCodec()
-        # Sender one epoch behind: different color.
-        info = codec.decode(codec.encode(5, True, 0), receiver_epoch=6)
-        assert info.color == 1
-        assert info.epoch in (5, 7)
+    result = run_simple(main, nprocs=2, seed=0)
+    assert result.completed
+    return result.results[0]
 
 
-class TestFactory:
-    def test_get_codec(self):
-        assert isinstance(get_codec("full"), FullCodec)
-        assert isinstance(get_codec("packed"), PackedCodec)
-
-    def test_unknown(self):
-        with pytest.raises(PiggybackError):
-            get_codec("zipped")
-
-
-@given(
-    receiver_epoch=st.integers(0, 1000),
-    delta=st.sampled_from([-1, 0, 1]),
-    logging=st.booleans(),
-    mid=st.integers(0, (1 << 30) - 1),
-)
-def test_packed_classification_equals_full(receiver_epoch, delta, logging, mid):
-    """The paper's color optimisation: classification from the color bit
-    must agree with classification from absolute epochs whenever the
-    protocol invariant |sender_epoch - receiver_epoch| <= 1 holds.
-
-    The receiver is logging exactly when a checkpoint wave can still have
-    stragglers; in that window the different-color case is 'late', and
-    outside it 'early' — mirroring classify_by_color's contract."""
-    sender_epoch = receiver_epoch + delta
-    if sender_epoch < 0:
-        return
-    expected = classify_by_epoch(sender_epoch, receiver_epoch)
-    # Determine the receiver logging flag consistently with the protocol:
-    # late messages only arrive while the receiver logs; early ones only
-    # while it does not.
-    if expected is MessageClass.LATE:
-        receiver_logging = True
-    elif expected is MessageClass.EARLY:
-        receiver_logging = False
+def reference(sender_epoch, epoch, receiver_logging, sender_logging, mid):
+    """Definition 1 on absolute epochs and Figure 4's action per class."""
+    effect = {
+        "early": [], "current": 0, "previous": 0, "late": [], "matches": [],
+        "logging": receiver_logging,
+    }
+    if sender_epoch > epoch:
+        effect["early"] = [mid]
+    elif sender_epoch < epoch:
+        effect.update(previous=1, late=[mid], matches=[(mid, True)])
     else:
-        receiver_logging = logging  # intra-epoch: either way
-    got = classify_by_color(sender_epoch & 1, receiver_epoch, receiver_logging)
-    assert got == expected
+        effect["current"] = 1
+        if receiver_logging and not sender_logging:
+            effect["logging"] = False  # Phase 4 (ii): logging ends
+        elif receiver_logging:
+            effect["matches"] = [(mid, False)]
+    return effect
 
 
+@settings(max_examples=60, deadline=None)
 @given(
-    epoch=st.integers(0, 10_000),
-    logging=st.booleans(),
-    mid=st.integers(0, (1 << 30) - 1),
+    epoch=st.integers(0, 1000),
+    delta=st.sampled_from([-1, 0, 1]),
+    receiver_logging=st.booleans(),
+    sender_logging=st.booleans(),
+    mid=st.integers(0, MAX_MESSAGE_ID),
 )
-def test_packed_roundtrip_same_epoch(epoch, logging, mid):
-    codec = PackedCodec()
-    info = codec.decode(codec.encode(epoch, logging, mid), receiver_epoch=epoch)
-    assert info.epoch == epoch
-    assert info.am_logging == logging
-    assert info.message_id == mid
+def test_handler_agrees_with_absolute_epochs(
+    epoch, delta, receiver_logging, sender_logging, mid
+):
+    sender_epoch = epoch + delta
+    assume(sender_epoch >= 0)
+    # A late message arrives only while the receiver logs, an early one
+    # only while it does not, and no rank logs before its first checkpoint.
+    assume(delta == 0 or receiver_logging == (delta < 0))
+    assume(epoch >= 1 or not receiver_logging)
+
+    def body(layer):
+        state = layer.state
+        state.epoch = layer.logs.epoch = epoch
+        state.am_logging = receiver_logging
+        env = Envelope(
+            source=SRC, dest=0, tag=1, context=0, payload=[mid],
+            piggyback=word(sender_epoch, sender_logging, mid),
+        )
+        rest = layer._classify_and_deliver(env)
+        if rest is not None:
+            yield from rest
+        return {
+            "early": state.early_ids.get(SRC, []),
+            "current": state.current_receive_count.get(SRC, 0),
+            "previous": state.previous_receive_count.get(SRC, 0),
+            "late": [rec.message_id for rec in layer.logs.late.records
+                     if rec.source == SRC and rec.payload == [mid]],
+            "matches": [(rec.message_id, rec.was_late)
+                        for rec in layer.logs.matches.records],
+            "logging": state.am_logging,
+        }
+
+    assert on_rank0(body) == reference(
+        sender_epoch, epoch, receiver_logging, sender_logging, mid
+    )
+
+
+@pytest.mark.parametrize("op", ["co_send", "co_isend"])
+def test_send_past_30_bit_message_id_is_refused(op):
+    """The last 30-bit ID is stamped exactly; the next send raises."""
+
+    def main(ctx):
+        if ctx.rank == 1:
+            env = yield from ctx.comm.co_recv_envelope(source=0, tag=1)
+            return env.piggyback
+        layer = ProtocolPipeline(ctx.comm, C3Config())
+        send = getattr(layer, op)
+        layer.state.next_message_id = MAX_MESSAGE_ID
+        yield from send("x", 1, 1)
+        with pytest.raises(PiggybackError, match="30-bit"):
+            yield from send("y", 1, 1)
+        return layer.stats.sends
+
+    result = run_simple(main, nprocs=2, seed=0)
+    assert result.completed
+    assert result.results == [2, MAX_MESSAGE_ID]
