@@ -1,9 +1,8 @@
 """Experiment A-PROT: protocol micro-costs.
 
 Per-operation throughput of the pieces that run on every message:
-classification, counter bookkeeping, match logging, and the late-message
-log — the constant factors behind the layer's per-message overhead —
-plus the simulator's scheduling slice (a rank generator resumed once per
+counter bookkeeping, match logging, and the late-message log — the
+constant factors behind the layer's per-message overhead — plus the simulator's scheduling slice (a rank generator resumed once per
 simulated MPI call) across rank counts, and the :mod:`repro.trace`
 emission path (off, the single attribute read every hot path pays; on,
 the full ring append).
@@ -18,7 +17,6 @@ assertions in CI.
 
 import pytest
 
-from repro.protocol.classify import classify_by_color, classify_by_epoch
 from repro.protocol.logs import LateMessageLog, LateRecord, MatchLog, MatchRecord
 from repro.protocol.state import ProtocolState
 from repro.simmpi import SUM
@@ -26,30 +24,6 @@ from repro.simmpi.simulator import SimConfig, Simulator
 from repro.trace import TraceRecorder
 
 N = 5000
-
-
-def test_classification_by_epoch(benchmark):
-    benchmark.group = "protocol-micro"
-
-    def run():
-        out = 0
-        for i in range(N):
-            out += classify_by_epoch(i % 3, 1).value != ""
-        return out
-
-    assert benchmark(run) == N
-
-
-def test_classification_by_color(benchmark):
-    benchmark.group = "protocol-micro"
-
-    def run():
-        out = 0
-        for i in range(N):
-            out += classify_by_color(i & 1, 4, bool(i & 2)).value != ""
-        return out
-
-    assert benchmark(run) == N
 
 
 def test_send_bookkeeping(benchmark):
@@ -460,7 +434,11 @@ def _co_guard_ring(ctx):
 
 
 #: Python calls per delivered message on the 16-rank ring, per variant.
-#: Measured 26.65 / 37.87 / 38.02 (Python 3.11) once a message took no
+#: Measured 26.65 / 30.85 / 31.00 (Python 3.11) once the pipeline built
+#: and read the piggyback word with bit operations on intpack's
+#: constants instead of a codec object, a decoded tuple and a classify
+#: function (V3's bound keeps one call of slack: 31.00 sits exactly on
+#: 31).  26.65 / 37.87 / 38.02 before that, once a message took no
 #: helper call or generator it did not need: the peer mapped and the
 #: payload sized inline, a scheduling point a bare ``yield`` between kill
 #: checks, the pipeline's send handing back ``Comm.co_send``'s generator,
@@ -477,7 +455,7 @@ def _co_guard_ring(ctx):
 #: as a standalone adapter whose ``co_send`` hands back the communicator's
 #: generator took it from 35.4; V0's own pass-through arms in ``co_send`` / ``co_recv`` from 38.5
 #: before that; the build-every-message path made 53.3 / 68.7 / 68.9.
-_CALLS_PER_MESSAGE = {"UNMODIFIED": 27, "PIGGYBACK": 38, "FULL": 39}
+_CALLS_PER_MESSAGE = {"UNMODIFIED": 27, "PIGGYBACK": 31, "FULL": 32}
 
 
 def _calls_per_message(main, config, messages: int) -> float:

@@ -7,11 +7,6 @@ non-determinism, collective communication, and MPI library state — all from
 a layer between the application and the MPI library (here, the simulator).
 """
 
-from repro.protocol.classify import (
-    MessageClass,
-    classify_by_color,
-    classify_by_epoch,
-)
 from repro.protocol.initiator import Initiator, WavePhase
 from repro.protocol.logs import (
     CollectiveRecord,
@@ -21,13 +16,6 @@ from repro.protocol.logs import (
     MatchLog,
     MatchRecord,
     NondetLog,
-)
-from repro.protocol.piggyback import (
-    FullCodec,
-    PackedCodec,
-    PiggybackInfo,
-    get_codec,
-    infer_epoch_from_color,
 )
 from repro.protocol.pseudo_handles import PseudoHandle, PseudoRequest, RequestTable
 from repro.protocol.stages import (
@@ -42,24 +30,16 @@ __all__ = [
     "C3Config",
     "CollectiveRecord",
     "EpochLogs",
-    "FullCodec",
     "Initiator",
     "LateMessageLog",
     "LateRecord",
     "LayerStats",
     "MatchLog",
     "MatchRecord",
-    "MessageClass",
     "NondetLog",
-    "PackedCodec",
-    "PiggybackInfo",
     "ProtocolState",
     "PseudoHandle",
     "PseudoRequest",
     "RequestTable",
     "WavePhase",
-    "classify_by_color",
-    "classify_by_epoch",
-    "get_codec",
-    "infer_epoch_from_color",
 ]

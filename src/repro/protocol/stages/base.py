@@ -56,7 +56,6 @@ class C3Config:
     * V3 "full"            — with a storage, everything on.
     """
 
-    codec: str = "packed"
     checkpoint_interval: Optional[float] = None
     save_app_state: bool = True
 

@@ -34,8 +34,10 @@ conjunction cannot distinguish Figure 5's call A (a participant that
 has *not yet checkpointed* — result must be logged) from call B (a
 participant that *finished* logging — logging must stop).  Classifying each
 participant's contribution with the same late/intra/early rule as
-point-to-point messages resolves both cases; with the packed codec this is
-exactly the paper's color-bit reasoning applied to collectives.
+point-to-point messages resolves both cases.  Point-to-point messages
+carry only the epoch's color bit (:mod:`repro.util.intpack`'s piggyback
+word), and the color rule is the same reasoning with the exact epoch
+folded to one bit.
 """
 
 from __future__ import annotations
@@ -43,12 +45,10 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Optional
 
-from repro.errors import ProtocolError, RecoveryError
+from repro.errors import PiggybackError, ProtocolError, RecoveryError
 from repro.protocol import control as ctl
-from repro.protocol.classify import MessageClass, classify_by_color, classify_by_epoch
 from repro.protocol.logs import CollectiveRecord, EpochLogs, LateRecord, MatchRecord
 from repro.protocol.mpi_state import WORLD_HANDLE, PersistentObjects
-from repro.protocol.piggyback import FullCodec, get_codec
 from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
 from repro.protocol.stages.base import INITIATOR_RANK, C3Config, LayerStats, SharedSurface
 from repro.protocol.stages.checkpoint import CheckpointStage
@@ -58,6 +58,7 @@ from repro.simmpi.collectives_impl import _TAG_STRIDE
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.statesave.format import CheckpointData
+from repro.util.intpack import COLOR_BIT, LOGGING_BIT, MAX_MESSAGE_ID
 
 #: Base of the tag region used by pipeline-level collective instances.  Raw
 #: communicator collectives use the -1000 region; keeping the pipeline in
@@ -92,7 +93,6 @@ class ProtocolPipeline(SharedSurface):
         self.config = config if config is not None else C3Config()
         self.storage = storage
         self.state_provider = state_provider
-        self.codec = get_codec(self.config.codec)
         self.rank = comm.rank
         self.nprocs = comm.size
         # The communicator's operations, bound once.
@@ -122,9 +122,6 @@ class ProtocolPipeline(SharedSurface):
         self.stats = LayerStats()
         #: Set by the checkpoint stage when it is built (initiator rank only).
         self.initiator = None
-        #: The codec is fixed for the pipeline's life, so the
-        #: classification rule is too.
-        self._by_epoch = isinstance(self.codec, FullCodec)
         concerns = ("piggyback", "classifier", "message-log", "result-log", "replay")
         if storage is not None:
             concerns += ("checkpoint",)
@@ -174,11 +171,12 @@ class ProtocolPipeline(SharedSurface):
     # ------------------------------------------------------------------ #
 
     def _stamp(self, dest: int) -> Any:
-        """Account one send and build its wire word: message ID, resend
-        suppression, trace.  Returns the piggyback word, or
-        ``_SUPPRESSED`` for a send not to post."""
+        """Account one send and build its piggyback word (the layout in
+        :mod:`repro.util.intpack`): message ID, resend suppression, trace.
+        Returns the word, or ``_SUPPRESSED`` for a send not to post."""
         self.stats.sends += 1
-        message_id = self.state.note_send(dest)
+        state = self.state
+        message_id = state.note_send(dest)
         tr = self.tracer
         # ``suppress`` is non-empty only after a restore armed replay with
         # the receivers' early IDs.
@@ -191,16 +189,25 @@ class ProtocolPipeline(SharedSurface):
             if tr is not None:
                 tr.emit(
                     "proto", "suppress_send", rank=self.rank,
-                    epoch=self.state.epoch, dest=dest, mid=message_id,
+                    epoch=state.epoch, dest=dest, mid=message_id,
                 )
             return _SUPPRESSED
         if tr is not None:
             tr.emit(
-                "proto", "send", rank=self.rank, epoch=self.state.epoch,
-                dest=dest, mid=message_id, logging=self.state.am_logging,
+                "proto", "send", rank=self.rank, epoch=state.epoch,
+                dest=dest, mid=message_id, logging=state.am_logging,
             )
         self._calls["piggyback"] += 1
-        return self.codec.encode(self.state.epoch, self.state.am_logging, message_id)
+        if message_id > MAX_MESSAGE_ID:
+            raise PiggybackError(
+                f"messageID {message_id} outside 30-bit range [0, {MAX_MESSAGE_ID}]"
+            )
+        word = message_id
+        if state.epoch & 1:
+            word |= COLOR_BIT
+        if state.am_logging:
+            word |= LOGGING_BIT
+        return word
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         """Application blocking send with piggybacked protocol data.
@@ -340,64 +347,61 @@ class ProtocolPipeline(SharedSurface):
 
     def _classify_and_deliver(self, env):
         """Figure 4's communicationEventHandler for one arrived message:
-        strip the piggyback word, classify the message (Definition 1; with
-        the packed codec the color bit and the logging state decide), apply
-        its class's action and, while logging, append a match record so
-        replay can reproduce the exact receive-completion order.
+        read the piggyback word, classify the message (Definition 1 by
+        Section 4.2's color rule: the sender's color equal to this rank's
+        is intra-epoch; a different one is late while this rank logs and
+        early otherwise), apply its class's action and, while logging,
+        append a match record so replay can reproduce the exact
+        receive-completion order.
 
         A plain call: a message whose handling must suspend (an
         intra-epoch one that ends logging, a late one) returns the
         generator that finishes it, for the caller to run; any other
         returns None."""
         state = self.state
-        info = self.codec.decode(env.piggyback, state.epoch)
+        word = env.piggyback
+        message_id = word & MAX_MESSAGE_ID
         self._calls["piggyback"] += 1
-        if self._by_epoch:
-            mclass = classify_by_epoch(info.epoch, state.epoch)
+        if (word & COLOR_BIT) == (state.epoch & 1) * COLOR_BIT:
+            cls = "intra_epoch"
+        elif state.am_logging:
+            cls = "late"
         else:
-            mclass = classify_by_color(info.epoch & 1, state.epoch, state.am_logging)
+            cls = "early"
         self._calls["classifier"] += 1
         src = env.source
         tr = self.tracer
         if tr is not None:
             tr.emit(
                 "proto", "classify", rank=self.rank, epoch=state.epoch,
-                source=src, cls=mclass.name.lower(), mid=info.message_id,
+                source=src, cls=cls, mid=message_id,
             )
-        if mclass is MessageClass.EARLY:
+        if cls == "early":
             # Record the ID so a checkpoint can suppress the sender's
             # re-execution resend (Section 4.2 question 3).
-            if state.am_logging:
-                raise ProtocolError(
-                    f"rank {self.rank}: early message from {src} while logging"
-                )
-            state.early_ids.setdefault(src, []).append(info.message_id)
+            state.early_ids.setdefault(src, []).append(message_id)
             self.stats.early_recorded += 1
             if tr is not None:
                 tr.emit(
                     "proto", "early_record", rank=self.rank, epoch=state.epoch,
-                    source=src, mid=info.message_id,
+                    source=src, mid=message_id,
                 )
-        elif mclass is MessageClass.INTRA_EPOCH:
+        elif cls == "intra_epoch":
             state.current_receive_count[src] = (
                 state.current_receive_count.get(src, 0) + 1
             )
-            if state.am_logging and not info.am_logging:
+            if state.am_logging and not (word & LOGGING_BIT):
                 # Phase 4 condition (ii): a message from a process that has
                 # stopped logging means every process has checkpointed
                 # (logging implies a checkpoint stage).  Finalizing ends
                 # logging, so no match record follows.
                 return self._co_then_count(self.ckpt.co_finalize_log())
-        else:  # LATE
-            if not state.am_logging:
-                raise ProtocolError(
-                    f"rank {self.rank}: late message from {src} after logging ended"
-                )
+        else:  # late
             # Log the payload: the sender will never resend it.  The copy
             # protects the log from later mutation by the application.
             self.logs.late.append(
                 LateRecord(
-                    source=src, tag=env.tag, message_id=info.message_id,
+                    source=src, tag=env.tag, message_id=message_id,
                     payload=copy.deepcopy(env.payload),
                 )
             )
@@ -405,7 +409,7 @@ class ProtocolPipeline(SharedSurface):
             if tr is not None:
                 tr.emit(
                     "proto", "late_log", rank=self.rank, epoch=state.epoch,
-                    source=src, mid=info.message_id,
+                    source=src, mid=message_id,
                 )
             state.previous_receive_count[src] = (
                 state.previous_receive_count.get(src, 0) + 1
@@ -413,11 +417,11 @@ class ProtocolPipeline(SharedSurface):
         if state.am_logging:
             self.logs.matches.append(
                 MatchRecord(
-                    source=src, tag=env.tag, message_id=info.message_id,
-                    was_late=mclass is MessageClass.LATE,
+                    source=src, tag=env.tag, message_id=message_id,
+                    was_late=cls == "late",
                 )
             )
-        if mclass is MessageClass.LATE:
+        if cls == "late":
             return self._co_then_count(self.ckpt.co_received_all_check())
         self._calls["message-log"] += 1
         return None
@@ -454,12 +458,10 @@ class ProtocolPipeline(SharedSurface):
             payload = late.payload
         else:
             wanted_id = rec.message_id
-            decode = self.codec.decode
 
             def _matches(env) -> bool:
-                if env.piggyback is None:
-                    return False
-                return decode(env.piggyback, self.state.epoch).message_id == wanted_id
+                word = env.piggyback
+                return word is not None and (word & MAX_MESSAGE_ID) == wanted_id
 
             env = yield from self._comm_recv_envelope(rec.source, rec.tag, _matches)
             counts = self.state.current_receive_count

@@ -84,7 +84,6 @@ class RunConfig:
     variant: Variant = Variant.FULL
     #: Virtual-time distance between checkpoint waves (paper: 30 s).
     checkpoint_interval: Optional[float] = 0.030
-    codec: str = "packed"
     #: Directory of the run's checkpoint store; None stores in memory.
     storage_path: Optional[str] = None
     #: Retention: keep the newest K generations (keep_last >= 2 enables

@@ -252,7 +252,6 @@ def _recovery_loop(
 ) -> RunOutcome:
     variant = config.variant
     c3cfg = C3Config(
-        codec=config.codec,
         checkpoint_interval=config.checkpoint_interval,
         save_app_state=variant is Variant.FULL,
     )

@@ -17,11 +17,9 @@ import numpy as np
 #: Overhead in bytes attributed to a message header on the wire.
 HEADER_BYTES = 32
 
-#: Bytes added to a message by the paper's packed piggyback word.
+#: Bytes added to a message by the protocol's piggyback word (one 32-bit
+#: word, :mod:`repro.util.intpack`).
 PIGGYBACK_PACKED_BYTES = 4
-
-#: Bytes added by the unoptimised piggyback (epoch int + bool + id int).
-PIGGYBACK_FULL_BYTES = 12
 
 
 #: Exact-type widths: the scalars that dominate payloads (protocol control

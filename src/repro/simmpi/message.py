@@ -2,7 +2,7 @@
 
 An :class:`Envelope` is what the transport moves between ranks.  It carries
 the routing triple ``(source, dest, tag)`` within a communication context,
-the payload, an optional piggyback word/tuple attached by the C3 protocol
+the payload, an optional piggyback word attached by the C3 protocol
 layer, and bookkeeping used by the deterministic network model.
 """
 
@@ -12,7 +12,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.simmpi.datatypes import _FIXED_WIDTH, HEADER_BYTES, sizeof
+from repro.simmpi.datatypes import (
+    _FIXED_WIDTH,
+    HEADER_BYTES,
+    PIGGYBACK_PACKED_BYTES,
+    sizeof,
+)
 
 
 class Envelope:
@@ -30,7 +35,7 @@ class Envelope:
     payload:
         The application object being transported.
     piggyback:
-        Data attached by the protocol layer (packed int or tuple), or
+        The protocol layer's 32-bit piggyback word (an ``int``), or
         ``None`` for uninstrumented traffic.
     send_time:
         Virtual time at which the send was posted.
@@ -84,9 +89,7 @@ class Envelope:
                     size = sizeof(payload)
             nbytes = size + HEADER_BYTES
             if piggyback is not None:
-                # Packed codec: one 32-bit word; full codec: ~12 bytes
-                # (paper Section 4.2's two designs).
-                nbytes += 4 if isinstance(piggyback, int) else 12
+                nbytes += PIGGYBACK_PACKED_BYTES
         self.nbytes = nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

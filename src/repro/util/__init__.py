@@ -1,10 +1,6 @@
 """Shared low-level utilities: bit packing, serialization, RNG streams."""
 
-from repro.util.intpack import (
-    MAX_MESSAGE_ID,
-    pack_piggyback,
-    unpack_piggyback,
-)
+from repro.util.intpack import MAX_MESSAGE_ID
 from repro.util.rng import RngStream, derive_seed
 from repro.util.serialization import (
     FrameCorruptError,
@@ -17,8 +13,6 @@ from repro.util.serialization import (
 
 __all__ = [
     "MAX_MESSAGE_ID",
-    "pack_piggyback",
-    "unpack_piggyback",
     "RngStream",
     "derive_seed",
     "FrameCorruptError",

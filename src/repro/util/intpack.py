@@ -10,16 +10,18 @@ The paper observes that because at most one global checkpoint is in progress
 at any time, process epochs differ by at most one, so a single *color* bit
 suffices in place of the full epoch number.  Together with the sender's
 ``amLogging`` flag and a 30-bit per-epoch message ID, the whole piggyback
-payload fits in one 32-bit integer:
+payload fits in one 32-bit integer, the only form a message carries:
 
     bit 31 : epoch color (0 = "green", 1 = "red"; color = epoch & 1)
     bit 30 : amLogging flag of the sender
     bits 29..0 : messageID (unique per sender per epoch)
 
-``pack_piggyback``/``unpack_piggyback`` implement exactly this layout.  A
-message ID beyond 30 bits raises :class:`~repro.errors.PiggybackError` — the
-paper notes a single process is unlikely to send more than a billion
-messages between checkpoints, but we fail loudly rather than wrap.
+``COLOR_BIT``, ``LOGGING_BIT`` and ``MAX_MESSAGE_ID`` (also the ID's mask)
+are the layout; the protocol pipeline builds and tests the word with
+them.  A message ID beyond 30 bits raises
+:class:`~repro.errors.PiggybackError` when the send is stamped — the paper
+notes a single process is unlikely to send more than a billion messages
+between checkpoints, but we fail loudly rather than wrap.
 
 **Control word** (Section 4.1's tokens).  A token is its kind, the full
 epoch it belongs to (not the colour: token epochs are compared exactly)
@@ -44,49 +46,13 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import PiggybackError, ProtocolError
+from repro.errors import ProtocolError
 
-#: Largest encodable per-epoch message ID (30 bits).
+#: Largest encodable per-epoch message ID (30 bits); masks the ID field.
 MAX_MESSAGE_ID: int = (1 << 30) - 1
-
-_COLOR_BIT = 1 << 31
-_LOGGING_BIT = 1 << 30
-_ID_MASK = MAX_MESSAGE_ID
-
-
-def pack_piggyback(color: int, am_logging: bool, message_id: int) -> int:
-    """Pack ``(color, amLogging, messageID)`` into one 32-bit word.
-
-    Parameters
-    ----------
-    color:
-        Epoch color, 0 or 1 (callers typically pass ``epoch & 1``).
-    am_logging:
-        Sender's ``amLogging`` flag at send time.
-    message_id:
-        Per-epoch sequence number of this message; must fit in 30 bits.
-    """
-    if color not in (0, 1):
-        raise PiggybackError(f"color must be 0 or 1, got {color!r}")
-    if not 0 <= message_id <= MAX_MESSAGE_ID:
-        raise PiggybackError(
-            f"messageID {message_id} outside 30-bit range [0, {MAX_MESSAGE_ID}]"
-        )
-    word = message_id
-    if color:
-        word |= _COLOR_BIT
-    if am_logging:
-        word |= _LOGGING_BIT
-    return word
-
-
-def unpack_piggyback(word: int) -> tuple[int, bool, int]:
-    """Inverse of :func:`pack_piggyback`; returns ``(color, amLogging, messageID)``."""
-    if not 0 <= word < (1 << 32):
-        raise PiggybackError(f"piggyback word {word!r} is not a 32-bit value")
-    color = 1 if word & _COLOR_BIT else 0
-    am_logging = bool(word & _LOGGING_BIT)
-    return color, am_logging, word & _ID_MASK
+#: The piggyback word's epoch-color and amLogging bits.
+COLOR_BIT = 1 << 31
+LOGGING_BIT = 1 << 30
 
 
 #: Control-word field widths: kind, epoch, count (3 + 28 + 32 = 63 bits).

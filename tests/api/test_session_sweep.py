@@ -14,6 +14,7 @@ from repro.apps.laplace import LaplaceParams
 from repro.ckpt import CheckpointStore, MemoryBackend, RetentionPolicy
 from repro.errors import ConfigError
 from repro.farm import Farm
+from repro.protocol import C3Config
 from repro.runtime.driver import run_with_recovery
 from repro.simmpi import SUM, FailureSchedule, KillEvent
 from repro.statesave.storage import Storage
@@ -184,14 +185,14 @@ class TestSweep:
             variants=(Variant.UNMODIFIED, Variant.FULL),
             seeds=(7, 8),
             nprocs=(2, 3),
-            grid={"codec": ("full", "packed")},
+            grid={"ordering": ("fifo", "random")},
         )
         assert len(result) == 2 * 2 * 2 * 2
         table = result.table()
-        assert {row["codec"] for row in table} == {"full", "packed"}
+        assert {row["ordering"] for row in table} == {"fifo", "random"}
         assert {row["nprocs"] for row in table} == {2, 3}
         one = result.outcome(
-            variant=Variant.FULL, seed=7, nprocs=3, codec="packed"
+            variant=Variant.FULL, seed=7, nprocs=3, ordering="random"
         )
         assert one.checkpoints_committed >= 1
         assert len(result.select(variant=Variant.FULL)) == 8
@@ -315,6 +316,8 @@ class TestOneWayToConfigure:
         "call",
         [
             lambda: RunConfig(ckpt_codec="zlib"),
+            lambda: RunConfig(codec="packed"),
+            lambda: C3Config(codec="packed"),
             lambda: RunConfig(ckpt_incremental=False),
             lambda: Session(storage_factory=Storage),
             lambda: Session(cost_model=None),
@@ -328,6 +331,8 @@ class TestOneWayToConfigure:
         ],
         ids=[
             "RunConfig.ckpt_codec",
+            "RunConfig.codec",
+            "C3Config.codec",
             "RunConfig.ckpt_incremental",
             "Session.storage_factory",
             "Session.cost_model",

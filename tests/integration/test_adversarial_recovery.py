@@ -1,5 +1,5 @@
 """Adversarial end-to-end recovery: sweep kill times across the whole run,
-vary victims, orderings, codecs and process counts, and require the
+vary victims, orderings and process counts, and require the
 recovered result to equal the failure-free result every single time.
 
 This is the strongest test a checkpointing system can face: if any protocol
@@ -96,9 +96,8 @@ class TestKillTimeSweep:
 
 class TestConfigurationMatrix:
     @pytest.mark.parametrize("ordering", ["fifo", "per_tag_fifo", "random"])
-    @pytest.mark.parametrize("codec", ["packed", "full"])
-    def test_ordering_codec_matrix(self, ordering, codec):
-        cfg = RunConfig(ordering=ordering, codec=codec, **BASE)
+    def test_ordering_matrix(self, ordering):
+        cfg = RunConfig(ordering=ordering, **BASE)
         gold = run_with_recovery(mixed_traffic_app(100), cfg)
         out = run_with_recovery(
             mixed_traffic_app(100), cfg,

@@ -281,12 +281,11 @@ class TestVariantConfigs:
 
         assert run_simple(main, nprocs=1, seed=0).results == [True]
 
-    @pytest.mark.parametrize("codec", ["full", "packed"])
-    def test_both_codecs_complete_waves(self, codec):
+    def test_interval_waves_commit(self):
         storage = Storage()
 
         def main(ctx):
-            layer = wire(ctx, storage, interval=0.002, codec=codec)
+            layer = wire(ctx, storage, interval=0.002)
             for i in range(80):
                 yield from layer.co_send(i, (ctx.rank + 1) % ctx.size, tag=1)
                 yield from layer.co_recv(source=(ctx.rank - 1) % ctx.size, tag=1)

@@ -18,7 +18,7 @@ from repro.protocol import C3Config, ProtocolPipeline
 from repro.simmpi import run_simple
 from repro.simmpi.message import Envelope
 from repro.statesave import Storage
-COLOR_BIT, LOGGING_BIT, MAX_MESSAGE_ID = 1 << 31, 1 << 30, (1 << 30) - 1
+from repro.util.intpack import COLOR_BIT, LOGGING_BIT, MAX_MESSAGE_ID
 
 SRC = 1
 

@@ -101,10 +101,9 @@ class TestGoldStandard:
             )
 
 
-class TestCodecsAndOrderings:
-    @pytest.mark.parametrize("codec", ["full", "packed"])
-    def test_recovery_with_both_codecs(self, codec):
-        cfg = RunConfig(codec=codec, **CFG)
+class TestOrderings:
+    def test_recovery_under_default_ordering(self):
+        cfg = RunConfig(**CFG)
         gold = run_with_recovery(ring_allreduce_app(120), cfg)
         out = run_with_recovery(
             ring_allreduce_app(120), cfg, failures=FailureSchedule.single(0.006, 2)

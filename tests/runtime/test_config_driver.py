@@ -46,7 +46,7 @@ class TestVariantMapping:
 
         assert "stack" not in {f.name for f in fields(RunConfig)}
         assert {f.name for f in fields(C3Config)} == {
-            "codec", "checkpoint_interval", "save_app_state",
+            "checkpoint_interval", "save_app_state",
         }
         assert [v.checkpoints for v in Variant] == [False, False, True, True]
 

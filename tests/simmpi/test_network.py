@@ -169,10 +169,7 @@ class TestStats:
         plain = Envelope(source=0, dest=1, tag=0, context=0, payload=b"\x00" * 10)
         packed = Envelope(source=0, dest=1, tag=0, context=0, payload=b"\x00" * 10,
                           piggyback=123)
-        full = Envelope(source=0, dest=1, tag=0, context=0, payload=b"\x00" * 10,
-                        piggyback=(1, True, 5))
         assert packed.nbytes == plain.nbytes + 4
-        assert full.nbytes == plain.nbytes + 12
 
     @pytest.mark.parametrize("payload", [
         np.zeros(5), b"abc", 3, 2.5, True, None, 1j, "text", [1, b"ab"],

@@ -1,81 +1,30 @@
-"""Unit and property tests for the piggyback and control word packing."""
+"""Unit and property tests for the piggyback layout and control word packing."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import PiggybackError, ProtocolError
+from repro.errors import ProtocolError
 from repro.protocol import control as ctl
 from repro.util.intpack import (
+    COLOR_BIT,
+    LOGGING_BIT,
     MAX_CONTROL_COUNT,
     MAX_CONTROL_EPOCH,
     MAX_MESSAGE_ID,
     pack_control,
-    pack_piggyback,
     pack_words,
     unpack_control,
-    unpack_piggyback,
     unpack_words,
 )
 
 
-class TestPackUnpack:
-    def test_zero_word(self):
-        assert pack_piggyback(0, False, 0) == 0
-
-    def test_color_bit_is_msb(self):
-        assert pack_piggyback(1, False, 0) == 1 << 31
-
-    def test_logging_bit(self):
-        assert pack_piggyback(0, True, 0) == 1 << 30
-
-    def test_max_message_id(self):
-        word = pack_piggyback(1, True, MAX_MESSAGE_ID)
-        assert unpack_piggyback(word) == (1, True, MAX_MESSAGE_ID)
-
-    def test_word_fits_32_bits(self):
-        word = pack_piggyback(1, True, MAX_MESSAGE_ID)
-        assert 0 <= word < (1 << 32)
-
-    def test_message_id_overflow_rejected(self):
-        with pytest.raises(PiggybackError):
-            pack_piggyback(0, False, MAX_MESSAGE_ID + 1)
-
-    def test_negative_message_id_rejected(self):
-        with pytest.raises(PiggybackError):
-            pack_piggyback(0, False, -1)
-
-    def test_bad_color_rejected(self):
-        with pytest.raises(PiggybackError):
-            pack_piggyback(2, False, 0)
-
-    def test_unpack_rejects_oversized_word(self):
-        with pytest.raises(PiggybackError):
-            unpack_piggyback(1 << 32)
-
-    def test_unpack_rejects_negative_word(self):
-        with pytest.raises(PiggybackError):
-            unpack_piggyback(-1)
-
-
-@given(
-    color=st.integers(0, 1),
-    logging=st.booleans(),
-    mid=st.integers(0, MAX_MESSAGE_ID),
-)
-def test_roundtrip(color, logging, mid):
-    assert unpack_piggyback(pack_piggyback(color, logging, mid)) == (color, logging, mid)
-
-
-@given(
-    a=st.tuples(st.integers(0, 1), st.booleans(), st.integers(0, MAX_MESSAGE_ID)),
-    b=st.tuples(st.integers(0, 1), st.booleans(), st.integers(0, MAX_MESSAGE_ID)),
-)
-def test_injective(a, b):
-    """Distinct triples encode to distinct words."""
-    wa = pack_piggyback(*a)
-    wb = pack_piggyback(*b)
-    assert (wa == wb) == (a == b)
+def test_piggyback_fields_partition_32_bits():
+    """Color bit, logging bit and the 30-bit ID field tile one 32-bit word."""
+    assert (COLOR_BIT, LOGGING_BIT, MAX_MESSAGE_ID) == (1 << 31, 1 << 30, (1 << 30) - 1)
+    assert COLOR_BIT & LOGGING_BIT == COLOR_BIT & MAX_MESSAGE_ID == 0
+    assert LOGGING_BIT & MAX_MESSAGE_ID == 0
+    assert COLOR_BIT | LOGGING_BIT | MAX_MESSAGE_ID == (1 << 32) - 1
 
 
 #: Every control kind the protocol sends.
