@@ -163,8 +163,9 @@ def collective_matching(unit: UnitAnalysis) -> list[Diagnostic]:
                     ) + "collective sequences: "
                     f"{_tokens(then)} vs {_tokens(orelse)}",
                     (
-                        "the predicate reads ctx.rank/received data, so "
-                        "ranks take different arms; broadcast the decision "
+                        "the predicate reads ctx.rank, received data, a "
+                        "draw or a clock, so ranks take different arms; "
+                        "broadcast the decision "
                         "or hoist the collective out of the branch"
                     ) if divergent else (
                         "all ranks must execute the same collectives; "
