@@ -173,9 +173,15 @@ class ProtocolPipeline(SharedSurface):
     def _stamp(self, dest: int) -> Any:
         """Account one send and build its piggyback word (the layout in
         :mod:`repro.util.intpack`): message ID, resend suppression, trace.
-        Returns the word, or ``_SUPPRESSED`` for a send not to post."""
-        self.stats.sends += 1
+        Returns the word, or ``_SUPPRESSED`` for a send not to post.
+        A message ID past 30 bits is refused before anything is counted."""
         state = self.state
+        if state.next_message_id > MAX_MESSAGE_ID:
+            raise PiggybackError(
+                f"messageID {state.next_message_id} outside 30-bit range "
+                f"[0, {MAX_MESSAGE_ID}]"
+            )
+        self.stats.sends += 1
         message_id = state.note_send(dest)
         tr = self.tracer
         # ``suppress`` is non-empty only after a restore armed replay with
@@ -198,10 +204,6 @@ class ProtocolPipeline(SharedSurface):
                 dest=dest, mid=message_id, logging=state.am_logging,
             )
         self._calls["piggyback"] += 1
-        if message_id > MAX_MESSAGE_ID:
-            raise PiggybackError(
-                f"messageID {message_id} outside 30-bit range [0, {MAX_MESSAGE_ID}]"
-            )
         word = message_id
         if state.epoch & 1:
             word |= COLOR_BIT
