@@ -70,7 +70,7 @@ def static_check_tour() -> None:
     from repro.check import check_functions
     from repro.errors import CheckError
 
-    def broken_loop(ctx, n):
+    def broken_loop(ctx):
         import random
 
         from repro.simmpi.op import SUM
@@ -79,21 +79,29 @@ def static_check_tour() -> None:
         if ctx.rank == 0:
             # Only rank 0 runs this collective: textbook deadlock.
             total = ctx.mpi.allreduce(1.0, SUM)
-        for i in range(n):
+        for i in range(ctx.params):
             # Entropy outside the logged channel.
             total += ctx.mpi.allreduce(random.random(), SUM)
         return total
 
+    # The precompiler only compiles: the broken unit compiles fine.
+    unit = Precompiler([broken_loop], unit_name="broken").compile()
+
     print("=== repro.check on a deliberately broken variant ===")
-    result = check_functions([broken_loop], target="broken_loop")
+    result = check_functions(unit.originals, target="broken_loop")
     print(result.render())
     print()
 
+    # The run gate checks the same functions and refuses before any rank
+    # runs.
+    app = PrecompiledApp(unit, entry="broken_loop", params=4)
     try:
-        Precompiler([broken_loop], unit_name="broken").compile(strict=True)
+        Session().run(app, RunConfig(nprocs=2, check="error"))
     except CheckError as exc:
-        print(f"strict compile refused the unit "
+        print(f"the check='error' gate refused the unit "
               f"({len(exc.diagnostics)} error(s)) ✓")
+    else:
+        raise AssertionError("the gate ran a unit with check errors")
 
 
 def main() -> None:

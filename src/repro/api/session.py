@@ -41,7 +41,8 @@ from typing import (
 )
 
 from repro.api.registry import AppMain, AppSpec, _FunctionApp, get_app, rehydrate
-from repro.errors import ConfigError
+from repro.errors import CheckError, ConfigError
+from repro.precompiler.api import PrecompiledApp
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import RunOutcome, run_with_recovery
 from repro.simmpi.failures import FailureSchedule
@@ -279,35 +280,42 @@ class Session:
         return getattr(app, "__name__", type(app).__name__)
 
     def _run_check(self, app: AppLike, level: str) -> None:
-        """Static verification before a run (``RunConfig.check`` of
-        ``"warn"``/``"error"``).
+        """The one static-check gate (``RunConfig.check``), run before any
+        rank: ``"off"`` skips it, ``"warn"`` prints the findings and lets
+        the run go ahead, ``"error"`` refuses an app with error findings
+        (:class:`~repro.errors.CheckError`).
 
-        Registered apps are checked through their defining module; plain
-        functions through their own source.  Callables whose source cannot
-        be read (precompiled units were already checked at compile time)
-        are skipped.
+        Every app form is checked on one path.  Names and specs go
+        through :func:`repro.check.check_app` (their defining module);
+        generator mains and a bare :class:`PrecompiledApp` go through
+        :func:`repro.check.check_functions`, over the functions as written
+        (for a precompiled app, the ones its unit was compiled from,
+        ``unit.originals``).  Anything else, and a function whose source
+        cannot be read (REPL / exec-defined), is not checked.
         """
+        if level == "off":
+            return
         import inspect
         import sys
 
-        from repro.check.driver import check_app, check_functions
+        from repro.check import check_app, check_functions
 
         spec = app if isinstance(app, AppSpec) else getattr(app, "__app_spec__", None)
         if isinstance(app, str):
             result = check_app(app)
         elif isinstance(spec, AppSpec):
             result = check_app(spec.name)
+        elif isinstance(app, PrecompiledApp):
+            result = check_functions(app.unit.originals, target=self._app_name(app))
         elif inspect.isfunction(app):
             try:
                 inspect.getsource(app)
             except (OSError, TypeError):
-                return  # REPL / exec-defined function: nothing to analyse
+                return
             result = check_functions([app], target=self._app_name(app))
         else:
             return
         if not result.ok and level == "error":
-            from repro.errors import CheckError
-
             raise CheckError(result.render(), diagnostics=result.errors)
         if result.diagnostics and level == "warn":
             print(result.render(), file=sys.stderr)
@@ -334,8 +342,7 @@ class Session:
         inspect the store afterwards) wins over the config's
         ``storage_path``/``ckpt_keep_last``.
         """
-        if config.check != "off":
-            self._run_check(app, config.check)
+        self._run_check(app, config.check)
         app_main = _build_app(self._app_ref(app), params)
         return run_with_recovery(app_main, config, failures=failures, storage=storage)
 
@@ -374,9 +381,8 @@ class Session:
         carries ``farm_stats``.
         """
         base_config = base_config if base_config is not None else RunConfig(nprocs=4)
-        if base_config.check != "off":
-            # Once up front — every cell runs the same application.
-            self._run_check(app, base_config.check)
+        # Once up front — every cell runs the same application.
+        self._run_check(app, base_config.check)
         app_ref = self._app_ref(app)
         app_name = self._app_name(app)
         variants = tuple(_coerce_variant(v) for v in variants)

@@ -49,8 +49,11 @@ DEFAULT_PARAMS: dict[str, Any] = {
 
 
 def default_base_config() -> RunConfig:
-    """Campaign-wide defaults; each scenario overrides its own axes."""
-    return RunConfig(nprocs=4, checkpoint_interval=0.0015, detector_timeout=0.02)
+    """Campaign-wide defaults; each scenario overrides its own axes.  The
+    ``"error"`` check level refuses an app matrix with error findings."""
+    return RunConfig(
+        nprocs=4, checkpoint_interval=0.0015, detector_timeout=0.02, check="error"
+    )
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,6 @@ def run_campaign(
     parallel: bool = True,
     max_workers: Optional[int] = None,
     farm: Optional["Farm"] = None,
-    preflight: bool = True,
 ) -> CampaignReport:
     """Generate, baseline, execute and verify a whole campaign.
 
@@ -327,18 +329,17 @@ def run_campaign(
     executes zero simulator cells and reproduces the report bit-for-bit
     (modulo ``wall_seconds``, which is excluded from fingerprints).
 
-    ``preflight`` statically verifies the campaign's app matrix
-    (:func:`repro.check.preflight`) before any simulator runs: a campaign
-    over an app the protocol cannot recover correctly would only produce
-    noise, so error findings abort with
-    :class:`~repro.errors.CheckError` up front.
+    Each app of the matrix passes the ``Session`` static-check gate once,
+    at the base config's ``check`` level, before any simulator runs: a
+    campaign over an app the protocol cannot recover correctly would only
+    produce noise, so at ``"error"`` (the default base config's level)
+    error findings abort with :class:`~repro.errors.CheckError` up front.
     """
     config = config if config is not None else CampaignConfig()
     session = session if session is not None else Session(max_workers=max_workers)
-    if preflight:
-        from repro.check.driver import preflight as check_preflight
-
-        check_preflight(config.apps)
+    level = config.resolved_base().check
+    for app in dict.fromkeys(config.apps):
+        session._run_check(app, level)
 
     def fan_out(fn, payloads):
         if farm is not None:

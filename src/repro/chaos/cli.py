@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.chaos.campaign import CampaignConfig, run_campaign
+from repro.chaos.campaign import CampaignConfig, default_base_config, run_campaign
 from repro.chaos.scenario import DEFAULT_VARIANTS
 
 
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-preflight", action="store_true",
-        help="skip the repro.check static verification of the app matrix",
+        help="run the app matrix with the static-check gate off "
+             "(base config check='off'; default 'error')",
     )
     parser.add_argument(
         "--farm-dir", default=None, metavar="DIR",
@@ -104,6 +106,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else None
         ),
         shrink_failures=not args.no_shrink,
+        base_config=(
+            replace(default_base_config(), check="off")
+            if args.no_preflight
+            else None
+        ),
     )
     farm = None
     if args.farm_dir is not None:
@@ -112,7 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         farm = Farm(args.farm_dir)
     report = run_campaign(
         config, parallel=not args.serial, max_workers=args.max_workers,
-        farm=farm, preflight=not args.no_preflight,
+        farm=farm,
     )
     print(report.summary())
     print(f"wall time: {report.wall_seconds:.1f}s")

@@ -35,18 +35,21 @@ the transformation and the protocol will see.
 * :mod:`repro.check.suppress` — ``# repro: ignore[RPR0xx]`` comments, and
   ``RPR090`` for those that silence nothing;
 * :mod:`repro.check.driver` — the entry points :func:`check_functions`,
-  :func:`check_module`, :func:`check_path`, :func:`check_app`,
-  :func:`preflight` (what chaos campaigns call; a ``Session`` run with
-  ``RunConfig.check`` set calls :func:`check_app`/:func:`check_functions`)
-  and :func:`run_unit_checks`, which ``Precompiler.compile`` calls with
-  its own analysis.  Its import-graph slicer joins helpers imported from
-  sibling modules into the unit, so ``app.py`` + ``halo.py`` verifies
-  exactly like its single-file merge; a helper it cannot join stays an
-  opaque call;
+  :func:`check_module`, :func:`check_path` and :func:`check_app`, all
+  funnelling into :func:`run_unit_checks`.  Its import-graph slicer joins
+  helpers imported from sibling modules into the unit, so ``app.py`` +
+  ``halo.py`` verifies exactly like its single-file merge; a helper it
+  cannot join stays an opaque call;
 * :mod:`repro.check.diagnostics` — the code registry, spans, renderers;
 * :mod:`repro.check.cli` — the ``repro-check`` console script /
   ``python -m repro.check``, text or versioned JSON.  Repairs are manual:
   every diagnostic carries a hint naming its fix.
+
+The checker only reports; the precompiler does not call it.  One gate
+decides what a finding stops: ``RunConfig.check`` of a ``Session`` run or
+sweep, which chaos campaigns also pass through (``"off"``, ``"warn"``:
+print and run, ``"error"``: refuse with :class:`~repro.errors.CheckError`
+before any rank runs).
 """
 
 from repro.check.diagnostics import (
@@ -66,7 +69,6 @@ from repro.check.driver import (
     check_module,
     check_path,
     check_source,
-    preflight,
     run_unit_checks,
 )
 from repro.check.suppress import Suppression, find_suppressions
@@ -86,7 +88,6 @@ __all__ = [
     "check_path",
     "check_source",
     "find_suppressions",
-    "preflight",
     "render_json",
     "render_text",
     "run_unit_checks",

@@ -2,9 +2,8 @@
 
 Four front doors, all funnelling into :func:`run_unit_checks`:
 
-* :func:`check_functions` — live callables (a ``Session`` run's rank
-  mains; ``Precompiler.compile`` hands its own unit analysis to
-  :func:`run_unit_checks`);
+* :func:`check_functions` — live callables (a generator rank main, or the
+  functions a precompiled unit was compiled from, ``unit.originals``);
 * :func:`check_module` — an imported module or dotted module name;
 * :func:`check_path` — a source file on disk (no import executed);
 * :func:`check_app` — a registered app name (checks its defining module).
@@ -24,10 +23,12 @@ like its single-file merge.  A helper the slicer cannot join (renamed on
 import, colliding with a local def, missing, star-imported, or in a
 sibling that fails to parse) stays an opaque library call.
 
-:func:`preflight` is the embedded entry point chaos campaigns use: check a
-batch of app names and raise :class:`~repro.errors.CheckError` on error
-findings.  A ``Session`` run with ``RunConfig.check`` set calls
-:func:`check_app` or :func:`check_functions`.
+These functions only report.  What a finding stops is decided in one
+place, the ``RunConfig.check`` gate of a ``Session`` run or sweep (chaos
+campaigns go through it too, at their base config's level): it calls
+:func:`check_app` for names and specs and :func:`check_functions` for
+everything else, and raises :class:`~repro.errors.CheckError` on error
+findings at ``"error"``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.check.analyses import ANALYSES
-from repro.check.diagnostics import CheckResult, Diagnostic, Span, render_text
+from repro.check.diagnostics import CheckResult, Diagnostic, Span
 from repro.check.suppress import SuppressionFilter, find_suppressions
-from repro.errors import CheckError, PrecompilerError
+from repro.errors import PrecompilerError
 from repro.precompiler.analysis import (
     COMM_PARAM_NAMES,
     FunctionInfo,
@@ -453,32 +454,3 @@ def check_app(name: str) -> CheckResult:
     if not spec.module:
         raise PrecompilerError(f"app {name!r} has no source module")
     return check_module(spec.module, target=f"app:{name}")
-
-
-# --------------------------------------------------------------------- #
-# embedded entry point
-# --------------------------------------------------------------------- #
-
-def preflight(apps: Iterable[str]) -> list[CheckResult]:
-    """Check a batch of registered apps before running them.
-
-    Raises :class:`CheckError` when any app has error-severity findings,
-    with every result on the exception's ``results`` attribute; returns
-    the results otherwise.
-    """
-    results = [check_app(name) for name in dict.fromkeys(apps)]
-    failing = [r for r in results if not r.ok]
-    if failing:
-        bad = ", ".join(r.target for r in failing)
-        body = "\n".join(
-            render_text(r.errors) for r in failing
-        )
-        exc = CheckError(
-            f"static check failed for {bad}:\n{body}",
-            diagnostics=tuple(
-                d for r in failing for d in r.errors
-            ),
-        )
-        exc.results = results  # type: ignore[attr-defined]
-        raise exc
-    return results

@@ -44,7 +44,7 @@ import re
 import textwrap
 from typing import Any, Callable, Optional
 
-from repro.errors import CheckError, PrecompilerError, UnsupportedConstructError
+from repro.errors import PrecompilerError, UnsupportedConstructError
 from repro.precompiler.analysis import UnitAnalysis
 from repro.precompiler.codegen import build_function, compile_module
 from repro.precompiler.desugar import Desugarer
@@ -67,6 +67,7 @@ class PrecompiledUnit:
         saved_locals: dict[str, dict[int, frozenset[str]]],
         transformed_names: set[str],
         sources: dict[str, str],
+        originals: tuple[Callable, ...],
     ) -> None:
         self.functions = functions
         self.code_map = code_map
@@ -81,9 +82,9 @@ class PrecompiledUnit:
         #: Generated source text per transformed function (debugging aid);
         #: each checkpointable block is annotated ``# saved: a, b, c``.
         self.sources = sources
-        #: Static-check findings (:class:`repro.check.Diagnostic` tuple)
-        #: attached by :meth:`Precompiler.compile`; empty for a clean unit.
-        self.diagnostics: tuple = ()
+        #: The functions the unit was compiled from, as written: what the
+        #: ``RunConfig.check`` gate hands :func:`repro.check.check_functions`.
+        self.originals = originals
 
     def entry(self, name: str) -> Callable:
         """Function ``name``: a generator function when it was transformed
@@ -109,18 +110,17 @@ class Precompiler:
 
     # ------------------------------------------------------------------ #
 
-    def compile(self, strict: bool = False) -> PrecompiledUnit:
+    def compile(self) -> PrecompiledUnit:
         """Transform the unit.
 
         Subset violations raise :class:`UnsupportedConstructError` carrying
         *every* violation in the unit (``exc.violations``), not just the
-        first.  The full :mod:`repro.check` battery also runs over the
-        unit; its findings are attached to the returned unit as
-        ``unit.diagnostics``.  With ``strict=True``, error-severity
-        findings from the other analyses (conditional collectives,
-        unlogged nondeterminism, VDS escape) abort compilation with
-        :class:`~repro.errors.CheckError` — the same diagnostics the
-        ``repro-check`` CLI prints.
+        first; they are the only findings that stop a compile.  The rest
+        of the :mod:`repro.check` battery (conditional collectives,
+        unlogged nondeterminism, VDS escape) runs where the unit is run:
+        a ``Session`` run with ``RunConfig.check`` set checks
+        ``unit.originals``, or call
+        :func:`repro.check.check_functions` on them directly.
         """
         trees: dict[str, ast.FunctionDef] = {}
         files: dict[str, str] = {}
@@ -145,16 +145,6 @@ class Precompiler:
                 col_offset=first.col_offset,
                 function=first.function,
                 violations=tuple(analysis.violations),
-            )
-
-        # Static verification over the same analysis.  Imported lazily:
-        # repro.check sits above the precompiler in the layering.
-        from repro.check.driver import run_unit_checks
-
-        check_result = run_unit_checks(analysis, target=self.unit_name)
-        if strict and not check_result.ok:
-            raise CheckError(
-                check_result.render(), diagnostics=check_result.errors
             )
 
         # Only reaching functions get restart labels; every suspending one
@@ -205,15 +195,14 @@ class Precompiler:
         # Transformed functions must see each other (calls by plain name).
         for name, fn in functions.items():
             namespace[name] = fn
-        unit = PrecompiledUnit(
+        return PrecompiledUnit(
             functions=functions,
             code_map=code_map,
             saved_locals=saved_locals,
             transformed_names=set(suspending),
             sources=sources,
+            originals=tuple(self.functions),
         )
-        unit.diagnostics = check_result.diagnostics
-        return unit
 
     @staticmethod
     def _saved_locals(

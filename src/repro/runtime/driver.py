@@ -285,7 +285,6 @@ def _recovery_loop(
             else:
                 layer = ProtocolPipeline(rank_ctx.comm, c3cfg, ckpt_storage)
             layers[rank_ctx.rank] = layer
-            rank_ctx.c3 = layer
             restored_state = None
             restored = False
             pair = _line.take(rank_ctx.rank) if _line is not None else None
@@ -294,7 +293,6 @@ def _recovery_loop(
                 yield from layer.co_restore_from(data, logs)
                 restored_state = data.app_state
                 restored = True
-                rank_ctx.restoring = True
             app_ctx = C3AppContext(
                 rank_ctx, layer, restored_app_state=restored_state, restored=restored
             )

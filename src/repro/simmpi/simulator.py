@@ -96,10 +96,6 @@ class RankContext:
         #: and restores it, so post-restart draws resume mid-stream.
         seed = sim.config.app_seed if sim.config.app_seed is not None else sim.config.seed
         self.rng = RngStream(seed, f"app-rank-{proc.rank}")
-        #: Slot used by the recovery driver to attach the C3 machinery.
-        self.c3: Any = None
-        #: True when this attempt is restarting from a checkpoint.
-        self.restoring: bool = False
 
     def compute(self, flops: float = 0.0, seconds: float = 0.0) -> None:
         """Charge virtual time for a computation phase."""
@@ -112,12 +108,6 @@ class RankContext:
     def co_yield_point(self):
         """Voluntary scheduling point (lets other ranks run)."""
         yield from self.sim.scheduler.co_yield_point(self.proc)
-
-    def co_potential_checkpoint(self):
-        """No-op unless the recovery driver attached the C3 machinery."""
-        if self.c3 is not None:
-            return (yield from self.c3.co_potential_checkpoint())
-        return None
 
 
 class Simulator:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.apps import dense_cg, laplace, neurosys, stencil3d
+from repro.check import check_app
 from repro.runtime import RunConfig, run_with_recovery
 from repro.simmpi import FailureSchedule
 
@@ -154,7 +155,7 @@ class TestStencil3D:
     def test_unit_spans_both_modules(self):
         unit = stencil3d.unit()
         assert {"stencil3d_main", "halo_exchange_z"} <= set(unit.functions)
-        assert not unit.diagnostics
+        assert check_app("stencil3d").ok
 
     def test_recovery_bitwise_identical(self):
         params = stencil3d.Stencil3DParams(n=12, iterations=16)

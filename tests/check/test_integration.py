@@ -1,56 +1,76 @@
-"""The checker wired into its consumers: strict compiles, the
-``RunConfig.check`` knob of Session runs, and chaos-campaign preflight."""
+"""The checker wired into its one gate: ``RunConfig.check`` of Session
+runs and sweeps, which chaos campaigns pass through at their base
+config's level.  The precompiler only compiles."""
 
 import importlib
+import os
+import subprocess
 import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro import RunConfig, Session
 from repro.api.registry import _REGISTRY
-from repro.chaos.campaign import CampaignConfig, run_campaign
+from repro.chaos.campaign import CampaignConfig, default_base_config, run_campaign
 from repro.check import check_functions
-from repro.check.driver import preflight
-from repro.errors import CheckError, ConfigError
-from repro.precompiler.api import Precompiler
+from repro.errors import CheckError, ConfigError, DeadlockError
+from repro.precompiler.api import PrecompiledApp, Precompiler
+from repro.simmpi.op import SUM
 
-
-# --------------------------------------------------------------------- #
-# Precompiler.compile(strict=...)
-# --------------------------------------------------------------------- #
 
 def _conditional_collective(ctx):
     x = 1.0
     ctx.potential_checkpoint()
     if ctx.rank == 0:
-        x = ctx.allreduce(x, op="sum")
+        x = ctx.mpi.allreduce(x, SUM)
     return x
 
 
-class TestStrictCompile:
-    def test_strict_raises_check_error(self):
-        with pytest.raises(CheckError) as info:
-            Precompiler([_conditional_collective]).compile(strict=True)
-        assert any(d.code == "RPR014" for d in info.value.diagnostics)
+def _conditional_collective_generator(ctx):
+    x = 1.0
+    yield from ctx.co_potential_checkpoint()
+    if ctx.rank == 0:
+        x = yield from ctx.mpi.co_allreduce(x, SUM)
+    return x
 
-    def test_default_compile_attaches_diagnostics(self):
+
+def _bare_app() -> PrecompiledApp:
+    unit = Precompiler([_conditional_collective]).compile()
+    return PrecompiledApp(unit, entry="_conditional_collective")
+
+
+# --------------------------------------------------------------------- #
+# The precompiler only compiles
+# --------------------------------------------------------------------- #
+
+class TestCompileOnlyCompiles:
+    def test_strict_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            Precompiler([_conditional_collective]).compile(strict=True)
+
+    def test_a_unit_with_check_errors_compiles(self):
         unit = Precompiler([_conditional_collective]).compile()
-        assert any(d.code == "RPR014" for d in unit.diagnostics)
+        assert not hasattr(unit, "diagnostics")
+        assert unit.originals == (_conditional_collective,)
 
-    def test_strict_diagnostics_match_the_cli_checker(self):
-        # The acceptance contract: strict compile fails with the same
-        # diagnostics repro-check prints for the same functions.
+    def test_the_gate_refuses_with_the_cli_checkers_diagnostics(self):
+        # The gate refuses the compiled unit with the same diagnostics
+        # repro-check prints for the functions it was compiled from.
         with pytest.raises(CheckError) as info:
-            Precompiler([_conditional_collective]).compile(strict=True)
+            Session().run(_bare_app(), RunConfig(nprocs=2, check="error"))
         standalone = check_functions([_conditional_collective])
+        assert any(d.code == "RPR014" for d in standalone.errors)
         assert [
             (d.code, d.span.line, d.function) for d in info.value.diagnostics
         ] == [
             (d.code, d.span.line, d.function) for d in standalone.errors
         ]
 
-    def test_clean_unit_compiles_strict_with_no_findings(self):
+    def test_clean_unit_has_no_findings(self):
         def clean(ctx):
             total = 0.0
             for i in range(4):
@@ -58,22 +78,26 @@ class TestStrictCompile:
                 total = ctx.allreduce(total + i, op="sum")
             return total
 
-        unit = Precompiler([clean]).compile(strict=True)
-        assert unit.diagnostics == ()
+        unit = Precompiler([clean]).compile()
+        assert check_functions(unit.originals).diagnostics == ()
 
-
-def _conditional_collective_generator(ctx):
-    x = 1.0
-    yield from ctx.co_potential_checkpoint()
-    if ctx.rank == 0:
-        x = yield from ctx.co_allreduce(x, op="sum")
-    return x
+    def test_compiling_a_catalogue_unit_leaves_the_checker_unloaded(self):
+        probe = textwrap.dedent("""
+            import sys
+            import repro.apps.dense_cg as dense_cg
+            dense_cg.unit()
+            print("repro.check" in sys.modules)
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestGeneratorMainsCheckedLikePlainOnes:
     def test_same_findings_as_the_plain_spelling(self):
-        from repro.check import check_functions
-
         def codes(fn):
             return [d.code for d in check_functions([fn], target="t").errors]
 
@@ -151,6 +175,35 @@ class TestSessionCheckKnob:
         outcome = Session().run(ns["sourceless"], RunConfig(nprocs=2, check="error"))
         assert outcome.results
 
+    def test_bare_precompiled_app_runs_unchecked_when_off(self):
+        with pytest.raises(DeadlockError):
+            Session().run(_bare_app(), RunConfig(nprocs=2))
+
+    def test_sweep_refuses_bare_precompiled_app_up_front(self, monkeypatch):
+        import repro.api.session as session_mod
+
+        def no_rank_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the gate refused the app")
+
+        monkeypatch.setattr(session_mod, "run_with_recovery", no_rank_may_run)
+        with pytest.raises(CheckError):
+            Session().sweep(
+                _bare_app(), RunConfig(nprocs=2, check="error"),
+                variants=("V0", "V3"), parallel=False,
+            )
+
+    def test_warn_level_prints_the_findings_then_runs_bare_precompiled_app(
+        self, capsys
+    ):
+        app = _bare_app()
+        with pytest.raises(DeadlockError):
+            Session().run(app, RunConfig(nprocs=2, check="warn"))
+        expected = check_functions(
+            app.unit.originals, target=Session._app_name(app)
+        )
+        assert expected.errors
+        assert capsys.readouterr().err == expected.render() + "\n"
+
     def test_registered_apps_pass_error_level(self):
         cfg = RunConfig(nprocs=2, checkpoint_interval=0.002, check="error")
         outcome = Session().run("dense_cg", cfg)
@@ -158,12 +211,12 @@ class TestSessionCheckKnob:
 
 
 # --------------------------------------------------------------------- #
-# preflight / chaos campaigns
+# chaos campaigns: the same gate, at the base config's level
 # --------------------------------------------------------------------- #
 
 BROKEN_APP_SOURCE = '''\
 """A registered app the checker must reject (module-global mutation) —
-but which still executes fine, so preflight=False can run it."""
+but which still executes fine, so a campaign with the gate off can run it."""
 
 import repro
 from repro.simmpi.op import SUM
@@ -193,29 +246,40 @@ def broken_app(tmp_path, monkeypatch):
     sys.modules.pop("broken_check_mod", None)
 
 
-class TestPreflight:
-    def test_clean_apps_return_results(self):
-        results = preflight(["dense_cg", "laplace"])
-        assert [r.target for r in results] == ["app:dense_cg", "app:laplace"]
-        assert all(r.ok for r in results)
+def _base(check: str) -> RunConfig:
+    return replace(default_base_config(), check=check)
 
-    def test_broken_app_raises_with_diagnostics(self, broken_app):
-        with pytest.raises(CheckError) as info:
-            preflight([broken_app])
-        codes = {d.code for d in info.value.diagnostics}
-        assert "RPR030" in codes
 
-    def test_campaign_preflights_its_app_matrix(self, broken_app):
-        config = CampaignConfig(count=1, apps=(broken_app,))
-        with pytest.raises(CheckError):
-            run_campaign(config, parallel=False)
+class TestCampaignGate:
+    def test_preflight_is_gone(self):
+        import repro.check
 
-    def test_campaign_preflight_can_be_disabled(self, broken_app):
-        # Opting out skips the static gate; the campaign then proceeds to
-        # generate and simulate scenarios against the (broken) app.
+        assert "preflight" not in repro.check.__all__
+        assert not hasattr(repro.check, "preflight")
+        with pytest.raises(TypeError):
+            run_campaign(CampaignConfig(count=1), parallel=False, preflight=False)
+
+    def test_clean_apps_pass_the_error_gate(self):
         config = CampaignConfig(
-            count=1, apps=(broken_app,), shrink_failures=False
+            count=1, apps=("dense_cg", "laplace"), base_config=_base("error"),
+            shrink_failures=False,
         )
-        report = run_campaign(config, parallel=False, preflight=False)
+        report = run_campaign(config, parallel=False)
         assert len(report.verdicts) == 1
-        _ = repro  # silence unused-import linters; repro.app used in fixture
+
+    def test_default_campaign_refuses_broken_app(self, broken_app):
+        # The default base config gates at "error".
+        config = CampaignConfig(count=1, apps=(broken_app,))
+        with pytest.raises(CheckError) as info:
+            run_campaign(config, parallel=False)
+        assert "RPR030" in {d.code for d in info.value.diagnostics}
+
+    def test_gate_off_runs_broken_app(self, broken_app):
+        # With the gate off the campaign proceeds to generate and simulate
+        # scenarios against the (broken) app.
+        config = CampaignConfig(
+            count=1, apps=(broken_app,), base_config=_base("off"),
+            shrink_failures=False,
+        )
+        report = run_campaign(config, parallel=False)
+        assert len(report.verdicts) == 1

@@ -133,17 +133,18 @@ class TestStackedDecoratorSpans:
 
 
 class TestPrecompiledSpans:
-    def test_compile_diagnostics_use_original_coordinates(
+    def test_gate_diagnostics_use_original_coordinates(
         self, stacked_module, tmp_path
     ):
-        # The precompiler checks the *original* defs and then builds the
-        # generator form; the attached diagnostics must keep pointing at
-        # the original file regardless.
+        # The run gate checks the *original* defs a unit was compiled
+        # from, not its generator form; the diagnostics must keep pointing
+        # at the original file regardless.
         from repro.precompiler.api import Precompiler
 
         unit = Precompiler([stacked_module.main]).compile()
         assert unit.transformed_names == {"main"}
-        diag = next(d for d in unit.diagnostics if d.code == "RPR021")
+        result = check_functions(unit.originals)
+        diag = next(d for d in result.diagnostics if d.code == "RPR021")
         lines = (tmp_path / "stacked_app.py").read_text().splitlines()
         assert "time.time()" in lines[diag.span.line - 1]
         assert diag.span.file.endswith("stacked_app.py")
